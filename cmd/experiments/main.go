@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -76,14 +77,6 @@ func main() {
 				done, total, r.Trace, r.Policy, r.CacheSize, 100*r.HitRatio())
 		}
 	}
-
-	want := map[string]bool{}
-	if *fig != "" {
-		for _, f := range strings.Split(*fig, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-	run := func(id string) bool { return len(want) == 0 || want[id] }
 
 	var md strings.Builder
 	emit := func(tables ...*report.Table) {
@@ -153,6 +146,16 @@ func main() {
 		}},
 	}
 
+	ids := make([]string, len(steps))
+	for i, s := range steps {
+		ids[i] = s.id
+	}
+	want, err := selectFigures(*fig, ids)
+	if err != nil {
+		fatal(err)
+	}
+	run := func(id string) bool { return len(want) == 0 || want[id] }
+
 	// Generate every trace the selected steps will replay up front, fanned
 	// across the worker pool (simulations were already parallel; this
 	// removes trace generation as the run's serial bottleneck).
@@ -184,6 +187,25 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "markdown written to %s\n", *mdPath)
 	}
+}
+
+// selectFigures parses the -fig argument against the known figure ids. An
+// empty argument selects everything (an empty set); an id that names no
+// figure is an error listing the valid ones — running nothing and exiting
+// 0 would read as a successful regeneration.
+func selectFigures(arg string, ids []string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if arg == "" {
+		return want, nil
+	}
+	for _, f := range strings.Split(arg, ",") {
+		f = strings.TrimSpace(f)
+		if !slices.Contains(ids, f) {
+			return nil, fmt.Errorf("-fig: unknown figure %q (valid: %s)", f, strings.Join(ids, ","))
+		}
+		want[f] = true
+	}
+	return want, nil
 }
 
 // runStream is the paper-scale escape hatch: one sharded CLIC front served

@@ -21,15 +21,22 @@ type Partitioned struct {
 	cfg Config
 
 	// pr holds the priorities in effect during the current window,
-	// computed at the last window boundary (Equation 3).
-	pr map[hint.ID]float64
+	// computed at the last window boundary (Equation 3). blend works on
+	// this map, shared with the other learners so their arithmetic cannot
+	// drift apart; dense is the same table indexed by hint ID, republished
+	// after each blend, and is what Priority reads on the request path.
+	pr    map[hint.ID]float64
+	dense []float64
 
 	// Exact per-window statistics (TopK == 0): stats is indexed by hint
 	// ID, touched lists the IDs with nonzero statistics this window.
 	stats   []winStats
 	touched []hint.ID
-	// Bounded per-window statistics (TopK > 0, §5).
-	topk *spacesaving.Summary[hint.ID, rerefAux]
+	// Bounded per-window statistics (TopK > 0, §5). tracked is the
+	// summary's key index over again, indexed by hint ID (nil = not
+	// tracked), so the request path skips the summary's map lookup.
+	topk    *spacesaving.Summary[hint.ID, rerefAux]
+	tracked []*spacesaving.Counter[hint.ID, rerefAux]
 
 	// fresh is the scratch estimates map handed to blend at each window
 	// boundary, cleared (not reallocated) after use.
@@ -73,7 +80,18 @@ func (p *Partitioned) stat(h hint.ID) *winStats {
 // Arrive implements Learner.
 func (p *Partitioned) Arrive(h hint.ID) {
 	if p.topk != nil {
-		p.topk.Touch(h)
+		for int(h) >= len(p.tracked) {
+			p.tracked = append(p.tracked, nil)
+		}
+		if ctr := p.tracked[h]; ctr != nil {
+			p.topk.Bump(ctr)
+			return
+		}
+		ctr, old, replaced := p.topk.Touch(h)
+		if replaced {
+			p.tracked[old] = nil
+		}
+		p.tracked[h] = ctr
 		return
 	}
 	p.stat(h).n++
@@ -82,9 +100,11 @@ func (p *Partitioned) Arrive(h hint.ID) {
 // Reref implements Learner.
 func (p *Partitioned) Reref(h hint.ID, dist uint64) {
 	if p.topk != nil {
-		if ctr, ok := p.topk.Get(h); ok {
-			ctr.Val.nr++
-			ctr.Val.dsum += float64(dist)
+		if int(h) < len(p.tracked) {
+			if ctr := p.tracked[h]; ctr != nil {
+				ctr.Val.nr++
+				ctr.Val.dsum += float64(dist)
+			}
 		}
 		return
 	}
@@ -106,8 +126,16 @@ func (p *Partitioned) EndRequest() bool {
 	p.fillEstimates()
 	blend(p.pr, p.fresh, p.cfg.R)
 	clear(p.fresh)
+	clear(p.dense)
+	for h, pr := range p.pr {
+		for int(h) >= len(p.dense) {
+			p.dense = append(p.dense, 0)
+		}
+		p.dense[h] = pr
+	}
 	if p.topk != nil {
 		p.topk.Reset()
+		clear(p.tracked)
 	} else {
 		for _, h := range p.touched {
 			p.stats[h] = winStats{}
@@ -137,7 +165,12 @@ func (p *Partitioned) fillEstimates() {
 }
 
 // Priority implements Learner.
-func (p *Partitioned) Priority(h hint.ID) float64 { return p.pr[h] }
+func (p *Partitioned) Priority(h hint.ID) float64 {
+	if int(h) < len(p.dense) {
+		return p.dense[h]
+	}
+	return 0
+}
 
 // Epoch implements Learner.
 func (p *Partitioned) Epoch() uint64 { return p.epoch }

@@ -1,11 +1,15 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"strings"
+	"testing"
+)
 
 // TestAccessSteadyStateAllocs pins the zero-allocation contract of the
 // request path: after the cache has filled its capacity, outqueue and
-// statistics structures (all recycled through freelists), processing a
-// request allocates nothing — including across window rotations and
+// statistics structures (the record slab and page table stop growing, the
+// rest recycles through freelists), processing a request allocates nothing — including across window rotations and
 // Space-Saving counter churn (TopK set).
 func TestAccessSteadyStateAllocs(t *testing.T) {
 	c := New(Config{Capacity: 512, Window: 2000, TopK: 64})
@@ -50,4 +54,42 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("steady-state AccessBatch allocates %v allocs per batch, want 0", avg)
 	}
+}
+
+// TestFootprintFollowsRecords pins that nothing is sized from the
+// configuration: a million-page cache that has seen 1 000 pages holds 1 000
+// records and a table to match, not slab or table space for the ~6M records
+// it may one day hold.
+func TestFootprintFollowsRecords(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(Config{Capacity: 1 << 20})
+	for p := uint64(0); p < 1000; p++ {
+		c.Access(rd(p, hintA))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained >= 1<<20 {
+		t.Errorf("cache retains %d bytes after 1000 requests, want < 1 MB", retained)
+	}
+	if c.Len() != 1000 {
+		t.Errorf("Len = %d, want 1000", c.Len())
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestRecordLimit: record links are 32-bit slab indices, so a configuration
+// that could hold more records than they address is refused up front, with
+// a message naming the limit, instead of corrupting links later.
+func TestRecordLimit(t *testing.T) {
+	New(Config{Capacity: 1 << 30, Noutq: 1 << 30}) // exactly maxRecords: fine, and allocates nothing yet
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Capacity+Noutq") {
+			t.Errorf("panic %q, want one naming Capacity+Noutq", msg)
+		}
+	}()
+	New(Config{Capacity: 1 << 30, Noutq: 1<<30 + 1})
+	t.Error("New accepted more records than it can index")
 }

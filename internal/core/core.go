@@ -18,6 +18,23 @@
 // some cached page has strictly lower priority; the victim is the
 // minimum-priority page, ties broken by minimum sequence number.
 //
+// A page has one record, cached or outqueued, never both, and the cache
+// keeps it that way physically: one slab of 32-byte, pointer-free records
+// linked by slab index, and one open-addressing page table (table.go) from
+// page number to slab index. Access probes that table once per request. A
+// cached record sits in its hint set's group list, an uncached one in the
+// outqueue list; eviction and re-admission move the record between the two
+// lists by relinking, without touching the table. Everything keyed by hint
+// ID on the request path — the groups, the learner's priorities and
+// tracked counters — is a slice indexed by the ID, since IDs are interned
+// densely. Slab and table
+// grow with the records actually held, never from the configured capacity.
+// Per cached page that is 6 records at the default Noutq — 192 bytes plus
+// 8-byte table slots at a load of 3/8 to 3/4, some 6–8% of a 4 KB page —
+// where §6.1 charges CLIC 1% (sim.ClicCapacity applies the paper's figure,
+// which assumes only a sequence number and a hint ID per record, not the
+// links and index an O(1) implementation needs).
+//
 // The statistics machinery itself — window accounting, decay blending,
 // the priority table, and the optional Space-Saving top-k bound (§5, set
 // via Config.TopK) — lives in internal/clicstats behind the Learner
@@ -37,12 +54,12 @@
 // are behaviorally bit-identical per producer stream; the owner engine
 // trades the universal call-from-anywhere API for a lock-free request
 // path. Both engines keep the steady-state request path allocation-free:
-// page/outqueue entries, victim groups, Space-Saving counters and window
-// statistics are all recycled through freelists.
+// page records recycle through the slab's free list, the group table is
+// reused in place, and Space-Saving counters and window statistics are
+// recycled through freelists.
 package core
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/clicstats"
@@ -180,19 +197,24 @@ type Cache struct {
 	learner clicstats.Learner
 	epoch   uint64
 
-	// Cached pages, grouped per hint set.
-	pages  map[uint64]*pageEntry
-	groups map[hint.ID]*group
-	heap   groupHeap
+	// The record store: one slab of page records (index 0 is nil), one
+	// table from page number to slab index, and a free list through the
+	// slab. A page has one record, cached or outqueued (§3.1), so a request
+	// costs one table probe; eviction and admission of a remembered page
+	// relink the record and leave the table alone.
+	ents  []pageEntry
+	table pageTable
+	free  uint32
 
-	// Outqueue of recently seen, uncached pages (§3.1). Its entry freelist
-	// is shared with the cached-page entries: pages migrate between the two
-	// structures on every admit/evict, so one pool serves both.
-	out outqueue
+	// Cached pages, grouped per hint set: groups is indexed by hint ID
+	// (IDs are interned densely), heap orders the non-empty groups.
+	groups []group
+	heap   []hint.ID
+	cached int
 
-	// freeGroups recycles empty hint-set groups; groups churn whenever a
-	// hint set's last page leaves the cache.
-	freeGroups []*group
+	// Outqueue of recently seen, uncached pages (§3.1), capacity cfg.Noutq.
+	outHead, outTail uint32
+	outSize          int
 
 	// evictions counts cached pages displaced by a higher-priority admit.
 	// Plain (the cache is single-owner); Sharded mirrors it into an atomic.
@@ -202,7 +224,8 @@ type Cache struct {
 var _ policy.Policy = (*Cache)(nil)
 
 // New returns a CLIC cache for the given configuration, with a private
-// learner built per Config.Stats.
+// learner built per Config.Stats. It panics if Capacity is negative or
+// Capacity+Noutq exceeds the number of page records a cache can index.
 func New(cfg Config) *Cache {
 	if cfg.Capacity < 0 {
 		panic("core: negative capacity")
@@ -222,15 +245,18 @@ func New(cfg Config) *Cache {
 
 // newCache builds a cache around an externally owned learner (Sharded
 // shares one learner across shards in global mode). cfg must already have
-// defaults applied.
+// defaults applied. Nothing is sized from the configuration: the slab and
+// the table grow with the records actually held.
 func newCache(cfg Config, l clicstats.Learner) *Cache {
+	if n := uint64(cfg.Capacity) + uint64(cfg.Noutq); n > maxRecords {
+		panic(fmt.Sprintf("core: Capacity+Noutq = %d page records, more than the %d a cache can index", n, uint64(maxRecords)))
+	}
 	c := &Cache{
 		cfg:     cfg,
 		learner: l,
-		pages:   make(map[uint64]*pageEntry, cfg.Capacity),
-		groups:  make(map[hint.ID]*group),
+		ents:    make([]pageEntry, 1), // index 0 is nil
 	}
-	c.out.init(cfg.Noutq)
+	c.table.init()
 	return c
 }
 
@@ -238,7 +264,7 @@ func newCache(cfg Config, l clicstats.Learner) *Cache {
 func (c *Cache) Name() string { return "CLIC" }
 
 // Len implements policy.Policy.
-func (c *Cache) Len() int { return len(c.pages) }
+func (c *Cache) Len() int { return c.cached }
 
 // Capacity implements policy.Policy.
 func (c *Cache) Capacity() int { return c.cfg.Capacity }
@@ -263,23 +289,19 @@ func (c *Cache) Access(r trace.Request) bool {
 	s := c.seq
 	c.seq++
 
-	// One lookup in each table serves both the statistics and the placement
-	// decision below: e is the page's cached record, oe its outqueue record
-	// (at most one of the two exists).
-	e, cached := c.pages[r.Page]
-	var oe *pageEntry
-	if !cached {
-		oe, _ = c.out.get(r.Page)
-	}
+	// The request's one table probe: i is the page's record, cached or
+	// outqueued, serving both the statistics and the placement decision.
+	i := c.table.find(c.ents, r.Page)
 
 	// Statistics: count the arrival, and detect a read re-reference using
-	// the most-recent-request record held in the cache or the outqueue.
+	// the most-recent-request record.
 	c.learner.Arrive(r.Hint)
-	if r.Op == trace.Read {
-		if cached {
+	cached := false
+	if i != 0 {
+		e := &c.ents[i]
+		cached = e.cached
+		if r.Op == trace.Read {
 			c.learner.Reref(e.hint, s-e.seq)
-		} else if oe != nil {
-			c.learner.Reref(oe.hint, s-oe.seq)
 		}
 	}
 
@@ -288,9 +310,12 @@ func (c *Cache) Access(r trace.Request) bool {
 		// Figure 4 lines 23–25: refresh the record; the most recent
 		// request determines the page's priority from now on.
 		hit = r.Op == trace.Read
-		c.rehint(e, s, r.Hint)
+		c.removeFromGroup(i)
+		e := &c.ents[i]
+		e.seq, e.hint = s, r.Hint
+		c.appendToGroup(i)
 	} else {
-		c.admit(r.Page, s, r.Hint, oe)
+		c.admit(r.Page, s, r.Hint, i)
 	}
 
 	if c.learner.EndRequest() {
@@ -308,73 +333,54 @@ func (c *Cache) syncPriorities() {
 		return
 	}
 	c.epoch = e
-	for _, g := range c.groups {
-		g.pr = c.learner.Priority(g.hint)
+	for _, h := range c.heap {
+		c.groups[h].pr = c.learner.Priority(h)
 	}
-	heap.Init(&c.heap)
+	c.heapInit()
 }
 
-// admit handles a request for an uncached page (Figure 4 lines 1–22). oe is
-// the page's outqueue record if it has one (already looked up by Access).
-func (c *Cache) admit(page, s uint64, h hint.ID, oe *pageEntry) {
-	if len(c.pages) < c.cfg.Capacity {
-		c.insert(page, s, h, oe)
+// admit handles a request for an uncached page (Figure 4 lines 1–22). oi is
+// the page's outqueue entry if it has one (already looked up by Access).
+func (c *Cache) admit(page, s uint64, h hint.ID, oi uint32) {
+	if c.cached < c.cfg.Capacity {
+		c.insert(page, s, h, oi)
 		return
 	}
-	if c.cfg.Capacity > 0 && len(c.heap) > 0 {
-		top := c.heap[0]
-		if c.priority(h) > top.pr {
+	if c.cfg.Capacity > 0 {
+		top := &c.groups[c.heap[0]]
+		if c.learner.Priority(h) > top.pr {
 			v := top.head // minimum seq within the minimum-priority group
 			c.removeFromGroup(v)
-			delete(c.pages, v.page)
+			c.cached--
 			c.evictions++
 			// The victim's record enters the outqueue before the new page's
-			// stale record leaves (the order the original per-step code
-			// implied): if the outqueue is full, the entry displaced can be
-			// oe itself, in which case the incoming page no longer has a
-			// record to drop.
-			if c.out.putEntry(v) == oe {
-				oe = nil
+			// stale record leaves: if the outqueue is full, the entry
+			// displaced can be oi itself, in which case the incoming page
+			// no longer has a record to reuse.
+			if c.outqueueVictim(v) == oi {
+				oi = 0
 			}
-			c.insert(page, s, h, oe)
+			c.insert(page, s, h, oi)
 			return
 		}
 	}
 	// Do not cache: record the request in the outqueue (lines 19–22).
-	if oe != nil {
-		c.out.refresh(oe, s, h)
+	c.record(page, s, h, oi)
+}
+
+// insert caches a page with the given record. oi is the page's outqueue
+// entry if it still has one: the entry migrates into its group and the
+// page table is untouched.
+func (c *Cache) insert(page, s uint64, h hint.ID, oi uint32) {
+	if oi != 0 {
+		c.outUnlink(oi)
+		c.outSize--
 	} else {
-		c.out.putNew(page, s, h)
+		oi = c.alloc()
+		c.table.insert(page, oi)
 	}
+	e := &c.ents[oi]
+	e.page, e.seq, e.hint = page, s, h
+	c.cached++
+	c.appendToGroup(oi)
 }
-
-// insert caches a page with the given record. oe is the page's outqueue
-// record if it still has one; the cache now holds the authoritative record,
-// so the stale one is dropped.
-func (c *Cache) insert(page, s uint64, h hint.ID, oe *pageEntry) {
-	if c.cfg.Capacity == 0 {
-		if oe != nil {
-			c.out.refresh(oe, s, h)
-		} else {
-			c.out.putNew(page, s, h)
-		}
-		return
-	}
-	if oe != nil {
-		c.out.dropEntry(oe)
-	}
-	e := c.out.takeFree(page, s, h)
-	c.pages[page] = e
-	c.appendToGroup(e, h)
-}
-
-// rehint updates a cached page's record after a new request for it.
-func (c *Cache) rehint(e *pageEntry, s uint64, h hint.ID) {
-	c.removeFromGroup(e)
-	e.seq = s
-	e.hint = h
-	c.appendToGroup(e, h)
-}
-
-// priority returns Pr(H) in effect during the current window.
-func (c *Cache) priority(h hint.ID) float64 { return c.learner.Priority(h) }

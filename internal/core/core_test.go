@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,6 +202,49 @@ func TestOutqueueBound(t *testing.T) {
 	}
 }
 
+// TestVictimDisplacesIncomingRecord pins the corner where the outqueue is
+// full and the record displaced by the victim's is the incoming page's own:
+// the incoming page is cached on a fresh record, and the victim's record
+// still lands in the outqueue and keeps detecting re-references.
+func TestVictimDisplacesIncomingRecord(t *testing.T) {
+	c := New(Config{Capacity: 1, Noutq: 1, Window: 6})
+	c.Access(rd(1, hintA)) // seq 0: cached
+	c.Access(rd(1, hintA)) // seq 1: hit; credit A dist 1
+	c.Access(rd(1, hintB)) // seq 2: hit; credit A dist 1; page 1 is B now
+	c.Access(rd(7, hintB)) // seq 3: bypass; outqueue = [7]
+	c.Access(rd(8, hintB)) // seq 4: bypass; outqueue = [8]
+	c.Access(wr(9, hintB)) // seq 5: bypass; outqueue = [9]; rotation: pr(A) = 1, pr(B) = 0
+	if pr := c.Priorities(); pr[hintA] != 1 || pr[hintB] != 0 {
+		t.Fatalf("training priorities: %v", pr)
+	}
+	// seq 6: page 9's record is the whole outqueue. A beats B, so page 1 is
+	// evicted; its record displaces page 9's — the one Access looked up.
+	if c.Access(rd(9, hintA)) {
+		t.Fatal("seq 6 was a miss")
+	}
+	if c.Len() != 1 || c.OutqueueLen() != 1 || c.Evictions() != 1 {
+		t.Fatalf("Len/OutqueueLen/Evictions = %d/%d/%d, want 1/1/1", c.Len(), c.OutqueueLen(), c.Evictions())
+	}
+	if !c.Access(rd(9, hintA)) { // seq 7
+		t.Fatal("page 9 not cached after displacing its own record")
+	}
+	c.Access(rd(1, hintB)) // seq 8: page 1's record (B, seq 2) is in the outqueue: credit B dist 6
+	stats := map[hint.ID]HintStat{}
+	for _, s := range c.WindowStats() {
+		stats[s.Hint] = s
+	}
+	// B: credited at seq 6 (page 9's record, dist 1) and seq 8 (dist 6).
+	if b := stats[hintB]; b.N != 1 || b.Nr != 2 || math.Abs(b.D-3.5) > 1e-12 {
+		t.Errorf("B: %+v, want N=1 Nr=2 D=3.5", b)
+	}
+	if a := stats[hintA]; a.N != 2 || a.Nr != 1 {
+		t.Errorf("A: %+v, want N=2 Nr=1", a)
+	}
+	if err := c.checkConsistency(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestOutqueueDisabled(t *testing.T) {
 	c := New(Config{Capacity: 0, Window: 1000, Noutq: NoOutqueue})
 	c.Access(rd(1, hintA))
@@ -313,87 +357,166 @@ func TestTopKUntrackedGetZeroPriority(t *testing.T) {
 }
 
 // TestInvariantsQuick property-tests CLIC's structural invariants under
-// random request streams: cache and outqueue bounds, group bookkeeping,
-// and heap/group consistency.
+// random request streams, with the outqueue disabled, at one entry and at
+// a size the streams fill: cache and outqueue bounds plus everything
+// checkConsistency verifies, after every request.
 func TestInvariantsQuick(t *testing.T) {
-	f := func(seed int64, capRaw, topkRaw uint8) bool {
-		capacity := int(capRaw % 12)
-		topk := int(topkRaw % 4) // 0 = exact mode
-		rng := rand.New(rand.NewSource(seed))
-		c := New(Config{Capacity: capacity, Window: 50, TopK: topk, Noutq: 20})
-		for i := 0; i < 1200; i++ {
-			op := trace.Read
-			if rng.Intn(3) == 0 {
-				op = trace.Write
+	for _, noutq := range []int{NoOutqueue, 1, 20} {
+		limit := max(noutq, 0)
+		f := func(seed int64, capRaw, topkRaw uint8) bool {
+			capacity := int(capRaw % 12)
+			topk := int(topkRaw % 4) // 0 = exact mode
+			rng := rand.New(rand.NewSource(seed))
+			c := New(Config{Capacity: capacity, Window: 50, TopK: topk, Noutq: noutq})
+			for i := 0; i < 1200; i++ {
+				op := trace.Read
+				if rng.Intn(3) == 0 {
+					op = trace.Write
+				}
+				c.Access(trace.Request{
+					Page: uint64(rng.Intn(40)),
+					Hint: hint.ID(rng.Intn(6)),
+					Op:   op,
+				})
+				if c.Len() > capacity || c.OutqueueLen() > limit {
+					t.Logf("Noutq %d, request %d: Len %d (capacity %d), OutqueueLen %d", noutq, i, c.Len(), capacity, c.OutqueueLen())
+					return false
+				}
+				if err := c.checkConsistency(); err != nil {
+					t.Logf("Noutq %d, request %d: %v", noutq, i, err)
+					return false
+				}
 			}
-			c.Access(trace.Request{
-				Page: uint64(rng.Intn(40)),
-				Hint: hint.ID(rng.Intn(6)),
-				Op:   op,
-			})
-			if c.Len() > capacity {
-				return false
-			}
-			if c.OutqueueLen() > 20 {
-				return false
-			}
-			if !c.checkConsistency() {
-				return false
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// checkConsistency validates the internal structures: every cached page is
-// in exactly one group, group sizes add up, every non-empty group is in the
-// heap exactly once, and heap indices are correct.
-func (c *Cache) checkConsistency() bool {
-	total := 0
-	for h, g := range c.groups {
-		if g.size <= 0 || g.hint != h {
-			return false
+// checkConsistency validates the record store and the structures threaded
+// through it: every slab entry is in exactly one of a group list, the
+// outqueue list and the free list; the page table maps exactly the live
+// entries; group lists are seq-ordered with correct keys; and the heap
+// holds exactly the non-empty groups, in heap order, with correct indices.
+func (c *Cache) checkConsistency() error {
+	const (
+		unseen = iota
+		inGroup
+		inOutqueue
+		isFree
+	)
+	state := make([]int, len(c.ents))
+	visit := func(i uint32, as int) error {
+		if i == 0 || int(i) >= len(c.ents) {
+			return fmt.Errorf("entry index %d outside the slab", i)
 		}
-		n := 0
-		var prevSeq uint64
-		for e := g.head; e != nil; e = e.next {
-			if e.grp != g {
-				return false
+		if state[i] != unseen {
+			return fmt.Errorf("entry %d linked twice (states %d and %d)", i, state[i], as)
+		}
+		state[i] = as
+		return nil
+	}
+
+	cached, nonEmpty := 0, 0
+	for h := range c.groups {
+		g := &c.groups[h]
+		if g.head == 0 {
+			if g.tail != 0 {
+				return fmt.Errorf("group %d: empty with tail %d", h, g.tail)
 			}
-			if n > 0 && e.seq < prevSeq {
-				return false // list must be seq-ordered
+			continue
+		}
+		nonEmpty++
+		var prev uint32
+		for i := g.head; i != 0; i = c.ents[i].next {
+			if err := visit(i, inGroup); err != nil {
+				return fmt.Errorf("group %d: %v", h, err)
 			}
-			prevSeq = e.seq
-			n++
+			e := &c.ents[i]
+			if !e.cached || e.hint != hint.ID(h) || e.prev != prev {
+				return fmt.Errorf("group %d: entry %d is %+v, want cached, this hint, prev %d", h, i, *e, prev)
+			}
+			if prev != 0 && e.seq <= c.ents[prev].seq {
+				return fmt.Errorf("group %d: entry %d breaks seq order", h, i)
+			}
+			prev = i
+			cached++
 		}
-		if n != g.size {
-			return false
+		if g.tail != prev {
+			return fmt.Errorf("group %d: tail %d, list ends at %d", h, g.tail, prev)
 		}
-		total += n
-	}
-	if total != len(c.pages) {
-		return false
-	}
-	if len(c.heap) != len(c.groups) {
-		return false
-	}
-	for i, g := range c.heap {
-		if g.heapIdx != i {
-			return false
+		if g.headSeq != c.ents[g.head].seq {
+			return fmt.Errorf("group %d: headSeq %d, head entry has %d", h, g.headSeq, c.ents[g.head].seq)
+		}
+		if g.pr != c.learner.Priority(hint.ID(h)) {
+			return fmt.Errorf("group %d: pr %v, learner says %v", h, g.pr, c.learner.Priority(hint.ID(h)))
+		}
+		if int(g.heapIdx) >= len(c.heap) || c.heap[g.heapIdx] != hint.ID(h) {
+			return fmt.Errorf("group %d: heapIdx %d does not point back", h, g.heapIdx)
 		}
 	}
-	// Outqueue map and list must agree.
-	n := 0
-	for e := c.out.head; e != nil; e = e.next {
-		if c.out.pages[e.page] != e {
-			return false
-		}
-		n++
+	if cached != c.Len() {
+		return fmt.Errorf("%d entries in group lists, Len %d", cached, c.Len())
 	}
-	return n == c.out.size
+	if len(c.heap) != nonEmpty {
+		return fmt.Errorf("heap holds %d groups, %d are non-empty", len(c.heap), nonEmpty)
+	}
+	for i := 1; i < len(c.heap); i++ {
+		if c.heapLess(i, (i-1)/2) {
+			return fmt.Errorf("heap order broken at %d", i)
+		}
+	}
+
+	outq := 0
+	var prev uint32
+	for i := c.outHead; i != 0; i = c.ents[i].next {
+		if err := visit(i, inOutqueue); err != nil {
+			return fmt.Errorf("outqueue: %v", err)
+		}
+		if e := &c.ents[i]; e.cached || e.prev != prev {
+			return fmt.Errorf("outqueue: entry %d is %+v, want uncached, prev %d", i, *e, prev)
+		}
+		prev = i
+		outq++
+	}
+	if c.outTail != prev || outq != c.OutqueueLen() {
+		return fmt.Errorf("outqueue: tail %d, list ends at %d; %d entries, OutqueueLen %d", c.outTail, prev, outq, c.OutqueueLen())
+	}
+
+	free := 0
+	for i := c.free; i != 0; i = c.ents[i].next {
+		if err := visit(i, isFree); err != nil {
+			return fmt.Errorf("free list: %v", err)
+		}
+		free++
+	}
+	if cached+outq+free != len(c.ents)-1 {
+		return fmt.Errorf("slab has %d entries: %d cached + %d outqueued + %d free do not cover it", len(c.ents)-1, cached, outq, free)
+	}
+
+	if c.table.n != c.Len()+c.OutqueueLen() {
+		return fmt.Errorf("table counts %d records, Len+OutqueueLen = %d", c.table.n, c.Len()+c.OutqueueLen())
+	}
+	used := 0
+	for _, s := range c.table.slots {
+		if s != 0 {
+			used++
+		}
+	}
+	if used != c.table.n || used*4 > len(c.table.slots)*3 {
+		return fmt.Errorf("table: %d of %d slots used, n = %d", used, len(c.table.slots), c.table.n)
+	}
+	for i := 1; i < len(c.ents); i++ {
+		if state[i] == isFree {
+			continue
+		}
+		if got := c.table.find(c.ents, c.ents[i].page); got != uint32(i) {
+			return fmt.Errorf("table maps page %d to %d, its record is %d", c.ents[i].page, got, i)
+		}
+	}
+	return nil
 }
 
 func TestZeroCapacity(t *testing.T) {

@@ -1,269 +1,268 @@
 package core
 
-import (
-	"container/heap"
-
-	"repro/internal/hint"
-)
+import "repro/internal/hint"
 
 // pageEntry records the most recent request for a page: its sequence number
-// and hint set (§3.1). Entries live either in a hint-set group (cached
-// pages) or in the outqueue (uncached pages), never both.
+// and hint set (§3.1). Entries live in one slab (Cache.ents) and refer to
+// each other by slab index, 0 meaning nil: 32 bytes each, no pointers for
+// the collector to trace. A live entry is linked into exactly one list —
+// its hint set's group (cached pages) or the outqueue (uncached pages) —
+// and moves between the two by relinking; free entries chain through next.
 type pageEntry struct {
-	page uint64
-	seq  uint64
-	hint hint.ID
-
-	grp        *group // non-nil iff cached
-	prev, next *pageEntry
+	page       uint64
+	seq        uint64
+	prev, next uint32
+	hint       hint.ID
+	cached     bool // in groups[hint]'s list rather than the outqueue's
 }
 
 // group collects all cached pages whose latest request carried the same
 // hint set, in a doubly-linked list ordered by sequence number (appends are
-// always the newest request, so order holds by construction). The group
-// sits in the priority heap keyed by (pr, head.seq).
+// always the newest request, so order holds by construction). Groups live
+// in Cache.groups indexed by hint ID; a non-empty group sits in the
+// priority heap keyed by (pr, headSeq), both held here so heap operations
+// stay inside the group table.
 type group struct {
-	hint    hint.ID
-	pr      float64
-	head    *pageEntry // minimum sequence number
-	tail    *pageEntry
-	size    int
-	heapIdx int
+	pr         float64
+	headSeq    uint64 // ents[head].seq
+	head, tail uint32 // head is the minimum sequence number; 0 = empty group
+	heapIdx    int32  // position in Cache.heap while non-empty
 }
 
-// appendToGroup places a cached entry at the tail of its hint set's group,
-// creating the group (and registering it in the heap) when needed. Groups
-// come from the freelist when one is available.
-func (c *Cache) appendToGroup(e *pageEntry, h hint.ID) {
-	g, ok := c.groups[h]
-	if !ok {
-		if n := len(c.freeGroups); n > 0 {
-			g = c.freeGroups[n-1]
-			c.freeGroups = c.freeGroups[:n-1]
-			*g = group{hint: h, pr: c.priority(h)}
-		} else {
-			g = &group{hint: h, pr: c.priority(h)}
-		}
-		c.groups[h] = g
+// alloc takes an entry off the free list, growing the slab when the list is
+// empty. Growth invalidates *pageEntry pointers, so callers re-derive them.
+func (c *Cache) alloc() uint32 {
+	if i := c.free; i != 0 {
+		c.free = c.ents[i].next
+		return i
 	}
-	e.grp = g
+	c.ents = append(c.ents, pageEntry{})
+	return uint32(len(c.ents) - 1)
+}
+
+// release unmaps an unlinked entry's page and returns the entry to the free
+// list.
+func (c *Cache) release(i uint32) {
+	e := &c.ents[i]
+	c.table.remove(e.page, i)
+	*e = pageEntry{next: c.free}
+	c.free = i
+}
+
+// appendToGroup links entry i at the tail of its hint set's group,
+// registering the group in the heap when it was empty. The group table
+// grows when a new hint ID appears (vocabulary growth, not steady state).
+func (c *Cache) appendToGroup(i uint32) {
+	e := &c.ents[i]
+	h := e.hint
+	for int(h) >= len(c.groups) {
+		c.groups = append(c.groups, group{})
+	}
+	g := &c.groups[h]
+	e.cached = true
 	e.prev = g.tail
-	e.next = nil
-	if g.tail != nil {
-		g.tail.next = e
+	e.next = 0
+	if g.tail != 0 {
+		c.ents[g.tail].next = i
+		g.tail = i
+		// Appends never change a non-empty group's head, so its heap
+		// position stands.
+		return
 	}
-	g.tail = e
-	wasEmpty := g.head == nil
-	if wasEmpty {
-		g.head = e
-	}
-	g.size++
-	if wasEmpty {
-		heap.Push(&c.heap, g)
-	}
-	// Appends never change a non-empty group's head, so no Fix is needed.
+	g.head, g.tail = i, i
+	g.headSeq = e.seq
+	g.pr = c.learner.Priority(h)
+	g.heapIdx = int32(len(c.heap))
+	c.heap = append(c.heap, h)
+	c.heapUp(len(c.heap) - 1)
 }
 
-// removeFromGroup unlinks a cached entry from its group, fixing the heap if
-// the group's head (its key component) changed, and dropping empty groups.
-func (c *Cache) removeFromGroup(e *pageEntry) {
-	g := e.grp
-	wasHead := g.head == e
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		g.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
+// removeFromGroup unlinks cached entry i from its group, fixing the heap if
+// the group's head (its key component) changed and dropping the group from
+// the heap when it empties.
+func (c *Cache) removeFromGroup(i uint32) {
+	e := &c.ents[i]
+	g := &c.groups[e.hint]
+	if e.next != 0 {
+		c.ents[e.next].prev = e.prev
 	} else {
 		g.tail = e.prev
 	}
-	e.prev, e.next, e.grp = nil, nil, nil
-	g.size--
-	if g.size == 0 {
-		heap.Remove(&c.heap, g.heapIdx)
-		delete(c.groups, g.hint)
-		c.freeGroups = append(c.freeGroups, g)
+	if e.prev != 0 {
+		c.ents[e.prev].next = e.next
+		e.prev, e.next, e.cached = 0, 0, false
 		return
 	}
-	if wasHead {
-		heap.Fix(&c.heap, g.heapIdx)
+	g.head = e.next
+	e.next, e.cached = 0, false
+	if g.head == 0 {
+		c.heapRemove(int(g.heapIdx))
+		return
 	}
+	g.headSeq = c.ents[g.head].seq
+	c.heapFix(int(g.heapIdx))
 }
 
-// groupHeap is a min-heap of groups keyed by (priority, head sequence
-// number): the top group holds the global victim page — the oldest page
-// among those with the minimum priority (Figure 4 lines 7–11).
-type groupHeap []*group
+// The victim heap: Cache.heap is a binary min-heap of the non-empty groups'
+// hint IDs keyed by (priority, head sequence number), so the top group's
+// head is the global victim — the oldest page among those with the minimum
+// priority (Figure 4 lines 7–11).
 
-func (h groupHeap) Len() int { return len(h) }
-func (h groupHeap) Less(i, j int) bool {
-	if h[i].pr != h[j].pr {
-		return h[i].pr < h[j].pr
+func (c *Cache) heapLess(i, j int) bool {
+	a, b := &c.groups[c.heap[i]], &c.groups[c.heap[j]]
+	if a.pr != b.pr {
+		return a.pr < b.pr
 	}
-	return h[i].head.seq < h[j].head.seq
+	return a.headSeq < b.headSeq
 }
-func (h groupHeap) Swap(i, j int) {
+
+func (c *Cache) heapSwap(i, j int) {
+	h := c.heap
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *groupHeap) Push(x any) {
-	g := x.(*group)
-	g.heapIdx = len(*h)
-	*h = append(*h, g)
-}
-func (h *groupHeap) Pop() any {
-	old := *h
-	n := len(old)
-	g := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return g
+	c.groups[h[i]].heapIdx = int32(i)
+	c.groups[h[j]].heapIdx = int32(j)
 }
 
-// outqueue is the bounded FIFO of most-recent-request records for pages
-// that are not cached (§3.1). When full, the least-recently inserted entry
-// is evicted, deliberately biasing re-reference detection toward short
-// re-reference distances — the ones that lead to high caching priority.
-type outqueue struct {
-	capacity   int
-	pages      map[uint64]*pageEntry
-	head, tail *pageEntry // head is the least-recently inserted
-	size       int
-
-	// free is the pageEntry freelist (linked through next), shared with the
-	// cache's page table: entries cycle between cached, outqueued and free
-	// on every admit/evict, so the steady state allocates none.
-	free *pageEntry
-}
-
-func (q *outqueue) init(capacity int) {
-	q.capacity = capacity
-	q.pages = make(map[uint64]*pageEntry, capacity)
-}
-
-// get returns the record for a page if present.
-func (q *outqueue) get(page uint64) (*pageEntry, bool) {
-	e, ok := q.pages[page]
-	return e, ok
-}
-
-// takeFree pops an entry off the freelist (or allocates one) initialized to
-// the given record.
-func (q *outqueue) takeFree(page, seq uint64, h hint.ID) *pageEntry {
-	e := q.free
-	if e == nil {
-		return &pageEntry{page: page, seq: seq, hint: h}
+func (c *Cache) heapUp(j int) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if !c.heapLess(j, p) {
+			break
+		}
+		c.heapSwap(p, j)
+		j = p
 	}
-	q.free = e.next
-	*e = pageEntry{page: page, seq: seq, hint: h}
-	return e
 }
 
-// recycle returns an entry (no longer referenced by any map or list) to the
-// freelist.
-func (q *outqueue) recycle(e *pageEntry) {
-	*e = pageEntry{next: q.free}
-	q.free = e
+// heapDown sifts position i down within the first n heap slots and reports
+// whether it moved.
+func (c *Cache) heapDown(i, n int) bool {
+	start := i
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && c.heapLess(r, l) {
+			m = r
+		}
+		if !c.heapLess(m, i) {
+			break
+		}
+		c.heapSwap(i, m)
+		i = m
+	}
+	return i > start
 }
 
-// putNew records (seq, hint) for a page known to have no entry yet,
-// matching §3.1's "an entry is placed in the outqueue" for every uncached
-// request. When the queue is full the least-recently inserted entry is
-// reused for the new page.
-func (q *outqueue) putNew(page, seq uint64, h hint.ID) {
-	if q.capacity <= 0 {
+// heapFix restores order after the key of position i changed.
+func (c *Cache) heapFix(i int) {
+	if !c.heapDown(i, len(c.heap)) {
+		c.heapUp(i)
+	}
+}
+
+// heapRemove drops position i from the heap.
+func (c *Cache) heapRemove(i int) {
+	n := len(c.heap) - 1
+	if i != n {
+		c.heapSwap(i, n)
+		c.heap = c.heap[:n]
+		c.heapFix(i)
 		return
 	}
-	if q.size >= q.capacity {
-		old := q.head
-		q.unlink(old)
-		delete(q.pages, old.page)
-		*old = pageEntry{page: page, seq: seq, hint: h}
-		q.pages[page] = old
-		q.append(old)
+	c.heap = c.heap[:n]
+}
+
+// heapInit rebuilds heap order after every key changed.
+func (c *Cache) heapInit() {
+	n := len(c.heap)
+	for i := n/2 - 1; i >= 0; i-- {
+		c.heapDown(i, n)
+	}
+}
+
+// The outqueue is the bounded FIFO of most-recent-request records for pages
+// that are not cached (§3.1): a list through the slab from outHead (least
+// recently inserted) to outTail. When full, the least-recently inserted
+// entry is displaced, deliberately biasing re-reference detection toward
+// short re-reference distances — the ones that lead to high caching
+// priority.
+
+func (c *Cache) outAppend(i uint32) {
+	e := &c.ents[i]
+	e.prev = c.outTail
+	e.next = 0
+	if c.outTail != 0 {
+		c.ents[c.outTail].next = i
+	} else {
+		c.outHead = i
+	}
+	c.outTail = i
+}
+
+func (c *Cache) outUnlink(i uint32) {
+	e := &c.ents[i]
+	if e.prev != 0 {
+		c.ents[e.prev].next = e.next
+	} else {
+		c.outHead = e.next
+	}
+	if e.next != 0 {
+		c.ents[e.next].prev = e.prev
+	} else {
+		c.outTail = e.prev
+	}
+	e.prev, e.next = 0, 0
+}
+
+// record notes an uncached request in the outqueue (Figure 4 lines 19–22).
+// oi is the page's outqueue entry if it has one: its record is refreshed
+// and it moves to the most-recently-inserted position. Otherwise a new
+// entry is made, reusing the least-recently inserted one when the queue is
+// full.
+func (c *Cache) record(page, s uint64, h hint.ID, oi uint32) {
+	switch {
+	case oi != 0:
+		c.outUnlink(oi)
+	case c.cfg.Noutq == 0:
 		return
+	case c.outSize >= c.cfg.Noutq:
+		oi = c.outHead
+		c.outUnlink(oi)
+		c.table.remove(c.ents[oi].page, oi)
+		c.table.insert(page, oi)
+	default:
+		oi = c.alloc()
+		c.table.insert(page, oi)
+		c.outSize++
 	}
-	e := q.takeFree(page, seq, h)
-	q.pages[page] = e
-	q.append(e)
-	q.size++
+	e := &c.ents[oi]
+	e.page, e.seq, e.hint = page, s, h
+	c.outAppend(oi)
 }
 
-// refresh updates an existing entry's record and moves it to the
-// most-recently-inserted position.
-func (q *outqueue) refresh(e *pageEntry, seq uint64, h hint.ID) {
-	e.seq = seq
-	e.hint = h
-	q.unlink(e)
-	q.append(e)
-}
-
-// putEntry moves a just-evicted cached entry (already unlinked from its
-// group and the page table) into the outqueue, reusing the entry itself.
-// It returns the entry displaced to make room, if any — the caller checks
-// it against the incoming page's own outqueue record, which can be exactly
-// the one displaced.
-func (q *outqueue) putEntry(e *pageEntry) (displaced *pageEntry) {
-	if q.capacity <= 0 {
-		q.recycle(e)
-		return nil
+// outqueueVictim moves just-evicted entry v (already unlinked from its
+// group) into the outqueue: the entry itself migrates, its page stays
+// mapped to it. It returns the entry displaced to make room, if any — the
+// caller checks it against the incoming page's own outqueue entry, which
+// can be exactly the one displaced.
+func (c *Cache) outqueueVictim(v uint32) (displaced uint32) {
+	if c.cfg.Noutq == 0 {
+		c.release(v)
+		return 0
 	}
-	// e's page cannot already be present: a page has a cached record or an
-	// outqueue record, never both.
-	if q.size >= q.capacity {
-		old := q.head
-		q.unlink(old)
-		delete(q.pages, old.page)
-		q.size--
-		displaced = old
-		q.recycle(old)
+	if c.outSize >= c.cfg.Noutq {
+		displaced = c.outHead
+		c.outUnlink(displaced)
+		c.outSize--
+		c.release(displaced)
 	}
-	q.pages[e.page] = e
-	q.append(e)
-	q.size++
+	c.outAppend(v)
+	c.outSize++
 	return displaced
 }
 
-// dropEntry removes an entry (used when its page becomes cached).
-func (q *outqueue) dropEntry(e *pageEntry) {
-	q.unlink(e)
-	delete(q.pages, e.page)
-	q.size--
-	q.recycle(e)
-}
-
-func (q *outqueue) append(e *pageEntry) {
-	e.prev = q.tail
-	e.next = nil
-	if q.tail != nil {
-		q.tail.next = e
-	}
-	q.tail = e
-	if q.head == nil {
-		q.head = e
-	}
-}
-
-func (q *outqueue) unlink(e *pageEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		q.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		q.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// Len returns the number of outqueue entries (exported for tests via the
-// cache wrapper below).
-func (q *outqueue) len() int { return q.size }
-
 // OutqueueLen returns the current number of outqueue entries.
-func (c *Cache) OutqueueLen() int { return c.out.len() }
+func (c *Cache) OutqueueLen() int { return c.outSize }

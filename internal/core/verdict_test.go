@@ -1,0 +1,136 @@
+package core
+
+import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+var updateVerdicts = flag.Bool("update-verdicts", false, "rewrite testdata/verdicts.golden from the current implementation")
+
+const verdictGolden = "testdata/verdicts.golden"
+
+// verdictCase is one cell of the golden matrix: {3 generated presets, one
+// synthetic stream} × {exact, TopK} × {default outqueue, NoOutqueue,
+// Noutq: 1} × {capacity 0, tiny, normal}.
+type verdictCase struct {
+	name string
+	spec string
+	cfg  Config
+}
+
+func verdictCases() []verdictCase {
+	specs := []string{"DB2_C60*2:100000@7", "DB2_H80:100000", "MY_H65:100000", syntheticSpec}
+	topks := []int{0, 4}
+	noutqs := []struct {
+		name string
+		n    int
+	}{{"outq=default", 0}, {"outq=none", NoOutqueue}, {"outq=1", 1}}
+	caps := []int{0, 64, 2000}
+	var out []verdictCase
+	for _, spec := range specs {
+		for _, k := range topks {
+			for _, q := range noutqs {
+				for _, capacity := range caps {
+					out = append(out, verdictCase{
+						name: fmt.Sprintf("%s/topk=%d/%s/cap=%d", spec, k, q.name, capacity),
+						spec: spec,
+						cfg:  Config{Capacity: capacity, Noutq: q.n, Window: 5000, TopK: k},
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// syntheticSpec names shardedTrace's random stream over a small page and
+// hint universe: half the requests go to 200 hot pages, so immediate
+// re-requests, full one-entry outqueues and admissions of a page whose own
+// record is the one displaced all occur — corners the generated presets
+// rarely reach.
+const syntheticSpec = "synthetic:100000"
+
+func verdictRequests(t *testing.T, name string) []trace.Request {
+	if name == syntheticSpec {
+		return shardedTrace(100000, 3)
+	}
+	spec, err := workload.ParseSpec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := spec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Reqs
+}
+
+// verdictLine replays the requests and renders the run's golden line: an
+// FNV-1a digest of the per-request hit/miss stream (one byte per request,
+// so a single flipped verdict anywhere changes it) plus the end-state
+// counters.
+func verdictLine(name string, cfg Config, reqs []trace.Request) string {
+	c := New(cfg)
+	h := fnv.New64a()
+	buf := make([]byte, 0, 4096)
+	hits := 0
+	for _, r := range reqs {
+		b := byte(0)
+		if c.Access(r) {
+			b = 1
+			hits++
+		}
+		buf = append(buf, b)
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	h.Write(buf)
+	return fmt.Sprintf("%s digest=%016x hits=%d len=%d outq=%d evictions=%d windows=%d",
+		name, h.Sum64(), hits, c.Len(), c.OutqueueLen(), c.Evictions(), c.Windows())
+}
+
+// TestVerdictDigests pins the cache's behaviour request by request: the
+// golden file was written by the two-map, pointer-linked implementation
+// that preceded the page table + slab, and any record-store rewrite must
+// reproduce every hit/miss verdict exactly — totals alone would let
+// compensating errors through.
+func TestVerdictDigests(t *testing.T) {
+	traces := map[string][]trace.Request{}
+	var lines []string
+	for _, vc := range verdictCases() {
+		reqs, ok := traces[vc.spec]
+		if !ok {
+			reqs = verdictRequests(t, vc.spec)
+			traces[vc.spec] = reqs
+		}
+		lines = append(lines, verdictLine(vc.name, vc.cfg, reqs))
+	}
+	if *updateVerdicts {
+		if err := os.WriteFile(verdictGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	golden, err := os.ReadFile(verdictGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	if len(want) != len(lines) {
+		t.Fatalf("%s has %d lines, want one per case: %d", verdictGolden, len(want), len(lines))
+	}
+	for i, line := range lines {
+		if line != want[i] {
+			t.Errorf("verdicts changed:\n got  %s\n want %s", line, want[i])
+		}
+	}
+}

@@ -104,7 +104,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The server sees the replay's connection close on its own goroutine,
+	// some time after Replay returns: scrape until it has.
 	samples := scrape(t, srv)
+	for deadline := time.Now().Add(5 * time.Second); samples["clic_server_connections_active"] != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		samples = scrape(t, srv)
+	}
 
 	// Core family: totals must agree exactly with the replay accounting.
 	if got := samples["clic_cache_reads_total"]; got != float64(res.Reads) {

@@ -103,6 +103,15 @@ func (s *Summary[K, V]) Touch(key K) (c *Counter[K, V], replacedKey K, replaced 
 	return c, replacedKey, replaced
 }
 
+// Bump records one occurrence of the key c tracks: Touch(c.Key) for a
+// caller that kept the counter Touch returned and so can skip the lookup.
+// c must still be tracking its key — Touch reports the key it replaces, and
+// Reset replaces them all.
+func (s *Summary[K, V]) Bump(c *Counter[K, V]) {
+	s.observed++
+	s.increment(c)
+}
+
 // Get returns the counter for key if it is currently tracked.
 func (s *Summary[K, V]) Get(key K) (*Counter[K, V], bool) {
 	c, ok := s.counters[key]

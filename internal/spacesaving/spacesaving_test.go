@@ -199,3 +199,47 @@ func BenchmarkTouch(b *testing.B) {
 		s.Touch(keys[i%len(keys)])
 	}
 }
+
+// TestBumpMatchesTouch drives two summaries with one stream, one through
+// Touch alone and one through a caller-side index of the counters Touch
+// returned (the way clicstats.Partitioned uses Bump), across overflow
+// churn and a Reset: the summaries must stay identical.
+func TestBumpMatchesTouch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	plain := New[int, int](8)
+	indexed := New[int, int](8)
+	index := map[int]*Counter[int, int]{}
+	for i := 0; i < 5000; i++ {
+		if i == 2500 {
+			plain.Reset()
+			indexed.Reset()
+			clear(index)
+		}
+		k := rng.Intn(6)
+		if rng.Intn(3) == 0 {
+			k = rng.Intn(40)
+		}
+		plain.Touch(k)
+		if c := index[k]; c != nil {
+			indexed.Bump(c)
+		} else {
+			c, old, replaced := indexed.Touch(k)
+			if replaced {
+				delete(index, old)
+			}
+			index[k] = c
+		}
+		if plain.Observed() != indexed.Observed() {
+			t.Fatalf("step %d: observed %d vs %d", i, plain.Observed(), indexed.Observed())
+		}
+		a, b := plain.Counters(), indexed.Counters()
+		if len(a) != len(b) {
+			t.Fatalf("step %d: %d vs %d counters", i, len(a), len(b))
+		}
+		for j := range a {
+			if a[j].Key != b[j].Key || a[j].Count != b[j].Count || a[j].Err != b[j].Err {
+				t.Fatalf("step %d, counter %d: %+v vs %+v", i, j, *a[j], *b[j])
+			}
+		}
+	}
+}
