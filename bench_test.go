@@ -11,23 +11,16 @@
 package repro_test
 
 import (
-	"io"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
-	"repro/internal/netclient"
 	"repro/internal/report"
-	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // benchScale reduces every trace's request count; 0.1 keeps each figure's
@@ -246,296 +239,3 @@ func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, true) }
 
 // BenchmarkSweepParallel is the same grid fanned across all cores.
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, false) }
-
-var (
-	serveOnce  sync.Once
-	serveTrace *trace.Trace
-)
-
-// serveBenchTrace interleaves the three DB2 TPC-C client traces (the §6.4
-// multi-client scenario) at bench scale, once per test binary.
-func serveBenchTrace(b *testing.B) *trace.Trace {
-	b.Helper()
-	serveOnce.Do(func() {
-		e := env()
-		parts := make([]*trace.Trace, 0, 3)
-		for _, name := range []string{"DB2_C60", "DB2_C300", "DB2_C540"} {
-			t, err := e.Trace(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			parts = append(parts, t)
-		}
-		merged, err := trace.Interleave("THREE_CLIENTS", parts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		serveTrace = merged
-	})
-	return serveTrace
-}
-
-const serveBenchShards = 8
-
-func serveBenchConfig() core.Config {
-	return core.Config{TopK: 100, Window: 50000, Capacity: sim.ClicCapacity(18000)}
-}
-
-// reportServeMetrics attaches throughput and hit ratio to a serving bench.
-func reportServeMetrics(b *testing.B, t *trace.Trace, res sim.Result) {
-	b.ReportMetric(float64(t.Len())*float64(b.N)/b.Elapsed().Seconds(), "reqs/s")
-	b.ReportMetric(100*res.HitRatio(), "hit-%")
-}
-
-// BenchmarkServeClients is the in-process serving baseline: one goroutine
-// per client drives a shared sharded CLIC front through direct calls.
-func BenchmarkServeClients(b *testing.B) {
-	t := serveBenchTrace(b)
-	b.ResetTimer()
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		res = engine.ServeClients(core.NewSharded(serveBenchConfig(), serveBenchShards), t)
-	}
-	reportServeMetrics(b, t, res)
-}
-
-// BenchmarkServeLoopback is the same workload through the network stack: a
-// TCP server on loopback, one connection per client, batched wire frames.
-// Comparing against BenchmarkServeClients prices the protocol overhead.
-func BenchmarkServeLoopback(b *testing.B) {
-	t := serveBenchTrace(b)
-	b.ResetTimer()
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		srv := server.New(server.Config{Cache: serveBenchConfig(), Shards: serveBenchShards})
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		r, err := netclient.Replay(srv.Addr().String(), t, netclient.ReplayOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-		if err := srv.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportServeMetrics(b, t, res)
-}
-
-// benchShardedReplay prices the statistics-learning mode on the serial
-// replay path: the same sharded front and trace, differing only in where
-// hint statistics are learned (per-shard partitioned vs shared global).
-func benchShardedReplay(b *testing.B, mode core.StatsMode) {
-	t := serveBenchTrace(b)
-	cfg := serveBenchConfig()
-	cfg.Stats = mode
-	b.ResetTimer()
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		res = sim.Run(core.NewSharded(cfg, serveBenchShards), t)
-	}
-	reportServeMetrics(b, t, res)
-}
-
-// BenchmarkShardedPartitioned is the per-shard-learning baseline.
-func BenchmarkShardedPartitioned(b *testing.B) { benchShardedReplay(b, core.StatsPartitioned) }
-
-// BenchmarkShardedGlobal is the same replay with the shared lock-striped
-// learner; the delta against BenchmarkShardedPartitioned is the cost of
-// cache-wide statistics (stripe locks + atomic table loads) without
-// concurrency.
-func BenchmarkShardedGlobal(b *testing.B) { benchShardedReplay(b, core.StatsGlobal) }
-
-// BenchmarkServeClientsGlobal is BenchmarkServeClients with the shared
-// global learner: concurrent client goroutines now contend for the learner
-// stripes as well as the shard mutexes, pricing shared learning in the
-// serving regime it was built for.
-func BenchmarkServeClientsGlobal(b *testing.B) {
-	t := serveBenchTrace(b)
-	cfg := serveBenchConfig()
-	cfg.Stats = core.StatsGlobal
-	b.ResetTimer()
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		res = engine.ServeClients(core.NewSharded(cfg, serveBenchShards), t)
-	}
-	reportServeMetrics(b, t, res)
-}
-
-// BenchmarkShardedSingleOwner replays the serveBench trace through the
-// single-owner engine: one producer streaming DefaultAccessBatch-sized
-// batches, shard owners running the cache lock-free. The pair against
-// BenchmarkShardedPartitioned (same trace, same cache, mutex engine,
-// per-request replay) prices the engine: batching amortizes the per-request
-// mutex and atomics away, and on multi-core hardware the shard owners also
-// run genuinely in parallel with the producer's routing pass.
-func BenchmarkShardedSingleOwner(b *testing.B) {
-	t := serveBenchTrace(b)
-	cfg := serveBenchConfig()
-	cfg.Engine = core.EngineOwner
-	hits := make([]bool, core.DefaultAccessBatch)
-	b.ResetTimer()
-	var st core.Stats
-	for i := 0; i < b.N; i++ {
-		s := core.NewSharded(cfg, serveBenchShards)
-		p := s.NewProducer()
-		reqs := t.Reqs
-		for off := 0; off < len(reqs); off += core.DefaultAccessBatch {
-			end := off + core.DefaultAccessBatch
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			p.AccessBatch(reqs[off:end], hits)
-		}
-		p.Close()
-		st = s.Stats()
-		s.Close()
-	}
-	b.ReportMetric(float64(t.Len())*float64(b.N)/b.Elapsed().Seconds(), "reqs/s")
-	b.ReportMetric(100*st.HitRatio(), "hit-%")
-}
-
-// BenchmarkShardedInstrumented is BenchmarkShardedSingleOwner with the full
-// observability stack attached: a batch-latency histogram observation per
-// AccessBatch and a cache timeline (the clicserve/clicsim column set)
-// ticking a CSV row to a discard sink every 64 batches. The delta against
-// BenchmarkShardedSingleOwner is the whole price of instrumentation on the
-// hot path — it should be noise, and the alloc tests in internal/core pin
-// it at zero allocations.
-func BenchmarkShardedInstrumented(b *testing.B) {
-	t := serveBenchTrace(b)
-	cfg := serveBenchConfig()
-	cfg.Engine = core.EngineOwner
-	hits := make([]bool, core.DefaultAccessBatch)
-	b.ResetTimer()
-	var st core.Stats
-	for i := 0; i < b.N; i++ {
-		s := core.NewSharded(cfg, serveBenchShards)
-		var lat metrics.Histogram
-		tl := metrics.NewTimeline(io.Discard)
-		engine.CacheTimeline(tl, s, &lat)
-		p := s.NewProducer()
-		reqs := t.Reqs
-		batches := 0
-		for off := 0; off < len(reqs); off += core.DefaultAccessBatch {
-			end := off + core.DefaultAccessBatch
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			start := time.Now()
-			p.AccessBatch(reqs[off:end], hits)
-			lat.Observe(uint64(time.Since(start)))
-			if batches++; batches%64 == 0 {
-				tl.Tick("interval")
-			}
-		}
-		p.Close()
-		tl.Tick("final")
-		st = s.Stats()
-		s.Close()
-	}
-	b.ReportMetric(float64(t.Len())*float64(b.N)/b.Elapsed().Seconds(), "reqs/s")
-	b.ReportMetric(100*st.HitRatio(), "hit-%")
-}
-
-// BenchmarkServeClientsOwner is BenchmarkServeClients on the single-owner
-// engine: one goroutine per client, each with its own producer handle
-// batching into the shard owners.
-func BenchmarkServeClientsOwner(b *testing.B) {
-	t := serveBenchTrace(b)
-	cfg := serveBenchConfig()
-	cfg.Engine = core.EngineOwner
-	b.ResetTimer()
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		s := core.NewSharded(cfg, serveBenchShards)
-		res = engine.ServeClients(s, t)
-		s.Close()
-	}
-	reportServeMetrics(b, t, res)
-}
-
-// BenchmarkServeLoopbackOwner is BenchmarkServeLoopback with the server's
-// front on the single-owner engine: the full wire path — decode into reused
-// buffers, remap, frame fan-out to the shard owners, encode from reused
-// buffers — with no steady-state allocation.
-func BenchmarkServeLoopbackOwner(b *testing.B) {
-	t := serveBenchTrace(b)
-	cfg := serveBenchConfig()
-	cfg.Engine = core.EngineOwner
-	b.ResetTimer()
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		srv := server.New(server.Config{Cache: cfg, Shards: serveBenchShards})
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		r, err := netclient.Replay(srv.Addr().String(), t, netclient.ReplayOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-		if err := srv.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportServeMetrics(b, t, res)
-}
-
-// BenchmarkClusterDirectLoopback is the cluster suite's baseline: the
-// whole multi-client stream into ONE loopback server via netclient — the
-// same path as BenchmarkServeLoopback, recorded under the cluster suite's
-// name so BENCH_cluster.json carries its own baseline.
-func BenchmarkClusterDirectLoopback(b *testing.B) {
-	t := serveBenchTrace(b)
-	b.ResetTimer()
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		srv := server.New(server.Config{Cache: serveBenchConfig(), Shards: serveBenchShards})
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		r, err := netclient.Replay(srv.Addr().String(), t, netclient.ReplayOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-		if err := srv.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportServeMetrics(b, t, res)
-}
-
-// BenchmarkClusterRouterLoopback is the same stream through a 3-node
-// merging cluster: per-client routers split every batch by consistent
-// hash across three loopback servers sharing the baseline's total
-// capacity and window, with window summaries exchanged mid-flight. The
-// delta against BenchmarkClusterDirectLoopback prices the router fan-out
-// and the merged-learning exchange.
-func BenchmarkClusterRouterLoopback(b *testing.B) {
-	t := serveBenchTrace(b)
-	b.ResetTimer()
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		h, err := cluster.StartHarness(cluster.HarnessConfig{
-			Nodes:   3,
-			Cache:   serveBenchConfig(),
-			Shards:  serveBenchShards,
-			Merging: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := h.Replay(t, cluster.ReplayOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-		if err := h.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportServeMetrics(b, t, res)
-}

@@ -147,11 +147,11 @@ func main() {
 		// (-concurrent, -serve, the network server) are the owner paths.
 		fatal(fmt.Errorf("-engine owner requires -concurrent (or -serve); serial replay uses the mutex engine"))
 	}
-	// The grid path and the timeline recorder need the whole trace; the
-	// plain concurrent serve streams it instead (constant memory at any
-	// trace length — a -gen spec never materialises at all).
+	// The grid path needs the whole trace; the concurrent serve streams it
+	// instead (constant memory at any trace length — a -gen spec never
+	// materialises at all).
 	var t *trace.Trace
-	if !*concurrent || *timeline != "" {
+	if !*concurrent {
 		it, err := src.Iter()
 		if err != nil {
 			fatal(err)
@@ -179,8 +179,8 @@ func main() {
 		sharded := polName == "CLIC" && *shards > 1
 		anySharded = anySharded || sharded
 		if *concurrent && !sharded {
-			// ServeClients drives the cache from one goroutine per client;
-			// only the sharded CLIC front is safe for that.
+			// The concurrent serve drives the cache from one goroutine per
+			// client; only the sharded CLIC front is safe for that.
 			fatal(fmt.Errorf("-concurrent only supports CLIC behind -shards > 1; %q is not safe for concurrent use", polName))
 		}
 		if !sharded {
@@ -219,14 +219,13 @@ func main() {
 		// Concurrent serving: every cell is one sharded front driven by all
 		// clients at once; the cells themselves still run in sequence so
 		// each front gets the full core budget.
+		// The request stream is generated or read from disk again for each
+		// cell, and never held in RAM.
 		for _, j := range jobs {
 			p := j.New()
 			if *timeline != "" {
-				results = append(results, serveTimeline(p, t, *timeline, *interval))
+				results = append(results, serveTimeline(p, src, *timeline, *interval))
 			} else {
-				// Stream the source through the front — the request stream is
-				// generated or read from disk again for each cell, and never
-				// held in RAM.
 				res, err := engine.ServeSource(p, src, 0)
 				if err != nil {
 					fatal(err)
@@ -266,15 +265,20 @@ func main() {
 	}
 }
 
-// serveTimeline is engine.ServeClients with a timeline recorder attached:
+// serveTimeline is engine.ServeSource with a timeline recorder attached:
 // the standard cache columns (engine.CacheTimeline) over a batch-latency
 // histogram fed by every client goroutine, sampled every interval and on
 // window rotations, with a final row when the replay drains.
-func serveTimeline(p policy.Policy, t *trace.Trace, path string, interval time.Duration) sim.Result {
+func serveTimeline(p policy.Policy, src trace.Source, path string, interval time.Duration) sim.Result {
 	s, ok := p.(*core.Sharded)
 	if !ok {
 		fatal(fmt.Errorf("-timeline requires the sharded CLIC front"))
 	}
+	it, err := src.Iter()
+	if err != nil {
+		fatal(err)
+	}
+	defer it.Close()
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
@@ -284,8 +288,11 @@ func serveTimeline(p policy.Policy, t *trace.Trace, path string, interval time.D
 	tl := metrics.NewTimeline(bf)
 	engine.CacheTimeline(tl, s, &lat)
 	stop := tl.Start(interval, func() float64 { return float64(s.Windows()) })
-	res := engine.ServeClientsMetrics(p, t, &engine.ServeMetrics{BatchLatency: &lat})
+	res, err := engine.ServeIterator(p, it, 0, &engine.ServeMetrics{BatchLatency: &lat})
 	stop()
+	if err != nil {
+		fatal(err)
+	}
 	if err := tl.Err(); err != nil {
 		fatal(fmt.Errorf("timeline: %w", err))
 	}
@@ -385,7 +392,7 @@ func replay(addrs []string, src trace.Source, label string, batch, depth, limit 
 	fmt.Printf("replay total: requests=%d reads=%d hits=%d ratio=%.4f rate=%.0f\n",
 		res.Requests, res.Reads, res.ReadHits, res.HitRatio(),
 		float64(res.Requests)/elapsed.Seconds())
-	// Client-side latency: every Do on every connection lands in the
+	// Client-side latency: every batch on every connection lands in the
 	// process-wide RTT histogram, so this is the whole replay's view.
 	if rtt := netclient.BatchRTT().Summary(); rtt.Count > 0 {
 		fmt.Printf("batch rtt: batches=%d mean_us=%.1f p50_us=%.1f p99_us=%.1f\n",

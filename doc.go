@@ -13,8 +13,8 @@
 // hints over a length-prefixed binary TCP protocol and get hit/miss
 // verdicts back. Each frame is a uvarint length plus a typed payload —
 // hello (client name + hint vocabulary), intern (hints discovered
-// mid-stream), batch (flags, delta-encoded page, hint index per request),
-// results (hit bitmap + server outqueue depth), error. See internal/wire
+// mid-stream), sequence-tagged batch (flags, delta-encoded page, hint index
+// per request) and results (hit bitmap + server outqueue depth), error. See internal/wire
 // for the exact layout, internal/server and internal/netclient for the two
 // endpoints, and README.md ("Running the cache as a server") for a
 // walkthrough.

@@ -1,7 +1,7 @@
 // Network loopback serving: the storage-server scenario of the paper run
 // over a real TCP connection per client. Three database clients with
 // different buffer sizes replay their workloads against one CLIC cache
-// server in the same process — first through engine.ServeClients (shared
+// server in the same process — first through engine.ServeSource (shared
 // memory, one goroutine per client), then through internal/server and
 // internal/netclient (the wire protocol, one connection per client).
 //
@@ -55,7 +55,10 @@ func main() {
 	cfg := core.Config{TopK: 100, Window: 50000, Capacity: sim.ClicCapacity(shared)}
 
 	// In-process path: one goroutine per client against a sharded front.
-	inproc := engine.ServeClients(core.NewSharded(cfg, *shards), merged)
+	inproc, err := engine.ServeSource(core.NewSharded(cfg, *shards), merged.Source(), 0)
+	if err != nil {
+		fail(err)
+	}
 
 	// Network path: a real TCP server on loopback, one connection per
 	// client, same cache configuration.
@@ -64,7 +67,7 @@ func main() {
 		fail(err)
 	}
 	defer srv.Close()
-	netres, err := netclient.Replay(srv.Addr().String(), merged, netclient.ReplayOptions{})
+	netres, err := netclient.ReplaySource(srv.Addr().String(), merged.Source(), netclient.ReplayOptions{})
 	if err != nil {
 		fail(err)
 	}

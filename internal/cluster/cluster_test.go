@@ -45,20 +45,21 @@ func startHarness(t *testing.T, cfg cluster.HarnessConfig) *cluster.Harness {
 // TestSingleNodeGolden is the router equivalence test: a 1-node cluster
 // routes every request to its only node in submission order, so replaying
 // a single-client trace through the router must be bit-identical — hits,
-// misses, labels, server-side counters, outqueue — to netclient.Replay
-// against an identically configured standalone server.
+// misses, labels, server-side counters, outqueue — to
+// netclient.ReplaySource against an identically configured standalone
+// server.
 func TestSingleNodeGolden(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
 	direct := startDirect(t, server.Config{Cache: cfg, Shards: shards})
-	want, err := netclient.Replay(direct.Addr().String(), testTrace, netclient.ReplayOptions{})
+	want, err := netclient.ReplaySource(direct.Addr().String(), testTrace.Source(), netclient.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	h := startHarness(t, cluster.HarnessConfig{Nodes: 1, Cache: cfg, Shards: shards})
-	got, err := cluster.Replay(h.Nodes(), testTrace, cluster.ReplayOptions{})
+	got, err := cluster.ReplaySource(h.Nodes(), testTrace.Source(), cluster.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func splitEven(total, n, i int) int {
 }
 
 // Nodes returns the cluster's routing table (stable names, live
-// addresses) for DialRouter / Replay.
+// addresses) for DialRouter / ReplaySource.
 func (h *Harness) Nodes() []Node { return h.nodes }
 
 // Server returns node i's server (stats, snapshots).
@@ -157,11 +157,12 @@ func (h *Harness) Close() error {
 }
 
 // ReplaySerial replays a trace through one router, one batch at a time in
-// trace order, exchanging summaries between batches. Single driver, no
-// concurrent producers, canonical exchange order: the result is fully
-// deterministic — the mode the golden tests and the cluster ablation run
-// in. Per-client accounting is derived from the request tags, exactly like
-// sim.Run's round-robin replay.
+// trace order (a depth-1 pipeline drained after every batch), exchanging
+// summaries between batches. Single driver, no concurrent producers,
+// canonical exchange order: the result is fully deterministic — the mode
+// the golden tests and the cluster ablation run in. Per-client accounting
+// is derived from the request tags, exactly like sim.Run's round-robin
+// replay.
 func (h *Harness) ReplaySerial(t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
 	if opt.Limit > 0 {
 		t = t.Truncate(opt.Limit)
@@ -184,20 +185,11 @@ func (h *Harness) ReplaySerial(t *trace.Trace, opt ReplayOptions) (sim.Result, e
 	for c, name := range t.Clients {
 		res.PerClient[c].Name = name
 	}
-	batch := opt.batch()
-	reqs := t.Reqs
-	for len(reqs) > 0 {
-		n := batch
-		if n > len(reqs) {
-			n = len(reqs)
-		}
-		hits, _, err := router.Do(reqs[:n])
-		if err != nil {
-			return sim.Result{}, err
-		}
-		for i, r := range reqs[:n] {
-			if r.Op == trace.Read {
-				st := &res.PerClient[r.Client]
+	var batch []trace.Request // the one batch in flight
+	pl := router.Pipeline(1, func(_ any, isRead, hits []bool, _ int, _ int64) error {
+		for i, rd := range isRead {
+			if rd {
+				st := &res.PerClient[batch[i].Client]
 				st.Reads++
 				res.Reads++
 				if hits[i] {
@@ -206,7 +198,16 @@ func (h *Harness) ReplaySerial(t *trace.Trace, opt ReplayOptions) (sim.Result, e
 				}
 			}
 		}
-		reqs = reqs[n:]
+		return nil
+	})
+	for reqs := t.Reqs; len(reqs) > 0; reqs = reqs[len(batch):] {
+		batch = reqs[:min(opt.batch(), len(reqs))]
+		if err := pl.Submit(batch, nil); err != nil {
+			return sim.Result{}, err
+		}
+		if err := pl.Drain(); err != nil {
+			return sim.Result{}, err
+		}
 		h.Exchange()
 	}
 	return res, nil
@@ -236,7 +237,7 @@ func (h *Harness) Replay(t *trace.Trace, opt ReplayOptions) (sim.Result, error) 
 	} else {
 		close(pumped)
 	}
-	res, err := Replay(h.nodes, t, opt)
+	res, err := ReplaySource(h.nodes, t.Source(), opt)
 	close(stop)
 	<-pumped
 	h.Exchange()

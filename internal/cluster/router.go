@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/netclient"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -22,26 +19,19 @@ type Node struct {
 
 // Router is one logical client connection to a whole cluster: it holds one
 // netclient.Conn per node and splits every request batch by ring owner,
-// fanning the sub-batches out concurrently and reassembling the per-request
-// results in submission order — callers see exactly the Do contract of a
-// single connection, just answered by N caches. Like netclient.Conn it is
-// not safe for concurrent use; the replay drivers give each goroutine its
-// own Router.
+// sending the sub-batches down per-node pipelines and reassembling the
+// per-request results in submission order — callers see exactly the Pipeline contract
+// of a single connection, just answered by N caches. Like netclient.Conn it
+// is not safe for concurrent use; the replay drivers give each goroutine
+// its own Router.
 type Router struct {
 	ring  *Ring
 	conns []*netclient.Conn
 	acks  []wire.HelloAck
-
-	// Per-Do scratch, reused across batches: the per-node sub-batches, the
-	// submission index of each sub-batch entry, and the reassembled hits.
-	split [][]trace.Request
-	index [][]int
-	hits  []bool
-	errs  []error
 }
 
 // DialRouter connects to every node of a cluster (vnodes as in NewRing;
-// 0 selects DefaultVirtualNodes). Call Hello next, then Do.
+// 0 selects DefaultVirtualNodes). Call Hello next, then Pipeline.
 func DialRouter(nodes []Node, vnodes int) (*Router, error) {
 	names := make([]string, len(nodes))
 	for i, n := range nodes {
@@ -55,9 +45,6 @@ func DialRouter(nodes []Node, vnodes int) (*Router, error) {
 		ring:  ring,
 		conns: make([]*netclient.Conn, len(nodes)),
 		acks:  make([]wire.HelloAck, len(nodes)),
-		split: make([][]trace.Request, len(nodes)),
-		index: make([][]int, len(nodes)),
-		errs:  make([]error, len(nodes)),
 	}
 	for i, n := range nodes {
 		conn, err := netclient.Dial(n.Addr)
@@ -122,62 +109,6 @@ func (r *Router) PolicyName() string {
 	return fmt.Sprintf("%d×%s", len(r.conns), name)
 }
 
-// Do serves one request batch through the cluster: each request goes to
-// its ring owner, the sub-batches travel concurrently, and the returned
-// hit flags are in submission order — index i answers reqs[i]. The second
-// result is the cluster-wide outqueue depth (summed over the nodes that
-// served a sub-batch). The returned slice is the router's scratch buffer,
-// valid until the next Do.
-func (r *Router) Do(reqs []trace.Request) ([]bool, int, error) {
-	for n := range r.conns {
-		r.split[n] = r.split[n][:0]
-		r.index[n] = r.index[n][:0]
-		r.errs[n] = nil
-	}
-	for i, req := range reqs {
-		n := r.ring.Owner(req.Page)
-		r.split[n] = append(r.split[n], req)
-		r.index[n] = append(r.index[n], i)
-	}
-	if cap(r.hits) < len(reqs) {
-		r.hits = make([]bool, len(reqs))
-	}
-	r.hits = r.hits[:len(reqs)]
-
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		outq int
-	)
-	for n := range r.conns {
-		if len(r.split[n]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			res, err := r.conns[n].Do(r.split[n])
-			if err != nil {
-				r.errs[n] = fmt.Errorf("cluster: node %s: %w", r.ring.Name(n), err)
-				return
-			}
-			for i, hit := range res.Hits {
-				r.hits[r.index[n][i]] = hit
-			}
-			mu.Lock()
-			outq += res.OutqueueDepth
-			mu.Unlock()
-		}(n)
-	}
-	wg.Wait()
-	for _, err := range r.errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return r.hits, outq, nil
-}
-
 // RouterHandler consumes one completed pipelined router batch: tag is the
 // value given to Submit, isRead flags the positions that were reads and
 // hits carries the reassembled verdicts (both in submission order, valid
@@ -217,8 +148,7 @@ type RouterPipeline struct {
 
 // Pipeline returns a pipelined sender over the router's node connections
 // with at most depth batches in flight per node (capped per node at the
-// server's advertised window; lock-step against pre-pipelining nodes).
-// Use Submit/Drain instead of Do; mixing them corrupts the streams.
+// server's advertised window; depth 1 is lock-step).
 func (r *Router) Pipeline(depth int, h RouterHandler) *RouterPipeline {
 	rp := &RouterPipeline{
 		r:       r,
@@ -339,67 +269,4 @@ func (o ReplayOptions) depth() int {
 		return netclient.DefaultDepth
 	}
 	return o.Depth
-}
-
-// Replay replays an in-memory trace against a cluster with one concurrent
-// Router per trace client — netclient.Replay generalised from one server
-// to N. Per-client read accounting is exact; like every concurrent replay,
-// the aggregate hit count depends on how the clients' requests interleave
-// at the nodes.
-func Replay(nodes []Node, t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
-	if opt.Limit > 0 {
-		t = t.Truncate(opt.Limit)
-	}
-	keys := t.Dict.Keys()
-	var (
-		mu        sync.Mutex
-		policy    string
-		capacity  int
-		haveLabel bool
-	)
-	res, err := engine.ServeStreams(t, func(c int, reqs []trace.Request, st *sim.ClientStat) error {
-		router, err := DialRouter(nodes, opt.VirtualNodes)
-		if err != nil {
-			return err
-		}
-		defer router.Close()
-		if err := router.Hello(t.Clients[c], keys); err != nil {
-			return err
-		}
-		mu.Lock()
-		if !haveLabel {
-			policy, capacity, haveLabel = router.PolicyName(), router.Capacity(), true
-		}
-		mu.Unlock()
-		sizer := netclient.NewBatchSizer(opt.BatchSize)
-		pl := router.Pipeline(opt.depth(), func(_ any, isRead, hits []bool, _ int, rttNs int64) error {
-			for i, rd := range isRead {
-				if rd {
-					st.Reads++
-					if hits[i] {
-						st.ReadHits++
-					}
-				}
-			}
-			sizer.Observe(rttNs, len(isRead))
-			return nil
-		})
-		for len(reqs) > 0 {
-			n := sizer.Current()
-			if n > len(reqs) {
-				n = len(reqs)
-			}
-			if err := pl.Submit(reqs[:n], nil); err != nil {
-				return err
-			}
-			reqs = reqs[n:]
-		}
-		return pl.Drain()
-	})
-	if err != nil {
-		return sim.Result{}, err
-	}
-	res.Policy = policy
-	res.CacheSize = capacity
-	return res, nil
 }

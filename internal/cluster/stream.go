@@ -3,9 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/hint"
+	"repro/internal/engine"
 	"repro/internal/netclient"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -34,219 +33,81 @@ func (r *Router) Announced() int {
 }
 
 // ReplaySource replays any request source — a trace file, an in-memory
-// trace, or a live generator spec — against a cluster, never materialising
-// the stream: Replay generalised the same way netclient.ReplaySource
-// generalises netclient.Replay.
+// trace (t.Source()), or a live generator spec — against a cluster, never
+// materialising the stream: netclient.ReplaySource generalised from one
+// server to N, with one Router (one connection per node) and one goroutine
+// per discovered client. Clients and hint keys may appear as the iteration
+// proceeds; new keys are announced to every node ahead of the first batch
+// that references them. Per-client read accounting is exact; like every
+// concurrent replay, the aggregate hit count depends on how the clients'
+// requests interleave at the nodes.
 func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result, error) {
 	it, err := src.Iter()
 	if err != nil {
 		return sim.Result{}, err
 	}
 	defer it.Close()
-	return ReplayIterator(nodes, it, opt)
-}
-
-// ReplayIterator replays a request iterator against a cluster with one
-// Router (one connection per node) and one goroutine per discovered client.
-// Clients and hint keys may appear as the iteration proceeds (text traces,
-// v2 dict sections, generated streams); new keys are announced to every
-// node ahead of the first batch that references them.
-func ReplayIterator(nodes []Node, it trace.Iterator, opt ReplayOptions) (sim.Result, error) {
-	type worker struct {
-		ch      chan []trace.Request
-		free    chan []trace.Request
-		pending []trace.Request
-		st      *sim.ClientStat
-		// size is the worker's current adaptive batch size, read by the
-		// dispatcher to decide batch boundaries.
-		size atomic.Int64
-	}
 	var (
-		log       keyLog
-		workers   []*worker
-		stats     []*sim.ClientStat
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		first     error
-		policy    string
-		capacity  int
-		haveLabel bool
-		total     uint64
-		dictLen   int
+		mu       sync.Mutex
+		policy   string
+		capacity int
 	)
-	log.grow(it.HintDict())
-	dictLen = it.HintDict().Len()
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return first != nil
-	}
-	spawn := func(name string) *worker {
-		w := &worker{
-			ch:   make(chan []trace.Request, 4),
-			free: make(chan []trace.Request, 8),
-			st:   &sim.ClientStat{Name: name},
-		}
-		sizer := netclient.NewBatchSizer(opt.BatchSize)
-		w.size.Store(int64(sizer.Current()))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var pl *RouterPipeline
+	res, err := engine.Dispatch(it, opt.Limit, netclient.NewBatchSizer(opt.BatchSize).Current(),
+		func(name string, keys *engine.KeyLog, st *sim.ClientStat) (engine.Session, error) {
 			router, err := DialRouter(nodes, opt.VirtualNodes)
 			if err != nil {
-				fail(err)
-				router = nil
-			} else {
-				defer router.Close()
-				if err := router.Hello(name, log.since(0)); err != nil {
-					fail(err)
-					router = nil
-				} else {
-					mu.Lock()
-					if !haveLabel {
-						policy, capacity, haveLabel = router.PolicyName(), router.Capacity(), true
-					}
-					mu.Unlock()
-					pl = router.Pipeline(opt.depth(), func(_ any, isRead, hits []bool, _ int, rttNs int64) error {
-						for i, rd := range isRead {
-							if rd {
-								w.st.Reads++
-								if hits[i] {
-									w.st.ReadHits++
-								}
-							}
-						}
-						sizer.Observe(rttNs, len(isRead))
-						w.size.Store(int64(sizer.Current()))
-						return nil
-					})
-				}
+				return nil, err
 			}
-			send := func(reqs []trace.Request) error {
-				if fresh := log.since(router.Announced()); len(fresh) > 0 {
-					if err := router.Announce(fresh); err != nil {
-						return err
-					}
-				}
-				return pl.Submit(reqs, nil)
+			if err := router.Hello(name, keys.Since(0)); err != nil {
+				router.Close()
+				return nil, err
 			}
-			for reqs := range w.ch {
-				// On failure keep draining so the dispatcher never blocks.
-				if router != nil && !failed() {
-					if err := send(reqs); err != nil {
-						fail(err)
-					}
-				}
-				select {
-				case w.free <- reqs[:0]:
-				default:
-				}
-			}
-			if pl != nil && !failed() {
-				if err := pl.Drain(); err != nil {
-					fail(err)
-				}
-			}
-		}()
-		return w
-	}
-
-	for it.Scan() {
-		if opt.Limit > 0 && total >= uint64(opt.Limit) {
-			break
-		}
-		if failed() {
-			break
-		}
-		r := it.Request()
-		if n := it.HintDict().Len(); n != dictLen {
-			log.grow(it.HintDict())
-			dictLen = n
-		}
-		c := int(r.Client)
-		for c >= len(workers) {
-			names := it.Clients()
-			name := fmt.Sprintf("client%d", len(workers))
-			if len(workers) < len(names) {
-				name = names[len(workers)]
-			}
-			w := spawn(name)
-			workers = append(workers, w)
-			stats = append(stats, w.st)
-		}
-		w := workers[c]
-		w.pending = append(w.pending, r)
-		if len(w.pending) >= int(w.size.Load()) {
-			w.ch <- w.pending
-			select {
-			case w.pending = <-w.free:
-			default:
-				w.pending = nil
-			}
-		}
-		total++
-	}
-	for _, w := range workers {
-		if len(w.pending) > 0 {
-			w.ch <- w.pending
-		}
-		close(w.ch)
-	}
-	wg.Wait()
-	if err := it.Err(); err != nil {
+			mu.Lock()
+			policy, capacity = router.PolicyName(), router.Capacity()
+			mu.Unlock()
+			s := &session{router: router, keys: keys, st: st, sizer: netclient.NewBatchSizer(opt.BatchSize)}
+			s.pl = router.Pipeline(opt.depth(), s.account)
+			return s, nil
+		})
+	if err != nil {
 		return sim.Result{}, err
 	}
-	if first != nil {
-		return sim.Result{}, first
-	}
-
-	res := sim.Result{
-		Trace:     it.Name(),
-		Policy:    policy,
-		CacheSize: capacity,
-		Requests:  total,
-		PerClient: make([]sim.ClientStat, len(stats)),
-	}
-	for i, st := range stats {
-		res.PerClient[i] = *st
-		res.Reads += st.Reads
-		res.ReadHits += st.ReadHits
-	}
+	res.Policy = policy
+	res.CacheSize = capacity
 	return res, nil
 }
 
-// keyLog is the append-only list of hint keys discovered by a streaming
-// scan, shared between the dispatcher (writer) and the per-client senders
-// (readers catching their routers up before each batch) — the cluster twin
-// of netclient's keyLog.
-type keyLog struct {
-	mu   sync.Mutex
-	keys []string
+// session is one replayed client's engine.Session: a pipelined router
+// whose result handler counts the client's read hits and feeds the batch
+// sizer.
+type session struct {
+	router *Router
+	pl     *RouterPipeline
+	keys   *engine.KeyLog
+	st     *sim.ClientStat
+	sizer  *netclient.BatchSizer
 }
 
-func (l *keyLog) grow(d *hint.Dict) {
-	l.mu.Lock()
-	for id := len(l.keys); id < d.Len(); id++ {
-		l.keys = append(l.keys, d.Key(hint.ID(id)))
+func (s *session) account(_ any, isRead, hits []bool, _ int, rttNs int64) error {
+	for i, rd := range isRead {
+		if rd {
+			s.st.Reads++
+			if hits[i] {
+				s.st.ReadHits++
+			}
+		}
 	}
-	l.mu.Unlock()
+	s.sizer.Observe(rttNs, len(isRead))
+	return nil
 }
 
-func (l *keyLog) since(from int) []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from >= len(l.keys) {
-		return nil
+func (s *session) Submit(reqs []trace.Request) error {
+	if err := s.router.Announce(s.keys.Since(s.router.Announced())); err != nil {
+		return err
 	}
-	out := make([]string, len(l.keys)-from)
-	copy(out, l.keys[from:])
-	return out
+	return s.pl.Submit(reqs, nil)
 }
+
+func (s *session) BatchSize() int { return s.sizer.Current() }
+func (s *session) Drain() error   { return s.pl.Drain() }
+func (s *session) Close() error   { return s.router.Close() }

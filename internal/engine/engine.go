@@ -6,10 +6,13 @@
 // and returns results in submission order, byte-identical to the serial
 // path: parallelism changes only the wall clock, never the numbers.
 //
-// The package also hosts ServeClients, the concurrent counterpart of
-// sim.Run for concurrency-safe caches (core.Sharded): one goroutine per
-// client drives a single shared cache, modelling a storage server under
-// simultaneous load rather than a round-robin replay.
+// The package also hosts the concurrent counterpart of sim.Run: Dispatch,
+// the one scan → per-client worker loop that feeds every client's requests
+// through its own Session, and ServeSource/ServeIterator, which run it
+// against an in-process concurrency-safe cache (core.Sharded) — a storage
+// server under simultaneous load rather than a round-robin replay.
+// internal/netclient and internal/cluster run the same loop with sessions
+// that reach the cache over TCP.
 package engine
 
 import (
@@ -128,128 +131,4 @@ func Grid(policies []string, sizes []int, t *trace.Trace, clicCfg core.Config, o
 		out[name] = flat[pi*len(sizes) : (pi+1)*len(sizes)]
 	}
 	return out, nil
-}
-
-// ServeClients drives one shared cache with one goroutine per client of an
-// interleaved trace (trace.Interleave tags each request with its client).
-// The cache must be safe for concurrent use — core.Sharded is; plain CLIC
-// and the baseline policies are not. The front's statistics-learning mode
-// (core.Config.Stats: per-shard partitioned or shared global) and engine
-// (core.Config.Engine: mutex shards or single-owner shards) ride in with
-// the constructed cache. A Sharded front is driven through per-client
-// producer handles in batches of core.DefaultAccessBatch — the same shape
-// the network path uses — so the owner engine's frame fan-out is exercised
-// identically in-process and over TCP; other policies take the per-request
-// path. Per-client read accounting is exact; the aggregate hit count
-// depends on the actual interleaving of the clients' requests, so unlike
-// Run it is not deterministic across calls.
-func ServeClients(p policy.Policy, t *trace.Trace) sim.Result {
-	return ServeClientsMetrics(p, t, nil)
-}
-
-// ServeClientsMetrics is ServeClients with instrumentation taps: when m is
-// non-nil, each Sharded AccessBatch is timed into m.BatchLatency and
-// logical marks fire per m.EveryRequests (see ServeMetrics). Only Sharded
-// fronts take the batch path, so only they are observed — the same scope
-// the network server instruments. A nil m is exactly ServeClients.
-func ServeClientsMetrics(p policy.Policy, t *trace.Trace, m *ServeMetrics) sim.Result {
-	if prep, ok := p.(policy.Preparer); ok {
-		prep.Prepare(t.Reqs)
-	}
-	sharded, _ := p.(*core.Sharded)
-	res, _ := ServeStreams(t, func(_ int, reqs []trace.Request, st *sim.ClientStat) error {
-		if sharded != nil {
-			if m != nil {
-				serveStreamMetrics(sharded, reqs, st, m)
-			} else {
-				serveStream(sharded, reqs, st)
-			}
-			return nil
-		}
-		for _, r := range reqs {
-			hit := p.Access(r)
-			if r.Op == trace.Read {
-				st.Reads++
-				if hit {
-					st.ReadHits++
-				}
-			}
-		}
-		return nil
-	})
-	res.Policy = p.Name()
-	res.CacheSize = p.Capacity()
-	return res
-}
-
-// ServeStreams is the per-client fan-out shared by every concurrent replay
-// path: it splits an interleaved trace back into per-client request
-// streams (the same split internal/netclient and internal/cluster apply,
-// so in-process, loopback and cluster replays drive caches with identical
-// per-client subsequences), runs serve in one goroutine per client against
-// that client's own ClientStat, and folds the per-client read accounting
-// into one sim.Result. The caller labels the result (Policy, CacheSize)
-// afterwards — which server answered, and with what capacity, is only
-// known to the serve function. If any serve call fails, the first error is
-// returned and the partial result discarded.
-func ServeStreams(t *trace.Trace, serve func(c int, reqs []trace.Request, st *sim.ClientStat) error) (sim.Result, error) {
-	streams := t.SplitClients()
-	res := sim.Result{
-		Trace:     t.Name,
-		Requests:  uint64(len(t.Reqs)),
-		PerClient: make([]sim.ClientStat, len(t.Clients)),
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for c := range streams {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			st := &res.PerClient[c] // each goroutine owns its own ClientStat
-			st.Name = t.Clients[c]
-			if err := serve(c, streams[c], st); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return sim.Result{}, firstErr
-	}
-	for _, st := range res.PerClient {
-		res.Reads += st.Reads
-		res.ReadHits += st.ReadHits
-	}
-	return res, nil
-}
-
-// serveStream replays one client's stream through its own producer handle
-// in wire-sized batches.
-func serveStream(s *core.Sharded, reqs []trace.Request, st *sim.ClientStat) {
-	prod := s.NewProducer()
-	defer prod.Close()
-	hits := make([]bool, core.DefaultAccessBatch)
-	for off := 0; off < len(reqs); off += core.DefaultAccessBatch {
-		end := off + core.DefaultAccessBatch
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		batch := reqs[off:end]
-		prod.AccessBatch(batch, hits)
-		for i := range batch {
-			if batch[i].Op == trace.Read {
-				st.Reads++
-				if hits[i] {
-					st.ReadHits++
-				}
-			}
-		}
-	}
 }

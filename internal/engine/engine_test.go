@@ -28,6 +28,17 @@ var testTrace = func() *trace.Trace {
 
 var testSizes = []int{500, 1000, 2000, 4000}
 
+// serve drives p with every client of tr at once through ServeSource, the
+// one in-process serving entry point.
+func serve(t *testing.T, p policy.Policy, tr *trace.Trace) sim.Result {
+	t.Helper()
+	res, err := ServeSource(p, tr.Source(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSweepMatchesSerial is the determinism golden test: the parallel
 // sweep's []sim.Result must be byte-identical (under a canonical encoding)
 // to the serial sim.Sweep output, for every policy and any worker count.
@@ -122,10 +133,10 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
-// TestServeClients drives a sharded CLIC front with concurrent clients and
+// TestServeSource drives a sharded CLIC front with concurrent clients and
 // checks the merged accounting: per-client read counts are exact (they
 // depend only on the trace) and the totals are consistent.
-func TestServeClients(t *testing.T) {
+func TestServeSource(t *testing.T) {
 	a := testTrace.Truncate(10000)
 	a.Name = "A"
 	b := testTrace.Truncate(10000)
@@ -135,7 +146,7 @@ func TestServeClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSharded(core.Config{Capacity: 2000, Window: 2000}, 4)
-	res := ServeClients(s, merged)
+	res := serve(t, s, merged)
 
 	if res.Requests != uint64(merged.Len()) {
 		t.Errorf("Requests = %d, want %d", res.Requests, merged.Len())
@@ -157,28 +168,23 @@ func TestServeClients(t *testing.T) {
 	if res.ReadHits == 0 {
 		t.Error("no hits at all; cache is not being exercised")
 	}
-	if res.Policy != "CLIC/4" {
-		t.Errorf("Policy = %q, want CLIC/4", res.Policy)
+	if res.Policy != "CLIC/4" || res.CacheSize != 2000 || res.Trace != "AB" {
+		t.Errorf("labels (%q, %d, %q), want (CLIC/4, 2000, AB)", res.Policy, res.CacheSize, res.Trace)
+	}
+	if res.PerClient[0].Name != "A" || res.PerClient[1].Name != "B" {
+		t.Errorf("client names %q, %q, want A, B", res.PerClient[0].Name, res.PerClient[1].Name)
 	}
 }
 
-// TestServeClientsMoreClientsThanShards drives a 2-shard front from 6
+// TestServeSourceMoreClientsThanShards drives a 2-shard front from 6
 // clients, so several client goroutines contend for each shard mutex; under
 // -race (the CI configuration) this exercises the locking in the regime the
 // network server runs in. Per-client read counts must match a serial replay
 // of each client's subsequence exactly.
-func TestServeClientsMoreClientsThanShards(t *testing.T) {
-	parts := make([]*trace.Trace, 6)
-	for i := range parts {
-		parts[i] = testTrace.Truncate(6000)
-		parts[i].Name = string(rune('A' + i))
-	}
-	merged, err := trace.Interleave("SIX", parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestServeSourceMoreClientsThanShards(t *testing.T) {
+	merged := sixClients(t)
 	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2)
-	res := ServeClients(s, merged)
+	res := serve(t, s, merged)
 
 	if len(res.PerClient) != 6 {
 		t.Fatalf("PerClient has %d entries, want 6", len(res.PerClient))
@@ -254,20 +260,20 @@ func TestPartitionedGoldenPreRefactor(t *testing.T) {
 	}
 }
 
-// TestServeClientsGlobalSingleClient: with one client, ServeClients is a
+// TestServeSourceGlobalSingleClient: with one client, ServeSource is a
 // sequential replay, so the global and partitioned 1-shard fronts must
 // match the plain serial simulation exactly — the engine-path equivalence
 // test for the learner modes.
-func TestServeClientsGlobalSingleClient(t *testing.T) {
+func TestServeSourceGlobalSingleClient(t *testing.T) {
 	tr := testTrace.Truncate(15000)
 	cfg := core.Config{Capacity: 2000, Window: 2000}
 	want := sim.Run(core.New(cfg), tr)
 	for _, mode := range []core.StatsMode{core.StatsPartitioned, core.StatsGlobal} {
 		mcfg := cfg
 		mcfg.Stats = mode
-		got := ServeClients(core.NewSharded(mcfg, 1), tr)
+		got := serve(t, core.NewSharded(mcfg, 1), tr)
 		if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
-			t.Errorf("%v: ServeClients %d/%d hits/reads, serial %d/%d",
+			t.Errorf("%v: ServeSource %d/%d hits/reads, serial %d/%d",
 				mode, got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 		}
 		if got.ReadHits == 0 {
@@ -276,24 +282,16 @@ func TestServeClientsGlobalSingleClient(t *testing.T) {
 	}
 }
 
-// TestServeClientsGlobalMoreClientsThanShards drives a 2-shard front with
+// TestServeSourceGlobalMoreClientsThanShards drives a 2-shard front with
 // the shared global learner from 6 clients: client goroutines contend for
 // both the shard mutexes and the learner's stripe locks, and rotations by
 // one shard must propagate to the others' victim heaps. Under -race (the
 // CI configuration) this is the engine-path stress test for global
 // learning.
-func TestServeClientsGlobalMoreClientsThanShards(t *testing.T) {
-	parts := make([]*trace.Trace, 6)
-	for i := range parts {
-		parts[i] = testTrace.Truncate(6000)
-		parts[i].Name = string(rune('A' + i))
-	}
-	merged, err := trace.Interleave("SIXG", parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestServeSourceGlobalMoreClientsThanShards(t *testing.T) {
+	merged := sixClients(t)
 	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000, Stats: core.StatsGlobal}, 2)
-	res := ServeClients(s, merged)
+	res := serve(t, s, merged)
 
 	if len(res.PerClient) != 6 {
 		t.Fatalf("PerClient has %d entries, want 6", len(res.PerClient))
@@ -330,23 +328,23 @@ func TestServeClientsGlobalMoreClientsThanShards(t *testing.T) {
 	}
 }
 
-// TestServeClientsOwnerSingleClient is the engine-layer equivalence golden
-// test for the single-owner engine: with one client, ServeClients is a
+// TestServeSourceOwnerSingleClient is the engine-layer equivalence golden
+// test for the single-owner engine: with one client, ServeSource is a
 // serial batch replay through one producer, which in partitioned-statistics
 // mode is bit-identical to the mutex engine's per-request replay — same
 // reads, same hits, same structural state.
-func TestServeClientsOwnerSingleClient(t *testing.T) {
+func TestServeSourceOwnerSingleClient(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
 	mutex := core.NewSharded(cfg, shards)
-	want := ServeClients(mutex, testTrace)
+	want := serve(t, mutex, testTrace)
 
 	ocfg := cfg
 	ocfg.Engine = core.EngineOwner
 	owner := core.NewSharded(ocfg, shards)
 	defer owner.Close()
-	got := ServeClients(owner, testTrace)
+	got := serve(t, owner, testTrace)
 
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("owner %d/%d hits/reads, mutex %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
@@ -365,23 +363,15 @@ func TestServeClientsOwnerSingleClient(t *testing.T) {
 	}
 }
 
-// TestServeClientsOwnerMoreClientsThanShards drives a 2-shard owner-engine
+// TestServeSourceOwnerMoreClientsThanShards drives a 2-shard owner-engine
 // front from 6 concurrent producers — the engine-layer -race stress for
 // the SPSC rings and doorbells. Per-client read counts are exact; hit
 // counts depend on interleaving but the accounting must balance.
-func TestServeClientsOwnerMoreClientsThanShards(t *testing.T) {
-	parts := make([]*trace.Trace, 6)
-	for i := range parts {
-		parts[i] = testTrace.Truncate(6000)
-		parts[i].Name = string(rune('A' + i))
-	}
-	merged, err := trace.Interleave("SIX", parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestServeSourceOwnerMoreClientsThanShards(t *testing.T) {
+	merged := sixClients(t)
 	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000, Engine: core.EngineOwner}, 2)
 	defer s.Close()
-	res := ServeClients(s, merged)
+	res := serve(t, s, merged)
 
 	var reads, hits uint64
 	for c, st := range res.PerClient {

@@ -7,11 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
-// ServeMetrics instruments a ServeClientsMetrics run. Every field is
+// ServeMetrics instruments a ServeIterator run. Every field is
 // optional; the zero value (and a nil *ServeMetrics) turns everything off.
 // A ServeMetrics is used by pointer and may be shared by the run's client
 // goroutines.
@@ -53,42 +51,6 @@ func (m *ServeMetrics) mark(batch int) {
 		m.OnMark(after)
 	}
 	m.markMu.Unlock()
-}
-
-// serveStreamMetrics is serveStream with the instrumentation taps applied
-// around each batch.
-func serveStreamMetrics(s *core.Sharded, reqs []trace.Request, st *sim.ClientStat, m *ServeMetrics) {
-	prod := s.NewProducer()
-	defer prod.Close()
-	clock := m.Clock
-	if clock == nil && m.BatchLatency != nil {
-		start := time.Now()
-		clock = func() time.Duration { return time.Since(start) }
-	}
-	hits := make([]bool, core.DefaultAccessBatch)
-	for off := 0; off < len(reqs); off += core.DefaultAccessBatch {
-		end := off + core.DefaultAccessBatch
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		batch := reqs[off:end]
-		if m.BatchLatency != nil {
-			t0 := clock()
-			prod.AccessBatch(batch, hits)
-			m.BatchLatency.Observe(uint64(clock() - t0))
-		} else {
-			prod.AccessBatch(batch, hits)
-		}
-		for i := range batch {
-			if batch[i].Op == trace.Read {
-				st.Reads++
-				if hits[i] {
-					st.ReadHits++
-				}
-			}
-		}
-		m.mark(len(batch))
-	}
 }
 
 // CacheTimeline registers the standard cache columns on a timeline: the

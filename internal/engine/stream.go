@@ -1,92 +1,135 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/hint"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// ServeSource drives one shared cache from any request source — a trace
-// file, an in-memory trace, or a live workload generator — without ever
-// materialising the stream: the in-process counterpart of
-// netclient.ReplaySource, with the same dispatcher/worker shape, so a
-// 100M-request serve needs memory for a few batches per client, not for
-// the trace. The cache must be safe for concurrent use (core.Sharded is).
-func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, error) {
-	it, err := src.Iter()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	defer it.Close()
-	return ServeIterator(p, it, batchSize)
+// Session is one client's open channel into a cache, however far away the
+// cache is: an in-process producer handle here, a pipelined connection in
+// internal/netclient, a router over every node in internal/cluster. A
+// session is driven by one goroutine and accounts its client's reads into
+// the sim.ClientStat it was opened with.
+type Session interface {
+	// Submit serves or sends one batch, announcing first any hint keys the
+	// run's KeyLog gained since the session last looked. reqs is fully
+	// consumed before Submit returns.
+	Submit(reqs []trace.Request) error
+	// BatchSize is the request count the next batch should carry; adaptive
+	// sessions grow it as results come back.
+	BatchSize() int
+	// Drain completes every batch still in flight.
+	Drain() error
+	// Close releases the session.
+	Close() error
 }
 
-// ServeIterator is ServeSource over an already-open iterator. Clients are
-// discovered as the iteration proceeds, each getting its own goroutine and
-// (for Sharded fronts) its own producer handle, fed in batches of batchSize
-// (0 selects core.DefaultAccessBatch) through recycled buffers — the
-// steady-state dispatch path allocates nothing.
-//
-// Unlike ServeClients it cannot run policy.Preparer prefix passes (OPT,
-// ARC-style oracles need the whole request slice); use the in-RAM path for
-// those policies. Like ServeClients, per-client read accounting is exact
-// while the aggregate hit count depends on scheduling.
-func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int) (sim.Result, error) {
-	if batchSize <= 0 {
-		batchSize = core.DefaultAccessBatch
-	}
-	sharded, _ := p.(*core.Sharded)
+// KeyLog is the append-only list of hint keys a streaming scan has
+// discovered so far, shared between the dispatcher (the only writer) and
+// the per-client sessions, which catch their peers up before each batch.
+type KeyLog struct {
+	mu   sync.Mutex
+	keys []string
+}
 
+func (l *KeyLog) grow(d *hint.Dict) {
+	l.mu.Lock()
+	for id := len(l.keys); id < d.Len(); id++ {
+		l.keys = append(l.keys, d.Key(hint.ID(id)))
+	}
+	l.mu.Unlock()
+}
+
+// Since returns a copy of the keys appended at or after index from.
+func (l *KeyLog) Since(from int) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if from >= len(l.keys) {
+		return nil
+	}
+	return append([]string(nil), l.keys[from:]...)
+}
+
+// Dispatch is the one scan → per-client worker loop behind every
+// concurrent serve and replay: it scans it (stopping after limit requests
+// when limit is positive), discovers clients as they appear, and gives each
+// its own goroutine and its own session from open, fed in batches of the
+// session's current BatchSize (firstBatch until the session is up). Clients
+// the iterator has no name for are called client<i>. The result carries the
+// trace name, the request count and the per-client read accounting; the
+// caller labels it with the policy and capacity that answered.
+//
+// Batch buffers cycle between the dispatcher and each worker: the
+// dispatcher fills one from the scan, hands it over, and gets it back once
+// Submit has consumed it, so after a few batches per client the steady
+// state allocates nothing. The first failure — a session that will not
+// open, a Submit or Drain error — stops the scan at the next hand-off and
+// is returned; the workers keep draining their queues meanwhile, so the
+// dispatcher never blocks on a dead session.
+func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, keys *KeyLog, st *sim.ClientStat) (Session, error)) (sim.Result, error) {
 	type worker struct {
 		ch      chan []trace.Request
 		free    chan []trace.Request
 		pending []trace.Request
-		st      *sim.ClientStat
+		// st is its own allocation: the session counts into it on every
+		// request while the dispatcher appends to pending on every request,
+		// and the two must not share a cache line.
+		st *sim.ClientStat
+		// size is the session's current batch size, stored by the worker
+		// when it changes and read by the dispatcher to place batch
+		// boundaries.
+		size atomic.Int64
 	}
 	var (
-		workers []*worker
-		stats   []*sim.ClientStat
-		wg      sync.WaitGroup
-		total   uint64
+		keys     KeyLog
+		workers  []*worker
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		failed   atomic.Bool
+		first    error
+		total    uint64
 	)
+	fail := func(err error) {
+		failOnce.Do(func() { first = err })
+		failed.Store(true)
+	}
 	spawn := func(name string) *worker {
+		// ch lets the scan run a few batches ahead of a session that is
+		// waiting on its peer; free holds every buffer that can be out at
+		// once (those queued on ch, the one in Submit, the one being
+		// filled) with room to spare, so returning one never blocks.
 		w := &worker{
 			ch:   make(chan []trace.Request, 4),
 			free: make(chan []trace.Request, 8),
 			st:   &sim.ClientStat{Name: name},
 		}
+		w.size.Store(int64(firstBatch))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var prod *core.Producer
-			if sharded != nil {
-				prod = sharded.NewProducer()
-				defer prod.Close()
+			sess, err := open(name, &keys, w.st)
+			if err != nil {
+				fail(err)
+				sess = nil
+			} else {
+				defer sess.Close()
 			}
-			hits := make([]bool, batchSize)
+			size := firstBatch
 			for reqs := range w.ch {
-				if prod != nil {
-					prod.AccessBatch(reqs, hits)
-					for i := range reqs {
-						if reqs[i].Op == trace.Read {
-							w.st.Reads++
-							if hits[i] {
-								w.st.ReadHits++
-							}
-						}
-					}
-				} else {
-					for _, r := range reqs {
-						hit := p.Access(r)
-						if r.Op == trace.Read {
-							w.st.Reads++
-							if hit {
-								w.st.ReadHits++
-							}
-						}
+				if sess != nil && !failed.Load() {
+					if err := sess.Submit(reqs); err != nil {
+						fail(err)
+					} else if n := sess.BatchSize(); n != size {
+						size = n
+						w.size.Store(int64(n))
 					}
 				}
 				select {
@@ -94,34 +137,53 @@ func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int) (sim.Resul
 				default:
 				}
 			}
+			if sess != nil && !failed.Load() {
+				if err := sess.Drain(); err != nil {
+					fail(err)
+				}
+			}
 		}()
 		return w
 	}
 
+	// Streaming inputs (text traces, v2 dict sections, generator pipes)
+	// grow the dictionary mid-stream, on this goroutine only; comparing its
+	// length keeps the KeyLog mutex off the per-request path.
+	dict := it.HintDict()
+	keys.grow(dict)
+	dictLen := dict.Len()
 	for it.Scan() {
+		if limit > 0 && total >= uint64(limit) {
+			break
+		}
 		r := it.Request()
+		if n := dict.Len(); n != dictLen {
+			keys.grow(dict)
+			dictLen = n
+		}
 		c := int(r.Client)
 		for c >= len(workers) {
-			names := it.Clients()
-			name := ""
-			if len(workers) < len(names) {
+			name := fmt.Sprintf("client%d", len(workers))
+			if names := it.Clients(); len(workers) < len(names) {
 				name = names[len(workers)]
 			}
-			w := spawn(name)
-			workers = append(workers, w)
-			stats = append(stats, w.st)
+			workers = append(workers, spawn(name))
 		}
 		w := workers[c]
 		w.pending = append(w.pending, r)
-		if len(w.pending) >= batchSize {
-			w.ch <- w.pending
-			select {
-			case w.pending = <-w.free:
-			default:
-				w.pending = nil
-			}
-		}
 		total++
+		if len(w.pending) < int(w.size.Load()) {
+			continue
+		}
+		w.ch <- w.pending
+		select {
+		case w.pending = <-w.free:
+		default:
+			w.pending = nil
+		}
+		if failed.Load() {
+			break
+		}
 	}
 	for _, w := range workers {
 		if len(w.pending) > 0 {
@@ -133,18 +195,131 @@ func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int) (sim.Resul
 	if err := it.Err(); err != nil {
 		return sim.Result{}, err
 	}
+	if first != nil {
+		return sim.Result{}, first
+	}
 
 	res := sim.Result{
 		Trace:     it.Name(),
-		Policy:    p.Name(),
-		CacheSize: p.Capacity(),
 		Requests:  total,
-		PerClient: make([]sim.ClientStat, len(stats)),
+		PerClient: make([]sim.ClientStat, len(workers)),
 	}
-	for i, st := range stats {
-		res.PerClient[i] = *st
-		res.Reads += st.Reads
-		res.ReadHits += st.ReadHits
+	for i, w := range workers {
+		res.PerClient[i] = *w.st
+		res.Reads += w.st.Reads
+		res.ReadHits += w.st.ReadHits
 	}
 	return res, nil
+}
+
+// ServeSource drives one shared cache from any request source — a trace
+// file, an in-memory trace (t.Source()), or a live workload generator —
+// with one goroutine per client and without ever materialising the stream:
+// a 100M-request serve needs memory for a few batches per client, not for
+// the trace. The cache must be safe for concurrent use (core.Sharded is;
+// plain CLIC and the baseline policies are only with a single client).
+// batchSize 0 selects core.DefaultAccessBatch.
+func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, error) {
+	it, err := src.Iter()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	defer it.Close()
+	return ServeIterator(p, it, batchSize, nil)
+}
+
+// ServeIterator is ServeSource over an already-open iterator, with optional
+// instrumentation taps (nil m turns them off). A Sharded front is driven
+// through per-client producer handles in batches — the same shape the
+// network path uses, so the owner engine's frame fan-out is exercised
+// identically in-process and over TCP; other policies take the per-request
+// path and are not observed by m. It cannot run policy.Preparer prefix
+// passes (OPT needs the whole request slice); those policies go through
+// Run. Per-client read accounting is exact; the aggregate hit count depends
+// on how the clients' requests interleave, so with more than one client it
+// is not deterministic across calls.
+func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, m *ServeMetrics) (sim.Result, error) {
+	if batchSize <= 0 {
+		batchSize = core.DefaultAccessBatch
+	}
+	sharded, _ := p.(*core.Sharded)
+	res, err := Dispatch(it, 0, batchSize, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
+		s := &localSession{p: p, st: st, batch: batchSize}
+		if sharded != nil {
+			s.prod = sharded.NewProducer()
+			s.hits = make([]bool, batchSize)
+			s.m = m
+			if m != nil && m.BatchLatency != nil {
+				if s.clock = m.Clock; s.clock == nil {
+					start := time.Now()
+					s.clock = func() time.Duration { return time.Since(start) }
+				}
+			}
+		}
+		return s, nil
+	})
+	if err != nil {
+		return sim.Result{}, err
+	}
+	res.Policy = p.Name()
+	res.CacheSize = p.Capacity()
+	return res, nil
+}
+
+// localSession is the in-process Session: batches go straight into the
+// cache on the worker's goroutine, so nothing is ever in flight.
+type localSession struct {
+	p     policy.Policy
+	prod  *core.Producer // nil for non-Sharded policies
+	hits  []bool
+	st    *sim.ClientStat
+	m     *ServeMetrics
+	clock func() time.Duration // non-nil when batches are timed
+	batch int
+}
+
+func (s *localSession) Submit(reqs []trace.Request) error {
+	st, hits := s.st, s.hits // locals: the counting loops stay in registers
+	if s.prod == nil {
+		for _, r := range reqs {
+			hit := s.p.Access(r)
+			if r.Op == trace.Read {
+				st.Reads++
+				if hit {
+					st.ReadHits++
+				}
+			}
+		}
+		return nil
+	}
+	if s.clock != nil {
+		t0 := s.clock()
+		s.prod.AccessBatch(reqs, hits)
+		s.m.BatchLatency.Observe(uint64(s.clock() - t0))
+	} else {
+		s.prod.AccessBatch(reqs, hits)
+	}
+	for i := range reqs {
+		if reqs[i].Op == trace.Read {
+			st.Reads++
+			if hits[i] {
+				st.ReadHits++
+			}
+		}
+	}
+	if s.m != nil {
+		s.m.mark(len(reqs))
+	}
+	return nil
+}
+
+func (s *localSession) BatchSize() int { return s.batch }
+
+func (s *localSession) Drain() error { return nil }
+
+func (s *localSession) Close() error {
+	if s.prod != nil {
+		s.prod.Close()
+	}
+	return nil
 }

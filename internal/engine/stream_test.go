@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -8,32 +11,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// TestServeIteratorSingleClient: with one client the streaming serve is a
-// serial batch replay, so it must match ServeClients on a fresh identical
-// cache exactly — reads and hits.
-func TestServeIteratorSingleClient(t *testing.T) {
-	tr := testTrace.Truncate(15000)
-	cfg := core.Config{Capacity: 2000, Window: 2000}
-	want := ServeClients(core.NewSharded(cfg, 4), tr)
-
-	it := tr.Iter()
-	defer it.Close()
-	got, err := ServeIterator(core.NewSharded(cfg, 4), it, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
-		t.Errorf("streaming %d/%d hits/reads, in-RAM %d/%d",
-			got.ReadHits, got.Reads, want.ReadHits, want.Reads)
-	}
-	if got.ReadHits == 0 {
-		t.Error("no hits; test is vacuous")
-	}
-	if got.Requests != uint64(tr.Len()) || got.Trace != tr.Name {
-		t.Errorf("Requests=%d Trace=%q, want %d %q", got.Requests, got.Trace, tr.Len(), tr.Name)
-	}
-}
 
 // TestServeIteratorPlainPolicySingleClient: the non-Sharded per-request
 // path, serial with one client, must reproduce sim.Run bit-exactly.
@@ -44,7 +21,7 @@ func TestServeIteratorPlainPolicySingleClient(t *testing.T) {
 
 	it := tr.Iter()
 	defer it.Close()
-	got, err := ServeIterator(core.New(cfg), it, 0)
+	got, err := ServeIterator(core.New(cfg), it, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,51 +29,8 @@ func TestServeIteratorPlainPolicySingleClient(t *testing.T) {
 		t.Errorf("streaming %d/%d hits/reads, sim.Run %d/%d",
 			got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 	}
-}
-
-// TestServeIteratorMultiClient checks the concurrent accounting against
-// ServeClients over the same interleaved trace: per-client read counts are
-// exact (they depend only on the trace), names line up, and totals balance.
-func TestServeIteratorMultiClient(t *testing.T) {
-	parts := make([]*trace.Trace, 6)
-	for i := range parts {
-		parts[i] = testTrace.Truncate(6000)
-		parts[i].Name = string(rune('A' + i))
-	}
-	merged, err := trace.Interleave("SIX", parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ServeClients(core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2), merged)
-
-	it := merged.Iter()
-	defer it.Close()
-	got, err := ServeIterator(core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2), it, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.PerClient) != len(want.PerClient) {
-		t.Fatalf("PerClient has %d entries, want %d", len(got.PerClient), len(want.PerClient))
-	}
-	var reads, hits uint64
-	for c, st := range got.PerClient {
-		if st.Name != want.PerClient[c].Name {
-			t.Errorf("client %d named %q, want %q", c, st.Name, want.PerClient[c].Name)
-		}
-		if st.Reads != want.PerClient[c].Reads {
-			t.Errorf("client %d: %d reads, want %d", c, st.Reads, want.PerClient[c].Reads)
-		}
-		reads += st.Reads
-		hits += st.ReadHits
-	}
-	if got.Reads != reads || got.ReadHits != hits {
-		t.Errorf("totals %d/%d do not fold per-client %d/%d", got.Reads, got.ReadHits, reads, hits)
-	}
-	if got.Requests != uint64(merged.Len()) {
-		t.Errorf("Requests = %d, want %d", got.Requests, merged.Len())
-	}
-	if got.ReadHits == 0 {
-		t.Error("no hits; test is vacuous")
+	if got.Requests != uint64(tr.Len()) || got.Trace != tr.Name {
+		t.Errorf("Requests=%d Trace=%q, want %d %q", got.Requests, got.Trace, tr.Len(), tr.Name)
 	}
 }
 
@@ -128,5 +62,120 @@ func TestServeSourceGenerator(t *testing.T) {
 	}
 	if res.ReadHits == 0 {
 		t.Error("no hits; test is vacuous")
+	}
+}
+
+// fakeSession is a Session that only counts, failing its failAt-th Submit
+// (0 = never), for driving Dispatch without a cache behind it.
+type fakeSession struct {
+	st      *sim.ClientStat
+	batch   int
+	failAt  int
+	submits int
+	drained atomic.Bool
+	closed  atomic.Bool
+}
+
+var errFake = errors.New("fake session failure")
+
+func (s *fakeSession) Submit(reqs []trace.Request) error {
+	s.submits++
+	if s.submits == s.failAt {
+		return errFake
+	}
+	s.st.Reads += uint64(len(reqs)) // count every request, read or not
+	return nil
+}
+func (s *fakeSession) BatchSize() int { return s.batch }
+func (s *fakeSession) Drain() error   { s.drained.Store(true); return nil }
+func (s *fakeSession) Close() error   { s.closed.Store(true); return nil }
+
+// sixClients interleaves six copies of the test trace's prefix.
+func sixClients(t *testing.T) *trace.Trace {
+	t.Helper()
+	parts := make([]*trace.Trace, 6)
+	for i := range parts {
+		parts[i] = testTrace.Truncate(6000)
+		parts[i].Name = string(rune('A' + i))
+	}
+	merged, err := trace.Interleave("SIX", parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// TestDispatchLimit: a positive limit hands the sessions exactly that many
+// requests — not a batch more — whatever the batch size, and each batch
+// respects the session's size.
+func TestDispatchLimit(t *testing.T) {
+	merged := sixClients(t)
+	for _, tc := range []struct{ limit, batch int }{{12345, 64}, {1, 512}, {7000, 1}, {0, 100}} {
+		var mu sync.Mutex
+		var sessions []*fakeSession
+		it := merged.Iter()
+		res, err := Dispatch(it, tc.limit, tc.batch, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
+			s := &fakeSession{st: st, batch: tc.batch}
+			mu.Lock()
+			sessions = append(sessions, s)
+			mu.Unlock()
+			return s, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(tc.limit)
+		if tc.limit == 0 {
+			want = uint64(merged.Len())
+		}
+		if res.Requests != want || res.Reads != want {
+			t.Errorf("limit %d batch %d: Requests=%d, sessions saw %d, want %d", tc.limit, tc.batch, res.Requests, res.Reads, want)
+		}
+		for _, s := range sessions {
+			if !s.drained.Load() || !s.closed.Load() {
+				t.Errorf("limit %d: session drained=%v closed=%v, want both", tc.limit, s.drained.Load(), s.closed.Load())
+			}
+		}
+	}
+}
+
+// TestDispatchSessionFailure: a session that will not open, or one whose
+// Submit fails mid-stream, ends the run with that error; the dispatcher
+// neither blocks on the dead session's queue nor drains anyone after the
+// failure, and every session that opened is closed.
+func TestDispatchSessionFailure(t *testing.T) {
+	merged := sixClients(t)
+	errOpen := errors.New("cannot open")
+	for name, tc := range map[string]struct {
+		open   func(name string) (failAt int, err error)
+		expect error
+	}{
+		"open":   {func(name string) (int, error) { return 0, map[string]error{"C": errOpen}[name] }, errOpen},
+		"submit": {func(name string) (int, error) { return map[string]int{"D": 5}[name], nil }, errFake},
+	} {
+		var mu sync.Mutex
+		var sessions []*fakeSession
+		_, err := Dispatch(merged.Iter(), 0, 16, func(name string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
+			failAt, err := tc.open(name)
+			if err != nil {
+				return nil, err
+			}
+			s := &fakeSession{st: st, batch: 16, failAt: failAt}
+			mu.Lock()
+			sessions = append(sessions, s)
+			mu.Unlock()
+			return s, nil
+		})
+		if err != tc.expect {
+			t.Errorf("%s failure: err = %v, want %v", name, err, tc.expect)
+		}
+		for _, s := range sessions {
+			if !s.closed.Load() {
+				t.Errorf("%s failure: a session was left open", name)
+			}
+			if s.failAt > 0 && s.drained.Load() {
+				t.Errorf("%s failure: the failed session was drained", name)
+			}
+		}
 	}
 }

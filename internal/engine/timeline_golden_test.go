@@ -77,7 +77,10 @@ func TestTimelineGolden(t *testing.T) {
 			}
 		},
 	}
-	res := ServeClientsMetrics(s, tr, m)
+	res, err := ServeIterator(s, tr.Iter(), 0, m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tl.Tick("final"); err != nil {
 		t.Fatal(err)
 	}

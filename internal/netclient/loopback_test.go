@@ -1,21 +1,27 @@
 // Loopback integration tests: a real server and real clients in one
 // process, talking TCP over 127.0.0.1, checked against the in-process
-// engine.ServeClients path on the same trace and configuration.
+// engine.ServeSource path on the same trace and configuration.
 package netclient_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/netclient"
 	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -33,6 +39,38 @@ var testTrace = func() *trace.Trace {
 	return t
 }()
 
+// replay replays an in-memory trace against addr through ReplaySource, the
+// one networked replay entry point.
+func replay(t *testing.T, addr string, tr *trace.Trace, opt netclient.ReplayOptions) sim.Result {
+	t.Helper()
+	res, err := netclient.ReplaySource(addr, tr.Source(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// inproc serves the same trace in-process through a fresh front: the
+// reference every loopback result is compared against.
+func inproc(t *testing.T, cfg core.Config, shards int, tr *trace.Trace) sim.Result {
+	t.Helper()
+	res, err := engine.ServeSource(core.NewSharded(cfg, shards), tr.Source(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// lockStep sends reqs as one batch and waits for its results — a depth-1
+// pipeline round trip, for tests that need the server's next reply.
+func lockStep(conn *netclient.Conn, reqs []trace.Request) error {
+	pl := conn.Pipeline(1, func(any, []bool, wire.Results, int64) error { return nil })
+	if err := pl.Submit(reqs, nil); err != nil {
+		return err
+	}
+	return pl.Drain()
+}
+
 func startServer(t *testing.T, cfg server.Config) *server.Server {
 	t.Helper()
 	srv := server.New(cfg)
@@ -46,19 +84,16 @@ func startServer(t *testing.T, cfg server.Config) *server.Server {
 // TestLoopbackGoldenSingleClient is the golden equivalence test: with a
 // single client both paths drive the cache with the same total request
 // order, so the networked replay's aggregate hit/miss counts must equal
-// engine.ServeClients exactly — same trace, same configuration, bit for
+// engine.ServeSource exactly — same trace, same configuration, bit for
 // bit.
 func TestLoopbackGoldenSingleClient(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
-	want := engine.ServeClients(core.NewSharded(cfg, shards), testTrace)
+	want := inproc(t, cfg, shards, testTrace)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-	got, err := netclient.Replay(srv.Addr().String(), testTrace, netclient.ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := replay(t, srv.Addr().String(), testTrace, netclient.ReplayOptions{})
 
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("loopback %d/%d hits/reads, in-process %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
@@ -85,7 +120,7 @@ func TestLoopbackGoldenSingleClient(t *testing.T) {
 
 // TestLoopbackMultiClient replays an interleaved three-client trace over
 // three concurrent connections. The interleaving at the server is
-// scheduler-dependent (exactly as in ServeClients), so only order-free
+// scheduler-dependent (exactly as in ServeSource), so only order-free
 // quantities are compared: per-client read counts, totals, and the
 // server-side accounting.
 func TestLoopbackMultiClient(t *testing.T) {
@@ -99,13 +134,10 @@ func TestLoopbackMultiClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Capacity: 3000, Window: 5000}
-	want := engine.ServeClients(core.NewSharded(cfg, 4), merged)
+	want := inproc(t, cfg, 4, merged)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 4})
-	got, err := netclient.Replay(srv.Addr().String(), merged, netclient.ReplayOptions{BatchSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := replay(t, srv.Addr().String(), merged, netclient.ReplayOptions{BatchSize: 128})
 
 	if len(got.PerClient) != len(want.PerClient) {
 		t.Fatalf("PerClient has %d entries, want %d", len(got.PerClient), len(want.PerClient))
@@ -142,10 +174,10 @@ func TestLoopbackMultiClient(t *testing.T) {
 	}
 }
 
-// TestLoopbackReplayFileBinary streams a binary trace file over the wire
-// and checks it against the in-memory replay of the same requests on an
-// identically configured server.
-func TestLoopbackReplayFileBinary(t *testing.T) {
+// TestLoopbackFileSourceBinary streams a binary trace file over the wire
+// and checks it against the in-process serve of the same requests on an
+// identically configured front.
+func TestLoopbackFileSourceBinary(t *testing.T) {
 	tr := testTrace.Truncate(12000)
 	path := filepath.Join(t.TempDir(), "t.trc")
 	if err := trace.Save(path, tr); err != nil {
@@ -154,14 +186,14 @@ func TestLoopbackReplayFileBinary(t *testing.T) {
 	cfg := core.Config{Capacity: 2000, Window: 4000}
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 4})
-	got, err := netclient.ReplayFile(srv.Addr().String(), path, netclient.ReplayOptions{BatchSize: 256})
+	got, err := netclient.ReplaySource(srv.Addr().String(), trace.FileSource(path), netclient.ReplayOptions{BatchSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Single client: the file replay is sequential, so it must match the
 	// in-memory sequential replay exactly.
-	want := engine.ServeClients(core.NewSharded(cfg, 4), tr)
+	want := inproc(t, cfg, 4, tr)
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("file replay %d/%d, in-memory %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 	}
@@ -170,12 +202,12 @@ func TestLoopbackReplayFileBinary(t *testing.T) {
 	}
 }
 
-// TestLoopbackReplayFileText streams a text trace, whose hint dictionary is
+// TestLoopbackFileSourceText streams a text trace, whose hint dictionary is
 // discovered mid-scan — exercising the Intern (mid-stream announcement)
 // protocol path end to end. Hint-set identity, not ID numbering, is what
 // the cache keys on, so the sequential text replay must still match the
 // in-memory path exactly.
-func TestLoopbackReplayFileText(t *testing.T) {
+func TestLoopbackFileSourceText(t *testing.T) {
 	tr := testTrace.Truncate(5000)
 	path := filepath.Join(t.TempDir(), "t.txt")
 	f, err := os.Create(path)
@@ -191,11 +223,11 @@ func TestLoopbackReplayFileText(t *testing.T) {
 	cfg := core.Config{Capacity: 1500, Window: 2000}
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 4})
-	got, err := netclient.ReplayFile(srv.Addr().String(), path, netclient.ReplayOptions{BatchSize: 64})
+	got, err := netclient.ReplaySource(srv.Addr().String(), trace.FileSource(path), netclient.ReplayOptions{BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := engine.ServeClients(core.NewSharded(cfg, 4), tr)
+	want := inproc(t, cfg, 4, tr)
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("text replay %d/%d, in-memory %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 	}
@@ -207,10 +239,7 @@ func TestLoopbackReplayFileText(t *testing.T) {
 // TestLoopbackLimit checks ReplayOptions.Limit.
 func TestLoopbackLimit(t *testing.T) {
 	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 500, Window: 1000}, Shards: 2})
-	got, err := netclient.Replay(srv.Addr().String(), testTrace, netclient.ReplayOptions{Limit: 2500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := replay(t, srv.Addr().String(), testTrace, netclient.ReplayOptions{Limit: 2500})
 	if got.Requests != 2500 {
 		t.Errorf("Requests = %d, want 2500", got.Requests)
 	}
@@ -226,9 +255,7 @@ func TestAdminStats(t *testing.T) {
 	if err := srv.ListenAdmin("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netclient.Replay(srv.Addr().String(), testTrace.Truncate(8000), netclient.ReplayOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	replay(t, srv.Addr().String(), testTrace.Truncate(8000), netclient.ReplayOptions{})
 	resp, err := http.Get("http://" + srv.AdminAddr().String() + "/stats?top=5")
 	if err != nil {
 		t.Fatal(err)
@@ -284,27 +311,107 @@ func TestHintVocabularyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := conn2.Announce([]string{"a=4", "a=5"}); err != nil {
-		t.Fatal(err) // announce is buffered; the error surfaces on Do
+		t.Fatal(err) // announce is buffered; the error surfaces with the next batch
 	}
-	if _, err := conn2.Do([]trace.Request{{Page: 1}}); err == nil {
+	if err := lockStep(conn2, []trace.Request{{Page: 1}}); err == nil {
 		t.Error("server accepted an Intern above the hint-vocabulary limit")
 	}
 }
 
-// TestHelloVersionMismatch checks that the server rejects unknown protocol
-// versions with a readable error.
-func TestHelloVersionMismatch(t *testing.T) {
-	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100}, Shards: 2})
-	conn, err := netclient.Dial(srv.Addr().String())
+// rawConn is a hand-rolled peer: frames in and out with no client library
+// in between, for saying things netclient never would.
+type rawConn struct {
+	t  *testing.T
+	br *bufio.Reader
+	bw *bufio.Writer
+}
+
+func dialRaw(t *testing.T, addr string) rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	// Dial+Hello always sends wire.Version; talk to the server raw to
-	// simulate a future client. Easiest here: the server must also reject
-	// a Batch before Hello.
-	if _, err := conn.Do([]trace.Request{{Page: 1}}); err == nil {
-		t.Error("server accepted a batch before Hello")
+	t.Cleanup(func() { nc.Close() })
+	return rawConn{t, bufio.NewReader(nc), bufio.NewWriter(nc)}
+}
+
+func (c rawConn) send(payload []byte) {
+	c.t.Helper()
+	if err := wire.WriteFrame(c.bw, payload); err != nil {
+		c.t.Fatal(err)
+	}
+	if err := c.bw.Flush(); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+func (c rawConn) recv() []byte {
+	c.t.Helper()
+	p, err := wire.ReadFrame(c.br, nil)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return p
+}
+
+// refused reads the server's reply, which must be an Error frame followed
+// by the connection closing, and returns the message.
+func (c rawConn) refused() string {
+	c.t.Helper()
+	msg, err := wire.DecodeError(c.recv())
+	if err != nil {
+		c.t.Fatalf("reply is not an Error frame: %v", err)
+	}
+	if _, err := wire.ReadFrame(c.br, nil); err != io.EOF {
+		c.t.Errorf("after the Error frame: err = %v, want the connection closed", err)
+	}
+	return msg
+}
+
+// TestHelloVersionMismatch pins the single-version handshake against raw
+// peers: an older client is refused with an Error frame naming both
+// versions and never acked; a newer one is acked at the server's version
+// with a usable window; a batch before Hello and a retired type-4 Batch
+// after it are each refused cleanly.
+func TestHelloVersionMismatch(t *testing.T) {
+	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100}, Shards: 2})
+	addr := srv.Addr().String()
+	batch := wire.AppendBatchSeq(nil, 0, []trace.Request{{Page: 1}})
+
+	old := dialRaw(t, addr)
+	old.send(wire.AppendHello(nil, wire.Hello{Version: wire.Version - 1, Client: "old"}))
+	if msg := old.refused(); !strings.Contains(msg, "2") || !strings.Contains(msg, "3") {
+		t.Errorf("refusal %q does not name versions 2 and 3", msg)
+	}
+
+	future := dialRaw(t, addr)
+	future.send(wire.AppendHello(nil, wire.Hello{Version: wire.Version + 1, Client: "future", Keys: []string{""}}))
+	ack, err := wire.DecodeHelloAck(future.recv())
+	if err != nil {
+		t.Fatalf("reply to a v4 Hello is not an ack: %v", err)
+	}
+	if ack.Version != wire.Version || ack.Window == 0 {
+		t.Errorf("ack to a v4 client: version %d window %d, want %d and a non-zero window", ack.Version, ack.Window, wire.Version)
+	}
+	// The acked connection is live and speaks tagged frames.
+	future.send(batch)
+	if seq, res, err := wire.DecodeResultsSeq(future.recv(), wire.Results{}); err != nil || seq != 0 || len(res.Hits) != 1 {
+		t.Errorf("batch after the ack: seq %d, %d results, err %v", seq, len(res.Hits), err)
+	}
+	// Type 4 was the untagged Batch; the byte stays reserved.
+	future.send(append([]byte{4}, batch[2:]...))
+	if msg := future.refused(); !strings.Contains(msg, "unexpected frame type 4") {
+		t.Errorf("type-4 frame answered with %q", msg)
+	}
+
+	eager := dialRaw(t, addr)
+	eager.send(batch)
+	if msg := eager.refused(); !strings.Contains(msg, "frame type") {
+		t.Errorf("batch before Hello answered with %q", msg)
+	}
+	if st := srv.Cache().Stats(); st.Requests != 1 {
+		t.Errorf("server served %d requests, want only the one tagged batch", st.Requests)
 	}
 }
 
@@ -313,7 +420,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 // connections against two shards, so connection handlers contend for shard
 // mutexes and learner stripes at once — the TCP-path stress test for
 // global learning (run under -race in CI). Order-free quantities are
-// checked against the in-process ServeClients path, and the admin snapshot
+// checked against the in-process ServeSource path, and the admin snapshot
 // must report the mode.
 func TestLoopbackGlobalLearner(t *testing.T) {
 	parts := make([]*trace.Trace, 3)
@@ -326,16 +433,13 @@ func TestLoopbackGlobalLearner(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Capacity: 3000, Window: 5000, Stats: core.StatsGlobal}
-	want := engine.ServeClients(core.NewSharded(cfg, 2), merged)
+	want := inproc(t, cfg, 2, merged)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2})
 	if err := srv.ListenAdmin("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := netclient.Replay(srv.Addr().String(), merged, netclient.ReplayOptions{BatchSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := replay(t, srv.Addr().String(), merged, netclient.ReplayOptions{BatchSize: 128})
 	for c := range got.PerClient {
 		if got.PerClient[c].Reads != want.PerClient[c].Reads {
 			t.Errorf("client %d Reads = %d, want %d", c, got.PerClient[c].Reads, want.PerClient[c].Reads)
@@ -383,13 +487,10 @@ func TestLoopbackGlobalLearner(t *testing.T) {
 func TestLoopbackGoldenGlobalSingleShard(t *testing.T) {
 	tr := testTrace.Truncate(12000)
 	cfg := core.Config{Capacity: 2000, Window: 4000, Stats: core.StatsGlobal}
-	want := engine.ServeClients(core.NewSharded(cfg, 1), tr)
+	want := inproc(t, cfg, 1, tr)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 1})
-	got, err := netclient.Replay(srv.Addr().String(), tr, netclient.ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := replay(t, srv.Addr().String(), tr, netclient.ReplayOptions{})
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("loopback %d/%d hits/reads, in-process %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 	}
@@ -408,18 +509,12 @@ func TestLoopbackOwnerGolden(t *testing.T) {
 	const shards = 4
 
 	mutexSrv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-	want, err := netclient.Replay(mutexSrv.Addr().String(), testTrace, netclient.ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := replay(t, mutexSrv.Addr().String(), testTrace, netclient.ReplayOptions{})
 
 	ocfg := cfg
 	ocfg.Engine = core.EngineOwner
 	ownerSrv := startServer(t, server.Config{Cache: ocfg, Shards: shards})
-	got, err := netclient.Replay(ownerSrv.Addr().String(), testTrace, netclient.ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := replay(t, ownerSrv.Addr().String(), testTrace, netclient.ReplayOptions{})
 
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 		t.Errorf("owner server %d/%d hits/reads, mutex server %d/%d",
@@ -454,10 +549,7 @@ func TestLoopbackOwnerMultiClient(t *testing.T) {
 	}
 	cfg := core.Config{Capacity: 3000, Window: 5000, Engine: core.EngineOwner}
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2})
-	res, err := netclient.Replay(srv.Addr().String(), merged, netclient.ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, srv.Addr().String(), merged, netclient.ReplayOptions{})
 	var reads, hits uint64
 	for _, cs := range res.PerClient {
 		reads += cs.Reads

@@ -1,16 +1,16 @@
 // Package netclient is the client side of the wire protocol: a thin
-// connection type (Dial/Hello/Announce/Do) for programs that want to talk
-// to a cache server directly, plus trace replay drivers that mirror
-// engine.ServeClients over the network — one connection and one goroutine
-// per trace client, each streaming its own request subsequence and
-// counting hits from the server's responses.
+// connection type (Dial/Hello/Announce/Pipeline) for programs that want to
+// talk to a cache server directly, plus ReplaySource, the trace replay
+// driver that mirrors engine.ServeSource over the network — one connection
+// and one goroutine per trace client, each streaming its own request
+// subsequence through a pipelined connection and counting hits from the
+// server's responses.
 //
-// Replay takes an in-memory trace; ReplayFile streams one from disk via
-// trace.Scanner and ReplaySource streams from any trace.Source (file,
-// in-memory trace, or live workload generator), so arbitrarily long
-// streams replay in constant memory. All return a sim.Result shaped
-// exactly like engine.ServeClients' so the loopback and in-process paths
-// are directly comparable.
+// ReplaySource streams from any trace.Source (file, in-memory trace via
+// t.Source(), or live workload generator), so arbitrarily long streams
+// replay in constant memory. It returns a sim.Result shaped exactly like
+// engine.ServeSource's so the loopback and in-process paths are directly
+// comparable.
 package netclient
 
 import (
@@ -19,29 +19,27 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/hint"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// Package-wide client instrumentation: every Do on every connection lands
-// in one histogram of end-to-end batch round-trip times (encode, network,
-// server service, decode) and one batch counter. Process-wide like
-// wire.Metrics — an observation is two atomic bumps, nothing per
-// connection to configure.
+// Package-wide client instrumentation: every completed batch on every
+// connection lands in one histogram of end-to-end batch round-trip times
+// (encode, network, server service, decode) and one batch counter.
+// Process-wide like wire.Metrics — an observation is two atomic bumps,
+// nothing per connection to configure.
 var (
 	batchRTT     metrics.Histogram
 	batchesTotal metrics.Counter
 )
 
 // BatchRTT exposes the cumulative round-trip histogram (nanoseconds per
-// Do batch) for summaries and timelines.
+// batch) for summaries and timelines.
 func BatchRTT() *metrics.Histogram { return &batchRTT }
 
 // RegisterMetrics registers the client-side series on r under the
@@ -60,7 +58,6 @@ type Conn struct {
 	bw *bufio.Writer
 
 	ack       wire.HelloAck
-	version   int // negotiated protocol version (0 before Hello)
 	announced int // hint keys announced so far (Hello + Announce)
 
 	scratch []byte       // frame read buffer
@@ -119,23 +116,17 @@ func (c *Conn) Hello(client string, keys []string) (wire.HelloAck, error) {
 	if err != nil {
 		return wire.HelloAck{}, err
 	}
-	// The server acks min(our version, its version); accept it under the
-	// same floor rule the server applies to us.
-	v, err := wire.Negotiate(ack.Version)
-	if err != nil {
+	// Guard against a peer that acked a version this codec does not speak.
+	if _, err := wire.Negotiate(ack.Version); err != nil {
 		return wire.HelloAck{}, fmt.Errorf("netclient: %w", err)
 	}
 	c.ack = ack
-	c.version = v
 	c.announced = len(keys)
 	return ack, nil
 }
 
 // Ack returns the handshake response (zero before Hello).
 func (c *Conn) Ack() wire.HelloAck { return c.ack }
-
-// Version returns the negotiated protocol version (0 before Hello).
-func (c *Conn) Version() int { return c.version }
 
 // Probe dials addr and completes a throwaway handshake, verifying that a
 // compatible cache server is listening there. Replay drivers use it to
@@ -170,46 +161,10 @@ func (c *Conn) Announce(keys []string) error {
 	return nil
 }
 
-// Do sends one request batch and returns the server's per-request results.
-// Request Hint fields must index the announced hint table; Client fields
-// are ignored. The returned Results reuses the connection's buffers and is
-// valid until the next Do.
-func (c *Conn) Do(reqs []trace.Request) (wire.Results, error) {
-	start := time.Now()
-	c.enc = wire.AppendBatch(c.enc[:0], reqs)
-	if err := wire.WriteFrame(c.bw, c.enc); err != nil {
-		return wire.Results{}, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return wire.Results{}, err
-	}
-	p, err := c.readFrame()
-	if err != nil {
-		return wire.Results{}, err
-	}
-	res, err := wire.DecodeResults(p, c.res)
-	if err != nil {
-		return wire.Results{}, err
-	}
-	c.res = res
-	if len(res.Hits) != len(reqs) {
-		return wire.Results{}, fmt.Errorf("netclient: %d results for %d requests", len(res.Hits), len(reqs))
-	}
-	batchRTT.Observe(uint64(time.Since(start)))
-	batchesTotal.Inc()
-	return res, nil
-}
-
 // SendSummary ships one merged-learning window summary to the peer — the
 // node-to-node exchange of internal/cluster's gossip path. The peer sends
-// no reply. It requires the negotiated protocol to define Summary frames;
-// against an older peer it fails without writing anything, so a
-// mixed-version cluster degrades to unmerged learning instead of desyncing
-// the stream.
+// no reply.
 func (c *Conn) SendSummary(s wire.Summary) error {
-	if c.version < wire.SummaryVersion {
-		return fmt.Errorf("netclient: peer negotiated protocol %d, summaries need %d", c.version, wire.SummaryVersion)
-	}
 	c.enc = wire.AppendSummary(c.enc[:0], s)
 	if err := wire.WriteFrame(c.bw, c.enc); err != nil {
 		return err
@@ -238,10 +193,8 @@ type pbatch struct {
 // overlapping the request stream with the server's responses instead of
 // stalling a full round trip per batch. Results arrive in sequence order
 // (TCP preserves frame order and the server answers in order); each is
-// delivered to the handler as it completes. Against a server that
-// negotiated below wire.PipelineVersion the pipeline degrades to
-// lock-step (depth 1, untagged frames), so every caller works unchanged
-// against v2 peers. Not safe for concurrent use, like Conn.
+// delivered to the handler as it completes. Depth 1 is lock-step: one
+// round trip per batch. Not safe for concurrent use, like Conn.
 type Pipeline struct {
 	c       *Conn
 	depth   int
@@ -256,19 +209,13 @@ type Pipeline struct {
 
 // Pipeline returns a pipelined sender over the connection with at most
 // depth batches in flight (min 1; capped at the server's advertised
-// window, and forced to 1 when the negotiated protocol predates
-// pipelining). Use Submit/Drain instead of Do; mixing them corrupts the
-// stream.
+// window).
 func (c *Conn) Pipeline(depth int, h PipelineHandler) *Pipeline {
 	if depth < 1 {
 		depth = 1
 	}
-	if c.version >= wire.PipelineVersion {
-		if w := c.ack.Window; w > 0 && depth > w {
-			depth = w
-		}
-	} else {
-		depth = 1
+	if w := c.ack.Window; w > 0 && depth > w {
+		depth = w
 	}
 	return &Pipeline{c: c, depth: depth, handler: h, ring: make([]*pbatch, depth)}
 }
@@ -300,13 +247,9 @@ func (p *Pipeline) Submit(reqs []trace.Request, tag any) error {
 	for i := range reqs {
 		b.isRead = append(b.isRead, reqs[i].Op == trace.Read)
 	}
-	if p.c.version >= wire.PipelineVersion {
-		b.seq = p.seq
-		p.seq++
-		p.c.enc = wire.AppendBatchSeq(p.c.enc[:0], b.seq, reqs)
-	} else {
-		p.c.enc = wire.AppendBatch(p.c.enc[:0], reqs)
-	}
+	b.seq = p.seq
+	p.seq++
+	p.c.enc = wire.AppendBatchSeq(p.c.enc[:0], b.seq, reqs)
 	if err := wire.WriteFrame(p.c.bw, p.c.enc); err != nil {
 		return err
 	}
@@ -334,21 +277,12 @@ func (p *Pipeline) completeOne() error {
 	if err != nil {
 		return err
 	}
-	var res wire.Results
-	if p.c.version >= wire.PipelineVersion {
-		seq, r, err := wire.DecodeResultsSeq(payload, p.c.res)
-		if err != nil {
-			return err
-		}
-		if seq != b.seq {
-			return fmt.Errorf("netclient: results for sequence %d, want %d (pipelined results must arrive in order)", seq, b.seq)
-		}
-		res = r
-	} else {
-		res, err = wire.DecodeResults(payload, p.c.res)
-		if err != nil {
-			return err
-		}
+	seq, res, err := wire.DecodeResultsSeq(payload, p.c.res)
+	if err != nil {
+		return err
+	}
+	if seq != b.seq {
+		return fmt.Errorf("netclient: results for sequence %d, want %d (pipelined results must arrive in order)", seq, b.seq)
 	}
 	p.c.res = res
 	if len(res.Hits) != len(b.isRead) {
@@ -472,20 +406,12 @@ type ReplayOptions struct {
 	// while the per-request round-trip tail stays flat).
 	BatchSize int
 	// Depth is the in-flight batch window per connection: 0 selects
-	// DefaultDepth, 1 is lock-step (one round trip per batch, the v2
-	// behaviour). Values above the server's advertised window are capped
-	// at the handshake.
+	// DefaultDepth, 1 is lock-step (one round trip per batch). Values
+	// above the server's advertised window are capped at the handshake.
 	Depth int
 	// Limit caps the total number of requests replayed; 0 replays the
 	// whole trace.
 	Limit int
-}
-
-func (o ReplayOptions) batch() int {
-	if o.BatchSize <= 0 {
-		return wire.DefaultBatch
-	}
-	return o.BatchSize
 }
 
 func (o ReplayOptions) depth() int {
@@ -504,67 +430,43 @@ func policyName(ack wire.HelloAck) string {
 	return fmt.Sprintf("CLIC/%d", ack.Shards)
 }
 
-// runClient replays one client's request stream over one pipelined
-// connection, counting read hits from the responses.
-func runClient(addr, name string, keys []string, reqs []trace.Request, opt ReplayOptions, st *sim.ClientStat) (wire.HelloAck, error) {
-	conn, err := Dial(addr)
+// ReplaySource replays any request source — a trace file, an in-memory
+// trace (t.Source()), or a live generator spec — against the server at
+// addr, never materialising the stream: engine.ServeSource over the wire,
+// with one connection and one goroutine per discovered client. Clients and
+// hint sets may be discovered as the iteration proceeds (text traces, v2
+// dict sections, generated streams); newly seen hint keys are announced to
+// the server ahead of the first batch that references them. Per-client
+// read counts are exact while the aggregate hit count depends on how the
+// clients' requests interleave at the server.
+func ReplaySource(addr string, src trace.Source, opt ReplayOptions) (sim.Result, error) {
+	it, err := src.Iter()
 	if err != nil {
-		return wire.HelloAck{}, err
+		return sim.Result{}, err
 	}
-	defer conn.Close()
-	ack, err := conn.Hello(name, keys)
-	if err != nil {
-		return wire.HelloAck{}, err
-	}
-	sizer := NewBatchSizer(opt.BatchSize)
-	pl := conn.Pipeline(opt.depth(), func(_ any, isRead []bool, res wire.Results, rttNs int64) error {
-		for i, rd := range isRead {
-			if rd {
-				st.Reads++
-				if res.Hits[i] {
-					st.ReadHits++
-				}
-			}
-		}
-		sizer.Observe(rttNs, len(isRead))
-		return nil
-	})
-	for len(reqs) > 0 {
-		n := sizer.Current()
-		if n > len(reqs) {
-			n = len(reqs)
-		}
-		if err := pl.Submit(reqs[:n], nil); err != nil {
-			return ack, err
-		}
-		reqs = reqs[n:]
-	}
-	return ack, pl.Drain()
-}
-
-// Replay replays an in-memory trace against the server at addr with one
-// concurrent connection per trace client, engine.ServeClients over the
-// wire. Like ServeClients, per-client read counts are exact while the
-// aggregate hit count depends on how the clients' requests interleave at
-// the server.
-func Replay(addr string, t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
-	if opt.Limit > 0 {
-		t = t.Truncate(opt.Limit)
-	}
-	keys := t.Dict.Keys()
+	defer it.Close()
 	var (
 		mu  sync.Mutex
 		ack wire.HelloAck
 	)
-	res, err := engine.ServeStreams(t, func(c int, reqs []trace.Request, st *sim.ClientStat) error {
-		a, err := runClient(addr, t.Clients[c], keys, reqs, opt, st)
-		if a != (wire.HelloAck{}) {
+	res, err := engine.Dispatch(it, opt.Limit, NewBatchSizer(opt.BatchSize).Current(),
+		func(name string, keys *engine.KeyLog, st *sim.ClientStat) (engine.Session, error) {
+			conn, err := Dial(addr)
+			if err != nil {
+				return nil, err
+			}
+			a, err := conn.Hello(name, keys.Since(0))
+			if err != nil {
+				conn.Close()
+				return nil, err
+			}
 			mu.Lock()
 			ack = a
 			mu.Unlock()
-		}
-		return err
-	})
+			s := &session{conn: conn, keys: keys, st: st, sizer: NewBatchSizer(opt.BatchSize)}
+			s.pl = conn.Pipeline(opt.depth(), s.account)
+			return s, nil
+		})
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -573,233 +475,37 @@ func Replay(addr string, t *trace.Trace, opt ReplayOptions) (sim.Result, error) 
 	return res, nil
 }
 
-// keyLog is the append-only list of hint keys discovered by a streaming
-// scan, shared between the dispatcher (writer) and the per-client senders
-// (readers catching their connections up before each batch).
-type keyLog struct {
-	mu   sync.Mutex
-	keys []string
+// session is one replayed client's engine.Session: a pipelined connection
+// whose result handler counts the client's read hits and feeds the batch
+// sizer.
+type session struct {
+	conn  *Conn
+	pl    *Pipeline
+	keys  *engine.KeyLog
+	st    *sim.ClientStat
+	sizer *BatchSizer
 }
 
-func (l *keyLog) grow(d *hint.Dict) {
-	l.mu.Lock()
-	for id := len(l.keys); id < d.Len(); id++ {
-		l.keys = append(l.keys, d.Key(hint.ID(id)))
+func (s *session) account(_ any, isRead []bool, res wire.Results, rttNs int64) error {
+	for i, rd := range isRead {
+		if rd {
+			s.st.Reads++
+			if res.Hits[i] {
+				s.st.ReadHits++
+			}
+		}
 	}
-	l.mu.Unlock()
+	s.sizer.Observe(rttNs, len(isRead))
+	return nil
 }
 
-// since returns a copy of the keys appended at or after index from.
-func (l *keyLog) since(from int) []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from >= len(l.keys) {
-		return nil
+func (s *session) Submit(reqs []trace.Request) error {
+	if err := s.conn.Announce(s.keys.Since(s.conn.Announced())); err != nil {
+		return err
 	}
-	out := make([]string, len(l.keys)-from)
-	copy(out, l.keys[from:])
-	return out
+	return s.pl.Submit(reqs, nil)
 }
 
-// ReplayFile replays a trace file against the server at addr, streaming
-// requests via trace.Scanner so memory stays constant regardless of trace
-// length.
-func ReplayFile(addr, path string, opt ReplayOptions) (sim.Result, error) {
-	return ReplaySource(addr, trace.FileSource(path), opt)
-}
-
-// ReplaySource replays any request source — a trace file, an in-memory
-// trace, or a live generator spec — against the server at addr, never
-// materialising the stream.
-func ReplaySource(addr string, src trace.Source, opt ReplayOptions) (sim.Result, error) {
-	it, err := src.Iter()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	defer it.Close()
-	return ReplayIterator(addr, it, opt)
-}
-
-// ReplayIterator replays a request iterator against the server at addr with
-// one connection and one goroutine per discovered client. Clients and hint
-// sets may be discovered as the iteration proceeds (text traces, v2 dict
-// sections, generated streams); newly seen hint keys are announced to the
-// server ahead of the first batch that references them.
-func ReplayIterator(addr string, sc trace.Iterator, opt ReplayOptions) (sim.Result, error) {
-	// Batch buffers cycle between the dispatcher and each worker: the
-	// dispatcher fills one from the scan, hands it over on ch, and the
-	// worker returns it on free once the batch is encoded onto the wire
-	// (the pipeline does not retain request payloads). After a few batches
-	// per client the replay reuses the same handful of buffers — the
-	// steady-state dispatch path allocates nothing.
-	type worker struct {
-		ch      chan []trace.Request
-		free    chan []trace.Request
-		pending []trace.Request
-		st      *sim.ClientStat
-		// size is the worker's current adaptive batch size, read by the
-		// dispatcher to decide batch boundaries and stored by the worker's
-		// result handler as its sizer grows.
-		size atomic.Int64
-	}
-	var (
-		log     keyLog
-		workers []*worker
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		first   error
-		ack     wire.HelloAck
-		stats   []*sim.ClientStat
-		total   uint64
-		dictLen int
-	)
-	log.grow(sc.HintDict())
-	dictLen = sc.HintDict().Len()
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return first != nil
-	}
-	spawn := func(name string) *worker {
-		w := &worker{
-			ch:   make(chan []trace.Request, 4),
-			free: make(chan []trace.Request, 8),
-			st:   &sim.ClientStat{Name: name},
-		}
-		sizer := NewBatchSizer(opt.BatchSize)
-		w.size.Store(int64(sizer.Current()))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var pl *Pipeline
-			conn, err := Dial(addr)
-			if err != nil {
-				fail(err)
-			} else {
-				defer conn.Close()
-				a, err := conn.Hello(name, log.since(0))
-				if err != nil {
-					fail(err)
-					conn = nil
-				} else {
-					mu.Lock()
-					ack = a
-					mu.Unlock()
-					pl = conn.Pipeline(opt.depth(), func(_ any, isRead []bool, res wire.Results, rttNs int64) error {
-						for i, rd := range isRead {
-							if rd {
-								w.st.Reads++
-								if res.Hits[i] {
-									w.st.ReadHits++
-								}
-							}
-						}
-						sizer.Observe(rttNs, len(isRead))
-						w.size.Store(int64(sizer.Current()))
-						return nil
-					})
-				}
-			}
-			send := func(reqs []trace.Request) error {
-				if fresh := log.since(conn.Announced()); len(fresh) > 0 {
-					if err := conn.Announce(fresh); err != nil {
-						return err
-					}
-				}
-				return pl.Submit(reqs, nil)
-			}
-			for reqs := range w.ch {
-				// On failure keep draining so the dispatcher never blocks.
-				if conn != nil && !failed() {
-					if err := send(reqs); err != nil {
-						fail(err)
-					}
-				}
-				select {
-				case w.free <- reqs[:0]:
-				default:
-				}
-			}
-			if pl != nil && !failed() {
-				if err := pl.Drain(); err != nil {
-					fail(err)
-				}
-			}
-		}()
-		return w
-	}
-
-	for sc.Scan() {
-		if opt.Limit > 0 && total >= uint64(opt.Limit) {
-			break
-		}
-		if failed() {
-			break
-		}
-		r := sc.Request()
-		// Streaming inputs (text traces, v2 dict sections, generator
-		// pipes) grow the dictionary mid-stream; checking the length
-		// (dictionary mutation happens on this goroutine only) keeps the
-		// keyLog mutex off the per-request path.
-		if n := sc.HintDict().Len(); n != dictLen {
-			log.grow(sc.HintDict())
-			dictLen = n
-		}
-		c := int(r.Client)
-		for c >= len(workers) {
-			names := sc.Clients()
-			name := fmt.Sprintf("client%d", len(workers))
-			if len(workers) < len(names) {
-				name = names[len(workers)]
-			}
-			w := spawn(name)
-			workers = append(workers, w)
-			stats = append(stats, w.st)
-		}
-		w := workers[c]
-		w.pending = append(w.pending, r)
-		if len(w.pending) >= int(w.size.Load()) {
-			w.ch <- w.pending
-			select {
-			case w.pending = <-w.free:
-			default:
-				w.pending = nil
-			}
-		}
-		total++
-	}
-	for _, w := range workers {
-		if len(w.pending) > 0 {
-			w.ch <- w.pending
-		}
-		close(w.ch)
-	}
-	wg.Wait()
-	if err := sc.Err(); err != nil {
-		return sim.Result{}, err
-	}
-	if first != nil {
-		return sim.Result{}, first
-	}
-
-	res := sim.Result{
-		Trace:     sc.Name(),
-		Policy:    policyName(ack),
-		CacheSize: ack.Capacity,
-		Requests:  total,
-		PerClient: make([]sim.ClientStat, len(stats)),
-	}
-	for i, st := range stats {
-		res.PerClient[i] = *st
-		res.Reads += st.Reads
-		res.ReadHits += st.ReadHits
-	}
-	return res, nil
-}
+func (s *session) BatchSize() int { return s.sizer.Current() }
+func (s *session) Drain() error   { return s.pl.Drain() }
+func (s *session) Close() error   { return s.conn.Close() }

@@ -1,19 +1,21 @@
 // Pipelined wire-path tests: equivalence of every in-flight depth with
 // the in-process engine, protocol edge cases against hand-rolled peers
-// (reordered results, v2 fallback, window capping), a concurrency stress
-// for -race, and the end-to-end zero-allocation pin for the pipelined
-// client and server serve loops.
+// (reordered results, window capping), replay failure paths, a
+// concurrency stress for -race, and the end-to-end zero-allocation pin for
+// the pipelined client and server serve loops.
 package netclient_test
 
 import (
 	"bufio"
+	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/netclient"
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -22,20 +24,16 @@ import (
 
 // TestPipelineDepthEquivalence is the golden test for pipelining: a
 // single-client replay produces exactly the same reads and hits at any
-// in-flight depth, and exactly matches engine.ServeClients — depth
+// in-flight depth, and exactly matches engine.ServeSource — depth
 // changes when results arrive, never what the server computes.
 func TestPipelineDepthEquivalence(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
-	want := engine.ServeClients(core.NewSharded(cfg, shards), testTrace)
+	want := inproc(t, cfg, shards, testTrace)
 
 	for _, depth := range []int{1, 4, 32} {
 		srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-		got, err := netclient.Replay(srv.Addr().String(), testTrace,
-			netclient.ReplayOptions{Depth: depth, BatchSize: 256})
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
+		got := replay(t, srv.Addr().String(), testTrace, netclient.ReplayOptions{Depth: depth, BatchSize: 256})
 		if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 			t.Errorf("depth %d: %d/%d hits/reads, in-process %d/%d",
 				depth, got.ReadHits, got.Reads, want.ReadHits, want.Reads)
@@ -59,18 +57,10 @@ func TestPipelineOwnerDepthEquivalence(t *testing.T) {
 	const shards = 4
 
 	srv1 := startServer(t, server.Config{Cache: cfg, Shards: shards})
-	want, err := netclient.Replay(srv1.Addr().String(), testTrace,
-		netclient.ReplayOptions{Depth: 1, BatchSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := replay(t, srv1.Addr().String(), testTrace, netclient.ReplayOptions{Depth: 1, BatchSize: 256})
 	for _, depth := range []int{4, 32} {
 		srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-		got, err := netclient.Replay(srv.Addr().String(), testTrace,
-			netclient.ReplayOptions{Depth: depth, BatchSize: 256})
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
+		got := replay(t, srv.Addr().String(), testTrace, netclient.ReplayOptions{Depth: depth, BatchSize: 256})
 		if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 			t.Errorf("depth %d: %d/%d hits/reads, depth-1 %d/%d",
 				depth, got.ReadHits, got.Reads, want.ReadHits, want.Reads)
@@ -137,12 +127,15 @@ func TestPipelineReorderedResults(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			seq, reqs, err := wire.DecodeBatchSeq(p, nil)
+			var n int
+			seq, _, err := wire.DecodeBatchStream(p,
+				func(c int) error { n = c; return nil },
+				func(int, trace.Request) error { return nil })
 			if err != nil {
 				return err
 			}
 			seqs = append(seqs, seq)
-			sizes = append(sizes, len(reqs))
+			sizes = append(sizes, n)
 		}
 		for i := []int{1, 0}[0]; i >= 0; i-- {
 			res := wire.Results{Hits: make([]bool, sizes[i])}
@@ -176,77 +169,93 @@ func TestPipelineReorderedResults(t *testing.T) {
 	}
 }
 
-// TestPipelineV2Fallback checks a v3 client degrades to lock-step
-// untagged frames against a v2 server: depth forced to 1, plain Batch on
-// the wire, plain Results accepted.
-func TestPipelineV2Fallback(t *testing.T) {
-	const batches = 3
+// TestHelloRefusesOlderServer: the client applies the same single-version
+// guard to the ack — a server acking an older protocol is refused at the
+// handshake with both versions named, before any batch is sent.
+func TestHelloRefusesOlderServer(t *testing.T) {
 	addr := fakeServer(t, func(br *bufio.Reader, bw *bufio.Writer) error {
-		if err := ackHello(br, bw, wire.HelloAck{Version: wire.PipelineVersion - 1, Shards: 1, Capacity: 100}); err != nil {
-			return err
-		}
-		var scratch []byte
-		for i := 0; i < batches; i++ {
-			p, err := wire.ReadFrame(br, scratch)
-			if err != nil {
-				return err
-			}
-			scratch = p
-			if typ, _ := wire.PayloadType(p); typ != wire.TypeBatch {
-				return wire.WriteFrame(bw, wire.AppendError(nil, "v2 server got a tagged frame"))
-			}
-			reqs, err := wire.DecodeBatch(p, nil)
-			if err != nil {
-				return err
-			}
-			hits := make([]bool, len(reqs))
-			for j := range hits {
-				hits[j] = true
-			}
-			if err := wire.WriteFrame(bw, wire.AppendResults(nil, wire.Results{Hits: hits})); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return ackHello(br, bw, wire.HelloAck{Version: wire.Version - 1, Shards: 1, Capacity: 100, Window: 8})
 	})
-
 	conn, err := netclient.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Hello("v2", nil); err != nil {
+	_, err = conn.Hello("new", nil)
+	if err == nil || !strings.Contains(err.Error(), "2") || !strings.Contains(err.Error(), "3") {
+		t.Fatalf("Hello against a v2 server: err = %v, want a refusal naming versions 2 and 3", err)
+	}
+}
+
+// TestReplayDialError: with nothing listening, ReplaySource returns the
+// dial error instead of a result.
+func TestReplayDialError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v := conn.Version(); v != wire.PipelineVersion-1 {
-		t.Fatalf("negotiated version %d, want %d", v, wire.PipelineVersion-1)
+	addr := ln.Addr().String()
+	ln.Close()
+	_, err = netclient.ReplaySource(addr, testTrace.Source(), netclient.ReplayOptions{})
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) || opErr.Op != "dial" {
+		t.Fatalf("err = %v, want the dial error", err)
 	}
-	var delivered, hits int
-	pl := conn.Pipeline(8, func(_ any, isRead []bool, res wire.Results, _ int64) error {
-		delivered++
-		for _, h := range res.Hits {
-			if h {
-				hits++
-			}
-		}
-		return nil
-	})
-	if pl.Depth() != 1 {
-		t.Fatalf("v2 fallback depth = %d, want 1", pl.Depth())
+}
+
+// settledGoroutines waits for goroutines that are already on their way out
+// and returns the count.
+func settledGoroutines(atMost int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > atMost; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
 	}
-	for i := 0; i < batches; i++ {
-		if err := pl.Submit([]trace.Request{{Page: 1}, {Page: 2, Op: trace.Write}}, nil); err != nil {
-			t.Fatal(err)
-		}
+	return n
+}
+
+// TestReplayServerClosedMidReplay: a server that goes away while three
+// clients are mid-stream ends the replay with an error — the dispatcher
+// does not block on the dead connections' queues — and every worker
+// goroutine is gone afterwards.
+func TestReplayServerClosedMidReplay(t *testing.T) {
+	parts := make([]*trace.Trace, 3)
+	for i := range parts {
+		parts[i] = testTrace
 	}
-	if err := pl.Drain(); err != nil {
+	merged, err := trace.Interleave("DOOMED", parts...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if delivered != batches || hits != batches*2 {
-		t.Errorf("delivered %d batches with %d hits, want %d and %d", delivered, hits, batches, batches*2)
+	base := runtime.NumGoroutine()
+	srv := server.New(server.Config{Cache: core.Config{Capacity: 2000, Window: 4000}, Shards: 2})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		// Lock-step single-request frames: slow enough that the close below
+		// always lands mid-stream.
+		_, err := netclient.ReplaySource(srv.Addr().String(), merged.Source(), netclient.ReplayOptions{BatchSize: 1, Depth: 1})
+		done <- err
+	}()
+	for srv.Cache().Stats().Requests < 300 {
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("replay against a closed server returned no error")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay still blocked 30s after the server closed")
+	}
+	if served := srv.Cache().Stats().Requests; served >= uint64(merged.Len()) {
+		t.Fatalf("server served all %d requests before closing; the test closed nothing mid-stream", served)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after the failed replay, %d before", n, base)
 	}
 }
 

@@ -99,7 +99,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		Shards: shards,
 	})
 	tr := testTrace.Truncate(16000)
-	res, err := netclient.Replay(srv.Addr().String(), tr, netclient.ReplayOptions{})
+	res, err := netclient.ReplaySource(srv.Addr().String(), tr.Source(), netclient.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // pinned sets here, deliberately.
 func TestSnapshotSchema(t *testing.T) {
 	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 1000, Window: 2000}, Shards: 2})
-	if _, err := netclient.Replay(srv.Addr().String(), testTrace.Truncate(6000), netclient.ReplayOptions{}); err != nil {
+	if _, err := netclient.ReplaySource(srv.Addr().String(), testTrace.Truncate(6000).Source(), netclient.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get("http://" + srv.AdminAddr().String() + "/stats?top=5")
@@ -312,7 +312,7 @@ func TestServerTimeline(t *testing.T) {
 	var buf lockedBuffer
 	stop := srv.StartTimeline(&buf, 5*time.Millisecond)
 	tr := testTrace.Truncate(16000)
-	if _, err := netclient.Replay(srv.Addr().String(), tr, netclient.ReplayOptions{BatchSize: 64}); err != nil {
+	if _, err := netclient.ReplaySource(srv.Addr().String(), tr.Source(), netclient.ReplayOptions{BatchSize: 64}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(15 * time.Millisecond) // let at least one interval elapse

@@ -7,8 +7,8 @@
 // One connection is one client. The handshake interns the client's hint
 // vocabulary into the server-wide dictionary once, so the per-request hot
 // path is a table lookup plus a core.Sharded access — connections touching
-// different shards proceed in parallel, exactly like engine.ServeClients'
-// in-process goroutines. Per-client read accounting matches ServeClients'
+// different shards proceed in parallel, exactly like engine.ServeSource's
+// in-process goroutines. Per-client read accounting matches ServeSource's
 // sim.ClientStat bookkeeping so loopback replays are comparable to the
 // in-process path.
 //
@@ -63,7 +63,7 @@ type Config struct {
 	MaxHintKeys int
 	// MaxInflight bounds how many pipelined batches one connection may
 	// keep in flight (decoded but not yet answered); 0 selects
-	// DefaultMaxInflight. Advertised to v3+ clients in HelloAck.Window.
+	// DefaultMaxInflight. Advertised to clients in HelloAck.Window.
 	// When the window is full the connection's reader stops reading, so
 	// backpressure propagates to the client through TCP.
 	MaxInflight int
@@ -390,8 +390,7 @@ func (s *Server) mergeClient(name string, reads, readHits uint64) {
 // connection's reader to its writer. Slots circulate between the free list
 // and the result queue, so the steady-state pipeline allocates nothing.
 type resultSlot struct {
-	seq    uint64 // BatchSeq sequence number (tagged frames only)
-	tagged bool   // answer with ResultsSeq instead of Results
+	seq    uint64 // BatchSeq sequence number, echoed in the ResultsSeq
 	hits   []bool // per-request verdicts, reused batch after batch
 	isRead []bool // which positions were reads, for client accounting
 	outq   int    // outqueue depth sampled after the batch
@@ -477,13 +476,11 @@ func (s *Server) handle(conn net.Conn) {
 		failNow(err.Error())
 		return
 	}
-	// Negotiate down to the client's version when it is older; refuse
-	// clients below the floor. Every later frame is interpreted under the
-	// negotiated version.
+	// Refuse older clients; a newer one is acked at our version and may
+	// then step down or hang up.
 	ver, err := wire.Negotiate(hello.Version)
 	if err != nil {
-		failNow(fmt.Sprintf("unsupported protocol version %d (server speaks %d, accepts %d and up)",
-			hello.Version, wire.Version, wire.MinVersion))
+		failNow(fmt.Sprintf("unsupported protocol version %d (server speaks %d)", hello.Version, wire.Version))
 		return
 	}
 	if len(hello.Keys) > s.maxHintKeys {
@@ -558,18 +555,14 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			st.remap = s.intern(st.remap, keys)
-		case wire.TypeBatch, wire.TypeBatchSeq:
-			if t == wire.TypeBatchSeq && ver < wire.PipelineVersion {
-				fail(fmt.Sprintf("pipelined batches need protocol %d, connection negotiated %d", wire.PipelineVersion, ver))
-				return
-			}
+		case wire.TypeBatchSeq:
 			batchStart := time.Now()
 			// Blocking here is the in-flight window: no free slot until the
 			// writer retires one.
 			slot := <-free
 			slot.start = batchStart
 			st.slot = slot
-			seq, tagged, err := wire.DecodeBatchStream(payload, st.begin, st.emit)
+			seq, _, err := wire.DecodeBatchStream(payload, st.begin, st.emit)
 			if err != nil {
 				st.prod.Abort()
 				free <- slot
@@ -594,17 +587,11 @@ func (s *Server) handle(conn net.Conn) {
 			// reflects them: Snapshot sums equal client-side accounting
 			// the moment a replay returns.
 			s.mergeClient(hello.Client, reads, readHits)
-			slot.seq, slot.tagged = seq, tagged
+			slot.seq = seq
 			slot.outq = s.cache.OutqueueLen()
 			s.inflight.Add(1)
 			results <- slot
 		case wire.TypeSummary:
-			// Reject cleanly on connections that negotiated a pre-summary
-			// protocol: the peer learns why instead of desyncing.
-			if ver < wire.SummaryVersion {
-				fail(fmt.Sprintf("summary frames need protocol %d, connection negotiated %d", wire.SummaryVersion, ver))
-				return
-			}
 			sum, err := wire.DecodeSummary(payload)
 			if err != nil {
 				fail(err.Error())
@@ -649,11 +636,7 @@ func (s *Server) writeLoop(conn net.Conn, bw *bufio.Writer, results, free chan *
 			continue
 		}
 		res.Hits, res.OutqueueDepth = slot.hits, slot.outq
-		if slot.tagged {
-			out = wire.AppendResultsSeq(out[:0], slot.seq, res)
-		} else {
-			out = wire.AppendResults(out[:0], res)
-		}
+		out = wire.AppendResultsSeq(out[:0], slot.seq, res)
 		err := wire.WriteFrame(bw, out)
 		if err == nil && len(results) == 0 {
 			if err = bw.Flush(); err == nil {

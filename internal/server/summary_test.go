@@ -4,8 +4,6 @@
 package server_test
 
 import (
-	"bufio"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -36,11 +34,8 @@ func TestSummaryAbsorbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Hello("peer", nil); err != nil {
-		t.Fatal(err)
-	}
-	if conn.Version() != wire.Version {
-		t.Fatalf("negotiated version %d, want %d", conn.Version(), wire.Version)
+	if ack, err := conn.Hello("peer", nil); err != nil || ack.Version != wire.Version {
+		t.Fatalf("handshake: acked version %d, err %v; want %d", ack.Version, err, wire.Version)
 	}
 	if err := conn.SendSummary(testSummary()); err != nil {
 		t.Fatal(err)
@@ -91,64 +86,12 @@ func TestSummaryRejectedNotMerged(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The rejection arrives as the next frame the client reads.
-	_, err = conn.Do(nil)
+	pl := conn.Pipeline(1, nil)
+	if err := pl.Submit(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	err = pl.Drain()
 	if err == nil || !strings.Contains(err.Error(), "merged statistics mode") {
 		t.Fatalf("err = %v, want merged-statistics-mode rejection", err)
-	}
-}
-
-// TestSummaryRejectedOldProtocol hand-rolls a version-1 handshake (as an
-// old binary would) and checks the server both negotiates down to 1 and
-// rejects a later summary frame cleanly instead of desyncing.
-func TestSummaryRejectedOldProtocol(t *testing.T) {
-	srv := startServer(t, server.Config{
-		Cache:  core.Config{Capacity: 500, Window: 100, Stats: core.StatsMerged},
-		Shards: 2,
-	})
-	nc, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	bw := bufio.NewWriter(nc)
-
-	if err := wire.WriteFrame(bw, wire.AppendHello(nil, wire.Hello{Version: 1, Client: "old"})); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := wire.ReadFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, err := wire.DecodeHelloAck(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Version != 1 {
-		t.Fatalf("server acked version %d to a v1 client, want 1", ack.Version)
-	}
-
-	if err := wire.WriteFrame(bw, wire.AppendSummary(nil, testSummary())); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	p, err = wire.ReadFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err := wire.DecodeError(p)
-	if err != nil {
-		t.Fatalf("reply to a v1 summary is not an Error frame: %v", err)
-	}
-	if !strings.Contains(msg, "protocol") {
-		t.Fatalf("rejection %q does not name the protocol version", msg)
-	}
-	if srv.Snapshot(0).Cluster.SummariesAbsorbed != 0 {
-		t.Error("summary absorbed despite protocol rejection")
 	}
 }

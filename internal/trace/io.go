@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-
-	"repro/internal/hint"
 )
 
 // Binary trace format (all integers varint-encoded unless noted):
@@ -66,96 +63,6 @@ func WriteBinary(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserialises a trace written by WriteBinary.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	readString := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	name, err := readString()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	pageSize, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading page size: %w", err)
-	}
-	t := New(name, int(pageSize))
-	nClients, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading client count: %w", err)
-	}
-	t.Clients = make([]string, nClients)
-	for i := range t.Clients {
-		if t.Clients[i], err = readString(); err != nil {
-			return nil, fmt.Errorf("trace: reading client %d: %w", i, err)
-		}
-	}
-	nKeys, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading dict size: %w", err)
-	}
-	t.Dict = hint.NewDict()
-	for i := uint64(0); i < nKeys; i++ {
-		k, err := readString()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading hint key %d: %w", i, err)
-		}
-		if got := t.Dict.InternKey(k); got != hint.ID(i) {
-			return nil, fmt.Errorf("trace: duplicate hint key %q in dictionary", k)
-		}
-	}
-	nReqs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading request count: %w", err)
-	}
-	t.Reqs = make([]Request, nReqs)
-	prev := int64(0)
-	for i := range t.Reqs {
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading request %d flags: %w", i, err)
-		}
-		client, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading request %d client: %w", i, err)
-		}
-		delta, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading request %d page: %w", i, err)
-		}
-		prev += delta
-		h, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading request %d hint: %w", i, err)
-		}
-		op := Read
-		if flags&1 != 0 {
-			op = Write
-		}
-		t.Reqs[i] = Request{Page: uint64(prev), Hint: hint.ID(h), Op: op, Client: client}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // WriteText serialises the trace in a human-readable line format:
 // one "op page client hintkey" record per line, preceded by header lines.
 func WriteText(w io.Writer, t *Trace) error {
@@ -170,84 +77,6 @@ func WriteText(w io.Writer, t *Trace) error {
 		fmt.Fprintf(bw, "%s %d %d %s\n", op, r.Page, r.Client, t.Dict.Key(r.Hint))
 	}
 	return bw.Flush()
-}
-
-// ReadText parses the format emitted by WriteText.
-func ReadText(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	t := New("trace", 4096)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(strings.TrimPrefix(line, "#"))
-			switch {
-			case len(fields) >= 2 && fields[0] == "trace":
-				t.Name = fields[1]
-				if len(fields) >= 4 && fields[2] == "pagesize" {
-					if ps, err := strconv.Atoi(fields[3]); err == nil {
-						t.PageSize = ps
-					}
-				}
-			case len(fields) >= 2 && fields[0] == "clients":
-				t.Clients = strings.Split(fields[1], ",")
-			}
-			continue
-		}
-		fields := strings.SplitN(line, " ", 4)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("trace: line %d: malformed record %q", lineNo, line)
-		}
-		var op Op
-		switch fields[0] {
-		case "R":
-			op = Read
-		case "W":
-			op = Write
-		default:
-			return nil, fmt.Errorf("trace: line %d: bad op %q", lineNo, fields[0])
-		}
-		page, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad page: %w", lineNo, err)
-		}
-		client, err := strconv.ParseUint(fields[2], 10, 8)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad client: %w", lineNo, err)
-		}
-		key := ""
-		if len(fields) == 4 {
-			key = fields[3]
-		}
-		t.Reqs = append(t.Reqs, Request{
-			Page:   page,
-			Hint:   t.Dict.InternKey(key),
-			Op:     op,
-			Client: uint8(client),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for int(maxClient(t.Reqs))+1 > len(t.Clients) {
-		t.Clients = append(t.Clients, fmt.Sprintf("client%d", len(t.Clients)))
-	}
-	return t, t.Validate()
-}
-
-func maxClient(reqs []Request) uint8 {
-	var m uint8
-	for _, r := range reqs {
-		if r.Client > m {
-			m = r.Client
-		}
-	}
-	return m
 }
 
 // Save writes the trace to path in binary format.

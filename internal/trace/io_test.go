@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -39,13 +40,23 @@ func tracesEqual(t *testing.T, a, b *Trace) {
 	}
 }
 
+// read is the one way a serialised trace comes back: the sniffing Scanner
+// drained by Collect, exactly what Load does to a file.
+func read(r io.Reader) (*Trace, error) {
+	sc, err := NewScanner(r)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(sc)
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := buildTrace("DB2_C60", 2000, 42)
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +87,7 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 		if err := WriteBinary(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := read(&buf)
 		if err != nil {
 			return false
 		}
@@ -95,26 +106,50 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 	}
 }
 
-func TestReadBinaryRejectsGarbage(t *testing.T) {
+// TestReadRejectsGarbage: input that is neither magic-prefixed binary nor
+// well-formed text is refused, as is a binary stream cut anywhere — inside
+// the header (every prefix of it) or inside the records. (An empty stream
+// is a valid empty text trace: the sniffer has nothing to tell it apart.)
+func TestReadRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
-		nil,
 		[]byte("short"),
 		[]byte("NOTMAGIC________________"),
+		[]byte(binaryMagic), // magic, then nothing
 	}
 	for _, c := range cases {
-		if _, err := ReadBinary(bytes.NewReader(c)); err == nil {
-			t.Errorf("ReadBinary(%q) should fail", c)
+		if _, err := read(bytes.NewReader(c)); err == nil {
+			t.Errorf("read(%q) should fail", c)
 		}
 	}
-	// Truncated valid stream.
 	tr := buildTrace("t", 100, 1)
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	cut := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBinary(bytes.NewReader(cut)); err == nil {
-		t.Error("truncated stream should fail")
+	full := buf.Bytes()
+	for cut := len(binaryMagic); cut < len(full); cut += 7 {
+		if _, err := read(bytes.NewReader(full[:cut])); err == nil {
+			t.Errorf("stream truncated at byte %d of %d should fail", cut, len(full))
+		}
+	}
+}
+
+// TestReadBinaryRejectsBadRecords: a v1 stream whose records reference a
+// client or hint the header never declared fails validation.
+func TestReadBinaryRejectsBadRecords(t *testing.T) {
+	for name, mutate := range map[string]func(*Trace){
+		"client": func(tr *Trace) { tr.Reqs[3].Client = 9 },
+		"hint":   func(tr *Trace) { tr.Reqs[3].Hint = hint.ID(tr.Dict.Len() + 5) },
+	} {
+		tr := buildTrace("t", 50, 1)
+		mutate(tr)
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := read(&buf); err == nil {
+			t.Errorf("undeclared %s accepted", name)
+		}
 	}
 }
 
@@ -124,7 +159,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteText(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadText(&buf)
+	got, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +189,8 @@ func TestReadTextErrors(t *testing.T) {
 		"R 1 banana a=1\n",  // bad client
 		"R\n",               // too few fields
 	} {
-		if _, err := ReadText(strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadText(%q) should fail", bad)
+		if _, err := read(strings.NewReader(bad)); err == nil {
+			t.Errorf("read(%q) should fail", bad)
 		}
 	}
 }

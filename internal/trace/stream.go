@@ -102,7 +102,7 @@ func NewScanner(r io.Reader) (*Scanner, error) {
 		}
 		return s, nil
 	}
-	// Text traces default like ReadText and refine from header lines.
+	// Text traces start from defaults and refine from header lines.
 	s.name = "trace"
 	s.pageSize = 4096
 	return s, nil

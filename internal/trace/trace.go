@@ -205,9 +205,10 @@ func Interleave(name string, traces ...*Trace) (*Trace, error) {
 
 // SplitClients partitions the request sequence into per-client streams,
 // indexed by client ID and preserving each client's request order. It is
-// the inverse of Interleave's merging and is what concurrent serving
-// (engine.ServeClients, the network replay client) feeds its per-client
-// goroutines.
+// the inverse of Interleave's merging: what a driver that holds the whole
+// trace and feeds each client from its own goroutine starts from (the
+// benchmark harness in bench/ does; the serve/replay paths split on the fly
+// in engine.Dispatch instead).
 func (t *Trace) SplitClients() [][]Request {
 	streams := make([][]Request, len(t.Clients))
 	for _, r := range t.Reqs {

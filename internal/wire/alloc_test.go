@@ -9,11 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRoundTripAllocs pins the zero-allocation contract of the wire hot
+// TestSeqRoundTripAllocs pins the zero-allocation contract of the wire hot
 // path: once the reusable buffers have grown to the batch size, encoding a
-// batch, framing it, reading the frame back and decoding it — and the same
-// for the results direction — allocates nothing.
-func TestRoundTripAllocs(t *testing.T) {
+// batch, framing it, reading the frame back and stream-decoding it straight
+// into a preallocated slice — and the same for the results direction —
+// allocates nothing.
+func TestSeqRoundTripAllocs(t *testing.T) {
 	reqs := make([]trace.Request, DefaultBatch)
 	for i := range reqs {
 		op := trace.Read
@@ -26,80 +27,6 @@ func TestRoundTripAllocs(t *testing.T) {
 	for i := range hits {
 		hits[i] = i%3 == 0
 	}
-
-	var (
-		enc     []byte
-		payload []byte
-		dec     []trace.Request
-		res     Results
-		buf     bytes.Buffer
-	)
-	bw := bufio.NewWriterSize(&buf, 1<<16)
-	br := bufio.NewReaderSize(&buf, 1<<16)
-	roundTrip := func() {
-		enc = AppendBatch(enc[:0], reqs)
-		buf.Reset()
-		bw.Reset(&buf)
-		if err := WriteFrame(bw, enc); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		br.Reset(&buf)
-		p, err := ReadFrame(br, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload = p
-		d, err := DecodeBatch(p, dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec = d
-		if len(dec) != len(reqs) {
-			t.Fatalf("decoded %d requests, want %d", len(dec), len(reqs))
-		}
-
-		enc = AppendResults(enc[:0], Results{Hits: hits, OutqueueDepth: 42})
-		buf.Reset()
-		bw.Reset(&buf)
-		if err := WriteFrame(bw, enc); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		br.Reset(&buf)
-		p, err = ReadFrame(br, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload = p
-		r, err := DecodeResults(p, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res = r
-		if len(res.Hits) != len(hits) {
-			t.Fatalf("decoded %d hits, want %d", len(res.Hits), len(hits))
-		}
-	}
-	roundTrip() // warm-up: grow enc/payload/dec/res to steady-state capacity
-	if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
-		t.Errorf("wire round trip allocates %v allocs per batch in steady state, want 0", avg)
-	}
-}
-
-// TestSeqRoundTripAllocs pins the same zero-allocation contract for the
-// pipelined v3 frames: sequence-tagged encode, streaming decode straight
-// into a preallocated slice, and the tagged results direction.
-func TestSeqRoundTripAllocs(t *testing.T) {
-	reqs := make([]trace.Request, DefaultBatch)
-	for i := range reqs {
-		op := trace.Read
-		if i%7 == 0 {
-			op = trace.Write
-		}
-		reqs[i] = trace.Request{Page: uint64(i * 13), Hint: hint.ID(i % 32), Op: op}
-	}
-	hits := make([]bool, DefaultBatch)
 
 	var (
 		enc     []byte
@@ -135,9 +62,20 @@ func TestSeqRoundTripAllocs(t *testing.T) {
 		}
 
 		enc = AppendResultsSeq(enc[:0], seq, Results{Hits: hits, OutqueueDepth: 42})
-		gotSeq, r, err := DecodeResultsSeq(enc, res)
-		if err != nil || gotSeq != seq {
-			t.Fatalf("results decode: seq=%d err=%v", gotSeq, err)
+		buf.Reset()
+		bw.Reset(&buf)
+		if err := WriteFrame(bw, enc); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		br.Reset(&buf)
+		if p, err = ReadFrame(br, payload); err != nil {
+			t.Fatal(err)
+		}
+		payload = p
+		gotSeq, r, err := DecodeResultsSeq(p, res)
+		if err != nil || gotSeq != seq || len(r.Hits) != len(hits) {
+			t.Fatalf("results decode: seq=%d n=%d err=%v", gotSeq, len(r.Hits), err)
 		}
 		res = r
 	}

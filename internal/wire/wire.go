@@ -8,18 +8,21 @@
 // unless noted; strings are uvarint length + bytes):
 //
 //	Hello    (client→server)  version, client name, hint key count, keys
-//	HelloAck (server→client)  version, shard count, capacity
+//	HelloAck (server→client)  version, shard count, capacity, in-flight
+//	                          window
 //	Intern   (client→server)  hint key count, keys — appended to the
 //	                          connection's hint table, so clients may
 //	                          announce hint sets discovered mid-stream
-//	Batch    (client→server)  request count, then per request:
+//	BatchSeq (client→server)  sequence number (uvarint), request count,
+//	                          then per request:
 //	                            flags byte (bit0 = write),
 //	                            page delta (zig-zag varint vs the previous
 //	                            page in the batch, starting from 0),
 //	                            hint ID (index into the hint table built
 //	                            by Hello/Intern, in announcement order)
-//	Results  (server→client)  result count, outqueue depth, then a hit
-//	                          bitmap of ceil(count/8) bytes (LSB first)
+//	ResultsSeq (server→client) sequence number (uvarint) of the BatchSeq it
+//	                          answers, result count, outqueue depth, then a
+//	                          hit bitmap of ceil(count/8) bytes (LSB first)
 //	Error    (server→client)  message — sent before the server closes a
 //	                          misbehaving connection
 //	Summary  (node→node)      origin node name, merge round, entry count,
@@ -30,49 +33,30 @@
 //	                          hint-statistics window, the exchange
 //	                          currency of cluster-wide merged learning
 //	                          (internal/cluster)
-//	BatchSeq (client→server)  sequence number (uvarint), then the Batch
-//	                          body — a Batch tagged so several may be in
-//	                          flight on one connection (v3+)
-//	ResultsSeq (server→client) sequence number (uvarint), then the Results
-//	                          body — answers the BatchSeq with the same
-//	                          sequence number (v3+)
 //
 // The client ID is implicit: one connection is one client. Page numbers are
 // delta-encoded within each batch because clients issue runs of sequential
 // pages (scans, prefetch), exactly as in the binary trace file format. The
-// outqueue depth in Results is the server's CLIC outqueue fill level — a
+// outqueue depth in ResultsSeq is the server's CLIC outqueue fill level — a
 // hint back to clients about how much uncached-page history the server is
-// retaining.
+// retaining. Hint-set keys travel as canonical strings in Summary frames
+// because hint IDs are per-node interning orders and mean nothing across
+// processes.
 //
-// # Version negotiation
+// # Versions and pipelining
 //
-// Hello and HelloAck carry a protocol version. The server answers a Hello
-// with min(client version, Version) provided the client is at least
-// MinVersion, and the client accepts the ack under the same rule
-// (Negotiate implements both directions); otherwise the connection is
-// refused with an Error frame. Each side then sends only frames the
-// negotiated version defines. Summary frames exist from SummaryVersion on:
-// a peer that negotiated an older version rejects them with a clean Error
-// instead of desyncing the stream, which is what lets mixed-version
-// clusters upgrade one node at a time. Hint-set keys travel as canonical
-// strings in Summary frames because hint IDs are per-node interning
-// orders and mean nothing across processes.
-//
-// # Pipelining (v2 → v3)
-//
-// Version 3 adds sequence-tagged batches. A v2 connection runs in
-// lock-step — one Batch, one Results, full round trip before the next —
-// so loopback throughput is bounded by per-batch RTT. From
-// PipelineVersion on, a client may instead send BatchSeq frames, each
-// tagged with a monotonically increasing sequence number, and keep up to
-// the server's advertised window (HelloAck.Window, v3+) of batches in
-// flight. The server answers every BatchSeq with a ResultsSeq carrying
-// the same sequence number, always in ascending sequence order (TCP
-// preserves it; a client seeing an unexpected sequence number must treat
-// the connection as broken). Plain Batch/Results frames remain valid on
-// a v3 connection, so a lock-step client needs no changes, and a v3
-// client talking to a v2 server falls back to lock-step after
-// negotiation caps the version.
+// There is one protocol version, Version. Hello and HelloAck carry it so
+// the handshake can refuse a peer cleanly: the server answers an older
+// client with an Error frame naming both versions, answers a newer one
+// with Version (which the newer side may then decline), and the client
+// applies the same rule to the ack (Negotiate implements both directions).
+// Every batch is sequence-tagged: a client numbers its BatchSeq frames
+// 0, 1, 2, … and may keep up to HelloAck's window of them in flight; the
+// server answers each with a ResultsSeq carrying the same number, always in
+// ascending order (TCP preserves it; a client seeing an unexpected number
+// must treat the connection as broken). Lock-step is a window of one.
+// Frame types 4 and 5 were the untagged Batch/Results of versions 1–2; the
+// numbers stay reserved and are refused like any unknown type.
 package wire
 
 import (
@@ -122,55 +106,35 @@ func uvarintLen(n uint64) uint64 {
 	return l
 }
 
-// Version is the newest protocol version this codec speaks, offered in
-// Hello and capped in HelloAck. Version 2 added Summary frames; version 3
-// added sequence-tagged pipelined batches (BatchSeq/ResultsSeq).
+// Version is the one protocol version this codec speaks, offered in Hello
+// and echoed in HelloAck.
 const Version = 3
 
-// MinVersion is the oldest peer version still accepted; anything older is
-// refused at the handshake.
-const MinVersion = 1
-
-// SummaryVersion is the first protocol version that defines Summary
-// frames. Connections negotiated below it must reject TypeSummary cleanly.
-const SummaryVersion = 2
-
-// PipelineVersion is the first protocol version that defines
-// BatchSeq/ResultsSeq frames and the HelloAck Window field. Connections
-// negotiated below it run in lock-step and must reject TypeBatchSeq
-// cleanly.
-const PipelineVersion = 3
-
 // Negotiate returns the protocol version to speak with a peer that
-// announced peerVersion: the newer side caps itself at the older side's
-// version, and peers older than MinVersion are refused. Both handshake
-// directions use it — the server on Hello.Version, the client on
-// HelloAck.Version.
+// announced peerVersion: Version when the peer is at least that new (a
+// newer peer is expected to step down), an error naming both versions
+// otherwise. Both handshake directions use it — the server on
+// Hello.Version, the client on HelloAck.Version.
 func Negotiate(peerVersion int) (int, error) {
-	if peerVersion < MinVersion {
-		return 0, fmt.Errorf("wire: peer speaks protocol version %d, need at least %d", peerVersion, MinVersion)
+	if peerVersion < Version {
+		return 0, fmt.Errorf("wire: peer speaks protocol version %d, need %d", peerVersion, Version)
 	}
-	if peerVersion > Version {
-		return Version, nil
-	}
-	return peerVersion, nil
+	return Version, nil
 }
 
 // MaxFrame bounds a frame's payload size; both sides reject larger frames
 // rather than allocating unbounded memory on malformed or hostile input.
 const MaxFrame = 1 << 24
 
-// DefaultBatch is the request count per Batch frame used by clients that do
-// not choose their own batching.
+// DefaultBatch is the request count per BatchSeq frame used by clients that
+// do not choose their own batching.
 const DefaultBatch = 512
 
-// Frame types (the first payload byte).
+// Frame types (the first payload byte). 4 and 5 are reserved.
 const (
 	TypeHello      byte = 1
 	TypeHelloAck   byte = 2
 	TypeIntern     byte = 3
-	TypeBatch      byte = 4
-	TypeResults    byte = 5
 	TypeError      byte = 6
 	TypeSummary    byte = 7
 	TypeBatchSeq   byte = 8
@@ -191,8 +155,7 @@ type HelloAck struct {
 	Shards   int
 	Capacity int
 	// Window is the largest number of batches the server lets one
-	// connection keep in flight (v3+; zero when negotiated below
-	// PipelineVersion).
+	// connection keep in flight.
 	Window int
 }
 
@@ -219,7 +182,7 @@ type SummaryEntry struct {
 	Dsum float64
 }
 
-// Results carries the per-request outcomes of one Batch.
+// Results carries the per-request outcomes of one BatchSeq.
 type Results struct {
 	// Hits holds one hit/miss flag per request, in batch order.
 	Hits []bool
@@ -421,18 +384,13 @@ func DecodeHello(p []byte) (Hello, error) {
 	return h, d.done()
 }
 
-// AppendHelloAck encodes a HelloAck payload. The Window field exists only
-// from PipelineVersion on, so it is encoded exactly when a.Version says
-// the negotiated protocol defines it.
+// AppendHelloAck encodes a HelloAck payload.
 func AppendHelloAck(dst []byte, a HelloAck) []byte {
 	dst = append(dst, TypeHelloAck)
 	dst = binary.AppendUvarint(dst, uint64(a.Version))
 	dst = binary.AppendUvarint(dst, uint64(a.Shards))
 	dst = binary.AppendUvarint(dst, uint64(a.Capacity))
-	if a.Version >= PipelineVersion {
-		dst = binary.AppendUvarint(dst, uint64(a.Window))
-	}
-	return dst
+	return binary.AppendUvarint(dst, uint64(a.Window))
 }
 
 // DecodeHelloAck decodes a HelloAck payload.
@@ -442,19 +400,12 @@ func DecodeHelloAck(p []byte) (HelloAck, error) {
 		return HelloAck{}, err
 	}
 	var a HelloAck
-	for _, f := range []*int{&a.Version, &a.Shards, &a.Capacity} {
+	for _, f := range []*int{&a.Version, &a.Shards, &a.Capacity, &a.Window} {
 		v, err := d.uvarint()
 		if err != nil {
 			return HelloAck{}, err
 		}
 		*f = int(v)
-	}
-	if a.Version >= PipelineVersion {
-		v, err := d.uvarint()
-		if err != nil {
-			return HelloAck{}, err
-		}
-		a.Window = int(v)
 	}
 	return a, d.done()
 }
@@ -482,9 +433,13 @@ func DecodeIntern(p []byte) ([]string, error) {
 	return keys, d.done()
 }
 
-// appendBatchBody encodes the shared Batch/BatchSeq body: request count,
-// then per request the flags byte, delta-encoded page and hint ID.
-func appendBatchBody(dst []byte, reqs []trace.Request) []byte {
+// AppendBatchSeq encodes a BatchSeq payload: the sequence number, the
+// request count, then per request the flags byte, delta-encoded page and
+// hint ID. Request Client fields are ignored: the connection identifies the
+// client.
+func AppendBatchSeq(dst []byte, seq uint64, reqs []trace.Request) []byte {
+	dst = append(dst, TypeBatchSeq)
+	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(reqs)))
 	prev := uint64(0)
 	for _, r := range reqs {
@@ -500,21 +455,7 @@ func appendBatchBody(dst []byte, reqs []trace.Request) []byte {
 	return dst
 }
 
-// AppendBatch encodes a Batch payload. Request Client fields are ignored:
-// the connection identifies the client.
-func AppendBatch(dst []byte, reqs []trace.Request) []byte {
-	dst = append(dst, TypeBatch)
-	return appendBatchBody(dst, reqs)
-}
-
-// AppendBatchSeq encodes a sequence-tagged BatchSeq payload (v3+).
-func AppendBatchSeq(dst []byte, seq uint64, reqs []trace.Request) []byte {
-	dst = append(dst, TypeBatchSeq)
-	dst = binary.AppendUvarint(dst, seq)
-	return appendBatchBody(dst, reqs)
-}
-
-// decodeBatchRequest decodes one request record of a batch body, carrying
+// batchRequest decodes one request record of a batch body, carrying
 // the running page value in *prev.
 func (d *decoder) batchRequest(prev *int64) (trace.Request, error) {
 	flags, err := d.byte()
@@ -553,100 +494,50 @@ func (d *decoder) batchCount() (uint64, error) {
 	return n, nil
 }
 
-// decodeBatchBody decodes the shared Batch/BatchSeq body into dst.
-func (d *decoder) decodeBatchBody(dst []trace.Request) ([]trace.Request, error) {
-	n, err := d.batchCount()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(cap(dst)) < n {
-		dst = make([]trace.Request, n)
-	}
-	dst = dst[:n]
-	prev := int64(0)
-	for i := range dst {
-		r, err := d.batchRequest(&prev)
-		if err != nil {
-			return nil, err
-		}
-		dst[i] = r
-	}
-	return dst, d.done()
-}
-
-// DecodeBatch decodes a Batch payload into dst (reused when large enough).
-// Decoded requests carry Client 0; the receiver attributes them to the
-// connection's client.
-func DecodeBatch(p []byte, dst []trace.Request) ([]trace.Request, error) {
-	d, err := expect(p, TypeBatch)
-	if err != nil {
-		return nil, err
-	}
-	return d.decodeBatchBody(dst)
-}
-
-// DecodeBatchSeq decodes a BatchSeq payload into dst, returning the frame's
-// sequence number alongside the requests.
-func DecodeBatchSeq(p []byte, dst []trace.Request) (uint64, []trace.Request, error) {
+// DecodeBatchStream decodes a BatchSeq payload without materialising a
+// request slice: begin is called once with the request count, then emit
+// once per decoded request (Client 0; the receiver attributes them to the
+// connection's client), in batch order. Either callback may stop the decode
+// by returning an error (propagated unwrapped). This is the zero-copy
+// server path — requests stream straight from the wire buffer into the
+// owner-shard producer frames. tagged is always true: it dates from when
+// untagged Batch frames were also accepted, and stays only because the
+// frozen benchmark (bench/layers.go) takes three results — drop it when
+// the benchmark is next revised.
+func DecodeBatchStream(p []byte, begin func(n int) error, emit func(i int, r trace.Request) error) (seq uint64, tagged bool, err error) {
 	d, err := expect(p, TypeBatchSeq)
 	if err != nil {
-		return 0, nil, err
+		return 0, true, err
 	}
-	seq, err := d.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	reqs, err := d.decodeBatchBody(dst)
-	return seq, reqs, err
-}
-
-// DecodeBatchStream decodes a Batch or BatchSeq payload without
-// materialising a request slice: begin is called once with the request
-// count, then emit once per decoded request, in batch order. Either
-// callback may stop the decode by returning an error (propagated
-// unwrapped). tagged reports whether the frame carried a sequence number
-// (BatchSeq); seq is zero for plain Batch frames. This is the zero-copy
-// server path — requests stream straight from the wire buffer into the
-// owner-shard producer frames.
-func DecodeBatchStream(p []byte, begin func(n int) error, emit func(i int, r trace.Request) error) (seq uint64, tagged bool, err error) {
-	t, err := PayloadType(p)
-	if err != nil {
-		return 0, false, err
-	}
-	d := decoder{p: p, off: 1}
-	switch t {
-	case TypeBatch:
-	case TypeBatchSeq:
-		tagged = true
-		if seq, err = d.uvarint(); err != nil {
-			return 0, true, err
-		}
-	default:
-		return 0, false, fmt.Errorf("wire: frame type %d, want %d or %d", t, TypeBatch, TypeBatchSeq)
+	if seq, err = d.uvarint(); err != nil {
+		return 0, true, err
 	}
 	n, err := d.batchCount()
 	if err != nil {
-		return seq, tagged, err
+		return seq, true, err
 	}
 	if err := begin(int(n)); err != nil {
-		return seq, tagged, err
+		return seq, true, err
 	}
 	prev := int64(0)
 	for i := 0; i < int(n); i++ {
 		r, err := d.batchRequest(&prev)
 		if err != nil {
-			return seq, tagged, err
+			return seq, true, err
 		}
 		if err := emit(i, r); err != nil {
-			return seq, tagged, err
+			return seq, true, err
 		}
 	}
-	return seq, tagged, d.done()
+	return seq, true, d.done()
 }
 
-// appendResultsBody encodes the shared Results/ResultsSeq body: count,
-// outqueue depth, then the LSB-first hit bitmap.
-func appendResultsBody(dst []byte, r Results) []byte {
+// AppendResultsSeq encodes a ResultsSeq payload answering the BatchSeq
+// frame with the same sequence number: count, outqueue depth, then the
+// LSB-first hit bitmap.
+func AppendResultsSeq(dst []byte, seq uint64, r Results) []byte {
+	dst = append(dst, TypeResultsSeq)
+	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Hits)))
 	dst = binary.AppendUvarint(dst, uint64(r.OutqueueDepth))
 	var cur byte
@@ -665,58 +556,9 @@ func appendResultsBody(dst []byte, r Results) []byte {
 	return dst
 }
 
-// AppendResults encodes a Results payload.
-func AppendResults(dst []byte, r Results) []byte {
-	dst = append(dst, TypeResults)
-	return appendResultsBody(dst, r)
-}
-
-// AppendResultsSeq encodes a sequence-tagged ResultsSeq payload (v3+),
-// answering the BatchSeq frame with the same sequence number.
-func AppendResultsSeq(dst []byte, seq uint64, r Results) []byte {
-	dst = append(dst, TypeResultsSeq)
-	dst = binary.AppendUvarint(dst, seq)
-	return appendResultsBody(dst, r)
-}
-
-// decodeResultsBody decodes the shared Results/ResultsSeq body, reusing
-// dst.Hits when large enough.
-func (d *decoder) decodeResultsBody(dst Results) (Results, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return Results{}, err
-	}
-	depth, err := d.uvarint()
-	if err != nil {
-		return Results{}, err
-	}
-	words := (n + 7) / 8
-	if uint64(len(d.p)-d.off) != words {
-		return Results{}, fmt.Errorf("wire: results bitmap has %d bytes, want %d", len(d.p)-d.off, words)
-	}
-	if uint64(cap(dst.Hits)) < n {
-		dst.Hits = make([]bool, n)
-	}
-	dst.Hits = dst.Hits[:n]
-	for i := range dst.Hits {
-		dst.Hits[i] = d.p[d.off+i/8]&(1<<(i%8)) != 0
-	}
-	dst.OutqueueDepth = int(depth)
-	return dst, nil
-}
-
-// DecodeResults decodes a Results payload, reusing dst.Hits when large
-// enough.
-func DecodeResults(p []byte, dst Results) (Results, error) {
-	d, err := expect(p, TypeResults)
-	if err != nil {
-		return Results{}, err
-	}
-	return d.decodeResultsBody(dst)
-}
-
 // DecodeResultsSeq decodes a ResultsSeq payload, returning the frame's
-// sequence number alongside the results.
+// sequence number alongside the results and reusing dst.Hits when large
+// enough.
 func DecodeResultsSeq(p []byte, dst Results) (uint64, Results, error) {
 	d, err := expect(p, TypeResultsSeq)
 	if err != nil {
@@ -726,8 +568,27 @@ func DecodeResultsSeq(p []byte, dst Results) (uint64, Results, error) {
 	if err != nil {
 		return 0, Results{}, err
 	}
-	res, err := d.decodeResultsBody(dst)
-	return seq, res, err
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, Results{}, err
+	}
+	depth, err := d.uvarint()
+	if err != nil {
+		return 0, Results{}, err
+	}
+	words := (n + 7) / 8
+	if uint64(len(d.p)-d.off) != words {
+		return 0, Results{}, fmt.Errorf("wire: results bitmap has %d bytes, want %d", len(d.p)-d.off, words)
+	}
+	if uint64(cap(dst.Hits)) < n {
+		dst.Hits = make([]bool, n)
+	}
+	dst.Hits = dst.Hits[:n]
+	for i := range dst.Hits {
+		dst.Hits[i] = d.p[d.off+i/8]&(1<<(i%8)) != 0
+	}
+	dst.OutqueueDepth = int(depth)
+	return seq, dst, nil
 }
 
 // AppendSummary encodes a Summary payload.

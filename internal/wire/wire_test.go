@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -27,7 +29,7 @@ func TestHelloRoundTrip(t *testing.T) {
 			t.Errorf("round trip: got %+v, want %+v", got, h)
 		}
 	}
-	acks := []HelloAck{{}, {Version: Version, Shards: 8, Capacity: 18000}}
+	acks := []HelloAck{{}, {Version: Version, Shards: 8, Capacity: 18000, Window: 32}, {Version: 2, Window: 1}}
 	for _, a := range acks {
 		got, err := DecodeHelloAck(AppendHelloAck(nil, a))
 		if err != nil {
@@ -57,64 +59,66 @@ func TestInternRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeBatch collects a BatchSeq payload through the streaming decoder,
+// the only batch decoder there is.
+func decodeBatch(p []byte) (uint64, []trace.Request, error) {
+	var reqs []trace.Request
+	seq, _, err := DecodeBatchStream(p,
+		func(n int) error { reqs = make([]trace.Request, 0, n); return nil },
+		func(_ int, r trace.Request) error { reqs = append(reqs, r); return nil })
+	return seq, reqs, err
+}
+
 // TestBatchRoundTrip is the table-driven encode/decode check for request
-// batches, including descending pages (negative deltas) and extreme values.
+// batches, including descending pages (negative deltas), extreme values
+// and extreme sequence numbers.
 func TestBatchRoundTrip(t *testing.T) {
 	cases := [][]trace.Request{
 		nil,
 		{{Page: 0, Hint: 0, Op: trace.Read}},
 		{
 			{Page: 100, Hint: 1, Op: trace.Read},
-			{Page: 101, Hint: 1, Op: trace.Read},
+			{Page: 101, Hint: 1, Op: trace.Read, Client: 3},
 			{Page: 5, Hint: 2, Op: trace.Write},
 			{Page: math.MaxUint64, Hint: math.MaxUint32, Op: trace.Read},
 			{Page: 0, Hint: 0, Op: trace.Write},
 		},
 	}
 	for _, reqs := range cases {
-		got, err := DecodeBatch(AppendBatch(nil, reqs), nil)
-		if err != nil {
-			t.Fatalf("%+v: %v", reqs, err)
-		}
-		if len(got) != len(reqs) {
-			t.Fatalf("got %d requests, want %d", len(got), len(reqs))
-		}
-		for i, r := range reqs {
-			r.Client = 0 // client travels out of band
-			if got[i] != r {
-				t.Errorf("request %d = %+v, want %+v", i, got[i], r)
+		for _, seq := range []uint64{0, 1, 511, math.MaxUint64} {
+			gotSeq, got, err := decodeBatch(AppendBatchSeq(nil, seq, reqs))
+			if err != nil {
+				t.Fatalf("seq=%d %+v: %v", seq, reqs, err)
+			}
+			if gotSeq != seq || len(got) != len(reqs) {
+				t.Fatalf("got seq=%d n=%d, want seq=%d n=%d", gotSeq, len(got), seq, len(reqs))
+			}
+			for i, r := range reqs {
+				r.Client = 0 // client travels out of band
+				if got[i] != r {
+					t.Errorf("request %d = %+v, want %+v", i, got[i], r)
+				}
 			}
 		}
 	}
 }
 
-// TestBatchReuse checks that DecodeBatch reuses a caller-provided buffer.
-func TestBatchReuse(t *testing.T) {
-	reqs := []trace.Request{{Page: 3}, {Page: 9, Op: trace.Write}}
-	buf := make([]trace.Request, 0, 16)
-	got, err := DecodeBatch(AppendBatch(nil, reqs), buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &buf[:1][0] {
-		t.Error("DecodeBatch did not reuse the provided buffer")
-	}
-}
-
-// TestResultsRoundTrip covers hit bitmaps at every length mod 8.
+// TestResultsRoundTrip covers hit bitmaps at every length mod 8, and reuse
+// of a caller-provided Hits buffer.
 func TestResultsRoundTrip(t *testing.T) {
+	buf := Results{Hits: make([]bool, 0, 32)}
 	for n := 0; n <= 17; n++ {
 		hits := make([]bool, n)
 		for i := range hits {
 			hits[i] = i%3 == 0
 		}
 		in := Results{Hits: hits, OutqueueDepth: n * 1000}
-		got, err := DecodeResults(AppendResults(nil, in), Results{})
+		seq, got, err := DecodeResultsSeq(AppendResultsSeq(nil, uint64(n), in), buf)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if got.OutqueueDepth != in.OutqueueDepth {
-			t.Errorf("n=%d: depth %d, want %d", n, got.OutqueueDepth, in.OutqueueDepth)
+		if seq != uint64(n) || got.OutqueueDepth != in.OutqueueDepth {
+			t.Errorf("n=%d: seq %d depth %d, want %d %d", n, seq, got.OutqueueDepth, n, in.OutqueueDepth)
 		}
 		if len(got.Hits) != n {
 			t.Fatalf("n=%d: got %d hits", n, len(got.Hits))
@@ -123,6 +127,9 @@ func TestResultsRoundTrip(t *testing.T) {
 			if got.Hits[i] != hits[i] {
 				t.Errorf("n=%d: hit %d = %v, want %v", n, i, got.Hits[i], hits[i])
 			}
+		}
+		if n > 0 && &got.Hits[0] != &buf.Hits[:1][0] {
+			t.Errorf("n=%d: DecodeResultsSeq did not reuse the provided buffer", n)
 		}
 	}
 }
@@ -175,8 +182,9 @@ func TestSummaryRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestNegotiate pins the version-negotiation rules for both handshake
-// directions.
+// TestNegotiate pins the single-version guard for both handshake
+// directions: exactly Version is spoken, newer peers are answered with it,
+// older ones are refused with both versions named.
 func TestNegotiate(t *testing.T) {
 	cases := []struct {
 		peer    int
@@ -184,9 +192,9 @@ func TestNegotiate(t *testing.T) {
 		wantErr bool
 	}{
 		{peer: Version, want: Version},
-		{peer: MinVersion, want: MinVersion},
 		{peer: Version + 5, want: Version},
-		{peer: MinVersion - 1, wantErr: true},
+		{peer: Version - 1, wantErr: true},
+		{peer: 1, wantErr: true},
 		{peer: 0, wantErr: true},
 		{peer: -3, wantErr: true},
 	}
@@ -199,9 +207,9 @@ func TestNegotiate(t *testing.T) {
 		if !c.wantErr && got != c.want {
 			t.Errorf("Negotiate(%d) = %d, want %d", c.peer, got, c.want)
 		}
-	}
-	if MinVersion >= SummaryVersion {
-		t.Error("MinVersion must predate SummaryVersion for the mixed-version rejection path to exist")
+		if c.wantErr && !(strings.Contains(err.Error(), strconv.Itoa(c.peer)) && strings.Contains(err.Error(), strconv.Itoa(Version))) {
+			t.Errorf("Negotiate(%d) error %q does not name both versions", c.peer, err)
+		}
 	}
 }
 
@@ -222,8 +230,8 @@ func TestFrameIO(t *testing.T) {
 	w := bufio.NewWriter(&buf)
 	payloads := [][]byte{
 		AppendHello(nil, Hello{Version: Version, Client: "c"}),
-		AppendBatch(nil, []trace.Request{{Page: 1}, {Page: 2}}),
-		AppendResults(nil, Results{Hits: []bool{true, false}, OutqueueDepth: 42}),
+		AppendBatchSeq(nil, 0, []trace.Request{{Page: 1}, {Page: 2}}),
+		AppendResultsSeq(nil, 0, Results{Hits: []bool{true, false}, OutqueueDepth: 42}),
 	}
 	for _, p := range payloads {
 		if err := WriteFrame(w, p); err != nil {
@@ -254,12 +262,12 @@ func TestFrameIO(t *testing.T) {
 // truncation, and trailing bytes instead of panicking or over-allocating.
 func TestDecodeRejectsGarbage(t *testing.T) {
 	hello := AppendHello(nil, Hello{Version: 1, Client: "x", Keys: []string{"a=b"}})
-	batch := AppendBatch(nil, []trace.Request{{Page: 9}})
-	if _, err := DecodeBatch(hello, nil); err == nil {
-		t.Error("DecodeBatch accepted a Hello frame")
+	batch := AppendBatchSeq(nil, 0, []trace.Request{{Page: 9}})
+	if _, _, err := decodeBatch(hello); err == nil {
+		t.Error("DecodeBatchStream accepted a Hello frame")
 	}
 	if _, err := DecodeHello(batch); err == nil {
-		t.Error("DecodeHello accepted a Batch frame")
+		t.Error("DecodeHello accepted a BatchSeq frame")
 	}
 	if _, err := DecodeHello(nil); err == nil {
 		t.Error("DecodeHello accepted an empty payload")
@@ -274,29 +282,44 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	// A batch header claiming far more requests than the frame could hold
 	// must fail fast rather than allocate.
-	huge := []byte{TypeBatch, 0xff, 0xff, 0xff, 0xff, 0x0f}
-	if _, err := DecodeBatch(huge, nil); err == nil {
-		t.Error("DecodeBatch accepted an impossible request count")
+	huge := []byte{TypeBatchSeq, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}
+	if _, _, err := DecodeBatchStream(huge, func(int) error { t.Error("begin called"); return nil }, nil); err == nil {
+		t.Error("DecodeBatchStream accepted an impossible request count")
+	}
+	// The reserved type bytes of the retired untagged frames decode as
+	// nothing: same bodies as a BatchSeq/ResultsSeq minus the sequence
+	// number, under type 4 and 5.
+	if _, _, err := decodeBatch([]byte{4, 1, 0, 2, 0}); err == nil {
+		t.Error("DecodeBatchStream accepted a retired type-4 Batch frame")
+	}
+	if _, _, err := DecodeResultsSeq([]byte{5, 0, 0}, Results{}); err == nil {
+		t.Error("DecodeResultsSeq accepted a retired type-5 Results frame")
 	}
 }
 
-// FuzzDecodeBatch throws arbitrary bytes at the batch decoder and, when a
-// payload decodes, re-encodes the result to check the codec closes.
-func FuzzDecodeBatch(f *testing.F) {
+// FuzzDecodeBatchStream throws arbitrary bytes at the batch decoder and,
+// when a payload decodes, re-encodes the result to check the codec closes.
+// The seeds are those of the two retired slice-decoder targets: the bodies
+// the untagged Batch frame carried (under its reserved type byte 4, and
+// re-tagged as a BatchSeq) and the sequence-tagged frames.
+func FuzzDecodeBatchStream(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(AppendBatch(nil, []trace.Request{{Page: 1, Hint: 2}, {Page: 100, Op: trace.Write}}))
-	f.Add([]byte{TypeBatch, 3, 0, 2, 0})
+	f.Add(AppendBatchSeq(nil, 0, []trace.Request{{Page: 1, Hint: 2}, {Page: 100, Op: trace.Write}}))
+	f.Add([]byte{4, 3, 0, 2, 0})
+	f.Add([]byte{TypeBatchSeq, 0, 3, 0, 2, 0})
+	f.Add(AppendBatchSeq(nil, 5, []trace.Request{{Page: 1, Hint: 2}, {Page: 100, Op: trace.Write}}))
+	f.Add([]byte{TypeBatchSeq, 7, 3, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		reqs, err := DecodeBatch(p, nil)
+		seq, reqs, err := decodeBatch(p)
 		if err != nil {
 			return
 		}
-		out, err := DecodeBatch(AppendBatch(nil, reqs), nil)
+		seq2, out, err := decodeBatch(AppendBatchSeq(nil, seq, reqs))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if len(out) != len(reqs) {
-			t.Fatalf("re-decode changed length: %d -> %d", len(reqs), len(out))
+		if seq2 != seq || len(out) != len(reqs) {
+			t.Fatalf("round trip changed: seq %d->%d, n %d->%d", seq, seq2, len(reqs), len(out))
 		}
 		for i := range reqs {
 			if out[i] != reqs[i] {
@@ -354,102 +377,18 @@ func FuzzDecodeSummary(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResults covers the bitmap decoder.
-func FuzzDecodeResults(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendResults(nil, Results{Hits: []bool{true, false, true}, OutqueueDepth: 9}))
-	f.Fuzz(func(t *testing.T, p []byte) {
-		r, err := DecodeResults(p, Results{})
-		if err != nil {
-			return
-		}
-		got, err := DecodeResults(AppendResults(nil, r), Results{})
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if got.OutqueueDepth != r.OutqueueDepth || len(got.Hits) != len(r.Hits) {
-			t.Fatalf("round trip changed: %+v -> %+v", r, got)
-		}
-	})
-}
-
-// TestHelloAckWindow pins the conditional Window encoding: a v3 ack
-// carries its pipeline window, a v2 ack omits the field entirely so old
-// decoders keep working byte for byte.
+// TestHelloAckWindow pins that Window is always on the wire, whatever
+// version the ack names: an ack cut before it is truncated, not "old".
 func TestHelloAckWindow(t *testing.T) {
-	v3 := HelloAck{Version: Version, Shards: 8, Capacity: 18000, Window: 32}
-	got, err := DecodeHelloAck(AppendHelloAck(nil, v3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != v3 {
-		t.Errorf("v3 round trip: got %+v, want %+v", got, v3)
-	}
-	v2 := HelloAck{Version: PipelineVersion - 1, Shards: 8, Capacity: 18000, Window: 32}
-	p2 := AppendHelloAck(nil, v2)
-	got2, err := DecodeHelloAck(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Window != 0 {
-		t.Errorf("v2 ack carried a window (%d); the field is v3-only", got2.Window)
-	}
-	if len(p2) >= len(AppendHelloAck(nil, v3)) {
-		t.Error("v2 ack is not shorter than the v3 ack — Window leaked into old frames")
-	}
-}
-
-// TestBatchSeqRoundTrip covers the sequence-tagged batch frame, both via
-// the slice decoder and the streaming decoder.
-func TestBatchSeqRoundTrip(t *testing.T) {
-	reqs := []trace.Request{
-		{Page: 100, Hint: 1, Op: trace.Read},
-		{Page: 5, Hint: 2, Op: trace.Write},
-		{Page: math.MaxUint64, Hint: math.MaxUint32, Op: trace.Read},
-	}
-	for _, seq := range []uint64{0, 1, 511, math.MaxUint64} {
-		p := AppendBatchSeq(nil, seq, reqs)
-		gotSeq, got, err := DecodeBatchSeq(p, nil)
-		if err != nil {
-			t.Fatalf("seq=%d: %v", seq, err)
+	for _, v := range []int{Version, Version - 1, Version + 1} {
+		p := AppendHelloAck(nil, HelloAck{Version: v, Shards: 8, Capacity: 18000, Window: 32})
+		got, err := DecodeHelloAck(p)
+		if err != nil || got.Window != 32 {
+			t.Errorf("version %d: window %d, err %v; want 32", v, got.Window, err)
 		}
-		if gotSeq != seq || len(got) != len(reqs) {
-			t.Fatalf("seq=%d: got seq=%d n=%d", seq, gotSeq, len(got))
+		if _, err := DecodeHelloAck(p[:len(p)-1]); err == nil {
+			t.Errorf("version %d: ack without a window decoded", v)
 		}
-		for i, r := range reqs {
-			r.Client = 0
-			if got[i] != r {
-				t.Errorf("request %d = %+v, want %+v", i, got[i], r)
-			}
-		}
-		// Streaming decoder sees the same frame.
-		var streamed []trace.Request
-		sSeq, tagged, err := DecodeBatchStream(p,
-			func(n int) error { streamed = make([]trace.Request, 0, n); return nil },
-			func(i int, r trace.Request) error { streamed = append(streamed, r); return nil })
-		if err != nil || !tagged || sSeq != seq {
-			t.Fatalf("stream seq=%d: seq=%d tagged=%v err=%v", seq, sSeq, tagged, err)
-		}
-		if !reflect.DeepEqual(streamed, got) {
-			t.Errorf("stream decoded %+v, want %+v", streamed, got)
-		}
-	}
-}
-
-// TestDecodeBatchStreamUntagged checks the streaming decoder accepts a
-// plain v2 Batch frame and reports it untagged, and rejects non-batch
-// frames.
-func TestDecodeBatchStreamUntagged(t *testing.T) {
-	reqs := []trace.Request{{Page: 7}, {Page: 8, Op: trace.Write}}
-	var n int
-	seq, tagged, err := DecodeBatchStream(AppendBatch(nil, reqs),
-		func(c int) error { n = c; return nil },
-		func(int, trace.Request) error { return nil })
-	if err != nil || tagged || seq != 0 || n != len(reqs) {
-		t.Fatalf("untagged: seq=%d tagged=%v n=%d err=%v", seq, tagged, n, err)
-	}
-	if _, _, err := DecodeBatchStream(AppendResults(nil, Results{}), nil, nil); err == nil {
-		t.Error("DecodeBatchStream accepted a Results frame")
 	}
 }
 
@@ -471,20 +410,17 @@ func TestDecodeBatchStreamCallbackError(t *testing.T) {
 }
 
 // TestBatchSeqRejectsGarbage checks truncation and trailing bytes fail
-// cleanly for both sequence-tagged frames, through both decoders.
+// cleanly for both sequence-tagged frames.
 func TestBatchSeqRejectsGarbage(t *testing.T) {
 	b := AppendBatchSeq(nil, 9, []trace.Request{{Page: 3, Hint: 1}, {Page: 1, Op: trace.Write}})
 	for cut := 1; cut < len(b); cut++ {
-		if _, _, err := DecodeBatchSeq(b[:cut], nil); err == nil {
-			t.Errorf("DecodeBatchSeq accepted a frame truncated at %d", cut)
-		}
 		if _, _, err := DecodeBatchStream(b[:cut], func(int) error { return nil },
 			func(int, trace.Request) error { return nil }); err == nil {
 			t.Errorf("DecodeBatchStream accepted a frame truncated at %d", cut)
 		}
 	}
-	if _, _, err := DecodeBatchSeq(append(b[:len(b):len(b)], 0), nil); err == nil {
-		t.Error("DecodeBatchSeq accepted trailing bytes")
+	if _, _, err := decodeBatch(append(b[:len(b):len(b)], 0)); err == nil {
+		t.Error("DecodeBatchStream accepted trailing bytes")
 	}
 	r := AppendResultsSeq(nil, 9, Results{Hits: []bool{true, false, true}, OutqueueDepth: 4})
 	for cut := 1; cut < len(r); cut++ {
@@ -495,44 +431,13 @@ func TestBatchSeqRejectsGarbage(t *testing.T) {
 	if _, _, err := DecodeResultsSeq(append(r[:len(r):len(r)], 0), Results{}); err == nil {
 		t.Error("DecodeResultsSeq accepted trailing bytes")
 	}
-	if _, _, err := DecodeResultsSeq(AppendResults(nil, Results{}), Results{}); err == nil {
-		t.Error("DecodeResultsSeq accepted an untagged Results frame")
-	}
-	if _, _, err := DecodeBatchSeq(AppendBatch(nil, nil), nil); err == nil {
-		t.Error("DecodeBatchSeq accepted an untagged Batch frame")
-	}
 }
 
-// FuzzDecodeBatchSeq extends the batch fuzz target to the sequence-tagged
-// frame header.
-func FuzzDecodeBatchSeq(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendBatchSeq(nil, 5, []trace.Request{{Page: 1, Hint: 2}, {Page: 100, Op: trace.Write}}))
-	f.Add([]byte{TypeBatchSeq, 7, 3, 0, 2, 0})
-	f.Fuzz(func(t *testing.T, p []byte) {
-		seq, reqs, err := DecodeBatchSeq(p, nil)
-		if err != nil {
-			return
-		}
-		seq2, out, err := DecodeBatchSeq(AppendBatchSeq(nil, seq, reqs), nil)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if seq2 != seq || len(out) != len(reqs) {
-			t.Fatalf("round trip changed: seq %d->%d, n %d->%d", seq, seq2, len(reqs), len(out))
-		}
-		for i := range reqs {
-			if out[i] != reqs[i] {
-				t.Fatalf("request %d changed: %+v -> %+v", i, reqs[i], out[i])
-			}
-		}
-	})
-}
-
-// FuzzDecodeResultsSeq does the same for sequence-tagged results.
+// FuzzDecodeResultsSeq covers the bitmap decoder.
 func FuzzDecodeResultsSeq(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendResultsSeq(nil, 12, Results{Hits: []bool{true, false, true}, OutqueueDepth: 9}))
+	f.Add([]byte{5, 3, 9, 0b101}) // the same body as the retired untagged Results frame
 	f.Fuzz(func(t *testing.T, p []byte) {
 		seq, r, err := DecodeResultsSeq(p, Results{})
 		if err != nil {
