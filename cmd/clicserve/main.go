@@ -15,8 +15,8 @@
 // window W, so the priority model is cache-wide), or "merged" (global plus
 // the cluster summary exchange below). -engine selects the front's
 // concurrency architecture: "mutex" (a lock per shard — the default) or
-// "owner" (one goroutine owning each shard, fed request frames by the
-// connection handlers). The admin /stats JSON reports both modes.
+// "owner" (connection handlers hand each shard whole request frames and
+// run them there themselves). The admin /stats JSON reports both modes.
 //
 // Several clicserve processes form a cluster (internal/cluster): clients
 // route requests across the nodes by consistent hash (clicsim -connect

@@ -17,8 +17,9 @@
 // (per shard, W/N windows — the default) or "global" (one shared
 // lock-striped learner over the full window W). -engine picks the front's
 // concurrency architecture: "mutex" (a lock per shard — the default) or
-// "owner" (one goroutine owning each shard, fed request batches; requires
-// -concurrent or -serve since it is a batch architecture).
+// "owner" (whole request batches handed to each shard, run by whichever
+// client posted them; requires -concurrent or -serve since it is a batch
+// architecture).
 //
 // -cpuprofile and -memprofile write the standard pprof profiles covering
 // the run.
@@ -142,9 +143,9 @@ func main() {
 		fatal(fmt.Errorf("-concurrent requires -shards > 1 (a plain cache is not safe for concurrent use)"))
 	}
 	if engineMode == core.EngineOwner && !*concurrent {
-		// A serial replay through the owner engine pays a frame round trip
-		// per request — that measures nothing useful; the batch drivers
-		// (-concurrent, -serve, the network server) are the owner paths.
+		// A serial replay through the owner engine is one frame per request
+		// — that measures nothing useful; the batch drivers (-concurrent,
+		// -serve, the network server) are the owner paths.
 		fatal(fmt.Errorf("-engine owner requires -concurrent (or -serve); serial replay uses the mutex engine"))
 	}
 	// The grid path needs the whole trace; the concurrent serve streams it

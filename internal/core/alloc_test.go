@@ -28,8 +28,8 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 
 // TestAccessBatchSteadyStateAllocs is the same contract for the owner
 // engine's batch path: a warm producer running DefaultAccessBatch-sized
-// batches through the shard owners — routing pass, frame hand-off,
-// doorbells, scatter — allocates nothing per batch.
+// batches through the shards — routing pass, frame hand-off, warm pass,
+// scatter — allocates nothing per batch.
 func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	s := NewSharded(Config{Capacity: 512, Window: 2000, TopK: 64, Engine: EngineOwner}, 4)
 	defer s.Close()

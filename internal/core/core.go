@@ -47,13 +47,17 @@
 //
 // Config.Engine selects how a Sharded front is driven. EngineMutex (the
 // default) guards each shard with a sync.Mutex and serves any goroutine
-// directly. EngineOwner gives each shard a dedicated owner goroutine —
-// the only code that ever touches that shard's cache — fed by per-producer
-// SPSC frame rings (see owner.go); callers obtain a Producer via
-// Sharded.NewProducer and submit batches with AccessBatch. The engines
-// are behaviorally bit-identical per producer stream; the owner engine
-// trades the universal call-from-anywhere API for a lock-free request
-// path. Both engines keep the steady-state request path allocation-free:
+// directly, one request per lock. EngineOwner hands a shard over a frame
+// at a time: callers obtain a Producer via Sharded.NewProducer, submit
+// batches with AccessBatch, and the producer's own goroutine runs each
+// per-shard frame under the shard's try-lock — or, when another producer
+// holds the shard, leaves the frame for that one to run (flat combining;
+// see owner.go). No front owns a goroutine. Frames run in groups of 16
+// requests whose page-table and record lines are loaded ahead of the
+// serial Access calls (Cache.warm), which is where batching buys more
+// than amortized synchronization. The engines are behaviorally
+// bit-identical per producer stream. Both keep the steady-state request
+// path allocation-free:
 // page records recycle through the slab's free list, the group table is
 // reused in place, and Space-Saving counters and window statistics are
 // recycled through freelists.
@@ -152,7 +156,7 @@ type Config struct {
 	LocalBias float64
 	// Engine selects the concurrency architecture of a Sharded front built
 	// from this configuration: mutex-per-shard (default) or single-owner
-	// shard goroutines fed by SPSC frame rings; see EngineMode. A plain
+	// shards that producers hand whole frames to; see EngineMode. A plain
 	// Cache ignores it.
 	Engine EngineMode
 }
@@ -219,6 +223,9 @@ type Cache struct {
 	// evictions counts cached pages displaced by a higher-priority admit.
 	// Plain (the cache is single-owner); Sharded mirrors it into an atomic.
 	evictions uint64
+
+	// warmed is the sink of warm's loads; nothing reads it.
+	warmed uint64
 }
 
 var _ policy.Policy = (*Cache)(nil)
@@ -322,6 +329,19 @@ func (c *Cache) Access(r trace.Request) bool {
 		c.syncPriorities()
 	}
 	return hit
+}
+
+// warm pulls the page-table and record lines that Access will read for
+// each of reqs toward the CPU, changing nothing Access can observe. Go has
+// no prefetch intrinsic; an early load whose result is kept is the idiom,
+// and warmed is where the results are kept. Sharded's frame loop (owner.go)
+// calls it a group ahead of the Accesses themselves.
+func (c *Cache) warm(reqs []trace.Request) {
+	var w uint64
+	for i := range reqs {
+		w ^= c.table.touch(c.ents, reqs[i].Page)
+	}
+	c.warmed = w
 }
 
 // syncPriorities re-keys the group heap against the learner's current

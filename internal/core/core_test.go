@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -392,6 +393,84 @@ func TestInvariantsQuick(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWarmChangesNothing drives the warm pass the way processFrame never
+// would — on an empty cache, straddling every doubling of the page table,
+// over pages the cache has never seen, over one page repeated through a
+// group, over groups shorter and longer than warmGroup — and requires that
+// it leaves the table and the slab bit for bit as it found them, and that
+// the verdicts that follow match a twin cache that was never warmed.
+func TestWarmChangesNothing(t *testing.T) {
+	cfg := Config{Capacity: 96, Window: 400, TopK: 2}
+	warmed, twin := New(cfg), New(cfg)
+	rng := rand.New(rand.NewSource(16))
+	reqs := shardedTrace(6000, 16)
+
+	warm := func(group []trace.Request) {
+		t.Helper()
+		if err := warmed.checkConsistency(); err != nil {
+			t.Fatalf("before warm: %v", err)
+		}
+		slots := slices.Clone(warmed.table.slots)
+		ents := slices.Clone(warmed.ents)
+		seq, n := warmed.seq, warmed.table.n
+		warmed.warm(group)
+		if !slices.Equal(slots, warmed.table.slots) || !slices.Equal(ents, warmed.ents) ||
+			seq != warmed.seq || n != warmed.table.n {
+			t.Fatalf("warm over %d requests changed the table or the slab", len(group))
+		}
+		if err := warmed.checkConsistency(); err != nil {
+			t.Fatalf("after warm: %v", err)
+		}
+	}
+
+	warm(nil)
+	warm(reqs[:warmGroup]) // empty cache: every probe ends on an empty slot
+	grows, shortGroups := 0, 0
+	for next := 0; next < len(reqs); {
+		// The group: upcoming requests, as processFrame would pass, then
+		// some of them swapped for a never-seen page or for the group's
+		// first page.
+		n := min(rng.Intn(2*warmGroup+1), len(reqs)-next)
+		if n < warmGroup {
+			shortGroups++
+		}
+		group := slices.Clone(reqs[next : next+n])
+		for i := range group {
+			switch rng.Intn(4) {
+			case 0:
+				group[i].Page = 1<<40 + uint64(rng.Intn(1<<20))
+			case 1:
+				group[i].Page = group[0].Page
+			}
+		}
+		warm(group)
+		// Run fewer requests than were warmed as often as more, so that
+		// warmed lines go stale under inserts, evictions and backward
+		// shifts before their request arrives.
+		for run := min(1+rng.Intn(2*warmGroup), len(reqs)-next); run > 0; run-- {
+			size := len(warmed.table.slots)
+			got, want := warmed.Access(reqs[next]), twin.Access(reqs[next])
+			if got != want {
+				t.Fatalf("request %d (page %d): hit=%v after warming, %v on the twin", next, reqs[next].Page, got, want)
+			}
+			if len(warmed.table.slots) != size {
+				grows++
+				warm(group) // stale group against the table just doubled
+			}
+			next++
+		}
+	}
+	if grows < 3 || shortGroups == 0 {
+		t.Errorf("the table doubled %d times and %d groups were short; the test needs both", grows, shortGroups)
+	}
+	if warmed.Len() != twin.Len() || warmed.OutqueueLen() != twin.OutqueueLen() ||
+		warmed.Evictions() != twin.Evictions() || warmed.Windows() != twin.Windows() || twin.Evictions() == 0 {
+		t.Errorf("end state: warmed %d/%d/%d/%d, twin %d/%d/%d/%d (len/outq/evictions/windows)",
+			warmed.Len(), warmed.OutqueueLen(), warmed.Evictions(), warmed.Windows(),
+			twin.Len(), twin.OutqueueLen(), twin.Evictions(), twin.Windows())
 	}
 }
 

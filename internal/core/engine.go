@@ -13,14 +13,15 @@ const (
 	// parallel; requests for one shard serialize on its lock, and every
 	// access pays the lock plus the per-shard atomic snapshot counters.
 	EngineMutex EngineMode = iota
-	// EngineOwner gives each shard a single goroutine that owns its cache
-	// exclusively. Producers (one per client goroutine or connection) post
-	// pooled request frames into per-producer SPSC rings and the shard
-	// owners drain them, so the cache code itself runs with no lock and no
-	// per-request atomics — synchronization happens once per frame, not once
-	// per request. Sharded fronts in this mode must be Closed when done and
-	// are driven through Producer handles (Access still works, via an
-	// internal fallback producer, but pays a round trip per request).
+	// EngineOwner gives each shard one owner at a time: the goroutine holding
+	// its try-lock. Producers (one per client goroutine or connection) post
+	// reusable request frames to the shards; the producer that finds a shard
+	// free runs its frame there itself, together with any frames other
+	// producers posted meanwhile, so the cache code runs with no per-request
+	// lock or atomics — synchronization happens once per frame, not once per
+	// request — and no goroutine exists that is not a caller. Fronts in this
+	// mode are driven through Producer handles (Access still works, as a
+	// one-request frame through an internal producer shared by all callers).
 	EngineOwner
 )
 

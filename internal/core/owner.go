@@ -1,36 +1,36 @@
 package core
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/trace"
 )
 
-// This file is the single-owner shard engine (EngineOwner): each shard's
-// cache is owned exclusively by one goroutine, and producers feed it
-// batches of requests through per-producer SPSC rings. The cache code runs
-// with no lock and no per-request atomics; synchronization costs are paid
-// once per frame (a sub-batch routed to one shard), not once per request.
+// This file is the single-owner shard engine (EngineOwner): a shard's cache
+// is only ever touched by the one goroutine that holds the shard's try-lock,
+// and that goroutine is whichever producer happened to post a frame there —
+// there are no shard goroutines. The cache code runs with no per-request
+// lock and no per-request atomics; synchronization costs are paid once per
+// frame (a sub-batch routed to one shard), not once per request.
 //
-// Wakeup protocol. A shard owner sleeps on its doorbell channel, which
-// carries ring pointers. A producer pushes a frame into its ring (publishing
-// it with a sequentially consistent tail store) and then rings the doorbell
-// only when the pre-push tail equals the consumer's head — the ring was
-// drained up to this frame, so the owner either is asleep or is about to
-// observe emptiness and sleep. Sequential consistency of the tail store /
-// head load pair rules out the classic missed wakeup: if the owner's final
-// emptiness check preceded the push, the producer's head load sees the
-// drained head and rings; if it followed, the owner saw the new tail and
-// drains. Multiple doorbells for one ring are harmless (draining is
-// idempotent).
-
-// ownerRingSize is the frame capacity of one producer→shard ring. A
-// synchronous producer has at most one frame in flight per shard, so the
-// ring never fills in the AccessBatch path; the slack absorbs control
-// frames and any future pipelined producers.
-const ownerRingSize = 8
+// Combining protocol (flat combining: Hendler, Incze, Shavit, Tzafrir, SPAA
+// 2010). A producer pushes its frame onto the shard's pending list, then
+// try-locks the shard. The winner is the shard's combiner: it takes the whole
+// list — its own frame and whatever other producers left while it held the
+// shard — runs it, releases, and re-checks the list. A loser moves on to its
+// next shard and collects its verdicts at its batch's WaitGroup.
+//
+// No frame is lost. The producer pushes, then try-locks; the combiner
+// releases, then re-checks; all four are sequentially consistent atomics. So
+// if a producer's try-lock fails, the shard was held after its push, and the
+// holder's release — and with it the holder's re-check — comes later still
+// and sees the frame (unless another combiner already took it); if the
+// try-lock succeeds, the producer drains the frame itself.
+//
+// Frame lifetime. A frame belongs to its producer except between push and
+// the combiner's wg.Done for it; Done hands it back, and the producer may
+// push it again (rewriting next) at once. The combiner therefore reads a
+// frame's next link before it runs the frame, never after.
 
 // DefaultAccessBatch is the request count per AccessBatch call used by
 // drivers that do not choose their own batching. It matches the wire
@@ -38,73 +38,41 @@ const ownerRingSize = 8
 // exercise identical sub-batch shapes.
 const DefaultAccessBatch = 512
 
+// warmGroup is how many requests processFrame warms ahead of running them:
+// enough independent page-table and record loads in flight to cover a
+// cache miss each, few enough that the lines warmed for the group's last
+// request are still in L1 when its Access runs. Chosen by measurement
+// (8, 16 and 32 on serve_inproc and core.batch_ns_per_req; see CHANGES.md).
+const warmGroup = 16
+
 // frame is one sub-batch of requests routed to a single shard, plus the
 // scatter information to write results back into the producer's batch.
 // Frames are owned by their producer and reused batch after batch — the
-// steady-state request path allocates nothing.
+// steady-state request path allocates nothing. While posted, a frame sits
+// on its shard's pending list through next and belongs to the shard's
+// combiner until that calls wg.Done (see "Frame lifetime" above).
 type frame struct {
 	reqs []trace.Request // requests for this shard, in producer order
 	idx  []int32         // position of each request in the producer's batch
 	hits []bool          // producer's whole-batch results (scatter target)
 	wg   *sync.WaitGroup // batch completion; Done once per frame
+	next *frame          // pending-list link, written by post before the push
 
-	// ctl, when non-nil, makes this a control frame: the owner runs fn with
-	// exclusive access to its cache instead of processing requests.
+	// ctl, when non-nil, makes this a control frame: the combiner runs fn
+	// with exclusive access to the shard's cache instead of processing
+	// requests.
 	ctl func(c *Cache)
-}
-
-// spscRing is a single-producer single-consumer ring of frames. The slot
-// array is plain memory; the atomic head/tail stores publish it (they are
-// the synchronization edges the race detector and the memory model see).
-type spscRing struct {
-	slots [ownerRingSize]*frame
-	head  atomic.Uint64 // next slot the consumer reads
-	tail  atomic.Uint64 // next slot the producer writes
-}
-
-// push publishes one frame; it reports whether the ring had room and
-// whether the doorbell must ring (the ring was drained up to this frame).
-func (r *spscRing) push(f *frame) (ok, ring bool) {
-	t := r.tail.Load()
-	if t-r.head.Load() >= ownerRingSize {
-		return false, false
-	}
-	r.slots[t%ownerRingSize] = f
-	r.tail.Store(t + 1)
-	return true, r.head.Load() == t
-}
-
-// pop takes the next frame, or nil when the ring is empty.
-func (r *spscRing) pop() *frame {
-	h := r.head.Load()
-	if h == r.tail.Load() {
-		return nil
-	}
-	f := r.slots[h%ownerRingSize]
-	r.slots[h%ownerRingSize] = nil
-	r.head.Store(h + 1)
-	return f
-}
-
-// ownerLoop is one shard's owner goroutine: drain whichever producer rings
-// ring the doorbell, until Close.
-func (s *Sharded) ownerLoop(i int) {
-	defer s.ownerWg.Done()
-	sh := &s.shards[i]
-	for {
-		select {
-		case r := <-sh.bell:
-			for f := r.pop(); f != nil; f = r.pop() {
-				s.processFrame(sh, f)
-			}
-		case <-s.quit:
-			return
-		}
-	}
 }
 
 // processFrame runs one frame against the shard's cache: no lock, no
 // per-request atomics — the snapshot counters are flushed once at the end.
+// The caller holds the shard.
+//
+// Requests run in groups of warmGroup: Cache.warm first pulls the group's
+// page-table and record lines toward L1 with independent loads, then the
+// ordinary serial Access runs per request and probes for itself, so
+// whatever an Access does to the table or the slab between the two passes
+// cannot change a verdict — only how long it takes to reach it.
 func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	if f.ctl != nil {
 		f.ctl(sh.c)
@@ -113,17 +81,22 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	}
 	var reads, readHits, writes uint64
 	c := sh.c
-	for j := range f.reqs {
-		rq := &f.reqs[j]
-		hit := c.Access(*rq)
-		f.hits[f.idx[j]] = hit
-		if rq.Op == trace.Read {
-			reads++
-			if hit {
-				readHits++
+	reqs, idx, hits := f.reqs, f.idx, f.hits
+	for lo := 0; lo < len(reqs); lo += warmGroup {
+		hi := min(lo+warmGroup, len(reqs))
+		c.warm(reqs[lo:hi])
+		for j := lo; j < hi; j++ {
+			rq := &reqs[j]
+			hit := c.Access(*rq)
+			hits[idx[j]] = hit
+			if rq.Op == trace.Read {
+				reads++
+				if hit {
+					readHits++
+				}
+			} else {
+				writes++
 			}
-		} else {
-			writes++
 		}
 	}
 	sh.len.Store(int64(c.Len()))
@@ -143,19 +116,25 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 // are not safe for concurrent use — give each goroutine its own — but any
 // number of handles may drive the same front concurrently.
 //
-// In owner mode the handle carries the per-shard SPSC rings and reusable
-// frames; in mutex mode AccessBatch simply loops Access, so callers can be
-// written against Producer regardless of the front's engine.
+// In owner mode the handle carries one reusable frame per shard, and its
+// goroutine runs the frames it posts (and, when producers collide on a
+// shard, frames of theirs — or they run its); in mutex mode AccessBatch
+// simply loops Access, so callers can be written against Producer
+// regardless of the front's engine.
 type Producer struct {
 	s      *Sharded
 	frames []*frame
-	rings  []*spscRing
 	wg     sync.WaitGroup
 
 	// Streamed-batch state (Begin/Add/Commit): the scatter target and the
 	// number of requests added so far.
 	hits []bool
 	n    int
+
+	// ident is 0, 1, 2, … as far as any batch has needed it: the scatter map
+	// of AccessBatch's one-shard path, where a request's position in the
+	// frame is its position in the batch.
+	ident []int32
 }
 
 // NewProducer returns a producer handle for this front. Producers are
@@ -165,10 +144,8 @@ func (s *Sharded) NewProducer() *Producer {
 	p := &Producer{s: s}
 	if s.engine == EngineOwner {
 		p.frames = make([]*frame, len(s.shards))
-		p.rings = make([]*spscRing, len(s.shards))
 		for i := range p.frames {
 			p.frames[i] = &frame{wg: &p.wg}
-			p.rings[i] = &spscRing{}
 		}
 	}
 	return p
@@ -177,28 +154,40 @@ func (s *Sharded) NewProducer() *Producer {
 // Close releases the handle. The front itself is closed with Sharded.Close.
 func (p *Producer) Close() {}
 
-// post pushes a frame into the producer's ring for one shard, ringing the
-// shard's doorbell per the wakeup protocol. The ring cannot be full in the
-// synchronous AccessBatch path; if a future caller pipelines frames, the
-// retry loop keeps the producer correct (the owner is draining).
+// post hands frame f to shard sh per the combining protocol: push, then
+// combine if the shard is free. On return f has either run or sits on the
+// list of a combiner that will run it; p.wg says which.
 func (p *Producer) post(sh int, f *frame) {
-	r := p.rings[sh]
+	shard := &p.s.shards[sh]
 	for {
-		ok, ring := r.push(f)
-		if ok {
-			if ring {
-				p.s.shards[sh].bell <- r
-			}
-			return
+		old := shard.pending.Load()
+		f.next = old
+		if shard.pending.CompareAndSwap(old, f) {
+			break
 		}
-		// Ring full: the owner has frames to chew through; make sure it is
-		// awake and yield.
-		select {
-		case p.s.shards[sh].bell <- r:
-		default:
-		}
-		runtime.Gosched()
 	}
+	for shard.pending.Load() != nil && shard.busy.CompareAndSwap(false, true) {
+		for f := shard.pending.Swap(nil); f != nil; {
+			next := f.next // before processFrame: its wg.Done gives f back
+			p.s.processFrame(shard, f)
+			f = next
+		}
+		shard.busy.Store(false)
+	}
+}
+
+// run posts every non-empty frame with hits as its scatter target and
+// waits until all of them have run, here or on another producer's
+// goroutine.
+func (p *Producer) run(hits []bool) {
+	for sh, f := range p.frames {
+		if len(f.reqs) > 0 {
+			f.hits = hits
+			p.wg.Add(1)
+			p.post(sh, f)
+		}
+	}
+	p.wg.Wait()
 }
 
 // AccessBatch processes one batch of requests against the front and writes
@@ -220,13 +209,13 @@ func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) {
 	}
 	if len(p.frames) == 1 {
 		// One shard: skip the routing pass, the whole batch is one frame.
+		for i := len(p.ident); i < len(reqs); i++ {
+			p.ident = append(p.ident, int32(i))
+		}
 		f := p.frames[0]
-		f.reqs, f.hits = reqs, hits
-		f.idx = appendSeq(f.idx[:0], len(reqs))
-		p.wg.Add(1)
-		p.post(0, f)
-		p.wg.Wait()
-		f.reqs, f.hits = nil, nil
+		f.reqs, f.idx = reqs, p.ident[:len(reqs)]
+		p.run(hits)
+		f.reqs, f.idx, f.hits = nil, nil, nil
 		return
 	}
 	for i := range reqs {
@@ -234,25 +223,8 @@ func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) {
 		f.reqs = append(f.reqs, reqs[i])
 		f.idx = append(f.idx, int32(i))
 	}
-	posted := 0
-	for _, f := range p.frames {
-		if len(f.reqs) > 0 {
-			f.hits = hits
-			posted++
-		}
-	}
-	p.wg.Add(posted)
-	for sh, f := range p.frames {
-		if len(f.reqs) > 0 {
-			p.post(sh, f)
-		}
-	}
-	p.wg.Wait()
-	for _, f := range p.frames {
-		f.reqs = f.reqs[:0]
-		f.idx = f.idx[:0]
-		f.hits = nil
-	}
+	p.run(hits)
+	p.reset()
 }
 
 // Begin opens a streamed batch: requests fed one at a time with Add
@@ -295,24 +267,7 @@ func (p *Producer) Add(r trace.Request) {
 // requests the batch carried.
 func (p *Producer) Commit() int {
 	n := p.n
-	if p.s.engine != EngineOwner {
-		p.hits, p.n = nil, 0
-		return n
-	}
-	posted := 0
-	for _, f := range p.frames {
-		if len(f.reqs) > 0 {
-			f.hits = p.hits
-			posted++
-		}
-	}
-	p.wg.Add(posted)
-	for sh, f := range p.frames {
-		if len(f.reqs) > 0 {
-			p.post(sh, f)
-		}
-	}
-	p.wg.Wait()
+	p.run(p.hits) // no frames in mutex mode: Add already ran the requests
 	p.reset()
 	return n
 }
@@ -321,69 +276,39 @@ func (p *Producer) Commit() int {
 // Add runs requests eagerly, so already-added requests have been applied;
 // Abort is for tearing down a connection whose frame went bad mid-decode,
 // where partial application is moot.)
-func (p *Producer) Abort() {
-	if p.s.engine == EngineOwner {
-		p.reset()
-		return
-	}
-	p.hits, p.n = nil, 0
-}
+func (p *Producer) Abort() { p.reset() }
 
-// reset clears the streamed-batch and frame state after Commit or Abort.
+// reset clears the streamed-batch and frame state after a batch has run or
+// been aborted.
 func (p *Producer) reset() {
 	for _, f := range p.frames {
-		f.reqs = f.reqs[:0]
-		f.idx = f.idx[:0]
-		f.hits = nil
+		f.reqs, f.idx, f.hits = f.reqs[:0], f.idx[:0], nil
 	}
 	p.hits, p.n = nil, 0
 }
 
-// appendSeq appends 0..n-1 to dst.
-func appendSeq(dst []int32, n int) []int32 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, int32(i))
-	}
-	return dst
-}
-
-// Close stops the shard owner goroutines of an owner-mode front. It must
-// be called after all producers are idle; the caches and their statistics
-// survive, so snapshots still read after Close. Mutex-mode fronts need no
-// Close (it is a no-op), and Close is idempotent.
-func (s *Sharded) Close() {
-	if s.engine != EngineOwner || !s.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(s.quit)
-	s.ownerWg.Wait()
-}
-
-// fallback returns the front's internal producer used to serve the
-// policy.Policy Access path and control ops in owner mode, serialized by
-// fbMu (Access must stay safe for concurrent use in every mode).
-func (s *Sharded) fallback() *Producer {
-	s.fbOnce.Do(func() { s.fbProd = s.NewProducer() })
-	return s.fbProd
-}
+// Close is a no-op in both engines — a front owns no goroutine, so there
+// is nothing to stop — and stays so that call sites keep stating the
+// front's lifetime. Snapshots read the same before and after.
+func (s *Sharded) Close() {}
 
 // accessOwner is the single-request fallback in owner mode: a batch of one
-// through the internal producer. It pays a frame round trip per request —
-// drivers that care use Producer.AccessBatch.
+// through the internal producer, run on the caller's goroutine unless
+// another producer holds the shard. Drivers that care about the per-frame
+// cost use Producer.AccessBatch.
 func (s *Sharded) accessOwner(r trace.Request) bool {
 	s.fbMu.Lock()
-	p := s.fallback()
 	s.fbReq[0] = r
-	p.AccessBatch(s.fbReq[:1], s.fbHits[:1])
+	s.fbProd.AccessBatch(s.fbReq[:1], s.fbHits[:1])
 	hit := s.fbHits[0]
 	s.fbMu.Unlock()
 	return hit
 }
 
 // withCache runs fn with exclusive access to shard i's cache: under the
-// shard lock in mutex mode, on the owner goroutine via a control frame in
-// owner mode. Control-plane accessors (WindowStats) use it so they never
-// race the request path.
+// shard lock in mutex mode, as a control frame through the combining
+// protocol in owner mode. Control-plane accessors (WindowStats) use it so
+// they never race the request path.
 func (s *Sharded) withCache(i int, fn func(c *Cache)) {
 	sh := &s.shards[i]
 	if s.engine != EngineOwner {
@@ -393,7 +318,7 @@ func (s *Sharded) withCache(i int, fn func(c *Cache)) {
 		return
 	}
 	s.fbMu.Lock()
-	p := s.fallback()
+	p := s.fbProd
 	f := p.frames[i]
 	f.ctl = fn
 	p.wg.Add(1)

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -281,6 +286,148 @@ func TestOwnerClose(t *testing.T) {
 		t.Errorf("Requests = %d, want %d", st.Requests, len(reqs))
 	}
 	NewSharded(Config{Capacity: 32}, 2).Close() // mutex mode: no-op
+}
+
+// TestOwnerCombineStress is the -race stress for the combining hand-off:
+// more producers than shards, frames of one to three requests so that
+// pushes, try-locks and releases collide constantly, and a control-plane
+// reader posting control frames into the same lists. A lost frame shows as
+// a producer that never returns (the watchdog), a frame run twice or by two
+// combiners at once as broken accounting, a data race, or a cache that
+// fails checkConsistency — which runs here inside the engine, through
+// withCache, on every shard.
+func TestOwnerCombineStress(t *testing.T) {
+	const (
+		producers = 8
+		shards    = 2
+		perProd   = 12000
+	)
+	s := NewSharded(Config{Capacity: 128, Window: 1000, Engine: EngineOwner}, shards)
+	defer s.Close()
+
+	var wg sync.WaitGroup
+	var reads, readHits [producers]uint64
+	for c := 0; c < producers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			p := s.NewProducer()
+			defer p.Close()
+			rng := rand.New(rand.NewSource(int64(300 + c)))
+			reqs := shardedTrace(perProd, int64(300+c))
+			var hits [3]bool
+			for len(reqs) > 0 {
+				n := min(1+rng.Intn(3), len(reqs))
+				p.AccessBatch(reqs[:n], hits[:])
+				for i, r := range reqs[:n] {
+					if r.Op == trace.Read {
+						reads[c]++
+						if hits[i] {
+							readHits[c]++
+						}
+					}
+				}
+				reqs = reqs[n:]
+			}
+		}(c)
+	}
+	var stop atomic.Bool
+	var snapshots int
+	ctl := make(chan struct{})
+	go func() {
+		defer close(ctl)
+		for !stop.Load() {
+			s.WindowStats()
+			snapshots++
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		buf := make([]byte, 1<<16)
+		t.Fatalf("producers still waiting after 2m: a posted frame was never run\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	stop.Store(true)
+	<-ctl
+
+	var wantReads, wantHits uint64
+	for c := 0; c < producers; c++ {
+		wantReads += reads[c]
+		wantHits += readHits[c]
+	}
+	st := s.Stats()
+	if st.Requests != producers*perProd {
+		t.Errorf("Stats().Requests = %d, submitted %d", st.Requests, producers*perProd)
+	}
+	if st.Reads != wantReads || st.ReadHits != wantHits {
+		t.Errorf("Stats reads/hits = %d/%d, producers counted %d/%d", st.Reads, st.ReadHits, wantReads, wantHits)
+	}
+	if wantHits == 0 || snapshots == 0 {
+		t.Errorf("vacuous run: %d hits, %d control snapshots", wantHits, snapshots)
+	}
+	for i := 0; i < shards; i++ {
+		s.withCache(i, func(c *Cache) {
+			if err := c.checkConsistency(); err != nil {
+				t.Errorf("shard %d: %v", i, err)
+			}
+		})
+	}
+}
+
+// TestOwnerSpawnsNoGoroutines pins that the owner engine is made of its
+// callers: building a front, driving it every way it can be driven and
+// closing it leave the goroutine count where it was at every step.
+func TestOwnerSpawnsNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	check := func(step string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n != base {
+			t.Errorf("after %s: %d goroutines, %d before the front existed", step, n, base)
+		}
+	}
+	s := NewSharded(Config{Capacity: 64, Window: 500, Engine: EngineOwner}, 4)
+	check("NewSharded")
+	p := s.NewProducer()
+	reqs := shardedTrace(2000, 5)
+	hits := make([]bool, len(reqs))
+	p.AccessBatch(reqs, hits)
+	check("AccessBatch")
+	s.Access(reqs[0])
+	check("Access")
+	if len(s.WindowStats()) == 0 {
+		t.Error("WindowStats is empty")
+	}
+	check("WindowStats")
+	p.Close()
+	s.Close()
+	check("Close")
+	if st := s.Stats(); st.Requests != uint64(len(reqs))+1 {
+		t.Errorf("Requests = %d, want %d", st.Requests, len(reqs)+1)
+	}
+}
+
+// TestShardedShardLayout pins the padding: a shard is a whole number of
+// cache lines, the hand-off words fill the first and nothing else does, so
+// no counter and no neighbouring shard shares a line with a try-lock.
+func TestShardedShardLayout(t *testing.T) {
+	var sh shardedShard
+	if n := unsafe.Sizeof(sh); n%cacheLine != 0 {
+		t.Errorf("shardedShard is %d bytes, not a multiple of %d", n, cacheLine)
+	}
+	if end := unsafe.Offsetof(sh.c) + unsafe.Sizeof(sh.c); end > cacheLine {
+		t.Errorf("hand-off words end at byte %d, past the first line", end)
+	}
+	if off := unsafe.Offsetof(sh.reads); off != cacheLine {
+		t.Errorf("counters start at byte %d, want %d", off, cacheLine)
+	}
+	if end := unsafe.Offsetof(sh.windows) + unsafe.Sizeof(sh.windows); end > 2*cacheLine {
+		t.Errorf("counters end at byte %d, past the second line", end)
+	}
 }
 
 // TestEngineModeParse round-trips the flag spellings.

@@ -11,11 +11,12 @@ import (
 )
 
 // Sharded is a concurrency-safe CLIC front: it hash-partitions the page
-// space across N independent Caches, each guarded by its own mutex and
-// carrying its own outqueue. Requests for different shards proceed in
-// parallel, so multiple simulated clients can drive one server cache
-// concurrently — the serving scenario the single Cache (which is not safe
-// for concurrent use) cannot support.
+// space across N independent Caches, each carrying its own outqueue and
+// each touched by one goroutine at a time — under the shard's mutex in the
+// mutex engine, under its try-lock in the owner engine (owner.go).
+// Requests for different shards proceed in parallel, so multiple simulated
+// clients can drive one server cache concurrently — the serving scenario
+// the single Cache (which is not safe for concurrent use) cannot support.
 //
 // Partitioning preserves CLIC's placement semantics per shard: a page's
 // whole history lands on one shard, so re-reference detection, outqueue
@@ -41,34 +42,37 @@ type Sharded struct {
 	global *clicstats.Global
 	merged *clicstats.Merged
 
-	// Owner-engine state (EngineOwner only): the owner goroutines' lifetime
-	// and the internal fallback producer behind the per-request Access path.
-	quit    chan struct{}
-	ownerWg sync.WaitGroup
-	closed  atomic.Bool
-	fbMu    sync.Mutex
-	fbOnce  sync.Once
-	fbProd  *Producer
-	fbReq   [1]trace.Request
-	fbHits  [1]bool
+	// Owner-engine state (EngineOwner only): the internal producer behind
+	// the per-request Access path and the control frames, serialized by
+	// fbMu (Access must stay safe for concurrent use in every mode).
+	fbMu   sync.Mutex
+	fbProd *Producer
+	fbReq  [1]trace.Request
+	fbHits [1]bool
 }
 
-// shardedShard pairs one Cache partition with its lock. Padding the mutex
-// is unnecessary: the Cache maps behind it dominate cache-line traffic.
+// shardedShard is one Cache partition with its hand-off words and its
+// snapshot counters, laid out in two cache lines of its own so that
+// neighbouring shards in the []shardedShard never share one.
 //
-// The counters mirror the shard's accounting so that cross-shard snapshots
-// (Stats, Len, OutqueueLen, Windows) are plain atomic loads instead of a
-// sweep that takes every shard lock: the network server reads them on every
-// response batch. They are written only while mu is held, so each counter
-// is internally exact; a snapshot across counters is consistent up to
-// in-flight requests on other shards.
+// The first line is what goroutines contend on to reach the cache: the
+// mutex engine's lock, or the owner engine's pending list and try-lock
+// (owner.go) — a front runs one engine, so only one set is ever hot — next
+// to the cache pointer, which never changes and which whoever wins the
+// line reads next.
+//
+// The second line mirrors the shard's accounting so that cross-shard
+// snapshots (Stats, Len, OutqueueLen, Windows) are plain atomic loads
+// instead of a sweep that takes every shard: the network server reads them
+// on every response batch. They are written only by the goroutine holding
+// the shard, so each counter is internally exact; a snapshot across
+// counters is consistent up to in-flight requests on other shards.
 type shardedShard struct {
-	mu sync.Mutex
-	c  *Cache
-
-	// bell is the owner goroutine's doorbell in EngineOwner mode: producers
-	// send their ring when it transitions empty→nonempty (see owner.go).
-	bell chan *spscRing
+	pending atomic.Pointer[frame] // posted frames not yet taken by a combiner
+	busy    atomic.Bool           // the owner engine's try-lock
+	mu      sync.Mutex            // the mutex engine's lock
+	c       *Cache
+	_       [cacheLine - 32]byte
 
 	reads     atomic.Uint64
 	readHits  atomic.Uint64
@@ -77,7 +81,11 @@ type shardedShard struct {
 	len       atomic.Int64
 	outq      atomic.Int64
 	windows   atomic.Int64
+	_         [cacheLine - 56]byte
 }
+
+// cacheLine is the coherence granule shardedShard is padded to.
+const cacheLine = 64
 
 var _ policy.Policy = (*Sharded)(nil)
 
@@ -136,12 +144,7 @@ func NewSharded(cfg Config, n int) *Sharded {
 		}
 	}
 	if s.engine == EngineOwner {
-		s.quit = make(chan struct{})
-		for i := range s.shards {
-			s.shards[i].bell = make(chan *spscRing, 128)
-			s.ownerWg.Add(1)
-			go s.ownerLoop(i)
-		}
+		s.fbProd = s.NewProducer()
 	}
 	return s
 }
@@ -201,8 +204,8 @@ func (s *Sharded) EngineMode() EngineMode { return s.engine }
 // hitting different shards proceed in parallel, requests for the same shard
 // serialize on its mutex. In global mode the shards additionally share the
 // learner, whose hot path is lock-striped by hint set. In owner mode this
-// path pays a frame round trip per request — batch drivers should use
-// NewProducer/AccessBatch instead.
+// is a one-request frame through a producer all callers share — batch
+// drivers should use NewProducer/AccessBatch instead.
 func (s *Sharded) Access(r trace.Request) bool {
 	if s.engine == EngineOwner {
 		return s.accessOwner(r)

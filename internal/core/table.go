@@ -56,6 +56,26 @@ func (t *pageTable) find(ents []pageEntry, page uint64) uint32 {
 	}
 }
 
+// touch is find's memory traffic without its answer: it loads the page's
+// probe run up to the first tag match and then that record's page field,
+// and returns what it loaded only so that the loads are not dead code. A
+// caller about to look up several pages touches them all first: the runs
+// and records are independent, so their cache misses overlap, where find
+// after find would take them two at a time (slot, then record).
+func (t *pageTable) touch(ents []pageEntry, page uint64) uint64 {
+	tag := pageTag(page)
+	mask := uint32(len(t.slots) - 1)
+	for i := tag >> t.shift; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return 0
+		}
+		if uint32(s>>32) == tag {
+			return ents[uint32(s)].page
+		}
+	}
+}
+
 // insert maps a page that has no record yet to slab index idx (nonzero).
 func (t *pageTable) insert(page uint64, idx uint32) {
 	if (t.n+1)*4 > len(t.slots)*3 {

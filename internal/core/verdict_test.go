@@ -72,38 +72,19 @@ func verdictRequests(t *testing.T, name string) []trace.Request {
 	return tr.Reqs
 }
 
-// verdictLine replays the requests and renders the run's golden line: an
-// FNV-1a digest of the per-request hit/miss stream (one byte per request,
-// so a single flipped verdict anywhere changes it) plus the end-state
-// counters.
-func verdictLine(name string, cfg Config, reqs []trace.Request) string {
-	c := New(cfg)
-	h := fnv.New64a()
-	buf := make([]byte, 0, 4096)
-	hits := 0
-	for _, r := range reqs {
-		b := byte(0)
-		if c.Access(r) {
-			b = 1
-			hits++
-		}
-		buf = append(buf, b)
-		if len(buf) == cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	h.Write(buf)
-	return fmt.Sprintf("%s digest=%016x hits=%d len=%d outq=%d evictions=%d windows=%d",
-		name, h.Sum64(), hits, c.Len(), c.OutqueueLen(), c.Evictions(), c.Windows())
+// verdictEnd is the end state a golden line records after its digest.
+type verdictEnd struct {
+	len, outq int
+	evictions uint64
+	windows   int
 }
 
-// TestVerdictDigests pins the cache's behaviour request by request: the
-// golden file was written by the two-map, pointer-linked implementation
-// that preceded the page table + slab, and any record-store rewrite must
-// reproduce every hit/miss verdict exactly — totals alone would let
-// compensating errors through.
-func TestVerdictDigests(t *testing.T) {
+// verdictLines renders every case's golden line: an FNV-1a digest of the
+// per-request hit/miss stream (one byte per request, so a single flipped
+// verdict anywhere changes it) plus the end-state counters. replay builds
+// the cache under test from cfg, runs reqs through it reporting each
+// verdict in request order, and returns the end state.
+func verdictLines(t *testing.T, replay func(cfg Config, reqs []trace.Request, verdict func(hit bool)) verdictEnd) []string {
 	traces := map[string][]trace.Request{}
 	var lines []string
 	for _, vc := range verdictCases() {
@@ -112,14 +93,31 @@ func TestVerdictDigests(t *testing.T) {
 			reqs = verdictRequests(t, vc.spec)
 			traces[vc.spec] = reqs
 		}
-		lines = append(lines, verdictLine(vc.name, vc.cfg, reqs))
+		h := fnv.New64a()
+		buf := make([]byte, 0, 4096)
+		hits := 0
+		end := replay(vc.cfg, reqs, func(hit bool) {
+			b := byte(0)
+			if hit {
+				b = 1
+				hits++
+			}
+			buf = append(buf, b)
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+		})
+		h.Write(buf)
+		lines = append(lines, fmt.Sprintf("%s digest=%016x hits=%d len=%d outq=%d evictions=%d windows=%d",
+			vc.name, h.Sum64(), hits, end.len, end.outq, end.evictions, end.windows))
 	}
-	if *updateVerdicts {
-		if err := os.WriteFile(verdictGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+	return lines
+}
+
+// checkVerdictGolden compares rendered lines with the golden file.
+func checkVerdictGolden(t *testing.T, lines []string) {
+	t.Helper()
 	golden, err := os.ReadFile(verdictGolden)
 	if err != nil {
 		t.Fatal(err)
@@ -133,4 +131,55 @@ func TestVerdictDigests(t *testing.T) {
 			t.Errorf("verdicts changed:\n got  %s\n want %s", line, want[i])
 		}
 	}
+}
+
+// TestVerdictDigests pins the cache's behaviour request by request: the
+// golden file was written by the two-map, pointer-linked implementation
+// that preceded the page table + slab, and any record-store rewrite must
+// reproduce every hit/miss verdict exactly — totals alone would let
+// compensating errors through.
+func TestVerdictDigests(t *testing.T) {
+	lines := verdictLines(t, func(cfg Config, reqs []trace.Request, verdict func(bool)) verdictEnd {
+		c := New(cfg)
+		for _, r := range reqs {
+			verdict(c.Access(r))
+		}
+		return verdictEnd{c.Len(), c.OutqueueLen(), c.Evictions(), c.Windows()}
+	})
+	if *updateVerdicts {
+		if err := os.WriteFile(verdictGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	checkVerdictGolden(t, lines)
+}
+
+// TestVerdictDigestsThroughFrames replays the same cases through a
+// one-shard owner front, in frames of 512 (32 whole warm groups) after an
+// opening frame of 5 — every trace is 100000 requests, a multiple of the
+// group size, so without the offset no group would ever be ragged; with it
+// the first and the last frame both end in a short group. The golden file
+// is the one the pre-slab implementation wrote through plain Access: the
+// combining hand-off and the warm pass may change no verdict and no end
+// state.
+func TestVerdictDigestsThroughFrames(t *testing.T) {
+	checkVerdictGolden(t, verdictLines(t, func(cfg Config, reqs []trace.Request, verdict func(bool)) verdictEnd {
+		cfg.Engine = EngineOwner
+		s := NewSharded(cfg, 1)
+		defer s.Close()
+		p := s.NewProducer()
+		defer p.Close()
+		hits := make([]bool, DefaultAccessBatch)
+		for n := 5; len(reqs) > 0; n = len(hits) {
+			n = min(n, len(reqs))
+			p.AccessBatch(reqs[:n], hits)
+			for _, hit := range hits[:n] {
+				verdict(hit)
+			}
+			reqs = reqs[n:]
+		}
+		st := s.Stats()
+		return verdictEnd{st.Len, st.OutqueueLen, st.Evictions, st.Windows}
+	}))
 }

@@ -365,7 +365,7 @@ func TestServeSourceOwnerSingleClient(t *testing.T) {
 
 // TestServeSourceOwnerMoreClientsThanShards drives a 2-shard owner-engine
 // front from 6 concurrent producers — the engine-layer -race stress for
-// the SPSC rings and doorbells. Per-client read counts are exact; hit
+// the combining hand-off. Per-client read counts are exact; hit
 // counts depend on interleaving but the accounting must balance.
 func TestServeSourceOwnerMoreClientsThanShards(t *testing.T) {
 	merged := sixClients(t)

@@ -355,8 +355,7 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	// All producers are drained; stop the shard owner goroutines (a no-op
-	// in mutex mode). Snapshots still read afterwards.
+	// All producers are drained. Snapshots still read afterwards.
 	s.cache.Close()
 	return err
 }
