@@ -11,12 +11,13 @@
 //
 // -stats selects where the sharded front learns its hint statistics:
 // "partitioned" (each shard privately, over a W/N window — the default),
-// "global" (all shards feed one shared lock-striped learner over the full
-// window W, so the priority model is cache-wide), or "merged" (global plus
-// the cluster summary exchange below). -engine selects the front's
-// concurrency architecture: "mutex" (a lock per shard — the default) or
-// "owner" (connection handlers hand each shard whole request frames and
-// run them there themselves). The admin /stats JSON reports both modes.
+// "global" (all shards feed one shared learner over the full window W
+// through per-shard taps, so the priority model is cache-wide), or "merged"
+// (global plus the cluster summary exchange below). -engine selects the
+// front's concurrency architecture: "mutex" (a lock per shard — the
+// default) or "owner" (connection handlers hand each shard whole request
+// frames and run them there themselves). The admin /stats JSON reports
+// both modes.
 //
 // Several clicserve processes form a cluster (internal/cluster): clients
 // route requests across the nodes by consistent hash (clicsim -connect

@@ -14,12 +14,12 @@
 // concurrency-safe sharded front (core.Sharded); adding -concurrent drives
 // it with one goroutine per trace client instead of replaying serially, and
 // -stats selects where the front learns its hint statistics: "partitioned"
-// (per shard, W/N windows — the default) or "global" (one shared
-// lock-striped learner over the full window W). -engine picks the front's
-// concurrency architecture: "mutex" (a lock per shard — the default) or
-// "owner" (whole request batches handed to each shard, run by whichever
-// client posted them; requires -concurrent or -serve since it is a batch
-// architecture).
+// (per shard, W/N windows — the default) or "global" (one shared learner
+// over the full window W, fed through per-shard taps). -engine picks the
+// front's concurrency architecture: "mutex" (a lock per shard — the
+// default) or "owner" (whole request batches handed to each shard, run by
+// whichever client posted them; requires -concurrent or -serve since it is
+// a batch architecture).
 //
 // -cpuprofile and -memprofile write the standard pprof profiles covering
 // the run.

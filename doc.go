@@ -23,9 +23,9 @@
 // the priority table, and the Space-Saving top-k bound — is a pluggable
 // layer (internal/clicstats) behind the cache. The sharded concurrent
 // front can learn partitioned (each shard privately, over a W/N window) or
-// globally (all shards feed one shared lock-striped learner over the full
-// window W, keeping one coherent priority model while page placement stays
-// hash-partitioned). Select with core.Config.Stats, the -stats flag of
+// globally (all shards feed one shared learner over the full window W,
+// each through a private tap flushed once per frame, keeping one coherent
+// priority model while page placement stays hash-partitioned). Select with core.Config.Stats, the -stats flag of
 // clicsim/clicserve, and measure with the "learner" ablation of
 // cmd/experiments; README.md ("Learner modes") discusses when each wins.
 package repro

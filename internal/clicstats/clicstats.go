@@ -6,22 +6,24 @@
 // that bounds them (§5), the window rotation with decay blending r
 // (Equation 3), and the resulting priority table Pr(H).
 //
-// Two implementations of the Learner interface cover the two ends of the
-// sharded-cache design space:
+// Two learners cover the two ends of the sharded-cache design space, over
+// one shared counter type (window):
 //
 //   - Partitioned is the classic single-owner learner: not safe for
 //     concurrent use, bit-identical to the bookkeeping that used to be
 //     inlined in core.Cache. A sharded cache gives each shard its own
 //     Partitioned learner over a W/N window — learning is fully
 //     partitioned along with placement.
-//   - Global is a lock-striped, concurrency-safe learner that every shard
-//     of a sharded cache feeds and reads: page placement stays
-//     hash-partitioned while the priority model is learned from the full
-//     cache-wide request stream over the full window W.
+//   - Global is the shared learner that every shard of a sharded cache
+//     feeds and reads: page placement stays hash-partitioned while the
+//     priority model is learned from the full cache-wide request stream
+//     over the full window W. Each shard's Learner is a private Tap on the
+//     Global: events buffer in the tap and reach the one shared window
+//     under one lock per frame, and the priority table is read wait-free.
 //
-// Driven single-threaded in exact (TopK == 0) mode, Global produces exactly
-// the same priorities as Partitioned; the difference is purely who may call
-// it and which request subsequence it sees.
+// Driven by one goroutine, Global produces exactly the same priorities as
+// Partitioned, in exact and in top-k mode; the difference is purely who may
+// call it and which request subsequence it sees.
 //
 // The caller (the cache) remains responsible for page-level work: detecting
 // re-references via its page and outqueue records, and re-keying its victim
@@ -46,9 +48,6 @@ type Config struct {
 	// TopK bounds hint-set tracking to the k most frequent hint sets with
 	// the adapted Space-Saving summary (§5); 0 tracks all hint sets.
 	TopK int
-	// Stripes is the lock-stripe count of a Global learner; 0 selects
-	// DefaultStripes. Partitioned ignores it.
-	Stripes int
 	// LocalBias weights a Merged learner's node-local window estimate over
 	// the cluster-merged one when forming fresh priorities: 0 learns from
 	// the pure cluster-wide counters (the default), values toward 1 favour
@@ -68,9 +67,9 @@ func (cfg Config) validate() {
 
 // Learner accumulates hint-set statistics and serves the priority table
 // learned from them. Arrive/Reref/EndRequest are the per-request hot path;
-// the cache calls them in that order for every request. Whether a Learner
-// tolerates concurrent callers is implementation-defined: Partitioned does
-// not, Global does.
+// the cache calls them in that order for every request. Neither
+// implementation tolerates concurrent callers: a Partitioned is one cache's,
+// and so is a Tap — it is the Global behind the taps that is shared.
 type Learner interface {
 	// Arrive records one request carrying hint set h (N(H) += 1).
 	Arrive(h hint.ID)

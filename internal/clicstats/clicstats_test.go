@@ -104,18 +104,19 @@ func TestGlobalMatchesPartitionedSerial(t *testing.T) {
 		cfg := Config{Window: 100, R: r}
 		p := NewPartitioned(cfg)
 		g := NewGlobal(cfg)
+		tp := g.Tap()
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 5000; i++ {
 			h := hint.ID(rng.Intn(12))
 			p.Arrive(h)
-			g.Arrive(h)
+			tp.Arrive(h)
 			if rng.Intn(3) == 0 {
 				rh := hint.ID(rng.Intn(12))
 				d := uint64(1 + rng.Intn(80))
 				p.Reref(rh, d)
-				g.Reref(rh, d)
+				tp.Reref(rh, d)
 			}
-			pe, ge := p.EndRequest(), g.EndRequest()
+			pe, ge := p.EndRequest(), tp.EndRequest()
 			if pe != ge {
 				t.Fatalf("r=%v request %d: rotation mismatch (partitioned %v, global %v)", r, i, pe, ge)
 			}
@@ -146,8 +147,9 @@ func TestGlobalMatchesPartitionedSerial(t *testing.T) {
 	}
 }
 
-// TestGlobalConcurrent hammers one Global learner from several goroutines;
-// under -race this exercises the stripe locks and the table republishing.
+// TestGlobalConcurrent hammers one Global learner from several goroutines,
+// each through its own unleased tap; under -race this exercises the counter
+// lock and the table republishing.
 // Totals are exact: every arrival lands in exactly one window, so the sum
 // of current-window N plus W per completed window equals the request count.
 func TestGlobalConcurrent(t *testing.T) {
@@ -156,20 +158,21 @@ func TestGlobalConcurrent(t *testing.T) {
 		perW    = 20000
 		window  = 1000
 	)
-	g := NewGlobal(Config{Window: window, R: 0.5, Stripes: 4})
+	g := NewGlobal(Config{Window: window, R: 0.5})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			tp := g.Tap()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perW; i++ {
 				h := hint.ID(rng.Intn(32))
-				g.Arrive(h)
+				tp.Arrive(h)
 				if i%4 == 0 {
-					g.Reref(h, uint64(1+rng.Intn(9)))
+					tp.Reref(h, uint64(1+rng.Intn(9)))
 				}
-				g.EndRequest()
+				tp.EndRequest()
 			}
 		}(w)
 	}
@@ -192,49 +195,11 @@ func TestGlobalConcurrent(t *testing.T) {
 	}
 }
 
-// TestGlobalTopKStripeClamp: a small top-k budget must not be spread so
-// thin across the default stripe count that per-stripe Space-Saving
-// degenerates (one counter per stripe recycles on almost every Touch).
-func TestGlobalTopKStripeClamp(t *testing.T) {
-	for _, tc := range []struct {
-		topk, stripes, want int
-	}{
-		{20, 0, 2},   // default 16 stripes would leave 1–2 counters each
-		{200, 0, 16}, // big budgets keep full stripe parallelism
-		{4, 0, 1},    // tiny budgets serialize entirely
-		{64, 4, 4},   // explicit stripe counts survive when affordable
-	} {
-		g := NewGlobal(Config{Window: 1000, R: 1, TopK: tc.topk, Stripes: tc.stripes})
-		if got := g.Stripes(); got != tc.want {
-			t.Errorf("TopK=%d Stripes=%d: got %d stripes, want %d", tc.topk, tc.stripes, got, tc.want)
-		}
-	}
-	// With the clamp, a skewed stream over a small budget still learns the
-	// frequent hints (this configuration degenerated to zero priorities
-	// when 16 stripes each held a single counter).
-	g := NewGlobal(Config{Window: 2000, R: 1, TopK: 20})
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 6000; i++ {
-		h := hint.ID(rng.Intn(2))
-		if rng.Intn(5) == 0 {
-			h = hint.ID(2 + rng.Intn(30))
-		}
-		g.Arrive(h)
-		if h < 2 && rng.Intn(2) == 0 {
-			g.Reref(h, uint64(1+rng.Intn(5)))
-		}
-		g.EndRequest()
-	}
-	pr := g.Priorities()
-	if pr[0] <= 0 || pr[1] <= 0 {
-		t.Errorf("frequent hints have priorities %v, %v under a clamped small budget; want > 0", pr[0], pr[1])
-	}
-}
-
-// TestGlobalTopK checks the striped top-k mode end to end: tracking stays
-// within budget and frequent hint sets earn nonzero priorities.
+// TestGlobalTopK checks the top-k mode end to end: tracking stays within
+// budget and frequent hint sets earn nonzero priorities.
 func TestGlobalTopK(t *testing.T) {
-	g := NewGlobal(Config{Window: 2000, R: 1, TopK: 16, Stripes: 2})
+	g := NewGlobal(Config{Window: 2000, R: 1, TopK: 16})
+	tp := g.Tap()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 6000; i++ {
 		// Hints 0–1 dominate with quick re-references; 2–31 are noise.
@@ -242,11 +207,11 @@ func TestGlobalTopK(t *testing.T) {
 		if rng.Intn(5) == 0 {
 			h = hint.ID(2 + rng.Intn(30))
 		}
-		g.Arrive(h)
+		tp.Arrive(h)
 		if h < 2 && rng.Intn(2) == 0 {
-			g.Reref(h, uint64(1+rng.Intn(5)))
+			tp.Reref(h, uint64(1+rng.Intn(5)))
 		}
-		g.EndRequest()
+		tp.EndRequest()
 	}
 	if got := g.TrackedHintSets(); got > 16 {
 		t.Errorf("TrackedHintSets = %d, want <= 16", got)
@@ -291,10 +256,11 @@ func BenchmarkPartitionedArrive(b *testing.B) {
 func BenchmarkGlobalArrive(b *testing.B) {
 	g := NewGlobal(Config{Window: 100000, R: 1})
 	b.RunParallel(func(pb *testing.PB) {
+		tp := g.Tap()
 		i := 0
 		for pb.Next() {
-			g.Arrive(hint.ID(i % 64))
-			g.EndRequest()
+			tp.Arrive(hint.ID(i % 64))
+			tp.EndRequest()
 			i++
 		}
 	})

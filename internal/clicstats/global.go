@@ -5,194 +5,123 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hint"
-	"repro/internal/spacesaving"
 )
 
-// DefaultStripes is the lock-stripe count of a Global learner when
-// Config.Stripes is zero. The paper's workloads carry tens of distinct
-// hint sets, so 16 stripes already put most concurrently-updated hint sets
-// behind different locks.
-const DefaultStripes = 16
-
-// Global is the shared, concurrency-safe learner: every shard of a sharded
-// cache feeds it and reads it, so the priority model Pr(H) is learned from
-// the cache-wide request stream over the full window W while page placement
-// stays hash-partitioned. This is the "global (striped or merged)
-// statistics" design the per-shard W/N heuristic approximates.
+// Global is the shared learner: every shard of a sharded cache feeds it and
+// reads it, so the priority model Pr(H) is learned from the cache-wide
+// request stream over the full window W while page placement stays
+// hash-partitioned — the design the per-shard W/N heuristic approximates.
+// It holds one window of counters and one published priority table; it is
+// not itself a Learner. Each cache that shares it owns a Tap (Global.Tap),
+// and the tap is the only way in.
 //
-// Concurrency design, hot path first:
+// Tap protocol. A tap belongs to one cache and is driven by whichever one
+// goroutine drives that cache; any number of taps may run concurrently.
 //
-//   - Priority/Epoch are wait-free: the priority table is an immutable map
-//     behind an atomic pointer, republished once per window rotation.
-//   - Arrive/Reref take one stripe mutex each: window counters are striped
-//     by hint ID, so requests carrying different hint sets update
-//     statistics in parallel. In top-k mode the stripes are a
-//     spacesaving.Striped summary with the same property.
-//   - EndRequest is one atomic add; the caller that lands exactly on the
-//     window boundary performs the rotation (collecting every stripe under
-//     its lock, blending, republishing) while all other callers continue
-//     against the old table. Shards re-key their victim heaps lazily, at
-//     their next request, by observing the epoch change.
+//   - Lease. Tap.Begin(n) opens a frame of n requests with one atomic add to
+//     requests, which leases the frame the request numbers (end-n, end].
+//     One division then tells the tap whether a multiple of W falls inside
+//     the lease and at which of its requests. Request numbers are handed
+//     out once, so every multiple of W lies in exactly one lease and exactly
+//     one rotation happens per W requests, however many shards feed the
+//     learner. A lease is a promise: Begin(n) must be followed by exactly n
+//     EndRequests (core.Sharded's frame loop is the one caller, and a frame
+//     always runs to its end). An EndRequest with no lease open flushes
+//     and then leases one request for itself, which is how a plain Cache or
+//     a per-request front drives a tap.
+//   - Buffer. Arrive and Reref append to the tap's private event buffer:
+//     no lock, no shared cache line.
+//   - Flush. At the request a multiple of W falls on, EndRequest replays
+//     the buffer, in order, into the shared window under the counter lock
+//     mu, then rotates and reports true; a lease longer than W re-arms for
+//     the next multiple. At the lease's last request it just flushes. So mu
+//     is taken once per frame, not once per event.
+//   - Read. Priority and Epoch are wait-free: the priority table is
+//     immutable behind an atomic pointer, republished once per rotation, and
+//     carries its own dense hint-ID-indexed copy. Caches re-key their victim
+//     heaps lazily, at their next request, by observing the epoch change.
 //
-// Under concurrent callers the boundary is slightly relaxed compared to a
-// single-owner learner: requests in flight during a rotation land in
-// whichever window their stripe update hits. Driven single-threaded in
-// exact (TopK == 0) mode, Global is bit-identical to Partitioned.
+// Locks. rotateMu serializes rotations; mu guards win. The order is
+// rotateMu, then mu, and mu is never held across a call out: a flush
+// releases it before rotate, and rotate holds it only to drain the window,
+// so mergeFresh — and through it Merged's publish hook — runs under
+// rotateMu only. That matters in a cluster whose exchanger delivers at
+// publish time: node A's rotation calls Merged.Absorb on nodes B and C while
+// they may be rotating into A, and the cycle is harmless only because Absorb
+// takes neither of these locks (Merged keeps a separate pending lock).
+//
+// What is exact and what is relaxed. Driven by one goroutine — any number
+// of taps, frames of any length, leased or not — a Global is bit-identical
+// to a Partitioned fed the same events, at every EndRequest, in exact and
+// in top-k mode: the events reach the same window type in the same order
+// and the rotations fall on the same requests. Under concurrent taps the
+// rotation count stays exact, but a frame in flight lands in whichever
+// window its flush reaches, and WindowStats/TrackedHintSets, which read the
+// shared window, lag by at most one unflushed frame per busy shard — the
+// same caveat core.Sharded.Stats documents for its counters.
 type Global struct {
 	cfg Config
 
-	// Exact mode: per-stripe window counters (TopK == 0).
-	stripes []globalStripe
-	// Top-k mode: one striped Space-Saving summary (§5).
-	topk *spacesaving.Striped[hint.ID, rerefAux]
-
-	// requests counts EndRequest calls; every Window-th call rotates.
-	requests atomic.Uint64
-	// table is the immutable priority table + epoch in effect.
-	table atomic.Pointer[globalTable]
-	// rotateMu serializes rotations (belt and braces: triggers are a full
-	// window apart, but rotation must never interleave with itself).
+	// table is the immutable priority table + epoch in effect: read by
+	// every request, written once per rotation.
+	table   atomic.Pointer[globalTable]
+	windows atomic.Int64
+	// rotateMu serializes rotations: with small windows or long frames two
+	// taps can reach their boundaries together.
 	rotateMu sync.Mutex
-	windows  atomic.Int64
-
 	// mergeFresh, when non-nil, replaces the default local-only fresh
 	// estimates at rotation with ones computed from the drained window
 	// counters plus whatever else the wrapper knows — Merged hooks in here
-	// to fold counters absorbed from cluster peers. Called under rotateMu.
+	// to fold counters absorbed from cluster peers. Called under rotateMu
+	// and no other lock.
 	mergeFresh func(local []WindowCounter) map[hint.ID]float64
+
+	// requests numbers the requests leased so far. Every frame of every
+	// shard adds to it, so it is padded to a cache line of its own wherever
+	// the struct lands, away from the table pointer above that every
+	// request reads.
+	_        [cacheLine - 8]byte
+	requests atomic.Uint64
+	_        [cacheLine - 8]byte
+
+	// mu guards win, the current window's counters: taken once per flush
+	// and once per rotation.
+	mu  sync.Mutex
+	win window
 }
 
-type globalStripe struct {
-	mu    sync.Mutex
-	stats map[hint.ID]*winStats
-	// Pad the 16 bytes of mutex + map header to a full 64-byte cache line
-	// so neighbouring stripe locks do not false-share.
-	_ [48]byte
-}
+// cacheLine is the coherence granule Global's hot words are padded to.
+const cacheLine = 64
 
+// globalTable is one published priority table. dense is pr indexed by hint
+// ID, which is what the request path reads.
 type globalTable struct {
 	pr    map[hint.ID]float64
+	dense []float64
 	epoch uint64
 }
-
-var _ Learner = (*Global)(nil)
-
-// stripeHash spreads hint IDs across stripes. IDs are dense small
-// integers (interned in discovery order), so SplitMix32-style avalanche
-// keeps adjacent — often co-hot — hint sets off the same lock.
-func stripeHash(h hint.ID) uint64 {
-	x := uint64(h) + 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	return x
-}
-
-// minTopKPerStripe is the smallest per-stripe counter budget the top-k
-// mode accepts: with only one or two counters per stripe nearly every
-// Touch would recycle the stripe's minimum counter, collapsing N = C-e
-// toward zero. Small k therefore trades stripe parallelism for accuracy.
-const minTopKPerStripe = 8
 
 // NewGlobal returns a shared learner for the configuration.
 func NewGlobal(cfg Config) *Global {
 	cfg.validate()
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = DefaultStripes
-	}
-	g := &Global{cfg: cfg}
-	if cfg.TopK > 0 {
-		// Keep the §5 budget of k counters total, but never spread it so
-		// thin that a stripe cannot track its frequent hint sets.
-		stripes := cfg.Stripes
-		if max := cfg.TopK / minTopKPerStripe; stripes > max {
-			stripes = max
-		}
-		if stripes < 1 {
-			stripes = 1
-		}
-		g.topk = spacesaving.NewStriped[hint.ID, rerefAux](cfg.TopK, stripes, stripeHash)
-	} else {
-		g.stripes = make([]globalStripe, cfg.Stripes)
-		for i := range g.stripes {
-			g.stripes[i].stats = make(map[hint.ID]*winStats)
-		}
-	}
+	g := &Global{cfg: cfg, win: newWindow(cfg.TopK)}
 	g.table.Store(&globalTable{pr: map[hint.ID]float64{}})
 	return g
 }
 
-// Stripes returns the lock-stripe count in effect.
-func (g *Global) Stripes() int {
-	if g.topk != nil {
-		return g.topk.Stripes()
-	}
-	return len(g.stripes)
-}
-
-func (g *Global) stripe(h hint.ID) *globalStripe {
-	return &g.stripes[stripeHash(h)%uint64(len(g.stripes))]
-}
-
-// Arrive implements Learner.
-func (g *Global) Arrive(h hint.ID) {
-	if g.topk != nil {
-		g.topk.Touch(h)
-		return
-	}
-	st := g.stripe(h)
-	st.mu.Lock()
-	ws, ok := st.stats[h]
-	if !ok {
-		ws = &winStats{}
-		st.stats[h] = ws
-	}
-	ws.n++
-	st.mu.Unlock()
-}
-
-// Reref implements Learner.
-func (g *Global) Reref(h hint.ID, dist uint64) {
-	if g.topk != nil {
-		g.topk.Update(h, func(c *spacesaving.Counter[hint.ID, rerefAux]) {
-			c.Val.nr++
-			c.Val.dsum += float64(dist)
-		})
-		return
-	}
-	st := g.stripe(h)
-	st.mu.Lock()
-	ws, ok := st.stats[h]
-	if !ok {
-		// As in Partitioned: the record that triggered this credit may
-		// predate the current window; start a fresh entry.
-		ws = &winStats{}
-		st.stats[h] = ws
-	}
-	ws.nr++
-	ws.dsum += float64(dist)
-	st.mu.Unlock()
-}
-
-// EndRequest implements Learner. Exactly one caller observes each multiple
-// of the window size (the counter is monotone), so exactly one rotation
-// happens per window regardless of how many shards feed the learner.
-func (g *Global) EndRequest() bool {
-	if g.requests.Add(1)%uint64(g.cfg.Window) != 0 {
-		return false
-	}
-	g.rotate()
-	return true
-}
-
-// rotate closes the current window: it drains the stripes, blends the
-// fresh estimates into a copy of the priority table (Equation 3), and
+// rotate closes the current window: it drains the shared counters, blends
+// the fresh estimates into a copy of the priority table (Equation 3), and
 // republishes the table with the next epoch.
 func (g *Global) rotate() {
 	g.rotateMu.Lock()
 	defer g.rotateMu.Unlock()
 
-	local := g.drainWindow()
+	g.mu.Lock()
+	local := make([]WindowCounter, 0, g.win.len())
+	g.win.each(func(wc WindowCounter) { local = append(local, wc) })
+	g.win.reset()
+	g.mu.Unlock()
+
 	var fresh map[hint.ID]float64
 	if g.mergeFresh != nil {
 		fresh = g.mergeFresh(local)
@@ -209,43 +138,25 @@ func (g *Global) rotate() {
 		pr[h] = v
 	}
 	blend(pr, fresh, g.cfg.R)
-	g.table.Store(&globalTable{pr: pr, epoch: old.epoch + 1})
+	g.table.Store(&globalTable{pr: pr, dense: densify(nil, pr), epoch: old.epoch + 1})
 	g.windows.Add(1)
 }
 
-// drainWindow empties the current window's counters and returns them raw.
-// Callers hold rotateMu.
-func (g *Global) drainWindow() []WindowCounter {
-	var out []WindowCounter
-	if g.topk != nil {
-		for _, ctr := range g.topk.Drain() {
-			out = append(out, WindowCounter{Hint: ctr.Key, N: ctr.Count - ctr.Err, Nr: ctr.Val.nr, Dsum: ctr.Val.dsum})
-		}
-		return out
+// Priority returns Pr(h) from the table currently in effect; wait-free.
+func (g *Global) Priority(h hint.ID) float64 {
+	if dense := g.table.Load().dense; int(h) < len(dense) {
+		return dense[h]
 	}
-	for i := range g.stripes {
-		st := &g.stripes[i]
-		st.mu.Lock()
-		stats := st.stats
-		st.stats = make(map[hint.ID]*winStats, len(stats))
-		st.mu.Unlock()
-		for h, ws := range stats {
-			out = append(out, WindowCounter{Hint: h, N: ws.n, Nr: ws.nr, Dsum: ws.dsum})
-		}
-	}
-	return out
+	return 0
 }
 
-// Priority implements Learner; it is wait-free.
-func (g *Global) Priority(h hint.ID) float64 { return g.table.Load().pr[h] }
-
-// Epoch implements Learner; it is wait-free.
+// Epoch identifies the table currently in effect; wait-free.
 func (g *Global) Epoch() uint64 { return g.table.Load().epoch }
 
-// Windows implements Learner.
+// Windows returns the number of completed statistics windows.
 func (g *Global) Windows() int { return int(g.windows.Load()) }
 
-// Priorities implements Learner.
+// Priorities returns a copy of the priority table in effect.
 func (g *Global) Priorities() map[hint.ID]float64 {
 	pr := g.table.Load().pr
 	out := make(map[hint.ID]float64, len(pr))
@@ -255,40 +166,119 @@ func (g *Global) Priorities() map[hint.ID]float64 {
 	return out
 }
 
-// WindowStats implements Learner. The snapshot takes each stripe lock in
-// turn, so it is consistent per stripe and approximate across stripes —
-// the same guarantee the sharded cache's merged accounting gives.
+// WindowStats snapshots the shared window's counters, sorted by descending
+// N. Events still buffered in taps are not in it.
 func (g *Global) WindowStats() []HintStat {
-	var out []HintStat
-	if g.topk != nil {
-		for _, ctr := range g.topk.Counters() {
-			out = append(out, newHintStat(ctr.Key, ctr.Count-ctr.Err, ctr.Val.nr, ctr.Val.dsum))
-		}
-	} else {
-		for i := range g.stripes {
-			st := &g.stripes[i]
-			st.mu.Lock()
-			for h, ws := range st.stats {
-				out = append(out, newHintStat(h, ws.n, ws.nr, ws.dsum))
-			}
-			st.mu.Unlock()
-		}
-	}
-	SortHintStats(out)
-	return out
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.win.hintStats()
 }
 
-// TrackedHintSets implements Learner.
+// TrackedHintSets returns the number of hint sets with statistics in the
+// shared window (bounded by k in top-k mode).
 func (g *Global) TrackedHintSets() int {
-	if g.topk != nil {
-		return g.topk.Len()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.win.len()
+}
+
+// Tap is one cache's private handle on a Global and the Learner that cache
+// is built around. Its write side — Arrive, Reref, EndRequest, Begin — is
+// the tap protocol described on Global and belongs to the goroutine driving
+// the cache; its read side is the shared learner's, promoted.
+type Tap struct {
+	*Global
+
+	// events buffers this tap's arrivals and re-references since its last
+	// flush, in request order.
+	events []tapEvent
+	// left is the number of requests the open lease still owes (0: no
+	// lease); toRotate counts down to the one of them that lands on a
+	// multiple of W (0: none does).
+	left, toRotate int
+
+	// Taps are allocated one per shard, back to back, and written on every
+	// request: round each up to a cache line so neighbours never share one.
+	_ [cacheLine - 48]byte
+}
+
+// tapEvent is one buffered Arrive (reref false) or Reref.
+type tapEvent struct {
+	dist  uint64
+	h     hint.ID
+	reref bool
+}
+
+var _ Learner = (*Tap)(nil)
+
+// Tap returns a new tap on g for one cache.
+func (g *Global) Tap() *Tap { return &Tap{Global: g} }
+
+// Begin leases the next n requests to this tap; exactly n EndRequests must
+// follow before the next Begin.
+func (t *Tap) Begin(n int) {
+	if t.left != 0 {
+		panic("clicstats: Tap.Begin inside an open lease")
 	}
-	n := 0
-	for i := range g.stripes {
-		st := &g.stripes[i]
-		st.mu.Lock()
-		n += len(st.stats)
-		st.mu.Unlock()
+	w := uint64(t.cfg.Window)
+	start := t.requests.Add(uint64(n)) - uint64(n)
+	t.left, t.toRotate = n, 0
+	if to := w - start%w; to <= uint64(n) {
+		t.toRotate = int(to)
 	}
-	return n
+}
+
+// Arrive implements Learner.
+func (t *Tap) Arrive(h hint.ID) {
+	t.events = append(t.events, tapEvent{h: h})
+}
+
+// Reref implements Learner.
+func (t *Tap) Reref(h hint.ID, dist uint64) {
+	t.events = append(t.events, tapEvent{h: h, dist: dist, reref: true})
+}
+
+// EndRequest implements Learner.
+func (t *Tap) EndRequest() bool {
+	if t.left == 0 {
+		// No lease: flush, then draw this request's number. In that order
+		// whatever this goroutine fed the tap is in the shared window before
+		// the number that may close the window exists — request by request,
+		// a tap behaves as if it fed the shared window directly.
+		t.flush()
+		t.Begin(1)
+	}
+	t.left--
+	if t.toRotate > 0 {
+		if t.toRotate--; t.toRotate == 0 {
+			t.flush()
+			t.rotate()
+			if w := t.cfg.Window; w <= t.left {
+				t.toRotate = w
+			}
+			return true
+		}
+	}
+	if t.left == 0 {
+		t.flush()
+	}
+	return false
+}
+
+// flush replays the buffered events, in order, into the shared window.
+func (t *Tap) flush() {
+	if len(t.events) == 0 {
+		return
+	}
+	g := t.Global
+	g.mu.Lock()
+	for i := range t.events {
+		if ev := &t.events[i]; ev.reref {
+			g.win.Reref(ev.h, ev.dist)
+		} else {
+			g.win.Arrive(ev.h)
+		}
+	}
+	g.mu.Unlock()
+	t.events = t.events[:0]
 }

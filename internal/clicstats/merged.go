@@ -7,7 +7,8 @@ import (
 	"repro/internal/hint"
 )
 
-// Merged is the cluster-mode learner: a Global learner whose window
+// Merged is the cluster-mode learner: a Global learner — fed, like any
+// Global, through the taps its Tap method hands out — whose window
 // rotations additionally (1) publish the node's just-closed window counters
 // so a cluster exchanger can ship them to peer nodes as wire Summary
 // frames, and (2) fold counters absorbed from peers into the fresh
@@ -29,10 +30,10 @@ import (
 // priors that per-node corrections can pull against; bias 0 (the default)
 // trusts the merged stream outright.
 //
-// Publishing happens inside the rotation, under the rotation lock, with
-// only this node's local counters — never the absorbed remote ones — so a
-// summary forwarded around a cluster cannot echo a peer's requests back to
-// it and double-count them.
+// Publishing happens inside the rotation, under the rotation lock and no
+// other (see "Locks" on Global), with only this node's local counters —
+// never the absorbed remote ones — so a summary forwarded around a cluster
+// cannot echo a peer's requests back to it and double-count them.
 type Merged struct {
 	*Global
 
@@ -42,6 +43,9 @@ type Merged struct {
 	// the merge round that closed it. Set once, before traffic.
 	publish func(round uint64, local []WindowCounter)
 
+	// mu guards pending and nothing else. Absorb must not need the Global's
+	// locks: a peer calls it from inside its own rotation, possibly while
+	// this node is inside one of its own calling Absorb on that peer.
 	mu      sync.Mutex
 	pending map[hint.ID]*winStats
 

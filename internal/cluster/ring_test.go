@@ -1,6 +1,12 @@
 package cluster
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
 
 // TestRingPlacementPure checks that placement depends only on the node
 // names, not their listing order: every page must map to the same name
@@ -90,4 +96,76 @@ func TestRingRejects(t *testing.T) {
 			t.Errorf("NewRing(%q) succeeded, want error", names)
 		}
 	}
+	// The bucket index addresses points with 16 bits: a ring that would
+	// need more is refused, not truncated.
+	if _, err := NewRing([]string{"a", "b"}, maxRingPoints/2); err != nil {
+		t.Errorf("largest ring refused: %v", err)
+	}
+	if _, err := NewRing([]string{"a", "b"}, maxRingPoints/2+1); err == nil {
+		t.Error("NewRing accepted more points than its index can address")
+	}
 }
+
+// searchOwner is Owner as it was before the bucket index: a binary search
+// for the first point at or after h, wrapping. The reference
+// TestRingOwnerMatchesSearch holds the index to.
+func searchOwner(r *Ring, h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].node
+}
+
+// TestRingOwnerMatchesSearch checks the bucket index against the binary
+// search it replaced, on random pages and on every hash where the two could
+// part: each point's own hash and its neighbours, and the ends of the
+// circle.
+func TestRingOwnerMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for nodes := 1; nodes <= 16; nodes++ {
+		names := make([]string, nodes)
+		for i := range names {
+			names[i] = fmt.Sprintf("node%d", i)
+		}
+		for _, vnodes := range []int{1, 64, 200} {
+			r, err := NewRing(names, vnodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(h uint64) {
+				t.Helper()
+				if got, want := r.ownerOfHash(h), searchOwner(r, h); got != want {
+					t.Fatalf("%d nodes × %d: hash %#x owned by %d, binary search says %d", nodes, vnodes, h, got, want)
+				}
+			}
+			for i := 0; i < 100000; i++ {
+				page := rng.Uint64()
+				if got, want := r.Owner(page), searchOwner(r, mix64(page^ringSalt)); got != want {
+					t.Fatalf("%d nodes × %d: page %d owned by %d, binary search says %d", nodes, vnodes, page, got, want)
+				}
+			}
+			for _, pt := range r.points {
+				check(pt.hash)
+				check(pt.hash - 1)
+				check(pt.hash + 1)
+			}
+			check(0)
+			check(math.MaxUint64)
+		}
+	}
+}
+
+func BenchmarkRingOwner(b *testing.B) {
+	r, err := NewRing([]string{"node0", "node1", "node2"}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += r.Owner(uint64(i) * 7919)
+	}
+	ringSink = n
+}
+
+var ringSink int

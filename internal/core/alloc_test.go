@@ -56,6 +56,37 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestAccessBatchGlobalAllocs is the batch contract again with the shards
+// feeding one shared learner: once every tap's event buffer has grown to its
+// largest frame and the shared top-k window to its k counters — both in the
+// warm-up — leasing, buffering and flushing allocate nothing. W is larger
+// than the measured run, so no rotation (which allocates the table it
+// publishes, by design) falls inside it.
+func TestAccessBatchGlobalAllocs(t *testing.T) {
+	s := NewSharded(Config{Capacity: 512, Window: 1 << 30, TopK: 64, Stats: StatsGlobal, Engine: EngineOwner}, 4)
+	defer s.Close()
+	p := s.NewProducer()
+	defer p.Close()
+	reqs := shardedTrace(200000, 99)
+	hits := make([]bool, DefaultAccessBatch)
+	batch := func(off int) {
+		p.AccessBatch(reqs[off:min(off+DefaultAccessBatch, len(reqs))], hits)
+	}
+	for off := 0; off < len(reqs); off += DefaultAccessBatch {
+		batch(off)
+	}
+	off := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		batch(off)
+		off = (off + DefaultAccessBatch) % (len(reqs) - DefaultAccessBatch)
+	}); avg != 0 {
+		t.Errorf("steady-state AccessBatch in global mode allocates %v allocs per batch, want 0", avg)
+	}
+	if s.Windows() != 0 || s.TrackedHintSets() == 0 {
+		t.Errorf("windows=%d tracked=%d: the run was meant to stay inside one non-empty window", s.Windows(), s.TrackedHintSets())
+	}
+}
+
 // TestFootprintFollowsRecords pins that nothing is sized from the
 // configuration: a million-page cache that has seen 1 000 pages holds 1 000
 // records and a table to match, not slab or table space for the ~6M records

@@ -42,8 +42,8 @@
 // and re-keys its victim heap whenever the learner publishes a new
 // priority table (tracked by the learner's epoch). Config.Stats selects
 // how a sharded front learns: a private per-shard learner over a scaled
-// window (StatsPartitioned, the default) or one shared lock-striped
-// learner fed by all shards (StatsGlobal).
+// window (StatsPartitioned, the default) or one shared learner that every
+// shard feeds through a private tap, one lock per frame (StatsGlobal).
 //
 // Config.Engine selects how a Sharded front is driven. EngineMutex (the
 // default) guards each shard with a sync.Mutex and serves any goroutine
@@ -81,10 +81,10 @@ const (
 	// and priority tables are per shard, sized W/N. This is the fully
 	// partitioned heuristic and the historical default.
 	StatsPartitioned StatsMode = iota
-	// StatsGlobal shares one concurrency-safe lock-striped learner across
-	// all shards of a Sharded front: priorities are learned from the
-	// cache-wide request stream over the full window W while page
-	// placement stays hash-partitioned.
+	// StatsGlobal shares one learner (clicstats.Global) across all shards
+	// of a Sharded front, each feeding it through its own tap: priorities
+	// are learned from the cache-wide request stream over the full window
+	// W while page placement stays hash-partitioned.
 	StatsGlobal
 	// StatsMerged is StatsGlobal extended for a cluster of cache nodes: the
 	// shared learner additionally publishes each closed window's counters
@@ -144,12 +144,9 @@ type Config struct {
 	TopK int
 	// Stats selects partitioned (default) or global statistics learning;
 	// see StatsMode. For a plain Cache the modes learn identical
-	// priorities (global merely pays for concurrency-safety); the mode
+	// priorities (global merely pays for the tap's buffering); the mode
 	// matters for Sharded fronts.
 	Stats StatsMode
-	// Stripes is the lock-stripe count of a global learner; 0 selects
-	// clicstats.DefaultStripes. Ignored in partitioned mode.
-	Stripes int
 	// LocalBias weights a merged learner's node-local window estimate over
 	// the cluster-merged one, in [0, 1); see clicstats.Config.LocalBias.
 	// Ignored outside StatsMerged.
@@ -186,7 +183,7 @@ func (cfg Config) withDefaults() Config {
 
 // learnerConfig maps a resolved cache configuration to its learner's.
 func (cfg Config) learnerConfig() clicstats.Config {
-	return clicstats.Config{Window: cfg.Window, R: cfg.R, TopK: cfg.TopK, Stripes: cfg.Stripes, LocalBias: cfg.LocalBias}
+	return clicstats.Config{Window: cfg.Window, R: cfg.R, TopK: cfg.TopK, LocalBias: cfg.LocalBias}
 }
 
 // Cache is a CLIC server cache. It is not safe for concurrent use (wrap it
@@ -241,19 +238,19 @@ func New(cfg Config) *Cache {
 	var l clicstats.Learner
 	switch cfg.Stats {
 	case StatsGlobal:
-		l = clicstats.NewGlobal(cfg.learnerConfig())
+		l = clicstats.NewGlobal(cfg.learnerConfig()).Tap()
 	case StatsMerged:
-		l = clicstats.NewMerged(cfg.learnerConfig())
+		l = clicstats.NewMerged(cfg.learnerConfig()).Tap()
 	default:
 		l = clicstats.NewPartitioned(cfg.learnerConfig())
 	}
 	return newCache(cfg, l)
 }
 
-// newCache builds a cache around an externally owned learner (Sharded
-// shares one learner across shards in global mode). cfg must already have
-// defaults applied. Nothing is sized from the configuration: the slab and
-// the table grow with the records actually held.
+// newCache builds a cache around an externally owned learner (in global
+// mode Sharded hands each shard a tap on the one shared learner). cfg must
+// already have defaults applied. Nothing is sized from the configuration:
+// the slab and the table grow with the records actually held.
 func newCache(cfg Config, l clicstats.Learner) *Cache {
 	if n := uint64(cfg.Capacity) + uint64(cfg.Noutq); n > maxRecords {
 		panic(fmt.Sprintf("core: Capacity+Noutq = %d page records, more than the %d a cache can index", n, uint64(maxRecords)))

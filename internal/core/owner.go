@@ -82,6 +82,12 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	var reads, readHits, writes uint64
 	c := sh.c
 	reqs, idx, hits := f.reqs, f.idx, f.hits
+	if sh.tap != nil {
+		// Global learning: lease the frame's request numbers up front, so
+		// the tap takes the shared learner's lock once, at the frame's end
+		// (or at a window boundary inside it), not once per event.
+		sh.tap.Begin(len(reqs))
+	}
 	for lo := 0; lo < len(reqs); lo += warmGroup {
 		hi := min(lo+warmGroup, len(reqs))
 		c.warm(reqs[lo:hi])

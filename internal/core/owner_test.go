@@ -219,8 +219,9 @@ func TestOwnerConcurrentProducers(t *testing.T) {
 }
 
 // TestOwnerGlobalConcurrent pairs the owner engine with the shared global
-// learner: shard owners feed one lock-striped learner concurrently. The
-// global window count stays exact (one rotation per W requests cache-wide).
+// learner: whoever holds a shard feeds the one learner through that shard's
+// tap, a lease per frame, concurrently with the other shards. The global
+// window count stays exact (one rotation per W requests cache-wide).
 func TestOwnerGlobalConcurrent(t *testing.T) {
 	const producers = 6
 	cfg := Config{Capacity: 128, Window: 1000, Stats: StatsGlobal, Engine: EngineOwner}
@@ -264,6 +265,56 @@ func TestOwnerGlobalConcurrent(t *testing.T) {
 	}
 	if st := s.Stats(); st.Learner != "global" || st.Engine != "owner" {
 		t.Errorf("Stats reports learner=%q engine=%q", st.Learner, st.Engine)
+	}
+}
+
+// TestOwnerGlobalSmallWindows pins, in global mode, that a frame is only a
+// batching of requests: a 4-shard owner front driven by one producer in
+// 512-request batches returns, verdict for verdict, what the same front
+// returns when the same requests reach it through Sharded.Access one at a
+// time — one-request frames, leases of 1 — in the order the producer runs
+// them: a batch shard by shard, each shard's requests in batch order. (With
+// a shared learner the order in which shards run is part of the input, so
+// the reference replays that order, not the trace's.) The small windows put
+// rotations, several of them, inside single frames; W = 1000 puts them
+// between and across frames. The cluster goldens lean on this identity
+// through three layers; here it is cheap to debug.
+func TestOwnerGlobalSmallWindows(t *testing.T) {
+	const shards, batch = 4, 512
+	reqs := shardedTrace(20000, 13)
+	for _, w := range []int{3, 64, 1000} {
+		cfg := Config{Capacity: 64, Window: w, Stats: StatsGlobal, Engine: EngineOwner}
+		framed, serial := NewSharded(cfg, shards), NewSharded(cfg, shards)
+		p := framed.NewProducer()
+		hits := make([]bool, batch)
+		var readHits int
+		for off := 0; off < len(reqs); off += batch {
+			chunk := reqs[off:min(off+batch, len(reqs))]
+			p.AccessBatch(chunk, hits)
+			for sh := 0; sh < shards; sh++ {
+				for i, r := range chunk {
+					if serial.ShardFor(r.Page) != sh {
+						continue
+					}
+					if want := serial.Access(r); hits[i] != want {
+						t.Fatalf("W=%d request %d (page %d, shard %d): framed hit=%v, one at a time hit=%v", w, off+i, r.Page, sh, hits[i], want)
+					}
+					if hits[i] && r.Op == trace.Read {
+						readHits++
+					}
+				}
+			}
+		}
+		p.Close()
+		if readHits == 0 {
+			t.Fatalf("W=%d: no hits; test is vacuous", w)
+		}
+		if framed.Windows() != len(reqs)/w || serial.Windows() != len(reqs)/w {
+			t.Errorf("W=%d: windows framed %d, one at a time %d, want %d", w, framed.Windows(), serial.Windows(), len(reqs)/w)
+		}
+		if fs, ss := framed.Stats(), serial.Stats(); fs != ss {
+			t.Errorf("W=%d: Stats drift:\nframed        %+v\none at a time %+v", w, fs, ss)
+		}
 	}
 }
 
@@ -419,7 +470,7 @@ func TestShardedShardLayout(t *testing.T) {
 	if n := unsafe.Sizeof(sh); n%cacheLine != 0 {
 		t.Errorf("shardedShard is %d bytes, not a multiple of %d", n, cacheLine)
 	}
-	if end := unsafe.Offsetof(sh.c) + unsafe.Sizeof(sh.c); end > cacheLine {
+	if end := unsafe.Offsetof(sh.tap) + unsafe.Sizeof(sh.tap); end > cacheLine {
 		t.Errorf("hand-off words end at byte %d, past the first line", end)
 	}
 	if off := unsafe.Offsetof(sh.reads); off != cacheLine {

@@ -29,9 +29,10 @@ import (
 //     scaled W/N window; it sees ~1/N of the requests and learns its own
 //     priority table. Accessors merge the per-shard accounting back into
 //     cache-wide totals.
-//   - StatsGlobal: all shards feed and read one shared lock-striped
-//     learner (clicstats.Global) over the full window W, so the priority
-//     model is cache-wide and coherent while placement stays partitioned.
+//   - StatsGlobal: all shards feed and read one shared learner
+//     (clicstats.Global) over the full window W, each through a private
+//     tap, so the priority model is cache-wide and coherent while placement
+//     stays partitioned.
 type Sharded struct {
 	shards   []shardedShard
 	capacity int
@@ -58,8 +59,9 @@ type Sharded struct {
 // The first line is what goroutines contend on to reach the cache: the
 // mutex engine's lock, or the owner engine's pending list and try-lock
 // (owner.go) — a front runs one engine, so only one set is ever hot — next
-// to the cache pointer, which never changes and which whoever wins the
-// line reads next.
+// to the two pointers whoever wins the line reads next and which never
+// change: the cache, and the shard's tap on the shared learner (nil in
+// partitioned mode).
 //
 // The second line mirrors the shard's accounting so that cross-shard
 // snapshots (Stats, Len, OutqueueLen, Windows) are plain atomic loads
@@ -72,7 +74,8 @@ type shardedShard struct {
 	busy    atomic.Bool           // the owner engine's try-lock
 	mu      sync.Mutex            // the mutex engine's lock
 	c       *Cache
-	_       [cacheLine - 32]byte
+	tap     *clicstats.Tap
+	_       [cacheLine - 40]byte
 
 	reads     atomic.Uint64
 	readHits  atomic.Uint64
@@ -126,7 +129,6 @@ func NewSharded(cfg Config, n int) *Sharded {
 			R:        full.R,
 			TopK:     full.TopK,
 			Stats:    full.Stats,
-			Stripes:  full.Stripes,
 		}
 		// withDefaults has already resolved Noutq to an entry count; a zero
 		// split must not re-trigger the 5×-capacity default, so disabled
@@ -138,7 +140,8 @@ func NewSharded(cfg Config, n int) *Sharded {
 		}
 		sub = sub.withDefaults()
 		if s.global != nil {
-			s.shards[i].c = newCache(sub, s.global)
+			s.shards[i].tap = s.global.Tap()
+			s.shards[i].c = newCache(sub, s.shards[i].tap)
 		} else {
 			s.shards[i].c = newCache(sub, clicstats.NewPartitioned(sub.learnerConfig()))
 		}
@@ -203,9 +206,10 @@ func (s *Sharded) EngineMode() EngineMode { return s.engine }
 // Access implements policy.Policy. It is safe for concurrent use: requests
 // hitting different shards proceed in parallel, requests for the same shard
 // serialize on its mutex. In global mode the shards additionally share the
-// learner, whose hot path is lock-striped by hint set. In owner mode this
-// is a one-request frame through a producer all callers share — batch
-// drivers should use NewProducer/AccessBatch instead.
+// learner, and each request flushes its shard's tap under the learner's one
+// counter lock. In owner mode this is a one-request frame through a
+// producer all callers share — batch drivers should use
+// NewProducer/AccessBatch instead.
 func (s *Sharded) Access(r trace.Request) bool {
 	if s.engine == EngineOwner {
 		return s.accessOwner(r)

@@ -340,8 +340,9 @@ func TestShardedGlobalSharedLearning(t *testing.T) {
 }
 
 // TestShardedGlobalConcurrent hammers a global-learner front from more
-// clients than shards; under -race this exercises the stripe locks, the
-// table republishing, and the lazy per-shard heap re-keying together.
+// clients than shards; under -race this exercises the unleased taps, the
+// learner's counter lock, the table republishing, and the lazy per-shard
+// heap re-keying together.
 func TestShardedGlobalConcurrent(t *testing.T) {
 	const clients = 8
 	cfg := Config{Capacity: 128, Window: 1000, Stats: StatsGlobal}

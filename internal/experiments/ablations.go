@@ -105,8 +105,8 @@ var AblationLearnerShards = []int{1, 2, 4, 8}
 // AblationLearner evaluates the sharded front's statistics-learning modes
 // (core.Config.Stats): fully-partitioned learning (each shard learns from
 // its own ~1/N request substream over a W/N window) against the shared
-// global learner (all shards feed one lock-striped learner over the full
-// window W), across shard counts × cache sizes on the DB2_C60 trace (the
+// global learner (all shards feed one learner over the full window W,
+// each through its own tap), across shard counts × cache sizes on the DB2_C60 trace (the
 // workload with the most second-tier locality, so mode differences are
 // visible even in scaled-down runs). At 1
 // shard the modes learn identical priorities, so that row doubles as an
@@ -159,7 +159,7 @@ func (e *Env) AblationLearner() (*report.Table, error) {
 		tbl.AddRow(report.Num(cells[i].shards), report.Num(cells[i].size),
 			report.Pct(part.HitRatio()), report.Pct(glob.HitRatio()))
 	}
-	tbl.AddNote("partitioned: per-shard W/N windows and top-k summaries; global: one shared lock-striped learner over the full W")
+	tbl.AddNote("partitioned: per-shard W/N windows and top-k summaries; global: one shared learner over the full W, fed through per-shard taps")
 	// Machine-greppable totals: the CI smoke run asserts both are nonzero.
 	tbl.AddNote("smoke totals: partitioned_hits=%d global_hits=%d", hitsByMode[0], hitsByMode[1])
 	return tbl, nil

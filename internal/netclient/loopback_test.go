@@ -416,9 +416,9 @@ func TestHelloVersionMismatch(t *testing.T) {
 }
 
 // TestLoopbackGlobalLearner runs the whole network stack on a server whose
-// shards share the global lock-striped learner: three concurrent client
-// connections against two shards, so connection handlers contend for shard
-// mutexes and learner stripes at once — the TCP-path stress test for
+// shards share the global learner: three concurrent client connections
+// against two shards, so connection handlers contend for shard mutexes and
+// the learner's counter lock at once — the TCP-path stress test for
 // global learning (run under -race in CI). Order-free quantities are
 // checked against the in-process ServeSource path, and the admin snapshot
 // must report the mode.

@@ -675,8 +675,8 @@ type WindowStatSnapshot struct {
 
 // Snapshot is the admin view of a running server. Core.Learner reports
 // where hint statistics are learned ("partitioned": per shard over W/N
-// windows; "global": one shared lock-striped learner over the full
-// window), and WindowStats is the current window of that learning —
+// windows; "global": one shared learner over the full window, fed
+// through per-shard taps), and WindowStats is the current window of that learning —
 // merged across shards in partitioned mode, the shared learner's view in
 // global mode.
 type Snapshot struct {
