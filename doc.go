@@ -20,8 +20,10 @@
 // walkthrough.
 //
 // CLIC's hint-statistics learning — window accounting, decay blending,
-// the priority table, and the Space-Saving top-k bound — is a pluggable
-// layer (internal/clicstats) behind the cache. The sharded concurrent
+// the priority table, and the Space-Saving top-k bound (internal/spacesaving:
+// flat counters, two stores per request, the replacement victim from a
+// lazily repaired heap) — is a pluggable layer (internal/clicstats) behind
+// the cache. The sharded concurrent
 // front can learn partitioned (each shard privately, over a W/N window) or
 // globally (all shards feed one shared learner over the full window W,
 // each through a private tap flushed once per frame, keeping one coherent

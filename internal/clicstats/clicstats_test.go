@@ -253,6 +253,17 @@ func BenchmarkPartitionedArrive(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionedArriveTopK is BenchmarkPartitionedArrive through the
+// bounded summary, with fewer hint sets than counters as in the repository
+// benchmark: after the first 64 requests every Arrive bumps a tracked slot.
+func BenchmarkPartitionedArriveTopK(b *testing.B) {
+	p := NewPartitioned(Config{Window: 100000, R: 1, TopK: 100})
+	for i := 0; i < b.N; i++ {
+		p.Arrive(hint.ID(i % 64))
+		p.EndRequest()
+	}
+}
+
 func BenchmarkGlobalArrive(b *testing.B) {
 	g := NewGlobal(Config{Window: 100000, R: 1})
 	b.RunParallel(func(pb *testing.PB) {

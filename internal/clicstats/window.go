@@ -18,17 +18,17 @@ import (
 // The steady state allocates nothing: exact statistics live in a flat table
 // indexed by hint ID (IDs are interned densely) with a touched-list so a
 // rotation visits only the hint sets seen this window, and the top-k summary
-// recycles its counters and buckets.
+// keeps its slab across resets.
 type window struct {
 	// Exact statistics (topk == nil): stats is indexed by hint ID, touched
 	// lists the IDs with nonzero statistics this window.
 	stats   []winStats
 	touched []hint.ID
 	// Bounded statistics (§5). tracked is the summary's key index over
-	// again, indexed by hint ID (nil = not tracked), so the request path
-	// skips the summary's map lookup.
+	// again — the counter's slot indexed by hint ID, 0 = not tracked — so
+	// the request path skips the summary's map lookup.
 	topk    *spacesaving.Summary[hint.ID, rerefAux]
-	tracked []*spacesaving.Counter[hint.ID, rerefAux]
+	tracked []uint32
 }
 
 // newWindow returns an empty window tracking every hint set (topK == 0) or
@@ -63,17 +63,17 @@ func (w *window) Arrive(h hint.ID) {
 		return
 	}
 	for int(h) >= len(w.tracked) {
-		w.tracked = append(w.tracked, nil)
+		w.tracked = append(w.tracked, 0)
 	}
-	if ctr := w.tracked[h]; ctr != nil {
-		w.topk.Bump(ctr)
+	if slot := w.tracked[h]; slot != 0 {
+		w.topk.Bump(slot)
 		return
 	}
-	ctr, old, replaced := w.topk.Touch(h)
+	slot, old, replaced := w.topk.Touch(h)
 	if replaced {
-		w.tracked[old] = nil
+		w.tracked[old] = 0
 	}
-	w.tracked[h] = ctr
+	w.tracked[h] = slot
 }
 
 // Reref credits hint set h with a read re-reference at the given distance
@@ -90,9 +90,10 @@ func (w *window) Reref(h hint.ID, dist uint64) {
 		return
 	}
 	if int(h) < len(w.tracked) {
-		if ctr := w.tracked[h]; ctr != nil {
-			ctr.Val.nr++
-			ctr.Val.dsum += float64(dist)
+		if slot := w.tracked[h]; slot != 0 {
+			aux := &w.topk.At(slot).Val
+			aux.nr++
+			aux.dsum += float64(dist)
 		}
 	}
 }

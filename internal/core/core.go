@@ -58,9 +58,9 @@
 // than amortized synchronization. The engines are behaviorally
 // bit-identical per producer stream. Both keep the steady-state request
 // path allocation-free:
-// page records recycle through the slab's free list, the group table is
-// reused in place, and Space-Saving counters and window statistics are
-// recycled through freelists.
+// page records recycle through the slab's free list, and the group table,
+// the window statistics and the Space-Saving counter slab are reused in
+// place.
 package core
 
 import (

@@ -1,6 +1,7 @@
 // Package spacesaving implements the Space-Saving frequent-item algorithm of
-// Metwally, Agrawal and El Abbadi (ICDT '05) with the stream-summary data
-// structure, giving O(1) updates.
+// Metwally, Agrawal and El Abbadi (ICDT '05) over flat storage: the counters
+// sit in one contiguous slab, and the replacement victim comes from a lazily
+// repaired min-heap instead of the paper's linked stream-summary.
 //
 // CLIC uses Space-Saving to bound the space needed to track hint-set
 // statistics (paper §5): given a budget of k counters, the summary tracks at
@@ -10,49 +11,87 @@
 // is recycled for a new key — CLIC stores its Nr and re-reference-distance
 // accumulators there, so those statistics only cover the span during which
 // the hint set was tracked, exactly as §5 prescribes.
+//
+// Cost. Incrementing a tracked key is O(1) and two stores on the counter's
+// own cache line — Count++ and a stamp, the summary's observation number —
+// and touches nothing else. A replacement is O(log k) amortised.
+//
+// Tie rule. The victim is the counter with the minimum Count and, among
+// those, the most recently incremented one (the largest stamp; stamps are
+// unique). That is what "head of the minimum bucket" meant in the
+// stream-summary, where an incremented counter went to the head of its new
+// bucket, and CLIC's replaying top-k goldens depend on it.
+//
+// Lazy heap. The heap orders slots by the (Count, stamp) each had when the
+// heap last moved it, and increments do not tell it anything. That is sound
+// because an increment only ever moves a counter later in victim order, so
+// every counter's true position is at or after its recorded one: when the
+// root's record is current (its stamp still matches) nothing can precede
+// it, and when it is stale it is refreshed, sifted down and the new root
+// examined. Each increment stales at most one record and each repair fixes
+// one, which is where the amortised bound comes from.
+//
+// Storage. Nothing is sized from k, which is only the replacement
+// threshold: the slab and the key index grow with the keys actually
+// tracked, the heap is built at a window's first replacement, and Reset
+// keeps all three for the next window, so a steady state allocates nothing.
+// The slab moves when it grows, so callers hold slots — uint32 slab
+// indices, 0 meaning none — rather than pointers; a *Counter from At, Get
+// or Range is good until the next Touch.
 package spacesaving
+
+import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Counter tracks one key. Count is the (over-)estimate of the key's
 // frequency; Err bounds the over-estimation, so Count-Err is a guaranteed
 // lower bound on the true frequency (the paper uses Count-Err as N(H)).
 type Counter[K comparable, V any] struct {
-	Key   K
+	// Count and stamp lead the struct so that the two stores of an
+	// increment share a cache line whatever K and V are.
 	Count uint64
+	stamp uint64 // Summary.observed as of the last increment
 	Err   uint64
+	Key   K
 	// Val is application state attached to the tracked key. It is zeroed
 	// whenever this counter is reassigned to a new key.
 	Val V
-
-	bucket     *bucket[K, V]
-	prev, next *Counter[K, V] // siblings within the same bucket
 }
 
 // Guaranteed reports whether the key is guaranteed to have true frequency
 // equal to Count (no over-estimation possible).
 func (c *Counter[K, V]) Guaranteed() bool { return c.Err == 0 }
 
-// bucket groups all counters that share the same count, and lives in a
-// doubly-linked list of buckets in strictly ascending count order.
-type bucket[K comparable, V any] struct {
-	count      uint64
-	head       *Counter[K, V] // any counter in this bucket
-	prev, next *bucket[K, V]
+// heapEntry is one slot's place in the victim heap, with the counter's
+// Count and stamp as of the last time the heap moved the entry.
+type heapEntry struct {
+	count, stamp uint64
+	slot         uint32
 }
 
-// Summary is a Space-Saving stream summary with capacity for k counters.
-// The zero value is not usable; call New. Not safe for concurrent use.
+// before returns 1 when a precedes b in victim order — lower count first,
+// the more recently incremented first within a count — and 0 otherwise. It
+// is one 128-bit comparison of (count, ^stamp) done as a borrow chain, so
+// that a sift can pick a child by adding the result instead of branching on
+// what is a coin flip.
+func (a *heapEntry) before(b *heapEntry) int {
+	_, borrow := bits.Sub64(b.stamp, a.stamp, 0)
+	_, borrow = bits.Sub64(a.count, b.count, borrow)
+	return int(borrow)
+}
+
+// Summary is a Space-Saving stream summary that tracks at most k keys. The
+// zero value is not usable; call New. Not safe for concurrent use.
 type Summary[K comparable, V any] struct {
 	k        int
-	counters map[K]*Counter[K, V]
-	min      *bucket[K, V] // bucket list head (minimum count); nil when empty
-	observed uint64        // total number of Touch calls since last Reset
-
-	// Free lists. Buckets are created and pruned on almost every increment
-	// (counts are dense, so a counter usually moves into a bucket of its
-	// own) and the whole structure is torn down every window Reset;
-	// recycling both keeps the steady-state Touch path allocation-free.
-	freeBuckets  *bucket[K, V]
-	freeCounters *Counter[K, V]
+	observed uint64          // Touch and Bump calls since the last Reset
+	slab     []Counter[K, V] // slab[0] is unused: slot 0 means none
+	index    map[K]uint32    // key → slot
+	heap     []heapEntry     // empty until the window's first replacement
 }
 
 // New returns a summary that tracks at most k keys. It panics if k <= 0.
@@ -60,226 +99,148 @@ func New[K comparable, V any](k int) *Summary[K, V] {
 	if k <= 0 {
 		panic("spacesaving: k must be positive")
 	}
-	return &Summary[K, V]{k: k, counters: make(map[K]*Counter[K, V], k)}
+	// Slots are uint32 and slot 0 is taken.
+	k = int(min(uint64(k), math.MaxUint32-1))
+	return &Summary[K, V]{k: k, slab: make([]Counter[K, V], 1), index: make(map[K]uint32)}
 }
 
 // K returns the counter capacity.
 func (s *Summary[K, V]) K() int { return s.k }
 
 // Len returns the number of keys currently tracked.
-func (s *Summary[K, V]) Len() int { return len(s.counters) }
+func (s *Summary[K, V]) Len() int { return len(s.slab) - 1 }
 
-// Observed returns the number of Touch calls since construction or Reset.
+// Observed returns the number of Touch and Bump calls since construction or
+// Reset.
 func (s *Summary[K, V]) Observed() uint64 { return s.observed }
 
-// Touch records one occurrence of key. It returns the counter now tracking
-// the key and, when tracking it required evicting another key, that key and
-// replaced=true. The returned counter's Val has been zeroed if the counter
-// was newly assigned (fresh or recycled).
-func (s *Summary[K, V]) Touch(key K) (c *Counter[K, V], replacedKey K, replaced bool) {
+// Touch records one occurrence of key. It returns the slot of the counter
+// now tracking the key and, when tracking it required evicting another key,
+// that key and replaced=true. The counter's Val has been zeroed if the
+// counter was newly assigned (fresh or recycled).
+func (s *Summary[K, V]) Touch(key K) (slot uint32, replacedKey K, replaced bool) {
+	if slot, ok := s.index[key]; ok {
+		s.Bump(slot)
+		return slot, replacedKey, false
+	}
 	s.observed++
-	if c, ok := s.counters[key]; ok {
-		s.increment(c)
-		return c, replacedKey, false
+	if len(s.slab) <= s.k {
+		slot = uint32(len(s.slab))
+		s.slab = append(s.slab, Counter[K, V]{Key: key, Count: 1, stamp: s.observed})
+		s.index[key] = slot
+		return slot, replacedKey, false
 	}
-	if len(s.counters) < s.k {
-		c := s.newCounter(key)
-		s.counters[key] = c
-		s.insertWithCount(c, 0)
-		s.increment(c)
-		return c, replacedKey, false
-	}
-	// Full: recycle a counter from the minimum bucket.
-	c = s.min.head
+	// Full: the victim's count becomes the newcomer's error bound.
+	slot = s.victim()
+	c := &s.slab[slot]
 	replacedKey = c.Key
-	replaced = true
-	delete(s.counters, c.Key)
-	c.Key = key
-	c.Err = c.count()
-	var zero V
-	c.Val = zero
-	s.counters[key] = c
-	s.increment(c)
-	return c, replacedKey, replaced
+	delete(s.index, replacedKey)
+	*c = Counter[K, V]{Key: key, Count: c.Count + 1, Err: c.Count, stamp: s.observed}
+	s.index[key] = slot
+	return slot, replacedKey, true
 }
 
-// Bump records one occurrence of the key c tracks: Touch(c.Key) for a
-// caller that kept the counter Touch returned and so can skip the lookup.
-// c must still be tracking its key — Touch reports the key it replaces, and
-// Reset replaces them all.
-func (s *Summary[K, V]) Bump(c *Counter[K, V]) {
+// Bump records one occurrence of the key tracked in slot: Touch of that key
+// for a caller that kept the slot Touch returned and so can skip the lookup.
+// The slot must still be tracking its key — Touch reports the key it
+// replaces, and Reset replaces them all.
+func (s *Summary[K, V]) Bump(slot uint32) {
 	s.observed++
-	s.increment(c)
+	c := &s.slab[slot]
+	c.Count++
+	c.stamp = s.observed
 }
+
+// At returns the counter in a slot Touch returned.
+func (s *Summary[K, V]) At(slot uint32) *Counter[K, V] { return &s.slab[slot] }
 
 // Get returns the counter for key if it is currently tracked.
 func (s *Summary[K, V]) Get(key K) (*Counter[K, V], bool) {
-	c, ok := s.counters[key]
-	return c, ok
+	if slot, ok := s.index[key]; ok {
+		return &s.slab[slot], true
+	}
+	return nil, false
 }
 
-// Range calls fn for every tracked counter, in bucket order (ascending
-// count, unspecified within a bucket). Unlike Counters it allocates
-// nothing; fn must not mutate the summary.
+// Range calls fn for every tracked counter, in unspecified order. Unlike
+// Counters it allocates nothing; fn must not mutate the summary.
 func (s *Summary[K, V]) Range(fn func(c *Counter[K, V])) {
-	for b := s.min; b != nil; b = b.next {
-		for c := b.head; c != nil; c = c.next {
-			fn(c)
-		}
+	for i := 1; i < len(s.slab); i++ {
+		fn(&s.slab[i])
 	}
 }
 
-// Counters returns all tracked counters in descending count order.
-func (s *Summary[K, V]) Counters() []*Counter[K, V] {
-	out := make([]*Counter[K, V], 0, len(s.counters))
-	// Find the maximum bucket by walking from min; bucket count is small in
-	// the worst case equal to number of distinct counts <= k.
-	var last *bucket[K, V]
-	for b := s.min; b != nil; b = b.next {
-		last = b
-	}
-	for b := last; b != nil; b = b.prev {
-		for c := b.head; c != nil; c = c.next {
-			out = append(out, c)
-		}
-	}
+// Counters returns a copy of all tracked counters in descending count
+// order, the most recently incremented first within a count.
+func (s *Summary[K, V]) Counters() []Counter[K, V] {
+	out := slices.Clone(s.slab[1:])
+	slices.SortFunc(out, func(a, b Counter[K, V]) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(b.stamp, a.stamp))
+	})
 	return out
 }
 
 // Reset discards all counters and statistics, returning the summary to its
 // freshly-constructed state. CLIC resets the summary at every request-window
-// boundary (paper §5). Counters and buckets are recycled onto the free
-// lists, so a steady state of repeated windows allocates nothing.
+// boundary (paper §5). Slab, index and heap keep their storage, so a steady
+// state of repeated windows allocates nothing.
 func (s *Summary[K, V]) Reset() {
-	for b := s.min; b != nil; {
-		for c := b.head; c != nil; {
-			next := c.next
-			s.recycleCounter(c)
-			c = next
-		}
-		next := b.next
-		s.recycleBucket(b)
-		b = next
-	}
-	clear(s.counters)
-	s.min = nil
+	clear(s.slab) // drop what Val may reference
+	s.slab = s.slab[:1]
+	clear(s.index)
+	s.heap = s.heap[:0]
 	s.observed = 0
 }
 
-// newCounter takes a counter from the free list (or allocates one) and
-// initializes it for key.
-func (s *Summary[K, V]) newCounter(key K) *Counter[K, V] {
-	c := s.freeCounters
-	if c == nil {
-		return &Counter[K, V]{Key: key}
+// victim returns the slot of the counter to replace: minimum Count, ties to
+// the most recently incremented. Called only when the summary is full.
+func (s *Summary[K, V]) victim() uint32 {
+	if len(s.heap) == 0 {
+		s.heapify()
 	}
-	s.freeCounters = c.next
-	var zero V
-	*c = Counter[K, V]{Key: key, Val: zero}
-	return c
-}
-
-func (s *Summary[K, V]) recycleCounter(c *Counter[K, V]) {
-	c.bucket, c.prev = nil, nil
-	c.next = s.freeCounters
-	s.freeCounters = c
-}
-
-// newBucket takes a bucket from the free list (or allocates one).
-func (s *Summary[K, V]) newBucket(count uint64, prev, next *bucket[K, V]) *bucket[K, V] {
-	b := s.freeBuckets
-	if b == nil {
-		return &bucket[K, V]{count: count, prev: prev, next: next}
-	}
-	s.freeBuckets = b.next
-	*b = bucket[K, V]{count: count, prev: prev, next: next}
-	return b
-}
-
-func (s *Summary[K, V]) recycleBucket(b *bucket[K, V]) {
-	b.head, b.prev = nil, nil
-	b.next = s.freeBuckets
-	s.freeBuckets = b
-}
-
-func (c *Counter[K, V]) count() uint64 {
-	if c.bucket == nil {
-		return 0
-	}
-	return c.bucket.count
-}
-
-// increment moves c from its bucket to the bucket with count+1, creating
-// and pruning buckets as needed. All operations are O(1).
-func (s *Summary[K, V]) increment(c *Counter[K, V]) {
-	old := c.bucket
-	newCount := old.count + 1
-	// Find or create the destination bucket, which if it exists is old.next.
-	dst := old.next
-	if dst == nil || dst.count != newCount {
-		nb := s.newBucket(newCount, old, old.next)
-		if old.next != nil {
-			old.next.prev = nb
+	h := s.heap
+	for {
+		c := &s.slab[h[0].slot]
+		if h[0].stamp == c.stamp {
+			return h[0].slot
 		}
-		old.next = nb
-		dst = nb
-	}
-	s.detach(c)
-	s.attach(c, dst)
-	c.Count = newCount
-	if old.head == nil {
-		s.removeBucket(old)
-		s.recycleBucket(old)
+		h[0].count, h[0].stamp = c.Count, c.stamp
+		siftDown(h, 0)
 	}
 }
 
-// insertWithCount places a fresh counter into the bucket for the given
-// count (creating the bucket at the front if needed). Used only with
-// count 0 for new counters; increment immediately moves them to 1.
-func (s *Summary[K, V]) insertWithCount(c *Counter[K, V], count uint64) {
-	b := s.min
-	if b == nil || b.count != count {
-		nb := s.newBucket(count, nil, s.min)
-		if s.min != nil {
-			s.min.prev = nb
+// heapify builds the heap over every slot from the counters as they stand.
+func (s *Summary[K, V]) heapify() {
+	for i := 1; i < len(s.slab); i++ {
+		c := &s.slab[i]
+		s.heap = append(s.heap, heapEntry{count: c.Count, stamp: c.stamp, slot: uint32(i)})
+	}
+	for i := len(s.heap)/2 - 1; i >= 0; i-- {
+		siftDown(s.heap, i)
+	}
+}
+
+// siftDown restores heap order below h[start], bottom-up: the entry being
+// placed is nearly always a just-incremented root that belongs near the
+// leaves, so the hole descends along the smaller children all the way, one
+// comparison a level, and the entry then climbs back to its place.
+func siftDown(h []heapEntry, start int) {
+	e := h[start]
+	i := start
+	for kid := 2*i + 1; kid < len(h); kid = 2*i + 1 {
+		if r := kid + 1; r < len(h) {
+			kid += h[r].before(&h[kid])
 		}
-		s.min = nb
-		b = nb
+		h[i] = h[kid]
+		i = kid
 	}
-	s.attach(c, b)
-	c.Count = count
-}
-
-func (s *Summary[K, V]) attach(c *Counter[K, V], b *bucket[K, V]) {
-	c.bucket = b
-	c.prev = nil
-	c.next = b.head
-	if b.head != nil {
-		b.head.prev = c
+	for i > start {
+		parent := (i - 1) >> 1
+		if e.before(&h[parent]) == 0 {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	b.head = c
-}
-
-func (s *Summary[K, V]) detach(c *Counter[K, V]) {
-	b := c.bucket
-	if c.prev != nil {
-		c.prev.next = c.next
-	} else {
-		b.head = c.next
-	}
-	if c.next != nil {
-		c.next.prev = c.prev
-	}
-	c.prev, c.next, c.bucket = nil, nil, nil
-}
-
-func (s *Summary[K, V]) removeBucket(b *bucket[K, V]) {
-	if b.prev != nil {
-		b.prev.next = b.next
-	} else {
-		s.min = b.next
-	}
-	if b.next != nil {
-		b.next.prev = b.prev
-	}
+	h[i] = e
 }

@@ -2,6 +2,7 @@ package spacesaving
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -33,10 +34,11 @@ func TestEvictsMinimumOnOverflow(t *testing.T) {
 	s.Touch("a")
 	s.Touch("a")
 	s.Touch("b")
-	c, replacedKey, replaced := s.Touch("c")
+	slot, replacedKey, replaced := s.Touch("c")
 	if !replaced || replacedKey != "b" {
 		t.Fatalf("expected b (the minimum) to be replaced, got %q (replaced=%v)", replacedKey, replaced)
 	}
+	c := s.At(slot)
 	// c inherits b's count as error: count = min+1 = 2, err = 1.
 	if c.Count != 2 || c.Err != 1 {
 		t.Errorf("recycled counter: count=%d err=%d, want 2,1", c.Count, c.Err)
@@ -48,14 +50,14 @@ func TestEvictsMinimumOnOverflow(t *testing.T) {
 
 func TestValResetOnRecycle(t *testing.T) {
 	s := New[string, int](1)
-	c, _, _ := s.Touch("a")
-	c.Val = 99
-	c2, old, replaced := s.Touch("b")
+	slot, _, _ := s.Touch("a")
+	s.At(slot).Val = 99
+	slot, old, replaced := s.Touch("b")
 	if !replaced || old != "a" {
 		t.Fatalf("expected a replaced, got %q", old)
 	}
-	if c2.Val != 0 {
-		t.Errorf("Val not reset on recycle: %d", c2.Val)
+	if v := s.At(slot).Val; v != 0 {
+		t.Errorf("Val not reset on recycle: %d", v)
 	}
 }
 
@@ -88,8 +90,8 @@ func TestReset(t *testing.T) {
 	if s.Len() != 0 || s.Observed() != 0 {
 		t.Fatalf("Reset left Len=%d Observed=%d", s.Len(), s.Observed())
 	}
-	c, _, _ := s.Touch("a")
-	if c.Count != 1 || c.Err != 0 {
+	slot, _, _ := s.Touch("a")
+	if c := s.At(slot); c.Count != 1 || c.Err != 0 {
 		t.Errorf("post-reset counter: count=%d err=%d", c.Count, c.Err)
 	}
 }
@@ -187,28 +189,123 @@ func TestObserved(t *testing.T) {
 	}
 }
 
-func BenchmarkTouch(b *testing.B) {
-	s := New[int, struct{}](100)
-	rng := rand.New(rand.NewSource(1))
-	keys := make([]int, 4096)
+// zipfKeys returns 1<<16 draws from a Zipf distribution (s = 1.1) over the
+// given number of keys.
+func zipfKeys(universe int) []int {
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(universe-1))
+	keys := make([]int, 1<<16)
 	for i := range keys {
-		keys[i] = int(float64(1000) * rng.Float64() * rng.Float64())
+		keys[i] = int(zipf.Uint64())
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Touch(keys[i%len(keys)])
+	return keys
+}
+
+// benchWindow is how often the benchmarks Reset, as CLIC does at every
+// statistics window; the benchmark's own W.
+const benchWindow = 50000
+
+// benchTouch prices Touch over keys with k = 100, on the flat summary and
+// on the stream-summary it replaced (reference_test.go), in one binary. The
+// two loops are spelled out rather than shared through a closure: an
+// indirect call is a quarter of what the tracked path costs.
+func benchTouch(b *testing.B, keys []int) {
+	b.Run("flat", func(b *testing.B) {
+		s := New[int, struct{}](100)
+		replacements := 0
+		for i := 0; i < b.N; i++ {
+			if _, _, replaced := s.Touch(keys[i%len(keys)]); replaced {
+				replacements++
+			}
+			if (i+1)%benchWindow == 0 {
+				s.Reset()
+			}
+		}
+		b.ReportMetric(float64(replacements)/float64(b.N), "replacements/op")
+	})
+	b.Run("stream-summary", func(b *testing.B) {
+		s := newRef[int, struct{}](100)
+		replacements := 0
+		for i := 0; i < b.N; i++ {
+			if _, _, replaced := s.Touch(keys[i%len(keys)]); replaced {
+				replacements++
+			}
+			if (i+1)%benchWindow == 0 {
+				s.Reset()
+			}
+		}
+		b.ReportMetric(float64(replacements)/float64(b.N), "replacements/op")
+	})
+}
+
+// BenchmarkTouchTracked is the regime the repository benchmark runs in:
+// fewer keys than counters, so every touch after a window's first few is an
+// increment of a tracked key and nothing is replaced.
+func BenchmarkTouchTracked(b *testing.B) { benchTouch(b, zipfKeys(60)) }
+
+// BenchmarkTouchReplacing is the other regime: 5000 keys over 100 counters,
+// so a large share of touches replaces the minimum.
+func BenchmarkTouchReplacing(b *testing.B) { benchTouch(b, zipfKeys(5000)) }
+
+// TestNewAllocatesNothingFromK pins that k is only a threshold: a summary
+// allowed two billion keys costs what its three tracked keys cost.
+func TestNewAllocatesNothingFromK(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New[uint32, [2]uint64](1 << 31)
+	for key := uint32(0); key < 3; key++ {
+		s.Touch(key)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("New(1<<31) and three touches allocated %d bytes, want at most 64 KB", got)
+	}
+	if s.Len() != 3 || s.K() != 1<<31 {
+		t.Errorf("Len = %d, K = %d", s.Len(), s.K())
+	}
+}
+
+// TestSummarySteadyStateAllocs pins that once a first window has grown the
+// slab, the key index and the heap, further windows — touches of new and of
+// tracked keys, bumps, replacements, Range and the Reset between windows —
+// allocate nothing.
+func TestSummarySteadyStateAllocs(t *testing.T) {
+	keys := zipfKeys(400)[:5000]
+	s := New[int, uint64](16)
+	var replacements, visited int
+	window := func() {
+		var last uint32
+		for i, key := range keys {
+			slot, _, replaced := s.Touch(key)
+			if replaced {
+				replacements++
+			}
+			if i%4 == 0 {
+				s.Bump(slot)
+			}
+			last = slot
+		}
+		s.Bump(last)
+		s.Range(func(*Counter[int, uint64]) { visited++ })
+		s.Reset()
+	}
+	window()
+	if replacements == 0 || visited != s.K() {
+		t.Fatalf("first window: %d replacements, %d counters visited", replacements, visited)
+	}
+	if n := testing.AllocsPerRun(3, window); n != 0 {
+		t.Errorf("%v allocations per window in steady state, want 0", n)
 	}
 }
 
 // TestBumpMatchesTouch drives two summaries with one stream, one through
-// Touch alone and one through a caller-side index of the counters Touch
-// returned (the way clicstats.Partitioned uses Bump), across overflow
-// churn and a Reset: the summaries must stay identical.
+// Touch alone and one through a caller-side index of the slots Touch
+// returned (the way clicstats' window uses Bump), across overflow churn and
+// a Reset: the summaries must stay identical.
 func TestBumpMatchesTouch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	plain := New[int, int](8)
 	indexed := New[int, int](8)
-	index := map[int]*Counter[int, int]{}
+	index := map[int]uint32{}
 	for i := 0; i < 5000; i++ {
 		if i == 2500 {
 			plain.Reset()
@@ -220,14 +317,14 @@ func TestBumpMatchesTouch(t *testing.T) {
 			k = rng.Intn(40)
 		}
 		plain.Touch(k)
-		if c := index[k]; c != nil {
-			indexed.Bump(c)
+		if slot := index[k]; slot != 0 {
+			indexed.Bump(slot)
 		} else {
-			c, old, replaced := indexed.Touch(k)
+			slot, old, replaced := indexed.Touch(k)
 			if replaced {
 				delete(index, old)
 			}
-			index[k] = c
+			index[k] = slot
 		}
 		if plain.Observed() != indexed.Observed() {
 			t.Fatalf("step %d: observed %d vs %d", i, plain.Observed(), indexed.Observed())
@@ -238,7 +335,7 @@ func TestBumpMatchesTouch(t *testing.T) {
 		}
 		for j := range a {
 			if a[j].Key != b[j].Key || a[j].Count != b[j].Count || a[j].Err != b[j].Err {
-				t.Fatalf("step %d, counter %d: %+v vs %+v", i, j, *a[j], *b[j])
+				t.Fatalf("step %d, counter %d: %+v vs %+v", i, j, a[j], b[j])
 			}
 		}
 	}
