@@ -132,11 +132,6 @@ type Producer struct {
 	frames []*frame
 	wg     sync.WaitGroup
 
-	// Streamed-batch state (Begin/Add/Commit): the scatter target and the
-	// number of requests added so far.
-	hits []bool
-	n    int
-
 	// ident is 0, 1, 2, … as far as any batch has needed it: the scatter map
 	// of AccessBatch's one-shard path, where a request's position in the
 	// frame is its position in the batch.
@@ -233,64 +228,11 @@ func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) {
 	p.reset()
 }
 
-// Begin opens a streamed batch: requests fed one at a time with Add
-// accumulate into the per-shard frames and run when Commit is called,
-// each request's hit/miss landing in hits at its Add position. The
-// streamed triple is AccessBatch for callers that produce requests
-// incrementally — a wire decoder can route each request into its shard
-// frame as it comes off the buffer, skipping the intermediate request
-// slice entirely. hits must have room for every Add before Commit.
-func (p *Producer) Begin(hits []bool) {
-	p.hits = hits
-	p.n = 0
-}
-
-// Add appends one request to the open streamed batch. In mutex mode the
-// request runs immediately; in owner mode it is routed into its shard's
-// frame and runs at Commit.
-func (p *Producer) Add(r trace.Request) {
-	if p.n >= len(p.hits) {
-		panic("core: Add past the end of the Begin hits slice")
-	}
-	if p.s.engine != EngineOwner {
-		p.hits[p.n] = p.s.Access(r)
-		p.n++
-		return
-	}
-	var f *frame
-	if len(p.frames) == 1 {
-		f = p.frames[0]
-	} else {
-		f = p.frames[p.s.ShardFor(r.Page)]
-	}
-	f.reqs = append(f.reqs, r)
-	f.idx = append(f.idx, int32(p.n))
-	p.n++
-}
-
-// Commit runs the open streamed batch and waits for every request's
-// result to land in the Begin hits slice. It returns the number of
-// requests the batch carried.
-func (p *Producer) Commit() int {
-	n := p.n
-	p.run(p.hits) // no frames in mutex mode: Add already ran the requests
-	p.reset()
-	return n
-}
-
-// Abort drops the open streamed batch without running it. (In mutex mode
-// Add runs requests eagerly, so already-added requests have been applied;
-// Abort is for tearing down a connection whose frame went bad mid-decode,
-// where partial application is moot.)
-func (p *Producer) Abort() { p.reset() }
-
-// reset clears the streamed-batch and frame state after a batch has run or
-// been aborted.
+// reset empties the per-shard frames after a routed batch has run.
 func (p *Producer) reset() {
 	for _, f := range p.frames {
 		f.reqs, f.idx, f.hits = f.reqs[:0], f.idx[:0], nil
 	}
-	p.hits, p.n = nil, 0
 }
 
 // Close is a no-op in both engines — a front owns no goroutine, so there

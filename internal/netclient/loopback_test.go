@@ -5,6 +5,7 @@ package netclient_test
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,11 +13,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/hint"
 	"repro/internal/netclient"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -318,10 +322,110 @@ func TestHintVocabularyLimit(t *testing.T) {
 	}
 }
 
+// TestUnannouncedHintRefusedWhole: a batch naming a hint index the
+// connection never announced is refused before any of it reaches the cache,
+// in both engines. Two good frames and the bad one arrive pipelined in one
+// write; the good ones are answered in order, then one Error frame names the
+// index and the table size, then the connection closes — and the cache has
+// served exactly the two good frames, not the 299 requests ahead of the bad
+// one as well.
+func TestUnannouncedHintRefusedWhole(t *testing.T) {
+	const n = 400
+	good := make([]trace.Request, n)
+	for i := range good {
+		good[i] = trace.Request{Page: uint64(i * 7 % 1000), Hint: hint.ID(i % 2)}
+	}
+	bad := append([]trace.Request(nil), good...)
+	bad[299].Hint = 2 // the table has two entries: indices 0 and 1
+	for _, eng := range []core.EngineMode{core.EngineMutex, core.EngineOwner} {
+		t.Run(eng.String(), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			srv := startServer(t, server.Config{Cache: core.Config{Capacity: 500, Window: 1000, Engine: eng}, Shards: 4})
+			c := dialRaw(t, srv.Addr().String())
+			c.send(wire.AppendHello(nil, wire.Hello{Version: wire.Version, Client: "sloppy", Keys: []string{"a=1", "a=2"}}))
+			if _, err := wire.DecodeHelloAck(c.recv()); err != nil {
+				t.Fatal(err)
+			}
+			for seq, reqs := range [][]trace.Request{good, good, bad} {
+				if err := wire.WriteFrame(c.bw, wire.AppendBatchSeq(nil, uint64(seq), reqs)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for want := uint64(0); want < 2; want++ {
+				seq, res, err := wire.DecodeResultsSeq(c.recv(), wire.Results{})
+				if err != nil || seq != want || len(res.Hits) != n {
+					t.Fatalf("reply %d: seq %d, %d results, err %v", want, seq, len(res.Hits), err)
+				}
+			}
+			if msg := c.refused(); !strings.Contains(msg, "hint index 2") || !strings.Contains(msg, "table has 2") {
+				t.Errorf("refusal %q does not name the index and the table size", msg)
+			}
+			if got := srv.Cache().Stats().Requests; got != 2*n {
+				t.Errorf("cache served %d requests, want exactly the two good frames' %d", got, 2*n)
+			}
+			srv.Close()
+			if got := settledGoroutines(base); got > base {
+				t.Errorf("%d goroutines after the refused connection, %d before", got, base)
+			}
+		})
+	}
+}
+
+// TestFramePrefixCommitsNoMemory: a length prefix is a claim, not bytes.
+// Thirty-two handshaken connections each send only the prefix of a
+// MaxFrame-sized frame and stall; the server must not have set the claimed
+// 16 MB aside for any of them (it used to, on the prefix alone: half a
+// gigabyte here) — the buffer for a frame larger than the connection's
+// reader grows as the payload actually arrives. Closing the connections
+// ends their handlers.
+func TestFramePrefixCommitsNoMemory(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100}, Shards: 2})
+	conns := make([]rawConn, 32)
+	for i := range conns {
+		conns[i] = dialRaw(t, srv.Addr().String())
+		conns[i].send(wire.AppendHello(nil, wire.Hello{Version: wire.Version, Client: "staller"}))
+		if _, err := wire.DecodeHelloAck(conns[i].recv()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	prefix := binary.AppendUvarint(nil, wire.MaxFrame)
+	for _, c := range conns {
+		if _, err := c.bw.Write(prefix); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // the handlers read their prefixes and wait
+	if after := heap(); after > before+1<<20 {
+		t.Errorf("server heap grew %d KB on %d bare length prefixes, want under 1 MB", (after-before)>>10, len(conns))
+	}
+	for _, c := range conns {
+		c.nc.Close()
+	}
+	srv.Close()
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after the stalled connections closed, %d before", n, base)
+	}
+}
+
 // rawConn is a hand-rolled peer: frames in and out with no client library
 // in between, for saying things netclient never would.
 type rawConn struct {
 	t  *testing.T
+	nc net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
 }
@@ -333,7 +437,7 @@ func dialRaw(t *testing.T, addr string) rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	return rawConn{t, bufio.NewReader(nc), bufio.NewWriter(nc)}
+	return rawConn{t, nc, bufio.NewReader(nc), bufio.NewWriter(nc)}
 }
 
 func (c rawConn) send(payload []byte) {

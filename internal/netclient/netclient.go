@@ -54,15 +54,14 @@ func RegisterMetrics(r *metrics.Registry) {
 // use; the replay drivers give each goroutine its own Conn.
 type Conn struct {
 	nc net.Conn
-	br *bufio.Reader
+	fr *wire.FrameReader
 	bw *bufio.Writer
 
 	ack       wire.HelloAck
 	announced int // hint keys announced so far (Hello + Announce)
 
-	scratch []byte       // frame read buffer
-	enc     []byte       // frame build buffer
-	res     wire.Results // reused results decode target
+	enc []byte       // frame build buffer
+	res wire.Results // reused results decode target
 }
 
 // Dial connects to a cache server without handshaking; call Hello next.
@@ -71,23 +70,29 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewConn(nc), nil
+}
+
+// NewConn is Dial over a connection the caller established, so that one
+// can be wrapped first — to count its writes, say. Close closes nc.
+func NewConn(nc net.Conn) *Conn {
 	return &Conn{
 		nc: nc,
-		br: bufio.NewReaderSize(nc, 1<<16),
+		fr: wire.NewFrameReader(bufio.NewReaderSize(nc, 1<<16)),
 		bw: bufio.NewWriterSize(nc, 1<<16),
-	}, nil
+	}
 }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// readFrame reads one frame, surfacing server Error frames as errors.
+// readFrame reads one frame, surfacing server Error frames as errors. The
+// payload is a view into the read buffer, valid until the next read.
 func (c *Conn) readFrame() ([]byte, error) {
-	p, err := wire.ReadFrame(c.br, c.scratch)
+	p, err := c.fr.Next()
 	if err != nil {
 		return nil, err
 	}
-	c.scratch = p
 	if t, _ := wire.PayloadType(p); t == wire.TypeError {
 		msg, err := wire.DecodeError(p)
 		if err != nil {
@@ -204,7 +209,7 @@ type Pipeline struct {
 	ring      []*pbatch // FIFO of in-flight batches
 	head, n   int
 	free      []*pbatch
-	unflushed bool
+	unflushed int // batch frames written since the last flush
 }
 
 // Pipeline returns a pipelined sender over the connection with at most
@@ -226,9 +231,11 @@ func (p *Pipeline) Depth() int { return p.depth }
 // Submit encodes and sends one batch, completing the oldest in-flight
 // batch first when the window is full. reqs is fully consumed before
 // Submit returns; tag is handed back to the handler with the batch's
-// results. Writes are buffered — the wire sees them when the window
-// forces a read, or at Drain — so a stream of small batches coalesces
-// into few syscalls.
+// results. Writes are buffered: the wire sees them once at least two
+// frames and half the window sit unflushed, or before a read that would
+// otherwise block (wire's "Flushing" rule), so frames share system calls
+// while the server always has work. At depth 1 that is one flush per
+// frame, issued immediately before the read of its result.
 func (p *Pipeline) Submit(reqs []trace.Request, tag any) error {
 	if p.n == p.depth {
 		if err := p.completeOne(); err != nil {
@@ -253,24 +260,32 @@ func (p *Pipeline) Submit(reqs []trace.Request, tag any) error {
 	if err := wire.WriteFrame(p.c.bw, p.c.enc); err != nil {
 		return err
 	}
-	p.unflushed = true
 	p.ring[(p.head+p.n)%p.depth] = b
 	p.n++
+	p.unflushed++
+	if p.unflushed >= 2 && 2*p.unflushed >= p.depth {
+		return p.flush()
+	}
 	return nil
+}
+
+// flush sends every buffered frame in one write.
+func (p *Pipeline) flush() error {
+	p.unflushed = 0
+	return p.c.bw.Flush()
 }
 
 // Inflight returns the number of batches awaiting results.
 func (p *Pipeline) Inflight() int { return p.n }
 
-// completeOne flushes any buffered writes (the server cannot answer
-// frames it has not received) and consumes the oldest in-flight batch's
-// results.
+// completeOne consumes the oldest in-flight batch's results. If they are
+// not already buffered the read is about to block, so buffered frames go
+// out first: the server cannot answer what it has not received.
 func (p *Pipeline) completeOne() error {
-	if p.unflushed {
-		if err := p.c.bw.Flush(); err != nil {
+	if p.unflushed > 0 && !p.c.fr.Ready() {
+		if err := p.flush(); err != nil {
 			return err
 		}
-		p.unflushed = false
 	}
 	b := p.ring[p.head]
 	payload, err := p.c.readFrame()
@@ -300,18 +315,13 @@ func (p *Pipeline) completeOne() error {
 	return err
 }
 
-// Drain flushes and completes every in-flight batch.
+// Drain completes every in-flight batch, flushing whatever their results
+// wait on.
 func (p *Pipeline) Drain() error {
 	for p.n > 0 {
 		if err := p.completeOne(); err != nil {
 			return err
 		}
-	}
-	if p.unflushed {
-		if err := p.c.bw.Flush(); err != nil {
-			return err
-		}
-		p.unflushed = false
 	}
 	return nil
 }

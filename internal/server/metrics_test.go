@@ -111,6 +111,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		samples = scrape(t, srv)
 	}
+	// A scrape is not a snapshot: the one that saw the connection gone may
+	// have read the batch series while its writer was still counting the
+	// last batch. The next one reads only settled values.
+	samples = scrape(t, srv)
 
 	// Core family: totals must agree exactly with the replay accounting.
 	if got := samples["clic_cache_reads_total"]; got != float64(res.Reads) {

@@ -391,60 +391,22 @@ func (s *Server) mergeClient(name string, reads, readHits uint64) {
 type resultSlot struct {
 	seq    uint64 // BatchSeq sequence number, echoed in the ResultsSeq
 	hits   []bool // per-request verdicts, reused batch after batch
-	isRead []bool // which positions were reads, for client accounting
 	outq   int    // outqueue depth sampled after the batch
 	start  time.Time
 	errMsg string // non-empty: write an Error frame; the connection is done
 }
 
-// batchState is the per-connection decode state shared by the streaming
-// decode callbacks. The callbacks close over one batchState for the whole
-// connection — never over per-batch variables — so the steady-state batch
-// loop creates no closures.
-type batchState struct {
-	prod  *core.Producer
-	remap []hint.ID
-	slot  *resultSlot
-	err   error // sticky decode-side failure (bad hint index)
-}
-
-// begin is the DecodeBatchStream size callback: size the slot's result
-// buffers and open the producer's streamed batch.
-func (st *batchState) begin(n int) error {
-	if cap(st.slot.hits) < n {
-		st.slot.hits = make([]bool, n)
-		st.slot.isRead = make([]bool, n)
-	}
-	st.slot.hits = st.slot.hits[:n]
-	st.slot.isRead = st.slot.isRead[:n]
-	st.prod.Begin(st.slot.hits)
-	return nil
-}
-
-// emit is the DecodeBatchStream per-request callback: remap the
-// connection-local hint index to a server-wide ID and route the request
-// straight into its owner-shard frame — no intermediate request slice.
-func (st *batchState) emit(i int, r trace.Request) error {
-	if int(r.Hint) >= len(st.remap) {
-		st.err = fmt.Errorf("hint index %d not announced (table has %d)", r.Hint, len(st.remap))
-		return st.err
-	}
-	r.Hint = st.remap[r.Hint]
-	st.slot.isRead[i] = r.Op == trace.Read
-	st.prod.Add(r)
-	return nil
-}
-
 // handle runs one connection: handshake, then a reader loop feeding the
 // cache and a writer goroutine draining completed results. The reader
-// decodes each batch straight into the producer's shard frames, runs it,
-// and hands the filled result slot to the writer; the writer encodes and
+// decodes each batch frame where it lies in the read buffer into the
+// connection's request slice, remaps the hint indices, runs the batch and
+// hands the filled result slot to the writer; the writer encodes and
 // writes results in arrival order (which is sequence order — TCP keeps
-// frames ordered and the reader serves them in order) and flushes only
-// when its queue goes empty, coalescing many results into one syscall
-// under pipelined load. The slot channel caps the in-flight window: a full
-// window blocks the reader, which stops reading, which backpressures the
-// client through TCP.
+// frames ordered and the reader serves them in order) and flushes whenever
+// it has caught up with the reader, its queue empty (wire's "Flushing"
+// rule). The slot channel caps the in-flight window: a full window blocks
+// the reader, which stops reading, which backpressures the client through
+// TCP.
 func (s *Server) handle(conn net.Conn) {
 	s.connsTotal.Inc()
 	s.connsActive.Add(1)
@@ -455,7 +417,7 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 1<<16)
+	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, 1<<16))
 	bw := bufio.NewWriterSize(conn, 1<<16)
 
 	// Handshake failures are reported inline: the writer does not exist yet.
@@ -466,7 +428,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 
-	payload, err := wire.ReadFrame(br, nil)
+	payload, err := fr.Next()
 	if err != nil {
 		return
 	}
@@ -486,7 +448,7 @@ func (s *Server) handle(conn net.Conn) {
 		failNow(fmt.Sprintf("hint vocabulary %d exceeds limit %d", len(hello.Keys), s.maxHintKeys))
 		return
 	}
-	st := &batchState{remap: s.intern(nil, hello.Keys)}
+	remap := s.intern(nil, hello.Keys)
 	ack := wire.AppendHelloAck(nil, wire.HelloAck{
 		Version:  ver,
 		Shards:   s.cache.Shards(),
@@ -501,12 +463,13 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	// Each connection drives the front through its own producer handle: in
-	// owner mode the decoded batch fans out to the shard owners as frames,
-	// in mutex mode the streamed adds degenerate to per-request accesses.
-	// All batch state (the slots, the producer's frames, the writer's
-	// encode buffer) is connection-owned and recycled.
-	st.prod = s.cache.NewProducer()
-	defer st.prod.Close()
+	// owner mode the batch fans out to the shards as frames, in mutex mode
+	// it degenerates to per-request accesses. All batch state (the request
+	// slice, the slots, the producer's frames, the writer's encode buffer)
+	// is connection-owned and recycled.
+	prod := s.cache.NewProducer()
+	defer prod.Close()
+	var reqs []trace.Request
 
 	results := make(chan *resultSlot, s.maxInflight)
 	free := make(chan *resultSlot, s.maxInflight)
@@ -533,7 +496,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	for {
-		payload, err = wire.ReadFrame(br, payload)
+		payload, err := fr.Next()
 		if err != nil {
 			return // io.EOF is the clean goodbye; anything else, same exit
 		}
@@ -549,32 +512,40 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err.Error())
 				return
 			}
-			if len(st.remap)+len(keys) > s.maxHintKeys {
-				fail(fmt.Sprintf("hint vocabulary %d exceeds limit %d", len(st.remap)+len(keys), s.maxHintKeys))
+			if len(remap)+len(keys) > s.maxHintKeys {
+				fail(fmt.Sprintf("hint vocabulary %d exceeds limit %d", len(remap)+len(keys), s.maxHintKeys))
 				return
 			}
-			st.remap = s.intern(st.remap, keys)
+			remap = s.intern(remap, keys)
 		case wire.TypeBatchSeq:
 			batchStart := time.Now()
-			// Blocking here is the in-flight window: no free slot until the
-			// writer retires one.
-			slot := <-free
-			slot.start = batchStart
-			st.slot = slot
-			seq, _, err := wire.DecodeBatchStream(payload, st.begin, st.emit)
-			if err != nil {
-				st.prod.Abort()
-				free <- slot
-				if st.err != nil {
-					err = st.err
-				}
+			var seq uint64
+			if seq, reqs, err = wire.DecodeBatch(payload, reqs); err != nil {
 				fail(err.Error())
 				return
 			}
-			st.prod.Commit()
+			// The whole frame is checked before any of it reaches the cache:
+			// a bad frame is refused whole, never half applied.
+			for i := range reqs {
+				h := reqs[i].Hint
+				if int(h) >= len(remap) {
+					fail(fmt.Sprintf("hint index %d not announced (table has %d)", h, len(remap)))
+					return
+				}
+				reqs[i].Hint = remap[h]
+			}
+			// Blocking here is the in-flight window: no free slot until the
+			// writer retires one.
+			slot := <-free
+			slot.seq, slot.start = seq, batchStart
+			if cap(slot.hits) < len(reqs) {
+				slot.hits = make([]bool, len(reqs))
+			}
+			slot.hits = slot.hits[:len(reqs)]
+			prod.AccessBatch(reqs, slot.hits)
 			var reads, readHits uint64
 			for i, hit := range slot.hits {
-				if slot.isRead[i] {
+				if reqs[i].Op == trace.Read {
 					reads++
 					if hit {
 						readHits++
@@ -586,7 +557,6 @@ func (s *Server) handle(conn net.Conn) {
 			// reflects them: Snapshot sums equal client-side accounting
 			// the moment a replay returns.
 			s.mergeClient(hello.Client, reads, readHits)
-			slot.seq = seq
 			slot.outq = s.cache.OutqueueLen()
 			s.inflight.Add(1)
 			results <- slot
@@ -608,10 +578,15 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // writeLoop is a connection's writer goroutine: encode and write each
-// result slot in queue order, flush when the queue goes empty (one flush
-// per serve cycle, not per frame), recycle the slot. On a write error it
-// closes the connection — unblocking the reader — and keeps draining so
-// the reader never blocks on a full queue.
+// result slot in queue order, flush when the queue goes empty, recycle the
+// slot. The queue is empty when the writer has caught up with the reader:
+// at the latest once the reader has blocked on the client (the last result
+// it produced finds nothing queued behind it), so no result ever waits on a
+// frame the client has yet to send; sooner only if a processor was free to
+// run the writer while the reader was still in the cache, which is when a
+// system call spent on latency costs nothing. On a write error it closes
+// the connection — unblocking the reader — and keeps draining so the
+// reader never blocks on a full queue.
 func (s *Server) writeLoop(conn net.Conn, bw *bufio.Writer, results, free chan *resultSlot) {
 	var out []byte
 	var res wire.Results

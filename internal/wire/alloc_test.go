@@ -11,9 +11,10 @@ import (
 
 // TestSeqRoundTripAllocs pins the zero-allocation contract of the wire hot
 // path: once the reusable buffers have grown to the batch size, encoding a
-// batch, framing it, reading the frame back and stream-decoding it straight
-// into a preallocated slice — and the same for the results direction —
-// allocates nothing.
+// batch, framing it, taking the frame as a view of the read buffer and
+// decoding it into a reused request slice (and once more through the
+// callback adapter the benchmark harness calls) — and the same for the
+// results direction — allocates nothing.
 func TestSeqRoundTripAllocs(t *testing.T) {
 	reqs := make([]trace.Request, DefaultBatch)
 	for i := range reqs {
@@ -29,55 +30,55 @@ func TestSeqRoundTripAllocs(t *testing.T) {
 	}
 
 	var (
-		enc     []byte
-		payload []byte
-		res     Results
-		seq     uint64
-		buf     bytes.Buffer
+		enc []byte
+		got []trace.Request
+		res Results
+		seq uint64
+		buf bytes.Buffer
 	)
 	dec := make([]trace.Request, DefaultBatch)
 	bw := bufio.NewWriterSize(&buf, 1<<16)
-	br := bufio.NewReaderSize(&buf, 1<<16)
+	fr := NewFrameReader(bufio.NewReaderSize(&buf, 1<<16))
 	// Hoisted callbacks: method-value captures here would allocate per call.
 	begin := func(n int) error { dec = dec[:n]; return nil }
 	emit := func(i int, r trace.Request) error { dec[i] = r; return nil }
 	roundTrip := func() {
 		seq++
 		enc = AppendBatchSeq(enc[:0], seq, reqs)
-		buf.Reset()
-		bw.Reset(&buf)
+		if err := WriteFrame(bw, enc); err != nil {
+			t.Fatal(err)
+		}
+		enc = AppendResultsSeq(enc[:0], seq, Results{Hits: hits, OutqueueDepth: 42})
 		if err := WriteFrame(bw, enc); err != nil {
 			t.Fatal(err)
 		}
 		bw.Flush()
-		br.Reset(&buf)
-		p, err := ReadFrame(br, payload)
+
+		p, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload = p
 		gotSeq, tagged, err := DecodeBatchStream(p, begin, emit)
 		if err != nil || !tagged || gotSeq != seq {
 			t.Fatalf("stream decode: seq=%d tagged=%v err=%v", gotSeq, tagged, err)
 		}
-
-		enc = AppendResultsSeq(enc[:0], seq, Results{Hits: hits, OutqueueDepth: 42})
-		buf.Reset()
-		bw.Reset(&buf)
-		if err := WriteFrame(bw, enc); err != nil {
+		if gotSeq, got, err = DecodeBatch(p, got); err != nil || gotSeq != seq || len(got) != len(reqs) {
+			t.Fatalf("batch decode: seq=%d n=%d err=%v", gotSeq, len(got), err)
+		}
+		if !fr.Ready() {
+			t.Fatal("results frame not buffered behind the batch frame")
+		}
+		if p, err = fr.Next(); err != nil {
 			t.Fatal(err)
 		}
-		bw.Flush()
-		br.Reset(&buf)
-		if p, err = ReadFrame(br, payload); err != nil {
-			t.Fatal(err)
-		}
-		payload = p
 		gotSeq, r, err := DecodeResultsSeq(p, res)
 		if err != nil || gotSeq != seq || len(r.Hits) != len(hits) {
 			t.Fatalf("results decode: seq=%d n=%d err=%v", gotSeq, len(r.Hits), err)
 		}
 		res = r
+		if fr.Ready() {
+			t.Fatal("Ready on a drained stream")
+		}
 	}
 	roundTrip()
 	if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {

@@ -57,6 +57,42 @@
 // must treat the connection as broken). Lock-step is a window of one.
 // Frame types 4 and 5 were the untagged Batch/Results of versions 1–2; the
 // numbers stay reserved and are refused like any unknown type.
+//
+// # Flushing
+//
+// Both ends write through a bufio.Writer, and when its bytes leave decides
+// both the system calls per request and whether the pipeline can hang. The
+// rule is one invariant: neither side ever blocks on its peer while holding
+// unflushed bytes the peer may be waiting for. Short of that, bytes wait for
+// company, so that frames share system calls:
+//
+//   - The client (netclient.Pipeline) flushes before reading a result only
+//     if that read would block, i.e. no whole frame is already buffered
+//     (FrameReader.Ready), and in Submit once at least two frames and half
+//     its window sit unflushed — which keeps the server fed while the other
+//     half is in flight. At depth 1 this is exactly "flush, then read".
+//   - The server's writer flushes whenever it has caught up with the
+//     connection's reader, its result queue empty. The result the reader
+//     produced last before blocking on the client finds the queue empty
+//     behind it, so results never wait on a frame that has yet to arrive —
+//     not behind a partial frame, nor behind one that answers nothing
+//     (Intern, Summary). Sooner than that the queue is empty only if a
+//     processor was free to run the writer while the reader was busy in the
+//     cache: results leave early when that is free and in window-sized
+//     bursts when the machine is saturated. Error frames flush at once.
+//
+// It cannot deadlock: each side blocks only in a read it has flushed for,
+// in a write (the peer is then reading, or itself in a write that the
+// in-flight window bounds), or — the server's reader — waiting for a
+// result slot, which its writer returns without the reader's help.
+//
+// A payload returned by FrameReader.Next is a view into the connection's
+// read buffer when the frame fits it (64 KB on both ends; a 512-request
+// batch is under 3 KB): nothing is copied, and the view is valid only until
+// the next call to Next or Ready. Decoders copy what they keep (DecodeBatch
+// into the caller's request slice, DecodeResultsSeq into its Hits, the
+// string decoders into fresh strings), so the view may be released as soon
+// as the decoder returns. ReadFrame is the copying form.
 package wire
 
 import (
@@ -217,10 +253,39 @@ func WriteFrame(w *bufio.Writer, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame's payload, reusing buf when it is large enough.
-// io.EOF is returned unwrapped when the stream ends cleanly between frames.
-func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
+// FrameReader reads frames from a connection's bufio.Reader without copying
+// the ones that fit it: Next returns a view of the payload where it lies in
+// the reader's buffer and the bytes are discarded when the view is
+// released. A frame larger than the reader is collected in a spill buffer
+// that grows as its bytes arrive, never ahead of them, so a length prefix
+// alone commits no memory.
+type FrameReader struct {
+	r     *bufio.Reader
+	spill []byte // a frame that did not fit r, reused frame after frame
+	held  int    // bytes at the head of r's buffer that the current view covers
+}
+
+// NewFrameReader returns a frame reader over r.
+func NewFrameReader(r *bufio.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// release gives the current view's bytes back to the reader.
+func (f *FrameReader) release() {
+	if f.held > 0 {
+		// Cannot fail: the view was peeked, so the bytes are buffered.
+		_, _ = f.r.Discard(f.held)
+		f.held = 0
+	}
+}
+
+// Next releases the previous view and returns the next frame's payload,
+// blocking until the whole frame has arrived. The payload is valid until
+// the next call to Next or Ready. io.EOF is returned unwrapped when the
+// stream ends cleanly between frames.
+func (f *FrameReader) Next() ([]byte, error) {
+	f.release()
+	// The prefix is consumed byte by byte, so a frame shorter than a
+	// maximal prefix is never waited on for bytes that are not coming.
+	n, err := binary.ReadUvarint(f.r)
 	if err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -230,16 +295,68 @@ func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrame)
 	}
-	if uint64(cap(buf)) < n {
-		buf = make([]byte, n)
+	var p []byte
+	if size := int(n); size <= f.r.Size() {
+		p, err = f.r.Peek(size)
+		f.held = len(p)
+	} else {
+		p, err = f.collect(size)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("wire: reading frame payload: %w", err)
 	}
 	Metrics.FramesDecoded.Inc()
 	Metrics.BytesDecoded.Add(uvarintLen(n) + n)
+	return p, nil
+}
+
+// collect copies a frame of size bytes, more than the reader holds at once,
+// into the spill buffer. It waits for bytes first and makes room for them
+// second, so the buffer grows (as append grows it) with what has arrived,
+// never with what the prefix claimed.
+func (f *FrameReader) collect(size int) ([]byte, error) {
+	buf := f.spill[:0]
+	for len(buf) < size {
+		if _, err := f.r.Peek(1); err != nil {
+			return nil, err
+		}
+		chunk, _ := f.r.Peek(min(f.r.Buffered(), size-len(buf)))
+		buf = append(buf, chunk...)
+		_, _ = f.r.Discard(len(chunk))
+	}
+	f.spill = buf
 	return buf, nil
+}
+
+// Ready releases the current view and reports whether Next would return
+// without reading from the connection: a whole frame (or a prefix Next
+// will refuse) is already buffered. It is the "am I about to block?" test
+// of the flush rule (see "Flushing" in the package comment).
+func (f *FrameReader) Ready() bool {
+	f.release()
+	buf, _ := f.r.Peek(f.r.Buffered())
+	n, k := binary.Uvarint(buf)
+	if k == 0 {
+		return false // no prefix, or part of one
+	}
+	return k < 0 || n > MaxFrame || n <= uint64(len(buf)-k)
+}
+
+// ReadFrame copies the next frame's payload out of r, reusing buf when it
+// is large enough: FrameReader.Next for callers that keep the payload past
+// their next read, at the price of the copy. io.EOF is returned unwrapped
+// when the stream ends cleanly between frames.
+func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	f := FrameReader{r: r, spill: buf}
+	p, err := f.Next()
+	if err != nil {
+		return nil, err
+	}
+	if f.held > 0 {
+		p = append(buf[:0], p...)
+		f.release()
+	}
+	return p, nil
 }
 
 // PayloadType returns the frame type of a payload.
@@ -455,78 +572,169 @@ func AppendBatchSeq(dst []byte, seq uint64, reqs []trace.Request) []byte {
 	return dst
 }
 
-// batchRequest decodes one request record of a batch body, carrying
-// the running page value in *prev.
-func (d *decoder) batchRequest(prev *int64) (trace.Request, error) {
-	flags, err := d.byte()
-	if err != nil {
-		return trace.Request{}, err
-	}
-	delta, err := d.varint()
-	if err != nil {
-		return trace.Request{}, err
-	}
-	*prev += delta
-	h, err := d.uvarint()
-	if err != nil {
-		return trace.Request{}, err
-	}
-	if h > uint64(^hint.ID(0)) {
-		return trace.Request{}, fmt.Errorf("wire: hint ID %d overflows", h)
-	}
-	op := trace.Read
-	if flags&1 != 0 {
-		op = trace.Write
-	}
-	return trace.Request{Page: uint64(*prev), Hint: hint.ID(h), Op: op}, nil
-}
+// maxRecord is the longest request record the fast path of decodeRecords
+// takes: flags byte, ten-byte page delta, five-byte hint ID.
+const maxRecord = 1 + binary.MaxVarintLen64 + binary.MaxVarintLen32
 
-// batchCount decodes and bounds-checks a batch body's request count.
-func (d *decoder) batchCount() (uint64, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	// A record is at least 3 bytes (flags + delta + hint).
-	if n > uint64(len(d.p))/3+1 {
-		return 0, fmt.Errorf("wire: batch of %d requests overruns frame", n)
-	}
-	return n, nil
-}
-
-// DecodeBatchStream decodes a BatchSeq payload without materialising a
-// request slice: begin is called once with the request count, then emit
-// once per decoded request (Client 0; the receiver attributes them to the
-// connection's client), in batch order. Either callback may stop the decode
-// by returning an error (propagated unwrapped). This is the zero-copy
-// server path — requests stream straight from the wire buffer into the
-// owner-shard producer frames. tagged is always true: it dates from when
-// untagged Batch frames were also accepted, and stays only because the
-// frozen benchmark (bench/layers.go) takes three results — drop it when
-// the benchmark is next revised.
-func DecodeBatchStream(p []byte, begin func(n int) error, emit func(i int, r trace.Request) error) (seq uint64, tagged bool, err error) {
-	d, err := expect(p, TypeBatchSeq)
-	if err != nil {
-		return 0, true, err
+// batchHeader checks a BatchSeq payload's type and decodes its sequence
+// number and request count, leaving the decoder at the first record.
+func batchHeader(p []byte) (d decoder, seq uint64, n int, err error) {
+	if d, err = expect(p, TypeBatchSeq); err != nil {
+		return d, 0, 0, err
 	}
 	if seq, err = d.uvarint(); err != nil {
-		return 0, true, err
+		return d, 0, 0, err
 	}
-	n, err := d.batchCount()
+	count, err := d.uvarint()
+	if err != nil {
+		return d, seq, 0, err
+	}
+	// A record is at least 3 bytes (flags + delta + hint).
+	if count > uint64(len(p))/3+1 {
+		return d, seq, 0, fmt.Errorf("wire: batch of %d requests overruns frame", count)
+	}
+	return d, seq, int(count), nil
+}
+
+// opOf reads a record's flags byte (bit0 = write).
+func opOf(flags byte) trace.Op {
+	if flags&1 != 0 {
+		return trace.Write
+	}
+	return trace.Read
+}
+
+// decodeRecords is the batch-decode kernel: it fills dst with the next
+// len(dst) request records at d (Client 0; the receiver attributes them to
+// the connection's client), carrying the running page value in *prev.
+//
+// While a worst-case record still fits the remaining bytes, records are
+// decoded in one unchecked pass. Anything that pass does not take — a
+// varint past its tenth byte or overflowing it, a hint ID longer than five
+// bytes or above the ID range, the frame's last few records — is left to
+// the checked per-field path below it, which accepts or names the error,
+// so both paths reject exactly the same frames.
+func (d *decoder) decodeRecords(dst []trace.Request, prev *int64) error {
+	p, off, page := d.p, d.off, *prev
+	i := 0
+fast:
+	for ; i < len(dst) && len(p)-off >= maxRecord; i++ {
+		q := p[off : off+maxRecord]
+		ux, j := uint64(q[1]), 2
+		if ux >= 0x80 {
+			ux &= 0x7f
+			for s := uint(7); ; s += 7 {
+				b := uint64(q[j])
+				j++
+				if s == 63 {
+					// Tenth byte: one payload bit and no continuation.
+					if b > 1 {
+						break fast
+					}
+					ux |= b << 63
+					break
+				}
+				ux |= (b & 0x7f) << s
+				if b < 0x80 {
+					break
+				}
+			}
+		}
+		h := uint64(q[j])
+		j++
+		if h >= 0x80 {
+			h &= 0x7f
+			for s := uint(7); ; s += 7 {
+				b := uint64(q[j])
+				j++
+				h |= (b & 0x7f) << s
+				if b < 0x80 {
+					break
+				}
+				if s == 28 {
+					break fast
+				}
+			}
+			if h > uint64(^hint.ID(0)) {
+				break fast
+			}
+		}
+		page += int64(ux>>1) ^ -int64(ux&1)
+		off += j
+		dst[i] = trace.Request{Page: uint64(page), Hint: hint.ID(h), Op: opOf(q[0])}
+	}
+	d.off = off
+	for ; i < len(dst); i++ {
+		flags, err := d.byte()
+		if err != nil {
+			return err
+		}
+		delta, err := d.varint()
+		if err != nil {
+			return err
+		}
+		page += delta
+		h, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if h > uint64(^hint.ID(0)) {
+			return fmt.Errorf("wire: hint ID %d overflows", h)
+		}
+		dst[i] = trace.Request{Page: uint64(page), Hint: hint.ID(h), Op: opOf(flags)}
+	}
+	*prev = page
+	return nil
+}
+
+// DecodeBatch decodes a whole BatchSeq payload into dst, reusing its
+// capacity: the server's path, one pass over the frame into a
+// connection-owned request slice. Nothing of p is retained, so a
+// FrameReader view may be released as soon as DecodeBatch returns.
+func DecodeBatch(p []byte, dst []trace.Request) (seq uint64, reqs []trace.Request, err error) {
+	d, seq, n, err := batchHeader(p)
+	if err != nil {
+		return seq, dst[:0], err
+	}
+	if cap(dst) < n {
+		dst = make([]trace.Request, n)
+	}
+	dst = dst[:n]
+	var prev int64
+	if err := d.decodeRecords(dst, &prev); err != nil {
+		return seq, dst[:0], err
+	}
+	return seq, dst, d.done()
+}
+
+// DecodeBatchStream is the callback form of DecodeBatch that the frozen
+// benchmark (bench/layers.go) calls: begin once with the request count,
+// then emit once per request in batch order, either of which may stop the
+// decode by returning an error (propagated unwrapped). It is an adapter —
+// decodeRecords over a small stack buffer — and goes, together with its
+// constant-true tagged result (a leftover of the untagged Batch frame),
+// when the benchmark is next revised.
+func DecodeBatchStream(p []byte, begin func(n int) error, emit func(i int, r trace.Request) error) (seq uint64, tagged bool, err error) {
+	d, seq, n, err := batchHeader(p)
 	if err != nil {
 		return seq, true, err
 	}
-	if err := begin(int(n)); err != nil {
+	if err := begin(n); err != nil {
 		return seq, true, err
 	}
-	prev := int64(0)
-	for i := 0; i < int(n); i++ {
-		r, err := d.batchRequest(&prev)
-		if err != nil {
+	var (
+		buf  [64]trace.Request
+		prev int64
+	)
+	for i := 0; i < n; i += len(buf) {
+		chunk := buf[:min(len(buf), n-i)]
+		if err := d.decodeRecords(chunk, &prev); err != nil {
 			return seq, true, err
 		}
-		if err := emit(i, r); err != nil {
-			return seq, true, err
+		for k, r := range chunk {
+			if err := emit(i+k, r); err != nil {
+				return seq, true, err
+			}
 		}
 	}
 	return seq, true, d.done()

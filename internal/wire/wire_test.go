@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -232,6 +233,13 @@ func TestFrameIO(t *testing.T) {
 		AppendHello(nil, Hello{Version: Version, Client: "c"}),
 		AppendBatchSeq(nil, 0, []trace.Request{{Page: 1}, {Page: 2}}),
 		AppendResultsSeq(nil, 0, Results{Hits: []bool{true, false}, OutqueueDepth: 42}),
+		// Around the reader's 4096 bytes: the largest frame copied out of
+		// its buffer and the smallest collected past it; then short ones.
+		bytes.Repeat([]byte{0xa5}, 4096),
+		bytes.Repeat([]byte{0x5a}, 4097),
+		{},
+		{7},
+		{7, 8, 9},
 	}
 	for _, p := range payloads {
 		if err := WriteFrame(w, p); err != nil {
@@ -255,6 +263,133 @@ func TestFrameIO(t *testing.T) {
 	}
 	if _, err := ReadFrame(r, scratch); err != io.EOF {
 		t.Errorf("after last frame: err = %v, want io.EOF", err)
+	}
+}
+
+// TestFrameReaderEdges feeds a FrameReader over a 64-byte bufio.Reader from
+// a pipe, one frame per write, each written only once the one before has
+// been returned — so a reader that waits for more bytes than a frame has
+// (a five-byte prefix peek on a two-byte frame, say) deadlocks and the test
+// times out. Sizes: 0, 1 and 3 payload bytes, exactly the reader's size (the
+// largest view), a byte over (the smallest spill), larger frames before and
+// after a small one (the spill buffer is reused, views and spills alternate),
+// and one frame split across two writes.
+func TestFrameReaderEdges(t *testing.T) {
+	const readerSize = 64
+	sizes := []int{0, 1, 3, readerSize, readerSize + 1, 1000, 2, 300}
+	frames := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		frames[i] = make([]byte, n)
+		for j := range frames[i] {
+			frames[i][j] = byte(i*31 + j)
+		}
+	}
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	next := make(chan struct{})
+	go func() {
+		defer pw.Close()
+		for i, p := range frames {
+			var enc bytes.Buffer
+			w := bufio.NewWriter(&enc)
+			if err := WriteFrame(w, p); err != nil {
+				t.Error(err)
+				return
+			}
+			w.Flush()
+			b := enc.Bytes()
+			if i == len(frames)-1 {
+				// The last frame arrives in two writes, cut inside its payload.
+				if _, err := pw.Write(b[:len(b)/2]); err != nil {
+					return
+				}
+				b = b[len(b)/2:]
+			}
+			if _, err := pw.Write(b); err != nil {
+				return
+			}
+			<-next
+		}
+	}()
+	fr := NewFrameReader(bufio.NewReaderSize(pr, readerSize))
+	for i, want := range frames {
+		var got []byte
+		var err error
+		done := make(chan struct{})
+		go func() {
+			got, err = fr.Next()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("frame %d (%d bytes): Next is waiting for bytes the frame does not have", i, len(want))
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: got %d bytes % x, want %d bytes", i, len(got), got, len(want))
+		}
+		if fr.Ready() {
+			t.Errorf("frame %d: Ready with nothing more written", i)
+		}
+		next <- struct{}{}
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Errorf("after the last frame: err = %v, want io.EOF", err)
+	}
+}
+
+// TestFrameReaderReady pins the "would Next block?" test of the flush rule:
+// true while a whole frame is buffered, false on an empty buffer, on part of
+// a prefix and on part of a payload, true for a prefix Next refuses without
+// reading further — and asking releases the view, so the frame after is next.
+func TestFrameReaderReady(t *testing.T) {
+	var stream bytes.Buffer
+	w := bufio.NewWriter(&stream)
+	for _, p := range [][]byte{{1, 2, 3}, {}, make([]byte, 200)} {
+		if err := WriteFrame(w, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	stream.Write([]byte{0xc8}) // first byte of a two-byte prefix
+	fr := NewFrameReader(bufio.NewReader(&stream))
+	if fr.Ready() {
+		t.Error("Ready before anything was read into the buffer")
+	}
+	for i, n := range []int{3, 0, 200} {
+		p, err := fr.Next()
+		if err != nil || len(p) != n {
+			t.Fatalf("frame %d: %d bytes, err %v; want %d", i, len(p), err, n)
+		}
+		if got, want := fr.Ready(), i < 2; got != want {
+			t.Errorf("after frame %d: Ready = %v, want %v", i, got, want)
+		}
+	}
+	if _, err := fr.Next(); err == nil || err == io.EOF {
+		t.Errorf("stream cut inside a prefix: err = %v, want a framing error", err)
+	}
+
+	// Part of a payload, then a prefix beyond MaxFrame. Peek pulls the bytes
+	// into the buffer; Ready itself never reads.
+	part := NewFrameReader(bufio.NewReader(bytes.NewReader([]byte{5, 1, 2})))
+	if _, err := part.r.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	if part.Ready() {
+		t.Error("Ready with three of a frame's six bytes buffered")
+	}
+	huge := NewFrameReader(bufio.NewReader(bytes.NewReader([]byte{0x81, 0x80, 0x80, 0x08})))
+	if _, err := huge.r.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	if !huge.Ready() {
+		t.Error("not Ready for a prefix above MaxFrame, which Next refuses without reading")
+	}
+	if _, err := huge.Next(); err == nil {
+		t.Error("Next accepted a prefix above MaxFrame")
 	}
 }
 
