@@ -122,10 +122,10 @@ type RouterHandler func(tag any, isRead, hits []bool, outq int, rttNs int64) err
 // the pipeline's free list, so the steady-state routed path allocates
 // nothing.
 type routerBatch struct {
-	pending int     // nodes still to answer
-	isRead  []bool  // submission order
-	hits    []bool  // submission order, scattered from the sub-results
-	index   [][]int // per-node submission indices
+	pending int       // nodes still to answer
+	isRead  []bool    // submission order
+	hits    []bool    // submission order, scattered from the sub-results
+	index   [][]int32 // per-node submission indices
 	outq    int
 	tag     any
 	start   time.Time
@@ -187,7 +187,7 @@ func (rp *RouterPipeline) Submit(reqs []trace.Request, tag any) error {
 	if k := len(rp.free); k > 0 {
 		rb, rp.free = rp.free[k-1], rp.free[:k-1]
 	} else {
-		rb = &routerBatch{index: make([][]int, len(rp.r.conns))}
+		rb = &routerBatch{index: make([][]int32, len(rp.r.conns))}
 	}
 	for n := range rp.split {
 		rp.split[n] = rp.split[n][:0]
@@ -201,7 +201,7 @@ func (rp *RouterPipeline) Submit(reqs []trace.Request, tag any) error {
 	for i, req := range reqs {
 		n := rp.r.ring.Owner(req.Page)
 		rp.split[n] = append(rp.split[n], req)
-		rb.index[n] = append(rb.index[n], i)
+		rb.index[n] = append(rb.index[n], int32(i))
 		rb.isRead = append(rb.isRead, req.Op == trace.Read)
 	}
 	rb.outq = 0

@@ -89,14 +89,9 @@ type session struct {
 }
 
 func (s *session) account(_ any, isRead, hits []bool, _ int, rttNs int64) error {
-	for i, rd := range isRead {
-		if rd {
-			s.st.Reads++
-			if hits[i] {
-				s.st.ReadHits++
-			}
-		}
-	}
+	reads, readHits := netclient.CountReads(isRead, hits)
+	s.st.Reads += reads
+	s.st.ReadHits += readHits
 	s.sizer.Observe(rttNs, len(isRead))
 	return nil
 }

@@ -53,9 +53,9 @@
 // per-shard frame under the shard's try-lock — or, when another producer
 // holds the shard, leaves the frame for that one to run (flat combining;
 // see owner.go). No front owns a goroutine. Frames run in groups of 16
-// requests whose page-table and record lines are loaded ahead of the
-// serial Access calls (Cache.warm), which is where batching buys more
-// than amortized synchronization. The engines are behaviorally
+// requests whose page-table lines, records and records' list neighbours
+// are loaded ahead of the serial Access calls (Cache.warm), which is where
+// batching buys more than amortized synchronization. The engines are behaviorally
 // bit-identical per producer stream. Both keep the steady-state request
 // path allocation-free:
 // page records recycle through the slab's free list, and the group table,
@@ -328,15 +328,34 @@ func (c *Cache) Access(r trace.Request) bool {
 	return hit
 }
 
-// warm pulls the page-table and record lines that Access will read for
-// each of reqs toward the CPU, changing nothing Access can observe. Go has
-// no prefetch intrinsic; an early load whose result is kept is the idiom,
-// and warmed is where the results are kept. Sharded's frame loop (owner.go)
-// calls it a group ahead of the Accesses themselves.
+// warm pulls the lines that Access will read and write for each of reqs
+// toward the CPU, changing nothing Access can observe. Go has no prefetch
+// intrinsic; an early load whose result is kept is the idiom, and warmed is
+// where the results are kept. Sharded's frame loop (owner.go) calls it a
+// group ahead of the Accesses themselves.
+//
+// Two passes per group of warmGroup. The first walks each page's probe run
+// to a slab index. The second loads, for each index, the record and both
+// its list neighbours: relinking the record (removeFromGroup, outUnlink)
+// writes all three lines, and inside Access they would be missed one after
+// another. Slab index 0 is the nil record, so a page without a record and
+// a record at the end of its list need no branch — they load line 0.
 func (c *Cache) warm(reqs []trace.Request) {
-	var w uint64
-	for i := range reqs {
-		w ^= c.table.touch(c.ents, reqs[i].Page)
+	var (
+		idx  [warmGroup]uint32
+		w    uint64
+		ents = c.ents
+	)
+	for len(reqs) > 0 {
+		n := min(warmGroup, len(reqs))
+		for i := range reqs[:n] {
+			idx[i] = c.table.touch(reqs[i].Page)
+		}
+		for _, x := range idx[:n] {
+			e := &ents[x]
+			w ^= e.page ^ ents[e.prev].page ^ ents[e.next].page
+		}
+		reqs = reqs[n:]
 	}
 	c.warmed = w
 }

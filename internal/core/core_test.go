@@ -399,8 +399,11 @@ func TestInvariantsQuick(t *testing.T) {
 // TestWarmChangesNothing drives the warm pass the way processFrame never
 // would — on an empty cache, straddling every doubling of the page table,
 // over pages the cache has never seen, over one page repeated through a
-// group, over groups shorter and longer than warmGroup — and requires that
-// it leaves the table and the slab bit for bit as it found them, and that
+// group, over groups shorter and longer than warmGroup — and then over
+// records picked by where they sit: head, middle and tail of a hint set's
+// group and of the outqueue, lists of one record (both links nil), and
+// records just taken from or returned to the free list. It requires that
+// warm leaves the table and the slab bit for bit as it found them, and that
 // the verdicts that follow match a twin cache that was never warmed.
 func TestWarmChangesNothing(t *testing.T) {
 	cfg := Config{Capacity: 96, Window: 400, TopK: 2}
@@ -408,32 +411,44 @@ func TestWarmChangesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	reqs := shardedTrace(6000, 16)
 
-	warm := func(group []trace.Request) {
+	warmOn := func(c *Cache, group []trace.Request) {
 		t.Helper()
-		if err := warmed.checkConsistency(); err != nil {
+		if err := c.checkConsistency(); err != nil {
 			t.Fatalf("before warm: %v", err)
 		}
-		slots := slices.Clone(warmed.table.slots)
-		ents := slices.Clone(warmed.ents)
-		seq, n := warmed.seq, warmed.table.n
-		warmed.warm(group)
-		if !slices.Equal(slots, warmed.table.slots) || !slices.Equal(ents, warmed.ents) ||
-			seq != warmed.seq || n != warmed.table.n {
+		slots := slices.Clone(c.table.slots)
+		ents := slices.Clone(c.ents)
+		seq, n, free := c.seq, c.table.n, c.free
+		c.warm(group)
+		if !slices.Equal(slots, c.table.slots) || !slices.Equal(ents, c.ents) ||
+			seq != c.seq || n != c.table.n || free != c.free {
 			t.Fatalf("warm over %d requests changed the table or the slab", len(group))
 		}
-		if err := warmed.checkConsistency(); err != nil {
+		if err := c.checkConsistency(); err != nil {
 			t.Fatalf("after warm: %v", err)
+		}
+	}
+	warm := func(group []trace.Request) {
+		t.Helper()
+		warmOn(warmed, group)
+	}
+	access := func(next int) {
+		t.Helper()
+		got, want := warmed.Access(reqs[next]), twin.Access(reqs[next])
+		if got != want {
+			t.Fatalf("request %d (page %d): hit=%v after warming, %v on the twin", next, reqs[next].Page, got, want)
 		}
 	}
 
 	warm(nil)
 	warm(reqs[:warmGroup]) // empty cache: every probe ends on an empty slot
 	grows, shortGroups := 0, 0
-	for next := 0; next < len(reqs); {
+	const random = 5000 // requests run under random groups; the rest under picked ones
+	for next := 0; next < random; {
 		// The group: upcoming requests, as processFrame would pass, then
 		// some of them swapped for a never-seen page or for the group's
 		// first page.
-		n := min(rng.Intn(2*warmGroup+1), len(reqs)-next)
+		n := min(rng.Intn(2*warmGroup+1), random-next)
 		if n < warmGroup {
 			shortGroups++
 		}
@@ -450,12 +465,9 @@ func TestWarmChangesNothing(t *testing.T) {
 		// Run fewer requests than were warmed as often as more, so that
 		// warmed lines go stale under inserts, evictions and backward
 		// shifts before their request arrives.
-		for run := min(1+rng.Intn(2*warmGroup), len(reqs)-next); run > 0; run-- {
+		for run := min(1+rng.Intn(2*warmGroup), random-next); run > 0; run-- {
 			size := len(warmed.table.slots)
-			got, want := warmed.Access(reqs[next]), twin.Access(reqs[next])
-			if got != want {
-				t.Fatalf("request %d (page %d): hit=%v after warming, %v on the twin", next, reqs[next].Page, got, want)
-			}
+			access(next)
 			if len(warmed.table.slots) != size {
 				grows++
 				warm(group) // stale group against the table just doubled
@@ -466,6 +478,65 @@ func TestWarmChangesNothing(t *testing.T) {
 	if grows < 3 || shortGroups == 0 {
 		t.Errorf("the table doubled %d times and %d groups were short; the test needs both", grows, shortGroups)
 	}
+
+	// Records by position. pagesAt names the records' pages; warm finds the
+	// records again through the table, neighbours and all.
+	pagesAt := func(c *Cache, idx ...uint32) []trace.Request {
+		var group []trace.Request
+		for _, i := range idx {
+			if i != 0 {
+				group = append(group, trace.Request{Page: c.ents[i].page})
+			}
+		}
+		return group
+	}
+	middles := 0
+	for h := range warmed.groups {
+		g := &warmed.groups[h]
+		mid := warmed.ents[g.head].next // ents[0].next is 0: an empty group picks nothing
+		if mid != 0 && mid != g.tail {
+			middles++
+		}
+		warm(pagesAt(warmed, g.head, mid, g.tail))
+	}
+	outMid := warmed.ents[warmed.outHead].next
+	if middles == 0 || outMid == 0 || outMid == warmed.outTail {
+		t.Fatalf("%d groups and the outqueue (%d entries) have a middle record; the test needs both", middles, warmed.OutqueueLen())
+	}
+	warm(pagesAt(warmed, warmed.outHead, outMid, warmed.outTail))
+
+	// Lists of one: a cached page alone in its group and an outqueued page
+	// alone in the outqueue have no neighbour on either side.
+	lone := New(Config{Capacity: 1, Noutq: 1})
+	lone.Access(trace.Request{Page: 7, Hint: 1})
+	lone.Access(trace.Request{Page: 8, Hint: 2}) // nothing has a priority yet: not admitted
+	if e, o := lone.ents[lone.groups[1].head], lone.ents[lone.outHead]; lone.Len() != 1 || lone.OutqueueLen() != 1 ||
+		e.prev != 0 || e.next != 0 || o.prev != 0 || o.next != 0 {
+		t.Fatalf("lone cache holds %d + %d records, links %+v %+v", lone.Len(), lone.OutqueueLen(), e, o)
+	}
+	warmOn(lone, []trace.Request{{Page: 7}, {Page: 8}, {Page: 9}})
+
+	// The free list: whenever a request moved its head — a record was
+	// released, or a released one taken for the request's page — warm that
+	// page, the one before it and the page the slab's newest free record
+	// last held (gone from the table: the probe ends elsewhere).
+	recycled := 0
+	for next := random; next < len(reqs); next++ {
+		free, was := warmed.free, uint64(0)
+		if free != 0 {
+			was = warmed.ents[free].page
+		}
+		victim := pagesAt(warmed, warmed.outHead) // the next record to be released
+		access(next)
+		if warmed.free != free {
+			recycled++
+			warm(append(victim, reqs[next], reqs[next-1], trace.Request{Page: was}))
+		}
+	}
+	if recycled == 0 {
+		t.Error("no request moved the free list; the test needs some to")
+	}
+
 	if warmed.Len() != twin.Len() || warmed.OutqueueLen() != twin.OutqueueLen() ||
 		warmed.Evictions() != twin.Evictions() || warmed.Windows() != twin.Windows() || twin.Evictions() == 0 {
 		t.Errorf("end state: warmed %d/%d/%d/%d, twin %d/%d/%d/%d (len/outq/evictions/windows)",

@@ -41,7 +41,8 @@ const DefaultAccessBatch = 512
 // warmGroup is how many requests processFrame warms ahead of running them:
 // enough independent page-table and record loads in flight to cover a
 // cache miss each, few enough that the lines warmed for the group's last
-// request are still in L1 when its Access runs. Chosen by measurement
+// request (four of them: slot, record, both neighbours) are still in L1
+// when its Access runs. Chosen by measurement
 // (8, 16 and 32 on serve_inproc and core.batch_ns_per_req; see CHANGES.md).
 const warmGroup = 16
 
@@ -69,9 +70,9 @@ type frame struct {
 // The caller holds the shard.
 //
 // Requests run in groups of warmGroup: Cache.warm first pulls the group's
-// page-table and record lines toward L1 with independent loads, then the
-// ordinary serial Access runs per request and probes for itself, so
-// whatever an Access does to the table or the slab between the two passes
+// page-table lines, records and list neighbours toward L1 with independent
+// loads, then the ordinary serial Access runs per request and probes for
+// itself, so whatever an Access does to the table or the slab in between
 // cannot change a verdict — only how long it takes to reach it.
 func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	if f.ctl != nil {
@@ -79,7 +80,7 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 		f.wg.Done()
 		return
 	}
-	var reads, readHits, writes uint64
+	var reads, readHits uint64
 	c := sh.c
 	reqs, idx, hits := f.reqs, f.idx, f.hits
 	if sh.tap != nil {
@@ -92,17 +93,13 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 		hi := min(lo+warmGroup, len(reqs))
 		c.warm(reqs[lo:hi])
 		for j := lo; j < hi; j++ {
-			rq := &reqs[j]
-			hit := c.Access(*rq)
+			hit := c.Access(reqs[j])
 			hits[idx[j]] = hit
-			if rq.Op == trace.Read {
-				reads++
-				if hit {
-					readHits++
-				}
-			} else {
-				writes++
-			}
+			// Counted by addition, not behind a branch on the verdict — with
+			// hits near one in two that branch is a coin toss. Access reports
+			// a hit only for a read, so the hits are the read hits.
+			reads += b2u(reqs[j].Op == trace.Read)
+			readHits += b2u(hit)
 		}
 	}
 	sh.len.Store(int64(c.Len()))
@@ -113,8 +110,17 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	}
 	sh.reads.Add(reads)
 	sh.readHits.Add(readHits)
-	sh.writes.Add(writes)
+	sh.writes.Add(uint64(len(reqs)) - reads)
 	f.wg.Done()
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits no jump for it.
+func b2u(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
 }
 
 // Producer is one client's handle onto a Sharded front: it routes request
@@ -136,6 +142,11 @@ type Producer struct {
 	// of AccessBatch's one-shard path, where a request's position in the
 	// frame is its position in the batch.
 	ident []int32
+
+	// posted counts the frames this handle has posted, foreign those of them
+	// that another producer's goroutine ran. Plain words of the handle's own
+	// goroutine: counting combining costs no shared write.
+	posted, foreign uint64
 }
 
 // NewProducer returns a producer handle for this front. Producers are
@@ -167,15 +178,25 @@ func (p *Producer) post(sh int, f *frame) {
 			break
 		}
 	}
+	ran := false // f itself was among the frames run here
 	for shard.pending.Load() != nil && shard.busy.CompareAndSwap(false, true) {
-		for f := shard.pending.Swap(nil); f != nil; {
-			next := f.next // before processFrame: its wg.Done gives f back
-			p.s.processFrame(shard, f)
-			f = next
+		for g := shard.pending.Swap(nil); g != nil; {
+			next := g.next // before processFrame: its wg.Done gives g back
+			ran = ran || g == f
+			p.s.processFrame(shard, g)
+			g = next
 		}
 		shard.busy.Store(false)
 	}
+	p.posted++
+	p.foreign += b2u(!ran)
 }
+
+// Frames returns how many frames the handle has posted so far and how many
+// of those were run by another producer's goroutine — a combiner that held
+// the shard when the frame was posted. Like the handle it is not safe for
+// concurrent use.
+func (p *Producer) Frames() (posted, foreign uint64) { return p.posted, p.foreign }
 
 // run posts every non-empty frame with hits as its scatter target and
 // waits until all of them have run, here or on another producer's

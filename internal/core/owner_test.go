@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/hint"
 	"repro/internal/trace"
 )
 
@@ -357,7 +358,7 @@ func TestOwnerCombineStress(t *testing.T) {
 	defer s.Close()
 
 	var wg sync.WaitGroup
-	var reads, readHits [producers]uint64
+	var reads, readHits, wantFrames, posted, foreign [producers]uint64
 	for c := 0; c < producers; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -370,6 +371,7 @@ func TestOwnerCombineStress(t *testing.T) {
 			for len(reqs) > 0 {
 				n := min(1+rng.Intn(3), len(reqs))
 				p.AccessBatch(reqs[:n], hits[:])
+				var touched [shards]bool
 				for i, r := range reqs[:n] {
 					if r.Op == trace.Read {
 						reads[c]++
@@ -377,9 +379,14 @@ func TestOwnerCombineStress(t *testing.T) {
 							readHits[c]++
 						}
 					}
+					if sh := s.ShardFor(r.Page); !touched[sh] {
+						touched[sh] = true
+						wantFrames[c]++
+					}
 				}
 				reqs = reqs[n:]
 			}
+			posted[c], foreign[c] = p.Frames()
 		}(c)
 	}
 	var stop atomic.Bool
@@ -421,12 +428,68 @@ func TestOwnerCombineStress(t *testing.T) {
 	if wantHits == 0 || snapshots == 0 {
 		t.Errorf("vacuous run: %d hits, %d control snapshots", wantHits, snapshots)
 	}
+	for c := 0; c < producers; c++ {
+		if posted[c] != wantFrames[c] || foreign[c] > posted[c] {
+			t.Errorf("producer %d: Frames() = %d posted, %d foreign; its batches made %d frames", c, posted[c], foreign[c], wantFrames[c])
+		}
+	}
 	for i := 0; i < shards; i++ {
 		s.withCache(i, func(c *Cache) {
 			if err := c.checkConsistency(); err != nil {
 				t.Errorf("shard %d: %v", i, err)
 			}
 		})
+	}
+}
+
+// TestProducerFrameCounts pins what Producer.Frames counts: every frame
+// posted, and as foreign exactly those the posting goroutine did not run.
+// The collision is staged: with the shard's try-lock held, a's post must
+// leave its frame pending; b, posting after the release, runs both.
+func TestProducerFrameCounts(t *testing.T) {
+	s := NewSharded(Config{Capacity: 64, Window: 500, Engine: EngineOwner}, 1)
+	defer s.Close()
+	a, b := s.NewProducer(), s.NewProducer()
+	reqs := shardedTrace(40, 9)
+	hitsA, hitsB := make([]bool, 20), make([]bool, 20)
+
+	sh := &s.shards[0]
+	sh.busy.Store(true)
+	f := a.frames[0]
+	f.reqs, f.idx, f.hits = reqs[:20], make([]int32, 20), hitsA
+	for i := range f.idx {
+		f.idx[i] = int32(i)
+	}
+	a.wg.Add(1)
+	a.post(0, f)
+	if posted, foreign := a.Frames(); posted != 1 || foreign != 1 {
+		t.Errorf("a posted into a held shard: Frames() = %d, %d, want 1, 1", posted, foreign)
+	}
+	if got := s.Stats().Requests; got != 0 {
+		t.Fatalf("%d requests ran while the shard was held", got)
+	}
+	sh.busy.Store(false)
+	b.AccessBatch(reqs[20:], hitsB)
+	a.wg.Wait()
+	if posted, foreign := b.Frames(); posted != 1 || foreign != 0 {
+		t.Errorf("b ran its own frame and a's: Frames() = %d, %d, want 1, 0", posted, foreign)
+	}
+	if got := s.Stats().Requests; got != 40 {
+		t.Errorf("Requests = %d after both frames, want 40", got)
+	}
+
+	// Alone on a front nothing is foreign, and a batch posts one frame per
+	// shard it touches.
+	wide := NewSharded(Config{Capacity: 64, Window: 500, Engine: EngineOwner}, 4)
+	defer wide.Close()
+	p := wide.NewProducer()
+	touched := map[int]bool{}
+	for _, r := range reqs {
+		touched[wide.ShardFor(r.Page)] = true
+	}
+	p.AccessBatch(reqs, make([]bool, len(reqs)))
+	if posted, foreign := p.Frames(); posted != uint64(len(touched)) || foreign != 0 {
+		t.Errorf("solo producer: Frames() = %d, %d, want %d, 0", posted, foreign, len(touched))
 	}
 }
 
@@ -498,4 +561,56 @@ func TestEngineModeParse(t *testing.T) {
 	if EngineMutex.String() != "mutex" || EngineOwner.String() != "owner" {
 		t.Error("EngineMode.String spellings changed")
 	}
+}
+
+// BenchmarkFrameWarm prices a request on a cache whose records (1.2M of
+// them, 38 MB of slab under a 16 MB table) are far out of the CPU's reach,
+// so that every Access misses on the table, the record and its list
+// neighbours: through a one-shard owner front in frames of 512, where warm
+// loads those lines a group of 16 ahead, and through plain Access, where
+// each request takes its misses one after another. One iteration is one
+// frame.
+func BenchmarkFrameWarm(b *testing.B) {
+	const pages, frames = 1_500_000, 1 << 10
+	rng := rand.New(rand.NewSource(8))
+	reqs := make([]trace.Request, frames*DefaultAccessBatch)
+	for i := range reqs {
+		reqs[i] = trace.Request{Page: uint64(rng.Intn(pages)), Hint: hint.ID(rng.Intn(32)), Op: trace.Op(rng.Intn(4) / 3)}
+	}
+	cfg := Config{Capacity: 200_000, Window: 100_000, Engine: EngineOwner}
+	hits := make([]bool, DefaultAccessBatch)
+	frame := func(i int) []trace.Request {
+		off := i % frames * DefaultAccessBatch
+		return reqs[off : off+DefaultAccessBatch]
+	}
+	fill := func(access func(r trace.Request)) {
+		for p := uint64(0); p < pages; p++ {
+			access(trace.Request{Page: p, Hint: hint.ID(p % 32)})
+		}
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/DefaultAccessBatch, "ns/request")
+	}
+	b.Run("frames", func(b *testing.B) {
+		s := NewSharded(cfg, 1)
+		defer s.Close()
+		fill(func(r trace.Request) { s.Access(r) })
+		p := s.NewProducer()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.AccessBatch(frame(i), hits)
+		}
+		report(b)
+	})
+	b.Run("serial", func(b *testing.B) {
+		c := New(cfg)
+		fill(func(r trace.Request) { c.Access(r) })
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range frame(i) {
+				hits[0] = c.Access(r)
+			}
+		}
+		report(b)
+	})
 }

@@ -56,22 +56,23 @@ func (t *pageTable) find(ents []pageEntry, page uint64) uint32 {
 	}
 }
 
-// touch is find's memory traffic without its answer: it loads the page's
-// probe run up to the first tag match and then that record's page field,
-// and returns what it loaded only so that the loads are not dead code. A
-// caller about to look up several pages touches them all first: the runs
-// and records are independent, so their cache misses overlap, where find
-// after find would take them two at a time (slot, then record).
-func (t *pageTable) touch(ents []pageEntry, page uint64) uint64 {
+// touch is the first half of find's memory traffic: it loads the page's
+// probe run up to the first tag match and returns the slab index stored
+// there (0 when the run ends on an empty slot), without confirming it
+// against the record. A caller about to look up several pages touches them
+// all first: the runs are independent, so their cache misses overlap. The
+// record's own line is deliberately left to a second pass over the indices
+// (Cache.warm), where it is loaded together with its two list neighbours —
+// loading it here would make every probe wait on the record before the
+// next page's run could issue, and a tag match that find would go on to
+// reject (one in 2^32) only costs a line warmed for nothing.
+func (t *pageTable) touch(page uint64) uint32 {
 	tag := pageTag(page)
 	mask := uint32(len(t.slots) - 1)
 	for i := tag >> t.shift; ; i = (i + 1) & mask {
 		s := t.slots[i]
-		if s == 0 {
-			return 0
-		}
-		if uint32(s>>32) == tag {
-			return ents[uint32(s)].page
+		if s == 0 || uint32(s>>32) == tag {
+			return uint32(s)
 		}
 	}
 }

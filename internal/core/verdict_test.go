@@ -183,3 +183,54 @@ func TestVerdictDigestsThroughFrames(t *testing.T) {
 		return verdictEnd{st.Len, st.OutqueueLen, st.Evictions, st.Windows}
 	}))
 }
+
+// TestFrameCountsMatchNaiveRecount replays the golden cases through owner
+// fronts — one shard (the whole batch is one frame) and three (routed
+// frames), alternating — and recounts every batch the slow way from the
+// requests and the verdicts. processFrame counts by addition and takes
+// writes as the remainder, which is right only if a hit is never reported
+// for a write; that, reads + writes = requests and read hits = Σ verdicts
+// are pinned here batch by batch.
+func TestFrameCountsMatchNaiveRecount(t *testing.T) {
+	traces := map[string][]trace.Request{}
+	hits := make([]bool, DefaultAccessBatch)
+	for k, vc := range verdictCases() {
+		reqs, ok := traces[vc.spec]
+		if !ok {
+			reqs = verdictRequests(t, vc.spec)
+			traces[vc.spec] = reqs
+		}
+		cfg := vc.cfg
+		cfg.Engine = EngineOwner
+		s := NewSharded(cfg, 1+2*(k%2))
+		p := s.NewProducer()
+		var reads, readHits, writes uint64
+		for n := 5; len(reqs) > 0; n = len(hits) {
+			n = min(n, len(reqs))
+			p.AccessBatch(reqs[:n], hits)
+			for i, r := range reqs[:n] {
+				switch {
+				case r.Op == trace.Read:
+					reads++
+					if hits[i] {
+						readHits++
+					}
+				case hits[i]:
+					t.Fatalf("%s: write of page %d reported a hit", vc.name, r.Page)
+				default:
+					writes++
+				}
+			}
+			if st := s.Stats(); st.Reads != reads || st.ReadHits != readHits || st.Writes != writes || st.Requests != reads+writes {
+				t.Fatalf("%s: Stats = %d reads, %d read hits, %d writes, %d requests; recount %d, %d, %d",
+					vc.name, st.Reads, st.ReadHits, st.Writes, st.Requests, reads, readHits, writes)
+			}
+			reqs = reqs[n:]
+		}
+		if writes == 0 || (readHits == 0 && vc.cfg.Capacity > 0) {
+			t.Errorf("%s: vacuous: %d writes, %d read hits", vc.name, writes, readHits)
+		}
+		p.Close()
+		s.Close()
+	}
+}

@@ -497,16 +497,36 @@ type session struct {
 }
 
 func (s *session) account(_ any, isRead []bool, res wire.Results, rttNs int64) error {
-	for i, rd := range isRead {
-		if rd {
-			s.st.Reads++
-			if res.Hits[i] {
-				s.st.ReadHits++
-			}
-		}
-	}
+	reads, readHits := CountReads(isRead, res.Hits)
+	s.st.Reads += reads
+	s.st.ReadHits += readHits
 	s.sizer.Observe(rttNs, len(isRead))
 	return nil
+}
+
+// CountReads tallies one answered batch for a result handler: how many of
+// its requests were reads, and how many of those the server reported as
+// hits (hits must be at least as long as isRead). The counts are sums, not
+// increments behind a branch per verdict: with hits near one in two that
+// branch is a coin toss. A verdict on a write is not counted, whatever the
+// peer says.
+func CountReads(isRead, hits []bool) (reads, readHits uint64) {
+	hits = hits[:len(isRead)]
+	for i, rd := range isRead {
+		r := b2u(rd)
+		reads += r
+		readHits += r & b2u(hits[i])
+	}
+	return reads, readHits
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits no jump for it.
+func b2u(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
 }
 
 func (s *session) Submit(reqs []trace.Request) error {

@@ -7,7 +7,10 @@ package netclient_test
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
+	"math"
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -475,5 +478,96 @@ func TestBatchSizer(t *testing.T) {
 	}
 	if degraded.Current() > grown {
 		t.Errorf("sizer kept growing (%d -> %d) through tripled latency", grown, degraded.Current())
+	}
+}
+
+// TestResultsCountOverflowIsAnError scripts a peer that answers a batch with
+// a ResultsSeq frame claiming more verdicts than any bitmap could carry —
+// counts that wrap the decoder's byte arithmetic to zero, which an empty
+// bitmap then satisfied: the client used to panic in make([]bool, n). Each
+// must surface from the pipeline as an error, with the peer's goroutine
+// gone afterwards.
+func TestResultsCountOverflowIsAnError(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, count := range []uint64{math.MaxUint64, math.MaxUint64 - 6, 1 << 40, 8*1 + 1} {
+		client, peer := net.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			defer peer.Close()
+			br, bw := bufio.NewReader(peer), bufio.NewWriter(peer)
+			reply := func(p []byte) error {
+				if err := wire.WriteFrame(bw, p); err != nil {
+					return err
+				}
+				return bw.Flush()
+			}
+			if _, err := wire.ReadFrame(br, nil); err != nil { // Hello
+				done <- err
+				return
+			}
+			if err := reply(wire.AppendHelloAck(nil, wire.HelloAck{Version: wire.Version, Shards: 1, Capacity: 10, Window: 4})); err != nil {
+				done <- err
+				return
+			}
+			if _, err := wire.ReadFrame(br, nil); err != nil { // BatchSeq 0
+				done <- err
+				return
+			}
+			frame := []byte{wire.TypeResultsSeq, 0}
+			frame = binary.AppendUvarint(frame, count)
+			frame = append(frame, 0) // outqueue depth
+			if count == 9 {
+				frame = append(frame, 0xff) // one bitmap byte: room for eight
+			}
+			done <- reply(frame)
+		}()
+
+		conn := netclient.NewConn(client)
+		if _, err := conn.Hello("victim", nil); err != nil {
+			t.Fatal(err)
+		}
+		pl := conn.Pipeline(2, func(any, []bool, wire.Results, int64) error {
+			t.Errorf("count %d: handler ran on a refused frame", count)
+			return nil
+		})
+		if err := pl.Submit(make([]trace.Request, 9), nil); err != nil {
+			t.Fatal(err)
+		}
+		err := pl.Drain()
+		if err == nil || !strings.Contains(err.Error(), "results") {
+			t.Errorf("count %d: Drain() = %v, want an error naming the results count", count, err)
+		}
+		conn.Close()
+		if err := <-done; err != nil {
+			t.Errorf("count %d: scripted peer: %v", count, err)
+		}
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines afterwards, %d before", n, base)
+	}
+}
+
+// TestCountReads holds the additive tally to the loop it replaced, on
+// vectors where a verdict is set on a write (never counted) and at lengths
+// around a word.
+func TestCountReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 0; n < 70; n++ {
+		isRead, hits := make([]bool, n), make([]bool, n+n%3) // hits may run longer
+		for i := range isRead {
+			isRead[i], hits[i] = rng.Intn(3) > 0, rng.Intn(2) == 0
+		}
+		var wantReads, wantHits uint64
+		for i, rd := range isRead {
+			if rd {
+				wantReads++
+				if hits[i] {
+					wantHits++
+				}
+			}
+		}
+		if reads, readHits := netclient.CountReads(isRead, hits); reads != wantReads || readHits != wantHits {
+			t.Errorf("n=%d: CountReads = %d, %d, want %d, %d", n, reads, readHits, wantReads, wantHits)
+		}
 	}
 }

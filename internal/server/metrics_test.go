@@ -179,6 +179,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("+Inf bucket does not equal histogram count")
 	}
 
+	// Combining counters: the replay's connections posted at least a frame
+	// per batch, at most one per batch and shard, and the scrape agrees with
+	// the snapshot now that the server is idle.
+	frames, foreign := samples["clic_core_frames_total"], samples["clic_core_frames_foreign_total"]
+	if batches := samples["clic_server_batches_total"]; frames < batches || frames > shards*batches {
+		t.Errorf("clic_core_frames_total = %v for %v batches over %d shards", frames, batches, shards)
+	}
+	if _, ok := samples["clic_core_frames_foreign_total"]; !ok || foreign > frames {
+		t.Errorf("clic_core_frames_foreign_total = %v (present %v) of %v frames", foreign, ok, frames)
+	}
+	if c := srv.Snapshot(0).Combining; float64(c.Frames) != frames || float64(c.Foreign) != foreign {
+		t.Errorf("/stats combining = %+v, /metrics says %v frames, %v foreign", c, frames, foreign)
+	}
+
 	// Netclient family: the replay ran in this process, so the client-side
 	// RTT histogram must be live too.
 	if samples["clic_netclient_batches_total"] == 0 || samples["clic_netclient_batch_rtt_ns_count"] == 0 {
@@ -227,7 +241,7 @@ func TestSnapshotSchema(t *testing.T) {
 	}
 
 	check("top-level", mustMarshal(t, doc), []string{
-		"policy", "core", "shards", "connections", "histograms", "clients", "windowStats",
+		"policy", "core", "shards", "connections", "histograms", "combining", "clients", "windowStats",
 	})
 	check("core", doc["core"], []string{
 		"Requests", "Reads", "ReadHits", "ReadMisses", "Writes", "Evictions",
@@ -245,6 +259,7 @@ func TestSnapshotSchema(t *testing.T) {
 	})
 	check("connections", doc["connections"], []string{"active", "total", "inflight"})
 	check("histograms", doc["histograms"], []string{"batchServiceNs", "batches"})
+	check("combining", doc["combining"], []string{"frames", "foreign"})
 	var hists struct {
 		BatchServiceNs json.RawMessage `json:"batchServiceNs"`
 		Batches        uint64          `json:"batches"`
@@ -274,6 +289,10 @@ func TestSnapshotSchema(t *testing.T) {
 	}
 	if snap.Connections.Total == 0 {
 		t.Error("connections.total is zero after a replay")
+	}
+	// The default engine is mutex, which posts no frames.
+	if snap.Combining.Frames != 0 || snap.Combining.Foreign != 0 {
+		t.Errorf("combining = %+v under the mutex engine, want zeros", snap.Combining)
 	}
 }
 

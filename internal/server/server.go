@@ -131,6 +131,13 @@ type Server struct {
 	inflight metrics.Gauge
 	flushes  metrics.Counter
 
+	// frames counts the per-shard frames the connections' producers posted,
+	// framesForeign those that another connection's goroutine ran (flat
+	// combining, core/owner.go). The producers count in plain words of their
+	// own; each connection folds its producer's counts in once per batch.
+	frames        metrics.Counter
+	framesForeign metrics.Counter
+
 	// summariesPublished counts windows published to the cluster exchanger
 	// (merged mode with OnSummary wired; the absorbed side lives on the
 	// merged learner).
@@ -470,6 +477,7 @@ func (s *Server) handle(conn net.Conn) {
 	prod := s.cache.NewProducer()
 	defer prod.Close()
 	var reqs []trace.Request
+	var framesSeen, foreignSeen uint64 // prod.Frames() as last folded into the server's counters
 
 	results := make(chan *resultSlot, s.maxInflight)
 	free := make(chan *resultSlot, s.maxInflight)
@@ -543,15 +551,20 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			slot.hits = slot.hits[:len(reqs)]
 			prod.AccessBatch(reqs, slot.hits)
+			// Counted by addition: a branch on a verdict is a coin toss. The
+			// cache reports a hit only for a read, so the hits are the read
+			// hits.
 			var reads, readHits uint64
 			for i, hit := range slot.hits {
-				if reqs[i].Op == trace.Read {
-					reads++
-					if hit {
-						readHits++
-					}
-				}
+				reads += b2u(reqs[i].Op == trace.Read)
+				readHits += b2u(hit)
 			}
+			posted, foreign := prod.Frames()
+			s.frames.Add(posted - framesSeen)
+			if foreign != foreignSeen { // rare enough at small frames to skip the shared write
+				s.framesForeign.Add(foreign - foreignSeen)
+			}
+			framesSeen, foreignSeen = posted, foreign
 			// Fold the batch into the by-client totals before responding,
 			// so once a client has its results the admin snapshot already
 			// reflects them: Snapshot sums equal client-side accounting
@@ -631,6 +644,15 @@ func (s *Server) writeLoop(conn net.Conn, bw *bufio.Writer, results, free chan *
 	}
 }
 
+// b2u is 1 for true and 0 for false; the compiler emits no jump for it.
+func b2u(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
+}
+
 // ClientSnapshot is one client's merged read accounting.
 type ClientSnapshot struct {
 	Name     string `json:"name"`
@@ -663,7 +685,9 @@ type Snapshot struct {
 	// Connections is the page-request connection accounting.
 	Connections ConnectionsSnapshot `json:"connections"`
 	// Histograms summarises the server's cumulative latency histograms.
-	Histograms  HistogramsSnapshot   `json:"histograms"`
+	Histograms HistogramsSnapshot `json:"histograms"`
+	// Combining is the shard hand-off accounting of the owner engine.
+	Combining   CombiningSnapshot    `json:"combining"`
 	Clients     []ClientSnapshot     `json:"clients"`
 	WindowStats []WindowStatSnapshot `json:"windowStats,omitempty"`
 	// Cluster is the merged-learning accounting, present only in merged
@@ -681,6 +705,15 @@ type ClusterSnapshot struct {
 	SummariesAbsorbed  uint64 `json:"summariesAbsorbed"`
 	SummariesPublished uint64 `json:"summariesPublished"`
 	PendingHintSets    int    `json:"pendingHintSets"`
+}
+
+// CombiningSnapshot counts the per-shard frames connections have posted
+// and how many of them a goroutine other than the poster's ran because it
+// held the shard at the time (zero under the mutex engine, which posts
+// none). Foreign ÷ Frames is the share of hand-offs that met contention.
+type CombiningSnapshot struct {
+	Frames  uint64 `json:"frames"`
+	Foreign uint64 `json:"foreign"`
 }
 
 // ConnectionsSnapshot is the connection accounting at snapshot time.
@@ -719,6 +752,8 @@ func (s *Server) Snapshot(topHints int) Snapshot {
 			BatchServiceNs: s.batchNs.Summary(),
 			Batches:        s.batchesTotal.Value(),
 		},
+		// Foreign first: frames only ever runs ahead of it.
+		Combining: CombiningSnapshot{Foreign: s.framesForeign.Value(), Frames: s.frames.Value()},
 	}
 	if m := s.cache.Merged(); m != nil {
 		snap.Cluster = &ClusterSnapshot{

@@ -139,3 +139,82 @@ func refDecodeBatch(p []byte) (uint64, []trace.Request, error) {
 		func(_ int, r trace.Request) error { reqs = append(reqs, r); return nil })
 	return seq, reqs, err
 }
+
+// The encode side and the results codec as they stood before the indexed
+// and eight-at-a-time kernels replaced them — one append per field, one
+// branch per verdict — moved here verbatim (renamed ref*, decoding through
+// refDecoder) as the oracle for TestResultsMatchReference,
+// TestAppendBatchMatchesReference and FuzzResultsSeq. refDecodeResultsSeq
+// keeps the unchecked (n + 7) / 8 of the original: counts that wrap it are
+// the new decoder's to refuse and are tested on their own.
+
+func refAppendBatchSeq(dst []byte, seq uint64, reqs []trace.Request) []byte {
+	dst = append(dst, TypeBatchSeq)
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(reqs)))
+	prev := uint64(0)
+	for _, r := range reqs {
+		flags := byte(0)
+		if r.Op == trace.Write {
+			flags |= 1
+		}
+		dst = append(dst, flags)
+		dst = binary.AppendVarint(dst, int64(r.Page)-int64(prev))
+		prev = r.Page
+		dst = binary.AppendUvarint(dst, uint64(r.Hint))
+	}
+	return dst
+}
+
+func refAppendResultsSeq(dst []byte, seq uint64, r Results) []byte {
+	dst = append(dst, TypeResultsSeq)
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Hits)))
+	dst = binary.AppendUvarint(dst, uint64(r.OutqueueDepth))
+	var cur byte
+	for i, hit := range r.Hits {
+		if hit {
+			cur |= 1 << (i % 8)
+		}
+		if i%8 == 7 {
+			dst = append(dst, cur)
+			cur = 0
+		}
+	}
+	if len(r.Hits)%8 != 0 {
+		dst = append(dst, cur)
+	}
+	return dst
+}
+
+func refDecodeResultsSeq(p []byte, dst Results) (uint64, Results, error) {
+	d, err := refExpect(p, TypeResultsSeq)
+	if err != nil {
+		return 0, Results{}, err
+	}
+	seq, err := d.uvarint()
+	if err != nil {
+		return 0, Results{}, err
+	}
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, Results{}, err
+	}
+	depth, err := d.uvarint()
+	if err != nil {
+		return 0, Results{}, err
+	}
+	words := (n + 7) / 8
+	if uint64(len(d.p)-d.off) != words {
+		return 0, Results{}, fmt.Errorf("wire: results bitmap has %d bytes, want %d", len(d.p)-d.off, words)
+	}
+	if uint64(cap(dst.Hits)) < n {
+		dst.Hits = make([]bool, n)
+	}
+	dst.Hits = dst.Hits[:n]
+	for i := range dst.Hits {
+		dst.Hits[i] = d.p[d.off+i/8]&(1<<(i%8)) != 0
+	}
+	dst.OutqueueDepth = int(depth)
+	return seq, dst, nil
+}

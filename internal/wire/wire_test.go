@@ -573,6 +573,9 @@ func FuzzDecodeResultsSeq(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendResultsSeq(nil, 12, Results{Hits: []bool{true, false, true}, OutqueueDepth: 9}))
 	f.Add([]byte{5, 3, 9, 0b101}) // the same body as the retired untagged Results frame
+	for _, p := range overflowResults() {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		seq, r, err := DecodeResultsSeq(p, Results{})
 		if err != nil {
