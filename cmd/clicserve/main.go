@@ -13,11 +13,10 @@
 // "partitioned" (each shard privately, over a W/N window — the default),
 // "global" (all shards feed one shared learner over the full window W
 // through per-shard taps, so the priority model is cache-wide), or "merged"
-// (global plus the cluster summary exchange below). -engine selects the
-// front's concurrency architecture: "mutex" (a lock per shard — the
-// default) or "owner" (connection handlers hand each shard whole request
-// frames and run them there themselves). The admin /stats JSON reports
-// both modes.
+// (global plus the cluster summary exchange below); the admin /stats JSON
+// reports it. Connection handlers hand each shard whole request frames and
+// run them there themselves, or leave them to whichever handler holds the
+// shard at the time.
 //
 // Several clicserve processes form a cluster (internal/cluster): clients
 // route requests across the nodes by consistent hash (clicsim -connect
@@ -85,7 +84,6 @@ func main() {
 		noutq      = flag.Int("noutq", 0, "CLIC: outqueue entries (0 = 5 per cache page)")
 		stats      = flag.String("stats", "partitioned", "statistics learning mode across shards (partitioned|global|merged)")
 		inflight   = flag.Int("max-inflight", 0, "pipelined batches in flight per connection before backpressure (0 = default)")
-		engineFlag = flag.String("engine", "mutex", "shard concurrency engine (mutex|owner)")
 		clusterOn  = flag.Bool("cluster", false, "exchange window summaries with -peers (implies -stats merged)")
 		peers      = flag.String("peers", "", "-cluster: comma-separated peer page-request addresses")
 		nodeID     = flag.String("node-id", "", "-cluster: this node's name in published summaries (default \"node\")")
@@ -97,10 +95,6 @@ func main() {
 	)
 	flag.Parse()
 	statsMode, err := core.ParseStatsMode(*stats)
-	if err != nil {
-		fatal(err)
-	}
-	engineMode, err := core.ParseEngineMode(*engineFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,7 +130,7 @@ func main() {
 	// every simulated CLIC run, so server hit ratios compare directly to
 	// the in-process grid at the same -cache value.
 	scfg.Cache = core.Config{Capacity: sim.ClicCapacity(*cache), TopK: *topk, Window: *window, R: *decay,
-		Noutq: *noutq, Stats: statsMode, Engine: engineMode, LocalBias: *localBias}
+		Noutq: *noutq, Stats: statsMode, LocalBias: *localBias}
 	scfg.Shards = *shards
 	scfg.MaxInflight = *inflight
 	srv := server.New(scfg)

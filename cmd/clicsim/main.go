@@ -15,11 +15,10 @@
 // it with one goroutine per trace client instead of replaying serially, and
 // -stats selects where the front learns its hint statistics: "partitioned"
 // (per shard, W/N windows — the default) or "global" (one shared learner
-// over the full window W, fed through per-shard taps). -engine picks the
-// front's concurrency architecture: "mutex" (a lock per shard — the
-// default) or "owner" (whole request batches handed to each shard, run by
-// whichever client posted them; requires -concurrent or -serve since it is
-// a batch architecture).
+// over the full window W, fed through per-shard taps). A serial replay
+// holds each request's shard for that request alone; the concurrent serve
+// hands each shard whole request frames, run by whichever client posted
+// them or by whoever holds the shard at the time.
 //
 // -cpuprofile and -memprofile write the standard pprof profiles covering
 // the run.
@@ -93,7 +92,6 @@ func main() {
 		shards     = flag.Int("shards", 1, "CLIC: run behind a sharded concurrent front (>1 enables)")
 		stats      = flag.String("stats", "partitioned", "CLIC sharded front: statistics learning mode (partitioned|global)")
 		concurrent = flag.Bool("concurrent", false, "drive the sharded CLIC front with one goroutine per client (requires -shards > 1)")
-		engineFlag = flag.String("engine", "mutex", "CLIC sharded front: concurrency engine (mutex|owner)")
 		serveAddr  = flag.String("serve", "", "run as a network cache server on this address instead of simulating")
 		connect    = flag.String("connect", "", "replay the trace against a cache server (or a comma-separated cluster of servers) at these addresses")
 		batch      = flag.Int("batch", 0, "-connect: requests per wire frame (0 = adaptive, grown toward the sweet spot)")
@@ -109,10 +107,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	engineMode, err := core.ParseEngineMode(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
@@ -124,7 +118,7 @@ func main() {
 	}()
 	if *serveAddr != "" {
 		serve(*serveAddr, *shards, sizesOrDie(*caches),
-			core.Config{TopK: *topk, Window: *window, R: *decay, Noutq: *noutq, Stats: statsMode, Engine: engineMode})
+			core.Config{TopK: *topk, Window: *window, R: *decay, Noutq: *noutq, Stats: statsMode})
 		return
 	}
 	if *tracePath == "" && *genSpec == "" {
@@ -142,12 +136,6 @@ func main() {
 	if *concurrent && *shards < 2 {
 		fatal(fmt.Errorf("-concurrent requires -shards > 1 (a plain cache is not safe for concurrent use)"))
 	}
-	if engineMode == core.EngineOwner && !*concurrent {
-		// A serial replay through the owner engine is one frame per request
-		// — that measures nothing useful; the batch drivers (-concurrent,
-		// -serve, the network server) are the owner paths.
-		fatal(fmt.Errorf("-engine owner requires -concurrent (or -serve); serial replay uses the mutex engine"))
-	}
 	// The grid path needs the whole trace; the concurrent serve streams it
 	// instead (constant memory at any trace length — a -gen spec never
 	// materialises at all).
@@ -164,7 +152,7 @@ func main() {
 		}
 	}
 	sizes := sizesOrDie(*caches)
-	clicCfg := core.Config{TopK: *topk, Window: *window, R: *decay, Noutq: *noutq, Stats: statsMode, Engine: engineMode}
+	clicCfg := core.Config{TopK: *topk, Window: *window, R: *decay, Noutq: *noutq, Stats: statsMode}
 
 	// Build the policy × size grid as engine jobs, each with its own row
 	// metadata so results and labels cannot drift apart.

@@ -111,7 +111,7 @@ func main() {
 	ctbl.AddRow("overall", report.Pct(conc.HitRatio()))
 	ctbl.AddNote("hash-partitioned shards serve the clients in parallel")
 	ctbl.AddNote("unlike the round-robin replay above, the arrival order here is whatever the scheduler")
-	ctbl.AddNote("produces and CLIC adapts to that order — on few cores expect markedly different hit ratios")
+	ctbl.AddNote("produces, so hit ratios vary run to run — by a few tenths of a point of the serial replay's on 2 cores")
 	if err := ctbl.Render(os.Stdout); err != nil {
 		fail(err)
 	}

@@ -26,12 +26,12 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAccessBatchSteadyStateAllocs is the same contract for the owner
-// engine's batch path: a warm producer running DefaultAccessBatch-sized
-// batches through the shards — routing pass, frame hand-off, warm pass,
-// scatter — allocates nothing per batch.
+// TestAccessBatchSteadyStateAllocs is the same contract for a front's batch
+// path: a warm producer running DefaultAccessBatch-sized batches through
+// the shards — routing pass, frame hand-off, warm pass, scatter —
+// allocates nothing per batch.
 func TestAccessBatchSteadyStateAllocs(t *testing.T) {
-	s := NewSharded(Config{Capacity: 512, Window: 2000, TopK: 64, Engine: EngineOwner}, 4)
+	s := NewSharded(Config{Capacity: 512, Window: 2000, TopK: 64}, 4)
 	defer s.Close()
 	p := s.NewProducer()
 	defer p.Close()
@@ -63,7 +63,7 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 // than the measured run, so no rotation (which allocates the table it
 // publishes, by design) falls inside it.
 func TestAccessBatchGlobalAllocs(t *testing.T) {
-	s := NewSharded(Config{Capacity: 512, Window: 1 << 30, TopK: 64, Stats: StatsGlobal, Engine: EngineOwner}, 4)
+	s := NewSharded(Config{Capacity: 512, Window: 1 << 30, TopK: 64, Stats: StatsGlobal}, 4)
 	defer s.Close()
 	p := s.NewProducer()
 	defer p.Close()

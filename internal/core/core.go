@@ -45,22 +45,16 @@
 // window (StatsPartitioned, the default) or one shared learner that every
 // shard feeds through a private tap, one lock per frame (StatsGlobal).
 //
-// Config.Engine selects how a Sharded front is driven. EngineMutex (the
-// default) guards each shard with a sync.Mutex and serves any goroutine
-// directly, one request per lock. EngineOwner hands a shard over a frame
-// at a time: callers obtain a Producer via Sharded.NewProducer, submit
-// batches with AccessBatch, and the producer's own goroutine runs each
-// per-shard frame under the shard's try-lock — or, when another producer
-// holds the shard, leaves the frame for that one to run (flat combining;
-// see owner.go). No front owns a goroutine. Frames run in groups of 16
-// requests whose page-table lines, records and records' list neighbours
-// are loaded ahead of the serial Access calls (Cache.warm), which is where
-// batching buys more than amortized synchronization. The engines are behaviorally
-// bit-identical per producer stream. Both keep the steady-state request
-// path allocation-free:
-// page records recycle through the slab's free list, and the group table,
-// the window statistics and the Space-Saving counter slab are reused in
-// place.
+// A Sharded front owns no goroutine and holds each shard through a
+// try-lock: a Producer's batches run as per-shard frames on whichever
+// goroutine holds the shard (flat combining; owner.go), and Sharded.Access
+// holds the shard for one request. Frames run in groups of 16 requests
+// whose page-table lines, records and list neighbours are loaded ahead of
+// the serial Access calls (Cache.warm), which is where batching buys more
+// than amortized synchronization. The steady-state request path is
+// allocation-free: page records recycle through the slab's free list, and
+// the group table, the window statistics and the Space-Saving counter slab
+// are reused in place.
 package core
 
 import (
@@ -151,12 +145,18 @@ type Config struct {
 	// the cluster-merged one, in [0, 1); see clicstats.Config.LocalBias.
 	// Ignored outside StatsMerged.
 	LocalBias float64
-	// Engine selects the concurrency architecture of a Sharded front built
-	// from this configuration: mutex-per-shard (default) or single-owner
-	// shards that producers hand whole frames to; see EngineMode. A plain
-	// Cache ignores it.
+	// Engine is read by nothing. It, EngineMode and EngineOwner remain only
+	// so that the frozen benchmark (bench/layers.go), which sets it, still
+	// compiles; they go with the next declared benchmark revision.
 	Engine EngineMode
 }
+
+// EngineMode is the inert type of Config.Engine.
+type EngineMode int
+
+// EngineOwner is EngineMode's one value and its zero, so Config{} and
+// Config{Engine: EngineOwner} are the same configuration.
+const EngineOwner EngineMode = 0
 
 // DefaultWindow is the statistics window used when Config.Window is zero.
 // The paper uses W = 1e6 on traces of 3M–635M requests; our scaled traces

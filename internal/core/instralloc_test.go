@@ -12,8 +12,8 @@ import (
 // per-batch histogram observations, snapshot-counter reads, and timeline
 // ticks sampling the front — exactly how the network server instruments it.
 
-// TestAccessInstrumentedAllocs wraps the mutex-engine per-request path with
-// a service-time histogram and a registry-backed counter.
+// TestAccessInstrumentedAllocs wraps the per-request path with a
+// service-time histogram and a registry-backed counter.
 func TestAccessInstrumentedAllocs(t *testing.T) {
 	s := NewSharded(Config{Capacity: 512, Window: 2000, TopK: 64}, 4)
 	reqs := shardedTrace(200000, 99)
@@ -37,11 +37,11 @@ func TestAccessInstrumentedAllocs(t *testing.T) {
 	}
 }
 
-// TestAccessBatchInstrumentedAllocs is the owner-engine batch path under
-// the server's full instrumentation: batch-latency histogram, stats
-// snapshot, and a timeline tick per batch.
+// TestAccessBatchInstrumentedAllocs is the batch path under the server's
+// full instrumentation: batch-latency histogram, stats snapshot, and a
+// timeline tick per batch.
 func TestAccessBatchInstrumentedAllocs(t *testing.T) {
-	s := NewSharded(Config{Capacity: 512, Window: 2000, TopK: 64, Engine: EngineOwner}, 4)
+	s := NewSharded(Config{Capacity: 512, Window: 2000, TopK: 64}, 4)
 	defer s.Close()
 	p := s.NewProducer()
 	defer p.Close()
@@ -92,32 +92,30 @@ func TestAccessBatchInstrumentedAllocs(t *testing.T) {
 // victims, must report evictions, and the per-shard counts must sum to the
 // front's total.
 func TestShardedEvictions(t *testing.T) {
-	for _, engine := range []EngineMode{EngineMutex, EngineOwner} {
-		s := NewSharded(Config{Capacity: 128, Window: 500, TopK: 32, Engine: engine}, 4)
-		reqs := shardedTrace(50000, 7)
-		p := s.NewProducer()
-		hits := make([]bool, len(reqs))
-		p.AccessBatch(reqs, hits)
-		st := s.Stats()
-		if st.Evictions == 0 {
-			t.Errorf("%v: no evictions recorded over %d requests at capacity %d", engine, len(reqs), s.Capacity())
-		}
-		var sum uint64
-		for i := 0; i < s.Shards(); i++ {
-			sum += s.ShardStats(i).Evictions
-		}
-		if sum != st.Evictions {
-			t.Errorf("%v: shard evictions sum %d != front total %d", engine, sum, st.Evictions)
-		}
-		p.Close()
-		s.Close()
+	s := NewSharded(Config{Capacity: 128, Window: 500, TopK: 32}, 4)
+	defer s.Close()
+	reqs := shardedTrace(50000, 7)
+	p := s.NewProducer()
+	defer p.Close()
+	hits := make([]bool, len(reqs))
+	p.AccessBatch(reqs, hits)
+	st := s.Stats()
+	if st.Evictions == 0 {
+		t.Errorf("no evictions recorded over %d requests at capacity %d", len(reqs), s.Capacity())
+	}
+	var sum uint64
+	for i := 0; i < s.Shards(); i++ {
+		sum += s.ShardStats(i).Evictions
+	}
+	if sum != st.Evictions {
+		t.Errorf("shard evictions sum %d != front total %d", sum, st.Evictions)
 	}
 }
 
 // TestShardStatsSum checks that the per-shard view tiles the front's
 // aggregate exactly once the engine is quiescent.
 func TestShardStatsSum(t *testing.T) {
-	s := NewSharded(Config{Capacity: 256, Window: 1000, TopK: 32, Engine: EngineOwner}, 4)
+	s := NewSharded(Config{Capacity: 256, Window: 1000, TopK: 32}, 4)
 	defer s.Close()
 	p := s.NewProducer()
 	defer p.Close()

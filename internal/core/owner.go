@@ -1,35 +1,40 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/trace"
 )
 
-// This file is the single-owner shard engine (EngineOwner): a shard's cache
-// is only ever touched by the one goroutine that holds the shard's try-lock,
-// and that goroutine is whichever producer happened to post a frame there —
-// there are no shard goroutines. The cache code runs with no per-request
-// lock and no per-request atomics; synchronization costs are paid once per
-// frame (a sub-batch routed to one shard), not once per request.
+// This file is the shard engine. A shard's cache is only ever touched by
+// the goroutine holding the shard's try-lock (shardedShard.busy); there are
+// no shard goroutines. A goroutine takes the try-lock one of two ways:
 //
-// Combining protocol (flat combining: Hendler, Incze, Shavit, Tzafrir, SPAA
-// 2010). A producer pushes its frame onto the shard's pending list, then
-// try-locks the shard. The winner is the shard's combiner: it takes the whole
-// list — its own frame and whatever other producers left while it held the
-// shard — runs it, releases, and re-checks the list. A loser moves on to its
-// next shard and collects its verdicts at its batch's WaitGroup.
+//   - Producer.post (the batch path) pushes a frame onto the shard's
+//     pending list, then try-locks once. The winner is the shard's combiner
+//     (flat combining: Hendler, Incze, Shavit, Tzafrir, SPAA 2010); a loser
+//     moves on to its next shard and collects its verdicts at its batch's
+//     WaitGroup, since whoever holds the shard runs the frame for it.
+//   - shardedShard.hold (Sharded.Access, withCache) spins on the try-lock,
+//     yielding between attempts, then runs its request or function itself.
 //
-// No frame is lost. The producer pushes, then try-locks; the combiner
-// releases, then re-checks; all four are sequentially consistent atomics. So
+// Either way the holder gives the shard back through release: run every
+// pending frame, clear the try-lock, re-check the list. The cache code runs
+// with no per-request lock or atomics; synchronization is paid once per
+// frame (a sub-batch routed to one shard), or once per request on the
+// per-request path.
+//
+// No frame is lost. A producer pushes, then try-locks; a holder clears the
+// try-lock, then re-checks; all four are sequentially consistent atomics. So
 // if a producer's try-lock fails, the shard was held after its push, and the
 // holder's release — and with it the holder's re-check — comes later still
-// and sees the frame (unless another combiner already took it); if the
+// and sees the frame (unless another holder already took it); if the
 // try-lock succeeds, the producer drains the frame itself.
 //
 // Frame lifetime. A frame belongs to its producer except between push and
-// the combiner's wg.Done for it; Done hands it back, and the producer may
-// push it again (rewriting next) at once. The combiner therefore reads a
+// the holder's wg.Done for it; Done hands it back, and the producer may
+// push it again (rewriting next) at once. A holder therefore reads a
 // frame's next link before it runs the frame, never after.
 
 // DefaultAccessBatch is the request count per AccessBatch call used by
@@ -51,22 +56,72 @@ const warmGroup = 16
 // Frames are owned by their producer and reused batch after batch — the
 // steady-state request path allocates nothing. While posted, a frame sits
 // on its shard's pending list through next and belongs to the shard's
-// combiner until that calls wg.Done (see "Frame lifetime" above).
+// holder until that calls wg.Done (see "Frame lifetime" above).
 type frame struct {
 	reqs []trace.Request // requests for this shard, in producer order
 	idx  []int32         // position of each request in the producer's batch
 	hits []bool          // producer's whole-batch results (scatter target)
 	wg   *sync.WaitGroup // batch completion; Done once per frame
 	next *frame          // pending-list link, written by post before the push
+}
 
-	// ctl, when non-nil, makes this a control frame: the combiner runs fn
-	// with exclusive access to the shard's cache instead of processing
-	// requests.
-	ctl func(c *Cache)
+// hold takes shard sh for a caller with one thing to run: it spins on the
+// try-lock, yielding the processor between attempts so that a holder the
+// scheduler preempted gets to finish. The caller gives the shard back with
+// release.
+func (sh *shardedShard) hold() {
+	for !sh.busy.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
+}
+
+// release gives shard sh back: it runs the frames posted while sh was held,
+// clears the try-lock and re-checks the list, holding sh again if a frame
+// arrived in between (see "No frame is lost" above). It reports whether f
+// was among the frames it ran.
+func (s *Sharded) release(sh *shardedShard, f *frame) (ran bool) {
+	for {
+		if sh.pending.Load() != nil {
+			for g := sh.pending.Swap(nil); g != nil; {
+				next := g.next // before processFrame: its wg.Done gives g back
+				ran = ran || g == f
+				s.processFrame(sh, g)
+				g = next
+			}
+		}
+		sh.busy.Store(false)
+		if sh.pending.Load() == nil || !sh.busy.CompareAndSwap(false, true) {
+			return ran
+		}
+	}
+}
+
+// settle mirrors the cache's state into shard sh's snapshot counters after
+// its holder ran reads+writes requests, readHits of them hits. Reads are
+// added before read hits, the order Stats relies on; a zero is not added at
+// all, since an atomic add costs the same whatever it adds and a single
+// request has one or two of them.
+func (s *Sharded) settle(sh *shardedShard, reads, readHits, writes uint64) {
+	c := sh.c
+	sh.len.Store(int64(c.Len()))
+	sh.outq.Store(int64(c.OutqueueLen()))
+	sh.evictions.Store(c.Evictions())
+	if s.global == nil {
+		sh.windows.Store(int64(c.Windows()))
+	}
+	if reads != 0 {
+		sh.reads.Add(reads)
+	}
+	if readHits != 0 {
+		sh.readHits.Add(readHits)
+	}
+	if writes != 0 {
+		sh.writes.Add(writes)
+	}
 }
 
 // processFrame runs one frame against the shard's cache: no lock, no
-// per-request atomics — the snapshot counters are flushed once at the end.
+// per-request atomics — the snapshot counters are settled once at the end.
 // The caller holds the shard.
 //
 // Requests run in groups of warmGroup: Cache.warm first pulls the group's
@@ -75,11 +130,6 @@ type frame struct {
 // itself, so whatever an Access does to the table or the slab in between
 // cannot change a verdict — only how long it takes to reach it.
 func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
-	if f.ctl != nil {
-		f.ctl(sh.c)
-		f.wg.Done()
-		return
-	}
 	var reads, readHits uint64
 	c := sh.c
 	reqs, idx, hits := f.reqs, f.idx, f.hits
@@ -102,15 +152,7 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 			readHits += b2u(hit)
 		}
 	}
-	sh.len.Store(int64(c.Len()))
-	sh.outq.Store(int64(c.OutqueueLen()))
-	sh.evictions.Store(c.Evictions())
-	if s.global == nil {
-		sh.windows.Store(int64(c.Windows()))
-	}
-	sh.reads.Add(reads)
-	sh.readHits.Add(readHits)
-	sh.writes.Add(uint64(len(reqs)) - reads)
+	s.settle(sh, reads, readHits, uint64(len(reqs))-reads)
 	f.wg.Done()
 }
 
@@ -128,11 +170,9 @@ func b2u(b bool) uint64 {
 // are not safe for concurrent use — give each goroutine its own — but any
 // number of handles may drive the same front concurrently.
 //
-// In owner mode the handle carries one reusable frame per shard, and its
-// goroutine runs the frames it posts (and, when producers collide on a
-// shard, frames of theirs — or they run its); in mutex mode AccessBatch
-// simply loops Access, so callers can be written against Producer
-// regardless of the front's engine.
+// The handle carries one reusable frame per shard, and its goroutine runs
+// the frames it posts (and, when producers collide on a shard, frames of
+// theirs — or they run its).
 type Producer struct {
 	s      *Sharded
 	frames []*frame
@@ -144,7 +184,7 @@ type Producer struct {
 	ident []int32
 
 	// posted counts the frames this handle has posted, foreign those of them
-	// that another producer's goroutine ran. Plain words of the handle's own
+	// that another goroutine ran. Plain words of the handle's own
 	// goroutine: counting combining costs no shared write.
 	posted, foreign uint64
 }
@@ -153,12 +193,9 @@ type Producer struct {
 // cheap enough to create per connection; Close is a no-op but keeps call
 // sites honest about lifetime.
 func (s *Sharded) NewProducer() *Producer {
-	p := &Producer{s: s}
-	if s.engine == EngineOwner {
-		p.frames = make([]*frame, len(s.shards))
-		for i := range p.frames {
-			p.frames[i] = &frame{wg: &p.wg}
-		}
+	p := &Producer{s: s, frames: make([]*frame, len(s.shards))}
+	for i := range p.frames {
+		p.frames[i] = &frame{wg: &p.wg}
 	}
 	return p
 }
@@ -168,7 +205,7 @@ func (p *Producer) Close() {}
 
 // post hands frame f to shard sh per the combining protocol: push, then
 // combine if the shard is free. On return f has either run or sits on the
-// list of a combiner that will run it; p.wg says which.
+// list of a holder that will run it; p.wg says which.
 func (p *Producer) post(sh int, f *frame) {
 	shard := &p.s.shards[sh]
 	for {
@@ -178,29 +215,19 @@ func (p *Producer) post(sh int, f *frame) {
 			break
 		}
 	}
-	ran := false // f itself was among the frames run here
-	for shard.pending.Load() != nil && shard.busy.CompareAndSwap(false, true) {
-		for g := shard.pending.Swap(nil); g != nil; {
-			next := g.next // before processFrame: its wg.Done gives g back
-			ran = ran || g == f
-			p.s.processFrame(shard, g)
-			g = next
-		}
-		shard.busy.Store(false)
-	}
+	// ran: f itself was among the frames run on this goroutine.
+	ran := shard.pending.Load() != nil && shard.busy.CompareAndSwap(false, true) && p.s.release(shard, f)
 	p.posted++
 	p.foreign += b2u(!ran)
 }
 
 // Frames returns how many frames the handle has posted so far and how many
-// of those were run by another producer's goroutine — a combiner that held
-// the shard when the frame was posted. Like the handle it is not safe for
-// concurrent use.
+// of those were run by another goroutine — one that held the shard when the
+// frame was posted. Like the handle it is not safe for concurrent use.
 func (p *Producer) Frames() (posted, foreign uint64) { return p.posted, p.foreign }
 
 // run posts every non-empty frame with hits as its scatter target and
-// waits until all of them have run, here or on another producer's
-// goroutine.
+// waits until all of them have run, here or on another goroutine.
 func (p *Producer) run(hits []bool) {
 	for sh, f := range p.frames {
 		if len(f.reqs) > 0 {
@@ -214,20 +241,14 @@ func (p *Producer) run(hits []bool) {
 
 // AccessBatch processes one batch of requests against the front and writes
 // each request's hit/miss into hits (which must be at least len(reqs)
-// long). Requests keep their relative order per shard; across shards they
-// proceed concurrently, exactly like independent clients in mutex mode —
-// and because a page's whole history lives on one shard, a single
-// producer's results are bit-identical to a serial mutex-mode replay in
-// partitioned-statistics mode.
+// long). Requests keep their relative order per shard, and a page's whole
+// history lives on one shard, so in partitioned-statistics mode a single
+// producer's results are bit-identical to a serial replay of its requests
+// through Access; with a shared learner, to one in the order the frames run
+// — a batch shard by shard.
 func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) {
 	if len(hits) < len(reqs) {
 		panic("core: AccessBatch hits slice shorter than reqs")
-	}
-	if p.s.engine != EngineOwner {
-		for i := range reqs {
-			hits[i] = p.s.Access(reqs[i])
-		}
-		return
 	}
 	if len(p.frames) == 1 {
 		// One shard: skip the routing pass, the whole batch is one frame.
@@ -256,43 +277,18 @@ func (p *Producer) reset() {
 	}
 }
 
-// Close is a no-op in both engines — a front owns no goroutine, so there
-// is nothing to stop — and stays so that call sites keep stating the
-// front's lifetime. Snapshots read the same before and after.
+// Close is a no-op — a front owns no goroutine, so there is nothing to
+// stop — and stays so that call sites keep stating the front's lifetime.
+// Snapshots read the same before and after.
 func (s *Sharded) Close() {}
 
-// accessOwner is the single-request fallback in owner mode: a batch of one
-// through the internal producer, run on the caller's goroutine unless
-// another producer holds the shard. Drivers that care about the per-frame
-// cost use Producer.AccessBatch.
-func (s *Sharded) accessOwner(r trace.Request) bool {
-	s.fbMu.Lock()
-	s.fbReq[0] = r
-	s.fbProd.AccessBatch(s.fbReq[:1], s.fbHits[:1])
-	hit := s.fbHits[0]
-	s.fbMu.Unlock()
-	return hit
-}
-
-// withCache runs fn with exclusive access to shard i's cache: under the
-// shard lock in mutex mode, as a control frame through the combining
-// protocol in owner mode. Control-plane accessors (WindowStats) use it so
-// they never race the request path.
+// withCache runs fn with exclusive access to shard i's cache, holding the
+// shard as Access does. Control-plane accessors (WindowStats,
+// TrackedHintSets) use it so they never race the request path; fn must not
+// call back into the front.
 func (s *Sharded) withCache(i int, fn func(c *Cache)) {
 	sh := &s.shards[i]
-	if s.engine != EngineOwner {
-		sh.mu.Lock()
-		fn(sh.c)
-		sh.mu.Unlock()
-		return
-	}
-	s.fbMu.Lock()
-	p := s.fbProd
-	f := p.frames[i]
-	f.ctl = fn
-	p.wg.Add(1)
-	p.post(i, f)
-	p.wg.Wait()
-	f.ctl = nil
-	s.fbMu.Unlock()
+	sh.hold()
+	fn(sh.c)
+	s.release(sh, nil)
 }

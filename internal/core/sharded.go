@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/clicstats"
@@ -12,11 +11,11 @@ import (
 
 // Sharded is a concurrency-safe CLIC front: it hash-partitions the page
 // space across N independent Caches, each carrying its own outqueue and
-// each touched by one goroutine at a time — under the shard's mutex in the
-// mutex engine, under its try-lock in the owner engine (owner.go).
-// Requests for different shards proceed in parallel, so multiple simulated
-// clients can drive one server cache concurrently — the serving scenario
-// the single Cache (which is not safe for concurrent use) cannot support.
+// each touched by one goroutine at a time — whichever holds the shard's
+// try-lock (owner.go). Requests for different shards proceed in parallel,
+// so multiple simulated clients can drive one server cache concurrently —
+// the serving scenario the single Cache (which is not safe for concurrent
+// use) cannot support.
 //
 // Partitioning preserves CLIC's placement semantics per shard: a page's
 // whole history lands on one shard, so re-reference detection, outqueue
@@ -37,19 +36,10 @@ type Sharded struct {
 	shards   []shardedShard
 	capacity int
 	mode     StatsMode
-	engine   EngineMode
 	// global is the shared learner in StatsGlobal and StatsMerged modes
 	// (nil otherwise); merged is its cluster view in StatsMerged mode.
 	global *clicstats.Global
 	merged *clicstats.Merged
-
-	// Owner-engine state (EngineOwner only): the internal producer behind
-	// the per-request Access path and the control frames, serialized by
-	// fbMu (Access must stay safe for concurrent use in every mode).
-	fbMu   sync.Mutex
-	fbProd *Producer
-	fbReq  [1]trace.Request
-	fbHits [1]bool
 }
 
 // shardedShard is one Cache partition with its hand-off words and its
@@ -57,11 +47,9 @@ type Sharded struct {
 // neighbouring shards in the []shardedShard never share one.
 //
 // The first line is what goroutines contend on to reach the cache: the
-// mutex engine's lock, or the owner engine's pending list and try-lock
-// (owner.go) — a front runs one engine, so only one set is ever hot — next
-// to the two pointers whoever wins the line reads next and which never
-// change: the cache, and the shard's tap on the shared learner (nil in
-// partitioned mode).
+// pending list and the try-lock (owner.go), next to the two pointers
+// whoever wins the line reads next and which never change: the cache, and
+// the shard's tap on the shared learner (nil in partitioned mode).
 //
 // The second line mirrors the shard's accounting so that cross-shard
 // snapshots (Stats, Len, OutqueueLen, Windows) are plain atomic loads
@@ -71,11 +59,10 @@ type Sharded struct {
 // counters is consistent up to in-flight requests on other shards.
 type shardedShard struct {
 	pending atomic.Pointer[frame] // posted frames not yet taken by a combiner
-	busy    atomic.Bool           // the owner engine's try-lock
-	mu      sync.Mutex            // the mutex engine's lock
+	busy    atomic.Bool           // the try-lock: held by whoever runs the cache
 	c       *Cache
 	tap     *clicstats.Tap
-	_       [cacheLine - 40]byte
+	_       [cacheLine - 32]byte
 
 	reads     atomic.Uint64
 	readHits  atomic.Uint64
@@ -98,7 +85,8 @@ var _ policy.Policy = (*Sharded)(nil)
 // partitioned-statistics mode each shard's window is W/n so the front as a
 // whole rotates statistics about every W requests under a uniform request
 // spread; in global mode the shared learner rotates exactly every W
-// requests, cache-wide. n = 1 degenerates to a mutex-guarded plain Cache.
+// requests, cache-wide. n = 1 degenerates to a plain Cache behind one
+// try-lock.
 func NewSharded(cfg Config, n int) *Sharded {
 	if n <= 0 {
 		panic("core: NewSharded needs at least one shard")
@@ -107,7 +95,7 @@ func NewSharded(cfg Config, n int) *Sharded {
 		panic("core: negative capacity")
 	}
 	full := cfg.withDefaults()
-	s := &Sharded{shards: make([]shardedShard, n), capacity: full.Capacity, mode: full.Stats, engine: full.Engine}
+	s := &Sharded{shards: make([]shardedShard, n), capacity: full.Capacity, mode: full.Stats}
 	switch full.Stats {
 	case StatsGlobal:
 		s.global = clicstats.NewGlobal(full.learnerConfig())
@@ -145,9 +133,6 @@ func NewSharded(cfg Config, n int) *Sharded {
 		} else {
 			s.shards[i].c = newCache(sub, clicstats.NewPartitioned(sub.learnerConfig()))
 		}
-	}
-	if s.engine == EngineOwner {
-		s.fbProd = s.NewProducer()
 	}
 	return s
 }
@@ -200,38 +185,21 @@ func (s *Sharded) StatsMode() StatsMode { return s.mode }
 // identically to global mode.
 func (s *Sharded) Merged() *clicstats.Merged { return s.merged }
 
-// EngineMode returns the concurrency architecture in effect.
-func (s *Sharded) EngineMode() EngineMode { return s.engine }
-
-// Access implements policy.Policy. It is safe for concurrent use: requests
-// hitting different shards proceed in parallel, requests for the same shard
-// serialize on its mutex. In global mode the shards additionally share the
+// Access implements policy.Policy. It is safe for concurrent use: the
+// caller takes the request's shard through its try-lock (yielding while
+// another goroutine holds it), runs the request itself and releases, so
+// requests for different shards proceed in parallel and requests for one
+// shard serialize. In global mode the shards additionally share the
 // learner, and each request flushes its shard's tap under the learner's one
-// counter lock. In owner mode this is a one-request frame through a
-// producer all callers share — batch drivers should use
-// NewProducer/AccessBatch instead.
+// counter lock. Batch drivers should use NewProducer/AccessBatch, which pay
+// the hand-off once per frame instead of once per request.
 func (s *Sharded) Access(r trace.Request) bool {
-	if s.engine == EngineOwner {
-		return s.accessOwner(r)
-	}
 	sh := &s.shards[s.ShardFor(r.Page)]
-	sh.mu.Lock()
+	sh.hold()
 	hit := sh.c.Access(r)
-	sh.len.Store(int64(sh.c.Len()))
-	sh.outq.Store(int64(sh.c.OutqueueLen()))
-	sh.evictions.Store(sh.c.Evictions())
-	if s.global == nil {
-		sh.windows.Store(int64(sh.c.Windows()))
-	}
-	if r.Op == trace.Read {
-		sh.reads.Add(1)
-		if hit {
-			sh.readHits.Add(1)
-		}
-	} else {
-		sh.writes.Add(1)
-	}
-	sh.mu.Unlock()
+	read := r.Op == trace.Read
+	s.settle(sh, b2u(read), b2u(hit), b2u(!read))
+	s.release(sh, nil)
 	return hit
 }
 
@@ -290,12 +258,10 @@ type Stats struct {
 	OutqueueLen int
 	Windows     int
 	// Shards and Capacity are the front's fixed configuration; Learner is
-	// the statistics mode ("partitioned" or "global") and Engine the
-	// concurrency architecture ("mutex" or "owner").
+	// the statistics mode ("partitioned" or "global").
 	Shards   int
 	Capacity int
 	Learner  string
-	Engine   string
 }
 
 // HitRatio returns the snapshot's read hit ratio (0 when no reads yet).
@@ -311,7 +277,7 @@ func (st Stats) HitRatio() float64 {
 // to call per response batch. Counters from shards with requests in flight
 // may lag by those requests; each counter is individually exact.
 func (s *Sharded) Stats() Stats {
-	st := Stats{Shards: len(s.shards), Capacity: s.capacity, Learner: s.mode.String(), Engine: s.engine.String()}
+	st := Stats{Shards: len(s.shards), Capacity: s.capacity, Learner: s.mode.String()}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		// Load readHits before reads: a concurrent Access bumps reads
@@ -371,8 +337,8 @@ func (s *Sharded) ShardStats(i int) ShardStats {
 // TrackedHintSets returns the number of hint sets the statistics learner
 // currently tracks: the shared learner's count in global mode, the sum of
 // the per-shard learners' counts in partitioned mode (a hint set seen by
-// several shards counts once per shard). Partitioned mode pays a control
-// frame or lock per shard — an observability read, not a hot-path one.
+// several shards counts once per shard). Partitioned mode holds every shard
+// in turn — an observability read, not a hot-path one.
 func (s *Sharded) TrackedHintSets() int {
 	if s.global != nil {
 		return s.global.TrackedHintSets()

@@ -46,11 +46,7 @@ func TestShardedMatchesPartitionedCaches(t *testing.T) {
 	const shards = 4
 	cfg := Config{Capacity: 64, Window: 500, TopK: 0}
 	s := NewSharded(cfg, shards)
-
-	plain := make([]*Cache, shards)
-	for i := range plain {
-		plain[i] = New(s.shards[i].c.Config())
-	}
+	plain := plainShards(s)
 
 	var wantHits, gotHits uint64
 	for i, r := range shardedTrace(20000, 42) {
@@ -188,7 +184,7 @@ func TestShardedStats(t *testing.T) {
 
 // TestShardedConcurrent hammers one front from several goroutines (the
 // multi-client serving scenario); run under -race this exercises the
-// per-shard locking. Totals are checked against a serial replay.
+// per-shard try-locks. Totals are checked against a serial replay.
 func TestShardedConcurrent(t *testing.T) {
 	const clients = 8
 	cfg := Config{Capacity: 128, Window: 1000}

@@ -156,7 +156,7 @@ func TestVerdictDigests(t *testing.T) {
 }
 
 // TestVerdictDigestsThroughFrames replays the same cases through a
-// one-shard owner front, in frames of 512 (32 whole warm groups) after an
+// one-shard front, in frames of 512 (32 whole warm groups) after an
 // opening frame of 5 — every trace is 100000 requests, a multiple of the
 // group size, so without the offset no group would ever be ragged; with it
 // the first and the last frame both end in a short group. The golden file
@@ -165,7 +165,6 @@ func TestVerdictDigests(t *testing.T) {
 // state.
 func TestVerdictDigestsThroughFrames(t *testing.T) {
 	checkVerdictGolden(t, verdictLines(t, func(cfg Config, reqs []trace.Request, verdict func(bool)) verdictEnd {
-		cfg.Engine = EngineOwner
 		s := NewSharded(cfg, 1)
 		defer s.Close()
 		p := s.NewProducer()
@@ -184,7 +183,7 @@ func TestVerdictDigestsThroughFrames(t *testing.T) {
 	}))
 }
 
-// TestFrameCountsMatchNaiveRecount replays the golden cases through owner
+// TestFrameCountsMatchNaiveRecount replays the golden cases through
 // fronts — one shard (the whole batch is one frame) and three (routed
 // frames), alternating — and recounts every batch the slow way from the
 // requests and the verdicts. processFrame counts by addition and takes
@@ -200,9 +199,7 @@ func TestFrameCountsMatchNaiveRecount(t *testing.T) {
 			reqs = verdictRequests(t, vc.spec)
 			traces[vc.spec] = reqs
 		}
-		cfg := vc.cfg
-		cfg.Engine = EngineOwner
-		s := NewSharded(cfg, 1+2*(k%2))
+		s := NewSharded(vc.cfg, 1+2*(k%2))
 		p := s.NewProducer()
 		var reads, readHits, writes uint64
 		for n := 5; len(reqs) > 0; n = len(hits) {

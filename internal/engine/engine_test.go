@@ -177,10 +177,10 @@ func TestServeSource(t *testing.T) {
 }
 
 // TestServeSourceMoreClientsThanShards drives a 2-shard front from 6
-// clients, so several client goroutines contend for each shard mutex; under
-// -race (the CI configuration) this exercises the locking in the regime the
-// network server runs in. Per-client read counts must match a serial replay
-// of each client's subsequence exactly.
+// clients, so several client goroutines contend for each shard; under
+// -race (the CI configuration) this exercises the combining hand-off in the
+// regime the network server runs in. Per-client read counts must match a
+// serial replay of each client's subsequence exactly.
 func TestServeSourceMoreClientsThanShards(t *testing.T) {
 	merged := sixClients(t)
 	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2)
@@ -284,7 +284,7 @@ func TestServeSourceGlobalSingleClient(t *testing.T) {
 
 // TestServeSourceGlobalMoreClientsThanShards drives a 2-shard front with
 // the shared global learner from 6 clients: client goroutines contend for
-// both the shard mutexes and the learner's stripe locks, and rotations by
+// both the shards and the learner's counter lock, and rotations by
 // one shard must propagate to the others' victim heaps. Under -race (the
 // CI configuration) this is the engine-path stress test for global
 // learning.
@@ -329,49 +329,44 @@ func TestServeSourceGlobalMoreClientsThanShards(t *testing.T) {
 }
 
 // TestServeSourceOwnerSingleClient is the engine-layer equivalence golden
-// test for the single-owner engine: with one client, ServeSource is a
+// test for the two ways into a front: with one client, ServeSource is a
 // serial batch replay through one producer, which in partitioned-statistics
-// mode is bit-identical to the mutex engine's per-request replay — same
-// reads, same hits, same structural state.
+// mode is bit-identical to sim.Run's per-request replay through
+// Sharded.Access — same reads, same hits, same snapshot.
 func TestServeSourceOwnerSingleClient(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
-	mutex := core.NewSharded(cfg, shards)
-	want := serve(t, mutex, testTrace)
-
-	ocfg := cfg
-	ocfg.Engine = core.EngineOwner
-	owner := core.NewSharded(ocfg, shards)
-	defer owner.Close()
-	got := serve(t, owner, testTrace)
+	perRequest := core.NewSharded(cfg, shards)
+	want := sim.Run(perRequest, testTrace)
+	framed := core.NewSharded(cfg, shards)
+	defer framed.Close()
+	got := serve(t, framed, testTrace)
 
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
-		t.Errorf("owner %d/%d hits/reads, mutex %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
+		t.Errorf("ServeSource %d/%d hits/reads, per-request %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 	}
 	if got.ReadHits == 0 {
 		t.Error("no hits at all; test is vacuous")
 	}
-	if owner.Len() != mutex.Len() || owner.OutqueueLen() != mutex.OutqueueLen() {
-		t.Errorf("structural drift: Len %d/%d, Outqueue %d/%d",
-			owner.Len(), mutex.Len(), owner.OutqueueLen(), mutex.OutqueueLen())
-	}
-	os, ms := owner.Stats(), mutex.Stats()
-	ms.Engine = os.Engine // the one field allowed to differ
-	if os != ms {
-		t.Errorf("Stats drift:\nowner %+v\nmutex %+v", os, ms)
+	if fs, ps := framed.Stats(), perRequest.Stats(); fs != ps {
+		t.Errorf("Stats drift:\nServeSource %+v\nper-request %+v", fs, ps)
 	}
 }
 
-// TestServeSourceOwnerMoreClientsThanShards drives a 2-shard owner-engine
-// front from 6 concurrent producers — the engine-layer -race stress for
-// the combining hand-off. Per-client read counts are exact; hit
-// counts depend on interleaving but the accounting must balance.
+// TestServeSourceOwnerMoreClientsThanShards drives a 2-shard front from 6
+// concurrent producers in batches of 3 requests, so that frames of one or
+// two requests collide on every shard — the engine-layer -race stress for
+// the combining hand-off at its finest grain. Per-client read counts are
+// exact; hit counts depend on interleaving but the accounting must balance.
 func TestServeSourceOwnerMoreClientsThanShards(t *testing.T) {
 	merged := sixClients(t)
-	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000, Engine: core.EngineOwner}, 2)
+	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2)
 	defer s.Close()
-	res := serve(t, s, merged)
+	res, err := ServeSource(s, merged.Source(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var reads, hits uint64
 	for c, st := range res.PerClient {
@@ -399,8 +394,5 @@ func TestServeSourceOwnerMoreClientsThanShards(t *testing.T) {
 	}
 	if st.Requests != uint64(merged.Len()) {
 		t.Errorf("Stats.Requests = %d, want %d", st.Requests, merged.Len())
-	}
-	if st.Engine != "owner" {
-		t.Errorf("Stats.Engine = %q, want owner", st.Engine)
 	}
 }

@@ -231,7 +231,7 @@ func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, 
 // ServeIterator is ServeSource over an already-open iterator, with optional
 // instrumentation taps (nil m turns them off). A Sharded front is driven
 // through per-client producer handles in batches — the same shape the
-// network path uses, so the owner engine's frame fan-out is exercised
+// network path uses, so the front's frame fan-out is exercised
 // identically in-process and over TCP; other policies take the per-request
 // path and are not observed by m. It cannot run policy.Preparer prefix
 // passes (OPT needs the whole request slice); those policies go through

@@ -45,15 +45,15 @@ func goldenTrace() *trace.Trace {
 	return tr
 }
 
-// TestTimelineGolden replays the pinned trace through the owner engine
+// TestTimelineGolden replays the pinned trace through a sharded front
 // with a fully scripted pair of clocks and requires the resulting timeline
 // CSV to be bit-identical to the checked-in golden file. This pins the CSV
 // format, the column math, the request-count mark positions, and the
-// determinism of the single-producer owner path, all at once. Regenerate
+// determinism of the single-producer batch path, all at once. Regenerate
 // with: go test ./internal/engine -run TimelineGolden -update
 func TestTimelineGolden(t *testing.T) {
 	tr := goldenTrace()
-	s := core.NewSharded(core.Config{Capacity: 512, Window: 2000, TopK: 64, Engine: core.EngineOwner}, 4)
+	s := core.NewSharded(core.Config{Capacity: 512, Window: 2000, TopK: 64}, 4)
 	defer s.Close()
 
 	var buf bytes.Buffer

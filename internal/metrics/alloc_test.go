@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// The instruments guard the owner engine's zero-allocation request path,
+// The instruments guard the sharded front's zero-allocation request path,
 // so their own hot operations must not allocate either.
 
 func TestInstrumentAllocs(t *testing.T) {

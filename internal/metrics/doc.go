@@ -3,7 +3,7 @@
 // that exposes every registered series in the Prometheus text format, and
 // a timeline recorder that samples registered series into CSV rows.
 //
-// The hot-path types are built to be touched from the owner-engine request
+// The hot-path types are built to be touched from the sharded front's request
 // path without giving back any of the zero-allocation work: Counter.Add,
 // Gauge.Set and Histogram.Observe are single atomic operations into fixed
 // storage — no locks, no maps, no allocation, safe for any number of

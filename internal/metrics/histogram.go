@@ -16,7 +16,7 @@ const NumBuckets = 252
 // nanoseconds, sizes in bytes — the unit is the caller's). The zero value
 // is ready to use. Observe is a few atomic adds into fixed storage: no
 // locks, no allocation, safe for any number of concurrent writers — cheap
-// enough for the owner-engine batch path.
+// enough for the sharded front's batch path.
 type Histogram struct {
 	counts [NumBuckets]atomic.Uint64
 	count  atomic.Uint64

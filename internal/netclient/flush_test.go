@@ -75,7 +75,7 @@ func checkGoroutines(t *testing.T, base int) {
 // has gone on to a frame that answers nothing.
 func TestFlushBeforeBlockingBehindIntern(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100, Engine: core.EngineOwner}, Shards: 2})
+	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100}, Shards: 2})
 	c := rawHello(t, srv.Addr().String(), "a=1")
 	reqs := []trace.Request{{Page: 1}, {Page: 2}, {Page: 1}}
 	for _, p := range [][]byte{
@@ -103,7 +103,7 @@ func TestFlushBeforeBlockingBehindIntern(t *testing.T) {
 // not a reason to hold results back when the frame is not all there.
 func TestFlushBeforeBlockingBehindPartialFrame(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100, Engine: core.EngineOwner}, Shards: 2})
+	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100}, Shards: 2})
 	c := rawHello(t, srv.Addr().String(), "a=1")
 	reqs := make([]trace.Request, 40)
 	for i := range reqs {
@@ -207,7 +207,7 @@ func TestPipelineWriteCounts(t *testing.T) {
 	}
 	conn.Close()
 
-	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100, Engine: core.EngineOwner}, Shards: 2})
+	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100}, Shards: 2})
 	conn, pl, cc = countedPipeline(t, srv.Addr().String(), 1)
 	for i := 0; i < frames; i++ {
 		if err := pl.Submit(reqs, nil); err != nil {
@@ -237,7 +237,7 @@ func TestPipelineWriteCounts(t *testing.T) {
 func BenchmarkPipelineSmallFrames(b *testing.B) {
 	for _, per := range []int{1, 16} {
 		b.Run(fmt.Sprintf("reqs=%d", per), func(b *testing.B) {
-			srv := server.New(server.Config{Cache: core.Config{Capacity: 4096, Window: 1 << 20, Engine: core.EngineOwner}, Shards: 8})
+			srv := server.New(server.Config{Cache: core.Config{Capacity: 4096, Window: 1 << 20}, Shards: 8})
 			if err := srv.Start("127.0.0.1:0"); err != nil {
 				b.Fatal(err)
 			}

@@ -89,12 +89,17 @@ func startServer(t *testing.T, cfg server.Config) *server.Server {
 // single client both paths drive the cache with the same total request
 // order, so the networked replay's aggregate hit/miss counts must equal
 // engine.ServeSource exactly — same trace, same configuration, bit for
-// bit.
+// bit — and the server's front must end in the in-process front's state,
+// its Stats equal field for field.
 func TestLoopbackGoldenSingleClient(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
-	want := inproc(t, cfg, shards, testTrace)
+	front := core.NewSharded(cfg, shards)
+	want, err := engine.ServeSource(front, testTrace.Source(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
 	got := replay(t, srv.Addr().String(), testTrace, netclient.ReplayOptions{})
@@ -119,6 +124,9 @@ func TestLoopbackGoldenSingleClient(t *testing.T) {
 	}
 	if st.Requests != got.Requests {
 		t.Errorf("server Requests = %d, want %d", st.Requests, got.Requests)
+	}
+	if in := front.Stats(); st != in {
+		t.Errorf("server Stats drift:\nserver     %+v\nin-process %+v", st, in)
 	}
 }
 
@@ -323,12 +331,11 @@ func TestHintVocabularyLimit(t *testing.T) {
 }
 
 // TestUnannouncedHintRefusedWhole: a batch naming a hint index the
-// connection never announced is refused before any of it reaches the cache,
-// in both engines. Two good frames and the bad one arrive pipelined in one
-// write; the good ones are answered in order, then one Error frame names the
-// index and the table size, then the connection closes — and the cache has
-// served exactly the two good frames, not the 299 requests ahead of the bad
-// one as well.
+// connection never announced is refused before any of it reaches the cache.
+// Two good frames and the bad one arrive pipelined in one write; the good
+// ones are answered in order, then one Error frame names the index and the
+// table size, then the connection closes — and the cache has served exactly
+// the two good frames, not the 299 requests ahead of the bad one as well.
 func TestUnannouncedHintRefusedWhole(t *testing.T) {
 	const n = 400
 	good := make([]trace.Request, n)
@@ -337,41 +344,41 @@ func TestUnannouncedHintRefusedWhole(t *testing.T) {
 	}
 	bad := append([]trace.Request(nil), good...)
 	bad[299].Hint = 2 // the table has two entries: indices 0 and 1
-	for _, eng := range []core.EngineMode{core.EngineMutex, core.EngineOwner} {
-		t.Run(eng.String(), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			srv := startServer(t, server.Config{Cache: core.Config{Capacity: 500, Window: 1000, Engine: eng}, Shards: 4})
-			c := dialRaw(t, srv.Addr().String())
-			c.send(wire.AppendHello(nil, wire.Hello{Version: wire.Version, Client: "sloppy", Keys: []string{"a=1", "a=2"}}))
-			if _, err := wire.DecodeHelloAck(c.recv()); err != nil {
+	// The subtest keeps the name of the combining engine it ran under when
+	// the mutex engine was its twin.
+	t.Run("owner", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		srv := startServer(t, server.Config{Cache: core.Config{Capacity: 500, Window: 1000}, Shards: 4})
+		c := dialRaw(t, srv.Addr().String())
+		c.send(wire.AppendHello(nil, wire.Hello{Version: wire.Version, Client: "sloppy", Keys: []string{"a=1", "a=2"}}))
+		if _, err := wire.DecodeHelloAck(c.recv()); err != nil {
+			t.Fatal(err)
+		}
+		for seq, reqs := range [][]trace.Request{good, good, bad} {
+			if err := wire.WriteFrame(c.bw, wire.AppendBatchSeq(nil, uint64(seq), reqs)); err != nil {
 				t.Fatal(err)
 			}
-			for seq, reqs := range [][]trace.Request{good, good, bad} {
-				if err := wire.WriteFrame(c.bw, wire.AppendBatchSeq(nil, uint64(seq), reqs)); err != nil {
-					t.Fatal(err)
-				}
+		}
+		if err := c.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for want := uint64(0); want < 2; want++ {
+			seq, res, err := wire.DecodeResultsSeq(c.recv(), wire.Results{})
+			if err != nil || seq != want || len(res.Hits) != n {
+				t.Fatalf("reply %d: seq %d, %d results, err %v", want, seq, len(res.Hits), err)
 			}
-			if err := c.bw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for want := uint64(0); want < 2; want++ {
-				seq, res, err := wire.DecodeResultsSeq(c.recv(), wire.Results{})
-				if err != nil || seq != want || len(res.Hits) != n {
-					t.Fatalf("reply %d: seq %d, %d results, err %v", want, seq, len(res.Hits), err)
-				}
-			}
-			if msg := c.refused(); !strings.Contains(msg, "hint index 2") || !strings.Contains(msg, "table has 2") {
-				t.Errorf("refusal %q does not name the index and the table size", msg)
-			}
-			if got := srv.Cache().Stats().Requests; got != 2*n {
-				t.Errorf("cache served %d requests, want exactly the two good frames' %d", got, 2*n)
-			}
-			srv.Close()
-			if got := settledGoroutines(base); got > base {
-				t.Errorf("%d goroutines after the refused connection, %d before", got, base)
-			}
-		})
-	}
+		}
+		if msg := c.refused(); !strings.Contains(msg, "hint index 2") || !strings.Contains(msg, "table has 2") {
+			t.Errorf("refusal %q does not name the index and the table size", msg)
+		}
+		if got := srv.Cache().Stats().Requests; got != 2*n {
+			t.Errorf("cache served %d requests, want exactly the two good frames' %d", got, 2*n)
+		}
+		srv.Close()
+		if got := settledGoroutines(base); got > base {
+			t.Errorf("%d goroutines after the refused connection, %d before", got, base)
+		}
+	})
 }
 
 // TestFramePrefixCommitsNoMemory: a length prefix is a claim, not bytes.
@@ -521,7 +528,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 
 // TestLoopbackGlobalLearner runs the whole network stack on a server whose
 // shards share the global learner: three concurrent client connections
-// against two shards, so connection handlers contend for shard mutexes and
+// against two shards, so connection handlers contend for the shards and
 // the learner's counter lock at once — the TCP-path stress test for
 // global learning (run under -race in CI). Order-free quantities are
 // checked against the in-process ServeSource path, and the admin snapshot
@@ -604,43 +611,44 @@ func TestLoopbackGoldenGlobalSingleShard(t *testing.T) {
 }
 
 // TestLoopbackOwnerGolden is the TCP-layer equivalence test for the
-// single-owner engine: the same single-client replay against two servers
-// that differ only in Config.Engine must produce bit-identical hit counts
-// — the wire path, connection handler and batch fan-out preserve exact
-// per-request semantics in both engine modes.
+// combining front's two ways in: a single-client replay, whose batches fan
+// out to the shards as frames, must produce bit-identical hit counts and
+// Stats to the same trace fed one request at a time through Sharded.Access,
+// which holds each shard by its try-lock and runs no frame at all.
 func TestLoopbackOwnerGolden(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
-	mutexSrv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-	want := replay(t, mutexSrv.Addr().String(), testTrace, netclient.ReplayOptions{})
+	serial := core.NewSharded(cfg, shards)
+	var reads, readHits uint64
+	for _, r := range testTrace.Reqs {
+		hit := serial.Access(r)
+		if r.Op == trace.Read {
+			reads++
+			if hit {
+				readHits++
+			}
+		}
+	}
 
-	ocfg := cfg
-	ocfg.Engine = core.EngineOwner
-	ownerSrv := startServer(t, server.Config{Cache: ocfg, Shards: shards})
-	got := replay(t, ownerSrv.Addr().String(), testTrace, netclient.ReplayOptions{})
+	srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
+	got := replay(t, srv.Addr().String(), testTrace, netclient.ReplayOptions{})
 
-	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
-		t.Errorf("owner server %d/%d hits/reads, mutex server %d/%d",
-			got.ReadHits, got.Reads, want.ReadHits, want.Reads)
+	if got.Reads != reads || got.ReadHits != readHits {
+		t.Errorf("framed server %d/%d hits/reads, serial Access %d/%d", got.ReadHits, got.Reads, readHits, reads)
 	}
 	if got.ReadHits == 0 {
 		t.Error("no hits at all; test is vacuous")
 	}
-	os, ms := ownerSrv.Cache().Stats(), mutexSrv.Cache().Stats()
-	if os.Engine != "owner" || ms.Engine != "mutex" {
-		t.Fatalf("engines reported as %q and %q", os.Engine, ms.Engine)
-	}
-	ms.Engine = os.Engine
-	if os != ms {
-		t.Errorf("server Stats drift:\nowner %+v\nmutex %+v", os, ms)
+	if st, in := srv.Cache().Stats(), serial.Stats(); st != in {
+		t.Errorf("server Stats drift:\nframed %+v\nserial %+v", st, in)
 	}
 }
 
-// TestLoopbackOwnerMultiClient replays three concurrent clients against an
-// owner-engine server — the TCP-layer stress for concurrent producers.
-// Per-client read counts are exact and the server accounting must agree
-// with the clients'.
+// TestLoopbackOwnerMultiClient replays three concurrent clients against a
+// 2-shard server at the default batching — the TCP-layer stress for
+// concurrent producers. Per-client read counts are exact and the server
+// accounting must agree with the clients'.
 func TestLoopbackOwnerMultiClient(t *testing.T) {
 	parts := make([]*trace.Trace, 3)
 	for i := range parts {
@@ -651,7 +659,7 @@ func TestLoopbackOwnerMultiClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Capacity: 3000, Window: 5000, Engine: core.EngineOwner}
+	cfg := core.Config{Capacity: 3000, Window: 5000}
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2})
 	res := replay(t, srv.Addr().String(), merged, netclient.ReplayOptions{})
 	var reads, hits uint64

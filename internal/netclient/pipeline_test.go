@@ -52,18 +52,19 @@ func TestPipelineDepthEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelineOwnerDepthEquivalence runs the same invariant through the
-// owner-shard engine, whose producers are fed directly by the server's
-// streaming decoder.
+// TestPipelineOwnerDepthEquivalence runs the same invariant at the client's
+// adaptive frame size, whose frame boundaries follow observed round trips
+// and so differ from run to run: in partitioned mode a single producer's
+// verdicts do not depend on how its stream is cut into frames.
 func TestPipelineOwnerDepthEquivalence(t *testing.T) {
-	cfg := core.Config{Capacity: 3000, Window: 5000, Engine: core.EngineOwner}
+	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
 
 	srv1 := startServer(t, server.Config{Cache: cfg, Shards: shards})
-	want := replay(t, srv1.Addr().String(), testTrace, netclient.ReplayOptions{Depth: 1, BatchSize: 256})
+	want := replay(t, srv1.Addr().String(), testTrace, netclient.ReplayOptions{Depth: 1})
 	for _, depth := range []int{4, 32} {
 		srv := startServer(t, server.Config{Cache: cfg, Shards: shards})
-		got := replay(t, srv.Addr().String(), testTrace, netclient.ReplayOptions{Depth: depth, BatchSize: 256})
+		got := replay(t, srv.Addr().String(), testTrace, netclient.ReplayOptions{Depth: depth})
 		if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
 			t.Errorf("depth %d: %d/%d hits/reads, depth-1 %d/%d",
 				depth, got.ReadHits, got.Reads, want.ReadHits, want.Reads)
@@ -306,7 +307,7 @@ func TestPipelineRaceStress(t *testing.T) {
 	const conns = 8
 	const batches = 60
 	const batchLen = 50
-	cfg := core.Config{Capacity: 2000, Window: 4000, Engine: core.EngineOwner}
+	cfg := core.Config{Capacity: 2000, Window: 4000}
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2, MaxInflight: 8})
 
 	var wg sync.WaitGroup
@@ -390,7 +391,7 @@ func TestPipelineRaceStress(t *testing.T) {
 // writer-encode loop, over a real TCP connection. The window stays full
 // (submit one, complete one) — the steady state of a saturating replay.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
-	cfg := core.Config{Capacity: 512, Window: 1 << 30, TopK: 64, Engine: core.EngineOwner}
+	cfg := core.Config{Capacity: 512, Window: 1 << 30, TopK: 64}
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2, MaxInflight: 8})
 	conn, err := netclient.Dial(srv.Addr().String())
 	if err != nil {

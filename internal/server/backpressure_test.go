@@ -25,7 +25,7 @@ import (
 // batch is answered, in order.
 func TestWindowBackpressure(t *testing.T) {
 	base := runtime.NumGoroutine()
-	s := New(Config{Cache: core.Config{Capacity: 100, Engine: core.EngineOwner}, Shards: 2, MaxInflight: 2})
+	s := New(Config{Cache: core.Config{Capacity: 100}, Shards: 2, MaxInflight: 2})
 	client, srvEnd := net.Pipe()
 	handled := make(chan struct{})
 	go func() {

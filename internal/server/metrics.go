@@ -61,7 +61,7 @@ func (s *Server) buildRegistry() {
 			func() float64 { return float64(c.ShardStats(i).OutqueueLen) }, "shard", shard)
 	}
 
-	r.CounterFunc("clic_core_frames_total", "Per-shard frames posted by connection producers (owner engine).",
+	r.CounterFunc("clic_core_frames_total", "Per-shard frames posted by connection producers.",
 		func() float64 { return float64(s.frames.Value()) })
 	r.CounterFunc("clic_core_frames_foreign_total", "Posted frames run by another connection's goroutine holding the shard.",
 		func() float64 { return float64(s.framesForeign.Value()) })

@@ -95,7 +95,7 @@ func scrape(t *testing.T, srv *server.Server) map[string]float64 {
 func TestMetricsEndpoint(t *testing.T) {
 	const shards = 4
 	srv := startServer(t, server.Config{
-		Cache:  core.Config{Capacity: 2000, Window: 4000, Engine: core.EngineOwner},
+		Cache:  core.Config{Capacity: 2000, Window: 4000},
 		Shards: shards,
 	})
 	tr := testTrace.Truncate(16000)
@@ -210,6 +210,16 @@ func TestSnapshotSchema(t *testing.T) {
 	if _, err := netclient.ReplaySource(srv.Addr().String(), testTrace.Truncate(6000).Source(), netclient.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	// The writer counts a batch after flushing its response, so the client
+	// can return before the last batches are counted. Every batch is in
+	// flight from before its frames are counted until after the batch is,
+	// so once nothing is in flight the batch and frame counts are final.
+	for deadline := time.Now().Add(5 * time.Second); srv.Snapshot(0).Connections.Inflight != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d batches still in flight after the replay returned", srv.Snapshot(0).Connections.Inflight)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	resp, err := http.Get("http://" + srv.AdminAddr().String() + "/stats?top=5")
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +255,7 @@ func TestSnapshotSchema(t *testing.T) {
 	})
 	check("core", doc["core"], []string{
 		"Requests", "Reads", "ReadHits", "ReadMisses", "Writes", "Evictions",
-		"Len", "OutqueueLen", "Windows", "Shards", "Capacity", "Learner", "Engine",
+		"Len", "OutqueueLen", "Windows", "Shards", "Capacity", "Learner",
 	})
 	var shardsArr []json.RawMessage
 	if err := json.Unmarshal(doc["shards"], &shardsArr); err != nil {
@@ -290,9 +300,9 @@ func TestSnapshotSchema(t *testing.T) {
 	if snap.Connections.Total == 0 {
 		t.Error("connections.total is zero after a replay")
 	}
-	// The default engine is mutex, which posts no frames.
-	if snap.Combining.Frames != 0 || snap.Combining.Foreign != 0 {
-		t.Errorf("combining = %+v under the mutex engine, want zeros", snap.Combining)
+	// Every batch posts at least one frame and at most one per shard.
+	if c, b := snap.Combining, snap.Histograms.Batches; c.Frames < b || c.Frames > 2*b || c.Foreign > c.Frames {
+		t.Errorf("combining = %+v for %d batches over 2 shards", c, b)
 	}
 }
 
@@ -329,7 +339,7 @@ func (b *lockedBuffer) String() string {
 // and internally consistent request accounting.
 func TestServerTimeline(t *testing.T) {
 	srv := startServer(t, server.Config{
-		Cache:  core.Config{Capacity: 2000, Window: 4000, Engine: core.EngineOwner},
+		Cache:  core.Config{Capacity: 2000, Window: 4000},
 		Shards: 4,
 	})
 	var buf lockedBuffer

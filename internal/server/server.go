@@ -52,8 +52,8 @@ type Config struct {
 	// Cache is the CLIC configuration of the backing core.Sharded front.
 	Cache core.Config
 	// Shards is the shard count; 0 selects 8. One shard still serves
-	// concurrent connections correctly (it degenerates to a mutex-guarded
-	// cache), it just serializes them.
+	// concurrent connections correctly (it degenerates to one cache behind
+	// one try-lock), it just serializes them.
 	Shards int
 	// MaxHintKeys bounds how many hint keys one connection may announce
 	// (Hello plus Intern frames); 0 selects DefaultMaxHintKeys. The server
@@ -469,9 +469,8 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 
-	// Each connection drives the front through its own producer handle: in
-	// owner mode the batch fans out to the shards as frames, in mutex mode
-	// it degenerates to per-request accesses. All batch state (the request
+	// Each connection drives the front through its own producer handle, so
+	// a batch fans out to the shards as frames. All batch state (the request
 	// slice, the slots, the producer's frames, the writer's encode buffer)
 	// is connection-owned and recycled.
 	prod := s.cache.NewProducer()
@@ -686,7 +685,7 @@ type Snapshot struct {
 	Connections ConnectionsSnapshot `json:"connections"`
 	// Histograms summarises the server's cumulative latency histograms.
 	Histograms HistogramsSnapshot `json:"histograms"`
-	// Combining is the shard hand-off accounting of the owner engine.
+	// Combining is the front's shard hand-off accounting.
 	Combining   CombiningSnapshot    `json:"combining"`
 	Clients     []ClientSnapshot     `json:"clients"`
 	WindowStats []WindowStatSnapshot `json:"windowStats,omitempty"`
@@ -709,8 +708,8 @@ type ClusterSnapshot struct {
 
 // CombiningSnapshot counts the per-shard frames connections have posted
 // and how many of them a goroutine other than the poster's ran because it
-// held the shard at the time (zero under the mutex engine, which posts
-// none). Foreign ÷ Frames is the share of hand-offs that met contention.
+// held the shard at the time. Foreign ÷ Frames is the share of hand-offs
+// that met contention.
 type CombiningSnapshot struct {
 	Frames  uint64 `json:"frames"`
 	Foreign uint64 `json:"foreign"`
