@@ -1,23 +1,18 @@
 // Command tracegen generates the paper's workload traces (Figure 5) and
-// writes them as binary trace files.
+// streams them to trace files without ever materialising a trace, so memory
+// stays bounded at any request count.
 //
 // Usage:
 //
-//	tracegen -out traces/                    # generate all eight presets
-//	tracegen -trace DB2_C60 -out traces/     # generate one preset
-//	tracegen -trace DB2_C60 -requests 500000 -text -out traces/
+//	tracegen -out traces/                              # all eight presets
+//	tracegen -spec DB2_C60:200000 -out traces/         # traces/DB2_C60.trc
+//	tracegen -spec 'DB2_C60*8:100000000' -o big.trc -progress -verify
 //
 // Preset names: DB2_C60, DB2_C300, DB2_C540, DB2_H80, DB2_H400, DB2_H720,
-// MY_H65, MY_H98.
-//
-// Paper-scale traces stream: -stream generates straight into the v2
-// block-framed format without ever materialising the trace, so memory
-// stays bounded at any request count. The workload is a generator spec —
-// PRESET[*clients][:requests][@seed] — so one flag names a multi-client
-// interleaved workload:
-//
-//	tracegen -stream -spec DB2_C60*8:100000000 -o traces/big.trc
-//	tracegen -stream -spec DB2_C60:10000000 -o big.trc -progress -verify
+// MY_H65, MY_H98. A generator spec, PRESET[*clients][:requests][@seed],
+// names the preset, the number of interleaved clients, the total request
+// count and the seed in one string; without -spec every preset is written
+// at its defaults to <out>/<name>.trc.
 //
 // -workers sets the parallel block encoders (0 = all cores; the output
 // bytes are identical at any setting), -progress reports throughput every
@@ -42,98 +37,47 @@ import (
 func main() {
 	var (
 		out      = flag.String("out", "traces", "output directory")
-		name     = flag.String("trace", "", "preset name (empty = all presets)")
-		requests = flag.Int("requests", 0, "override the preset's request count")
-		seed     = flag.Int64("seed", 0, "override the preset's seed")
-		text     = flag.Bool("text", false, "also write a human-readable .txt trace")
-		stream   = flag.Bool("stream", false, "stream to the v2 format in bounded memory (requires -spec or -trace)")
-		spec     = flag.String("spec", "", "-stream: generator spec PRESET[*clients][:requests][@seed]")
-		outFile  = flag.String("o", "", "-stream: output file (default <out>/<spec name>.trc)")
-		workers  = flag.Int("workers", 0, "-stream: parallel block encoders (0 = all cores)")
-		progress = flag.Bool("progress", false, "-stream: report throughput every 1M requests")
-		verifyF  = flag.Bool("verify", false, "-stream: re-scan the written file and check its integrity")
+		spec     = flag.String("spec", "", "generator spec PRESET[*clients][:requests][@seed] (empty = every preset)")
+		outFile  = flag.String("o", "", "output file for -spec (default <out>/<preset name>.trc)")
+		workers  = flag.Int("workers", 0, "parallel block encoders (0 = all cores)")
+		progress = flag.Bool("progress", false, "report throughput every 1M requests")
+		verifyF  = flag.Bool("verify", false, "re-scan each written file and check its integrity")
 	)
 	flag.Parse()
 
-	if *stream || *spec != "" {
-		streamGen(*spec, *name, *requests, *seed, *out, *outFile, *workers, *progress, *verifyF)
-		return
+	specs := []string{*spec}
+	if *spec == "" {
+		if *outFile != "" {
+			fatal(fmt.Errorf("-o names one file; it needs -spec"))
+		}
+		specs = specs[:0]
+		for _, p := range workload.Presets() {
+			specs = append(specs, p.Name)
+		}
 	}
-
-	presets := workload.Presets()
-	if *name != "" {
-		p, err := workload.PresetByName(*name)
+	for _, str := range specs {
+		s, err := workload.ParseSpec(str)
 		if err != nil {
 			fatal(err)
 		}
-		presets = []workload.Preset{p}
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	for _, p := range presets {
-		if *requests > 0 {
-			p.Requests = *requests
-		}
-		if *seed != 0 {
-			p.Seed = *seed
-		}
-		fmt.Printf("generating %-10s (%s, %d requests)... ", p.Name, p.Kind, p.Requests)
-		t, err := workload.Generate(p)
-		if err != nil {
-			fatal(err)
-		}
-		path := filepath.Join(*out, p.Name+".trc")
-		if err := trace.Save(path, t); err != nil {
-			fatal(err)
-		}
-		s := t.Stats()
-		fmt.Printf("done: %d reads, %d writes, %d hint sets, %d pages -> %s\n",
-			s.Reads, s.Writes, s.DistinctHints, s.DistinctPages, path)
-		if *text {
-			tp := filepath.Join(*out, p.Name+".txt")
-			f, err := os.Create(tp)
-			if err != nil {
+		path := *outFile
+		if path == "" {
+			if err := os.MkdirAll(*out, 0o755); err != nil {
 				fatal(err)
 			}
-			if err := trace.WriteText(f, t); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("  text copy -> %s\n", tp)
+			path = filepath.Join(*out, s.Preset.Name+".trc")
+		}
+		generate(s, path, *workers, *progress)
+		if *verifyF {
+			verifyFile(path, uint64(s.Preset.Requests))
 		}
 	}
 }
 
-// streamGen generates a spec straight into a v2 trace file: generator
-// goroutines feed the parallel block encoder through bounded pipes, so the
-// resident set stays flat no matter how many requests are asked for.
-func streamGen(specStr, presetName string, requests int, seed int64, outDir, outFile string, workers int, progress, verify bool) {
-	if specStr == "" {
-		if presetName == "" {
-			fatal(fmt.Errorf("-stream needs -spec (or -trace) to name the workload"))
-		}
-		specStr = presetName
-	}
-	s, err := workload.ParseSpec(specStr)
-	if err != nil {
-		fatal(err)
-	}
-	if requests > 0 {
-		s.Preset.Requests = requests
-	}
-	if seed != 0 {
-		s.Preset.Seed = seed
-	}
-	path := outFile
-	if path == "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			fatal(err)
-		}
-		path = filepath.Join(outDir, s.Preset.Name+".trc")
-	}
+// generate streams a spec straight into a trace file: generator goroutines
+// feed the parallel block encoder through bounded pipes, so the resident
+// set stays flat no matter how many requests are asked for.
+func generate(s workload.Spec, path string, workers int, progress bool) {
 	w, err := trace.Create(path, s.Preset.Name, s.Preset.PageSize, s.ClientNames(),
 		trace.WriterOptions{Workers: workers})
 	if err != nil {
@@ -167,9 +111,6 @@ func streamGen(specStr, presetName string, requests int, seed int64, outDir, out
 	// this line when streaming at paper scale.
 	if kb := peakRSSKB(); kb > 0 {
 		fmt.Printf("peak rss: %d KB\n", kb)
-	}
-	if verify {
-		verifyFile(path, uint64(s.Preset.Requests))
 	}
 }
 

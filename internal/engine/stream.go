@@ -146,8 +146,8 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 		return w
 	}
 
-	// Streaming inputs (text traces, v2 dict sections, generator pipes)
-	// grow the dictionary mid-stream, on this goroutine only; comparing its
+	// Streaming inputs (trace files' dict sections, generator pipes) grow
+	// the dictionary mid-stream, on this goroutine only; comparing its
 	// length keeps the KeyLog mutex off the per-request path.
 	dict := it.HintDict()
 	keys.grow(dict)

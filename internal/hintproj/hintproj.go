@@ -23,9 +23,7 @@
 package hintproj
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/hint"
@@ -155,73 +153,24 @@ func (a Analysis) SelectTypes(maxTypes int) []string {
 }
 
 // Project rewrites the trace so every hint set keeps only the given types
-// (in their original field order). Hint sets that collapse to the same
-// projection share one interned ID, shrinking the hint-set space the
-// server must track. The input trace is not modified.
-//
-// The remap table is built serially (it is dictionary-sized); the
-// request-stream rewrite, which dominates on long traces, fans out across
-// GOMAXPROCS. Chunking cannot change the output — the rewrite is a pure
-// per-request table lookup — so Project stays deterministic.
+// (in their original field order): ProjectStream over the trace's requests
+// into a fresh trace. The input trace is not modified.
 func Project(t *trace.Trace, types []string) *trace.Trace {
-	keep := make(map[string]bool, len(types))
-	for _, typ := range types {
-		keep[typ] = true
-	}
 	out := trace.New(t.Name+"+proj", t.PageSize)
 	out.Clients = append([]string(nil), t.Clients...)
-	out.Reqs = make([]trace.Request, len(t.Reqs))
-
-	remap := make([]hint.ID, t.Dict.Len())
-	for id, key := range t.Dict.Keys() {
-		set, err := hint.Parse(key)
-		if err != nil {
-			// Dictionary keys are canonical by construction; a parse error
-			// means corruption, and projecting to the empty set is the
-			// safest degradation.
-			remap[id] = out.Dict.Intern(nil)
-			continue
-		}
-		proj := make(hint.Set, 0, len(types))
-		for _, f := range set {
-			if keep[f.Type] {
-				proj = append(proj, f)
-			}
-		}
-		remap[id] = out.Dict.Intern(proj)
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	chunk := (len(t.Reqs) + workers - 1) / workers
-	if chunk < 1 {
-		return out
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(t.Reqs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(t.Reqs) {
-			hi = len(t.Reqs)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				r := t.Reqs[i]
-				r.Hint = remap[r.Hint]
-				out.Reqs[i] = r
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	out.Reqs = make([]trace.Request, 0, len(t.Reqs))
+	// An in-memory iterator and trace never fail, so neither can the rewrite.
+	_ = ProjectStream(t.Iter(), out, types)
 	return out
 }
 
-// ProjectStream is the streaming form of Project: it pipes requests from it
-// into sink, keeping only the given hint types in every hint set, in
-// bounded memory at any trace length. Projected sets are interned in input
-// dictionary ID order as the input dictionary becomes visible — the same
-// order Project's upfront remap uses — so the output requests and
-// dictionary are identical to Project over the same input.
+// ProjectStream pipes requests from it into sink, keeping only the given
+// hint types in every hint set (in their original field order), in bounded
+// memory at any trace length. Hint sets that collapse to the same
+// projection share one interned ID, shrinking the hint-set space the server
+// must track. Projected sets are interned in input dictionary ID order as
+// the input dictionary becomes visible, so the output is a pure function of
+// the input stream.
 func ProjectStream(it trace.Iterator, sink trace.Sink, types []string) error {
 	keep := make(map[string]bool, len(types))
 	for _, typ := range types {
@@ -233,7 +182,9 @@ func ProjectStream(it trace.Iterator, sink trace.Sink, types []string) error {
 		for id := len(remap); id < inDict.Len(); id++ {
 			set, err := hint.Parse(inDict.Key(hint.ID(id)))
 			if err != nil {
-				// Same degradation as Project: corrupt key → empty projection.
+				// Dictionary keys are canonical by construction; a parse
+				// error means corruption, and projecting to the empty set
+				// is the safest degradation.
 				remap = append(remap, outDict.Intern(nil))
 				continue
 			}

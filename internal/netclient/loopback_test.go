@@ -11,7 +11,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -214,22 +213,27 @@ func TestLoopbackFileSourceBinary(t *testing.T) {
 	}
 }
 
-// TestLoopbackFileSourceText streams a text trace, whose hint dictionary is
-// discovered mid-scan — exercising the Intern (mid-stream announcement)
-// protocol path end to end. Hint-set identity, not ID numbering, is what
-// the cache keys on, so the sequential text replay must still match the
-// in-memory path exactly.
+// TestLoopbackFileSourceText streams a trace file whose hint dictionary
+// arrives in sections interleaved with small request blocks, so hint sets
+// are discovered mid-scan — exercising the Intern (mid-stream announcement)
+// protocol path end to end over a single server. The sequential file
+// replay must still match the in-memory path exactly.
 func TestLoopbackFileSourceText(t *testing.T) {
 	tr := testTrace.Truncate(5000)
-	path := filepath.Join(t.TempDir(), "t.txt")
-	f, err := os.Create(path)
+	path := filepath.Join(t.TempDir(), "t.trc")
+	w, err := trace.Create(path, tr.Name, tr.PageSize, tr.Clients, trace.WriterOptions{BlockSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteText(f, tr); err != nil {
-		t.Fatal(err)
+	d := w.HintDict()
+	for _, r := range tr.Reqs {
+		// Intern lazily, in ID order so IDs are preserved.
+		for id := d.Len(); id <= int(r.Hint); id++ {
+			d.InternKey(tr.Dict.Key(hint.ID(id)))
+		}
+		w.AppendReq(r)
 	}
-	if err := f.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Capacity: 1500, Window: 2000}
@@ -241,10 +245,24 @@ func TestLoopbackFileSourceText(t *testing.T) {
 	}
 	want := inproc(t, cfg, 4, tr)
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
-		t.Errorf("text replay %d/%d, in-memory %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
+		t.Errorf("file replay %d/%d, in-memory %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 	}
 	if got.ReadHits == 0 {
 		t.Error("no hits at all")
+	}
+
+	// The dictionary really does grow after the first request.
+	sc, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	sc.Scan()
+	first := sc.HintDict().Len()
+	for sc.Scan() {
+	}
+	if err := sc.Err(); err != nil || sc.HintDict().Len() <= first {
+		t.Fatalf("dictionary %d keys at the first request, %d at the end (err %v)", first, sc.HintDict().Len(), err)
 	}
 }
 

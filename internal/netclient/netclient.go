@@ -443,10 +443,10 @@ func policyName(ack wire.HelloAck) string {
 // ReplaySource replays any request source — a trace file, an in-memory
 // trace (t.Source()), or a live generator spec — against the server at
 // addr, never materialising the stream: engine.ServeSource over the wire,
-// with one connection and one goroutine per discovered client. Clients and
-// hint sets may be discovered as the iteration proceeds (text traces, v2
-// dict sections, generated streams); newly seen hint keys are announced to
-// the server ahead of the first batch that references them. Per-client
+// with one connection and one goroutine per discovered client. Hint sets
+// may be discovered as the iteration proceeds (trace files' dict sections,
+// generated streams); newly seen hint keys are announced to the server
+// ahead of the first batch that references them. Per-client
 // read counts are exact while the aggregate hit count depends on how the
 // clients' requests interleave at the server.
 func ReplaySource(addr string, src trace.Source, opt ReplayOptions) (sim.Result, error) {

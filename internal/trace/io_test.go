@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,8 +42,8 @@ func tracesEqual(t *testing.T, a, b *Trace) {
 	}
 }
 
-// read is the one way a serialised trace comes back: the sniffing Scanner
-// drained by Collect, exactly what Load does to a file.
+// read is the one way a serialised trace comes back: a Scanner drained by
+// Collect, exactly what Load does to a file.
 func read(r io.Reader) (*Trace, error) {
 	sc, err := NewScanner(r)
 	if err != nil {
@@ -50,21 +52,51 @@ func read(r io.Reader) (*Trace, error) {
 	return Collect(sc)
 }
 
+// encode serialises tr in memory. By default the whole dictionary leads the
+// stream, as Save writes it. With lazy set a key is interned only when a
+// request first needs it (in ID order, so IDs are preserved, and the keys
+// no request references just before the trailer), so dict sections
+// interleave with request blocks the way a generator's stream does.
+func encode(tb testing.TB, tr *Trace, opts WriterOptions, lazy bool) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf, tr.Name, tr.PageSize, tr.Clients, opts)
+	if !lazy {
+		if err := w.writeAll(tr); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	d := w.HintDict()
+	for _, r := range tr.Reqs {
+		for id := d.Len(); id <= int(r.Hint) && id < tr.Dict.Len(); id++ {
+			d.InternKey(tr.Dict.Key(hint.ID(id)))
+		}
+		w.AppendReq(r)
+	}
+	for id := d.Len(); id < tr.Dict.Len(); id++ {
+		d.InternKey(tr.Dict.Key(hint.ID(id)))
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBinaryRoundTrip round-trips a trace whose dictionary streams in
+// sections between small blocks.
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := buildTrace("DB2_C60", 2000, 42)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := read(&buf)
+	got, err := read(bytes.NewReader(encode(t, tr, WriterOptions{BlockSize: 64}, true)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracesEqual(t, tr, got)
 }
 
-// TestBinaryRoundTripQuick property-tests the binary codec over random
-// traces, including multi-client ones and large page numbers.
+// TestBinaryRoundTripQuick property-tests the codec over random traces,
+// including multi-client ones, large page numbers, block sizes down to one
+// request, and both dictionary layouts.
 func TestBinaryRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -83,15 +115,9 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 				Client: uint8(rng.Intn(3)),
 			})
 		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			return false
-		}
-		got, err := read(&buf)
-		if err != nil {
-			return false
-		}
-		if got.Len() != tr.Len() {
+		opts := WriterOptions{BlockSize: 1 + rng.Intn(100), Workers: 1 + rng.Intn(3)}
+		got, err := read(bytes.NewReader(encode(t, tr, opts, rng.Intn(2) == 0)))
+		if err != nil || got.Len() != tr.Len() || got.Dict.Len() != tr.Dict.Len() {
 			return false
 		}
 		for i := range tr.Reqs {
@@ -106,36 +132,34 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 	}
 }
 
-// TestReadRejectsGarbage: input that is neither magic-prefixed binary nor
-// well-formed text is refused, as is a binary stream cut anywhere — inside
-// the header (every prefix of it) or inside the records. (An empty stream
-// is a valid empty text trace: the sniffer has nothing to tell it apart.)
+// TestReadRejectsGarbage: input without the magic is refused, as is a
+// header declaring more clients than a request can name, and a stream cut
+// anywhere — inside the magic, the header, a dict section, a block or the
+// trailer (every prefix of it).
 func TestReadRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
+		nil,
 		[]byte("short"),
 		[]byte("NOTMAGIC________________"),
-		[]byte(binaryMagic), // magic, then nothing
+		[]byte(binaryMagicV2), // magic, then nothing
+		binary.AppendUvarint(append([]byte(binaryMagicV2), 1, 't', 0), 1<<40), // 2^40 clients
 	}
 	for _, c := range cases {
 		if _, err := read(bytes.NewReader(c)); err == nil {
 			t.Errorf("read(%q) should fail", c)
 		}
 	}
-	tr := buildTrace("t", 100, 1)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := len(binaryMagic); cut < len(full); cut += 7 {
+	full := encode(t, buildTrace("t", 100, 1), WriterOptions{BlockSize: 16}, true)
+	for cut := 0; cut < len(full); cut++ {
 		if _, err := read(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("stream truncated at byte %d of %d should fail", cut, len(full))
 		}
 	}
 }
 
-// TestReadBinaryRejectsBadRecords: a v1 stream whose records reference a
-// client or hint the header never declared fails validation.
+// TestReadBinaryRejectsBadRecords: a stream whose records reference a
+// client the header never declared, or a hint no dict section announced,
+// fails validation.
 func TestReadBinaryRejectsBadRecords(t *testing.T) {
 	for name, mutate := range map[string]func(*Trace){
 		"client": func(tr *Trace) { tr.Reqs[3].Client = 9 },
@@ -143,54 +167,25 @@ func TestReadBinaryRejectsBadRecords(t *testing.T) {
 	} {
 		tr := buildTrace("t", 50, 1)
 		mutate(tr)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := read(&buf); err == nil {
-			t.Errorf("undeclared %s accepted", name)
+		_, err := read(bytes.NewReader(encode(t, tr, WriterOptions{}, false)))
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("undeclared %s: err = %v", name, err)
 		}
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	tr := buildTrace("TXT", 500, 9)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracesEqual(t, tr, got)
-}
-
-func TestTextFormatReadable(t *testing.T) {
-	tr := New("mini", 4096)
-	tr.Append(7, Read, tr.Dict.Intern(hint.Make("reqtype", "read")))
-	var buf bytes.Buffer
-	if err := WriteText(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "# trace mini pagesize 4096") {
-		t.Errorf("missing header: %q", out)
-	}
-	if !strings.Contains(out, "R 7 0 reqtype=read") {
-		t.Errorf("missing record: %q", out)
-	}
-}
-
+// TestReadTextErrors: text input — a record line or a header comment — is
+// refused, as is a CLICTRC1 stream, and the error names what the stream
+// starts with.
 func TestReadTextErrors(t *testing.T) {
 	for _, bad := range []string{
-		"X 1 0 a=1\n",       // bad op
-		"R notanum 0 a=1\n", // bad page
-		"R 1 banana a=1\n",  // bad client
-		"R\n",               // too few fields
+		"R 1 0 a=1\n",
+		"# trace mini pagesize 4096\n",
+		"CLICTRC1\x07DB2_C60",
 	} {
-		if _, err := read(strings.NewReader(bad)); err == nil {
-			t.Errorf("read(%q) should fail", bad)
+		_, err := read(strings.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad[:min(len(bad), 8)])) {
+			t.Errorf("read(%q): err = %v, want a refusal naming its first bytes", bad, err)
 		}
 	}
 }

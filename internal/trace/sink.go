@@ -73,9 +73,9 @@ func (l *limitSink) AppendReq(r Request) {
 // cluster.ReplaySource) consume Iterators so they never need the full
 // trace in RAM.
 //
-// The hint dictionary and client list may grow as the iteration proceeds
-// (text traces, generated streams); by the time Scan has returned a
-// request, the dictionary entry and client slot it references exist.
+// The hint dictionary may grow as the iteration proceeds (trace files,
+// generated streams); by the time Scan has returned a request, the
+// dictionary entry and client slot it references exist.
 type Iterator interface {
 	// Scan advances to the next request, false at end of stream or error.
 	Scan() bool
@@ -108,13 +108,13 @@ type Source interface {
 	Iter() (Iterator, error)
 }
 
-// FileSource is a Source reading a trace file (any format) from a path.
+// FileSource is a Source reading a trace file from a path.
 type FileSource string
 
 // Label implements Source.
 func (p FileSource) Label() string { return string(p) }
 
-// Iter implements Source by opening the file with a sniffing Scanner.
+// Iter implements Source by opening the file with a Scanner.
 func (p FileSource) Iter() (Iterator, error) { return Open(string(p)) }
 
 // Iter returns an Iterator over the in-memory trace. It exists so code
@@ -388,8 +388,8 @@ func Collect(it Iterator) (*Trace, error) {
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
-	// Metadata is read after the drain: text headers and v2 dict sections
-	// only materialise as the stream is scanned.
+	// The dictionary is read after the drain: dict sections only
+	// materialise as the stream is scanned.
 	t := New(it.Name(), it.PageSize())
 	t.Reqs = reqs
 	t.Dict = it.HintDict().Clone()

@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/hint"
 )
@@ -16,47 +14,34 @@ import (
 // Scanner iterates the requests of a trace file one at a time, without ever
 // materialising the request slice: memory stays constant no matter how long
 // the trace is, which is what paper-scale traces (hundreds of millions of
-// requests) and the network replay path need. All three trace formats are
-// supported (binary v1, streaming binary v2, text); the format is sniffed
-// from the leading bytes.
+// requests) and the network replay path need. It reads the v2 format
+// (v2.go) and refuses any other input.
 //
-// For binary v1 the header (name, page size, clients, hint dictionary,
-// request count) is decoded eagerly by NewScanner, so Dict and Clients are
-// complete before the first Scan. For v2 the client list is complete up
-// front but the dictionary grows as dict sections are scanned (always
-// before the requests that reference them); the request count is only known
-// from the trailer, after the last Scan. For the text format the dictionary
-// and client list grow as records are scanned, mirroring ReadText.
+// The client list is complete before the first Scan; the dictionary grows
+// as dict sections are scanned (always before the requests that reference
+// them). Trace files come from outside the program, so every length and
+// count the stream declares is checked against the bytes that back it
+// before it is used.
 //
-// Scanning v2 performs zero steady-state allocations: each block payload is
+// Steady-state scanning performs zero allocations: each block payload is
 // slurped into one reused buffer and records decode from it in place.
 type Scanner struct {
 	closer io.Closer // non-nil when the Scanner owns the underlying file
 	br     *bufio.Reader
-	binary bool
-	v2     bool
 
 	name     string
 	pageSize int
 	clients  []string
 	dict     *hint.Dict
 
-	// Binary decoding state.
-	total     uint64 // declared request count (v1: header, v2: trailer)
-	remaining uint64
-	prevPage  int64
-
-	// v2 decoding state.
 	payload  []byte // reused request-block payload buffer
 	ppos     int    // decode offset into payload
+	block    int    // request blocks loaded so far
 	blockRem uint64 // records left in the current block
+	prevPage int64
 	seen     uint64 // records decoded so far
 	crc      uint32 // running CRC over block payloads
 	finished bool   // trailer seen and verified
-
-	// Text decoding state.
-	headerDone bool
-	lineNo     int
 
 	cur Request
 	err error
@@ -78,88 +63,60 @@ func Open(path string) (*Scanner, error) {
 	return s, nil
 }
 
-// NewScanner returns a Scanner over a trace stream in either the binary or
-// the text format (sniffed from the first bytes; binary starts with the
-// magic string).
+// NewScanner returns a Scanner over a v2 trace stream, reading its header.
+// A stream that does not start with the v2 magic is refused with an error
+// naming what it starts with.
 func NewScanner(r io.Reader) (*Scanner, error) {
 	s := &Scanner{br: bufio.NewReaderSize(r, 1<<20), dict: hint.NewDict()}
-	head, err := s.br.Peek(len(binaryMagic))
+	head, err := s.br.Peek(len(binaryMagicV2))
 	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("trace: sniffing format: %w", err)
+		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	switch string(head) {
-	case binaryMagic:
-		s.binary = true
-		if err := s.readBinaryHeader(); err != nil {
-			return nil, err
-		}
-		return s, nil
-	case binaryMagicV2:
-		s.binary = true
-		s.v2 = true
-		if err := s.readBinaryHeaderV2(); err != nil {
-			return nil, err
-		}
-		return s, nil
+	if string(head) != binaryMagicV2 {
+		return nil, fmt.Errorf("trace: not a %s trace: stream starts with %q", binaryMagicV2, head)
 	}
-	// Text traces start from defaults and refine from header lines.
-	s.name = "trace"
-	s.pageSize = 4096
-	return s, nil
-}
-
-func (s *Scanner) readBinaryHeader() error {
-	if _, err := s.br.Discard(len(binaryMagic)); err != nil {
-		return fmt.Errorf("trace: reading magic: %w", err)
-	}
-	readString := func() (string, error) {
-		n, err := binary.ReadUvarint(s.br)
-		if err != nil {
-			return "", err
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(s.br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	var err error
-	if s.name, err = readString(); err != nil {
-		return fmt.Errorf("trace: reading name: %w", err)
+	s.br.Discard(len(binaryMagicV2))
+	if s.name, err = s.readString(); err != nil {
+		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
 	pageSize, err := binary.ReadUvarint(s.br)
 	if err != nil {
-		return fmt.Errorf("trace: reading page size: %w", err)
+		return nil, fmt.Errorf("trace: reading page size: %w", err)
 	}
 	s.pageSize = int(pageSize)
 	nClients, err := binary.ReadUvarint(s.br)
 	if err != nil {
-		return fmt.Errorf("trace: reading client count: %w", err)
+		return nil, fmt.Errorf("trace: reading client count: %w", err)
+	}
+	if nClients > 256 {
+		return nil, fmt.Errorf("trace: header declares %d clients (a request names at most 256)", nClients)
 	}
 	s.clients = make([]string, nClients)
 	for i := range s.clients {
-		if s.clients[i], err = readString(); err != nil {
-			return fmt.Errorf("trace: reading client %d: %w", i, err)
+		if s.clients[i], err = s.readString(); err != nil {
+			return nil, fmt.Errorf("trace: reading client %d: %w", i, err)
 		}
 	}
-	nKeys, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return fmt.Errorf("trace: reading dict size: %w", err)
-	}
-	for i := uint64(0); i < nKeys; i++ {
-		k, err := readString()
-		if err != nil {
-			return fmt.Errorf("trace: reading hint key %d: %w", i, err)
+	return s, nil
+}
+
+// readN appends the next n bytes of the stream to dst, growing it only as
+// the bytes arrive: a declared length alone commits no memory, so a
+// truncated or lying stream costs no more than its own length.
+func (s *Scanner) readN(dst []byte, n uint64) ([]byte, error) {
+	for n > 0 {
+		if _, err := s.br.Peek(1); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return dst, err
 		}
-		if got := s.dict.InternKey(k); got != hint.ID(i) {
-			return fmt.Errorf("trace: duplicate hint key %q in dictionary", k)
-		}
+		chunk, _ := s.br.Peek(int(min(n, uint64(s.br.Buffered()))))
+		dst = append(dst, chunk...)
+		s.br.Discard(len(chunk))
+		n -= uint64(len(chunk))
 	}
-	if s.total, err = binary.ReadUvarint(s.br); err != nil {
-		return fmt.Errorf("trace: reading request count: %w", err)
-	}
-	s.remaining = s.total
-	return nil
+	return dst, nil
 }
 
 func (s *Scanner) readString() (string, error) {
@@ -167,79 +124,45 @@ func (s *Scanner) readString() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(s.br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (s *Scanner) readBinaryHeaderV2() error {
-	if _, err := s.br.Discard(len(binaryMagicV2)); err != nil {
-		return fmt.Errorf("trace: reading magic: %w", err)
-	}
-	var err error
-	if s.name, err = s.readString(); err != nil {
-		return fmt.Errorf("trace: reading name: %w", err)
-	}
-	pageSize, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return fmt.Errorf("trace: reading page size: %w", err)
-	}
-	s.pageSize = int(pageSize)
-	nClients, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return fmt.Errorf("trace: reading client count: %w", err)
-	}
-	s.clients = make([]string, nClients)
-	for i := range s.clients {
-		if s.clients[i], err = s.readString(); err != nil {
-			return fmt.Errorf("trace: reading client %d: %w", i, err)
-		}
-	}
-	return nil
+	b, err := s.readN(nil, n)
+	return string(b), err
 }
 
 // Scan advances to the next request, returning false at end of trace or on
-// error (distinguish with Err).
+// error (distinguish with Err). Dict sections are absorbed transparently;
+// records decode in place from the current block's payload.
 func (s *Scanner) Scan() bool {
 	if s.err != nil {
 		return false
 	}
-	if s.v2 {
-		return s.scanBinaryV2()
-	}
-	if s.binary {
-		return s.scanBinary()
-	}
-	return s.scanText()
-}
-
-// scanBinaryV2 decodes the next request of a v2 stream. Dict sections are
-// absorbed transparently; block payloads are read whole into one reused
-// buffer and decoded in place, so steady-state scanning allocates nothing.
-func (s *Scanner) scanBinaryV2() bool {
 	for s.blockRem == 0 {
-		if s.finished {
+		if s.ppos != len(s.payload) {
+			s.err = fmt.Errorf("trace: block %d: %d payload bytes follow its last record", s.block, len(s.payload)-s.ppos)
 			return false
 		}
-		if !s.nextSectionV2() {
+		if s.finished || !s.nextSection() {
 			return false
 		}
+	}
+	// The shortest record is four bytes: flags, client and two one-byte
+	// varints.
+	if len(s.payload)-s.ppos < 4 {
+		s.err = fmt.Errorf("trace: block %d: payload ends with %d of its records undecoded", s.block, s.blockRem)
+		return false
 	}
 	flags := s.payload[s.ppos]
 	client := s.payload[s.ppos+1]
 	s.ppos += 2
 	delta, n := binary.Varint(s.payload[s.ppos:])
 	if n <= 0 {
-		s.err = fmt.Errorf("trace: request %d: bad page delta", s.seen)
+		s.err = fmt.Errorf("trace: block %d: request %d: bad page delta", s.block, s.seen)
 		return false
 	}
 	s.ppos += n
 	s.prevPage += delta
 	h, n := binary.Uvarint(s.payload[s.ppos:])
 	if n <= 0 {
-		s.err = fmt.Errorf("trace: request %d: bad hint ID", s.seen)
+		s.err = fmt.Errorf("trace: block %d: request %d: bad hint ID", s.block, s.seen)
 		return false
 	}
 	s.ppos += n
@@ -261,10 +184,10 @@ func (s *Scanner) scanBinaryV2() bool {
 	return true
 }
 
-// nextSectionV2 advances past the next v2 section. It returns true when a
+// nextSection advances past the next section. It returns true when a
 // request block was loaded (s.blockRem > 0) or a dict section was absorbed
 // (caller loops); false at the trailer or on error.
-func (s *Scanner) nextSectionV2() bool {
+func (s *Scanner) nextSection() bool {
 	tag, err := s.br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
@@ -295,26 +218,23 @@ func (s *Scanner) nextSectionV2() bool {
 		}
 		return true
 	case v2TagBlock:
+		s.block++
 		count, err := binary.ReadUvarint(s.br)
 		if err != nil {
-			s.err = fmt.Errorf("trace: reading block request count: %w", err)
+			s.err = fmt.Errorf("trace: block %d: reading request count: %w", s.block, err)
 			return false
 		}
 		size, err := binary.ReadUvarint(s.br)
 		if err != nil {
-			s.err = fmt.Errorf("trace: reading block payload size: %w", err)
+			s.err = fmt.Errorf("trace: block %d: reading payload size: %w", s.block, err)
 			return false
 		}
 		if size > 1<<30 {
-			s.err = fmt.Errorf("trace: block payload size %d implausible", size)
+			s.err = fmt.Errorf("trace: block %d: payload size %d implausible", s.block, size)
 			return false
 		}
-		if uint64(cap(s.payload)) < size {
-			s.payload = make([]byte, size)
-		}
-		s.payload = s.payload[:size]
-		if _, err := io.ReadFull(s.br, s.payload); err != nil {
-			s.err = fmt.Errorf("trace: reading block payload: %w", err)
+		if s.payload, err = s.readN(s.payload[:0], size); err != nil {
+			s.err = fmt.Errorf("trace: block %d: reading payload: %w", s.block, err)
 			return false
 		}
 		s.crc = crc32.Update(s.crc, crc32.IEEETable, s.payload)
@@ -353,135 +273,11 @@ func (s *Scanner) nextSectionV2() bool {
 			s.err = fmt.Errorf("trace: trailing data after v2 trailer")
 			return false
 		}
-		s.total = total
 		s.finished = true
 		return false
 	default:
 		s.err = fmt.Errorf("trace: unknown v2 section tag 0x%02x at request %d", tag, s.seen)
 		return false
-	}
-}
-
-func (s *Scanner) scanBinary() bool {
-	if s.remaining == 0 {
-		return false
-	}
-	i := s.total - s.remaining
-	flags, err := s.br.ReadByte()
-	if err != nil {
-		s.err = fmt.Errorf("trace: reading request %d flags: %w", i, err)
-		return false
-	}
-	client, err := s.br.ReadByte()
-	if err != nil {
-		s.err = fmt.Errorf("trace: reading request %d client: %w", i, err)
-		return false
-	}
-	delta, err := binary.ReadVarint(s.br)
-	if err != nil {
-		s.err = fmt.Errorf("trace: reading request %d page: %w", i, err)
-		return false
-	}
-	s.prevPage += delta
-	h, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		s.err = fmt.Errorf("trace: reading request %d hint: %w", i, err)
-		return false
-	}
-	if h >= uint64(s.dict.Len()) {
-		s.err = fmt.Errorf("trace: request %d references hint %d outside dictionary (len %d)", i, h, s.dict.Len())
-		return false
-	}
-	if int(client) >= len(s.clients) {
-		s.err = fmt.Errorf("trace: request %d references client %d outside Clients (len %d)", i, client, len(s.clients))
-		return false
-	}
-	op := Read
-	if flags&1 != 0 {
-		op = Write
-	}
-	s.cur = Request{Page: uint64(s.prevPage), Hint: hint.ID(h), Op: op, Client: client}
-	s.remaining--
-	return true
-}
-
-func (s *Scanner) scanText() bool {
-	for {
-		line, err := s.br.ReadString('\n')
-		if err == io.EOF && line == "" {
-			return false
-		}
-		if err != nil && err != io.EOF {
-			s.err = err
-			return false
-		}
-		s.lineNo++
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			s.textHeaderLine(line)
-			continue
-		}
-		s.headerDone = true
-		fields := strings.SplitN(line, " ", 4)
-		if len(fields) < 3 {
-			s.err = fmt.Errorf("trace: line %d: malformed record %q", s.lineNo, line)
-			return false
-		}
-		var op Op
-		switch fields[0] {
-		case "R":
-			op = Read
-		case "W":
-			op = Write
-		default:
-			s.err = fmt.Errorf("trace: line %d: bad op %q", s.lineNo, fields[0])
-			return false
-		}
-		page, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			s.err = fmt.Errorf("trace: line %d: bad page: %w", s.lineNo, err)
-			return false
-		}
-		client, err := strconv.ParseUint(fields[2], 10, 8)
-		if err != nil {
-			s.err = fmt.Errorf("trace: line %d: bad client: %w", s.lineNo, err)
-			return false
-		}
-		key := ""
-		if len(fields) == 4 {
-			key = fields[3]
-		}
-		for int(client) >= len(s.clients) {
-			s.clients = append(s.clients, fmt.Sprintf("client%d", len(s.clients)))
-		}
-		s.cur = Request{
-			Page:   page,
-			Hint:   s.dict.InternKey(key),
-			Op:     op,
-			Client: uint8(client),
-		}
-		return true
-	}
-}
-
-func (s *Scanner) textHeaderLine(line string) {
-	if s.headerDone {
-		return // comments after the first record are ignored, as in ReadText
-	}
-	fields := strings.Fields(strings.TrimPrefix(line, "#"))
-	switch {
-	case len(fields) >= 2 && fields[0] == "trace":
-		s.name = fields[1]
-		if len(fields) >= 4 && fields[2] == "pagesize" {
-			if ps, err := strconv.Atoi(fields[3]); err == nil {
-				s.pageSize = ps
-			}
-		}
-	case len(fields) >= 2 && fields[0] == "clients":
-		s.clients = strings.Split(fields[1], ",")
 	}
 }
 
@@ -497,33 +293,18 @@ func (s *Scanner) Name() string { return s.name }
 // PageSize returns the block size in bytes from the header.
 func (s *Scanner) PageSize() int { return s.pageSize }
 
-// Clients returns the client names known so far. For binary traces the list
-// is complete before the first Scan; for text traces it may grow as records
-// referencing new clients are scanned. The returned slice is a copy.
+// Clients returns the client names from the header. The returned slice is
+// a copy.
 func (s *Scanner) Clients() []string {
 	out := make([]string, len(s.clients))
 	copy(out, s.clients)
 	return out
 }
 
-// Dict returns the scanner's hint dictionary. For binary v1 traces it is
-// complete before the first Scan; for v2 and text traces it grows as the
-// stream is scanned (always ahead of the requests that reference it). The
-// caller must not use it concurrently with Scan.
-func (s *Scanner) Dict() *hint.Dict { return s.dict }
-
-// HintDict returns the scanner's hint dictionary (Iterator).
+// HintDict returns the scanner's hint dictionary (Iterator). It grows as
+// the stream is scanned, always ahead of the requests that reference it;
+// the caller must not use it concurrently with Scan.
 func (s *Scanner) HintDict() *hint.Dict { return s.dict }
-
-// Count returns the trace's declared request count when the format has
-// recorded one at the current position: v1 knows it from the header, v2
-// only once the trailer has been scanned, text never.
-func (s *Scanner) Count() (n int, ok bool) {
-	if s.binary && (!s.v2 || s.finished) {
-		return int(s.total), true
-	}
-	return 0, false
-}
 
 // Close releases the underlying file when the Scanner was built by Open; it
 // is a no-op for NewScanner.

@@ -41,23 +41,17 @@ func collect(t *testing.T, sc *Scanner) []Request {
 	return out
 }
 
-// TestScannerBinary checks that streaming a binary trace yields exactly the
-// requests, header, and dictionary of the batch reader.
+// TestScannerBinary checks the scanner's header, client list, requests and
+// dictionary against the trace that was written, with the dictionary
+// arriving in sections between one-request blocks.
 func TestScannerBinary(t *testing.T) {
 	tr := streamTestTrace()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScanner(bytes.NewReader(buf.Bytes()))
+	sc, err := NewScanner(bytes.NewReader(encode(t, tr, WriterOptions{BlockSize: 1}, true)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Name() != tr.Name || sc.PageSize() != tr.PageSize {
 		t.Errorf("header = %q/%d, want %q/%d", sc.Name(), sc.PageSize(), tr.Name, tr.PageSize)
-	}
-	if n, ok := sc.Count(); !ok || n != tr.Len() {
-		t.Errorf("Count = %d,%v, want %d,true", n, ok, tr.Len())
 	}
 	if got, want := sc.Clients(), tr.Clients; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("Clients = %v, want %v", got, want)
@@ -71,44 +65,13 @@ func TestScannerBinary(t *testing.T) {
 			t.Errorf("request %d = %+v, want %+v", i, r, tr.Reqs[i])
 		}
 	}
+	if sc.HintDict().Len() != tr.Dict.Len() {
+		t.Fatalf("dict has %d keys, want %d", sc.HintDict().Len(), tr.Dict.Len())
+	}
 	for id, key := range tr.Dict.Keys() {
-		if sc.Dict().Key(hint.ID(id)) != key {
-			t.Errorf("dict[%d] = %q, want %q", id, sc.Dict().Key(hint.ID(id)), key)
+		if sc.HintDict().Key(hint.ID(id)) != key {
+			t.Errorf("dict[%d] = %q, want %q", id, sc.HintDict().Key(hint.ID(id)), key)
 		}
-	}
-}
-
-// TestScannerText checks text streaming against the trace that was
-// written: same requests (the text dictionary is rebuilt in first-use
-// order, so hints compare by key), header, clients and vocabulary.
-func TestScannerText(t *testing.T) {
-	want := streamTestTrace()
-	var buf bytes.Buffer
-	if err := WriteText(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScanner(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(t, sc)
-	if len(got) != want.Len() {
-		t.Fatalf("scanned %d requests, want %d", len(got), want.Len())
-	}
-	for i, r := range got {
-		w := want.Reqs[i]
-		if r.Page != w.Page || r.Op != w.Op || r.Client != w.Client || sc.Dict().Key(r.Hint) != want.Dict.Key(w.Hint) {
-			t.Errorf("request %d = %+v, want %+v", i, r, w)
-		}
-	}
-	if sc.Name() != want.Name || sc.PageSize() != want.PageSize {
-		t.Errorf("header = %q/%d, want %q/%d", sc.Name(), sc.PageSize(), want.Name, want.PageSize)
-	}
-	if got, want := sc.Clients(), want.Clients; len(got) != len(want) {
-		t.Errorf("Clients = %v, want %v", got, want)
-	}
-	if sc.Dict().Len() != want.Dict.Len() {
-		t.Errorf("dict has %d keys, want %d", sc.Dict().Len(), want.Dict.Len())
 	}
 }
 
@@ -134,12 +97,8 @@ func TestScannerOpen(t *testing.T) {
 // TestScannerTruncatedBinary ensures a cut-off stream surfaces an error
 // rather than a silent short read.
 func TestScannerTruncatedBinary(t *testing.T) {
-	tr := streamTestTrace()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScanner(bytes.NewReader(buf.Bytes()[:buf.Len()-3]))
+	full := encode(t, streamTestTrace(), WriterOptions{}, false)
+	sc, err := NewScanner(bytes.NewReader(full[:len(full)-3]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,34 +8,28 @@ import (
 )
 
 // TestStreamNoiseMatchesWithNoise pins the streaming transform to the
-// in-RAM one: scanner→StreamNoise→trace must equal WithNoise, for zero and
-// nonzero noise types, including when the input arrives via the streaming
-// v2 format (incremental dictionary).
+// chunked parallel injection it replaced (refWithNoise): WithNoise (the
+// transform over an in-memory iterator) and StreamNoise over a v2 stream
+// whose dictionary arrives in sections must both equal the reference, for
+// zero and nonzero noise types, on a trace spanning several of the
+// reference's chunks.
 func TestStreamNoiseMatchesWithNoise(t *testing.T) {
-	tr := buildTrace("NOISE", 60000, 21)
+	tr := buildTrace("NOISE", 2*refNoiseChunk+4321, 21)
+	stream := encode(t, tr, WriterOptions{BlockSize: 4096}, true)
 	for _, types := range []int{0, 2, 5} {
 		cfg := DefaultNoise(types, 77)
-		want, err := WithNoise(tr, cfg)
+		want, err := refWithNoise(tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// From an in-memory iterator.
-		got := New(want.Name, tr.PageSize)
-		got.Clients = append([]string(nil), tr.Clients...)
-		it := tr.Iter()
-		if err := StreamNoise(it, got, cfg); err != nil {
+		got, err := WithNoise(tr, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		it.Close()
 		tracesEqual(t, want, got)
 
-		// From a v2 stream (dictionary arrives in sections).
-		var buf bytes.Buffer
-		if err := WriteBinaryV2(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		sc, err := NewScanner(bytes.NewReader(buf.Bytes()))
+		sc, err := NewScanner(bytes.NewReader(stream))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,23 +46,23 @@ func TestStreamNoiseMatchesWithNoise(t *testing.T) {
 				t.Fatalf("types=%d request %d: hint IDs diverge", types, i)
 			}
 		}
+		if wk, gk := want.Dict.Keys(), got.Dict.Keys(); len(wk) != len(gk) || len(wk) != got2.Dict.Len() {
+			t.Fatalf("types=%d: dictionary sizes %d, %d, %d", types, len(wk), len(gk), got2.Dict.Len())
+		}
 	}
 }
 
 // TestStreamNoiseThroughWriter checks the full scanner→noise→v2-writer pipe
-// round-trips to the WithNoise reference.
+// round-trips to the reference injection.
 func TestStreamNoiseThroughWriter(t *testing.T) {
 	tr := buildTrace("PIPE_NOISE", 30000, 4)
 	cfg := DefaultNoise(3, 9)
-	want, err := WithNoise(tr, cfg)
+	want, err := refWithNoise(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2in, v2out bytes.Buffer
-	if err := WriteBinaryV2(&v2in, tr); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScanner(bytes.NewReader(v2in.Bytes()))
+	var v2out bytes.Buffer
+	sc, err := NewScanner(bytes.NewReader(encode(t, tr, WriterOptions{}, false)))
 	if err != nil {
 		t.Fatal(err)
 	}

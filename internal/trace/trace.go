@@ -7,17 +7,14 @@
 // needs: round-robin interleaving of multiple client traces (§6.4) and
 // synthetic noise-hint injection (§6.3).
 //
-// Traces exist in three serialised forms. Binary v1 ("CLICTRC1", io.go) is
-// the classic whole-trace format: a complete header (dictionary, request
-// count) followed by delta-encoded records — it requires the full trace in
-// RAM to write. Binary v2 ("CLICTRC2", v2.go) is the streaming format:
+// Traces have one serialised form, format v2 ("CLICTRC2", v2.go):
 // block-framed records with incremental dictionary sections and a
 // count/checksum trailer, writable and scannable in bounded memory at
-// paper scale (hundreds of millions of requests). The text format
-// (WriteText) is for humans. Scanner sniffs and reads all three; Load
-// collects any of them into an in-memory Trace. The Sink/Iterator/Source
-// interfaces (sink.go) let generators and replay paths pipe requests
-// through any of these without materialising a []Request.
+// paper scale (hundreds of millions of requests). Writer encodes it,
+// Scanner reads it back, and Save and Load do both for an in-memory Trace.
+// The Sink/Iterator/Source interfaces (sink.go) let generators, transforms
+// and replay paths pipe requests through it without materialising a
+// []Request.
 package trace
 
 import (

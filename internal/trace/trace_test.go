@@ -217,8 +217,8 @@ func TestWithNoiseExtendsHintSets(t *testing.T) {
 	}
 }
 
-// serialWithNoise is the straightforward one-pass rewrite WithNoise used to
-// be; the parallel implementation must reproduce it bit for bit.
+// serialWithNoise is the straightforward one-pass rewrite over the request
+// slice; WithNoise must reproduce it bit for bit.
 func serialWithNoise(t *Trace, cfg NoiseConfig) *Trace {
 	out := New(fmt.Sprintf("%s+noise%d", t.Name, cfg.Types), t.PageSize)
 	out.Clients = append([]string(nil), t.Clients...)
@@ -254,15 +254,10 @@ func serialWithNoise(t *Trace, cfg NoiseConfig) *Trace {
 	return out
 }
 
-// TestWithNoiseMatchesSerial checks the parallel rewrite against the serial
-// reference on a trace long enough to span several chunks, so the
-// chunk-local dictionaries and the ordered merge are actually exercised.
+// TestWithNoiseMatchesSerial checks WithNoise against the serial reference,
+// dictionary ID assignment order included.
 func TestWithNoiseMatchesSerial(t *testing.T) {
-	n := 3*noiseChunk + 1234
-	if testing.Short() {
-		n = noiseChunk + 77
-	}
-	base := buildTrace("big", n, 5)
+	base := buildTrace("big", 50000, 5)
 	cfg := NoiseConfig{Types: 2, Domain: 6, ZipfS: 1, Seed: 99}
 	got, err := WithNoise(base, cfg)
 	if err != nil {

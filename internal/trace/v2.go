@@ -13,10 +13,10 @@ import (
 	"repro/internal/hint"
 )
 
-// Binary trace format v2 — the streaming format. Unlike v1, nothing in the
-// header depends on the whole trace (no request count, no complete
-// dictionary), so a generator can write requests as it produces them and a
-// scanner can read them back with bounded memory at both ends.
+// Binary trace format v2 — the one trace file format. Nothing in the header
+// depends on the whole trace (no request count, no complete dictionary), so
+// a generator can write requests as it produces them and a scanner can read
+// them back with bounded memory at both ends.
 //
 //	magic      "CLICTRC2" (8 bytes)
 //	nameLen, name
@@ -104,7 +104,6 @@ type Writer struct {
 	dictSent int
 	total    uint64
 	crc      uint32
-	bytes    uint64
 	err      error
 	closed   bool
 
@@ -250,7 +249,6 @@ func (w *Writer) writeEncoded(keys []string, reqCount int, payload []byte) {
 		return
 	}
 	w.crc = crc32.Update(w.crc, crc32.IEEETable, payload)
-	w.bytes += uint64(len(payload))
 }
 
 // encodeBlock appends the records of reqs to dst (reset to length 0),
@@ -310,28 +308,6 @@ func (w *Writer) startParallel(workers int) {
 	}()
 }
 
-// Flush drains in-flight blocks and the buffered writer. The stream stays
-// open for more appends; partial blocks are flushed as smaller blocks.
-func (w *Writer) Flush() error {
-	w.flushBlock()
-	if w.jobs != nil {
-		// Stop and restart the pipeline so everything queued lands.
-		close(w.jobs)
-		w.encWG.Wait()
-		close(w.order)
-		<-w.wdone
-		w.startParallel(w.opts.workers())
-	}
-	if w.err == nil {
-		w.err = w.bw.Flush()
-	}
-	return w.err
-}
-
-// Bytes returns the request-payload bytes emitted so far (excluding
-// headers and dict sections) — the writer's throughput denominator.
-func (w *Writer) Bytes() uint64 { return w.bytes }
-
 // Close flushes everything, writes the trailer, and (for Create-built
 // writers) closes the file. It reports the first error of the stream's
 // lifetime; a nil return means the trace on disk is complete and
@@ -376,32 +352,17 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// WriteBinaryV2 serialises an in-memory trace in format v2 (the streaming
-// counterpart of WriteBinary).
-func WriteBinaryV2(w io.Writer, t *Trace) error {
-	wr := NewWriter(w, t.Name, t.PageSize, t.Clients, WriterOptions{Workers: 1})
-	// Pre-intern the dictionary in ID order so the file carries exactly the
-	// trace's dictionary (including keys no surviving request references).
+// writeAll appends the whole in-memory trace and closes the stream. The
+// dictionary is interned up front in ID order, so the stream carries exactly
+// the trace's dictionary, including keys no request references.
+func (w *Writer) writeAll(t *Trace) error {
 	for _, k := range t.Dict.Keys() {
-		wr.dict.InternKey(k)
+		w.dict.InternKey(k)
 	}
 	for _, r := range t.Reqs {
-		wr.AppendReq(r)
+		w.AppendReq(r)
 	}
-	return wr.Close()
-}
-
-// SaveV2 writes the trace to path in binary format v2.
-func SaveV2(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBinaryV2(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return w.Close()
 }
 
 // ensure interface satisfaction.

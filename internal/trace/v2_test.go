@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -10,51 +13,38 @@ import (
 	"repro/internal/hint"
 )
 
-// TestV2RoundTrip checks WriteBinaryV2 → Scanner reproduces the trace
+// TestV2RoundTrip checks Save's layout → Scanner reproduces the trace
 // exactly, including the dictionary and multi-client tags.
 func TestV2RoundTrip(t *testing.T) {
 	tr := streamTestTrace()
-	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScanner(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(sc)
+	got, err := read(bytes.NewReader(encode(t, tr, WriterOptions{}, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracesEqual(t, tr, got)
-	if n, ok := sc.Count(); !ok || n != tr.Len() {
-		t.Fatalf("Count after trailer = %d,%v, want %d,true", n, ok, tr.Len())
-	}
 }
 
-// TestV2CrossRead writes the same trace in v1, v2, and text and checks that
-// Load reads all three identically.
+// TestV2CrossRead writes the same trace with Save and as a generator
+// streams it (lazy dictionary, small blocks, parallel encoders) and checks
+// that Load reads both back identically.
 func TestV2CrossRead(t *testing.T) {
 	tr := buildTrace("CROSS", 3000, 7)
 	dir := t.TempDir()
-	p1 := filepath.Join(dir, "v1.trc")
-	p2 := filepath.Join(dir, "v2.trc")
-	if err := Save(p1, tr); err != nil {
+	saved := filepath.Join(dir, "saved.trc")
+	streamed := filepath.Join(dir, "streamed.trc")
+	if err := Save(saved, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveV2(p2, tr); err != nil {
+	if err := os.WriteFile(streamed, encode(t, tr, WriterOptions{BlockSize: 100, Workers: 3}, true), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got1, err := Load(p1)
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{saved, streamed} {
+		got, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracesEqual(t, tr, got)
 	}
-	got2, err := Load(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracesEqual(t, tr, got1)
-	tracesEqual(t, tr, got2)
 }
 
 // TestV2SerialParallelIdentical pins the central writer property: the bytes
@@ -140,12 +130,7 @@ func TestV2EmptyTrace(t *testing.T) {
 // TestV2Truncated checks every proper prefix of a v2 stream is rejected —
 // the trailer makes truncation always detectable.
 func TestV2Truncated(t *testing.T) {
-	tr := streamTestTrace()
-	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := encode(t, streamTestTrace(), WriterOptions{}, false)
 	for cut := len(full) - 1; cut > len(binaryMagicV2); cut -= 7 {
 		sc, err := NewScanner(bytes.NewReader(full[:cut]))
 		if err != nil {
@@ -162,12 +147,7 @@ func TestV2Truncated(t *testing.T) {
 // TestV2CorruptPayload flips one payload byte and requires the checksum to
 // catch it (when the damage doesn't already break varint decoding).
 func TestV2CorruptPayload(t *testing.T) {
-	tr := buildTrace("CRC", 500, 3)
-	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := encode(t, buildTrace("CRC", 500, 3), WriterOptions{}, false)
 	corrupt := append([]byte(nil), full...)
 	corrupt[len(corrupt)/2] ^= 0x40
 	sc, err := NewScanner(bytes.NewReader(corrupt))
@@ -183,13 +163,8 @@ func TestV2CorruptPayload(t *testing.T) {
 
 // TestV2TrailingGarbage checks that bytes after the trailer are rejected.
 func TestV2TrailingGarbage(t *testing.T) {
-	tr := streamTestTrace()
-	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0x00)
-	sc, err := NewScanner(bytes.NewReader(buf.Bytes()))
+	full := append(encode(t, streamTestTrace(), WriterOptions{}, false), 0x00)
+	sc, err := NewScanner(bytes.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +214,86 @@ func TestV2ScanSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := m1.Mallocs - m0.Mallocs; allocs > 10 {
 		t.Fatalf("steady-state scan of %d requests allocated %d times", n, allocs)
+	}
+}
+
+// rawStream assembles a v2 stream by hand: a header naming one client,
+// a dict section announcing the empty hint set, then one block declaring
+// count records over payload and, when trailer is set, a trailer
+// consistent with them.
+func rawStream(count uint64, payload []byte, trailer bool) []byte {
+	b := append([]byte(binaryMagicV2), 1, 't')
+	b = binary.AppendUvarint(b, 4096)
+	b = append(b, 1, 1, 'c', v2TagDict, 1, 0, v2TagBlock)
+	b = binary.AppendUvarint(b, count)
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
+	if trailer {
+		b = append(b, v2TagTrailer)
+		b = binary.AppendUvarint(b, count)
+		b = append(b, 1)
+		b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	}
+	return b
+}
+
+// TestScannerBlockPayloadMismatch: a block must hold exactly its records.
+// One declaring more records than its payload holds is refused by name
+// (the 25-byte stream below once indexed past its payload and panicked),
+// and so is one whose records end before its payload does, even when the
+// trailer's counts and checksum agree with it.
+func TestScannerBlockPayloadMismatch(t *testing.T) {
+	record := []byte{0, 0, 0, 0} // read of page 0 by client 0, hint 0
+	for name, c := range map[string]struct {
+		stream []byte
+		want   string
+	}{
+		"records past payload": {rawStream(5, record, false), "block 1: payload ends with 4 of its records undecoded"},
+		"payload past records": {rawStream(1, append(record, 0, 0), true), "block 1: 2 payload bytes follow its last record"},
+		"empty block, payload": {rawStream(0, record, true), "block 1: 4 payload bytes follow its last record"},
+	} {
+		_, err := read(bytes.NewReader(c.stream))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s (%d bytes): err = %v, want %q", name, len(c.stream), err, c.want)
+		}
+	}
+	if got, err := read(bytes.NewReader(rawStream(1, record, true))); err != nil || got.Len() != 1 {
+		t.Fatalf("well-formed control stream: %v", err)
+	}
+}
+
+// TestScannerLengthClaimsCommitNoMemory: a stream of a few dozen bytes that
+// declares a 1 GiB block payload, or a 1 TiB dict key, costs what its bytes
+// cost. The buffers grow only as bytes arrive.
+func TestScannerLengthClaimsCommitNoMemory(t *testing.T) {
+	head := append([]byte(binaryMagicV2), 1, 't')
+	head = binary.AppendUvarint(head, 4096)
+	head = append(head, 1, 1, 'c')
+	tail := bytes.Repeat([]byte{0}, 20)
+	block := binary.AppendUvarint(append(append([]byte(nil), head...), v2TagBlock, 1), 1<<30)
+	key := binary.AppendUvarint(append(append([]byte(nil), head...), v2TagDict, 1), 1<<40)
+	for name, stream := range map[string][]byte{
+		"block payload": append(block, tail...),
+		"dict key":      append(key, tail...),
+	} {
+		sc, err := NewScanner(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for sc.Scan() {
+		}
+		runtime.ReadMemStats(&m1)
+		if sc.Err() == nil {
+			t.Fatalf("%s: truncated stream accepted", name)
+		}
+		if c := cap(sc.payload); c > len(stream) {
+			t.Errorf("%s: %d-byte stream grew a %d-byte buffer", name, len(stream), c)
+		}
+		if n := m1.TotalAlloc - m0.TotalAlloc; n > 1<<16 {
+			t.Errorf("%s: %d-byte stream allocated %d bytes", name, len(stream), n)
+		}
 	}
 }
 

@@ -122,9 +122,8 @@ func GenerateTo(p Preset, sink trace.Sink) error {
 // changes only the wall clock, and the returned traces are bit-identical
 // to serial Generate calls, in preset order.
 //
-// workers bounds the pool; 0 or negative selects GOMAXPROCS, 1 reproduces
-// the serial path exactly (no goroutines). On error the first failure (in
-// preset order) is returned and the trace slice is nil.
+// workers bounds the pool; 0 or negative selects GOMAXPROCS. On error the
+// first failure (in preset order) is returned and the trace slice is nil.
 func GenerateAll(presets []Preset, workers int) ([]*trace.Trace, error) {
 	out := make([]*trace.Trace, len(presets))
 	errs := make([]error, len(presets))
@@ -134,16 +133,6 @@ func GenerateAll(presets []Preset, workers int) ([]*trace.Trace, error) {
 	}
 	if w > len(presets) {
 		w = len(presets)
-	}
-	if w <= 1 {
-		for i, p := range presets {
-			t, err := Generate(p)
-			if err != nil {
-				return nil, fmt.Errorf("workload: generating %s: %w", p.Name, err)
-			}
-			out[i] = t
-		}
-		return out, nil
 	}
 	var wg sync.WaitGroup
 	idx := make(chan int)
