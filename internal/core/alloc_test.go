@@ -4,13 +4,14 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestAccessSteadyStateAllocs pins the zero-allocation contract of the
 // request path: after the cache has filled its capacity, outqueue and
-// statistics structures (the record slab and page table stop growing, the
-// rest recycles through freelists), processing a request allocates nothing — including across window rotations and
-// Space-Saving counter churn (TopK set).
+// statistics structures (the page table stops growing, the rest recycles
+// through freelists), processing a request allocates nothing — including
+// across window rotations and Space-Saving counter churn (TopK set).
 func TestAccessSteadyStateAllocs(t *testing.T) {
 	c := New(Config{Capacity: 512, Window: 2000, TopK: 64})
 	reqs := shardedTrace(200000, 99)
@@ -89,38 +90,54 @@ func TestAccessBatchGlobalAllocs(t *testing.T) {
 
 // TestFootprintFollowsRecords pins that nothing is sized from the
 // configuration: a million-page cache that has seen 1 000 pages holds 1 000
-// records and a table to match, not slab or table space for the ~6M records
-// it may one day hold.
+// records in a table to match, not space for the ~6M records it may one day
+// hold. The table grows by half when its load would pass 4/5, so right
+// after any growth its load is at least 8/15: at most 32 B / (8/15) = 60
+// bytes per record, counting the probe slots.
 func TestFootprintFollowsRecords(t *testing.T) {
+	if size := unsafe.Sizeof(pageEntry{}); size != 32 {
+		t.Fatalf("a page record is %d bytes, want 32", size)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	c := New(Config{Capacity: 1 << 20})
+	grows := 0
 	for p := uint64(0); p < 1000; p++ {
+		slots := len(c.ents)
 		c.Access(rd(p, hintA))
+		if len(c.ents) == slots {
+			continue
+		}
+		grows++
+		if records, bytes := c.Len()+c.OutqueueLen(), (len(c.ents)-1)*32; bytes > 60*records {
+			t.Errorf("after growing to %d slots: %d bytes for %d records, more than 60 each", len(c.ents)-1, bytes, records)
+		}
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained >= 1<<20 {
 		t.Errorf("cache retains %d bytes after 1000 requests, want < 1 MB", retained)
 	}
-	if c.Len() != 1000 {
-		t.Errorf("Len = %d, want 1000", c.Len())
+	if c.Len() != 1000 || grows < 5 {
+		t.Errorf("Len = %d after %d growths, want 1000 after several", c.Len(), grows)
 	}
 	runtime.KeepAlive(c)
 }
 
-// TestRecordLimit: record links are 32-bit slab indices, so a configuration
-// that could hold more records than they address is refused up front, with
-// a message naming the limit, instead of corrupting links later.
+// TestRecordLimit: table positions are uint32 with 0 the nil record, and
+// the load stays at most 4/5, so a cache indexes at most 4/5 of 2^32-1
+// records. A configuration that could hold more is refused up front, with a
+// message naming the limit, instead of corrupting links later.
 func TestRecordLimit(t *testing.T) {
-	New(Config{Capacity: 1 << 30, Noutq: 1 << 30}) // exactly maxRecords: fine, and allocates nothing yet
+	const limit = (1<<32 - 1) * 4 / 5
+	New(Config{Capacity: 1 << 31, Noutq: limit - 1<<31}) // exactly the limit: fine, and allocates nothing yet
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "Capacity+Noutq") {
 			t.Errorf("panic %q, want one naming Capacity+Noutq", msg)
 		}
 	}()
-	New(Config{Capacity: 1 << 30, Noutq: 1<<30 + 1})
+	New(Config{Capacity: 1 << 31, Noutq: limit - 1<<31 + 1})
 	t.Error("New accepted more records than it can index")
 }

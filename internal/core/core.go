@@ -19,21 +19,21 @@
 // minimum-priority page, ties broken by minimum sequence number.
 //
 // A page has one record, cached or outqueued, never both, and the cache
-// keeps it that way physically: one slab of 32-byte, pointer-free records
-// linked by slab index, and one open-addressing page table (table.go) from
-// page number to slab index. Access probes that table once per request. A
-// cached record sits in its hint set's group list, an uncached one in the
-// outqueue list; eviction and re-admission move the record between the two
-// lists by relinking, without touching the table. Everything keyed by hint
-// ID on the request path — the groups, the learner's priorities and
-// tracked counters — is a slice indexed by the ID, since IDs are interned
-// densely. Slab and table
-// grow with the records actually held, never from the configured capacity.
-// Per cached page that is 6 records at the default Noutq — 192 bytes plus
-// 8-byte table slots at a load of 3/8 to 3/4, some 6–8% of a 4 KB page —
-// where §6.1 charges CLIC 1% (sim.ClicCapacity applies the paper's figure,
-// which assumes only a sequence number and a hint ID per record, not the
-// links and index an O(1) implementation needs).
+// keeps it that way physically: one open-addressing page table (table.go)
+// whose slots are the 32-byte, pointer-free records themselves, linked by
+// table position. Access probes that table once per request and lands on
+// the record's own line. A cached record sits in its hint set's group
+// list, an uncached one in the outqueue list; eviction and re-admission
+// move the record between the two lists by relinking, where it sits.
+// Everything keyed by hint ID on the request path — the groups, the
+// learner's priorities and tracked counters — is a slice indexed by the ID,
+// since IDs are interned densely. The table grows with the records
+// actually held, never from the configured capacity. Per cached page that
+// is 6 records at the default Noutq: 192 bytes at a load of 8/15 to 4/5,
+// 240–360 bytes or some 6–9% of a 4 KB page, where §6.1 charges CLIC 1%
+// (sim.ClicCapacity applies the paper's figure, which assumes only a
+// sequence number and a hint ID per record, not the links and index an
+// O(1) implementation needs).
 //
 // The statistics machinery itself — window accounting, decay blending,
 // the priority table, and the optional Space-Saving top-k bound (§5, set
@@ -49,12 +49,11 @@
 // try-lock: a Producer's batches run as per-shard frames on whichever
 // goroutine holds the shard (flat combining; owner.go), and Sharded.Access
 // holds the shard for one request. Frames run in groups of 16 requests
-// whose page-table lines, records and list neighbours are loaded ahead of
-// the serial Access calls (Cache.warm), which is where batching buys more
-// than amortized synchronization. The steady-state request path is
-// allocation-free: page records recycle through the slab's free list, and
-// the group table, the window statistics and the Space-Saving counter slab
-// are reused in place.
+// whose records and list neighbours are loaded ahead of the serial Access
+// calls (Cache.warm), which is where batching buys more than amortized
+// synchronization. The steady-state request path is allocation-free: the
+// table, the group table, the window statistics and the Space-Saving
+// counter slab are reused in place.
 package core
 
 import (
@@ -198,14 +197,12 @@ type Cache struct {
 	learner clicstats.Learner
 	epoch   uint64
 
-	// The record store: one slab of page records (index 0 is nil), one
-	// table from page number to slab index, and a free list through the
-	// slab. A page has one record, cached or outqueued (§3.1), so a request
-	// costs one table probe; eviction and admission of a remembered page
-	// relink the record and leave the table alone.
-	ents  []pageEntry
-	table pageTable
-	free  uint32
+	// The record store: one open-addressing table whose slots are the page
+	// records (table.go; position 0 is nil). A page has one record, cached
+	// or outqueued (§3.1), so a request costs one probe that lands on the
+	// record itself; eviction and admission of a remembered page relink the
+	// record where it sits.
+	ents []pageEntry
 
 	// Cached pages, grouped per hint set: groups is indexed by hint ID
 	// (IDs are interned densely), heap orders the non-empty groups.
@@ -250,7 +247,7 @@ func New(cfg Config) *Cache {
 // newCache builds a cache around an externally owned learner (in global
 // mode Sharded hands each shard a tap on the one shared learner). cfg must
 // already have defaults applied. Nothing is sized from the configuration:
-// the slab and the table grow with the records actually held.
+// the table grows with the records actually held.
 func newCache(cfg Config, l clicstats.Learner) *Cache {
 	if n := uint64(cfg.Capacity) + uint64(cfg.Noutq); n > maxRecords {
 		panic(fmt.Sprintf("core: Capacity+Noutq = %d page records, more than the %d a cache can index", n, uint64(maxRecords)))
@@ -258,9 +255,8 @@ func newCache(cfg Config, l clicstats.Learner) *Cache {
 	c := &Cache{
 		cfg:     cfg,
 		learner: l,
-		ents:    make([]pageEntry, 1), // index 0 is nil
+		ents:    make([]pageEntry, 1+minTableSlots),
 	}
-	c.table.init()
 	return c
 }
 
@@ -295,7 +291,7 @@ func (c *Cache) Access(r trace.Request) bool {
 
 	// The request's one table probe: i is the page's record, cached or
 	// outqueued, serving both the statistics and the placement decision.
-	i := c.table.find(c.ents, r.Page)
+	i := c.find(r.Page)
 
 	// Statistics: count the arrival, and detect a read re-reference using
 	// the most-recent-request record.
@@ -335,11 +331,12 @@ func (c *Cache) Access(r trace.Request) bool {
 // group ahead of the Accesses themselves.
 //
 // Two passes per group of warmGroup. The first walks each page's probe run
-// to a slab index. The second loads, for each index, the record and both
-// its list neighbours: relinking the record (removeFromGroup, outUnlink)
-// writes all three lines, and inside Access they would be missed one after
-// another. Slab index 0 is the nil record, so a page without a record and
-// a record at the end of its list need no branch — they load line 0.
+// to its record (or to the empty slot that ends the run). The second loads
+// each record's two list neighbours: relinking the record
+// (removeFromGroup, outUnlink) writes all three lines, and inside Access
+// they would be missed one after another. Position 0 is the nil record, so
+// a page without a record and a record at the end of its list need no
+// branch — they load line 0.
 func (c *Cache) warm(reqs []trace.Request) {
 	var (
 		idx  [warmGroup]uint32
@@ -349,11 +346,11 @@ func (c *Cache) warm(reqs []trace.Request) {
 	for len(reqs) > 0 {
 		n := min(warmGroup, len(reqs))
 		for i := range reqs[:n] {
-			idx[i] = c.table.touch(reqs[i].Page)
+			idx[i] = c.find(reqs[i].Page)
 		}
 		for _, x := range idx[:n] {
 			e := &ents[x]
-			w ^= e.page ^ ents[e.prev].page ^ ents[e.next].page
+			w ^= ents[e.prev].page ^ ents[e.next].page
 		}
 		reqs = reqs[n:]
 	}
@@ -389,14 +386,11 @@ func (c *Cache) admit(page, s uint64, h hint.ID, oi uint32) {
 			c.removeFromGroup(v)
 			c.cached--
 			c.evictions++
-			// The victim's record enters the outqueue before the new page's
-			// stale record leaves: if the outqueue is full, the entry
-			// displaced can be oi itself, in which case the incoming page
-			// no longer has a record to reuse.
-			if c.outqueueVictim(v) == oi {
-				oi = 0
-			}
-			c.insert(page, s, h, oi)
+			// The victim's record enters the outqueue, whose oldest record
+			// may leave to make room. That removal can shift oi or be oi:
+			// find the incoming page's record again.
+			c.outqueueVictim(v)
+			c.insert(page, s, h, c.find(page))
 			return
 		}
 	}
@@ -405,18 +399,17 @@ func (c *Cache) admit(page, s uint64, h hint.ID, oi uint32) {
 }
 
 // insert caches a page with the given record. oi is the page's outqueue
-// entry if it still has one: the entry migrates into its group and the
-// page table is untouched.
+// entry if it still has one: the entry migrates into its group where it
+// sits in the table.
 func (c *Cache) insert(page, s uint64, h hint.ID, oi uint32) {
 	if oi != 0 {
 		c.outUnlink(oi)
 		c.outSize--
 	} else {
-		oi = c.alloc()
-		c.table.insert(page, oi)
+		oi = c.place(page)
 	}
 	e := &c.ents[oi]
-	e.page, e.seq, e.hint = page, s, h
+	e.seq, e.hint = s, h
 	c.cached++
 	c.appendToGroup(oi)
 }

@@ -397,14 +397,14 @@ func TestInvariantsQuick(t *testing.T) {
 }
 
 // TestWarmChangesNothing drives the warm pass the way processFrame never
-// would — on an empty cache, straddling every doubling of the page table,
+// would — on an empty cache, straddling every growth of the page table,
 // over pages the cache has never seen, over one page repeated through a
 // group, over groups shorter and longer than warmGroup — and then over
 // records picked by where they sit: head, middle and tail of a hint set's
-// group and of the outqueue, lists of one record (both links nil), and
-// records just taken from or returned to the free list. It requires that
-// warm leaves the table and the slab bit for bit as it found them, and that
-// the verdicts that follow match a twin cache that was never warmed.
+// group and of the outqueue, lists of one record (both links nil), and the
+// outqueue head just removed and the page just placed. It requires that
+// warm leaves the table bit for bit as it found it, and that the verdicts
+// that follow match a twin cache that was never warmed.
 func TestWarmChangesNothing(t *testing.T) {
 	cfg := Config{Capacity: 96, Window: 400, TopK: 2}
 	warmed, twin := New(cfg), New(cfg)
@@ -416,13 +416,11 @@ func TestWarmChangesNothing(t *testing.T) {
 		if err := c.checkConsistency(); err != nil {
 			t.Fatalf("before warm: %v", err)
 		}
-		slots := slices.Clone(c.table.slots)
 		ents := slices.Clone(c.ents)
-		seq, n, free := c.seq, c.table.n, c.free
+		seq, head, tail := c.seq, c.outHead, c.outTail
 		c.warm(group)
-		if !slices.Equal(slots, c.table.slots) || !slices.Equal(ents, c.ents) ||
-			seq != c.seq || n != c.table.n || free != c.free {
-			t.Fatalf("warm over %d requests changed the table or the slab", len(group))
+		if !slices.Equal(ents, c.ents) || seq != c.seq || head != c.outHead || tail != c.outTail {
+			t.Fatalf("warm over %d requests changed the table", len(group))
 		}
 		if err := c.checkConsistency(); err != nil {
 			t.Fatalf("after warm: %v", err)
@@ -466,17 +464,17 @@ func TestWarmChangesNothing(t *testing.T) {
 		// warmed lines go stale under inserts, evictions and backward
 		// shifts before their request arrives.
 		for run := min(1+rng.Intn(2*warmGroup), random-next); run > 0; run-- {
-			size := len(warmed.table.slots)
+			size := len(warmed.ents)
 			access(next)
-			if len(warmed.table.slots) != size {
+			if len(warmed.ents) != size {
 				grows++
-				warm(group) // stale group against the table just doubled
+				warm(group) // stale group against the table just grown
 			}
 			next++
 		}
 	}
 	if grows < 3 || shortGroups == 0 {
-		t.Errorf("the table doubled %d times and %d groups were short; the test needs both", grows, shortGroups)
+		t.Errorf("the table grew %d times and %d groups were short; the test needs both", grows, shortGroups)
 	}
 
 	// Records by position. pagesAt names the records' pages; warm finds the
@@ -516,25 +514,21 @@ func TestWarmChangesNothing(t *testing.T) {
 	}
 	warmOn(lone, []trace.Request{{Page: 7}, {Page: 8}, {Page: 9}})
 
-	// The free list: whenever a request moved its head — a record was
-	// released, or a released one taken for the request's page — warm that
-	// page, the one before it and the page the slab's newest free record
-	// last held (gone from the table: the probe ends elsewhere).
-	recycled := 0
+	// Removals: whenever a request removed the outqueue's head — its
+	// record gone, the run behind it shifted back — warm that page (the
+	// probe now ends on an empty slot or another page's record), the page
+	// just placed, and the one before it.
+	removed := 0
 	for next := random; next < len(reqs); next++ {
-		free, was := warmed.free, uint64(0)
-		if free != 0 {
-			was = warmed.ents[free].page
-		}
-		victim := pagesAt(warmed, warmed.outHead) // the next record to be released
+		head := pagesAt(warmed, warmed.outHead)
 		access(next)
-		if warmed.free != free {
-			recycled++
-			warm(append(victim, reqs[next], reqs[next-1], trace.Request{Page: was}))
+		if len(head) == 1 && warmed.find(head[0].Page) == 0 {
+			removed++
+			warm(append(head, reqs[next], reqs[next-1]))
 		}
 	}
-	if recycled == 0 {
-		t.Error("no request moved the free list; the test needs some to")
+	if removed == 0 {
+		t.Error("no request removed the outqueue's head; the test needs some to")
 	}
 
 	if warmed.Len() != twin.Len() || warmed.OutqueueLen() != twin.OutqueueLen() ||
@@ -546,26 +540,25 @@ func TestWarmChangesNothing(t *testing.T) {
 }
 
 // checkConsistency validates the record store and the structures threaded
-// through it: every slab entry is in exactly one of a group list, the
-// outqueue list and the free list; the page table maps exactly the live
-// entries; group lists are seq-ordered with correct keys; and the heap
-// holds exactly the non-empty groups, in heap order, with correct indices.
+// through it: position 0 is the zero record; every used slot is on exactly
+// one of a group list and the outqueue list, and every unused one is the
+// zero record; find maps each record's page to the record's own position;
+// the load is at most 4/5; group lists are seq-ordered with correct keys;
+// and the heap holds exactly the non-empty groups, in heap order, with
+// correct indices.
 func (c *Cache) checkConsistency() error {
-	const (
-		unseen = iota
-		inGroup
-		inOutqueue
-		isFree
-	)
-	state := make([]int, len(c.ents))
-	visit := func(i uint32, as int) error {
-		if i == 0 || int(i) >= len(c.ents) {
-			return fmt.Errorf("entry index %d outside the slab", i)
+	if c.ents[0] != (pageEntry{}) {
+		return fmt.Errorf("nil record is %+v", c.ents[0])
+	}
+	onList := make([]bool, len(c.ents))
+	visit := func(i uint32) error {
+		if i == 0 || int(i) >= len(c.ents) || !c.ents[i].used {
+			return fmt.Errorf("link to %d, not a used slot of the table", i)
 		}
-		if state[i] != unseen {
-			return fmt.Errorf("entry %d linked twice (states %d and %d)", i, state[i], as)
+		if onList[i] {
+			return fmt.Errorf("entry %d linked twice", i)
 		}
-		state[i] = as
+		onList[i] = true
 		return nil
 	}
 
@@ -581,7 +574,7 @@ func (c *Cache) checkConsistency() error {
 		nonEmpty++
 		var prev uint32
 		for i := g.head; i != 0; i = c.ents[i].next {
-			if err := visit(i, inGroup); err != nil {
+			if err := visit(i); err != nil {
 				return fmt.Errorf("group %d: %v", h, err)
 			}
 			e := &c.ents[i]
@@ -622,7 +615,7 @@ func (c *Cache) checkConsistency() error {
 	outq := 0
 	var prev uint32
 	for i := c.outHead; i != 0; i = c.ents[i].next {
-		if err := visit(i, inOutqueue); err != nil {
+		if err := visit(i); err != nil {
 			return fmt.Errorf("outqueue: %v", err)
 		}
 		if e := &c.ents[i]; e.cached || e.prev != prev {
@@ -635,35 +628,23 @@ func (c *Cache) checkConsistency() error {
 		return fmt.Errorf("outqueue: tail %d, list ends at %d; %d entries, OutqueueLen %d", c.outTail, prev, outq, c.OutqueueLen())
 	}
 
-	free := 0
-	for i := c.free; i != 0; i = c.ents[i].next {
-		if err := visit(i, isFree); err != nil {
-			return fmt.Errorf("free list: %v", err)
-		}
-		free++
+	slots := len(c.ents) - 1
+	if (cached+outq)*5 > slots*4 {
+		return fmt.Errorf("table: %d records in %d slots, load above 4/5", cached+outq, slots)
 	}
-	if cached+outq+free != len(c.ents)-1 {
-		return fmt.Errorf("slab has %d entries: %d cached + %d outqueued + %d free do not cover it", len(c.ents)-1, cached, outq, free)
-	}
-
-	if c.table.n != c.Len()+c.OutqueueLen() {
-		return fmt.Errorf("table counts %d records, Len+OutqueueLen = %d", c.table.n, c.Len()+c.OutqueueLen())
-	}
-	used := 0
-	for _, s := range c.table.slots {
-		if s != 0 {
-			used++
-		}
-	}
-	if used != c.table.n || used*4 > len(c.table.slots)*3 {
-		return fmt.Errorf("table: %d of %d slots used, n = %d", used, len(c.table.slots), c.table.n)
-	}
-	for i := 1; i < len(c.ents); i++ {
-		if state[i] == isFree {
+	for i := 1; i <= slots; i++ {
+		e := &c.ents[i]
+		if !e.used {
+			if *e != (pageEntry{}) {
+				return fmt.Errorf("unused slot %d is %+v, not the zero record", i, *e)
+			}
 			continue
 		}
-		if got := c.table.find(c.ents, c.ents[i].page); got != uint32(i) {
-			return fmt.Errorf("table maps page %d to %d, its record is %d", c.ents[i].page, got, i)
+		if !onList[i] {
+			return fmt.Errorf("slot %d holds page %d on no list", i, e.page)
+		}
+		if got := c.find(e.page); got != uint32(i) {
+			return fmt.Errorf("find(%d) = %d, its record is at %d", e.page, got, i)
 		}
 	}
 	return nil

@@ -44,10 +44,10 @@ import (
 const DefaultAccessBatch = 512
 
 // warmGroup is how many requests processFrame warms ahead of running them:
-// enough independent page-table and record loads in flight to cover a
-// cache miss each, few enough that the lines warmed for the group's last
-// request (four of them: slot, record, both neighbours) are still in L1
-// when its Access runs. Chosen by measurement
+// enough independent record loads in flight to cover a cache miss each,
+// few enough that the lines warmed for the group's last request (three of
+// them: the record and both its list neighbours) are still in L1 when its
+// Access runs. Chosen by measurement
 // (8, 16 and 32 on serve_inproc and core.batch_ns_per_req; see CHANGES.md).
 const warmGroup = 16
 
@@ -125,10 +125,10 @@ func (s *Sharded) settle(sh *shardedShard, reads, readHits, writes uint64) {
 // The caller holds the shard.
 //
 // Requests run in groups of warmGroup: Cache.warm first pulls the group's
-// page-table lines, records and list neighbours toward L1 with independent
-// loads, then the ordinary serial Access runs per request and probes for
-// itself, so whatever an Access does to the table or the slab in between
-// cannot change a verdict — only how long it takes to reach it.
+// records and list neighbours toward L1 with independent loads, then the
+// ordinary serial Access runs per request and probes for itself, so
+// whatever an Access does to the table in between cannot change a verdict
+// — only how long it takes to reach it.
 func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	var reads, readHits uint64
 	c := sh.c

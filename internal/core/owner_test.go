@@ -655,12 +655,11 @@ func TestShardedShardLayout(t *testing.T) {
 }
 
 // BenchmarkFrameWarm prices a request on a cache whose records (1.2M of
-// them, 38 MB of slab under a 16 MB table) are far out of the CPU's reach,
-// so that every Access misses on the table, the record and its list
-// neighbours: through a one-shard front in frames of 512, where warm
-// loads those lines a group of 16 ahead, and through plain Access, where
-// each request takes its misses one after another. One iteration is one
-// frame.
+// them in a 62 MB table) are far out of the CPU's reach, so that every
+// Access misses on the record and its list neighbours: through a one-shard
+// front in frames of 512, where warm loads those lines a group of 16 ahead,
+// and through plain Access, where each request takes its misses one after
+// another. One iteration is one frame.
 func BenchmarkFrameWarm(b *testing.B) {
 	const pages, frames = 1_500_000, 1 << 10
 	rng := rand.New(rand.NewSource(8))

@@ -3,17 +3,19 @@ package core
 import "repro/internal/hint"
 
 // pageEntry records the most recent request for a page: its sequence number
-// and hint set (§3.1). Entries live in one slab (Cache.ents) and refer to
-// each other by slab index, 0 meaning nil: 32 bytes each, no pointers for
-// the collector to trace. A live entry is linked into exactly one list —
-// its hint set's group (cached pages) or the outqueue (uncached pages) —
-// and moves between the two by relinking; free entries chain through next.
+// and hint set (§3.1). Entries are the slots of the page table (Cache.ents,
+// table.go) and refer to each other by position, 0 meaning nil: 32 bytes
+// each, no pointers for the collector to trace. A used entry is linked into
+// exactly one list — its hint set's group (cached pages) or the outqueue
+// (uncached pages) — and moves between the two by relinking; an unused one
+// is an empty slot, all zero.
 type pageEntry struct {
 	page       uint64
 	seq        uint64
 	prev, next uint32
 	hint       hint.ID
 	cached     bool // in groups[hint]'s list rather than the outqueue's
+	used       bool // holds a page's record: the slot is occupied
 }
 
 // group collects all cached pages whose latest request carried the same
@@ -27,26 +29,6 @@ type group struct {
 	headSeq    uint64 // ents[head].seq
 	head, tail uint32 // head is the minimum sequence number; 0 = empty group
 	heapIdx    int32  // position in Cache.heap while non-empty
-}
-
-// alloc takes an entry off the free list, growing the slab when the list is
-// empty. Growth invalidates *pageEntry pointers, so callers re-derive them.
-func (c *Cache) alloc() uint32 {
-	if i := c.free; i != 0 {
-		c.free = c.ents[i].next
-		return i
-	}
-	c.ents = append(c.ents, pageEntry{})
-	return uint32(len(c.ents) - 1)
-}
-
-// release unmaps an unlinked entry's page and returns the entry to the free
-// list.
-func (c *Cache) release(i uint32) {
-	e := &c.ents[i]
-	c.table.remove(e.page, i)
-	*e = pageEntry{next: c.free}
-	c.free = i
 }
 
 // appendToGroup links entry i at the tail of its hint set's group,
@@ -184,7 +166,7 @@ func (c *Cache) heapInit() {
 }
 
 // The outqueue is the bounded FIFO of most-recent-request records for pages
-// that are not cached (§3.1): a list through the slab from outHead (least
+// that are not cached (§3.1): a list through the table from outHead (least
 // recently inserted) to outTail. When full, the least-recently inserted
 // entry is displaced, deliberately biasing re-reference detection toward
 // short re-reference distances — the ones that lead to high caching
@@ -220,48 +202,50 @@ func (c *Cache) outUnlink(i uint32) {
 // record notes an uncached request in the outqueue (Figure 4 lines 19–22).
 // oi is the page's outqueue entry if it has one: its record is refreshed
 // and it moves to the most-recently-inserted position. Otherwise a new
-// entry is made, reusing the least-recently inserted one when the queue is
-// full.
+// record is placed, after the least-recently inserted one makes room when
+// the queue is full.
 func (c *Cache) record(page, s uint64, h hint.ID, oi uint32) {
 	switch {
 	case oi != 0:
 		c.outUnlink(oi)
 	case c.cfg.Noutq == 0:
 		return
-	case c.outSize >= c.cfg.Noutq:
-		oi = c.outHead
-		c.outUnlink(oi)
-		c.table.remove(c.ents[oi].page, oi)
-		c.table.insert(page, oi)
 	default:
-		oi = c.alloc()
-		c.table.insert(page, oi)
+		if c.outSize >= c.cfg.Noutq {
+			c.displaceOutHead()
+		}
+		oi = c.place(page)
 		c.outSize++
 	}
 	e := &c.ents[oi]
-	e.page, e.seq, e.hint = page, s, h
+	e.seq, e.hint = s, h
 	c.outAppend(oi)
 }
 
 // outqueueVictim moves just-evicted entry v (already unlinked from its
-// group) into the outqueue: the entry itself migrates, its page stays
-// mapped to it. It returns the entry displaced to make room, if any — the
-// caller checks it against the incoming page's own outqueue entry, which
-// can be exactly the one displaced.
-func (c *Cache) outqueueVictim(v uint32) (displaced uint32) {
+// group) into the outqueue, displacing the least-recently inserted entry
+// when that makes the queue overfull. v joins the queue before the
+// displaced entry leaves, so that v is on a list when the removal shifts
+// records. The removal can move any record, the incoming page's own
+// included, or remove exactly that one: callers find it again.
+func (c *Cache) outqueueVictim(v uint32) {
 	if c.cfg.Noutq == 0 {
-		c.release(v)
-		return 0
-	}
-	if c.outSize >= c.cfg.Noutq {
-		displaced = c.outHead
-		c.outUnlink(displaced)
-		c.outSize--
-		c.release(displaced)
+		c.remove(v)
+		return
 	}
 	c.outAppend(v)
 	c.outSize++
-	return displaced
+	if c.outSize > c.cfg.Noutq {
+		c.displaceOutHead()
+	}
+}
+
+// displaceOutHead removes the least-recently inserted outqueue entry.
+func (c *Cache) displaceOutHead() {
+	i := c.outHead
+	c.outUnlink(i)
+	c.outSize--
+	c.remove(i)
 }
 
 // OutqueueLen returns the current number of outqueue entries.

@@ -1,136 +1,158 @@
 package core
 
-// pageTable is the cache's one page index: an open-addressing hash table
-// from page number to the slab index of the page's record (cached or
-// outqueued — a page has at most one). Linear probing over 8-byte slots
-// keeps a probe inside one cache line almost always; deletion shifts the
-// following run back over the hole, so there are no tombstones and the
-// table never needs a clean-up rehash. It starts small and doubles on
-// demand, so its footprint follows the live record count, not the
-// configured capacity.
+import "math/bits"
+
+// The page table is the record store itself: Cache.ents is an
+// open-addressing hash table whose slots are the 32-byte page records, so a
+// lookup loads the record's own line and confirms the full page number
+// there. Positions 1..n are probe slots (n = len(ents)-1); position 0 is the
+// nil record, always zero, so list links and warm's neighbour loads can name
+// "none" without a branch. A slot is occupied when its record is used.
 //
-// A slot packs the top 32 bits of the page's hash (the tag) above the
-// record's slab index; 0 is an empty slot, which works because slab index
-// 0 is reserved as nil. The page number itself lives only in the record:
-// a lookup that matches a tag confirms it against the slab entry it is
-// about to read anyway, and removal and growth need no page numbers at
-// all — a slot's home position is a prefix of its tag.
-type pageTable struct {
-	slots []uint64
-	shift uint // 32 - log2(len(slots)): home slot = tag >> shift
-	n     int
-}
+// Probing is linear and wraps from slot n to slot 1. Deletion shifts the
+// following run back over the hole, so there are no tombstones and the
+// table never needs a clean-up rehash. A record that moves takes its links
+// with it and repoints its list neighbours (or its list's ends) at its new
+// position, which is why every record a removal can shift must be on a list.
+// The table starts small and grows by half when its load would pass 4/5, so
+// its footprint follows the live record count, not the configured capacity;
+// the record count never falls, so growth happens only while it rises.
 
 const (
-	// minTableSlots is the initial table size.
-	minTableBits  = 4
-	minTableSlots = 1 << minTableBits
-	// maxRecords bounds Capacity+Noutq: record indices are uint32 and the
-	// table addresses at most 2^32 slots at a load factor of at most 3/4.
-	maxRecords = 1 << 31
+	// minTableSlots is the initial number of probe slots.
+	minTableSlots = 16
+	// maxSlots is the number of probe slots uint32 positions address
+	// beside the nil record.
+	maxSlots = 1<<32 - 1
+	// maxRecords bounds Capacity+Noutq: the table holds at most 4/5 of
+	// maxSlots records.
+	maxRecords = maxSlots * 4 / 5
 )
 
-func (t *pageTable) init() {
-	t.slots = make([]uint64, minTableSlots)
-	t.shift = 32 - minTableBits
+// home returns page's home slot among n probe slots: the top bits of a
+// multiplicative (Fibonacci) hash scaled to n, so sequential page numbers,
+// the common case, spread evenly, and n need not be a power of two.
+func home(page uint64, n uint32) uint32 {
+	hi, _ := bits.Mul64(page*0x9E3779B97F4A7C15, uint64(n))
+	return uint32(hi) + 1
 }
 
-// pageTag is the top half of a multiplicative (Fibonacci) hash: sequential
-// page numbers, the common case, spread evenly over its high bits.
-func pageTag(page uint64) uint32 {
-	return uint32((page * 0x9E3779B97F4A7C15) >> 32)
-}
-
-// find returns the slab index of the page's record, or 0 if it has none.
-func (t *pageTable) find(ents []pageEntry, page uint64) uint32 {
-	tag := pageTag(page)
-	mask := uint32(len(t.slots) - 1)
-	for i := tag >> t.shift; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s == 0 {
+// find returns the position of the page's record, or 0 if it has none.
+func (c *Cache) find(page uint64) uint32 {
+	ents := c.ents
+	n := uint32(len(ents) - 1)
+	for i := home(page, n); ; {
+		e := &ents[i]
+		if !e.used {
 			return 0
 		}
-		if uint32(s>>32) == tag && ents[uint32(s)].page == page {
-			return uint32(s)
+		if e.page == page {
+			return i
+		}
+		if i++; i > n {
+			i = 1
 		}
 	}
 }
 
-// touch is the first half of find's memory traffic: it loads the page's
-// probe run up to the first tag match and returns the slab index stored
-// there (0 when the run ends on an empty slot), without confirming it
-// against the record. A caller about to look up several pages touches them
-// all first: the runs are independent, so their cache misses overlap. The
-// record's own line is deliberately left to a second pass over the indices
-// (Cache.warm), where it is loaded together with its two list neighbours —
-// loading it here would make every probe wait on the record before the
-// next page's run could issue, and a tag match that find would go on to
-// reject (one in 2^32) only costs a line warmed for nothing.
-func (t *pageTable) touch(page uint64) uint32 {
-	tag := pageTag(page)
-	mask := uint32(len(t.slots) - 1)
-	for i := tag >> t.shift; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s == 0 || uint32(s>>32) == tag {
-			return uint32(s)
+// place makes an unlinked record for page, which has none, and returns its
+// position. Growing the table first moves every record, so positions held
+// across a place are stale.
+func (c *Cache) place(page uint64) uint32 {
+	if uint64(c.cached+c.outSize+1)*5 > uint64(len(c.ents)-1)*4 {
+		c.grow()
+	}
+	i := freeSlot(c.ents, page)
+	c.ents[i] = pageEntry{page: page, used: true}
+	return i
+}
+
+// freeSlot returns the first unused slot of page's probe run in ents.
+func freeSlot(ents []pageEntry, page uint64) uint32 {
+	n := uint32(len(ents) - 1)
+	i := home(page, n)
+	for ents[i].used {
+		if i++; i > n {
+			i = 1
 		}
 	}
+	return i
 }
 
-// insert maps a page that has no record yet to slab index idx (nonzero).
-func (t *pageTable) insert(page uint64, idx uint32) {
-	if (t.n+1)*4 > len(t.slots)*3 {
-		t.grow()
-	}
-	t.place(uint64(pageTag(page))<<32 | uint64(idx))
-	t.n++
-}
-
-// place stores a slot value at the first free position of its probe run.
-func (t *pageTable) place(s uint64) {
-	mask := uint32(len(t.slots) - 1)
-	i := uint32(s>>32) >> t.shift
-	for t.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = s
-}
-
-// grow doubles the table, re-placing every slot from its tag alone.
-func (t *pageTable) grow() {
-	old := t.slots
-	t.slots = make([]uint64, 2*len(old))
-	t.shift--
-	for _, s := range old {
-		if s != 0 {
-			t.place(s)
+// grow re-places every record in a table half as large again, then maps
+// every link and list end through the old-to-new position array.
+func (c *Cache) grow() {
+	old := c.ents
+	n := min(uint64(len(old)-1)*3/2, maxSlots)
+	c.ents = make([]pageEntry, n+1)
+	moved := make([]uint32, len(old))
+	for j := 1; j < len(old); j++ {
+		if old[j].used {
+			i := freeSlot(c.ents, old[j].page)
+			c.ents[i] = old[j]
+			moved[j] = i
 		}
 	}
+	for i := range c.ents {
+		e := &c.ents[i]
+		e.prev, e.next = moved[e.prev], moved[e.next]
+	}
+	for h := range c.groups {
+		g := &c.groups[h]
+		g.head, g.tail = moved[g.head], moved[g.tail]
+	}
+	c.outHead, c.outTail = moved[c.outHead], moved[c.outTail]
 }
 
-// remove unmaps the page whose record is slab index idx, then closes the
-// hole by backward shift: each following slot of the run moves into the
-// hole unless that would put it before its home position.
-func (t *pageTable) remove(page uint64, idx uint32) {
-	mask := uint32(len(t.slots) - 1)
-	i := pageTag(page) >> t.shift
-	for uint32(t.slots[i]) != idx {
-		if t.slots[i] == 0 {
-			panic("core: page table has no slot for a live record")
+// remove deletes the unlinked record at position i, then closes the hole by
+// backward shift: each following record of the run moves into the hole
+// unless that would put it before its home slot, and relinks there.
+func (c *Cache) remove(i uint32) {
+	ents := c.ents
+	n := uint32(len(ents) - 1)
+	for j := i; ; {
+		if j++; j > n {
+			j = 1
 		}
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; ; j = (j + 1) & mask {
-		s := t.slots[j]
-		if s == 0 {
+		if !ents[j].used {
 			break
 		}
-		home := uint32(s>>32) >> t.shift
-		if (j-home)&mask >= (j-i)&mask {
-			t.slots[i] = s
+		// The record at j may fill the hole if its home is no nearer to j
+		// than the hole is, counting cyclically over the n slots.
+		if cyclic(home(ents[j].page, n), j, n) >= cyclic(i, j, n) {
+			ents[i] = ents[j]
+			c.relink(i)
 			i = j
 		}
 	}
-	t.slots[i] = 0
-	t.n--
+	ents[i] = pageEntry{}
+}
+
+// cyclic is the number of steps from slot a forward to slot b among n.
+func cyclic(a, b, n uint32) uint32 {
+	if b < a {
+		return b + n - a
+	}
+	return b - a
+}
+
+// relink repoints the list neighbours of the record just moved to position
+// i — or its list's head or tail where it has none — at i.
+func (c *Cache) relink(i uint32) {
+	e := &c.ents[i]
+	head, tail := &c.outHead, &c.outTail
+	if e.cached {
+		g := &c.groups[e.hint]
+		head, tail = &g.head, &g.tail
+	}
+	if e.prev != 0 {
+		c.ents[e.prev].next = i
+	} else {
+		*head = i
+	}
+	if e.next != 0 {
+		c.ents[e.next].prev = i
+	} else {
+		*tail = i
+	}
 }
