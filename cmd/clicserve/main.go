@@ -10,33 +10,31 @@
 //	clicserve -addr :7070 -cache 18000 -shards 8 -stats global
 //
 // -stats selects where the sharded front learns its hint statistics:
-// "partitioned" (each shard privately, over a W/N window — the default),
+// "partitioned" (each shard privately, over a W/N window — the default) or
 // "global" (all shards feed one shared learner over the full window W
-// through per-shard taps, so the priority model is cache-wide), or "merged"
-// (global plus the cluster summary exchange below); the admin /stats JSON
-// reports it. Connection handlers hand each shard whole request frames and
-// run them there themselves, or leave them to whichever handler holds the
-// shard at the time.
+// through per-shard taps, so the priority model is cache-wide); the admin
+// /stats JSON reports it. Connection handlers hand each shard whole
+// request frames and run them there themselves, or leave them to whichever
+// handler holds the shard at the time.
 //
 // Several clicserve processes form a cluster (internal/cluster): clients
 // route requests across the nodes by consistent hash (clicsim -connect
-// with the address list), and -cluster makes the nodes exchange window
+// with the address list), and -peers makes the nodes exchange window
 // summaries so each node's learner approximates the cluster-wide request
 // stream:
 //
-//	clicserve -addr :7070 -cluster -node-id node0 -peers :7071,:7072
-//	clicserve -addr :7071 -cluster -node-id node1 -peers :7070,:7072
-//	clicserve -addr :7072 -cluster -node-id node2 -peers :7070,:7071
+//	clicserve -addr :7070 -node-id node0 -peers :7071,:7072
+//	clicserve -addr :7071 -node-id node1 -peers :7070,:7072
+//	clicserve -addr :7072 -node-id node2 -peers :7070,:7071
 //
-// -cluster implies -stats merged. At every window rotation the node ships
+// -peers implies -stats global. At every window rotation the node ships
 // its window's hint counters to every -peers address (lossy gossip over
 // the ordinary wire protocol — an unreachable peer costs summaries, never
 // correctness) and folds the summaries it received into its own
 // priorities. -node-id names this node in published summaries and the
-// admin cluster accounting; -local-bias in [0,1) weights the node's own
-// window estimate over the cluster-merged one. Run each node's share of
-// the cluster-wide cache/window/outqueue budget (e.g. a third each for
-// three nodes); the in-process harness splits them the same way.
+// admin cluster accounting. Run each node's share of the cluster-wide
+// cache/window/outqueue budget (e.g. a third each for three nodes); the
+// in-process harness splits them the same way.
 //
 // With -admin set, live statistics (the front aggregate, the per-shard
 // breakdown, connection accounting, batch-latency summaries, the current
@@ -82,12 +80,10 @@ func main() {
 		window     = flag.Int("window", 0, "CLIC: statistics window W (0 = default)")
 		decay      = flag.Float64("r", 0, "CLIC: decay parameter r (0 = default 1.0)")
 		noutq      = flag.Int("noutq", 0, "CLIC: outqueue entries (0 = 5 per cache page)")
-		stats      = flag.String("stats", "partitioned", "statistics learning mode across shards (partitioned|global|merged)")
+		stats      = flag.String("stats", "partitioned", "statistics learning mode across shards (partitioned|global)")
 		inflight   = flag.Int("max-inflight", 0, "pipelined batches in flight per connection before backpressure (0 = default)")
-		clusterOn  = flag.Bool("cluster", false, "exchange window summaries with -peers (implies -stats merged)")
-		peers      = flag.String("peers", "", "-cluster: comma-separated peer page-request addresses")
-		nodeID     = flag.String("node-id", "", "-cluster: this node's name in published summaries (default \"node\")")
-		localBias  = flag.Float64("local-bias", 0, "-cluster: weight of the node-local window estimate in [0,1)")
+		peers      = flag.String("peers", "", "comma-separated peer page-request addresses to exchange window summaries with (implies -stats global)")
+		nodeID     = flag.String("node-id", "", "-peers: this node's name in published summaries (default \"node\")")
 		timeline   = flag.String("timeline", "", "append per-interval metrics rows (CSV) to this file")
 		interval   = flag.Duration("metrics-interval", time.Second, "timeline sampling interval")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (stopped at shutdown)")
@@ -103,34 +99,31 @@ func main() {
 		fatal(err)
 	}
 
-	// Cluster mode: merged statistics plus a gossip sender shipping each
+	// Cluster node: global statistics plus a gossip sender shipping each
 	// closed window's summary to every peer.
 	var gossip *cluster.Gossip
 	scfg := server.Config{
 		Node: *nodeID,
 	}
-	if *clusterOn {
-		statsMode = core.StatsMerged
-		var peerAddrs []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerAddrs = append(peerAddrs, p)
-			}
+	var peerAddrs []string
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peerAddrs = append(peerAddrs, p)
 		}
-		if len(peerAddrs) == 0 {
-			fatal(fmt.Errorf("-cluster needs at least one -peers address"))
-		}
+	}
+	if len(peerAddrs) > 0 {
+		statsMode = core.StatsGlobal
 		gossip = cluster.NewGossip(peerAddrs, 0)
 		scfg.OnSummary = gossip.Publish
-	} else if *peers != "" || *nodeID != "" {
-		fatal(fmt.Errorf("-peers and -node-id need -cluster"))
+	} else if *nodeID != "" {
+		fatal(fmt.Errorf("-node-id needs -peers"))
 	}
 
 	// Dock the capacity 1% for CLIC's tracking structures (§6.1), like
 	// every simulated CLIC run, so server hit ratios compare directly to
 	// the in-process grid at the same -cache value.
 	scfg.Cache = core.Config{Capacity: sim.ClicCapacity(*cache), TopK: *topk, Window: *window, R: *decay,
-		Noutq: *noutq, Stats: statsMode, LocalBias: *localBias}
+		Noutq: *noutq, Stats: statsMode}
 	scfg.Shards = *shards
 	scfg.MaxInflight = *inflight
 	srv := server.New(scfg)

@@ -39,7 +39,7 @@
 // instead of mid-replay.
 //
 // -connect also takes a comma-separated address list — a cluster
-// (cmd/clicserve -cluster, internal/cluster). The replay then routes every
+// (cmd/clicserve -peers, internal/cluster). The replay then routes every
 // request to its owning node by consistent hash (one router per trace
 // client). Placement is keyed by the address strings, so every client of a
 // cluster should list the same addresses:

@@ -20,10 +20,13 @@
 //     over the full window W. Each shard's Learner is a private Tap on the
 //     Global: events buffer in the tap and reach the one shared window
 //     under one lock per frame, and the priority table is read wait-free.
+//     On a cluster node the same Global also publishes each closed window
+//     to its peers and absorbs theirs into its next rotation.
 //
 // Driven by one goroutine, Global produces exactly the same priorities as
 // Partitioned, in exact and in top-k mode; the difference is purely who may
-// call it and which request subsequence it sees.
+// call it and which request subsequence it sees. A plain Cache therefore
+// always learns through a Partitioned.
 //
 // The caller (the cache) remains responsible for page-level work: detecting
 // re-references via its page and outqueue records, and re-keying its victim
@@ -48,12 +51,6 @@ type Config struct {
 	// TopK bounds hint-set tracking to the k most frequent hint sets with
 	// the adapted Space-Saving summary (§5); 0 tracks all hint sets.
 	TopK int
-	// LocalBias weights a Merged learner's node-local window estimate over
-	// the cluster-merged one when forming fresh priorities: 0 learns from
-	// the pure cluster-wide counters (the default), values toward 1 favour
-	// what this node saw itself. Must be in [0, 1). Partitioned and Global
-	// ignore it.
-	LocalBias float64
 }
 
 func (cfg Config) validate() {
@@ -108,10 +105,10 @@ type winStats struct {
 }
 
 // WindowCounter is one hint set's raw window counters — the pre-division
-// inputs of Equation 2. It is the exchange currency of cluster-wide merged
+// inputs of Equation 2. It is the exchange currency of cluster-wide
 // learning: a rotation drains the window into these, a wire.SummaryEntry
 // is one of them keyed by canonical string instead of local hint ID, and
-// Merged.Absorb folds a peer's counters back in by summing them.
+// Global.Absorb folds a peer's counters back in by summing them.
 type WindowCounter struct {
 	Hint hint.ID
 	N    uint64

@@ -108,6 +108,7 @@ func TestGlobalMatchesPartitionedSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 5000; i++ {
 			h := hint.ID(rng.Intn(12))
+			tp.Begin(1)
 			p.Arrive(h)
 			tp.Arrive(h)
 			if rng.Intn(3) == 0 {
@@ -148,8 +149,8 @@ func TestGlobalMatchesPartitionedSerial(t *testing.T) {
 }
 
 // TestGlobalConcurrent hammers one Global learner from several goroutines,
-// each through its own unleased tap; under -race this exercises the counter
-// lock and the table republishing.
+// each through its own tap, one request per lease; under -race this
+// exercises the counter lock and the table republishing.
 // Totals are exact: every arrival lands in exactly one window, so the sum
 // of current-window N plus W per completed window equals the request count.
 func TestGlobalConcurrent(t *testing.T) {
@@ -168,6 +169,7 @@ func TestGlobalConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perW; i++ {
 				h := hint.ID(rng.Intn(32))
+				tp.Begin(1)
 				tp.Arrive(h)
 				if i%4 == 0 {
 					tp.Reref(h, uint64(1+rng.Intn(9)))
@@ -207,6 +209,7 @@ func TestGlobalTopK(t *testing.T) {
 		if rng.Intn(5) == 0 {
 			h = hint.ID(2 + rng.Intn(30))
 		}
+		tp.Begin(1)
 		tp.Arrive(h)
 		if h < 2 && rng.Intn(2) == 0 {
 			tp.Reref(h, uint64(1+rng.Intn(5)))
@@ -270,6 +273,7 @@ func BenchmarkGlobalArrive(b *testing.B) {
 		tp := g.Tap()
 		i := 0
 		for pb.Next() {
+			tp.Begin(1)
 			tp.Arrive(hint.ID(i % 64))
 			tp.EndRequest()
 			i++

@@ -25,10 +25,9 @@ import (
 //     out once, so every multiple of W lies in exactly one lease and exactly
 //     one rotation happens per W requests, however many shards feed the
 //     learner. A lease is a promise: Begin(n) must be followed by exactly n
-//     EndRequests (core.Sharded's frame loop is the one caller, and a frame
-//     always runs to its end). An EndRequest with no lease open flushes
-//     and then leases one request for itself, which is how a plain Cache or
-//     a per-request front drives a tap.
+//     EndRequests (core.Sharded leases a whole frame, or one request on its
+//     per-request path, and always runs it to its end). EndRequest outside
+//     a lease panics, as Begin inside one does.
 //   - Buffer. Arrive and Reref append to the tap's private event buffer:
 //     no lock, no shared cache line.
 //   - Flush. At the request a multiple of W falls on, EndRequest replays
@@ -41,20 +40,33 @@ import (
 //     carries its own dense hint-ID-indexed copy. Caches re-key their victim
 //     heaps lazily, at their next request, by observing the epoch change.
 //
-// Locks. rotateMu serializes rotations; mu guards win. The order is
-// rotateMu, then mu, and mu is never held across a call out: a flush
-// releases it before rotate, and rotate holds it only to drain the window,
-// so mergeFresh — and through it Merged's publish hook — runs under
-// rotateMu only. That matters in a cluster whose exchanger delivers at
-// publish time: node A's rotation calls Merged.Absorb on nodes B and C while
-// they may be rotating into A, and the cycle is harmless only because Absorb
-// takes neither of these locks (Merged keeps a separate pending lock).
+// Cluster learning. In a cluster of cache nodes each node's Global also
+// learns from its peers' streams. At every rotation it hands the drained
+// window's counters, with the round (the epoch the rotation publishes), to
+// the hook set by SetPublish, so an exchanger can ship them to the peers as
+// wire Summary frames. A peer's counters come back through Absorb and wait
+// in a pending pool; the next rotation sums them into the local counters
+// before Equation 2, the arithmetic MergeHintStats applies across shards,
+// followed by the ordinary Equation 3 blend. Absorbed counters are thus one
+// window stale, which the blend tolerates like any window-to-window drift.
+// Only local counters are published, never absorbed ones, so a summary
+// cannot echo back to the node that sent it. With nothing absorbed a
+// rotation learns from the local window alone.
+//
+// Locks. rotateMu serializes rotations; mu guards win; pendingMu guards
+// pending. The order is rotateMu, then mu or pendingMu, and neither of those
+// is held across a call out: a flush releases mu before rotate, and rotate
+// holds mu only to drain the window and pendingMu only to swap the pool, so
+// the publish hook runs under rotateMu only. That matters in a cluster
+// whose exchanger delivers at publish time: node A's rotation calls Absorb
+// on nodes B and C while they may be rotating into A, and the cycle is
+// harmless only because Absorb takes pendingMu and nothing else.
 //
 // What is exact and what is relaxed. Driven by one goroutine — any number
-// of taps, frames of any length, leased or not — a Global is bit-identical
-// to a Partitioned fed the same events, at every EndRequest, in exact and
-// in top-k mode: the events reach the same window type in the same order
-// and the rotations fall on the same requests. Under concurrent taps the
+// of taps, leases of any length — a Global is bit-identical to a
+// Partitioned fed the same events, at every EndRequest, in exact and in
+// top-k mode: the events reach the same window type in the same order and
+// the rotations fall on the same requests. Under concurrent taps the
 // rotation count stays exact, but a frame in flight lands in whichever
 // window its flush reaches, and WindowStats/TrackedHintSets, which read the
 // shared window, lag by at most one unflushed frame per busy shard — the
@@ -69,12 +81,16 @@ type Global struct {
 	// rotateMu serializes rotations: with small windows or long frames two
 	// taps can reach their boundaries together.
 	rotateMu sync.Mutex
-	// mergeFresh, when non-nil, replaces the default local-only fresh
-	// estimates at rotation with ones computed from the drained window
-	// counters plus whatever else the wrapper knows — Merged hooks in here
-	// to fold counters absorbed from cluster peers. Called under rotateMu
+	// publish, when set, receives each closed window's local counters and
+	// the round it closes. Set once, before traffic; called under rotateMu
 	// and no other lock.
-	mergeFresh func(local []WindowCounter) map[hint.ID]float64
+	publish func(round uint64, local []WindowCounter)
+
+	// pendingMu guards pending, the peer counters absorbed since the last
+	// rotation, and nothing else (see "Locks").
+	pendingMu sync.Mutex
+	pending   map[hint.ID]*winStats
+	absorbed  atomic.Uint64
 
 	// requests numbers the requests leased so far. Every frame of every
 	// shard adds to it, so it is padded to a cache line of its own wherever
@@ -109,9 +125,51 @@ func NewGlobal(cfg Config) *Global {
 	return g
 }
 
-// rotate closes the current window: it drains the shared counters, blends
-// the fresh estimates into a copy of the priority table (Equation 3), and
-// republishes the table with the next epoch.
+// SetPublish installs the hook that receives each closed window's local
+// counters and its round. It must be called before the learner sees
+// traffic. The hook runs inside the rotation, so it must not feed a tap of
+// this learner; calling Absorb is safe.
+func (g *Global) SetPublish(fn func(round uint64, local []WindowCounter)) {
+	g.publish = fn
+}
+
+// Absorb adds one peer summary's window counters to the pending pool; they
+// take effect at this learner's next rotation. Safe for concurrent use with
+// everything else, including a rotation in progress.
+func (g *Global) Absorb(counters []WindowCounter) {
+	g.pendingMu.Lock()
+	if g.pending == nil {
+		g.pending = make(map[hint.ID]*winStats, len(counters))
+	}
+	for _, wc := range counters {
+		ws, ok := g.pending[wc.Hint]
+		if !ok {
+			ws = &winStats{}
+			g.pending[wc.Hint] = ws
+		}
+		ws.n += wc.N
+		ws.nr += wc.Nr
+		ws.dsum += wc.Dsum
+	}
+	g.pendingMu.Unlock()
+	g.absorbed.Add(1)
+}
+
+// Absorbed returns the number of peer summaries absorbed so far.
+func (g *Global) Absorbed() uint64 { return g.absorbed.Load() }
+
+// PendingHintSets returns the number of hint sets with peer counters
+// waiting for the next rotation.
+func (g *Global) PendingHintSets() int {
+	g.pendingMu.Lock()
+	defer g.pendingMu.Unlock()
+	return len(g.pending)
+}
+
+// rotate closes the current window: it drains the shared counters,
+// publishes them, sums in the pending peer counters, blends the fresh
+// estimates into a copy of the priority table (Equation 3), and republishes
+// the table with the next epoch.
 func (g *Global) rotate() {
 	g.rotateMu.Lock()
 	defer g.rotateMu.Unlock()
@@ -122,17 +180,32 @@ func (g *Global) rotate() {
 	g.win.reset()
 	g.mu.Unlock()
 
-	var fresh map[hint.ID]float64
-	if g.mergeFresh != nil {
-		fresh = g.mergeFresh(local)
-	} else {
-		fresh = make(map[hint.ID]float64, len(local))
-		for _, wc := range local {
-			fresh[wc.Hint] = windowPriority(wc.N, wc.Nr, wc.Dsum)
-		}
+	old := g.table.Load()
+	if g.publish != nil {
+		g.publish(old.epoch+1, local)
 	}
 
-	old := g.table.Load()
+	g.pendingMu.Lock()
+	pending := g.pending
+	g.pending = nil
+	g.pendingMu.Unlock()
+
+	fresh := make(map[hint.ID]float64, len(local)+len(pending))
+	for _, wc := range local {
+		n, nr, dsum := wc.N, wc.Nr, wc.Dsum
+		if ws, ok := pending[wc.Hint]; ok {
+			n += ws.n
+			nr += ws.nr
+			dsum += ws.dsum
+			delete(pending, wc.Hint)
+		}
+		fresh[wc.Hint] = windowPriority(n, nr, dsum)
+	}
+	// Hint sets only peers saw this window.
+	for h, ws := range pending {
+		fresh[h] = windowPriority(ws.n, ws.nr, ws.dsum)
+	}
+
 	pr := make(map[hint.ID]float64, len(old.pr)+len(fresh))
 	for h, v := range old.pr {
 		pr[h] = v
@@ -238,15 +311,10 @@ func (t *Tap) Reref(h hint.ID, dist uint64) {
 	t.events = append(t.events, tapEvent{h: h, dist: dist, reref: true})
 }
 
-// EndRequest implements Learner.
+// EndRequest implements Learner. It must fall inside a lease.
 func (t *Tap) EndRequest() bool {
 	if t.left == 0 {
-		// No lease: flush, then draw this request's number. In that order
-		// whatever this goroutine fed the tap is in the shared window before
-		// the number that may close the window exists — request by request,
-		// a tap behaves as if it fed the shared window directly.
-		t.flush()
-		t.Begin(1)
+		panic("clicstats: Tap.EndRequest outside a lease")
 	}
 	t.left--
 	if t.toRotate > 0 {

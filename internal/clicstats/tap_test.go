@@ -15,12 +15,13 @@ import (
 
 // TestTapSerialEqualsPartitioned is the tap contract: driven by one
 // goroutine — through any number of taps, in frames of any length, leased
-// with Begin or not — a Global is a Partitioned. After every request the
-// rotation flag and the epoch agree, and after every rotation the priority
-// table does, bit for bit, read through the Global and through every tap.
-// Twenty hint sets over TopK 5 keep Space-Saving replacing, so the top-k
-// rows hold only if the events reach the shared window in request order;
-// W = 1 and W = 7 put several boundaries inside one lease.
+// whole or one request at a time — a Global is a Partitioned. After every
+// request the rotation flag and the epoch agree, and after every rotation
+// the priority table does, bit for bit, read through the Global and
+// through every tap. Twenty hint sets over TopK 5 keep Space-Saving
+// replacing, so the top-k rows hold only if the events reach the shared
+// window in request order; W = 1 and W = 7 put several boundaries inside
+// one lease.
 func TestTapSerialEqualsPartitioned(t *testing.T) {
 	const hints, requests = 20, 12000
 	for _, topK := range []int{0, 5} {
@@ -38,10 +39,14 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 				for done := 0; done < requests; {
 					tp := taps[rng.Intn(ntaps)]
 					n := 1 + rng.Intn(700)
-					if rng.Intn(3) < 2 {
+					whole := rng.Intn(3) < 2
+					if whole {
 						tp.Begin(n)
 					}
 					for i := 0; i < n; i++ {
+						if !whole {
+							tp.Begin(1)
+						}
 						// Skewed, so that some hint sets stay tracked.
 						h := hint.ID(rng.Intn(hints))
 						if rng.Intn(2) == 0 {
@@ -89,31 +94,39 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 }
 
 // TestTapConcurrent is the -race stress of the tap protocol: four
-// goroutines, each with taps of its own on one Merged learner, leasing
+// goroutines, each with taps of its own on one Global learner, leasing
 // frames of 1–64 requests. Every multiple of W must be seen by exactly one
-// lease (rotations == total/W), and no event may be lost or counted twice:
-// the N drained by the rotations, which the publish hook sees, plus the N
-// still in the shared window once every tap has flushed, is the number of
-// Arrives. A tap that never returns trips the watchdog.
+// lease (rotations == total/W, published rounds 1, 2, … in order), and no
+// event may be lost or counted twice: the N drained by the rotations,
+// which the publish hook sees, plus the N still in the shared window once
+// every tap has flushed, is the number of Arrives. The hook also absorbs
+// what it publishes back into the learner, as a peer delivering at publish
+// time would: Absorb inside a rotation must neither deadlock nor reach the
+// published counters. A tap that never returns trips the watchdog.
 func TestTapConcurrent(t *testing.T) {
 	const (
 		workers = 4
 		perW    = 50000
 		window  = 1000
 	)
-	m := NewMerged(Config{Window: window, R: 0.5})
-	var published uint64 // written by the hook, under the rotation lock
-	m.SetPublish(func(_ uint64, local []WindowCounter) {
+	g := NewGlobal(Config{Window: window, R: 0.5})
+	// Written by the hook, under the rotation lock.
+	var published, rounds uint64
+	g.SetPublish(func(round uint64, local []WindowCounter) {
+		if rounds++; round != rounds {
+			t.Errorf("published round %d as rotation %d", round, rounds)
+		}
 		for _, wc := range local {
 			published += wc.N
 		}
+		g.Absorb(local)
 	})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			taps := []*Tap{m.Tap(), m.Tap()}
+			taps := []*Tap{g.Tap(), g.Tap()}
 			rng := rand.New(rand.NewSource(int64(w)))
 			for left := perW; left > 0; {
 				n := min(1+rng.Intn(64), left)
@@ -145,18 +158,48 @@ func TestTapConcurrent(t *testing.T) {
 	}
 
 	const total = workers * perW
-	if m.Windows() != total/window || m.Epoch() != total/window || m.Rounds() != total/window {
-		t.Errorf("windows=%d epoch=%d rounds=%d, want exactly %d each", m.Windows(), m.Epoch(), m.Rounds(), total/window)
+	if g.Windows() != total/window || g.Epoch() != total/window || rounds != total/window || g.Absorbed() != total/window {
+		t.Errorf("windows=%d epoch=%d rounds=%d absorbed=%d, want exactly %d each", g.Windows(), g.Epoch(), rounds, g.Absorbed(), total/window)
 	}
 	held := uint64(0)
-	for _, hs := range m.WindowStats() {
+	for _, hs := range g.WindowStats() {
 		held += hs.N
 	}
 	if published+held != total {
 		t.Errorf("arrivals: %d published + %d still in the window = %d, want %d", published, held, published+held, total)
 	}
-	if len(m.Priorities()) == 0 {
+	if len(g.Priorities()) == 0 {
 		t.Error("no priorities learned from a re-referencing stream")
+	}
+}
+
+// TestTapLeaseMisuse pins the two ways to break a lease: EndRequest with
+// no lease open and Begin inside an open one both panic, and neither
+// draws a request number first.
+func TestTapLeaseMisuse(t *testing.T) {
+	g := NewGlobal(Config{Window: 2, R: 1})
+	tp := g.Tap()
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("EndRequest outside a lease", func() { tp.EndRequest() })
+	if endOne(tp) {
+		t.Error("request 1 of a 2-request window rotated")
+	}
+	tp.Begin(2)
+	mustPanic("Begin inside a lease", func() { tp.Begin(1) })
+	if !tp.EndRequest() || tp.EndRequest() {
+		t.Error("rotation did not fall on request 2")
+	}
+	mustPanic("EndRequest after the lease ran out", func() { tp.EndRequest() })
+	if got := g.requests.Load(); got != 3 {
+		t.Errorf("requests leased = %d, want 3", got)
 	}
 }
 

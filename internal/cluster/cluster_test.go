@@ -150,8 +150,17 @@ func TestReplaySerialDeterministic(t *testing.T) {
 // TestClusterConcurrent replays an interleaved trace with more clients
 // than nodes through a merging cluster — the -race stress: concurrent
 // routers fan batches to every node while the exchange pump delivers
-// summaries mid-flight. Only order-free quantities are asserted.
+// summaries mid-flight. It runs twice, the second time with the
+// coordinator delivering at publish time, so that one node's rotation
+// absorbs into another while that one may be rotating into the first.
+// Only order-free quantities are asserted.
 func TestClusterConcurrent(t *testing.T) {
+	for _, immediate := range []bool{false, true} {
+		clusterConcurrent(t, immediate)
+	}
+}
+
+func clusterConcurrent(t *testing.T, immediate bool) {
 	parts := make([]*trace.Trace, 5)
 	for i := range parts {
 		parts[i] = testTrace.Truncate(6000)
@@ -167,9 +176,15 @@ func TestClusterConcurrent(t *testing.T) {
 		Shards:  2,
 		Merging: true,
 	})
+	h.Coordinator().SetImmediate(immediate)
 	res, err := h.Replay(merged, cluster.ReplayOptions{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if cl := h.Server(i).Snapshot(0).Cluster; cl.SummariesAbsorbed == 0 {
+			t.Errorf("immediate=%v: node %d absorbed no summaries (%+v)", immediate, i, cl)
+		}
 	}
 	if res.Requests != uint64(len(merged.Reqs)) {
 		t.Errorf("Requests = %d, want %d", res.Requests, len(merged.Reqs))
@@ -201,13 +216,13 @@ func TestClusterConcurrent(t *testing.T) {
 }
 
 // TestCoordinator pins the exchanger's stepped and immediate semantics
-// against two directly-constructed merged-mode servers.
+// against two directly-constructed global-mode servers.
 func TestCoordinator(t *testing.T) {
 	coord := cluster.NewCoordinator(2)
 	srvs := make([]*server.Server, 2)
 	for i := range srvs {
 		srvs[i] = server.New(server.Config{
-			Cache:     core.Config{Capacity: 100, Window: 100, Stats: core.StatsMerged},
+			Cache:     core.Config{Capacity: 100, Window: 100, Stats: core.StatsGlobal},
 			Shards:    1,
 			Node:      fmt.Sprintf("node%d", i),
 			OnSummary: coord.Publisher(i),
@@ -244,10 +259,10 @@ func TestCoordinator(t *testing.T) {
 	}
 }
 
-// TestGossip ships a summary over real TCP into a merged-mode server.
+// TestGossip ships a summary over real TCP into a global-mode server.
 func TestGossip(t *testing.T) {
 	srv := startDirect(t, server.Config{
-		Cache:  core.Config{Capacity: 100, Window: 100, Stats: core.StatsMerged},
+		Cache:  core.Config{Capacity: 100, Window: 100, Stats: core.StatsGlobal},
 		Shards: 1,
 	})
 	g := cluster.NewGossip([]string{srv.Addr().String()}, 0)

@@ -89,7 +89,7 @@ func (c *Coordinator) deliveryTargets(origin int) []*server.Server {
 }
 
 // deliver absorbs one summary into every target. Absorption errors are
-// impossible by construction here (every registered server runs merged
+// impossible by construction here (every registered server runs global
 // mode) but surface defensively via panic rather than silent loss.
 func (c *Coordinator) deliver(targets []*server.Server, sum wire.Summary) {
 	for _, srv := range targets {
@@ -140,7 +140,7 @@ func (c *Coordinator) Pending() int {
 func (c *Coordinator) Delivered() uint64 { return c.delivered.Value() }
 
 // Gossip is the over-the-wire summary exchanger for real deployments
-// (cmd/clicserve -cluster): a node's publish hook hands summaries to a
+// (cmd/clicserve -peers): a node's publish hook hands summaries to a
 // background sender that ships them to every peer over ordinary protocol
 // connections (wire Summary frames). Publication is non-blocking and
 // lossy by design — a full buffer or an unreachable peer drops the

@@ -24,14 +24,11 @@ type HarnessConfig struct {
 	// Shards is the shard count per node; 0 selects 1 (cluster tests
 	// usually shard across nodes, not within them).
 	Shards int
-	// Merging switches every node to merged statistics mode
-	// (core.StatsMerged) and wires the nodes through a Coordinator, so
+	// Merging switches every node to global statistics mode
+	// (core.StatsGlobal) and wires the nodes through a Coordinator, so
 	// window summaries flow between them. Without it nodes learn only
 	// from their own slice of the stream.
 	Merging bool
-	// LocalBias is the merged learner's node-local weighting (see
-	// clicstats.Config.LocalBias). Ignored without Merging.
-	LocalBias float64
 	// VirtualNodes is the ring density used by the harness's replay
 	// drivers; 0 selects DefaultVirtualNodes.
 	VirtualNodes int
@@ -95,8 +92,7 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 			Node:   fmt.Sprintf("node%d", i),
 		}
 		if cfg.Merging {
-			scfg.Cache.Stats = core.StatsMerged
-			scfg.Cache.LocalBias = cfg.LocalBias
+			scfg.Cache.Stats = core.StatsGlobal
 			scfg.OnSummary = h.coord.Publisher(i)
 		}
 		srv := server.New(scfg)

@@ -2,7 +2,7 @@
 // nodes: a consistent-hash ring assigns every page to one owning node, a
 // routing client splits request batches across the owners, and — the part
 // that matters for the paper's hint learning — the nodes exchange window
-// summaries so each node's merged learner (clicstats.Merged) approximates
+// summaries so each node's shared learner (clicstats.Global) approximates
 // the cluster-wide request stream instead of only its own slice of it.
 //
 // Placement divides the request stream, and with it the hint statistics:
@@ -10,7 +10,7 @@
 // hint set's requests and re-references, so per-node priorities are
 // learned from samples N times smaller than a single node's. The summary
 // exchange restores the lost sample mass. At every window rotation a
-// merged-mode node publishes its window counters (keyed by canonical hint
+// node publishes its window counters (keyed by canonical hint
 // strings — hint IDs are per-node interning orders) through an exchanger —
 // the in-process Coordinator or the TCP Gossip — and folds the summaries
 // it received into its own rotation, so the priorities driving eviction

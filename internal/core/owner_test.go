@@ -318,8 +318,10 @@ func TestOwnerGlobalSmallWindows(t *testing.T) {
 		framed, serial := NewSharded(cfg, shards), NewSharded(cfg, shards)
 		g := clicstats.NewGlobal(framed.shards[0].c.Config().learnerConfig())
 		plain := make([]*Cache, shards)
+		taps := make([]*clicstats.Tap, shards)
 		for i := range plain {
-			plain[i] = newCache(framed.shards[i].c.Config(), g.Tap())
+			taps[i] = g.Tap()
+			plain[i] = newCache(framed.shards[i].c.Config(), taps[i])
 		}
 		p := framed.NewProducer()
 		hits := make([]bool, batch)
@@ -333,6 +335,7 @@ func TestOwnerGlobalSmallWindows(t *testing.T) {
 					if serial.ShardFor(r.Page) != sh {
 						continue
 					}
+					taps[sh].Begin(1)
 					one, ref := serial.Access(r), plain[sh].Access(r)
 					if hits[i] != one || hits[i] != ref {
 						t.Fatalf("W=%d request %d (page %d, shard %d): framed hit=%v, one at a time hit=%v, plain shard hit=%v", w, off+i, r.Page, sh, hits[i], one, ref)

@@ -36,10 +36,8 @@ type Sharded struct {
 	shards   []shardedShard
 	capacity int
 	mode     StatsMode
-	// global is the shared learner in StatsGlobal and StatsMerged modes
-	// (nil otherwise); merged is its cluster view in StatsMerged mode.
+	// global is the shared learner in StatsGlobal mode (nil otherwise).
 	global *clicstats.Global
-	merged *clicstats.Merged
 }
 
 // shardedShard is one Cache partition with its hand-off words and its
@@ -96,12 +94,8 @@ func NewSharded(cfg Config, n int) *Sharded {
 	}
 	full := cfg.withDefaults()
 	s := &Sharded{shards: make([]shardedShard, n), capacity: full.Capacity, mode: full.Stats}
-	switch full.Stats {
-	case StatsGlobal:
+	if full.Stats == StatsGlobal {
 		s.global = clicstats.NewGlobal(full.learnerConfig())
-	case StatsMerged:
-		s.merged = clicstats.NewMerged(full.learnerConfig())
-		s.global = s.merged.Global
 	}
 	window := full.Window
 	if s.global == nil {
@@ -179,23 +173,26 @@ func (s *Sharded) Name() string {
 // StatsMode returns the statistics-learning mode in effect.
 func (s *Sharded) StatsMode() StatsMode { return s.mode }
 
-// Merged returns the shared cluster-mode learner, or nil outside
-// StatsMerged. The cluster layer uses it to wire summary publication and
-// absorption (internal/cluster); everything else treats the front
-// identically to global mode.
-func (s *Sharded) Merged() *clicstats.Merged { return s.merged }
+// Global returns the shared learner, or nil in partitioned mode. The
+// server uses it to wire summary publication and absorption between
+// cluster nodes (internal/cluster).
+func (s *Sharded) Global() *clicstats.Global { return s.global }
 
 // Access implements policy.Policy. It is safe for concurrent use: the
 // caller takes the request's shard through its try-lock (yielding while
 // another goroutine holds it), runs the request itself and releases, so
 // requests for different shards proceed in parallel and requests for one
 // shard serialize. In global mode the shards additionally share the
-// learner, and each request flushes its shard's tap under the learner's one
-// counter lock. Batch drivers should use NewProducer/AccessBatch, which pay
-// the hand-off once per frame instead of once per request.
+// learner: each request is a one-request lease on its shard's tap, which
+// flushes under the learner's one counter lock. Batch drivers should use
+// NewProducer/AccessBatch, which pay the hand-off once per frame instead of
+// once per request.
 func (s *Sharded) Access(r trace.Request) bool {
 	sh := &s.shards[s.ShardFor(r.Page)]
 	sh.hold()
+	if sh.tap != nil {
+		sh.tap.Begin(1)
+	}
 	hit := sh.c.Access(r)
 	read := r.Op == trace.Read
 	s.settle(sh, b2u(read), b2u(hit), b2u(!read))

@@ -336,8 +336,8 @@ func TestShardedGlobalSharedLearning(t *testing.T) {
 }
 
 // TestShardedGlobalConcurrent hammers a global-learner front from more
-// clients than shards; under -race this exercises the unleased taps, the
-// learner's counter lock, the table republishing, and the lazy per-shard
+// clients than shards; under -race this exercises the one-request leases,
+// the learner's counter lock, the table republishing, and the lazy per-shard
 // heap re-keying together.
 func TestShardedGlobalConcurrent(t *testing.T) {
 	const clients = 8

@@ -30,7 +30,7 @@ var ClusterTraceName = LearnerTraceName
 //     each learning hint priorities only from its own ~1/N slice of the
 //     stream (partitioned statistics);
 //   - cluster merged: the same placement, but nodes exchange window
-//     summaries and fold them into their rotations (core.StatsMerged), so
+//     summaries and fold them into their rotations (core.StatsGlobal), so
 //     each node's priorities approximate cluster-wide learning.
 //
 // Every replay goes through the real router over loopback TCP in the

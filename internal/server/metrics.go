@@ -81,17 +81,17 @@ func (s *Server) buildRegistry() {
 		func() float64 { return float64(s.flushes.Value()) })
 	r.RegisterHistogram("clic_server_batch_ns", "Batch service time (decode to response write) in nanoseconds.", &s.batchNs)
 
-	// Cluster merged-learning series, present only in merged statistics
-	// mode so single-node scrapes stay unchanged.
-	if m := c.Merged(); m != nil {
+	// Cluster-learning series, present only in global statistics mode, the
+	// one mode that takes summaries.
+	if g := c.Global(); g != nil {
 		r.CounterFunc("clic_cluster_merge_rounds_total", "Window rotations folding cluster state (merge rounds).",
-			func() float64 { return float64(m.Rounds()) })
-		r.CounterFunc("clic_cluster_summaries_absorbed_total", "Peer window summaries folded into the merged learner.",
-			func() float64 { return float64(m.Absorbed()) })
+			func() float64 { return float64(g.Windows()) })
+		r.CounterFunc("clic_cluster_summaries_absorbed_total", "Peer window summaries folded into the shared learner.",
+			func() float64 { return float64(g.Absorbed()) })
 		r.CounterFunc("clic_cluster_summaries_published_total", "Window summaries published to the cluster exchanger.",
 			func() float64 { return float64(s.summariesPublished.Value()) })
 		r.GaugeFunc("clic_cluster_pending_hint_sets", "Hint sets with remote counters awaiting the next rotation.",
-			func() float64 { return float64(m.PendingHintSets()) })
+			func() float64 { return float64(g.PendingHintSets()) })
 	}
 }
 

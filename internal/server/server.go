@@ -55,11 +55,12 @@ type Config struct {
 	// concurrent connections correctly (it degenerates to one cache behind
 	// one try-lock), it just serializes them.
 	Shards int
-	// MaxHintKeys bounds how many hint keys one connection may announce
-	// (Hello plus Intern frames); 0 selects DefaultMaxHintKeys. The server
-	// dictionary interns announced keys permanently, so this is the lever
-	// that keeps a misbehaving client from growing server memory without
-	// bound. The paper's workloads carry tens of distinct hint sets.
+	// MaxHintKeys bounds how many hint keys one connection may bring to the
+	// server: the keys its Hello and Intern frames announce plus those its
+	// Summary frames add to the dictionary; 0 selects DefaultMaxHintKeys.
+	// The server dictionary interns keys permanently, so this is the lever
+	// that keeps a misbehaving client or peer from growing server memory
+	// without bound. The paper's workloads carry tens of distinct hint sets.
 	MaxHintKeys int
 	// MaxInflight bounds how many pipelined batches one connection may
 	// keep in flight (decoded but not yet answered); 0 selects
@@ -69,9 +70,9 @@ type Config struct {
 	MaxInflight int
 	// Node names this server in the window summaries it publishes to
 	// cluster peers (wire.Summary.Node); empty selects "node".
-	// Meaningful only with Cache.Stats == core.StatsMerged.
+	// Meaningful only with Cache.Stats == core.StatsGlobal.
 	Node string
-	// OnSummary, when non-nil in merged statistics mode, receives each
+	// OnSummary, when non-nil in global statistics mode, receives each
 	// closed window's summary — the cluster exchanger's publication hook
 	// (internal/cluster delivers it to peers in-process or over TCP). It
 	// runs inside the learner's rotation, so it must return quickly and
@@ -139,8 +140,8 @@ type Server struct {
 	framesForeign metrics.Counter
 
 	// summariesPublished counts windows published to the cluster exchanger
-	// (merged mode with OnSummary wired; the absorbed side lives on the
-	// merged learner).
+	// (global mode with OnSummary wired; the absorbed side lives on the
+	// shared learner).
 	summariesPublished metrics.Counter
 
 	wg sync.WaitGroup
@@ -174,8 +175,8 @@ func New(cfg Config) *Server {
 		clients:     make(map[string]*clientTotals),
 		conns:       make(map[net.Conn]struct{}),
 	}
-	if m := s.cache.Merged(); m != nil && s.onSummary != nil {
-		m.SetPublish(s.publishSummary)
+	if g := s.cache.Global(); g != nil && s.onSummary != nil {
+		g.SetPublish(s.publishSummary)
 	}
 	s.buildRegistry()
 	return s
@@ -184,7 +185,7 @@ func New(cfg Config) *Server {
 // Node returns the server's cluster node name.
 func (s *Server) Node() string { return s.node }
 
-// publishSummary is the merged learner's publication hook: it resolves the
+// publishSummary is the shared learner's publication hook: it resolves the
 // window's local hint IDs back to canonical keys (IDs are per-node
 // interning orders, meaningless to peers), orders the entries
 // deterministically, and hands the frame-ready summary to the exchanger.
@@ -203,26 +204,46 @@ func (s *Server) publishSummary(round uint64, local []clicstats.WindowCounter) {
 }
 
 // AbsorbSummary folds one peer node's window summary into this server's
-// merged learner: entry keys are interned into the local dictionary and
+// shared learner: entry keys are interned into the local dictionary and
 // the counters wait in the learner's pending pool until the next rotation.
-// It errors when the server is not in merged statistics mode, or when the
-// summary would blow the hint-vocabulary bound.
+// It errors, absorbing nothing, when the server is not in global
+// statistics mode or when the summary would add more than MaxHintKeys keys
+// to the dictionary. Summaries that arrive on a connection share that
+// connection's bound instead.
 func (s *Server) AbsorbSummary(sum wire.Summary) error {
-	m := s.cache.Merged()
-	if m == nil {
-		return fmt.Errorf("server: summaries need merged statistics mode (running %q)", s.cache.StatsMode())
-	}
-	if len(sum.Entries) > s.maxHintKeys {
-		return fmt.Errorf("server: summary with %d entries exceeds hint limit %d", len(sum.Entries), s.maxHintKeys)
+	_, err := s.absorbSummary(sum, s.maxHintKeys)
+	return err
+}
+
+// absorbSummary is AbsorbSummary for a summary that may add at most room
+// keys to the dictionary; it reports how many it added. The check comes
+// before any key is interned, and counts a key repeated within the summary
+// once per entry.
+func (s *Server) absorbSummary(sum wire.Summary, room int) (added int, err error) {
+	g := s.cache.Global()
+	if g == nil {
+		return 0, fmt.Errorf("server: summaries need global statistics mode (running %q)", s.cache.StatsMode())
 	}
 	counters := make([]clicstats.WindowCounter, len(sum.Entries))
 	s.mu.Lock()
+	fresh := 0
+	for _, e := range sum.Entries {
+		if _, ok := s.dict.LookupKey(e.Key); !ok {
+			fresh++
+		}
+	}
+	if fresh > room {
+		s.mu.Unlock()
+		return 0, fmt.Errorf("server: summary adds %d hint keys, over the %d left of limit %d", fresh, room, s.maxHintKeys)
+	}
+	before := s.dict.Len()
 	for i, e := range sum.Entries {
 		counters[i] = clicstats.WindowCounter{Hint: s.dict.InternKey(e.Key), N: e.N, Nr: e.Nr, Dsum: e.Dsum}
 	}
+	added = s.dict.Len() - before
 	s.mu.Unlock()
-	m.Absorb(counters)
-	return nil
+	g.Absorb(counters)
+	return added, nil
 }
 
 // Cache exposes the backing sharded front (read-mostly use: stats, tests).
@@ -477,6 +498,10 @@ func (s *Server) handle(conn net.Conn) {
 	defer prod.Close()
 	var reqs []trace.Request
 	var framesSeen, foreignSeen uint64 // prod.Frames() as last folded into the server's counters
+	// summaryKeys counts the keys this connection's summaries added to the
+	// dictionary: with len(remap) it is what the connection has charged
+	// against maxHintKeys.
+	summaryKeys := 0
 
 	results := make(chan *resultSlot, s.maxInflight)
 	free := make(chan *resultSlot, s.maxInflight)
@@ -519,8 +544,8 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err.Error())
 				return
 			}
-			if len(remap)+len(keys) > s.maxHintKeys {
-				fail(fmt.Sprintf("hint vocabulary %d exceeds limit %d", len(remap)+len(keys), s.maxHintKeys))
+			if n := len(remap) + summaryKeys + len(keys); n > s.maxHintKeys {
+				fail(fmt.Sprintf("hint vocabulary %d exceeds limit %d", n, s.maxHintKeys))
 				return
 			}
 			remap = s.intern(remap, keys)
@@ -578,10 +603,12 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err.Error())
 				return
 			}
-			if err := s.AbsorbSummary(sum); err != nil {
+			added, err := s.absorbSummary(sum, s.maxHintKeys-len(remap)-summaryKeys)
+			if err != nil {
 				fail(err.Error())
 				return
 			}
+			summaryKeys += added
 		default:
 			fail(fmt.Sprintf("unexpected frame type %d", t))
 			return
@@ -689,15 +716,15 @@ type Snapshot struct {
 	Combining   CombiningSnapshot    `json:"combining"`
 	Clients     []ClientSnapshot     `json:"clients"`
 	WindowStats []WindowStatSnapshot `json:"windowStats,omitempty"`
-	// Cluster is the merged-learning accounting, present only in merged
+	// Cluster is the cluster-learning accounting, present only in global
 	// statistics mode.
 	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
 }
 
-// ClusterSnapshot is the merged-learning view of one cluster node: how
-// many windows it has rotated (merge rounds), how many peer summaries it
-// has folded in, how many it has published, and how many hint sets wait in
-// the pending pool for the next rotation.
+// ClusterSnapshot is the cluster-learning view of one node: how many
+// windows its shared learner has rotated (merge rounds), how many peer
+// summaries it has folded in, how many it has published, and how many hint
+// sets wait in the pending pool for the next rotation.
 type ClusterSnapshot struct {
 	Node               string `json:"node"`
 	MergeRounds        uint64 `json:"mergeRounds"`
@@ -754,13 +781,13 @@ func (s *Server) Snapshot(topHints int) Snapshot {
 		// Foreign first: frames only ever runs ahead of it.
 		Combining: CombiningSnapshot{Foreign: s.framesForeign.Value(), Frames: s.frames.Value()},
 	}
-	if m := s.cache.Merged(); m != nil {
+	if g := s.cache.Global(); g != nil {
 		snap.Cluster = &ClusterSnapshot{
 			Node:               s.node,
-			MergeRounds:        m.Rounds(),
-			SummariesAbsorbed:  m.Absorbed(),
+			MergeRounds:        uint64(g.Windows()),
+			SummariesAbsorbed:  g.Absorbed(),
 			SummariesPublished: s.summariesPublished.Value(),
-			PendingHintSets:    m.PendingHintSets(),
+			PendingHintSets:    g.PendingHintSets(),
 		}
 	}
 	snap.Shards = make([]core.ShardStats, s.cache.Shards())

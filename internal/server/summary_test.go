@@ -1,6 +1,5 @@
-// Summary-exchange tests: absorption into a merged-mode server, clean
-// rejection on non-merged servers, and clean rejection on connections that
-// negotiated a pre-summary protocol version.
+// Summary-exchange tests: absorption into a global-mode server and clean
+// rejection on a partitioned-mode one.
 package server_test
 
 import (
@@ -21,11 +20,11 @@ func testSummary() wire.Summary {
 	}}
 }
 
-// TestSummaryAbsorbed drives a summary frame into a merged-mode server and
+// TestSummaryAbsorbed drives a summary frame into a global-mode server and
 // watches it land in the cluster accounting and /metrics.
 func TestSummaryAbsorbed(t *testing.T) {
 	srv := startServer(t, server.Config{
-		Cache:  core.Config{Capacity: 500, Window: 100, Stats: core.StatsMerged},
+		Cache:  core.Config{Capacity: 500, Window: 100, Stats: core.StatsGlobal},
 		Shards: 2,
 		Node:   "n0",
 	})
@@ -45,7 +44,7 @@ func TestSummaryAbsorbed(t *testing.T) {
 	for {
 		cl := srv.Snapshot(0).Cluster
 		if cl == nil {
-			t.Fatal("merged-mode snapshot has no cluster block")
+			t.Fatal("global-mode snapshot has no cluster block")
 		}
 		if cl.SummariesAbsorbed == 1 {
 			if cl.Node != "n0" || cl.PendingHintSets != 2 {
@@ -67,7 +66,7 @@ func TestSummaryAbsorbed(t *testing.T) {
 	}
 }
 
-// TestSummaryRejectedNotMerged checks that a server outside merged mode
+// TestSummaryRejectedNotMerged checks that a server in partitioned mode
 // answers a summary with a clean Error frame naming the reason.
 func TestSummaryRejectedNotMerged(t *testing.T) {
 	srv := startServer(t, server.Config{
@@ -91,7 +90,7 @@ func TestSummaryRejectedNotMerged(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = pl.Drain()
-	if err == nil || !strings.Contains(err.Error(), "merged statistics mode") {
-		t.Fatalf("err = %v, want merged-statistics-mode rejection", err)
+	if err == nil || !strings.Contains(err.Error(), "global statistics mode") {
+		t.Fatalf("err = %v, want global-statistics-mode rejection", err)
 	}
 }

@@ -204,7 +204,7 @@ type HelloAck struct {
 // Summary carries one node's rotated hint-statistics window: the raw
 // counters behind its top-k tracked hint sets, keyed by canonical hint.Set
 // key so peers can intern them into their own dictionaries. Peers fold the
-// counters into their next window rotation (clicstats.Merged), which is
+// counters into their next window rotation (clicstats.Global.Absorb), which is
 // how a cluster keeps one CLIC model without sharing memory.
 type Summary struct {
 	// Node names the origin so receivers can attribute merge traffic.
