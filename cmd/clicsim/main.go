@@ -18,25 +18,24 @@
 // over the full window W, fed through per-shard taps). A serial replay
 // holds each request's shard for that request alone; the concurrent serve
 // hands each shard whole request frames, run by whichever client posted
-// them or by whoever holds the shard at the time.
+// them or by whoever holds the shard at the time. Each concurrent serve
+// ends with a "serve total:" line that adds its request rate.
 //
 // -cpuprofile and -memprofile write the standard pprof profiles covering
 // the run.
 //
-// The simulator also speaks the network protocol (internal/wire):
+// The simulator is also a client of the network protocol (internal/wire)
+// that cmd/clicserve serves:
 //
-//	clicsim -serve :7070 -cache 18000 -shards 8      # run a cache server
 //	clicsim -connect :7070 -trace traces/DB2_C60.trc # replay over the wire
 //
-// -serve wraps the CLIC configuration in a TCP cache server (one-size,
-// CLIC-only — cmd/clicserve is the full-featured server). -connect streams
-// the trace file to a running server with one concurrent connection per
-// trace client (one goroutine each) and reports per-client and total hit
-// ratios measured from the server's responses; -limit caps the replayed
-// request count and -batch sets the requests per wire frame. Every address
-// is probed with a throwaway handshake before the replay starts, so a bad
-// address or an incompatible server fails immediately with a clear error
-// instead of mid-replay.
+// -connect streams the trace file to a running server with one concurrent
+// connection per trace client (one goroutine each) and reports per-client
+// and total hit ratios measured from the server's responses; -limit caps
+// the replayed request count and -batch sets the requests per wire frame.
+// Every address is probed with a throwaway handshake before the replay
+// starts, so a bad address or an incompatible server fails immediately with
+// a clear error instead of mid-replay.
 //
 // -connect also takes a comma-separated address list — a cluster
 // (cmd/clicserve -peers, internal/cluster). The replay then routes every
@@ -71,7 +70,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/prof"
 	"repro/internal/report"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -92,7 +90,6 @@ func main() {
 		shards     = flag.Int("shards", 1, "CLIC: run behind a sharded concurrent front (>1 enables)")
 		stats      = flag.String("stats", "partitioned", "CLIC sharded front: statistics learning mode (partitioned|global)")
 		concurrent = flag.Bool("concurrent", false, "drive the sharded CLIC front with one goroutine per client (requires -shards > 1)")
-		serveAddr  = flag.String("serve", "", "run as a network cache server on this address instead of simulating")
 		connect    = flag.String("connect", "", "replay the trace against a cache server (or a comma-separated cluster of servers) at these addresses")
 		batch      = flag.Int("batch", 0, "-connect: requests per wire frame (0 = adaptive, grown toward the sweet spot)")
 		depth      = flag.Int("depth", 0, "-connect: pipelined batches in flight per connection (0 = default, 1 = lock-step)")
@@ -116,11 +113,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "clicsim: profile:", err)
 		}
 	}()
-	if *serveAddr != "" {
-		serve(*serveAddr, *shards, sizesOrDie(*caches),
-			core.Config{TopK: *topk, Window: *window, R: *decay, Noutq: *noutq, Stats: statsMode})
-		return
-	}
 	if *tracePath == "" && *genSpec == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -204,6 +196,7 @@ func main() {
 	}
 
 	var results []sim.Result
+	var elapsed []time.Duration // per concurrent serve
 	if *concurrent {
 		// Concurrent serving: every cell is one sharded front driven by all
 		// clients at once; the cells themselves still run in sequence so
@@ -212,6 +205,7 @@ func main() {
 		// cell, and never held in RAM.
 		for _, j := range jobs {
 			p := j.New()
+			start := time.Now()
 			if *timeline != "" {
 				results = append(results, serveTimeline(p, src, *timeline, *interval))
 			} else {
@@ -221,6 +215,7 @@ func main() {
 				}
 				results = append(results, res)
 			}
+			elapsed = append(elapsed, time.Since(start))
 			if s, ok := p.(*core.Sharded); ok {
 				s.Close()
 			}
@@ -252,6 +247,16 @@ func main() {
 	if err := tbl.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
+	for i, d := range elapsed {
+		printTotal("serve", results[i], d)
+	}
+}
+
+// printTotal prints the one machine-greppable summary line of a serve or a
+// replay (the CI smoke tests parse the replay's).
+func printTotal(kind string, res sim.Result, elapsed time.Duration) {
+	fmt.Printf("%s total: requests=%d reads=%d hits=%d ratio=%.4f rate=%.0f\n", kind,
+		res.Requests, res.Reads, res.ReadHits, res.HitRatio(), float64(res.Requests)/elapsed.Seconds())
 }
 
 // serveTimeline is engine.ServeSource with a timeline recorder attached:
@@ -293,26 +298,6 @@ func serveTimeline(p policy.Policy, src trace.Source, path string, interval time
 	}
 	fmt.Fprintf(os.Stderr, "clicsim: timeline written to %s\n", path)
 	return res
-}
-
-// serve runs a CLIC cache server until killed: the -serve counterpart of
-// cmd/clicserve, kept here so a loopback experiment needs only one binary.
-// The first -cache size is the server capacity, docked 1% like every other
-// CLIC run (§6.1) so loopback numbers compare to the in-process grid.
-func serve(addr string, shards int, sizes []int, cfg core.Config) {
-	if shards < 1 {
-		shards = 1
-	}
-	cfg.Capacity = sim.ClicCapacity(sizes[0])
-	srv := server.New(server.Config{Cache: cfg, Shards: shards})
-	if err := srv.Listen(addr); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "clicsim: %s front with %s pages serving on %s\n",
-		srv.Cache().Name(), report.Num(sizes[0]), srv.Addr())
-	if err := srv.Serve(); err != nil {
-		fatal(err)
-	}
 }
 
 // source resolves -trace/-gen into a request source plus a display label:
@@ -376,11 +361,7 @@ func replay(addrs []string, src trace.Source, label string, batch, depth, limit 
 	if err := tbl.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
-	// One machine-greppable summary line (the CI smoke test parses it,
-	// and compares rate= across -depth settings).
-	fmt.Printf("replay total: requests=%d reads=%d hits=%d ratio=%.4f rate=%.0f\n",
-		res.Requests, res.Reads, res.ReadHits, res.HitRatio(),
-		float64(res.Requests)/elapsed.Seconds())
+	printTotal("replay", res, elapsed)
 	// Client-side latency: every batch on every connection lands in the
 	// process-wide RTT histogram, so this is the whole replay's view.
 	if rtt := netclient.BatchRTT().Summary(); rtt.Count > 0 {

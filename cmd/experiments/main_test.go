@@ -3,19 +3,20 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestSelectFigures(t *testing.T) {
-	ids := []string{"2", "11", "zoo"}
-	if want, err := selectFigures("", ids); err != nil || len(want) != 0 {
-		t.Errorf(`"" = %v, %v; want the empty set (everything)`, want, err)
+	figs := []experiments.Figure{{ID: "2"}, {ID: "11"}, {ID: "zoo"}}
+	if got, err := selectFigures("", figs); err != nil || ids(got) != "2,11,zoo" {
+		t.Errorf(`"" = %q, %v; want every figure`, ids(got), err)
 	}
-	want, err := selectFigures("11, zoo", ids)
-	if err != nil || len(want) != 2 || !want["11"] || !want["zoo"] {
-		t.Errorf(`"11, zoo" = %v, %v`, want, err)
+	if got, err := selectFigures("zoo, 11", figs); err != nil || ids(got) != "11,zoo" {
+		t.Errorf(`"zoo, 11" = %q, %v; want 11,zoo in registry order`, ids(got), err)
 	}
 	for _, arg := range []string{"12", "2,nope", "2,,11", "1"} {
-		_, err := selectFigures(arg, ids)
+		_, err := selectFigures(arg, figs)
 		if err == nil {
 			t.Errorf("%q accepted", arg)
 			continue

@@ -4,9 +4,8 @@
 // Start with README.md: it maps the package layout, the policy set, and
 // the scaling substitutions made for artifacts we do not have (the
 // instrumented DB2/MySQL I/O traces). Every table and figure of the
-// paper's evaluation can be regenerated with cmd/experiments; the
-// benchmarks in this package regenerate the same artifacts at reduced
-// scale.
+// paper's evaluation can be regenerated with cmd/experiments, from the one
+// list of them in internal/experiments (Figures).
 //
 // Beyond the paper's trace replay, the reproduction also runs CLIC as an
 // actual storage server (cmd/clicserve): clients stream page requests with

@@ -99,17 +99,6 @@ func Run(jobs []Job, opt Options) []sim.Result {
 	return results
 }
 
-// Sweep is the parallel drop-in for sim.Sweep: it runs the constructor at
-// each cache size over the trace and returns results in size order.
-func Sweep(mk policy.Constructor, t *trace.Trace, sizes []int, opt Options) []sim.Result {
-	jobs := make([]Job, len(sizes))
-	for i, size := range sizes {
-		size := size
-		jobs[i] = Job{New: func() policy.Policy { return mk(size) }, Trace: t}
-	}
-	return Run(jobs, opt)
-}
-
 // Grid fans the full policy × cache-size product over one trace and returns
 // the per-policy sweeps keyed by policy name, each in size order. Unknown
 // policy names are rejected up front, before any worker starts.

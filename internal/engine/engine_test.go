@@ -39,25 +39,32 @@ func serve(t *testing.T, p policy.Policy, tr *trace.Trace) sim.Result {
 	return res
 }
 
-// TestSweepMatchesSerial is the determinism golden test: the parallel
-// sweep's []sim.Result must be byte-identical (under a canonical encoding)
-// to the serial sim.Sweep output, for every policy and any worker count.
+// TestSweepMatchesSerial is the determinism golden test: every policy's
+// sweep out of the parallel Grid must be byte-identical (under a canonical
+// encoding) to the serial sim.Sweep output, at any worker count.
 func TestSweepMatchesSerial(t *testing.T) {
 	clicCfg := core.Config{Window: 5000}
+	want := make(map[string][]byte, len(sim.PolicyNames))
 	for _, pol := range sim.PolicyNames {
-		mk := sim.Constructor(pol, testTrace, clicCfg)
-		want, err := json.Marshal(sim.Sweep(mk, testTrace, testSizes))
+		b, err := json.Marshal(sim.Sweep(sim.Constructor(pol, testTrace, clicCfg), testTrace, testSizes))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 3, 16} {
-			got, err := json.Marshal(Sweep(mk, testTrace, testSizes, Options{Workers: workers}))
+		want[pol] = b
+	}
+	for _, workers := range []int{0, 1, 3, 16} {
+		grid, err := Grid(sim.PolicyNames, testSizes, testTrace, clicCfg, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range sim.PolicyNames {
+			got, err := json.Marshal(grid[pol])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
+			if !bytes.Equal(got, want[pol]) {
 				t.Errorf("%s (workers=%d): parallel sweep differs from serial sim.Sweep\n got: %s\nwant: %s",
-					pol, workers, got, want)
+					pol, workers, got, want[pol])
 			}
 		}
 	}

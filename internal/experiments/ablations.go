@@ -17,46 +17,54 @@ import (
 // much each mechanism contributes. Like the figures, each sweep fans its
 // independent runs across the engine's worker pool.
 
-// AblationR varies the exponential decay parameter r (Equation 3) on the
-// DB2_C300 trace with a mid-size cache. The paper fixes r = 1; this table
-// shows how much smoothing older windows helps or hurts.
-func (e *Env) AblationR() (*report.Table, error) {
-	t, err := e.Trace(AblationTraceName)
+// ablationTrace drives the r/W/outqueue ablations and the policy zoo;
+// learnerTrace drives the partitioned-vs-global ablation.
+const (
+	ablationTrace = "DB2_C300"
+	learnerTrace  = "DB2_C60"
+)
+
+// ablations runs the r, W and outqueue sweeps on the ablation trace.
+func (e *Env) ablations() ([]*report.Table, error) {
+	t, err := e.Trace(ablationTrace)
 	if err != nil {
 		return nil, err
 	}
+	return []*report.Table{e.ablationR(t), e.ablationW(t), e.ablationOutqueue(t)}, nil
+}
+
+// ablationR varies the exponential decay parameter r (Equation 3) on the
+// DB2_C300 trace with a mid-size cache. The paper fixes r = 1; this table
+// shows how much smoothing older windows helps or hurts.
+func (e *Env) ablationR(t *trace.Trace) *report.Table {
 	tbl := report.NewTable(
-		fmt.Sprintf("Ablation — decay parameter r, DB2_C300, %d-page cache", MidCacheSize),
+		fmt.Sprintf("Ablation — decay parameter r, DB2_C300, %d-page cache", midCacheSize),
 		"r", "read hit ratio")
 	rs := []float64{1.0, 0.75, 0.5, 0.25, 0.1}
 	jobs := make([]engine.Job, len(rs))
 	for i, r := range rs {
 		cfg := e.clicConfig()
 		cfg.R = r
-		cfg.Capacity = sim.ClicCapacity(MidCacheSize)
+		cfg.Capacity = sim.ClicCapacity(midCacheSize)
 		jobs[i] = engine.Job{New: clicJob(cfg), Trace: t}
 	}
 	for i, res := range engine.Run(jobs, e.opts()) {
 		tbl.AddRow(fmt.Sprintf("%.2f", rs[i]), report.Pct(res.HitRatio()))
 	}
-	return tbl, nil
+	return tbl
 }
 
-// AblationW varies the statistics window W (§3.2) on the DB2_C300 trace.
-func (e *Env) AblationW() (*report.Table, error) {
-	t, err := e.Trace(AblationTraceName)
-	if err != nil {
-		return nil, err
-	}
+// ablationW varies the statistics window W (§3.2) on the DB2_C300 trace.
+func (e *Env) ablationW(t *trace.Trace) *report.Table {
 	tbl := report.NewTable(
-		fmt.Sprintf("Ablation — window size W, DB2_C300, %d-page cache", MidCacheSize),
+		fmt.Sprintf("Ablation — window size W, DB2_C300, %d-page cache", midCacheSize),
 		"W (requests)", "windows completed", "read hit ratio")
 	ws := []int{12500, 25000, 50000, 100000, 200000, 400000}
 	jobs := make([]engine.Job, len(ws))
 	for i, w := range ws {
 		cfg := e.clicConfig()
 		cfg.Window = w
-		cfg.Capacity = sim.ClicCapacity(MidCacheSize)
+		cfg.Capacity = sim.ClicCapacity(midCacheSize)
 		jobs[i] = engine.Job{New: clicJob(cfg), Trace: t}
 	}
 	for i, res := range engine.Run(jobs, e.opts()) {
@@ -64,26 +72,22 @@ func (e *Env) AblationW() (*report.Table, error) {
 		// the trace length.
 		tbl.AddRow(report.Num(ws[i]), report.Num(t.Len()/ws[i]), report.Pct(res.HitRatio()))
 	}
-	return tbl, nil
+	return tbl
 }
 
-// AblationOutqueue varies the outqueue size (§3.1) as a multiple of the
+// ablationOutqueue varies the outqueue size (§3.1) as a multiple of the
 // cache capacity; the paper uses 5×. NoOutqueue disables re-reference
 // tracking for uncached pages entirely, showing why the outqueue exists.
-func (e *Env) AblationOutqueue() (*report.Table, error) {
-	t, err := e.Trace(AblationTraceName)
-	if err != nil {
-		return nil, err
-	}
+func (e *Env) ablationOutqueue(t *trace.Trace) *report.Table {
 	tbl := report.NewTable(
-		fmt.Sprintf("Ablation — outqueue size, DB2_C300, %d-page cache", MidCacheSize),
+		fmt.Sprintf("Ablation — outqueue size, DB2_C300, %d-page cache", midCacheSize),
 		"Noutq (per cache page)", "read hit ratio")
 	mults := []int{-1, 1, 2, 5, 10}
 	labels := make([]string, len(mults))
 	jobs := make([]engine.Job, len(mults))
 	for i, mult := range mults {
 		cfg := e.clicConfig()
-		cfg.Capacity = sim.ClicCapacity(MidCacheSize)
+		cfg.Capacity = sim.ClicCapacity(midCacheSize)
 		labels[i] = report.Num(mult)
 		if mult < 0 {
 			cfg.Noutq = core.NoOutqueue
@@ -96,13 +100,13 @@ func (e *Env) AblationOutqueue() (*report.Table, error) {
 	for i, res := range engine.Run(jobs, e.opts()) {
 		tbl.AddRow(labels[i], report.Pct(res.HitRatio()))
 	}
-	return tbl, nil
+	return tbl
 }
 
-// AblationLearnerShards is the shard-count sweep of the learner ablation.
-var AblationLearnerShards = []int{1, 2, 4, 8}
+// learnerShards is the shard-count sweep of the learner ablation.
+var learnerShards = []int{1, 2, 4, 8}
 
-// AblationLearner evaluates the sharded front's statistics-learning modes
+// ablationLearner evaluates the sharded front's statistics-learning modes
 // (core.Config.Stats): fully-partitioned learning (each shard learns from
 // its own ~1/N request substream over a W/N window) against the shared
 // global learner (all shards feed one learner over the full window W,
@@ -113,12 +117,12 @@ var AblationLearnerShards = []int{1, 2, 4, 8}
 // equivalence check; at higher shard counts the gap measures what
 // fragmenting CLIC's statistics costs — the ROADMAP's open sharded-tuning
 // question as a table.
-func (e *Env) AblationLearner() (*report.Table, error) {
-	t, err := e.Trace(LearnerTraceName)
+func (e *Env) ablationLearner() ([]*report.Table, error) {
+	t, err := e.Trace(learnerTrace)
 	if err != nil {
 		return nil, err
 	}
-	sizes, err := e.ServerSizes(LearnerTraceName)
+	sizes, err := e.ServerSizes(learnerTrace)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +139,7 @@ func (e *Env) AblationLearner() (*report.Table, error) {
 	var jobs []engine.Job
 	var cells []cell
 	for _, mode := range modes {
-		for _, shards := range AblationLearnerShards {
+		for _, shards := range learnerShards {
 			for _, size := range sizes {
 				cfg := e.clicConfig()
 				cfg.Capacity = sim.ClicCapacity(size)
@@ -160,62 +164,62 @@ func (e *Env) AblationLearner() (*report.Table, error) {
 			report.Pct(part.HitRatio()), report.Pct(glob.HitRatio()))
 	}
 	tbl.AddNote("partitioned: per-shard W/N windows and top-k summaries; global: one shared learner over the full W, fed through per-shard taps")
-	// Machine-greppable totals: the CI smoke run asserts both are nonzero.
+	// Machine-greppable totals: TestAblationLearner asserts both are nonzero.
 	tbl.AddNote("smoke totals: partitioned_hits=%d global_hits=%d", hitsByMode[0], hitsByMode[1])
-	return tbl, nil
+	return []*report.Table{tbl}, nil
 }
 
-// PolicyZoo compares every implemented policy — the paper's five plus the
-// related-work baselines — on one trace and cache size.
-func (e *Env) PolicyZoo(traceName string, cacheSize int) (*report.Table, error) {
-	t, err := e.Trace(traceName)
+// policyZoo compares every implemented policy — the paper's five plus the
+// related-work baselines — on the ablation trace at the mid-size cache.
+func (e *Env) policyZoo() ([]*report.Table, error) {
+	t, err := e.Trace(ablationTrace)
 	if err != nil {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Policy zoo — %s trace, %d-page cache", traceName, cacheSize),
+		fmt.Sprintf("Policy zoo — %s trace, %d-page cache", ablationTrace, midCacheSize),
 		"policy", "read hit ratio")
-	results, err := engine.Grid(sim.PolicyNames, []int{cacheSize}, t, e.clicConfig(), e.opts())
+	results, err := engine.Grid(sim.PolicyNames, []int{midCacheSize}, t, e.clicConfig(), e.opts())
 	if err != nil {
 		return nil, err
 	}
 	for _, name := range sim.PolicyNames {
 		tbl.AddRow(name, report.Pct(results[name][0].HitRatio()))
 	}
-	return tbl, nil
+	return []*report.Table{tbl}, nil
 }
 
-// ExtensionGeneralize evaluates the paper's §8 future-work extension
+// extensionGeneralize evaluates the paper's §8 future-work extension
 // (implemented in internal/hintproj): hint-set generalization by selecting
 // the informative hint types and projecting hint sets onto them. It reruns
 // the Figure-10 noise experiment with generalization in front of CLIC.
-func (e *Env) ExtensionGeneralize() (*report.Table, error) {
-	names := TPCCTraceNames
+func (e *Env) extensionGeneralize() ([]*report.Table, error) {
+	names := tpccTraces
 	cols := append([]string{"T (noise hint types)"}, names...)
 	tbl := report.NewTable(
-		fmt.Sprintf("Extension (§8) — Figure 10 with hint generalization, k=100, %d-page cache", MidCacheSize), cols...)
-	rows := make([][]string, len(Fig10Ts))
-	for i, T := range Fig10Ts {
+		fmt.Sprintf("Extension (§8) — Figure 10 with hint generalization, k=100, %d-page cache", midCacheSize), cols...)
+	rows := make([][]string, len(fig10Ts))
+	for i, T := range fig10Ts {
 		rows[i] = []string{report.Num(T)}
 	}
-	// As in Fig10, batch per base trace so only one trace's projected
+	// As in fig10, batch per base trace so only one trace's projected
 	// copies (full request-array duplicates) are alive at a time.
 	for _, name := range names {
 		base, err := e.Trace(name)
 		if err != nil {
 			return nil, err
 		}
-		jobs := make([]engine.Job, len(Fig10Ts))
-		for i, T := range Fig10Ts {
+		jobs := make([]engine.Job, len(fig10Ts))
+		for i, T := range fig10Ts {
 			noisy, err := trace.WithNoise(base, trace.DefaultNoise(T, 7700+int64(T)))
 			if err != nil {
 				return nil, err
 			}
 			sample := noisy.Len() / 4
-			projected, _ := hintproj.Generalize(noisy, MidCacheSize, sample, 5)
+			projected, _ := hintproj.Generalize(noisy, midCacheSize, sample, 5)
 			cfg := e.clicConfig()
 			cfg.TopK = 100
-			cfg.Capacity = sim.ClicCapacity(MidCacheSize)
+			cfg.Capacity = sim.ClicCapacity(midCacheSize)
 			jobs[i] = engine.Job{New: clicJob(cfg), Trace: projected}
 		}
 		for i, res := range engine.Run(jobs, e.opts()) {
@@ -226,5 +230,5 @@ func (e *Env) ExtensionGeneralize() (*report.Table, error) {
 		tbl.AddRow(row...)
 	}
 	tbl.AddNote("compare against Figure 10: generalization selects the informative hint types from a 25%% sample and discards the synthetic noise types")
-	return tbl, nil
+	return []*report.Table{tbl}, nil
 }

@@ -10,15 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// ClusterNodes is the cluster size of the distributed-CLIC ablation.
-const ClusterNodes = 3
+// clusterNodes is the cluster size of the distributed-CLIC ablation.
+const clusterNodes = 3
 
-// ClusterTraceName drives the cluster ablation: the same high-locality
+// clusterTrace drives the cluster ablation: the same high-locality
 // TPC-C workload as the learner ablation, so fragmenting the hint
 // statistics shows up clearly.
-var ClusterTraceName = LearnerTraceName
+const clusterTrace = learnerTrace
 
-// AblationCluster measures what distributing CLIC across ClusterNodes
+// ablationCluster measures what distributing CLIC across clusterNodes
 // cache nodes costs, and how much cross-node merged learning buys back.
 // Three configurations replay the same trace with the same TOTAL
 // resources (capacity, outqueue and statistics window all split across the
@@ -26,7 +26,7 @@ var ClusterTraceName = LearnerTraceName
 //
 //   - single: one node — the baseline every distributed run is judged
 //     against;
-//   - cluster unmerged: consistent-hash placement over ClusterNodes nodes,
+//   - cluster unmerged: consistent-hash placement over clusterNodes nodes,
 //     each learning hint priorities only from its own ~1/N slice of the
 //     stream (partitioned statistics);
 //   - cluster merged: the same placement, but nodes exchange window
@@ -38,12 +38,12 @@ var ClusterTraceName = LearnerTraceName
 // notes report aggregate hit-ratio differences versus the single node in
 // percentage points: merging should hold the cluster within a point of
 // the single node while unmerged learning falls further behind.
-func (e *Env) AblationCluster() (*report.Table, error) {
-	t, err := e.Trace(ClusterTraceName)
+func (e *Env) ablationCluster() ([]*report.Table, error) {
+	t, err := e.Trace(clusterTrace)
 	if err != nil {
 		return nil, err
 	}
-	sizes, err := e.ServerSizes(ClusterTraceName)
+	sizes, err := e.ServerSizes(clusterTrace)
 	if err != nil {
 		return nil, err
 	}
@@ -52,14 +52,14 @@ func (e *Env) AblationCluster() (*report.Table, error) {
 	sizes = []int{sizes[0], sizes[len(sizes)-1]}
 
 	tbl := report.NewTable(
-		fmt.Sprintf("Ablation — single node vs %d-node cluster, %s", ClusterNodes, ClusterTraceName),
+		fmt.Sprintf("Ablation — single node vs %d-node cluster, %s", clusterNodes, clusterTrace),
 		"cache (pages)", "single hit ratio", "cluster unmerged", "cluster merged")
 
 	type mode struct {
 		nodes   int
 		merging bool
 	}
-	modes := []mode{{1, false}, {ClusterNodes, false}, {ClusterNodes, true}}
+	modes := []mode{{1, false}, {clusterNodes, false}, {clusterNodes, true}}
 	totals := make([]sim.Result, len(modes))
 	for _, size := range sizes {
 		row := []string{report.Num(size)}
@@ -77,14 +77,15 @@ func (e *Env) AblationCluster() (*report.Table, error) {
 		tbl.AddRow(row...)
 	}
 	tbl.AddNote("same total capacity/outqueue/window in every column, split across nodes by consistent-hash placement; serial replay through the router over loopback TCP")
-	// Machine-greppable totals and gaps: the CI smoke run asserts the
-	// merged cluster stays within a point of the single node.
+	// Machine-greppable totals and gaps: TestAblationCluster pins the
+	// totals and asserts the merged cluster stays within a point of the
+	// single node.
 	tbl.AddNote("smoke totals: cluster_single_hits=%d cluster_unmerged_hits=%d cluster_merged_hits=%d",
 		totals[0].ReadHits, totals[1].ReadHits, totals[2].ReadHits)
 	tbl.AddNote("gaps vs single node: unmerged_gap_pts=%.2f merged_gap_pts=%.2f",
 		100*(totals[0].HitRatio()-totals[1].HitRatio()),
 		100*(totals[0].HitRatio()-totals[2].HitRatio()))
-	return tbl, nil
+	return []*report.Table{tbl}, nil
 }
 
 // runCluster boots an in-process cluster and replays the trace through it

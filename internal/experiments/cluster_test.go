@@ -12,10 +12,11 @@ import (
 // three configurations are pinned exactly. A change to placement, the
 // exchange, or the merged learner that moves any number shows up here.
 func TestAblationCluster(t *testing.T) {
-	tbl, err := testEnv().AblationCluster()
+	tables, err := testEnv().ablationCluster()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := tables[0]
 	if len(tbl.Rows) != 2 { // small and large cache
 		t.Fatalf("got %d rows, want 2", len(tbl.Rows))
 	}

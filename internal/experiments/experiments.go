@@ -1,13 +1,15 @@
-// Package experiments defines one regeneration function per table and
-// figure in the paper's evaluation (§6). The cmd/experiments binary and the
-// repository benchmarks both call into this package, so the figures printed
-// by either are produced by identical code.
+// Package experiments regenerates every table and figure of the paper's
+// evaluation (§6), plus the ablations beyond it. Figures is the one list of
+// them: cmd/experiments runs its entries, and TestFigures runs each one at
+// small scale.
 package experiments
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -22,16 +24,17 @@ type Env struct {
 	// repeated runs skip regeneration.
 	Dir string
 	// Scale multiplies every preset's request count; 1 (or 0) reproduces
-	// the full scaled experiments, smaller values give quick runs for
-	// benchmarks and tests.
+	// the full scaled experiments, smaller values give quick runs and
+	// tests.
 	Scale float64
 	// Window and R override CLIC's parameters when non-zero (paper: the
 	// full-size W = 1e6 with r = 1; our scaled default is W = 1e5).
 	Window int
 	R      float64
-	// Workers is the engine pool size for each experiment's grid of
-	// independent simulations; 0 selects GOMAXPROCS, 1 forces the serial
-	// path. Results are identical at any setting.
+	// Workers is the pool size for each experiment's grid of independent
+	// simulations and for Prefetch's trace generations; 0 selects
+	// GOMAXPROCS, 1 forces the serial path. Results are identical at any
+	// setting.
 	Workers int
 	// Progress, when non-nil, observes each completed grid cell (forwarded
 	// to engine.Options.Progress).
@@ -88,13 +91,13 @@ func (e *Env) Preset(name string) (workload.Preset, error) {
 }
 
 // Prefetch generates every named trace that is not already in memory or
-// on disk, fanning the generations across a worker pool (workers <= 0
-// selects GOMAXPROCS). Trace generation is an inherently serial simulation
-// per trace, so this cross-trace fan-out is what removes generation as the
-// serial bottleneck of a multi-figure experiment run; the traces are
-// bit-identical to on-demand Trace calls (workload.GenerateAll's equality
-// guarantee). Duplicate and already-cached names are skipped.
-func (e *Env) Prefetch(names []string, workers int) error {
+// on disk, fanning the generations across a pool of Workers goroutines.
+// Each generation is an independent deterministic simulation of one
+// database client, so this cross-trace fan-out is what removes generation
+// as the serial bottleneck of a multi-figure run, and the traces are
+// bit-identical to on-demand Trace calls. Duplicate and already-cached
+// names are skipped; on error the first failure in name order is returned.
+func (e *Env) Prefetch(names []string) error {
 	seen := make(map[string]bool, len(names))
 	var missing []workload.Preset
 	for _, name := range names {
@@ -112,14 +115,32 @@ func (e *Env) Prefetch(names []string, workers int) error {
 		}
 		missing = append(missing, p)
 	}
-	if len(missing) == 0 {
-		return nil
+	traces := make([]*trace.Trace, len(missing))
+	errs := make([]error, len(missing))
+	w := e.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	traces, err := workload.GenerateAll(missing, workers)
-	if err != nil {
-		return fmt.Errorf("experiments: %w", err)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for n := 0; n < min(w, len(missing)); n++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				traces[i], errs[i] = workload.Generate(missing[i])
+			}
+		}()
 	}
+	for i := range missing {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	for i, p := range missing {
+		if errs[i] != nil {
+			return fmt.Errorf("experiments: generating %s: %w", p.Name, errs[i])
+		}
 		e.storeCached(p, traces[i])
 		e.traces[p.Name] = traces[i]
 	}
@@ -176,8 +197,8 @@ func (e *Env) cachePath(p workload.Preset) string {
 	return filepath.Join(e.Dir, fmt.Sprintf("%s-%d.trc", p.Name, p.Requests))
 }
 
-// ServerSizes returns the server-cache sweep for a trace, scaled like the
-// request budget so quick runs keep cache-to-trace proportions sensible.
+// ServerSizes returns the preset's server-cache sweep. It is not scaled:
+// -scale shortens the traces, but the cache sizes stay the preset's.
 func (e *Env) ServerSizes(name string) ([]int, error) {
 	p, err := workload.PresetByName(name)
 	if err != nil {
@@ -186,6 +207,6 @@ func (e *Env) ServerSizes(name string) ([]int, error) {
 	return p.ServerSizes, nil
 }
 
-// MidCacheSize returns the scaled equivalent of the paper's 180K-page
-// server cache used by Figures 9–11 (18K pages at our 10× scale-down).
-const MidCacheSize = 18000
+// midCacheSize is the scaled equivalent of the paper's 180K-page server
+// cache used by Figures 9–11 (18K pages at our 10× scale-down).
+const midCacheSize = 18000

@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/hint"
+	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 // testEnv returns a tiny-scale environment (shared trace cache across
@@ -54,130 +60,124 @@ func TestDiskCache(t *testing.T) {
 	}
 }
 
-func TestFig2(t *testing.T) {
-	tables, err := testEnv().Fig2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 3 {
-		t.Fatalf("Fig2 returned %d tables", len(tables))
-	}
-	if !strings.Contains(tables[0].String(), "reqtype") {
-		t.Error("Fig2 table missing the reqtype hint domain")
-	}
-}
-
-func TestFig3(t *testing.T) {
-	tbl, err := testEnv().Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) == 0 {
-		t.Fatal("Fig3 produced no hint sets with non-zero priority")
-	}
-	if got := tbl.Columns[4]; got != "Pr(H)" {
-		t.Errorf("column 5 = %q", got)
-	}
-}
-
-func TestFig5(t *testing.T) {
-	tbl, err := testEnv().Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != len(TraceNames) {
-		t.Fatalf("Fig5 has %d rows, want %d", len(tbl.Rows), len(TraceNames))
-	}
-	for i, name := range TraceNames {
-		if tbl.Rows[i][0] != name {
-			t.Errorf("row %d is %q", i, tbl.Rows[i][0])
+// TestFigures runs every registry entry on a fresh environment. Each must
+// produce tables with rows, load exactly the traces it declares (so the
+// prefetch list cannot drift from what Run replays), and keep the shape
+// its figure has in the paper.
+func TestFigures(t *testing.T) {
+	count := func(t *testing.T, tables []*report.Table, n int) {
+		t.Helper()
+		if len(tables) != n {
+			t.Fatalf("%d tables, want %d", len(tables), n)
 		}
 	}
-}
-
-func TestFig6Shape(t *testing.T) {
-	e := testEnv()
-	tables, err := e.Fig6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 3 {
-		t.Fatalf("Fig6 returned %d tables", len(tables))
-	}
-	for _, tbl := range tables {
-		if len(tbl.Rows) != 5 {
-			t.Errorf("%s: %d rows, want 5 cache sizes", tbl.Title, len(tbl.Rows))
-		}
-		if len(tbl.Columns) != len(PaperPolicies)+1 {
-			t.Errorf("%s: %d columns", tbl.Title, len(tbl.Columns))
+	sweep := func(t *testing.T, tables []*report.Table, traces []string) {
+		count(t, tables, len(traces))
+		for i, tbl := range tables {
+			sizes, err := testEnv().ServerSizes(traces[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tbl.Rows) != len(sizes) || len(tbl.Columns) != len(paperPolicies)+1 {
+				t.Errorf("%s: %d rows × %d columns, want %d cache sizes × %d",
+					tbl.Title, len(tbl.Rows), len(tbl.Columns), len(sizes), len(paperPolicies)+1)
+			}
 		}
 	}
-}
-
-func TestFig11Shape(t *testing.T) {
-	tbl, err := testEnv().Fig11()
-	if err != nil {
-		t.Fatal(err)
+	shapes := map[string]func(t *testing.T, tables []*report.Table){
+		"2": func(t *testing.T, tables []*report.Table) {
+			count(t, tables, len(fig2Traces))
+			if !strings.Contains(tables[0].String(), "reqtype") {
+				t.Error("missing the reqtype hint domain")
+			}
+		},
+		"3": func(t *testing.T, tables []*report.Table) {
+			count(t, tables, 1)
+			if got := tables[0].Columns[4]; got != "Pr(H)" {
+				t.Errorf("column 5 = %q", got)
+			}
+		},
+		"5": func(t *testing.T, tables []*report.Table) {
+			count(t, tables, 1)
+			if len(tables[0].Rows) != len(traceNames) {
+				t.Fatalf("%d rows, want %d", len(tables[0].Rows), len(traceNames))
+			}
+			for i, name := range traceNames {
+				if tables[0].Rows[i][0] != name {
+					t.Errorf("row %d is %q, want %q", i, tables[0].Rows[i][0], name)
+				}
+			}
+		},
+		"6": func(t *testing.T, tables []*report.Table) { sweep(t, tables, tpccTraces) },
+		"7": func(t *testing.T, tables []*report.Table) { sweep(t, tables, tpchTraces) },
+		"8": func(t *testing.T, tables []*report.Table) { sweep(t, tables, mysqlTraces) },
+		"9": func(t *testing.T, tables []*report.Table) {
+			count(t, tables, 2)
+			for _, tbl := range tables {
+				if len(tbl.Rows) != len(fig9Ks)+1 {
+					t.Errorf("%d rows, want %d (k values + all)", len(tbl.Rows), len(fig9Ks)+1)
+				}
+			}
+		},
+		"10": func(t *testing.T, tables []*report.Table) {
+			count(t, tables, 1)
+			if len(tables[0].Rows) != len(fig10Ts) {
+				t.Errorf("%d rows, want %d", len(tables[0].Rows), len(fig10Ts))
+			}
+		},
+		"11": func(t *testing.T, tables []*report.Table) {
+			count(t, tables, 1)
+			// Three clients plus the overall row.
+			if rows := tables[0].Rows; len(rows) != 4 || rows[3][0] != "overall" {
+				t.Errorf("rows = %v, want 3 clients then overall", rows)
+			}
+		},
+		"ablations": func(t *testing.T, tables []*report.Table) { count(t, tables, 3) },
+		"zoo": func(t *testing.T, tables []*report.Table) {
+			count(t, tables, 1)
+			if len(tables[0].Rows) != len(sim.PolicyNames) {
+				t.Errorf("%d rows, want %d policies", len(tables[0].Rows), len(sim.PolicyNames))
+			}
+		},
 	}
-	// Three clients plus the overall row.
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("Fig11 rows = %d", len(tbl.Rows))
-	}
-	if tbl.Rows[3][0] != "overall" {
-		t.Errorf("last row = %q", tbl.Rows[3][0])
-	}
-}
-
-func TestFig9And10SmallScale(t *testing.T) {
-	e := testEnv()
-	t9, err := e.Fig9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t9) != 2 {
-		t.Fatalf("Fig9 tables = %d", len(t9))
-	}
-	if got := len(t9[0].Rows); got != len(Fig9Ks)+1 {
-		t.Errorf("Fig9 rows = %d, want %d (k values + all)", got, len(Fig9Ks)+1)
-	}
-	t10, err := e.Fig10()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(t10.Rows); got != len(Fig10Ts) {
-		t.Errorf("Fig10 rows = %d", got)
-	}
-}
-
-func TestAblationsAndZoo(t *testing.T) {
-	e := testEnv()
-	for name, fn := range map[string]func() (interface{ String() string }, error){
-		"r": func() (interface{ String() string }, error) { return e.AblationR() },
-		"w": func() (interface{ String() string }, error) { return e.AblationW() },
-		"o": func() (interface{ String() string }, error) { return e.AblationOutqueue() },
-	} {
-		tbl, err := fn()
-		if err != nil {
-			t.Fatalf("ablation %s: %v", name, err)
+	ids := map[string]bool{}
+	for _, f := range Figures {
+		if ids[f.ID] {
+			t.Errorf("figure id %q is registered twice", f.ID)
 		}
-		if tbl.String() == "" {
-			t.Errorf("ablation %s produced empty output", name)
-		}
-	}
-	zoo, err := e.PolicyZoo("MY_H98", 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(zoo.Rows) != 10 {
-		t.Errorf("zoo rows = %d, want 10 policies", len(zoo.Rows))
+		ids[f.ID] = true
+		t.Run(f.ID, func(t *testing.T) {
+			e := testEnv()
+			tables, err := f.Run(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tables) == 0 {
+				t.Fatal("no tables")
+			}
+			for _, tbl := range tables {
+				if len(tbl.Rows) == 0 {
+					t.Errorf("%s: no rows", tbl.Title)
+				}
+			}
+			loaded := slices.Sorted(maps.Keys(e.traces))
+			declared := slices.Compact(slices.Sorted(slices.Values(f.Traces)))
+			if !slices.Equal(loaded, declared) {
+				t.Errorf("Run loaded traces %v, the entry declares %v", loaded, declared)
+			}
+			if check := shapes[f.ID]; check != nil {
+				check(t, tables)
+			}
+		})
 	}
 }
 
 func TestAblationLearner(t *testing.T) {
-	tbl, err := testEnv().AblationLearner()
+	tables, err := testEnv().ablationLearner()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := tables[0]
 	if len(tbl.Rows) != 8 { // 4 shard counts × 2 cache sizes
 		t.Fatalf("got %d rows, want 8", len(tbl.Rows))
 	}
@@ -206,42 +206,44 @@ func TestAblationLearner(t *testing.T) {
 	}
 }
 
+// TestPrefetch checks that prefetched traces are the ones Trace returns
+// afterwards, bit-identical (requests and hint dictionary) to on-demand
+// generation at any worker count, and that an unknown name errors.
 func TestPrefetch(t *testing.T) {
-	e := testEnv()
-	if err := e.Prefetch([]string{"DB2_C60", "MY_H98", "DB2_C60"}, 2); err != nil {
-		t.Fatal(err)
-	}
-	pre, err := e.Trace("DB2_C60")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trace must return the prefetched object, not regenerate.
-	again, err := e.Trace("DB2_C60")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre != again {
-		t.Error("Trace after Prefetch did not return the memoised trace")
-	}
-	// Prefetched traces must be bit-identical to on-demand generation.
+	names := []string{"DB2_C60", "MY_H98", "DB2_H80", "DB2_C60"}
 	fresh := testEnv()
-	want, err := fresh.Trace("MY_H98")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Trace("MY_H98")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("lengths differ: %d vs %d", got.Len(), want.Len())
-	}
-	for i := range want.Reqs {
-		if got.Reqs[i] != want.Reqs[i] {
-			t.Fatalf("request %d differs", i)
+	for _, workers := range []int{1, 2, 3} {
+		e := testEnv()
+		e.Workers = workers
+		if err := e.Prefetch(names); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, name := range names {
+			got := e.traces[name]
+			if again, err := e.Trace(name); err != nil || again != got {
+				t.Fatalf("workers=%d %s: Trace after Prefetch did not return the prefetched trace (%v)", workers, name, err)
+			}
+			want, err := fresh.Trace(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != want.Len() || got.Dict.Len() != want.Dict.Len() {
+				t.Fatalf("workers=%d %s: %d requests/%d hint sets, want %d/%d",
+					workers, name, got.Len(), got.Dict.Len(), want.Len(), want.Dict.Len())
+			}
+			for i := range want.Reqs {
+				if got.Reqs[i] != want.Reqs[i] {
+					t.Fatalf("workers=%d %s: request %d differs", workers, name, i)
+				}
+			}
+			for id := 0; id < want.Dict.Len(); id++ {
+				if got.Dict.Key(hint.ID(id)) != want.Dict.Key(hint.ID(id)) {
+					t.Fatalf("workers=%d %s: hint %d differs", workers, name, id)
+				}
+			}
 		}
 	}
-	if err := e.Prefetch([]string{"NOPE"}, 2); err == nil {
-		t.Error("unknown trace name should error")
+	if err := testEnv().Prefetch([]string{"DB2_C60", "NOPE"}); err == nil || !strings.Contains(err.Error(), "NOPE") {
+		t.Errorf("Prefetch error = %v, want one naming NOPE", err)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -12,15 +13,63 @@ import (
 	"repro/internal/trace"
 )
 
-// PaperPolicies are the five policies of the paper's comparison (§6).
-var PaperPolicies = []string{"OPT", "LRU", "ARC", "TQ", "CLIC"}
+// Figure is one experiment of the evaluation: a table or figure of the
+// paper, or one of the ablations beyond it.
+type Figure struct {
+	// ID names the figure to cmd/experiments -fig.
+	ID string
+	// Traces are the presets Run replays, generated up front in parallel
+	// (Env.Prefetch) before any figure runs.
+	Traces []string
+	// Run regenerates the figure's tables.
+	Run func(*Env) ([]*report.Table, error)
+}
 
-// Fig2 regenerates the hint-type inventory (Figure 2): the hint types and
+// The per-workload trace families (Figures 6/7/8; the TPC-C family also
+// drives Figures 10–11 and the §8 extension).
+var (
+	tpccTraces  = []string{"DB2_C60", "DB2_C300", "DB2_C540"}
+	tpchTraces  = []string{"DB2_H80", "DB2_H400", "DB2_H720"}
+	mysqlTraces = []string{"MY_H65", "MY_H98"}
+)
+
+// Figures is every experiment, in the order cmd/experiments runs and prints
+// them. It is the one list of figures: the command selects, prefetches and
+// names them from it, and TestFigures runs each entry and checks that the
+// traces it loads are exactly its Traces.
+var Figures = []Figure{
+	{"2", fig2Traces, (*Env).fig2},
+	{"3", []string{fig3Trace}, (*Env).fig3},
+	{"5", traceNames, (*Env).fig5},
+	{"6", tpccTraces, sweepFamily("Figure 6", tpccTraces)},
+	{"7", tpchTraces, sweepFamily("Figure 7", tpchTraces)},
+	{"8", mysqlTraces, sweepFamily("Figure 8", mysqlTraces)},
+	{"9", slices.Concat(tpccTraces, tpchTraces), (*Env).fig9},
+	{"10", tpccTraces, (*Env).fig10},
+	{"11", tpccTraces, (*Env).fig11},
+	{"ablations", []string{ablationTrace}, (*Env).ablations},
+	{"learner", []string{learnerTrace}, (*Env).ablationLearner},
+	{"cluster", []string{clusterTrace}, (*Env).ablationCluster},
+	{"extension", tpccTraces, (*Env).extensionGeneralize},
+	{"zoo", []string{ablationTrace}, (*Env).policyZoo},
+}
+
+// traceNames lists the eight Figure-5 traces in paper order: the TPC-C,
+// TPC-H and MySQL families.
+var traceNames = slices.Concat(tpccTraces, tpchTraces, mysqlTraces)
+
+// paperPolicies are the five policies of the paper's comparison (§6).
+var paperPolicies = []string{"OPT", "LRU", "ARC", "TQ", "CLIC"}
+
+// fig2Traces is one trace per hint vocabulary (Figure 2).
+var fig2Traces = []string{"DB2_C60", "DB2_H80", "MY_H65"}
+
+// fig2 regenerates the hint-type inventory (Figure 2): the hint types and
 // value-domain cardinalities observed in the DB2 TPC-C, DB2 TPC-H, and
 // MySQL TPC-H traces.
-func (e *Env) Fig2() ([]*report.Table, error) {
+func (e *Env) fig2() ([]*report.Table, error) {
 	var out []*report.Table
-	for _, name := range Fig2TraceNames {
+	for _, name := range fig2Traces {
 		t, err := e.Trace(name)
 		if err != nil {
 			return nil, err
@@ -54,18 +103,21 @@ func (e *Env) Fig2() ([]*report.Table, error) {
 	return out, nil
 }
 
-// Fig3 regenerates the hint-set priority scatter (Figure 3): for the
+// fig3Trace is the hint-priority analysis trace (Figure 3).
+const fig3Trace = "DB2_C60"
+
+// fig3 regenerates the hint-set priority scatter (Figure 3): for the
 // DB2_C60 trace, each distinct hint set's whole-trace frequency N(H) and
 // caching priority Pr(H). The analysis uses CLIC's own statistics machinery
 // with a window longer than the trace, so the numbers are exactly the
 // beneﬁt/cost estimates of Equations 1–2.
-func (e *Env) Fig3() (*report.Table, error) {
-	t, err := e.Trace(Fig3TraceName)
+func (e *Env) fig3() ([]*report.Table, error) {
+	t, err := e.Trace(fig3Trace)
 	if err != nil {
 		return nil, err
 	}
 	c := core.New(core.Config{
-		Capacity: sim.ClicCapacity(MidCacheSize),
+		Capacity: sim.ClicCapacity(midCacheSize),
 		Window:   t.Len() + 1, // never rotate: whole-trace statistics
 	})
 	for _, r := range t.Reqs {
@@ -85,15 +137,15 @@ func (e *Env) Fig3() (*report.Table, error) {
 			fmt.Sprintf("%.0f", hs.D), report.Sci(hs.Pr))
 	}
 	tbl.AddNote("%d of %d observed hint sets have non-zero priority", shown, len(stats))
-	return tbl, nil
+	return []*report.Table{tbl}, nil
 }
 
-// Fig5 regenerates the trace summary table (Figure 5).
-func (e *Env) Fig5() (*report.Table, error) {
+// fig5 regenerates the trace summary table (Figure 5).
+func (e *Env) fig5() ([]*report.Table, error) {
 	tbl := report.NewTable("Figure 5 — I/O request traces",
 		"trace", "kind", "DB size (pages)", "client buffer (pages)",
 		"requests", "reads", "writes", "distinct hint sets", "distinct pages")
-	for _, name := range TraceNames {
+	for _, name := range traceNames {
 		p, err := e.Preset(name)
 		if err != nil {
 			return nil, err
@@ -108,36 +160,8 @@ func (e *Env) Fig5() (*report.Table, error) {
 			report.Num(s.DistinctHints), report.Num(s.DistinctPages))
 	}
 	tbl.AddNote("sizes are the paper's divided by 10; ratios (client buffer / DB, server cache / DB) match the paper")
-	return tbl, nil
+	return []*report.Table{tbl}, nil
 }
-
-// TraceNames lists the eight Figure-5 traces in paper order.
-var TraceNames = []string{
-	"DB2_C60", "DB2_C300", "DB2_C540",
-	"DB2_H80", "DB2_H400", "DB2_H720",
-	"MY_H65", "MY_H98",
-}
-
-// Trace dependencies of the experiment functions, declared once here and
-// used both by the functions themselves and by cmd/experiments' parallel
-// prefetch (Env.Prefetch) — a single source, so the prefetch list cannot
-// drift from what the experiments actually replay.
-var (
-	// TPCCTraceNames/TPCHTraceNames/MySQLTraceNames are the per-workload
-	// trace families (Figures 6/7/8; the TPC-C family also drives Figures
-	// 10–11 and the §8 extension).
-	TPCCTraceNames  = []string{"DB2_C60", "DB2_C300", "DB2_C540"}
-	TPCHTraceNames  = []string{"DB2_H80", "DB2_H400", "DB2_H720"}
-	MySQLTraceNames = []string{"MY_H65", "MY_H98"}
-	// Fig2TraceNames is one trace per hint vocabulary (Figure 2).
-	Fig2TraceNames = []string{"DB2_C60", "DB2_H80", "MY_H65"}
-	// Fig3TraceName is the hint-priority analysis trace (Figure 3).
-	Fig3TraceName = "DB2_C60"
-	// AblationTraceName drives the r/W/outqueue ablations and the policy
-	// zoo; LearnerTraceName drives the partitioned-vs-global ablation.
-	AblationTraceName = "DB2_C300"
-	LearnerTraceName  = "DB2_C60"
-)
 
 // hitRatioSweep produces one hit-ratio-vs-cache-size table for a trace.
 func (e *Env) hitRatioSweep(figure, traceName string, policies []string) (*report.Table, error) {
@@ -167,53 +191,42 @@ func (e *Env) hitRatioSweep(figure, traceName string, policies []string) (*repor
 	return tbl, nil
 }
 
-// Fig6 regenerates the DB2 TPC-C comparison (Figure 6): read hit ratio as a
-// function of server cache size for OPT, LRU, ARC, TQ and CLIC.
-func (e *Env) Fig6() ([]*report.Table, error) {
-	return e.sweepFamily("Figure 6", TPCCTraceNames)
-}
-
-// Fig7 regenerates the DB2 TPC-H comparison (Figure 7).
-func (e *Env) Fig7() ([]*report.Table, error) {
-	return e.sweepFamily("Figure 7", TPCHTraceNames)
-}
-
-// Fig8 regenerates the MySQL TPC-H comparison (Figure 8).
-func (e *Env) Fig8() ([]*report.Table, error) {
-	return e.sweepFamily("Figure 8", MySQLTraceNames)
-}
-
-func (e *Env) sweepFamily(figure string, names []string) ([]*report.Table, error) {
-	var out []*report.Table
-	for _, name := range names {
-		tbl, err := e.hitRatioSweep(figure, name, PaperPolicies)
-		if err != nil {
-			return nil, err
+// sweepFamily returns the Run of a policy comparison (Figures 6–8): for
+// each trace of the family, read hit ratio as a function of server cache
+// size for OPT, LRU, ARC, TQ and CLIC.
+func sweepFamily(figure string, names []string) func(*Env) ([]*report.Table, error) {
+	return func(e *Env) ([]*report.Table, error) {
+		var out []*report.Table
+		for _, name := range names {
+			tbl, err := e.hitRatioSweep(figure, name, paperPolicies)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, tbl)
 		}
-		out = append(out, tbl)
+		return out, nil
 	}
-	return out, nil
 }
 
-// Fig9Ks is the top-k sweep of Figure 9.
-var Fig9Ks = []int{1, 2, 5, 10, 20, 50, 100}
+// fig9Ks is the top-k sweep of Figure 9.
+var fig9Ks = []int{1, 2, 5, 10, 20, 50, 100}
 
-// Fig9 regenerates the top-k hint filtering experiment (Figure 9): CLIC's
+// fig9 regenerates the top-k hint filtering experiment (Figure 9): CLIC's
 // read hit ratio as a function of k, on the DB2 TPC-C and TPC-H traces with
 // a mid-size (paper: 180K-page; scaled: 18K-page) server cache. The final
 // row tracks all hint sets exactly (k = ∞).
-func (e *Env) Fig9() ([]*report.Table, error) {
+func (e *Env) fig9() ([]*report.Table, error) {
 	var out []*report.Table
-	for _, family := range [][]string{TPCCTraceNames, TPCHTraceNames} {
+	for _, family := range [][]string{tpccTraces, tpchTraces} {
 		cols := append([]string{"k"}, family...)
 		tbl := report.NewTable(
-			fmt.Sprintf("Figure 9 — top-k hint filtering, %d-page server cache", MidCacheSize), cols...)
-		rows := make(map[int][]string, len(Fig9Ks)+1)
-		for _, k := range Fig9Ks {
+			fmt.Sprintf("Figure 9 — top-k hint filtering, %d-page server cache", midCacheSize), cols...)
+		rows := make(map[int][]string, len(fig9Ks)+1)
+		for _, k := range fig9Ks {
 			rows[k] = []string{report.Num(k)}
 		}
 		rows[0] = []string{"all"}
-		ks := append(append([]int{}, Fig9Ks...), 0)
+		ks := append(append([]int{}, fig9Ks...), 0)
 		var jobs []engine.Job
 		var jobKs []int
 		for _, name := range family {
@@ -224,7 +237,7 @@ func (e *Env) Fig9() ([]*report.Table, error) {
 			for _, k := range ks {
 				cfg := e.clicConfig()
 				cfg.TopK = k
-				cfg.Capacity = sim.ClicCapacity(MidCacheSize)
+				cfg.Capacity = sim.ClicCapacity(midCacheSize)
 				jobs = append(jobs, engine.Job{New: clicJob(cfg), Trace: t})
 				jobKs = append(jobKs, k)
 			}
@@ -232,7 +245,7 @@ func (e *Env) Fig9() ([]*report.Table, error) {
 		for i, res := range engine.Run(jobs, e.opts()) {
 			rows[jobKs[i]] = append(rows[jobKs[i]], report.Pct(res.HitRatio()))
 		}
-		for _, k := range Fig9Ks {
+		for _, k := range fig9Ks {
 			tbl.AddRow(rows[k]...)
 		}
 		tbl.AddRow(rows[0]...)
@@ -241,19 +254,19 @@ func (e *Env) Fig9() ([]*report.Table, error) {
 	return out, nil
 }
 
-// Fig10Ts is the noise sweep of Figure 10.
-var Fig10Ts = []int{0, 1, 2, 3}
+// fig10Ts is the noise sweep of Figure 10.
+var fig10Ts = []int{0, 1, 2, 3}
 
-// Fig10 regenerates the noise-hint experiment (Figure 10): T synthetic hint
+// fig10 regenerates the noise-hint experiment (Figure 10): T synthetic hint
 // types (domain 10, Zipf z=1) are appended to every request of the DB2
 // TPC-C traces; CLIC tracks k=100 hint sets in an 18K-page cache.
-func (e *Env) Fig10() (*report.Table, error) {
-	names := TPCCTraceNames
+func (e *Env) fig10() ([]*report.Table, error) {
+	names := tpccTraces
 	cols := append([]string{"T (noise hint types)"}, names...)
 	tbl := report.NewTable(
-		fmt.Sprintf("Figure 10 — effect of noise hint types, k=100, %d-page server cache", MidCacheSize), cols...)
-	rows := make([][]string, len(Fig10Ts))
-	for i, T := range Fig10Ts {
+		fmt.Sprintf("Figure 10 — effect of noise hint types, k=100, %d-page server cache", midCacheSize), cols...)
+	rows := make([][]string, len(fig10Ts))
+	for i, T := range fig10Ts {
 		rows[i] = []string{report.Num(T)}
 	}
 	// One engine batch per base trace: the noisy copies duplicate the full
@@ -264,15 +277,15 @@ func (e *Env) Fig10() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		jobs := make([]engine.Job, len(Fig10Ts))
-		for i, T := range Fig10Ts {
+		jobs := make([]engine.Job, len(fig10Ts))
+		for i, T := range fig10Ts {
 			noisy, err := trace.WithNoise(base, trace.DefaultNoise(T, 7700+int64(T)))
 			if err != nil {
 				return nil, err
 			}
 			cfg := e.clicConfig()
 			cfg.TopK = 100
-			cfg.Capacity = sim.ClicCapacity(MidCacheSize)
+			cfg.Capacity = sim.ClicCapacity(midCacheSize)
 			jobs[i] = engine.Job{New: clicJob(cfg), Trace: noisy}
 		}
 		for i, res := range engine.Run(jobs, e.opts()) {
@@ -282,7 +295,7 @@ func (e *Env) Fig10() (*report.Table, error) {
 	for _, row := range rows {
 		tbl.AddRow(row...)
 	}
-	return tbl, nil
+	return []*report.Table{tbl}, nil
 }
 
 // clicJob adapts a CLIC configuration to an engine job constructor.
@@ -290,12 +303,12 @@ func clicJob(cfg core.Config) func() policy.Policy {
 	return func() policy.Policy { return core.New(cfg) }
 }
 
-// Fig11 regenerates the multi-client experiment (Figure 11): the DB2 TPC-C
+// fig11 regenerates the multi-client experiment (Figure 11): the DB2 TPC-C
 // traces interleaved round-robin share one 18K-page CLIC cache (k=100);
 // the comparison gives each full-length trace a private 6K-page CLIC cache
 // (an equal partition of the shared cache).
-func (e *Env) Fig11() (*report.Table, error) {
-	names := TPCCTraceNames
+func (e *Env) fig11() ([]*report.Table, error) {
+	names := tpccTraces
 	traces := make([]*trace.Trace, len(names))
 	for i, name := range names {
 		t, err := e.Trace(name)
@@ -310,8 +323,8 @@ func (e *Env) Fig11() (*report.Table, error) {
 	}
 	cfg := e.clicConfig()
 	cfg.TopK = 100
-	cfg.Capacity = sim.ClicCapacity(MidCacheSize)
-	partition := MidCacheSize / len(names)
+	cfg.Capacity = sim.ClicCapacity(midCacheSize)
+	partition := midCacheSize / len(names)
 	// The shared-cache run and the three private-cache runs are four
 	// independent cells; fan them out together.
 	jobs := []engine.Job{{New: clicJob(cfg), Trace: merged}}
@@ -326,8 +339,8 @@ func (e *Env) Fig11() (*report.Table, error) {
 
 	tbl := report.NewTable(
 		fmt.Sprintf("Figure 11 — three clients: %d-page shared cache vs 3 × %d-page private caches",
-			MidCacheSize, partition),
-		"trace", fmt.Sprintf("%d-page shared cache", MidCacheSize),
+			midCacheSize, partition),
+		"trace", fmt.Sprintf("%d-page shared cache", midCacheSize),
 		fmt.Sprintf("%d-page private cache", partition))
 	var privReads, privHits uint64
 	for i, name := range names {
@@ -341,5 +354,5 @@ func (e *Env) Fig11() (*report.Table, error) {
 	}
 	tbl.AddRow("overall", report.Pct(shared.HitRatio()), report.Pct(overallPriv))
 	tbl.AddNote("shared-cache column: per-client hit ratios within the interleaved trace (truncated to the shortest input)")
-	return tbl, nil
+	return []*report.Table{tbl}, nil
 }

@@ -10,8 +10,6 @@ package workload
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/trace"
 )
@@ -113,47 +111,4 @@ func GenerateTo(p Preset, sink trace.Sink) error {
 		return err
 	}
 	return trace.Err(sink)
-}
-
-// GenerateAll generates every preset's trace, fanning the generations
-// across a worker pool. Each generation is an independent deterministic
-// simulation of a single stateful database client, so the sequential
-// dependency is entirely within one preset: parallelism across presets
-// changes only the wall clock, and the returned traces are bit-identical
-// to serial Generate calls, in preset order.
-//
-// workers bounds the pool; 0 or negative selects GOMAXPROCS. On error the
-// first failure (in preset order) is returned and the trace slice is nil.
-func GenerateAll(presets []Preset, workers int) ([]*trace.Trace, error) {
-	out := make([]*trace.Trace, len(presets))
-	errs := make([]error, len(presets))
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(presets) {
-		w = len(presets)
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for n := 0; n < w; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], errs[i] = Generate(presets[i])
-			}
-		}()
-	}
-	for i := range presets {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("workload: generating %s: %w", presets[i].Name, err)
-		}
-	}
-	return out, nil
 }

@@ -3,9 +3,6 @@ package workload
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/hint"
-	"repro/internal/trace"
 )
 
 // smallPreset shrinks a named preset for test runtimes.
@@ -226,66 +223,5 @@ func TestClientBufferAffectsLocality(t *testing.T) {
 	rl := float64(tl.Stats().Reads) / float64(tl.Len())
 	if rl >= rs {
 		t.Errorf("larger client buffer should absorb reads: C60 reads %.2f, C300 reads %.2f", rs, rl)
-	}
-}
-
-// TestGenerateAllMatchesSerial is the parallel-generation equality test:
-// GenerateAll at any worker count must produce traces bit-identical to
-// serial Generate calls — same requests and same hint dictionary, preset
-// by preset.
-func TestGenerateAllMatchesSerial(t *testing.T) {
-	presets := []Preset{
-		smallPreset(t, "DB2_C60", 40000),
-		smallPreset(t, "DB2_H80", 30000),
-		smallPreset(t, "MY_H65", 30000),
-		smallPreset(t, "DB2_C300", 25000),
-	}
-	want := make([]*trace.Trace, len(presets))
-	for i, p := range presets {
-		tr, err := Generate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = tr
-	}
-	for _, workers := range []int{0, 1, 3} {
-		got, err := GenerateAll(presets, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d traces, want %d", workers, len(got), len(want))
-		}
-		for pi := range presets {
-			g, w := got[pi], want[pi]
-			if g.Name != w.Name || g.Len() != w.Len() {
-				t.Fatalf("workers=%d preset %s: name/len %q/%d, want %q/%d",
-					workers, presets[pi].Name, g.Name, g.Len(), w.Name, w.Len())
-			}
-			if g.Dict.Len() != w.Dict.Len() {
-				t.Fatalf("workers=%d preset %s: dict sizes %d vs %d",
-					workers, presets[pi].Name, g.Dict.Len(), w.Dict.Len())
-			}
-			for i := range w.Reqs {
-				if g.Reqs[i] != w.Reqs[i] {
-					t.Fatalf("workers=%d preset %s request %d: %+v vs %+v",
-						workers, presets[pi].Name, i, g.Reqs[i], w.Reqs[i])
-				}
-			}
-			for id := 0; id < w.Dict.Len(); id++ {
-				if g.Dict.Key(hint.ID(id)) != w.Dict.Key(hint.ID(id)) {
-					t.Fatalf("workers=%d preset %s hint %d: %q vs %q",
-						workers, presets[pi].Name, id, g.Dict.Key(hint.ID(id)), w.Dict.Key(hint.ID(id)))
-				}
-			}
-		}
-	}
-}
-
-// TestGenerateAllError propagates the first failure in preset order.
-func TestGenerateAllError(t *testing.T) {
-	presets := []Preset{smallPreset(t, "DB2_C60", 10000), {Name: "BAD", Kind: "bogus"}}
-	if _, err := GenerateAll(presets, 2); err == nil || !strings.Contains(err.Error(), "BAD") {
-		t.Errorf("GenerateAll error = %v, want failure naming BAD", err)
 	}
 }
