@@ -32,7 +32,8 @@
 // -connect streams the trace file to a running server with one concurrent
 // connection per trace client (one goroutine each) and reports per-client
 // and total hit ratios measured from the server's responses; -limit caps
-// the replayed request count and -batch sets the requests per wire frame.
+// the replayed request count and -batch sets the requests per batch (one
+// wire frame on a single server, split by ring owner on a cluster).
 // Every address is probed with a throwaway handshake before the replay
 // starts, so a bad address or an incompatible server fails immediately with
 // a clear error instead of mid-replay.
@@ -91,8 +92,8 @@ func main() {
 		stats      = flag.String("stats", "partitioned", "CLIC sharded front: statistics learning mode (partitioned|global)")
 		concurrent = flag.Bool("concurrent", false, "drive the sharded CLIC front with one goroutine per client (requires -shards > 1)")
 		connect    = flag.String("connect", "", "replay the trace against a cache server (or a comma-separated cluster of servers) at these addresses")
-		batch      = flag.Int("batch", 0, "-connect: requests per wire frame (0 = adaptive, grown toward the sweet spot)")
-		depth      = flag.Int("depth", 0, "-connect: pipelined batches in flight per connection (0 = default, 1 = lock-step)")
+		batch      = flag.Int("batch", 0, "-connect: requests per batch, split across a cluster's nodes (0 = adaptive, each frame grown toward the sweet spot)")
+		depth      = flag.Int("depth", 0, "-connect: pipelined batches in flight per connection (0 = default: 8, spread over a cluster's nodes; 1 = lock-step)")
 		limit      = flag.Int("limit", 0, "-connect: replay at most this many requests (0 = all)")
 		timeline   = flag.String("timeline", "", "-concurrent: write per-interval metrics rows (CSV) to this file")
 		interval   = flag.Duration("metrics-interval", time.Second, "-timeline: sampling interval")

@@ -83,6 +83,36 @@ func TestSingleNodeGolden(t *testing.T) {
 	}
 }
 
+// TestRouterFillsNodeFrames: with default options a router sizes each
+// node's share of a batch, not the batch, so once the sizer has ramped a
+// node's frames hold about wire.DefaultBatch requests each, as a direct
+// connection's do. Sizing the router batch instead would leave every node
+// a third of it, about 170. The stream is long enough that the sizer's
+// ramp from 64, and the windows it holds when host noise makes a round
+// trip look degraded, stay a small share of the frames.
+func TestRouterFillsNodeFrames(t *testing.T) {
+	spec, err := workload.ParseSpec("DB2_C60*2:1000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := startHarness(t, cluster.HarnessConfig{
+		Nodes:  3,
+		Cache:  core.Config{Capacity: 3000, Window: 3000},
+		Shards: 2,
+	})
+	if _, err := cluster.ReplaySource(h.Nodes(), spec.Source(), cluster.ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		br := h.Server(i).Snapshot(0).Histograms.BatchRequests
+		t.Logf("node%d: %d frames, mean %.0f requests, max %.0f", i, br.Count, br.Mean, br.Max)
+		if br.Mean <= wire.DefaultBatch/2 {
+			t.Errorf("node%d served %d frames of %.0f requests on average, want more than %d",
+				i, br.Count, br.Mean, wire.DefaultBatch/2)
+		}
+	}
+}
+
 func startDirect(t *testing.T, cfg server.Config) *server.Server {
 	t.Helper()
 	srv := server.New(cfg)

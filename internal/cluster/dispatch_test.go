@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // layers runs a source through each serve/replay entry point against a
@@ -159,25 +161,45 @@ func TestClusterDialError(t *testing.T) {
 	}
 }
 
-// TestClusterNodeClosedMidReplay: one node of two going away while three
-// routers are mid-stream ends the replay with an error — the dispatcher
-// does not block on the dead routers' queues — and no goroutine outlives
-// the cluster.
+// TestClusterNodeClosedMidReplay: one node of three going away while three
+// routers are mid-stream ends the replay with an error that names the node
+// — the dispatcher does not block on the dead routers' queues — and no
+// goroutine outlives the cluster. It runs lock-step single-request
+// batches, and the default adaptive per-node frames at the derived depth
+// (3 per node at 3 nodes).
 func TestClusterNodeClosedMidReplay(t *testing.T) {
-	merged := threeClients(t)
+	for _, tc := range []struct {
+		name string
+		opt  cluster.ReplayOptions
+	}{
+		{"lockstep", cluster.ReplayOptions{BatchSize: 1, Depth: 1}},
+		{"default", cluster.ReplayOptions{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { nodeClosedMidReplay(t, tc.opt) })
+	}
+}
+
+func nodeClosedMidReplay(t *testing.T, opt cluster.ReplayOptions) {
+	// Long enough that the close below always lands mid-stream, even at
+	// full frames.
+	const total = 600_000
+	spec, err := workload.ParseSpec(fmt.Sprintf("DB2_C60*3:%d", total))
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := runtime.NumGoroutine()
-	h, err := cluster.StartHarness(cluster.HarnessConfig{Nodes: 2, Cache: core.Config{Capacity: 2000, Window: 2000}})
+	h, err := cluster.StartHarness(cluster.HarnessConfig{Nodes: 3, Cache: core.Config{Capacity: 3000, Window: 3000}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		// Lock-step single-request batches: slow enough that the close
-		// below always lands mid-stream.
-		_, err := h.Replay(merged, cluster.ReplayOptions{BatchSize: 1, Depth: 1})
+		_, err := cluster.ReplaySource(h.Nodes(), spec.Source(), opt)
 		done <- err
 	}()
-	for h.Server(1).Cache().Stats().Requests < 100 {
+	// Close node1 once every router has had a batch answered by it, so the
+	// failure lands on pipelines in flight, not on a dial.
+	for snap := h.Server(1).Snapshot(0); len(snap.Clients) < 3 || snap.Core.Requests < 100; snap = h.Server(1).Snapshot(0) {
 		time.Sleep(time.Millisecond)
 	}
 	h.Server(1).Close()
@@ -185,12 +207,17 @@ func TestClusterNodeClosedMidReplay(t *testing.T) {
 	case err := <-done:
 		if err == nil {
 			t.Error("replay through a closed node returned no error")
+		} else if !strings.Contains(err.Error(), "node1") {
+			t.Errorf("err = %v, want it to name the closed node1", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("replay still blocked 30s after the node closed")
 	}
-	served := h.Server(0).Cache().Stats().Requests + h.Server(1).Cache().Stats().Requests
-	if served >= uint64(merged.Len()) {
+	var served uint64
+	for i := 0; i < 3; i++ {
+		served += h.Server(i).Cache().Stats().Requests
+	}
+	if served >= total {
 		t.Fatalf("nodes served all %d requests; the test closed nothing mid-stream", served)
 	}
 	h.Close()

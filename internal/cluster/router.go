@@ -242,13 +242,18 @@ func (rp *RouterPipeline) Drain() error {
 
 // ReplayOptions tune the cluster replay drivers.
 type ReplayOptions struct {
-	// BatchSize is the request count per router batch; 0 selects adaptive
-	// sizing (netclient.BatchSizer: start small, grow toward
-	// wire.DefaultBatch while the per-request round-trip tail stays flat).
+	// BatchSize is the request count per router batch, split across the
+	// nodes by ring owner. 0 selects adaptive sizing per node: a
+	// netclient.BatchSizer grows one node's frame from 64 toward
+	// wire.DefaultBatch while the per-request round trip stays flat, and a
+	// router batch carries that many requests per node. ReplaySerial
+	// reads 0 as wire.DefaultBatch per router batch.
 	BatchSize int
-	// Depth is the in-flight batch window per node connection: 0 selects
-	// netclient.DefaultDepth, 1 is lock-step. Values above a node's
-	// advertised window are capped at that node's handshake.
+	// Depth is the in-flight batch window per node connection, 1 is
+	// lock-step. 0 selects netclient.DefaultDepth spread over the nodes,
+	// max(2, ⌈DefaultDepth/nodes⌉), so a router keeps about as many
+	// requests in flight as one direct connection does. Values above a
+	// node's advertised window are capped at that node's handshake.
 	Depth int
 	// Limit caps the total number of requests replayed; 0 replays the
 	// whole trace.
@@ -264,9 +269,13 @@ func (o ReplayOptions) batch() int {
 	return o.BatchSize
 }
 
-func (o ReplayOptions) depth() int {
+// depth is the per-node window for a cluster of the given size. By
+// Little's law the requests in flight set the queueing delay, so the
+// default keeps nodes × depth frames near one connection's DefaultDepth;
+// at least 2 keeps every node pipelined.
+func (o ReplayOptions) depth(nodes int) int {
 	if o.Depth <= 0 {
-		return netclient.DefaultDepth
+		return max(2, (netclient.DefaultDepth+nodes-1)/nodes)
 	}
 	return o.Depth
 }

@@ -41,6 +41,11 @@ func (r *Router) Announced() int {
 // that references them. Per-client read accounting is exact; like every
 // concurrent replay, the aggregate hit count depends on how the clients'
 // requests interleave at the nodes.
+//
+// Adaptive sizing (BatchSize 0) sizes one node's frame, not the router
+// batch: the ring splits a batch about evenly, so a router batch of the
+// sizer's size times the node count puts about one such frame on every
+// node, and a cluster sends as few frames per request as one connection.
 func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result, error) {
 	it, err := src.Iter()
 	if err != nil {
@@ -52,7 +57,11 @@ func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result
 		policy   string
 		capacity int
 	)
-	res, err := engine.Dispatch(it, opt.Limit, netclient.NewBatchSizer(opt.BatchSize).Current(),
+	fanout := len(nodes)
+	if opt.BatchSize > 0 {
+		fanout = 1 // an explicit size is the router batch
+	}
+	res, err := engine.Dispatch(it, opt.Limit, fanout*netclient.NewBatchSizer(opt.BatchSize).Current(),
 		func(name string, keys *engine.KeyLog, st *sim.ClientStat) (engine.Session, error) {
 			router, err := DialRouter(nodes, opt.VirtualNodes)
 			if err != nil {
@@ -65,8 +74,8 @@ func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result
 			mu.Lock()
 			policy, capacity = router.PolicyName(), router.Capacity()
 			mu.Unlock()
-			s := &session{router: router, keys: keys, st: st, sizer: netclient.NewBatchSizer(opt.BatchSize)}
-			s.pl = router.Pipeline(opt.depth(), s.account)
+			s := &session{router: router, keys: keys, st: st, sizer: netclient.NewBatchSizer(opt.BatchSize), fanout: fanout}
+			s.pl = router.Pipeline(opt.depth(len(nodes)), s.account)
 			return s, nil
 		})
 	if err != nil {
@@ -86,6 +95,7 @@ type session struct {
 	keys   *engine.KeyLog
 	st     *sim.ClientStat
 	sizer  *netclient.BatchSizer
+	fanout int // router batch = fanout × the sizer's size
 }
 
 func (s *session) account(_ any, isRead, hits []bool, _ int, rttNs int64) error {
@@ -103,6 +113,6 @@ func (s *session) Submit(reqs []trace.Request) error {
 	return s.pl.Submit(reqs, nil)
 }
 
-func (s *session) BatchSize() int { return s.sizer.Current() }
+func (s *session) BatchSize() int { return s.fanout * s.sizer.Current() }
 func (s *session) Drain() error   { return s.pl.Drain() }
 func (s *session) Close() error   { return s.router.Close() }

@@ -350,8 +350,10 @@ const adaptiveSlack = 1.25
 // no queueing and would make every steady-state window look degraded)
 // and the first batches at a new size never enter the comparison. The
 // replay drivers here and in internal/cluster feed it from their result
-// handlers; an explicit fixed size pins it and disables adaptation. Not
-// safe for concurrent use.
+// handlers. An adaptive size is one connection's frame: here the batch
+// itself, in internal/cluster one node's share of a router batch, which
+// is the size times the node count. An explicit fixed size pins it and
+// disables adaptation. Not safe for concurrent use.
 type BatchSizer struct {
 	size   int
 	fixed  bool

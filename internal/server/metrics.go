@@ -80,6 +80,7 @@ func (s *Server) buildRegistry() {
 	r.CounterFunc("clic_server_flushes_total", "Writer buffer flushes (batches per flush is the write-coalescing factor).",
 		func() float64 { return float64(s.flushes.Value()) })
 	r.RegisterHistogram("clic_server_batch_ns", "Batch service time (decode to response write) in nanoseconds.", &s.batchNs)
+	r.RegisterHistogram("clic_server_batch_requests", "Requests per served batch frame.", &s.batchReqs)
 
 	// Cluster-learning series, present only in global statistics mode, the
 	// one mode that takes summaries.

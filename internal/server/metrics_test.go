@@ -178,6 +178,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if samples[`clic_server_batch_ns_bucket{le="+Inf"}`] != samples["clic_server_batch_ns_count"] {
 		t.Error("+Inf bucket does not equal histogram count")
 	}
+	// Frame size: one sample per served batch, summing to the requests.
+	if got, want := samples["clic_server_batch_requests_count"], samples["clic_server_batches_total"]; got != want {
+		t.Errorf("clic_server_batch_requests_count = %v, want clic_server_batches_total %v", got, want)
+	}
+	if got := samples["clic_server_batch_requests_sum"]; got != float64(res.Requests) {
+		t.Errorf("clic_server_batch_requests_sum = %v, want %d requests served", got, res.Requests)
+	}
 
 	// Combining counters: the replay's connections posted at least a frame
 	// per batch, at most one per batch and shard, and the scrape agrees with
@@ -268,18 +275,19 @@ func TestSnapshotSchema(t *testing.T) {
 		"reads", "read_hits", "writes", "evictions", "len", "outqueue_len", "windows",
 	})
 	check("connections", doc["connections"], []string{"active", "total", "inflight"})
-	check("histograms", doc["histograms"], []string{"batchServiceNs", "batches"})
+	check("histograms", doc["histograms"], []string{"batchServiceNs", "batchRequests", "batches"})
 	check("combining", doc["combining"], []string{"frames", "foreign"})
 	var hists struct {
 		BatchServiceNs json.RawMessage `json:"batchServiceNs"`
+		BatchRequests  json.RawMessage `json:"batchRequests"`
 		Batches        uint64          `json:"batches"`
 	}
 	if err := json.Unmarshal(doc["histograms"], &hists); err != nil {
 		t.Fatal(err)
 	}
-	check("histograms.batchServiceNs", hists.BatchServiceNs, []string{
-		"count", "sum", "mean", "p50", "p90", "p99", "max",
-	})
+	summaryKeys := []string{"count", "sum", "mean", "p50", "p90", "p99", "max"}
+	check("histograms.batchServiceNs", hists.BatchServiceNs, summaryKeys)
+	check("histograms.batchRequests", hists.BatchRequests, summaryKeys)
 	if hists.Batches == 0 {
 		t.Error("histograms.batches is zero after a replay")
 	}
@@ -303,6 +311,10 @@ func TestSnapshotSchema(t *testing.T) {
 	// Every batch posts at least one frame and at most one per shard.
 	if c, b := snap.Combining, snap.Histograms.Batches; c.Frames < b || c.Frames > 2*b || c.Foreign > c.Frames {
 		t.Errorf("combining = %+v for %d batches over 2 shards", c, b)
+	}
+	if br := snap.Histograms.BatchRequests; br.Count != snap.Histograms.Batches || br.Sum != snap.Core.Requests {
+		t.Errorf("batchRequests count/sum = %d/%d, want %d batches / %d requests",
+			br.Count, br.Sum, snap.Histograms.Batches, snap.Core.Requests)
 	}
 }
 

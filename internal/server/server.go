@@ -125,6 +125,8 @@ type Server struct {
 	connsActive  metrics.Gauge
 	batchesTotal metrics.Counter
 	batchNs      metrics.Histogram
+	// batchReqs is the frame size: requests per served batch.
+	batchReqs metrics.Histogram
 
 	// inflight gauges pipelined batches accepted but not yet answered,
 	// summed over all connections; flushes counts writer-side buffer
@@ -659,6 +661,7 @@ func (s *Server) writeLoop(conn net.Conn, bw *bufio.Writer, results, free chan *
 		// Batch service time spans decode through response write — the
 		// server-side share of the client's observed RTT.
 		s.batchNs.Observe(uint64(time.Since(slot.start)))
+		s.batchReqs.Observe(uint64(len(slot.hits)))
 		s.batchesTotal.Inc()
 		s.inflight.Add(-1)
 		res.Hits = nil
@@ -751,12 +754,11 @@ type ConnectionsSnapshot struct {
 	Inflight int64 `json:"inflight"`
 }
 
-// HistogramsSnapshot carries cumulative histogram summaries: the server's
-// batch service time, and (for in-process clients — loopback replays,
-// tests) the netclient batch round-trip time. Each summary's unit is
-// nanoseconds.
+// HistogramsSnapshot carries cumulative histogram summaries of the served
+// batches: their service time in nanoseconds and their size in requests.
 type HistogramsSnapshot struct {
 	BatchServiceNs metrics.Summary `json:"batchServiceNs"`
+	BatchRequests  metrics.Summary `json:"batchRequests"`
 	// Batches is the number of batches served (BatchServiceNs.Count once
 	// quiescent, kept separate because the histogram lags the counter by
 	// in-flight batches).
@@ -776,6 +778,7 @@ func (s *Server) Snapshot(topHints int) Snapshot {
 		},
 		Histograms: HistogramsSnapshot{
 			BatchServiceNs: s.batchNs.Summary(),
+			BatchRequests:  s.batchReqs.Summary(),
 			Batches:        s.batchesTotal.Value(),
 		},
 		// Foreign first: frames only ever runs ahead of it.
