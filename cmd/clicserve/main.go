@@ -27,14 +27,15 @@
 //	clicserve -addr :7071 -node-id node1 -peers :7070,:7072
 //	clicserve -addr :7072 -node-id node2 -peers :7070,:7071
 //
-// -peers implies -stats global. At every window rotation the node ships
-// its window's hint counters to every -peers address (lossy gossip over
-// the ordinary wire protocol — an unreachable peer costs summaries, never
-// correctness) and folds the summaries it received into its own
-// priorities. -node-id names this node in published summaries and the
-// admin cluster accounting. Run each node's share of the cluster-wide
-// cache/window/outqueue budget (e.g. a third each for three nodes); the
-// in-process harness splits them the same way.
+// -peers implies -stats global, and an explicit -stats partitioned next to
+// it is an error. At every window rotation the node ships its window's hint
+// counters to every -peers address (lossy gossip over the ordinary wire
+// protocol — an unreachable peer costs summaries, never correctness) and
+// folds the summaries it received into its own priorities. -node-id names
+// this node in published summaries and the admin cluster accounting. Run
+// each node's share of the cluster-wide cache/window/outqueue budget (e.g.
+// a third each for three nodes); the in-process harness splits them the
+// same way.
 //
 // With -admin set, live statistics (the front aggregate, the per-shard
 // breakdown, connection accounting, batch-latency summaries, the current
@@ -43,28 +44,32 @@
 // at http://<admin>/metrics, and the standard pprof handlers are mounted
 // under http://<admin>/debug/pprof/. -timeline additionally streams
 // per-interval CSV rows (hit ratio, throughput, outqueue depth, eviction
-// and rotation counts, batch-latency quantiles) to a file, sampled every
-// -metrics-interval and on window rotations. -cpuprofile/-memprofile write
-// file profiles covering the serving run (finished at graceful shutdown).
-// On SIGINT/SIGTERM the server drains and prints a final accounting table.
+// and rotation counts, batch-latency quantiles) to a file it truncates
+// first, sampled every -metrics-interval and on window rotations.
+// -cpuprofile/-memprofile write file profiles covering the serving run
+// (finished at graceful shutdown). On SIGINT/SIGTERM the server drains and
+// prints a final accounting table.
+//
+// The CLIC settings (-topk, -window, -r, -noutq, -stats), -timeline,
+// -metrics-interval, -cpuprofile and -memprofile are the flags clicserve
+// shares with cmd/clicsim, declared once in internal/cli. The pipelining
+// window a connection may keep in flight is server.DefaultMaxInflight.
 //
 // Replay a trace against it with clicsim -connect (see cmd/clicsim), or
 // drive it from your own client via internal/netclient.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -72,47 +77,37 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":7070", "page-request listen address")
-		admin      = flag.String("admin", "", "admin HTTP listen address (empty = disabled)")
-		cache      = flag.Int("cache", 18000, "server cache size in pages")
-		shards     = flag.Int("shards", 8, "CLIC shard count")
-		topk       = flag.Int("topk", 0, "CLIC: track only the k most frequent hint sets (0 = all)")
-		window     = flag.Int("window", 0, "CLIC: statistics window W (0 = default)")
-		decay      = flag.Float64("r", 0, "CLIC: decay parameter r (0 = default 1.0)")
-		noutq      = flag.Int("noutq", 0, "CLIC: outqueue entries (0 = 5 per cache page)")
-		stats      = flag.String("stats", "partitioned", "statistics learning mode across shards (partitioned|global)")
-		inflight   = flag.Int("max-inflight", 0, "pipelined batches in flight per connection before backpressure (0 = default)")
-		peers      = flag.String("peers", "", "comma-separated peer page-request addresses to exchange window summaries with (implies -stats global)")
-		nodeID     = flag.String("node-id", "", "-peers: this node's name in published summaries (default \"node\")")
-		timeline   = flag.String("timeline", "", "append per-interval metrics rows (CSV) to this file")
-		interval   = flag.Duration("metrics-interval", time.Second, "timeline sampling interval")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (stopped at shutdown)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at shutdown")
+		addr   = flag.String("addr", ":7070", "page-request listen address")
+		admin  = flag.String("admin", "", "admin HTTP listen address (empty = disabled)")
+		cache  = flag.Int("cache", 18000, "server cache size in pages")
+		shards = flag.Int("shards", 8, "CLIC shard count")
+		peers  = flag.String("peers", "", "comma-separated peer page-request addresses to exchange window summaries with (implies -stats global; -stats partitioned is an error)")
+		nodeID = flag.String("node-id", "", "-peers: this node's name in published summaries (default \"node\")")
+		opts   = cli.Register(flag.CommandLine)
 	)
 	flag.Parse()
-	statsMode, err := core.ParseStatsMode(*stats)
-	if err != nil {
-		fatal(err)
-	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Cluster node: global statistics plus a gossip sender shipping each
-	// closed window's summary to every peer.
-	var gossip *cluster.Gossip
-	scfg := server.Config{
-		Node: *nodeID,
-	}
 	var peerAddrs []string
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			peerAddrs = append(peerAddrs, p)
 		}
 	}
+	clicCfg, err := cacheConfig(flag.CommandLine, opts, peerAddrs)
+	if err != nil {
+		fatal(err)
+	}
+	stopProf, err := opts.StartProfiles()
+	if err != nil {
+		fatal(err)
+	}
+
+	// Cluster node: a gossip sender shipping each closed window's summary
+	// to every peer.
+	var gossip *cluster.Gossip
+	scfg := server.Config{
+		Node: *nodeID,
+	}
 	if len(peerAddrs) > 0 {
-		statsMode = core.StatsGlobal
 		gossip = cluster.NewGossip(peerAddrs, 0)
 		scfg.OnSummary = gossip.Publish
 	} else if *nodeID != "" {
@@ -122,10 +117,9 @@ func main() {
 	// Dock the capacity 1% for CLIC's tracking structures (§6.1), like
 	// every simulated CLIC run, so server hit ratios compare directly to
 	// the in-process grid at the same -cache value.
-	scfg.Cache = core.Config{Capacity: sim.ClicCapacity(*cache), TopK: *topk, Window: *window, R: *decay,
-		Noutq: *noutq, Stats: statsMode}
+	clicCfg.Capacity = sim.ClicCapacity(*cache)
+	scfg.Cache = clicCfg
 	scfg.Shards = *shards
-	scfg.MaxInflight = *inflight
 	srv := server.New(scfg)
 	if err := srv.Listen(*addr); err != nil {
 		fatal(err)
@@ -137,27 +131,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "clicserve: admin stats at http://%s/stats, metrics at http://%s/metrics\n",
 			srv.AdminAddr(), srv.AdminAddr())
 	}
-	stopTimeline := func() {}
-	if *timeline != "" {
-		f, err := os.Create(*timeline)
-		if err != nil {
-			fatal(err)
-		}
-		bf := bufio.NewWriter(f)
-		stop := srv.StartTimeline(bf, *interval)
-		stopTimeline = func() {
-			stop()
-			if err := bf.Flush(); err == nil {
-				err = f.Close()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "clicserve: timeline:", err)
-				}
-			} else {
-				fmt.Fprintln(os.Stderr, "clicserve: timeline:", err)
-				f.Close()
-			}
-		}
-		fmt.Fprintf(os.Stderr, "clicserve: timeline every %s to %s\n", *interval, *timeline)
+	stopTimeline, err := opts.StartTimeline(srv.StartTimeline)
+	if err != nil {
+		fatal(err)
+	}
+	if opts.Timeline != "" {
+		fmt.Fprintf(os.Stderr, "clicserve: timeline every %s to %s\n", opts.Interval, opts.Timeline)
 	}
 	fmt.Fprintf(os.Stderr, "clicserve: %s front with %s pages serving on %s\n",
 		srv.Cache().Name(), report.Num(*cache), srv.Addr())
@@ -190,7 +169,9 @@ func main() {
 	}
 	// The cache and its counters survive Close, so the final timeline row
 	// still reads the end-of-run state.
-	stopTimeline()
+	if err := stopTimeline(); err != nil {
+		fmt.Fprintln(os.Stderr, "clicserve: timeline:", err)
+	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, "clicserve: profile:", err)
 	}
@@ -210,6 +191,24 @@ func main() {
 	if err := tbl.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
+}
+
+// cacheConfig maps the shared CLIC flags to a core.Config (Capacity left
+// for the caller). A cluster node learns globally, so with peers an unset
+// -stats means global and an explicit -stats partitioned is an error
+// rather than silently overridden.
+func cacheConfig(fs *flag.FlagSet, opts *cli.Flags, peers []string) (core.Config, error) {
+	cfg, err := opts.Config()
+	if err != nil || len(peers) == 0 {
+		return cfg, err
+	}
+	explicit := false
+	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "stats" })
+	if explicit && cfg.Stats != core.StatsGlobal {
+		return core.Config{}, fmt.Errorf("-peers needs -stats global, not -stats %s", cfg.Stats)
+	}
+	cfg.Stats = core.StatsGlobal
+	return cfg, nil
 }
 
 func fatal(err error) {

@@ -21,8 +21,10 @@
 // them or by whoever holds the shard at the time. Each concurrent serve
 // ends with a "serve total:" line that adds its request rate.
 //
-// -cpuprofile and -memprofile write the standard pprof profiles covering
-// the run.
+// The CLIC settings (-topk, -window, -r, -noutq, -stats), the timeline
+// (-timeline, -metrics-interval; -concurrent with a single policy × cache
+// cell only) and the pprof file profiles (-cpuprofile, -memprofile) are the
+// flags clicsim shares with cmd/clicserve, declared once in internal/cli.
 //
 // The simulator is also a client of the network protocol (internal/wire)
 // that cmd/clicserve serves:
@@ -55,21 +57,21 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/netclient"
 	"repro/internal/policy"
-	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -82,30 +84,22 @@ func main() {
 		genSpec    = flag.String("gen", "", "generate the workload live from a spec PRESET[*clients][:requests][@seed] instead of reading -trace")
 		policies   = flag.String("policy", "CLIC", "comma-separated policies: "+strings.Join(sim.PolicyNames, ","))
 		caches     = flag.String("cache", "18000", "comma-separated server cache sizes in pages")
-		topk       = flag.Int("topk", 0, "CLIC: track only the k most frequent hint sets (0 = all)")
-		window     = flag.Int("window", 0, "CLIC: statistics window W (0 = default)")
-		decay      = flag.Float64("r", 0, "CLIC: decay parameter r (0 = default 1.0)")
-		noutq      = flag.Int("noutq", 0, "CLIC: outqueue entries (0 = 5 per cache page)")
 		perClient  = flag.Bool("per-client", false, "report per-client hit ratios")
 		workers    = flag.Int("workers", 0, "parallel grid cells (0 = all cores)")
 		shards     = flag.Int("shards", 1, "CLIC: run behind a sharded concurrent front (>1 enables)")
-		stats      = flag.String("stats", "partitioned", "CLIC sharded front: statistics learning mode (partitioned|global)")
 		concurrent = flag.Bool("concurrent", false, "drive the sharded CLIC front with one goroutine per client (requires -shards > 1)")
 		connect    = flag.String("connect", "", "replay the trace against a cache server (or a comma-separated cluster of servers) at these addresses")
 		batch      = flag.Int("batch", 0, "-connect: requests per batch, split across a cluster's nodes (0 = adaptive, each frame grown toward the sweet spot)")
 		depth      = flag.Int("depth", 0, "-connect: pipelined batches in flight per connection (0 = default: 8, spread over a cluster's nodes; 1 = lock-step)")
 		limit      = flag.Int("limit", 0, "-connect: replay at most this many requests (0 = all)")
-		timeline   = flag.String("timeline", "", "-concurrent: write per-interval metrics rows (CSV) to this file")
-		interval   = flag.Duration("metrics-interval", time.Second, "-timeline: sampling interval")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		opts       = cli.Register(flag.CommandLine)
 	)
 	flag.Parse()
-	statsMode, err := core.ParseStatsMode(*stats)
+	clicCfg, err := opts.Config()
 	if err != nil {
 		fatal(err)
 	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	stopProf, err := opts.StartProfiles()
 	if err != nil {
 		fatal(err)
 	}
@@ -145,7 +139,6 @@ func main() {
 		}
 	}
 	sizes := sizesOrDie(*caches)
-	clicCfg := core.Config{TopK: *topk, Window: *window, R: *decay, Noutq: *noutq, Stats: statsMode}
 
 	// Build the policy × size grid as engine jobs, each with its own row
 	// metadata so results and labels cannot drift apart.
@@ -190,7 +183,7 @@ func main() {
 		fatal(fmt.Errorf("-shards only applies to CLIC, which is not in -policy %q", *policies))
 	}
 
-	if *timeline != "" && (!*concurrent || len(jobs) != 1) {
+	if opts.Timeline != "" && (!*concurrent || len(jobs) != 1) {
 		// A timeline is the time-resolved story of one cache under load; a
 		// grid of cells would interleave incomparable rows in one file.
 		fatal(fmt.Errorf("-timeline requires -concurrent and a single policy × cache cell (got %d cells)", len(jobs)))
@@ -207,8 +200,8 @@ func main() {
 		for _, j := range jobs {
 			p := j.New()
 			start := time.Now()
-			if *timeline != "" {
-				results = append(results, serveTimeline(p, src, *timeline, *interval))
+			if opts.Timeline != "" {
+				results = append(results, serveTimeline(p, src, opts))
 			} else {
 				res, err := engine.ServeSource(p, src, 0)
 				if err != nil {
@@ -264,7 +257,7 @@ func printTotal(kind string, res sim.Result, elapsed time.Duration) {
 // the standard cache columns (engine.CacheTimeline) over a batch-latency
 // histogram fed by every client goroutine, sampled every interval and on
 // window rotations, with a final row when the replay drains.
-func serveTimeline(p policy.Policy, src trace.Source, path string, interval time.Duration) sim.Result {
+func serveTimeline(p policy.Policy, src trace.Source, opts *cli.Flags) sim.Result {
 	s, ok := p.(*core.Sharded)
 	if !ok {
 		fatal(fmt.Errorf("-timeline requires the sharded CLIC front"))
@@ -274,30 +267,23 @@ func serveTimeline(p policy.Policy, src trace.Source, path string, interval time
 		fatal(err)
 	}
 	defer it.Close()
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	bf := bufio.NewWriter(f)
 	var lat metrics.Histogram
-	tl := metrics.NewTimeline(bf)
-	engine.CacheTimeline(tl, s, &lat)
-	stop := tl.Start(interval, func() float64 { return float64(s.Windows()) })
-	res, err := engine.ServeIterator(p, it, 0, &engine.ServeMetrics{BatchLatency: &lat})
-	stop()
+	stop, err := opts.StartTimeline(func(w io.Writer, interval time.Duration) func() {
+		tl := metrics.NewTimeline(w)
+		engine.CacheTimeline(tl, s, &lat)
+		return tl.Start(interval, func() float64 { return float64(s.Windows()) })
+	})
 	if err != nil {
 		fatal(err)
 	}
-	if err := tl.Err(); err != nil {
-		fatal(fmt.Errorf("timeline: %w", err))
+	res, err := engine.ServeIterator(p, it, 0, &engine.ServeMetrics{BatchLatency: &lat})
+	if stopErr := stop(); stopErr != nil {
+		fatal(fmt.Errorf("timeline: %w", stopErr))
 	}
-	if err := bf.Flush(); err != nil {
-		fatal(fmt.Errorf("timeline: %w", err))
+	if err != nil {
+		fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		fatal(fmt.Errorf("timeline: %w", err))
-	}
-	fmt.Fprintf(os.Stderr, "clicsim: timeline written to %s\n", path)
+	fmt.Fprintf(os.Stderr, "clicsim: timeline written to %s\n", opts.Timeline)
 	return res
 }
 

@@ -1,0 +1,128 @@
+// Package cli declares, once, the flags that cmd/clicsim and cmd/clicserve
+// share: the CLIC settings (-topk, -window, -r, -noutq, -stats) that become
+// a core.Config, the timeline file (-timeline, -metrics-interval) and the
+// runtime/pprof file profiles (-cpuprofile, -memprofile). Each command
+// registers them next to its own flags and asks Flags for the pieces it
+// uses, so the two commands cannot drift apart in name, default or help.
+package cli
+
+import (
+	"bufio"
+	"flag"
+	"io"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"time"
+
+	"repro/internal/core"
+)
+
+// Flags holds the shared flags' values once the flag set is parsed.
+type Flags struct {
+	topk, window, noutq int
+	decay               float64
+	stats               string
+
+	// Timeline is the -timeline path ("" = no timeline) and Interval its
+	// -metrics-interval.
+	Timeline string
+	Interval time.Duration
+
+	cpuprofile, memprofile string
+}
+
+// Register declares the shared flags on fs.
+func Register(fs *flag.FlagSet) *Flags {
+	f := new(Flags)
+	fs.IntVar(&f.topk, "topk", 0, "CLIC: track only the k most frequent hint sets (0 = all)")
+	fs.IntVar(&f.window, "window", 0, "CLIC: statistics window W (0 = default)")
+	fs.Float64Var(&f.decay, "r", 0, "CLIC: decay parameter r (0 = default 1.0)")
+	fs.IntVar(&f.noutq, "noutq", 0, "CLIC: outqueue entries (0 = 5 per cache page)")
+	fs.StringVar(&f.stats, "stats", "partitioned", "CLIC sharded front: statistics learning mode (partitioned|global)")
+	fs.StringVar(&f.Timeline, "timeline", "", "write per-interval metrics rows (CSV) to this file, replacing its contents (clicsim: -concurrent only)")
+	fs.DurationVar(&f.Interval, "metrics-interval", time.Second, "-timeline: sampling interval")
+	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile covering the run to this file")
+	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this file at exit")
+	return f
+}
+
+// Config returns the CLIC settings as a core.Config whose Capacity the
+// caller sets. It fails on a -stats spelling core.ParseStatsMode rejects.
+func (f *Flags) Config() (core.Config, error) {
+	mode, err := core.ParseStatsMode(f.stats)
+	if err != nil {
+		return core.Config{}, err
+	}
+	return core.Config{TopK: f.topk, Window: f.window, R: f.decay, Noutq: f.noutq, Stats: mode}, nil
+}
+
+// StartTimeline creates (or truncates) the -timeline file and hands start
+// a buffered writer over it and -metrics-interval; start attaches a
+// recorder and returns the recorder's stop. The returned stop stops the
+// recorder, then flushes and closes the file. Without -timeline, start is
+// not called and stop does nothing.
+func (f *Flags) StartTimeline(start func(w io.Writer, interval time.Duration) (stop func())) (stop func() error, err error) {
+	if f.Timeline == "" {
+		return func() error { return nil }, nil
+	}
+	file, err := os.Create(f.Timeline)
+	if err != nil {
+		return nil, err
+	}
+	bw := bufio.NewWriter(file)
+	stopRecorder := start(bw, f.Interval)
+	return func() error {
+		stopRecorder()
+		// A write error the recorder met is sticky in bw, so Flush
+		// reports it too.
+		if err := bw.Flush(); err != nil {
+			file.Close()
+			return err
+		}
+		return file.Close()
+	}, nil
+}
+
+// StartProfiles begins the -cpuprofile CPU profile, if set. The returned
+// stop, called once at exit, ends it and writes the -memprofile heap
+// profile, if set, after a GC, so that the profile shows live objects
+// rather than transient garbage.
+func (f *Flags) StartProfiles() (stop func() error, err error) {
+	var cpuFile *os.File
+	if f.cpuprofile != "" {
+		file, err := os.Create(f.cpuprofile)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(file); err != nil {
+			file.Close()
+			return nil, err
+		}
+		cpuFile = file
+	}
+	return func() error {
+		var first error
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			first = cpuFile.Close()
+		}
+		if f.memprofile != "" {
+			file, err := os.Create(f.memprofile)
+			if err != nil {
+				if first == nil {
+					first = err
+				}
+				return first
+			}
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(file); err != nil && first == nil {
+				first = err
+			}
+			if err := file.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}, nil
+}

@@ -1,0 +1,164 @@
+package cli
+
+import (
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+)
+
+func parse(t *testing.T, args ...string) (*Flags, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("cli", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := Register(fs)
+	return f, fs.Parse(args)
+}
+
+func TestFlagsReachConfig(t *testing.T) {
+	f, err := parse(t, "-topk", "7", "-window", "11", "-r", "0.25", "-noutq", "13", "-stats", "global",
+		"-timeline", "tl.csv", "-metrics-interval", "3ms", "-cpuprofile", "cpu.prof", "-memprofile", "mem.prof")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := f.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Config{TopK: 7, Window: 11, R: 0.25, Noutq: 13, Stats: core.StatsGlobal}
+	if cfg != want {
+		t.Errorf("Config() = %+v, want %+v", cfg, want)
+	}
+	if f.Timeline != "tl.csv" || f.Interval != 3*time.Millisecond {
+		t.Errorf("timeline %q every %v, want tl.csv every 3ms", f.Timeline, f.Interval)
+	}
+	if f.cpuprofile != "cpu.prof" || f.memprofile != "mem.prof" {
+		t.Errorf("profiles %q, %q, want cpu.prof, mem.prof", f.cpuprofile, f.memprofile)
+	}
+
+	f, err = parse(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err := f.Config(); err != nil || cfg != (core.Config{Stats: core.StatsPartitioned}) {
+		t.Errorf("defaults: Config() = %+v, %v; want the zero config, partitioned", cfg, err)
+	}
+	if f.Timeline != "" || f.Interval != time.Second || f.cpuprofile != "" || f.memprofile != "" {
+		t.Errorf("defaults: timeline %q every %v, profiles %q, %q", f.Timeline, f.Interval, f.cpuprofile, f.memprofile)
+	}
+}
+
+func TestBadStats(t *testing.T) {
+	f, err := parse(t, "-stats", "bogus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := core.ParseStatsMode("bogus")
+	if _, err := f.Config(); err == nil || err.Error() != want.Error() {
+		t.Errorf("Config() error %v, want %v", err, want)
+	}
+}
+
+func TestTimelineFlushesAndCloses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tl.csv")
+	// -timeline replaces what the file held.
+	if err := os.WriteFile(path, []byte("stale contents\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := parse(t, "-timeline", path, "-metrics-interval", "1h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotInterval time.Duration
+	stop, err := f.StartTimeline(func(w io.Writer, interval time.Duration) func() {
+		gotInterval = interval
+		tl := metrics.NewTimeline(w)
+		tl.Value("x", func() float64 { return 1 })
+		return tl.Start(interval, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotInterval != time.Hour {
+		t.Errorf("recorder got interval %v, want 1h", gotInterval)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "row,elapsed_s,reason,x\n") || !strings.Contains(string(data), ",final,") {
+		t.Errorf("timeline file holds %q, want the header and a final row", data)
+	}
+	if fds, err := os.ReadDir("/proc/self/fd"); err == nil {
+		for _, fd := range fds {
+			if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); target == path {
+				t.Errorf("timeline file still open as fd %s", fd.Name())
+			}
+		}
+	}
+
+	f, err = parse(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, err = f.StartTimeline(func(io.Writer, time.Duration) func() {
+		t.Error("recorder started without -timeline")
+		return func() {}
+	})
+	if err != nil || stop() != nil {
+		t.Errorf("without -timeline: err %v", err)
+	}
+}
+
+func TestProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	f, err := parse(t, "-cpuprofile", cpu, "-memprofile", mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, err := f.StartProfiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With the collector off, only stop's own GC can count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	gcs := numGC()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if numGC() == gcs {
+		t.Error("heap profile written without a GC first")
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", filepath.Base(p), err)
+		}
+	}
+
+	f, err = parse(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, err = f.StartProfiles()
+	if err != nil || stop() != nil {
+		t.Errorf("without profiles: err %v", err)
+	}
+}
+
+func numGC() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumGC
+}
