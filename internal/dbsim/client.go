@@ -118,6 +118,9 @@ func NewClient(db *Database, out trace.Sink, cfg Config) *Client {
 		fill:    make(map[int]int),
 	}
 	for i, size := range cfg.PoolSizes {
+		if size <= 0 {
+			panic(fmt.Sprintf("dbsim: Config.PoolSizes[%d] = %d, want > 0", i, size))
+		}
 		c.pools = append(c.pools, newBufPool(i, size))
 	}
 	return c

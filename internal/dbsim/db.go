@@ -9,6 +9,10 @@
 // recovery writes while pages stay client-cached, and prefetching scans —
 // and attaches the paper's exact hint vocabularies to every emitted
 // request.
+//
+// Each pool keeps its dirty frames on a second list in LRU order, so the
+// page cleaner costs per dirty page it writes, not per frame it would pass
+// on the way to the cold end.
 package dbsim
 
 import "fmt"

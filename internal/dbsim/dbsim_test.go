@@ -321,6 +321,14 @@ func TestConfigValidation(t *testing.T) {
 		}()
 		NewClient(db, out, Config{Style: DB2Style{}})
 	}()
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "PoolSizes[1]") {
+				t.Errorf("empty pool 1 should panic naming it, got %q", msg)
+			}
+		}()
+		NewClient(db, out, Config{Style: DB2Style{}, PoolSizes: []int{4, 0}})
+	}()
 	c := NewClient(db, out, Config{Style: DB2Style{}, PoolSizes: []int{1}})
 	bad := db.NewObject("X", "table", 5, 0, 0, 1) // pool 5 does not exist
 	defer func() {

@@ -2,21 +2,31 @@ package dbsim
 
 // bufPage is one frame in a client buffer pool.
 type bufPage struct {
-	page       uint64
-	obj        *Object
-	dirty      bool
-	prev, next *bufPage // LRU list links; head is MRU
+	page         uint64
+	obj          *Object
+	dirty        bool
+	prev, next   *bufPage // LRU list links; head is MRU
+	dprev, dnext *bufPage // dirty list links, set only while dirty
 }
 
 // bufPool is a client-tier buffer cache with LRU replacement and dirty-page
 // tracking. One bufPool per DB2 buffer pool; MySQL uses a single pool.
+//
+// Every frame is on the LRU list. The dirty frames are also on a second
+// list, and only they are: the dirty list holds exactly the frames with
+// dirty set, in the same relative order as on the LRU list, and its length
+// is the dirty count. The page cleaner walks that list, so a wake-up costs
+// per dirty page found, not per clean frame it would otherwise pass.
 type bufPool struct {
-	id       int
-	capacity int
-	frames   map[uint64]*bufPage
-	head     *bufPage // MRU
-	tail     *bufPage // LRU
-	dirty    int
+	id           int
+	capacity     int
+	frames       map[uint64]*bufPage
+	head         *bufPage // MRU
+	tail         *bufPage // LRU
+	dhead, dtail *bufPage // MRU and LRU dirty frames
+	dirty        int
+	scan         []*bufPage // reused result of dirtyFromLRU
+	spare        *bufPage   // the last evicted frame, reused by insert
 }
 
 func newBufPool(id, capacity int) *bufPool {
@@ -44,56 +54,80 @@ func (p *bufPool) victim() *bufPage {
 	return p.tail
 }
 
-// evict removes a frame from the pool.
+// evict removes a frame from the pool. The frame is kept for the next insert
+// to reuse, so the caller must not hold on to it.
 func (p *bufPool) evict(f *bufPage) {
-	if f.dirty {
-		p.dirty--
-	}
+	p.markClean(f)
 	p.remove(f)
 	delete(p.frames, f.page)
+	p.spare = f
 }
 
 // insert adds a page at the MRU position. The caller must have made room.
 func (p *bufPool) insert(page uint64, obj *Object) *bufPage {
-	f := &bufPage{page: page, obj: obj}
+	f := p.spare
+	if f != nil {
+		p.spare = nil
+		*f = bufPage{page: page, obj: obj}
+	} else {
+		f = &bufPage{page: page, obj: obj}
+	}
 	p.frames[page] = f
 	p.pushFront(f)
 	return f
 }
 
-// markDirty flags a frame as modified.
+// markDirty flags a frame as modified. The frame must be the MRU frame (its
+// one caller, Client.access, has just fetched it), so it joins the dirty
+// list at the front and the two lists keep the same order.
 func (p *bufPool) markDirty(f *bufPage) {
-	if !f.dirty {
-		f.dirty = true
-		p.dirty++
+	if p.head != f {
+		panic("dbsim: markDirty of a frame that is not MRU")
 	}
+	if f.dirty {
+		return
+	}
+	f.dirty = true
+	p.dirty++
+	f.dprev, f.dnext = nil, p.dhead
+	if p.dhead != nil {
+		p.dhead.dprev = f
+	} else {
+		p.dtail = f
+	}
+	p.dhead = f
 }
 
-// markClean clears a frame's dirty flag (after its contents were written).
+// markClean clears a frame's dirty flag (after its contents were written)
+// and takes it off the dirty list.
 func (p *bufPool) markClean(f *bufPage) {
-	if f.dirty {
-		f.dirty = false
-		p.dirty--
+	if !f.dirty {
+		return
 	}
+	f.dirty = false
+	p.dirty--
+	p.unlinkDirty(f)
 }
 
 // dirtyFromLRU returns up to max dirty frames starting from the LRU end, in
 // LRU-to-MRU order. The page cleaner writes these: cleaning cold dirty
 // pages first is exactly what produces replacement writes for pages about
-// to be evicted from the client.
+// to be evicted from the client. It walks the dirty list, which is in LRU
+// order, so it never passes a clean frame. The returned slice is reused by
+// the next call.
 func (p *bufPool) dirtyFromLRU(max int) []*bufPage {
-	var out []*bufPage
-	for f := p.tail; f != nil && len(out) < max; f = f.prev {
-		if f.dirty {
-			out = append(out, f)
-		}
+	out := p.scan[:0]
+	for f := p.dtail; f != nil && len(out) < max; f = f.dprev {
+		out = append(out, f)
 	}
+	p.scan = out
 	return out
 }
 
-// allDirty returns every dirty frame in LRU-to-MRU order (checkpointing).
+// allDirty returns every dirty frame in LRU-to-MRU order (checkpointing),
+// in the slice dirtyFromLRU reuses.
 func (p *bufPool) allDirty() []*bufPage {
-	return p.dirtyFromLRU(len(p.frames))
+	return p.dirtyFromLRU(p.dirty)
 }
 
 func (p *bufPool) pushFront(f *bufPage) {
@@ -122,10 +156,32 @@ func (p *bufPool) remove(f *bufPage) {
 	f.prev, f.next = nil, nil
 }
 
+// moveToFront makes f the MRU frame; a dirty f also becomes the MRU dirty
+// frame, which keeps the dirty list in LRU order.
 func (p *bufPool) moveToFront(f *bufPage) {
 	if p.head == f {
 		return
 	}
 	p.remove(f)
 	p.pushFront(f)
+	if f.dirty && p.dhead != f {
+		p.unlinkDirty(f)
+		f.dnext = p.dhead
+		p.dhead.dprev = f
+		p.dhead = f
+	}
+}
+
+func (p *bufPool) unlinkDirty(f *bufPage) {
+	if f.dprev != nil {
+		f.dprev.dnext = f.dnext
+	} else {
+		p.dhead = f.dnext
+	}
+	if f.dnext != nil {
+		f.dnext.dprev = f.dprev
+	} else {
+		p.dtail = f.dprev
+	}
+	f.dprev, f.dnext = nil, nil
 }

@@ -164,26 +164,14 @@ func (s Spec) GenerateTo(sink trace.Sink) error {
 	return mergeStreams(sink, s.ClientNames(), its)
 }
 
-// Trace generates the spec in memory: the serial reference the golden tests
-// compare the parallel streamed path against. Multi-client merges run the
-// same mergeStreams core over in-memory iterators, so "what the bytes must
-// be" is defined once.
+// Trace generates the spec in memory: GenerateTo into a trace pre-sized to
+// the request budget, so a multi-client spec generates its clients in
+// parallel, and the bytes are those of every other path by construction.
 func (s Spec) Trace() (*trace.Trace, error) {
-	if s.Clients <= 1 {
-		return Generate(s.Preset)
-	}
-	presets := s.clientPresets()
-	its := make([]trace.Iterator, len(presets))
-	for i, p := range presets {
-		t, err := Generate(p)
-		if err != nil {
-			return nil, err
-		}
-		its[i] = t.Iter()
-	}
 	out := trace.New(s.Preset.Name, s.Preset.PageSize)
 	out.Clients = s.ClientNames()
-	if err := mergeStreams(out, out.Clients, its); err != nil {
+	out.Reqs = make([]trace.Request, 0, s.Preset.Requests)
+	if err := s.GenerateTo(out); err != nil {
 		return nil, err
 	}
 	return out, out.Validate()

@@ -75,26 +75,65 @@ func TestStreamedGenerationBitIdentical(t *testing.T) {
 	}
 }
 
+// serialTrace is the serial reference for multi-client specs: generate each
+// client in memory, one after another, then run mergeStreams over the
+// in-memory iterators. Spec.Trace generates the clients in parallel; this is
+// what its bytes must equal.
+func serialTrace(s Spec) (*trace.Trace, error) {
+	presets := s.clientPresets()
+	its := make([]trace.Iterator, len(presets))
+	for i, p := range presets {
+		t, err := Generate(p)
+		if err != nil {
+			return nil, err
+		}
+		its[i] = t.Iter()
+	}
+	out := trace.New(s.Preset.Name, s.Preset.PageSize)
+	out.Clients = s.ClientNames()
+	if err := mergeStreams(out, out.Clients, its); err != nil {
+		return nil, err
+	}
+	return out, out.Validate()
+}
+
+// serialSpecs are the multi-client specs the parallel paths are held to the
+// serial reference on: 2 and 3 clients, a DB2 and a MySQL preset.
+func serialSpecs(t *testing.T) []Spec {
+	return []Spec{
+		{Preset: smallPreset(t, "DB2_C60", 30000), Clients: 2},
+		{Preset: smallPreset(t, "DB2_C60", 30000), Clients: 3},
+		{Preset: smallPreset(t, "MY_H65", 24000), Clients: 2},
+		{Preset: smallPreset(t, "MY_H65", 24000), Clients: 3},
+	}
+}
+
 // TestSpecParallelMatchesSerial pins the multi-client merge: the concurrent
-// pipe-fed generation must be bit-identical to the serial in-RAM reference,
-// run to run and regardless of scheduling.
+// pipe-fed generation, streamed (GenerateTo) and in memory (Trace), must be
+// bit-identical to the serial reference, run to run and regardless of
+// scheduling.
 func TestSpecParallelMatchesSerial(t *testing.T) {
-	spec := Spec{Preset: smallPreset(t, "DB2_C60", 30000), Clients: 3}
-	want, err := spec.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Clients) != 3 || want.Len() != 30000 {
-		t.Fatalf("reference trace: %d clients, %d requests", len(want.Clients), want.Len())
-	}
-	// Run the parallel path several times to shake scheduling.
-	for round := 0; round < 3; round++ {
-		got := trace.New(spec.Preset.Name, spec.Preset.PageSize)
-		got.Clients = spec.ClientNames()
-		if err := spec.GenerateTo(got); err != nil {
+	for _, spec := range serialSpecs(t) {
+		want, err := serialTrace(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		requireTracesIdentical(t, "parallel round", got, want)
+		if len(want.Clients) != spec.Clients || want.Len() != spec.Preset.Requests {
+			t.Fatalf("%s: reference trace: %d clients, %d requests", spec, len(want.Clients), want.Len())
+		}
+		// Run the parallel paths several times to shake scheduling.
+		for round := 0; round < 3; round++ {
+			got := trace.New(spec.Preset.Name, spec.Preset.PageSize)
+			got.Clients = spec.ClientNames()
+			if err := spec.GenerateTo(got); err != nil {
+				t.Fatal(err)
+			}
+			requireTracesIdentical(t, spec.String()+" GenerateTo", got, want)
+			if got, err = spec.Trace(); err != nil {
+				t.Fatal(err)
+			}
+			requireTracesIdentical(t, spec.String()+" Trace", got, want)
+		}
 	}
 }
 
@@ -113,27 +152,32 @@ func TestSpecSingleClientMatchesGenerate(t *testing.T) {
 	requireTracesIdentical(t, "single-client spec", got, want)
 }
 
-// TestSpecSource checks the Source adapter streams the same requests.
+// TestSpecSource checks the Source adapter streams the serial reference's
+// requests.
 func TestSpecSource(t *testing.T) {
-	spec := Spec{Preset: smallPreset(t, "DB2_H80", 12000), Clients: 2}
-	want, err := spec.Trace()
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range serialSpecs(t) {
+		want, err := serialTrace(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := spec.Source()
+		if src.Label() != spec.String() {
+			t.Fatalf("label = %q, want %q", src.Label(), spec.String())
+		}
+		it, err := src.Iter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.Collect(it)
+		it.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTracesIdentical(t, spec.String()+" source", got, want)
 	}
-	src := spec.Source()
-	if src.Label() != "DB2_H80*2:12000" {
-		t.Fatalf("label = %q", src.Label())
+	if label := (Spec{Preset: smallPreset(t, "DB2_H80", 12000), Clients: 2}).Source().Label(); label != "DB2_H80*2:12000" {
+		t.Fatalf("label = %q", label)
 	}
-	it, err := src.Iter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	got, err := trace.Collect(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTracesIdentical(t, "spec source", got, want)
 }
 
 // TestSpecPagesDisjoint checks the private page regions and client tags.

@@ -77,10 +77,12 @@ func PresetByName(name string) (Preset, error) {
 }
 
 // Generate runs the preset's workload and returns its trace in memory. It
-// is GenerateTo into a fresh *Trace — streamed and in-RAM generation share
-// one code path, so they are bit-identical by construction.
+// is GenerateTo into a fresh *Trace pre-sized to p.Requests — streamed and
+// in-RAM generation share one code path, so they are bit-identical by
+// construction.
 func Generate(p Preset) (*trace.Trace, error) {
 	t := trace.New(p.Name, p.PageSize)
+	t.Reqs = make([]trace.Request, 0, p.Requests)
 	if err := GenerateTo(p, t); err != nil {
 		return nil, err
 	}
