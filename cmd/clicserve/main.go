@@ -108,7 +108,7 @@ func main() {
 		Node: *nodeID,
 	}
 	if len(peerAddrs) > 0 {
-		gossip = cluster.NewGossip(peerAddrs, 0)
+		gossip = cluster.NewGossip(peerAddrs)
 		scfg.OnSummary = gossip.Publish
 	} else if *nodeID != "" {
 		fatal(fmt.Errorf("-node-id needs -peers"))

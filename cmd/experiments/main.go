@@ -7,14 +7,14 @@
 //	experiments                        # run everything at full (scaled) size
 //	experiments -fig 6                 # one figure
 //	experiments -scale 0.25            # quick run at a quarter of the requests
-//	experiments -workers 1             # force the serial path (same numbers)
-//	experiments -cache traces -md out.md
+//	experiments -workers 1             # a pool of one (same numbers)
+//	experiments -md out.md             # also write the tables as markdown
 //
 // The figures, their ids and the traces each replays are the registry
 // experiments.Figures. The traces the selected figures replay are generated
-// up front in parallel (experiments.Env.Prefetch), and each figure's grid
-// of independent simulations is fanned across a worker pool
-// (internal/engine); -workers bounds both pools (default: all cores).
+// afresh every run, up front and in parallel (experiments.Env.Prefetch),
+// and each figure's grid of independent simulations is fanned across the
+// same worker pool (engine.Each); -workers sizes it (default: all cores).
 // Results are identical at any worker count.
 //
 // Beyond the paper's figures, -fig learner runs the partitioned-vs-global
@@ -40,7 +40,6 @@ func main() {
 	var (
 		fig      = flag.String("fig", "", "comma-separated figures to run: "+ids(experiments.Figures)+" (empty = all)")
 		scale    = flag.Float64("scale", 1, "request-count scale factor for quick runs")
-		cacheDir = flag.String("cache", "traces", "trace cache directory (empty = regenerate every run)")
 		mdPath   = flag.String("md", "", "also write all tables as markdown to this file")
 		window   = flag.Int("window", 0, "CLIC window W override")
 		decay    = flag.Float64("r", 0, "CLIC decay r override")
@@ -49,7 +48,7 @@ func main() {
 	)
 	flag.Parse()
 
-	env := experiments.NewEnv(*cacheDir)
+	env := experiments.NewEnv()
 	env.Scale = *scale
 	env.Window = *window
 	env.R = *decay

@@ -139,7 +139,7 @@ func TestReplaySerialDeterministic(t *testing.T) {
 			Cache:   core.Config{Capacity: 3000, Window: 3000},
 			Merging: true,
 		})
-		res, err := h.ReplaySerial(testTrace, cluster.ReplayOptions{})
+		res, err := h.ReplaySerial(testTrace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,12 +178,12 @@ func TestReplaySerialDeterministic(t *testing.T) {
 }
 
 // TestClusterConcurrent replays an interleaved trace with more clients
-// than nodes through a merging cluster — the -race stress: concurrent
-// routers fan batches to every node while the exchange pump delivers
-// summaries mid-flight. It runs twice, the second time with the
-// coordinator delivering at publish time, so that one node's rotation
-// absorbs into another while that one may be rotating into the first.
-// Only order-free quantities are asserted.
+// than nodes through a merging cluster with ReplaySource — the -race
+// stress: concurrent routers fan batches to every node. It runs twice:
+// first with the coordinator holding summaries until one Step after the
+// replay, then delivering at publish time as the benchmark runs it, so
+// that one node's rotation absorbs into another while that one may be
+// rotating into the first. Only order-free quantities are asserted.
 func TestClusterConcurrent(t *testing.T) {
 	for _, immediate := range []bool{false, true} {
 		clusterConcurrent(t, immediate)
@@ -207,9 +207,12 @@ func clusterConcurrent(t *testing.T, immediate bool) {
 		Merging: true,
 	})
 	h.Coordinator().SetImmediate(immediate)
-	res, err := h.Replay(merged, cluster.ReplayOptions{BatchSize: 128})
+	res, err := cluster.ReplaySource(h.Nodes(), merged.Source(), cluster.ReplayOptions{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !immediate {
+		h.Coordinator().Step()
 	}
 	for i := 0; i < 3; i++ {
 		if cl := h.Server(i).Snapshot(0).Cluster; cl.SummariesAbsorbed == 0 {
@@ -295,7 +298,7 @@ func TestGossip(t *testing.T) {
 		Cache:  core.Config{Capacity: 100, Window: 100, Stats: core.StatsGlobal},
 		Shards: 1,
 	})
-	g := cluster.NewGossip([]string{srv.Addr().String()}, 0)
+	g := cluster.NewGossip([]string{srv.Addr().String()})
 	g.Publish(wire.Summary{Node: "peer", Round: 1, Entries: []wire.SummaryEntry{{Key: "k=1", N: 4, Nr: 2, Dsum: 8}}})
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Snapshot(0).Cluster.SummariesAbsorbed == 0 {

@@ -160,19 +160,16 @@ type Gossip struct {
 	dropped   metrics.Counter
 }
 
-// DefaultGossipBuffer is the publication buffer when NewGossip gets 0: a
-// handful of rotations of slack before a slow peer costs summaries.
-const DefaultGossipBuffer = 16
+// gossipBuffer is the publication buffer: a handful of rotations of slack
+// before a slow peer costs summaries.
+const gossipBuffer = 16
 
 // NewGossip starts a gossip sender shipping to the peer addresses. Use
 // Publish (or hand it to server.Config.OnSummary) to send; Close to stop.
-func NewGossip(peers []string, buffer int) *Gossip {
-	if buffer <= 0 {
-		buffer = DefaultGossipBuffer
-	}
+func NewGossip(peers []string) *Gossip {
 	g := &Gossip{
 		peers: append([]string(nil), peers...),
-		ch:    make(chan wire.Summary, buffer),
+		ch:    make(chan wire.Summary, gossipBuffer),
 		conns: make(map[string]*netclient.Conn),
 	}
 	g.wg.Add(1)

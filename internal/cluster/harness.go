@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // HarnessConfig parameterises an in-process cluster.
@@ -29,9 +29,6 @@ type HarnessConfig struct {
 	// window summaries flow between them. Without it nodes learn only
 	// from their own slice of the stream.
 	Merging bool
-	// VirtualNodes is the ring density used by the harness's replay
-	// drivers; 0 selects DefaultVirtualNodes.
-	VirtualNodes int
 }
 
 // Harness is an in-process cluster: N cache servers on loopback listeners
@@ -43,7 +40,6 @@ type Harness struct {
 	servers []*server.Server
 	nodes   []Node
 	coord   *Coordinator
-	vnodes  int
 }
 
 // StartHarness boots the cluster: every node gets its split of the cache
@@ -65,7 +61,6 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	h := &Harness{
 		servers: make([]*server.Server, n),
 		nodes:   make([]Node, n),
-		vnodes:  cfg.VirtualNodes,
 	}
 	if cfg.Merging {
 		h.coord = NewCoordinator(n)
@@ -129,15 +124,6 @@ func (h *Harness) Server(i int) *server.Server { return h.servers[i] }
 // Coordinator returns the summary exchanger (nil without Merging).
 func (h *Harness) Coordinator() *Coordinator { return h.coord }
 
-// Exchange delivers all pending window summaries between the nodes and
-// reports the delivery count. A no-op (0) without Merging.
-func (h *Harness) Exchange() int {
-	if h.coord == nil {
-		return 0
-	}
-	return h.coord.Step()
-}
-
 // Close shuts every node down.
 func (h *Harness) Close() error {
 	var first error
@@ -159,11 +145,8 @@ func (h *Harness) Close() error {
 // the golden tests and the cluster ablation run in. Per-client accounting
 // is derived from the request tags, exactly like sim.Run's round-robin
 // replay.
-func (h *Harness) ReplaySerial(t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
-	if opt.Limit > 0 {
-		t = t.Truncate(opt.Limit)
-	}
-	router, err := DialRouter(h.nodes, h.vnodes)
+func (h *Harness) ReplaySerial(t *trace.Trace) (sim.Result, error) {
+	router, err := DialRouter(h.nodes, 0)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -197,45 +180,16 @@ func (h *Harness) ReplaySerial(t *trace.Trace, opt ReplayOptions) (sim.Result, e
 		return nil
 	})
 	for reqs := t.Reqs; len(reqs) > 0; reqs = reqs[len(batch):] {
-		batch = reqs[:min(opt.batch(), len(reqs))]
+		batch = reqs[:min(wire.DefaultBatch, len(reqs))]
 		if err := pl.Submit(batch, nil); err != nil {
 			return sim.Result{}, err
 		}
 		if err := pl.Drain(); err != nil {
 			return sim.Result{}, err
 		}
-		h.Exchange()
+		if h.coord != nil {
+			h.coord.Step()
+		}
 	}
 	return res, nil
-}
-
-// Replay replays a trace concurrently — one router per trace client — while
-// a background pump exchanges summaries as they appear. Nondeterministic
-// like every concurrent replay; this is the stress and benchmark mode.
-func (h *Harness) Replay(t *trace.Trace, opt ReplayOptions) (sim.Result, error) {
-	if opt.VirtualNodes == 0 {
-		opt.VirtualNodes = h.vnodes
-	}
-	stop := make(chan struct{})
-	pumped := make(chan struct{})
-	if h.coord != nil {
-		go func() {
-			defer close(pumped)
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(200 * time.Microsecond):
-					h.coord.Step()
-				}
-			}
-		}()
-	} else {
-		close(pumped)
-	}
-	res, err := ReplaySource(h.nodes, t.Source(), opt)
-	close(stop)
-	<-pumped
-	h.Exchange()
-	return res, err
 }

@@ -17,9 +17,9 @@
 // approximate what a single node with the whole stream would have learned.
 //
 // The in-process Harness boots an N-node cluster on loopback listeners and
-// replays traces through the router, either deterministically
-// (ReplaySerial, for golden tests and ablations) or concurrently (Replay,
-// for stress and benchmarks).
+// replays traces through the router deterministically (ReplaySerial, for
+// golden tests and ablations); concurrent replays, for stress and
+// benchmarks, drive ReplaySource at the harness's Nodes.
 package cluster
 
 import (

@@ -246,8 +246,7 @@ type ReplayOptions struct {
 	// nodes by ring owner. 0 selects adaptive sizing per node: a
 	// netclient.BatchSizer grows one node's frame from 64 toward
 	// wire.DefaultBatch while the per-request round trip stays flat, and a
-	// router batch carries that many requests per node. ReplaySerial
-	// reads 0 as wire.DefaultBatch per router batch.
+	// router batch carries that many requests per node.
 	BatchSize int
 	// Depth is the in-flight batch window per node connection, 1 is
 	// lock-step. 0 selects netclient.DefaultDepth spread over the nodes,
@@ -258,15 +257,6 @@ type ReplayOptions struct {
 	// Limit caps the total number of requests replayed; 0 replays the
 	// whole trace.
 	Limit int
-	// VirtualNodes is the ring density; 0 selects DefaultVirtualNodes.
-	VirtualNodes int
-}
-
-func (o ReplayOptions) batch() int {
-	if o.BatchSize <= 0 {
-		return wire.DefaultBatch
-	}
-	return o.BatchSize
 }
 
 // depth is the per-node window for a cluster of the given size. By

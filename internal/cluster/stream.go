@@ -63,7 +63,7 @@ func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result
 	}
 	res, err := engine.Dispatch(it, opt.Limit, fanout*netclient.NewBatchSizer(opt.BatchSize).Current(),
 		func(name string, keys *engine.KeyLog, st *sim.ClientStat) (engine.Session, error) {
-			router, err := DialRouter(nodes, opt.VirtualNodes)
+			router, err := DialRouter(nodes, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -3,8 +3,9 @@
 // independent, deterministic simulation, so the full policy × cache-size ×
 // trace product splits perfectly across cores (parallel splitting of
 // independent subproblems). The runner fans cells out over a worker pool
-// and returns results in submission order, byte-identical to the serial
-// path: parallelism changes only the wall clock, never the numbers.
+// (Each, which also generates internal/experiments' traces) and
+// returns results in submission order, byte-identical at any pool size:
+// parallelism changes only the wall clock, never the numbers.
 //
 // The package also hosts the concurrent counterpart of sim.Run: Dispatch,
 // the one scan → per-client worker loop that feeds every client's requests
@@ -18,6 +19,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/policy"
@@ -34,8 +36,8 @@ type Job struct {
 
 // Options configure a parallel run.
 type Options struct {
-	// Workers is the pool size; 0 or negative selects GOMAXPROCS. One
-	// worker reproduces the serial path exactly (no goroutines).
+	// Workers is the pool size; 0 or negative selects GOMAXPROCS. Results
+	// are identical at any size.
 	Workers int
 	// Progress, when non-nil, is called after each cell completes with the
 	// number of cells done so far, the total, and the cell's result. Calls
@@ -43,59 +45,51 @@ type Options struct {
 	Progress func(done, total int, r sim.Result)
 }
 
-func (o Options) workers(jobs int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// Each calls fn(i) for every i in [0, n) on a pool of workers goroutines
+// (0 or negative selects GOMAXPROCS, never more than n) and returns once
+// every call has. The calls must be independent: which goroutine runs
+// which index, and in what order, is unspecified.
+func Each(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if w > jobs {
-		w = jobs
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
 	}
-	return w
+	wg.Wait()
 }
 
 // Run executes every job and returns the results indexed like jobs —
 // deterministic, serial-identical ordering regardless of worker count.
 func Run(jobs []Job, opt Options) []sim.Result {
 	results := make([]sim.Result, len(jobs))
-	workers := opt.workers(len(jobs))
-	if workers <= 1 {
-		for i, j := range jobs {
-			results[i] = sim.Run(j.New(), j.Trace)
-			if opt.Progress != nil {
-				opt.Progress(i+1, len(jobs), results[i])
-			}
-		}
-		return results
-	}
-
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex // serializes Progress and the done counter
 		done int
-		idx  = make(chan int)
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r := sim.Run(jobs[i].New(), jobs[i].Trace)
-				results[i] = r
-				if opt.Progress != nil {
-					mu.Lock()
-					done++
-					opt.Progress(done, len(jobs), r)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	Each(len(jobs), opt.Workers, func(i int) {
+		results[i] = sim.Run(jobs[i].New(), jobs[i].Trace)
+		if opt.Progress != nil {
+			mu.Lock()
+			done++
+			opt.Progress(done, len(jobs), results[i])
+			mu.Unlock()
+		}
+	})
 	return results
 }
 

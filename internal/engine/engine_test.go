@@ -103,33 +103,36 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-// TestRunProgress checks the progress callback: serialized, monotone done
-// counts reaching the total exactly once each.
+// TestRunProgress checks the progress callback at a pool of one and of
+// four: serialized, monotone done counts reaching the total exactly once
+// each.
 func TestRunProgress(t *testing.T) {
 	jobs := make([]Job, 9)
 	for i := range jobs {
 		jobs[i] = Job{New: func() policy.Policy { return core.New(core.Config{Capacity: 100}) }, Trace: testTrace}
 	}
-	seen := make(map[int]bool)
-	last := 0
-	res := Run(jobs, Options{Workers: 4, Progress: func(done, total int, r sim.Result) {
-		if total != len(jobs) {
-			t.Errorf("total = %d, want %d", total, len(jobs))
+	for _, workers := range []int{1, 4} {
+		seen := make(map[int]bool)
+		last := 0
+		res := Run(jobs, Options{Workers: workers, Progress: func(done, total int, r sim.Result) {
+			if total != len(jobs) {
+				t.Errorf("workers=%d: total = %d, want %d", workers, total, len(jobs))
+			}
+			if done != last+1 {
+				t.Errorf("workers=%d: done jumped from %d to %d", workers, last, done)
+			}
+			last = done
+			if seen[done] {
+				t.Errorf("workers=%d: done=%d reported twice", workers, done)
+			}
+			seen[done] = true
+			if r.Policy == "" {
+				t.Errorf("workers=%d: progress result missing policy name", workers)
+			}
+		}})
+		if last != len(jobs) || len(res) != len(jobs) {
+			t.Errorf("workers=%d: completed %d of %d jobs, %d results", workers, last, len(jobs), len(res))
 		}
-		if done != last+1 {
-			t.Errorf("done jumped from %d to %d", last, done)
-		}
-		last = done
-		if seen[done] {
-			t.Errorf("done=%d reported twice", done)
-		}
-		seen[done] = true
-		if r.Policy == "" {
-			t.Error("progress result missing policy name")
-		}
-	}})
-	if last != len(jobs) || len(res) != len(jobs) {
-		t.Errorf("completed %d of %d jobs, %d results", last, len(jobs), len(res))
 	}
 }
 

@@ -100,5 +100,5 @@ func (e *Env) runCluster(t *trace.Trace, cfg core.Config, nodes int, merging boo
 		return sim.Result{}, err
 	}
 	defer h.Close()
-	return h.ReplaySerial(t, cluster.ReplayOptions{})
+	return h.ReplaySerial(t)
 }

@@ -9,12 +9,13 @@ import (
 	"repro/internal/hint"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// testEnv returns a tiny-scale environment (shared trace cache across
-// subtests via the memory map; no disk cache to keep tests hermetic).
+// testEnv returns a tiny-scale environment.
 func testEnv() *Env {
-	e := NewEnv("")
+	e := NewEnv()
 	e.Scale = 0.01 // presets floor at 10K requests
 	e.Window = 2000
 	return e
@@ -38,25 +39,6 @@ func TestTraceGenerationAndCaching(t *testing.T) {
 	}
 	if _, err := e.Trace("NOPE"); err == nil {
 		t.Error("unknown trace should error")
-	}
-}
-
-func TestDiskCache(t *testing.T) {
-	dir := t.TempDir()
-	e := NewEnv(dir)
-	e.Scale = 0.01
-	if _, err := e.Trace("MY_H98"); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh env must load from disk (observable only via correctness).
-	e2 := NewEnv(dir)
-	e2.Scale = 0.01
-	tr, err := e2.Trace("MY_H98")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -207,11 +189,20 @@ func TestAblationLearner(t *testing.T) {
 }
 
 // TestPrefetch checks that prefetched traces are the ones Trace returns
-// afterwards, bit-identical (requests and hint dictionary) to on-demand
-// generation at any worker count, and that an unknown name errors.
+// afterwards, bit-identical (requests and hint dictionary) to a direct
+// workload.Generate at any worker count, and that an unknown name errors.
 func TestPrefetch(t *testing.T) {
 	names := []string{"DB2_C60", "MY_H98", "DB2_H80", "DB2_C60"}
-	fresh := testEnv()
+	wants := make(map[string]*trace.Trace)
+	for _, name := range names {
+		p, err := testEnv().Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wants[name], err = workload.Generate(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, workers := range []int{1, 2, 3} {
 		e := testEnv()
 		e.Workers = workers
@@ -223,10 +214,7 @@ func TestPrefetch(t *testing.T) {
 			if again, err := e.Trace(name); err != nil || again != got {
 				t.Fatalf("workers=%d %s: Trace after Prefetch did not return the prefetched trace (%v)", workers, name, err)
 			}
-			want, err := fresh.Trace(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := wants[name]
 			if got.Len() != want.Len() || got.Dict.Len() != want.Dict.Len() {
 				t.Fatalf("workers=%d %s: %d requests/%d hint sets, want %d/%d",
 					workers, name, got.Len(), got.Dict.Len(), want.Len(), want.Dict.Len())

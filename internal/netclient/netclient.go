@@ -130,9 +130,6 @@ func (c *Conn) Hello(client string, keys []string) (wire.HelloAck, error) {
 	return ack, nil
 }
 
-// Ack returns the handshake response (zero before Hello).
-func (c *Conn) Ack() wire.HelloAck { return c.ack }
-
 // Probe dials addr and completes a throwaway handshake, verifying that a
 // compatible cache server is listening there. Replay drivers use it to
 // validate addresses up front instead of failing confusingly mid-replay.
