@@ -21,12 +21,13 @@
 // CLIC's hint-statistics learning — window accounting, decay blending,
 // the priority table, and the Space-Saving top-k bound (internal/spacesaving:
 // flat counters, two stores per request, the replacement victim from a
-// lazily repaired heap) — is a pluggable layer (internal/clicstats) behind
-// the cache. The sharded concurrent
-// front can learn partitioned (each shard privately, over a W/N window) or
-// globally (all shards feed one shared learner over the full window W,
-// each through a private tap flushed once per frame, keeping one coherent
-// priority model while page placement stays hash-partitioned). Select with core.Config.Stats, the -stats flag of
+// lazily repaired heap) — is its own layer (internal/clicstats): one
+// concrete learner type whose per-request calls inline into the cache. The
+// sharded concurrent front can learn partitioned (each shard privately,
+// over a W/N window) or globally (all shards feed one shared learner over
+// the full window W, each through a private tap flushed once per frame,
+// keeping one coherent priority model while page placement stays
+// hash-partitioned). Select with core.Config.Stats, the -stats flag of
 // clicsim/clicserve, and measure with the "learner" ablation of
 // cmd/experiments; README.md ("Learner modes") discusses when each wins.
 package repro

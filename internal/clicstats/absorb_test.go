@@ -7,7 +7,7 @@ import (
 
 // endOne closes one request on tp under a lease of its own, the way
 // core.Sharded.Access drives a tap.
-func endOne(tp *Tap) bool {
+func endOne(tp *Learner) bool {
 	tp.Begin(1)
 	return tp.EndRequest()
 }

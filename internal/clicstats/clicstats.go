@@ -6,27 +6,28 @@
 // that bounds them (§5), the window rotation with decay blending r
 // (Equation 3), and the resulting priority table Pr(H).
 //
-// Two learners cover the two ends of the sharded-cache design space, over
-// one shared counter type (window):
+// One Learner type covers both ends of the sharded-cache design space, in
+// one of two scopes over one shared counter type (window):
 //
-//   - Partitioned is the classic single-owner learner: not safe for
-//     concurrent use, bit-identical to the bookkeeping that used to be
-//     inlined in core.Cache. A sharded cache gives each shard its own
-//     Partitioned learner over a W/N window — learning is fully
-//     partitioned along with placement.
-//   - Global is the shared learner that every shard of a sharded cache
-//     feeds and reads: page placement stays hash-partitioned while the
-//     priority model is learned from the full cache-wide request stream
-//     over the full window W. Each shard's Learner is a private Tap on the
-//     Global: events buffer in the tap and reach the one shared window
-//     under one lock per frame, and the priority table is read wait-free.
-//     On a cluster node the same Global also publishes each closed window
-//     to its peers and absorbs theirs into its next rotation.
+//   - A lone learner (NewPartitioned) keeps its own window and priority
+//     table: not safe for concurrent use, bit-identical to the bookkeeping
+//     that used to be inlined in core.Cache. A sharded cache gives each
+//     shard its own over a W/N window — learning is fully partitioned along
+//     with placement. A plain Cache always learns through one.
+//   - A tap (Global.Tap) feeds and reads a Global, the shared learner that
+//     every shard of a sharded cache uses: page placement stays
+//     hash-partitioned while the priority model is learned from the full
+//     cache-wide request stream over the full window W. Events buffer in
+//     the tap and reach the one shared window under one lock per frame, and
+//     the priority table is read wait-free. On a cluster node the same
+//     Global also publishes each closed window to its peers and absorbs
+//     theirs into its next rotation.
 //
-// Driven by one goroutine, Global produces exactly the same priorities as
-// Partitioned, in exact and in top-k mode; the difference is purely who may
-// call it and which request subsequence it sees. A plain Cache therefore
-// always learns through a Partitioned.
+// Driven by one goroutine, taps on a Global produce exactly the same
+// priorities as a lone learner, in exact and in top-k mode; the difference
+// is purely who may call it and which request subsequence it sees. The
+// request-path calls are concrete methods that inline into the cache; the
+// scope costs a nil test, and the work that differs sits behind calls.
 //
 // The caller (the cache) remains responsible for page-level work: detecting
 // re-references via its page and outqueue records, and re-keying its victim
@@ -60,41 +61,6 @@ func (cfg Config) validate() {
 	if cfg.R <= 0 || cfg.R > 1 {
 		panic("clicstats: R must be in (0, 1]")
 	}
-}
-
-// Learner accumulates hint-set statistics and serves the priority table
-// learned from them. Arrive/Reref/EndRequest are the per-request hot path;
-// the cache calls them in that order for every request. Neither
-// implementation tolerates concurrent callers: a Partitioned is one cache's,
-// and so is a Tap — it is the Global behind the taps that is shared.
-type Learner interface {
-	// Arrive records one request carrying hint set h (N(H) += 1).
-	Arrive(h hint.ID)
-	// Reref records that a request with hint set h was followed by a read
-	// re-reference at the given distance (Nr(H) += 1, D-sum += dist). In
-	// top-k mode the credit is dropped unless h is currently tracked,
-	// exactly as §5 prescribes.
-	Reref(h hint.ID, dist uint64)
-	// EndRequest counts one request against the window and reports whether
-	// this call closed a window (rotating statistics into the priority
-	// table and advancing the epoch).
-	EndRequest() bool
-	// Priority returns Pr(h) from the table currently in effect.
-	Priority(h hint.ID) float64
-	// Epoch identifies the priority table in effect; it advances by one at
-	// every window rotation. A cache that cached priorities (in its victim
-	// heap) refreshes them when the epoch it last synced at is stale.
-	Epoch() uint64
-	// Windows returns the number of completed statistics windows.
-	Windows() int
-	// Priorities returns a copy of the priority table in effect.
-	Priorities() map[hint.ID]float64
-	// WindowStats snapshots the statistics accumulated so far in the
-	// current window, sorted by descending N.
-	WindowStats() []HintStat
-	// TrackedHintSets returns the number of hint sets with statistics in
-	// the current window (bounded by k in top-k mode).
-	TrackedHintSets() int
 }
 
 // winStats are the per-window statistics for one hint set.

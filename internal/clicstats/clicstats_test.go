@@ -97,7 +97,7 @@ func TestDecayPrunesTable(t *testing.T) {
 
 // TestGlobalMatchesPartitionedSerial is the mode-equivalence test: driven
 // single-threaded in exact mode, the Global learner must produce exactly
-// the same priorities, window counts and snapshots as Partitioned at every
+// the same priorities, window counts and snapshots as a lone learner at every
 // epoch.
 func TestGlobalMatchesPartitionedSerial(t *testing.T) {
 	for _, r := range []float64{1, 0.5} {

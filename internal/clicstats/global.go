@@ -1,6 +1,7 @@
 package clicstats
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -12,29 +13,30 @@ import (
 // request stream over the full window W while page placement stays
 // hash-partitioned — the design the per-shard W/N heuristic approximates.
 // It holds one window of counters and one published priority table; it is
-// not itself a Learner. Each cache that shares it owns a Tap (Global.Tap),
-// and the tap is the only way in.
+// not itself a Learner. Each cache that shares it owns a tap (Global.Tap: a
+// Learner in tap scope), and the tap is the only way in.
 //
 // Tap protocol. A tap belongs to one cache and is driven by whichever one
 // goroutine drives that cache; any number of taps may run concurrently.
 //
-//   - Lease. Tap.Begin(n) opens a frame of n requests with one atomic add to
+//   - Lease. Begin(n) opens a frame of n requests with one atomic add to
 //     requests, which leases the frame the request numbers (end-n, end].
 //     One division then tells the tap whether a multiple of W falls inside
-//     the lease and at which of its requests. Request numbers are handed
-//     out once, so every multiple of W lies in exactly one lease and exactly
-//     one rotation happens per W requests, however many shards feed the
-//     learner. A lease is a promise: Begin(n) must be followed by exactly n
-//     EndRequests (core.Sharded leases a whole frame, or one request on its
-//     per-request path, and always runs it to its end). EndRequest outside
-//     a lease panics, as Begin inside one does.
+//     the lease and at which of its requests, and arms its countdown for
+//     that request or, if none, for the lease's last. Request numbers are
+//     handed out once, so every multiple of W lies in exactly one lease and
+//     exactly one rotation happens per W requests, however many shards feed
+//     the learner. A lease is a promise: Begin(n) must be followed by
+//     exactly n EndRequests (core.Sharded leases a whole frame, or one
+//     request on its per-request path, and always runs it to its end).
+//     EndRequest outside a lease panics, as Begin inside one does.
 //   - Buffer. Arrive and Reref append to the tap's private event buffer:
 //     no lock, no shared cache line.
 //   - Flush. At the request a multiple of W falls on, EndRequest replays
 //     the buffer, in order, into the shared window under the counter lock
-//     mu, then rotates and reports true; a lease longer than W re-arms for
-//     the next multiple. At the lease's last request it just flushes. So mu
-//     is taken once per frame, not once per event.
+//     mu, then rotates and reports true; a lease with W or more requests
+//     left re-arms for the next multiple. At the lease's last request it
+//     just flushes. So mu is taken once per frame, not once per event.
 //   - Read. Priority and Epoch are wait-free: the priority table is
 //     immutable behind an atomic pointer, republished once per rotation, and
 //     carries its own dense hint-ID-indexed copy. Caches re-key their victim
@@ -63,8 +65,8 @@ import (
 // harmless only because Absorb takes pendingMu and nothing else.
 //
 // What is exact and what is relaxed. Driven by one goroutine — any number
-// of taps, leases of any length — a Global is bit-identical to a
-// Partitioned fed the same events, at every EndRequest, in exact and in
+// of taps, leases of any length — a Global is bit-identical to a lone
+// Learner fed the same events, at every EndRequest, in exact and in
 // top-k mode: the events reach the same window type in the same order and
 // the rotations fall on the same requests. Under concurrent taps the
 // rotation count stays exact, but a frame in flight lands in whichever
@@ -231,12 +233,7 @@ func (g *Global) Windows() int { return int(g.windows.Load()) }
 
 // Priorities returns a copy of the priority table in effect.
 func (g *Global) Priorities() map[hint.ID]float64 {
-	pr := g.table.Load().pr
-	out := make(map[hint.ID]float64, len(pr))
-	for h, v := range pr {
-		out[h] = v
-	}
-	return out
+	return maps.Clone(g.table.Load().pr)
 }
 
 // WindowStats snapshots the shared window's counters, sorted by descending
@@ -253,100 +250,4 @@ func (g *Global) TrackedHintSets() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.win.len()
-}
-
-// Tap is one cache's private handle on a Global and the Learner that cache
-// is built around. Its write side — Arrive, Reref, EndRequest, Begin — is
-// the tap protocol described on Global and belongs to the goroutine driving
-// the cache; its read side is the shared learner's, promoted.
-type Tap struct {
-	*Global
-
-	// events buffers this tap's arrivals and re-references since its last
-	// flush, in request order.
-	events []tapEvent
-	// left is the number of requests the open lease still owes (0: no
-	// lease); toRotate counts down to the one of them that lands on a
-	// multiple of W (0: none does).
-	left, toRotate int
-
-	// Taps are allocated one per shard, back to back, and written on every
-	// request: round each up to a cache line so neighbours never share one.
-	_ [cacheLine - 48]byte
-}
-
-// tapEvent is one buffered Arrive (reref false) or Reref.
-type tapEvent struct {
-	dist  uint64
-	h     hint.ID
-	reref bool
-}
-
-var _ Learner = (*Tap)(nil)
-
-// Tap returns a new tap on g for one cache.
-func (g *Global) Tap() *Tap { return &Tap{Global: g} }
-
-// Begin leases the next n requests to this tap; exactly n EndRequests must
-// follow before the next Begin.
-func (t *Tap) Begin(n int) {
-	if t.left != 0 {
-		panic("clicstats: Tap.Begin inside an open lease")
-	}
-	w := uint64(t.cfg.Window)
-	start := t.requests.Add(uint64(n)) - uint64(n)
-	t.left, t.toRotate = n, 0
-	if to := w - start%w; to <= uint64(n) {
-		t.toRotate = int(to)
-	}
-}
-
-// Arrive implements Learner.
-func (t *Tap) Arrive(h hint.ID) {
-	t.events = append(t.events, tapEvent{h: h})
-}
-
-// Reref implements Learner.
-func (t *Tap) Reref(h hint.ID, dist uint64) {
-	t.events = append(t.events, tapEvent{h: h, dist: dist, reref: true})
-}
-
-// EndRequest implements Learner. It must fall inside a lease.
-func (t *Tap) EndRequest() bool {
-	if t.left == 0 {
-		panic("clicstats: Tap.EndRequest outside a lease")
-	}
-	t.left--
-	if t.toRotate > 0 {
-		if t.toRotate--; t.toRotate == 0 {
-			t.flush()
-			t.rotate()
-			if w := t.cfg.Window; w <= t.left {
-				t.toRotate = w
-			}
-			return true
-		}
-	}
-	if t.left == 0 {
-		t.flush()
-	}
-	return false
-}
-
-// flush replays the buffered events, in order, into the shared window.
-func (t *Tap) flush() {
-	if len(t.events) == 0 {
-		return
-	}
-	g := t.Global
-	g.mu.Lock()
-	for i := range t.events {
-		if ev := &t.events[i]; ev.reref {
-			g.win.Reref(ev.h, ev.dist)
-		} else {
-			g.win.Arrive(ev.h)
-		}
-	}
-	g.mu.Unlock()
-	t.events = t.events[:0]
 }

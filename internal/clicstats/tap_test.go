@@ -15,7 +15,7 @@ import (
 
 // TestTapSerialEqualsPartitioned is the tap contract: driven by one
 // goroutine — through any number of taps, in frames of any length, leased
-// whole or one request at a time — a Global is a Partitioned. After every
+// whole or one request at a time — a Global is a lone learner. After every
 // request the rotation flag and the epoch agree, and after every rotation
 // the priority table does, bit for bit, read through the Global and
 // through every tap. Twenty hint sets over TopK 5 keep Space-Saving
@@ -30,7 +30,7 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 				name := fmt.Sprintf("TopK=%d/W=%d/taps=%d", topK, w, ntaps)
 				cfg := Config{Window: w, R: 0.5, TopK: topK}
 				p, g := NewPartitioned(cfg), NewGlobal(cfg)
-				taps := make([]*Tap, ntaps)
+				taps := make([]*Learner, ntaps)
 				for i := range taps {
 					taps[i] = g.Tap()
 				}
@@ -126,7 +126,7 @@ func TestTapConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			taps := []*Tap{g.Tap(), g.Tap()}
+			taps := []*Learner{g.Tap(), g.Tap()}
 			rng := rand.New(rand.NewSource(int64(w)))
 			for left := perW; left > 0; {
 				n := min(1+rng.Intn(64), left)
@@ -205,8 +205,7 @@ func TestTapLeaseMisuse(t *testing.T) {
 
 // TestGlobalLayout pins the padding: requests, which every frame of every
 // shard adds to, is a cache line away from every other field of Global
-// wherever the allocator puts the struct, and a Tap is a whole number of
-// lines so that taps allocated back to back do not share one.
+// wherever the allocator puts the struct.
 func TestGlobalLayout(t *testing.T) {
 	typ := reflect.TypeOf((*Global)(nil)).Elem()
 	req, _ := typ.FieldByName("requests")
@@ -221,7 +220,30 @@ func TestGlobalLayout(t *testing.T) {
 			t.Errorf("field %s at bytes [%d,%d) can share a cache line with requests at [%d,%d)", f.Name, f.Offset, fend, start, end)
 		}
 	}
-	if n := unsafe.Sizeof(Tap{}); n%cacheLine != 0 {
-		t.Errorf("Tap is %d bytes, not a multiple of %d", n, cacheLine)
+}
+
+// TestLearnerLayout pins the learner's layout. Learners are allocated one
+// per shard, back to back, and written on every request, so a Learner is a
+// whole number of cache lines and neighbours never share one. And the
+// words a lone learner's request path reads on every request — the
+// countdown, the tap pointer, the top-k summary and its tracked index —
+// sit in its first line.
+func TestLearnerLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Learner{}); n%cacheLine != 0 {
+		t.Errorf("Learner is %d bytes, not a multiple of %d", n, cacheLine)
+	}
+	var l Learner
+	for _, f := range []struct {
+		name       string
+		off, bytes uintptr
+	}{
+		{"countdown", unsafe.Offsetof(l.countdown), unsafe.Sizeof(l.countdown)},
+		{"g", unsafe.Offsetof(l.g), unsafe.Sizeof(l.g)},
+		{"topk", unsafe.Offsetof(l.topk), unsafe.Sizeof(l.topk)},
+		{"tracked", unsafe.Offsetof(l.tracked), unsafe.Sizeof(l.tracked)},
+	} {
+		if f.off+f.bytes > cacheLine {
+			t.Errorf("hot field %s at bytes [%d,%d) is not in the first cache line", f.name, f.off, f.off+f.bytes)
+		}
 	}
 }

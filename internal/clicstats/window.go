@@ -8,27 +8,26 @@ import (
 // window is one statistics window's raw counters — N(H), Nr(H) and the
 // re-reference distance sum per hint set (Equations 1–2), exact or bounded
 // to k hint sets by the adapted Space-Saving summary (§5). It has no lock
-// and no priority table: Partitioned embeds one — its Arrive and Reref are
-// the window's, so the cache's interface calls land here with no forwarding
-// call — and Global keeps the one every tap flushes into under its counter
-// lock. Both learners count through this one type, so fed the same events
-// in the same order they hold the same counters, top-k replacements
-// included.
+// and no priority table: a lone Learner embeds one, and Global keeps the
+// one every tap flushes into under its counter lock. Both count through
+// this one type, so fed the same events in the same order they hold the
+// same counters, top-k replacements included.
 //
 // The steady state allocates nothing: exact statistics live in a flat table
 // indexed by hint ID (IDs are interned densely) with a touched-list so a
 // rotation visits only the hint sets seen this window, and the top-k summary
 // keeps its slab across resets.
 type window struct {
-	// Exact statistics (topk == nil): stats is indexed by hint ID, touched
-	// lists the IDs with nonzero statistics this window.
-	stats   []winStats
-	touched []hint.ID
-	// Bounded statistics (§5). tracked is the summary's key index over
+	// Bounded statistics (§5), first because a lone Learner's request path
+	// reads them on every request. tracked is the summary's key index over
 	// again — the counter's slot indexed by hint ID, 0 = not tracked — so
 	// the request path skips the summary's map lookup.
 	topk    *spacesaving.Summary[hint.ID, rerefAux]
 	tracked []uint32
+	// Exact statistics (topk == nil): stats is indexed by hint ID, touched
+	// lists the IDs with nonzero statistics this window.
+	stats   []winStats
+	touched []hint.ID
 }
 
 // newWindow returns an empty window tracking every hint set (topK == 0) or
@@ -55,8 +54,8 @@ func (w *window) stat(h hint.ID) *winStats {
 	return st
 }
 
-// Arrive counts one request carrying hint set h (Learner's Arrive, for the
-// learner that embeds the window).
+// Arrive counts one request carrying hint set h. A lone Learner's Arrive
+// does the tracked case itself, inline, and leaves the rest to this.
 func (w *window) Arrive(h hint.ID) {
 	if w.topk == nil {
 		w.stat(h).n++

@@ -37,16 +37,17 @@
 //
 // The statistics machinery itself — window accounting, decay blending,
 // the priority table, and the optional Space-Saving top-k bound (§5, set
-// via Config.TopK) — lives in internal/clicstats behind the Learner
-// interface; the cache detects re-references, feeds them to its learner,
-// and re-keys its victim heap whenever the learner publishes a new
-// priority table (tracked by the learner's epoch). Config.Stats selects
-// how a sharded front learns: a private per-shard learner over a scaled
-// window (StatsPartitioned, the default) or one shared learner that every
-// shard feeds through a private tap, one lock per frame (StatsGlobal; on a
-// cluster node the same learner also exchanges window summaries with its
-// peers). A plain Cache has one learner either way and always uses a
-// Partitioned, which a lone tap on a shared learner equals bit for bit.
+// via Config.TopK) — lives in internal/clicstats, in one concrete
+// clicstats.Learner whose per-request calls inline into Access; the cache
+// detects re-references, feeds them to its learner, and re-keys its victim
+// heap whenever the learner publishes a new priority table (tracked by the
+// learner's epoch). The learner has two scopes, and Config.Stats selects
+// which a sharded front uses: a lone learner per shard over a scaled
+// window (StatsPartitioned, the default) or a tap per shard on one shared
+// clicstats.Global, one lock per frame (StatsGlobal; on a cluster node the
+// same Global also exchanges window summaries with its peers). A plain
+// Cache has one learner either way and always uses a lone one, which a
+// lone tap on a shared learner equals bit for bit.
 //
 // A Sharded front owns no goroutine and holds each shard through a
 // try-lock: a Producer's batches run as per-shard frames on whichever
@@ -188,7 +189,7 @@ type Cache struct {
 	// learner owns the hint statistics and the priority table; epoch is
 	// the learner epoch the group heap's cached priorities were last
 	// synced at.
-	learner clicstats.Learner
+	learner *clicstats.Learner
 	epoch   uint64
 
 	// The record store: one open-addressing table whose slots are the page
@@ -220,9 +221,9 @@ type Cache struct {
 
 var _ policy.Policy = (*Cache)(nil)
 
-// New returns a CLIC cache for the given configuration, with a private
-// Partitioned learner. It panics if Capacity is negative or Capacity+Noutq
-// exceeds the number of page records a cache can index.
+// New returns a CLIC cache for the given configuration, with a lone
+// learner. It panics if Capacity is negative or Capacity+Noutq exceeds the
+// number of page records a cache can index.
 func New(cfg Config) *Cache {
 	if cfg.Capacity < 0 {
 		panic("core: negative capacity")
@@ -231,11 +232,11 @@ func New(cfg Config) *Cache {
 	return newCache(cfg, clicstats.NewPartitioned(cfg.learnerConfig()))
 }
 
-// newCache builds a cache around an externally owned learner (in global
-// mode Sharded hands each shard a tap on the one shared learner). cfg must
+// newCache builds a cache around a learner built for it (in global mode
+// Sharded hands each shard a tap on the one shared learner). cfg must
 // already have defaults applied. Nothing is sized from the configuration:
 // the table grows with the records actually held.
-func newCache(cfg Config, l clicstats.Learner) *Cache {
+func newCache(cfg Config, l *clicstats.Learner) *Cache {
 	if n := uint64(cfg.Capacity) + uint64(cfg.Noutq); n > maxRecords {
 		panic(fmt.Sprintf("core: Capacity+Noutq = %d page records, more than the %d a cache can index", n, uint64(maxRecords)))
 	}
@@ -259,9 +260,6 @@ func (c *Cache) Capacity() int { return c.cfg.Capacity }
 // Config returns the configuration in effect (with defaults applied).
 func (c *Cache) Config() Config { return c.cfg }
 
-// Learner exposes the cache's statistics learner.
-func (c *Cache) Learner() clicstats.Learner { return c.learner }
-
 // Evictions returns the number of cached pages evicted to admit a
 // higher-priority page.
 func (c *Cache) Evictions() uint64 { return c.evictions }
@@ -270,8 +268,12 @@ func (c *Cache) Evictions() uint64 { return c.evictions }
 // feeding the hint statistics of §3.1 to the learner.
 func (c *Cache) Access(r trace.Request) bool {
 	// A shared learner may have rotated since our last request; re-key the
-	// victim heap before any placement decision reads priorities.
-	c.syncPriorities()
+	// victim heap before any placement decision reads priorities. The epoch
+	// test is spelled out so that it inlines, leaving the call for a
+	// rotation.
+	if c.learner.Epoch() != c.epoch {
+		c.syncPriorities()
+	}
 
 	s := c.seq
 	c.seq++

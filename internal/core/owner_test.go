@@ -52,13 +52,13 @@ func plainStats(s *Sharded, plain []*Cache, reqs []trace.Request, hits []bool) S
 	return st
 }
 
-// TestOwnerMatchesMutexSerial is the frame-path golden test: a single
+// TestOwnerMatchesPlainShards is the frame-path golden test: a single
 // producer replaying the trace in batches must make bit-identical hit/miss
 // decisions to plain Caches, one per shard, each fed its shard's request
 // subsequence. One producer keeps each shard's subsequence in trace order,
 // and a page's whole history lives on one shard, so partitioned-statistics
 // results are deterministic.
-func TestOwnerMatchesMutexSerial(t *testing.T) {
+func TestOwnerMatchesPlainShards(t *testing.T) {
 	const shards = 4
 	s := NewSharded(Config{Capacity: 64, Window: 500}, shards)
 	defer s.Close()
@@ -318,7 +318,7 @@ func TestOwnerGlobalSmallWindows(t *testing.T) {
 		framed, serial := NewSharded(cfg, shards), NewSharded(cfg, shards)
 		g := clicstats.NewGlobal(framed.shards[0].c.Config().learnerConfig())
 		plain := make([]*Cache, shards)
-		taps := make([]*clicstats.Tap, shards)
+		taps := make([]*clicstats.Learner, shards)
 		for i := range plain {
 			taps[i] = g.Tap()
 			plain[i] = newCache(framed.shards[i].c.Config(), taps[i])

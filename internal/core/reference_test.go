@@ -19,7 +19,7 @@ type refCache struct {
 	cfg Config
 	seq uint64
 
-	learner clicstats.Learner
+	learner *clicstats.Learner
 	epoch   uint64
 
 	ents  []refEntry

@@ -59,7 +59,7 @@ type shardedShard struct {
 	pending atomic.Pointer[frame] // posted frames not yet taken by a combiner
 	busy    atomic.Bool           // the try-lock: held by whoever runs the cache
 	c       *Cache
-	tap     *clicstats.Tap
+	tap     *clicstats.Learner
 	_       [cacheLine - 32]byte
 
 	reads     atomic.Uint64
@@ -342,7 +342,7 @@ func (s *Sharded) TrackedHintSets() int {
 	}
 	n := 0
 	for i := range s.shards {
-		s.withCache(i, func(c *Cache) { n += c.Learner().TrackedHintSets() })
+		s.withCache(i, func(c *Cache) { n += c.TrackedHintSets() })
 	}
 	return n
 }

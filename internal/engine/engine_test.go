@@ -231,7 +231,7 @@ func TestServeSourceMoreClientsThanShards(t *testing.T) {
 
 // TestPartitionedGoldenPreRefactor pins CLIC's hit counts on the seeded
 // test trace to the values measured before the statistics machinery moved
-// out of core.Cache into internal/clicstats: the Partitioned learner must
+// out of core.Cache into internal/clicstats: the lone learner must
 // reproduce the pre-refactor behavior bit for bit, for plain and sharded
 // caches, in exact, top-k and decaying configurations.
 func TestPartitionedGoldenPreRefactor(t *testing.T) {
