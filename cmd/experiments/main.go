@@ -32,6 +32,8 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 )
@@ -47,6 +49,9 @@ func main() {
 		progress = flag.Bool("progress", false, "log each completed grid cell to stderr")
 	)
 	flag.Parse()
+	if err := cli.Check(core.Config{Window: *window, R: *decay}); err != nil {
+		fatal(err)
+	}
 
 	env := experiments.NewEnv()
 	env.Scale = *scale

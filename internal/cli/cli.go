@@ -9,6 +9,7 @@ package cli
 import (
 	"bufio"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -48,13 +49,34 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // Config returns the CLIC settings as a core.Config whose Capacity the
-// caller sets. It fails on a -stats spelling core.ParseStatsMode rejects.
+// caller sets. It fails on a -stats spelling core.ParseStatsMode rejects
+// and on the values Check rejects.
 func (f *Flags) Config() (core.Config, error) {
 	mode, err := core.ParseStatsMode(f.stats)
 	if err != nil {
 		return core.Config{}, err
 	}
-	return core.Config{TopK: f.topk, Window: f.window, R: f.decay, Noutq: f.noutq, Stats: mode}, nil
+	cfg := core.Config{TopK: f.topk, Window: f.window, R: f.decay, Noutq: f.noutq, Stats: mode}
+	if err := Check(cfg); err != nil {
+		return core.Config{}, err
+	}
+	return cfg, nil
+}
+
+// Check rejects the CLIC settings that no cache accepts, naming the flag
+// that sets each: a negative -topk or -window, or an -r outside [0, 1]
+// (0 selects each one's default). Config calls it, and so does
+// cmd/experiments for its own -window and -r.
+func Check(cfg core.Config) error {
+	switch {
+	case cfg.TopK < 0:
+		return fmt.Errorf("-topk %d: must not be negative (0 = all hint sets)", cfg.TopK)
+	case cfg.Window < 0:
+		return fmt.Errorf("-window %d: must not be negative (0 = default)", cfg.Window)
+	case !(cfg.R >= 0 && cfg.R <= 1):
+		return fmt.Errorf("-r %v: must be in (0, 1] (0 = default 1.0)", cfg.R)
+	}
+	return nil
 }
 
 // StartTimeline creates (or truncates) the -timeline file and hands start

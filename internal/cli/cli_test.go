@@ -56,14 +56,29 @@ func TestFlagsReachConfig(t *testing.T) {
 	}
 }
 
+// TestBadStats checks that Config refuses, with one error naming the flag,
+// every CLIC setting no cache accepts, rather than letting it panic in the
+// learner or pass silently.
 func TestBadStats(t *testing.T) {
-	f, err := parse(t, "-stats", "bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, want := core.ParseStatsMode("bogus")
-	if _, err := f.Config(); err == nil || err.Error() != want.Error() {
-		t.Errorf("Config() error %v, want %v", err, want)
+	_, badMode := core.ParseStatsMode("bogus")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stats", "bogus"}, badMode.Error()},
+		{[]string{"-topk", "-3"}, "-topk -3: must not be negative (0 = all hint sets)"},
+		{[]string{"-window", "-5"}, "-window -5: must not be negative (0 = default)"},
+		{[]string{"-r", "2"}, "-r 2: must be in (0, 1] (0 = default 1.0)"},
+		{[]string{"-r", "-0.5"}, "-r -0.5: must be in (0, 1] (0 = default 1.0)"},
+		{[]string{"-r", "NaN"}, "-r NaN: must be in (0, 1] (0 = default 1.0)"},
+	} {
+		f, err := parse(t, tc.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Config(); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: Config() error %v, want %v", tc.args, err, tc.want)
+		}
 	}
 }
 

@@ -2,9 +2,12 @@
 // cache so that priority learning and page placement are independent design
 // axes. The learner owns everything the paper's §3 calls "statistics
 // gathering": the per-window counters N(H), Nr(H) and the re-reference
-// distance sum behind D(H) (Equations 1–2), the Space-Saving top-k summary
-// that bounds them (§5), the window rotation with decay blending r
-// (Equation 3), and the resulting priority table Pr(H).
+// distance sum behind D(H) (Equations 1–2), the window rotation with decay
+// blending r (Equation 3), and the resulting priority table Pr(H).
+//
+// The counters live in one adapted Space-Saving summary (§5), bounded to
+// TopK hint sets or, in exact mode (TopK 0), never replacing. The modes
+// differ in one crediting rule, which window.Reref states.
 //
 // One Learner type covers both ends of the sharded-cache design space, in
 // one of two scopes over one shared counter type (window):
@@ -58,8 +61,11 @@ func (cfg Config) validate() {
 	if cfg.Window <= 0 {
 		panic("clicstats: Window must be positive")
 	}
-	if cfg.R <= 0 || cfg.R > 1 {
+	if !(cfg.R > 0 && cfg.R <= 1) {
 		panic("clicstats: R must be in (0, 1]")
+	}
+	if cfg.TopK < 0 {
+		panic("clicstats: TopK must not be negative")
 	}
 }
 
@@ -90,9 +96,10 @@ type rerefAux struct {
 	dsum float64
 }
 
-// windowPriority computes the within-window priority estimate
-// p̂r(H) = fhit(H)/D(H) = (nr/n)/(dsum/nr) = nr² / (n·dsum), Equation 2.
-func windowPriority(n, nr uint64, dsum float64) float64 {
+// WindowPriority computes the within-window priority estimate
+// p̂r(H) = fhit(H)/D(H) = (nr/n)/(dsum/nr) = nr² / (n·dsum), Equation 2,
+// from one hint set's raw counters.
+func WindowPriority(n, nr uint64, dsum float64) float64 {
 	if n == 0 || nr == 0 || dsum <= 0 {
 		return 0
 	}
@@ -144,7 +151,7 @@ func newHintStat(h hint.ID, n, nr uint64, dsum float64) HintStat {
 	if nr > 0 {
 		hs.D = dsum / float64(nr)
 	}
-	hs.Pr = windowPriority(n, nr, dsum)
+	hs.Pr = WindowPriority(n, nr, dsum)
 	return hs
 }
 

@@ -10,7 +10,8 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	for _, cfg := range []Config{{Window: 0, R: 1}, {Window: 10, R: 0}, {Window: 10, R: 1.5}} {
+	for _, cfg := range []Config{{Window: 0, R: 1}, {Window: 10, R: 0}, {Window: 10, R: 1.5},
+		{Window: 10, R: math.NaN()}, {Window: 10, R: 1, TopK: -1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -228,6 +229,73 @@ func TestGlobalTopK(t *testing.T) {
 	}
 }
 
+// TestWindowModesDifferOnlyInOpenedCredits pins the one rule in which the
+// modes differ. An exact window and a top-k window whose k covers every
+// hint set are fed the same arrivals, re-references and resets. The top-k
+// window never replaces, so its counters must equal the exact window's
+// except for the credits exact mode opened: re-references to hint sets that
+// had not yet arrived in the window, which top-k mode drops (§5). Distances
+// are small integers, so every distance sum is exact whatever its order.
+func TestWindowModesDifferOnlyInOpenedCredits(t *testing.T) {
+	const sets = 20
+	exact, topk := newWindow(0), newWindow(sets)
+	rng := rand.New(rand.NewSource(13))
+	arrived := map[hint.ID]bool{}
+	opened := map[hint.ID]WindowCounter{} // credits before the first arrival
+	counters := func(w *window) map[hint.ID]WindowCounter {
+		m := map[hint.ID]WindowCounter{}
+		w.each(func(wc WindowCounter) { m[wc.Hint] = wc })
+		return m
+	}
+	openedSome := false
+	for step := 0; step < 20000; step++ {
+		h := hint.ID(rng.Intn(sets))
+		switch r := rng.Intn(100); {
+		case r == 0:
+			exact.reset()
+			topk.reset()
+			clear(arrived)
+			clear(opened)
+		case r < 60:
+			exact.Arrive(h)
+			topk.Arrive(h)
+			arrived[h] = true
+		default:
+			dist := uint64(1 + rng.Intn(1000))
+			exact.Reref(h, dist)
+			topk.Reref(h, dist)
+			if !arrived[h] {
+				o := opened[h]
+				o.Hint, o.Nr, o.Dsum = h, o.Nr+1, o.Dsum+float64(dist)
+				opened[h] = o
+				openedSome = true
+			}
+		}
+		ex, tk := counters(&exact), counters(&topk)
+		for h, e := range ex {
+			want := tk[h]
+			want.Hint = h
+			want.Nr += opened[h].Nr
+			want.Dsum += opened[h].Dsum
+			if e != want {
+				t.Fatalf("step %d: exact window has %+v, want the top-k window's %+v plus opened credits %+v",
+					step, e, tk[h], opened[h])
+			}
+		}
+		for h := range tk {
+			if _, ok := ex[h]; !ok {
+				t.Fatalf("step %d: hint set %d is tracked in top-k mode only", step, h)
+			}
+		}
+		if len(tk) != len(arrived) || topk.sum.Len() != len(arrived) {
+			t.Fatalf("step %d: top-k window tracks %d hint sets, %d arrived", step, len(tk), len(arrived))
+		}
+	}
+	if !openedSome {
+		t.Fatal("the stream never credited a hint set before its arrival")
+	}
+}
+
 // TestMergeHintStats checks the cross-partition merge arithmetic.
 func TestMergeHintStats(t *testing.T) {
 	a := []HintStat{newHintStat(1, 10, 2, 6), newHintStat(2, 5, 0, 0)}
@@ -240,7 +308,7 @@ func TestMergeHintStats(t *testing.T) {
 	if m[0].Hint != 1 || m[0].N != 30 || m[0].Nr != 4 || math.Abs(m[0].D-4) > 1e-12 {
 		t.Errorf("merged[0] = %+v", m[0])
 	}
-	if want := windowPriority(30, 4, 16); m[0].Pr != want {
+	if want := WindowPriority(30, 4, 16); m[0].Pr != want {
 		t.Errorf("merged Pr = %v, want %v", m[0].Pr, want)
 	}
 	if m[1].Hint != 2 || m[1].N != 5 {

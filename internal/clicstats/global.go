@@ -201,11 +201,11 @@ func (g *Global) rotate() {
 			dsum += ws.dsum
 			delete(pending, wc.Hint)
 		}
-		fresh[wc.Hint] = windowPriority(n, nr, dsum)
+		fresh[wc.Hint] = WindowPriority(n, nr, dsum)
 	}
 	// Hint sets only peers saw this window.
 	for h, ws := range pending {
-		fresh[h] = windowPriority(ws.n, ws.nr, ws.dsum)
+		fresh[h] = WindowPriority(ws.n, ws.nr, ws.dsum)
 	}
 
 	pr := make(map[hint.ID]float64, len(old.pr)+len(fresh))

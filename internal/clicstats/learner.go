@@ -14,8 +14,7 @@ import (
 // in that order, for every request.
 //
 // Arrive, EndRequest, Epoch and Priority inline into the cache's request
-// path: a lone top-k learner's common case is a counter bump and a
-// countdown, and everything else — a rotation, a tap's buffer and lease, a
+// path: a lone learner's common case is a counter bump and a countdown, and everything else — a rotation, a tap's buffer and lease, a
 // hint set new to the window — is behind one call. Arrive has no room in
 // the inlining budget for that call, so it leaves such an arrival pending,
 // and the next Reref or EndRequest counts it first: the events still reach
@@ -63,7 +62,7 @@ type Learner struct {
 	// Learners are allocated one per shard and written on every request:
 	// round each up to a cache line so neighbours never share one
 	// (TestLearnerLayout checks the arithmetic).
-	_ [cacheLine - 25]byte
+	_ [cacheLine - 41]byte
 }
 
 // tapEvent is one buffered Arrive (reref false) or Reref.
@@ -90,14 +89,12 @@ func NewPartitioned(cfg Config) *Learner {
 func (g *Global) Tap() *Learner { return &Learner{g: g, cfg: g.cfg} }
 
 // Arrive records one request carrying hint set h (N(H) += 1). Only a lone
-// top-k learner's tracked hint sets are counted here; the rest is left
-// pending (see Learner).
+// learner's hint sets already tracked this window are counted here; the
+// rest is left pending (see Learner).
 func (l *Learner) Arrive(h hint.ID) {
-	if int(h) < len(l.tracked) {
-		if slot := l.tracked[h]; slot != 0 {
-			l.topk.Bump(slot)
-			return
-		}
+	if slot := l.sum.Slot(h); slot != 0 {
+		l.sum.Bump(slot)
+		return
 	}
 	l.pendingHint, l.pending = h, true
 }
@@ -117,9 +114,8 @@ func (l *Learner) settle() {
 }
 
 // Reref records that a request with hint set h was followed by a read
-// re-reference at the given distance (Nr(H) += 1, D-sum += dist). In top-k
-// mode the credit is dropped unless h is currently tracked, exactly as §5
-// prescribes.
+// re-reference at the given distance (Nr(H) += 1, D-sum += dist), by the
+// rule window.Reref states.
 func (l *Learner) Reref(h hint.ID, dist uint64) {
 	l.settle()
 	if l.g != nil {
@@ -177,7 +173,7 @@ func (l *Learner) endRequest() bool {
 // into the priority table with decay r (Equation 3).
 func (l *Learner) rotate() {
 	l.window.each(func(wc WindowCounter) {
-		l.fresh[wc.Hint] = windowPriority(wc.N, wc.Nr, wc.Dsum)
+		l.fresh[wc.Hint] = WindowPriority(wc.N, wc.Nr, wc.Dsum)
 	})
 	blend(l.pr, l.fresh, l.cfg.R)
 	clear(l.fresh)

@@ -68,7 +68,7 @@ func (g *refGlobal) rotate() {
 	} else {
 		fresh = make(map[hint.ID]float64, len(local))
 		for _, wc := range local {
-			fresh[wc.Hint] = windowPriority(wc.N, wc.Nr, wc.Dsum)
+			fresh[wc.Hint] = WindowPriority(wc.N, wc.Nr, wc.Dsum)
 		}
 	}
 
@@ -198,11 +198,11 @@ func (m *refMerged) fold(local []WindowCounter) map[hint.ID]float64 {
 			dsum += ws.dsum
 			delete(pending, wc.Hint)
 		}
-		fresh[wc.Hint] = windowPriority(n, nr, dsum)
+		fresh[wc.Hint] = WindowPriority(n, nr, dsum)
 	}
 	// Hint sets only peers saw this round.
 	for h, ws := range pending {
-		fresh[h] = windowPriority(ws.n, ws.nr, ws.dsum)
+		fresh[h] = WindowPriority(ws.n, ws.nr, ws.dsum)
 	}
 	return fresh
 }

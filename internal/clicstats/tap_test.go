@@ -226,24 +226,36 @@ func TestGlobalLayout(t *testing.T) {
 // per shard, back to back, and written on every request, so a Learner is a
 // whole number of cache lines and neighbours never share one. And the
 // words a lone learner's request path reads on every request — the
-// countdown, the tap pointer, the top-k summary and its tracked index —
-// sit in its first line.
+// countdown, the tap pointer, the pending arrival, and the summary's key
+// index, observation count and slab pointer — sit in its first line. The
+// slab's length, which Bump's bounds check reads, is the one that cannot:
+// three words of the learner's own and two slice headers overrun a line.
 func TestLearnerLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Learner{}); n%cacheLine != 0 {
 		t.Errorf("Learner is %d bytes, not a multiple of %d", n, cacheLine)
 	}
-	var l Learner
-	for _, f := range []struct {
+	type word struct {
 		name       string
 		off, bytes uintptr
-	}{
+	}
+	var l Learner
+	// sum names the leading bytes of one of the summary's fields.
+	sum := func(name string, bytes uintptr) word {
+		f, _ := reflect.TypeOf(l.sum).FieldByName(name)
+		return word{"sum." + name, unsafe.Offsetof(l.sum) + f.Offset, bytes}
+	}
+	ptr := unsafe.Sizeof(uintptr(0))
+	for _, f := range []word{
 		{"countdown", unsafe.Offsetof(l.countdown), unsafe.Sizeof(l.countdown)},
 		{"g", unsafe.Offsetof(l.g), unsafe.Sizeof(l.g)},
-		{"topk", unsafe.Offsetof(l.topk), unsafe.Sizeof(l.topk)},
-		{"tracked", unsafe.Offsetof(l.tracked), unsafe.Sizeof(l.tracked)},
+		{"pendingHint", unsafe.Offsetof(l.pendingHint), unsafe.Sizeof(l.pendingHint)},
+		{"pending", unsafe.Offsetof(l.pending), unsafe.Sizeof(l.pending)},
+		sum("index", 2*ptr), // data pointer and length
+		sum("observed", 8),
+		sum("slab", ptr), // data pointer
 	} {
 		if f.off+f.bytes > cacheLine {
-			t.Errorf("hot field %s at bytes [%d,%d) is not in the first cache line", f.name, f.off, f.off+f.bytes)
+			t.Errorf("hot word %s at bytes [%d,%d) is not in the first cache line", f.name, f.off, f.off+f.bytes)
 		}
 	}
 }

@@ -36,9 +36,11 @@
 // O(1) implementation needs).
 //
 // The statistics machinery itself — window accounting, decay blending,
-// the priority table, and the optional Space-Saving top-k bound (§5, set
-// via Config.TopK) — lives in internal/clicstats, in one concrete
-// clicstats.Learner whose per-request calls inline into Access; the cache
+// the priority table, and the Space-Saving summary that holds each
+// window's counters, bounded to Config.TopK hint sets (§5) or, by default,
+// exact — lives in internal/clicstats, in one concrete clicstats.Learner
+// whose per-request calls inline into Access (for a hint set already
+// counted this window, an index read and a counter bump); the cache
 // detects re-references, feeds them to its learner, and re-keys its victim
 // heap whenever the learner publishes a new priority table (tracked by the
 // learner's epoch). The learner has two scopes, and Config.Stats selects
@@ -56,8 +58,8 @@
 // whose records and list neighbours are loaded ahead of the serial Access
 // calls (Cache.warm), which is where batching buys more than amortized
 // synchronization. The steady-state request path is allocation-free: the
-// table, the group table, the window statistics and the Space-Saving
-// counter slab are reused in place.
+// table, the group table and the learner's Space-Saving summary are reused
+// in place.
 package core
 
 import (

@@ -25,6 +25,7 @@ package hintproj
 import (
 	"sort"
 
+	"repro/internal/clicstats"
 	"repro/internal/core"
 	"repro/internal/hint"
 	"repro/internal/trace"
@@ -36,7 +37,7 @@ type FieldStat struct {
 	N     uint64
 	Nr    uint64
 	Dsum  float64
-	Pr    float64 // standalone priority of the pair
+	Pr    float64 // standalone priority of the pair (Equation 2)
 }
 
 // TypeScore is the informativeness score of one hint type.
@@ -88,7 +89,7 @@ func Analyze(t *trace.Trace, capacity, sampleLen int) Analysis {
 	byType := make(map[string][]FieldStat)
 	for f, a := range fields {
 		fs := FieldStat{Field: f, N: a.n, Nr: a.nr, Dsum: a.dsum}
-		fs.Pr = priority(a.n, a.nr, a.dsum)
+		fs.Pr = clicstats.WindowPriority(a.n, a.nr, a.dsum)
 		out.Fields = append(out.Fields, fs)
 		byType[f.Type] = append(byType[f.Type], fs)
 	}
@@ -109,13 +110,6 @@ func Analyze(t *trace.Trace, capacity, sampleLen int) Analysis {
 		return out.Scores[i].Type < out.Scores[j].Type
 	})
 	return out
-}
-
-func priority(n, nr uint64, dsum float64) float64 {
-	if n == 0 || nr == 0 || dsum <= 0 {
-		return 0
-	}
-	return float64(nr) * float64(nr) / (float64(n) * dsum)
 }
 
 // variance returns the N-weighted variance of standalone priorities across

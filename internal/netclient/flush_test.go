@@ -170,13 +170,13 @@ func TestPipelineWriteCounts(t *testing.T) {
 	reqs := []trace.Request{{Page: 1}, {Page: 2}, {Page: 3}, {Page: 1}}
 	const frames = 64
 
-	bursty := fakeServer(t, func(br *bufio.Reader, bw *bufio.Writer) error {
-		if err := ackHello(br, bw, wire.HelloAck{Version: wire.Version, Shards: 1, Capacity: 100, Window: 8}); err != nil {
+	bursty := fakeServer(t, func(fr *wire.FrameReader, bw *bufio.Writer) error {
+		if err := ackHello(fr, bw, wire.HelloAck{Version: wire.Version, Shards: 1, Capacity: 100, Window: 8}); err != nil {
 			return err
 		}
 		res := wire.Results{Hits: make([]bool, len(reqs))}
 		for seq := uint64(0); seq < frames; seq++ {
-			if _, err := wire.ReadFrame(br, nil); err != nil {
+			if _, err := fr.Next(); err != nil {
 				return err
 			}
 			if seq%4 != 3 {

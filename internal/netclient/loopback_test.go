@@ -451,7 +451,7 @@ func TestFramePrefixCommitsNoMemory(t *testing.T) {
 type rawConn struct {
 	t  *testing.T
 	nc net.Conn
-	br *bufio.Reader
+	fr *wire.FrameReader
 	bw *bufio.Writer
 }
 
@@ -462,7 +462,7 @@ func dialRaw(t *testing.T, addr string) rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	return rawConn{t, nc, bufio.NewReader(nc), bufio.NewWriter(nc)}
+	return rawConn{t, nc, wire.NewFrameReader(bufio.NewReader(nc)), bufio.NewWriter(nc)}
 }
 
 func (c rawConn) send(payload []byte) {
@@ -475,9 +475,10 @@ func (c rawConn) send(payload []byte) {
 	}
 }
 
+// recv returns the next frame's payload, valid until the next recv.
 func (c rawConn) recv() []byte {
 	c.t.Helper()
-	p, err := wire.ReadFrame(c.br, nil)
+	p, err := c.fr.Next()
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -492,7 +493,7 @@ func (c rawConn) refused() string {
 	if err != nil {
 		c.t.Fatalf("reply is not an Error frame: %v", err)
 	}
-	if _, err := wire.ReadFrame(c.br, nil); err != io.EOF {
+	if _, err := c.fr.Next(); err != io.EOF {
 		c.t.Errorf("after the Error frame: err = %v, want the connection closed", err)
 	}
 	return msg

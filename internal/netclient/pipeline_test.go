@@ -77,7 +77,7 @@ func TestPipelineOwnerDepthEquivalence(t *testing.T) {
 
 // fakeServer runs handler on one accepted connection, for protocol tests
 // that need server behaviour a real server would never produce.
-func fakeServer(t *testing.T, handler func(br *bufio.Reader, bw *bufio.Writer) error) string {
+func fakeServer(t *testing.T, handler func(fr *wire.FrameReader, bw *bufio.Writer) error) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -90,9 +90,9 @@ func fakeServer(t *testing.T, handler func(br *bufio.Reader, bw *bufio.Writer) e
 			return
 		}
 		defer conn.Close()
-		br := bufio.NewReader(conn)
+		fr := wire.NewFrameReader(bufio.NewReader(conn))
 		bw := bufio.NewWriter(conn)
-		if err := handler(br, bw); err != nil {
+		if err := handler(fr, bw); err != nil {
 			t.Log("fake server:", err)
 		}
 		bw.Flush()
@@ -101,8 +101,8 @@ func fakeServer(t *testing.T, handler func(br *bufio.Reader, bw *bufio.Writer) e
 }
 
 // ackHello consumes the client Hello and answers with the given ack.
-func ackHello(br *bufio.Reader, bw *bufio.Writer, ack wire.HelloAck) error {
-	p, err := wire.ReadFrame(br, nil)
+func ackHello(fr *wire.FrameReader, bw *bufio.Writer, ack wire.HelloAck) error {
+	p, err := fr.Next()
 	if err != nil {
 		return err
 	}
@@ -119,15 +119,15 @@ func ackHello(br *bufio.Reader, bw *bufio.Writer, ack wire.HelloAck) error {
 // answers out of sequence order and fails with a readable protocol error
 // instead of silently mis-attributing hits.
 func TestPipelineReorderedResults(t *testing.T) {
-	addr := fakeServer(t, func(br *bufio.Reader, bw *bufio.Writer) error {
-		if err := ackHello(br, bw, wire.HelloAck{Version: wire.Version, Shards: 1, Capacity: 100, Window: 8}); err != nil {
+	addr := fakeServer(t, func(fr *wire.FrameReader, bw *bufio.Writer) error {
+		if err := ackHello(fr, bw, wire.HelloAck{Version: wire.Version, Shards: 1, Capacity: 100, Window: 8}); err != nil {
 			return err
 		}
 		// Read two tagged batches, answer them swapped.
 		var seqs []uint64
 		var sizes []int
 		for i := 0; i < 2; i++ {
-			p, err := wire.ReadFrame(br, nil)
+			p, err := fr.Next()
 			if err != nil {
 				return err
 			}
@@ -177,8 +177,8 @@ func TestPipelineReorderedResults(t *testing.T) {
 // guard to the ack — a server acking an older protocol is refused at the
 // handshake with both versions named, before any batch is sent.
 func TestHelloRefusesOlderServer(t *testing.T) {
-	addr := fakeServer(t, func(br *bufio.Reader, bw *bufio.Writer) error {
-		return ackHello(br, bw, wire.HelloAck{Version: wire.Version - 1, Shards: 1, Capacity: 100, Window: 8})
+	addr := fakeServer(t, func(fr *wire.FrameReader, bw *bufio.Writer) error {
+		return ackHello(fr, bw, wire.HelloAck{Version: wire.Version - 1, Shards: 1, Capacity: 100, Window: 8})
 	})
 	conn, err := netclient.Dial(addr)
 	if err != nil {
@@ -266,8 +266,8 @@ func TestReplayServerClosedMidReplay(t *testing.T) {
 // TestPipelineWindowCap checks the server's advertised window caps the
 // client's requested depth, against both a fake peer and the real server.
 func TestPipelineWindowCap(t *testing.T) {
-	addr := fakeServer(t, func(br *bufio.Reader, bw *bufio.Writer) error {
-		return ackHello(br, bw, wire.HelloAck{Version: wire.Version, Shards: 1, Capacity: 100, Window: 2})
+	addr := fakeServer(t, func(fr *wire.FrameReader, bw *bufio.Writer) error {
+		return ackHello(fr, bw, wire.HelloAck{Version: wire.Version, Shards: 1, Capacity: 100, Window: 2})
 	})
 	conn, err := netclient.Dial(addr)
 	if err != nil {
@@ -495,14 +495,14 @@ func TestResultsCountOverflowIsAnError(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			defer peer.Close()
-			br, bw := bufio.NewReader(peer), bufio.NewWriter(peer)
+			fr, bw := wire.NewFrameReader(bufio.NewReader(peer)), bufio.NewWriter(peer)
 			reply := func(p []byte) error {
 				if err := wire.WriteFrame(bw, p); err != nil {
 					return err
 				}
 				return bw.Flush()
 			}
-			if _, err := wire.ReadFrame(br, nil); err != nil { // Hello
+			if _, err := fr.Next(); err != nil { // Hello
 				done <- err
 				return
 			}
@@ -510,7 +510,7 @@ func TestResultsCountOverflowIsAnError(t *testing.T) {
 				done <- err
 				return
 			}
-			if _, err := wire.ReadFrame(br, nil); err != nil { // BatchSeq 0
+			if _, err := fr.Next(); err != nil { // BatchSeq 0
 				done <- err
 				return
 			}

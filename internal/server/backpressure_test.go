@@ -32,7 +32,7 @@ func TestWindowBackpressure(t *testing.T) {
 		defer close(handled)
 		s.handle(srvEnd)
 	}()
-	br, bw := bufio.NewReader(client), bufio.NewWriter(client)
+	fr, bw := wire.NewFrameReader(bufio.NewReader(client)), bufio.NewWriter(client)
 	send := func(p []byte) error {
 		if err := wire.WriteFrame(bw, p); err != nil {
 			t.Fatal(err)
@@ -41,7 +41,7 @@ func TestWindowBackpressure(t *testing.T) {
 	}
 	recv := func(seq uint64) {
 		t.Helper()
-		p, err := wire.ReadFrame(br, nil)
+		p, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestWindowBackpressure(t *testing.T) {
 	if err := send(wire.AppendHello(nil, wire.Hello{Version: wire.Version, Client: "stalled", Keys: []string{"a=1"}})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrame(br, nil); err != nil {
+	if _, err := fr.Next(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,8 +13,8 @@ import (
 // side only shows up too.
 type pair struct {
 	t    testing.TB
-	sum  *Summary[int, uint64]
-	ref  *refSummary[int, uint64]
+	sum  *Summary[uint32, uint64]
+	ref  *refSummary[uint32, uint64]
 	step uint64
 }
 
@@ -22,23 +22,24 @@ type pair struct {
 // stream-summary's counter, which a replacement reassigns alike.
 type handle struct {
 	slot uint32
-	rc   *refCounter[int, uint64]
+	rc   *refCounter[uint32, uint64]
 }
 
 func newPair(t testing.TB, k int) *pair {
-	return &pair{t: t, sum: New[int, uint64](k), ref: newRef[int, uint64](k)}
+	return &pair{t: t, sum: New[uint32, uint64](k), ref: newRef[uint32, uint64](k)}
 }
 
 // touch feeds key to both sides and returns the counter's handle, for a
-// later bump, and the key it replaced, if any.
-func (p *pair) touch(key int) (h handle, old int, replaced bool) {
+// later bump, and the key the stream-summary replaced, if any, which the
+// flat summary must have stopped tracking too.
+func (p *pair) touch(key uint32) (h handle, old uint32, replaced bool) {
 	p.step++
-	slot, old, replaced := p.sum.Touch(key)
-	rc, refOld, refReplaced := p.ref.Touch(key)
+	slot := p.sum.Touch(key)
+	rc, old, replaced := p.ref.Touch(key)
 	h = handle{slot, rc}
-	if old != refOld || replaced != refReplaced {
-		p.t.Fatalf("step %d: Touch(%d) replaced %d (%v), stream-summary replaced %d (%v)",
-			p.step, key, old, replaced, refOld, refReplaced)
+	if replaced && p.sum.Slot(old) != 0 {
+		p.t.Fatalf("step %d: Touch(%d) replaced %d in the stream-summary, which the flat summary still tracks",
+			p.step, key, old)
 	}
 	p.sum.At(slot).Val += p.step
 	rc.Val += p.step
@@ -108,9 +109,9 @@ func TestSummaryMatchesStreamSummary(t *testing.T) {
 		uniform := rng.Float64() / 2
 		p := newPair(t, k)
 		for i := 0; i < steps; i++ {
-			key := int(zipf.Uint64())
+			key := uint32(zipf.Uint64())
 			if rng.Float64() < uniform {
-				key = rng.Intn(universe)
+				key = uint32(rng.Intn(universe))
 			}
 			h, _, _ := p.touch(key)
 			if rng.Intn(4) == 0 {
@@ -147,9 +148,9 @@ func FuzzSummary(f *testing.F) {
 			return
 		}
 		p := newPair(t, 1+int(ops[0]%16))
-		handles := map[int]handle{}
+		handles := map[uint32]handle{}
 		for _, op := range ops[1:] {
-			key := int(op & 0x3f)
+			key := uint32(op & 0x3f)
 			h, tracked := handles[key]
 			switch {
 			case op == 0xff:

@@ -17,8 +17,8 @@
 // and touches nothing else. A replacement is O(log k) amortised.
 //
 // Tie rule. The victim is the counter with the minimum Count and, among
-// those, the most recently incremented one (the largest stamp; stamps are
-// unique). That is what "head of the minimum bucket" meant in the
+// those, the most recently incremented one (the largest stamp; an increment's
+// stamp is unique). That is what "head of the minimum bucket" meant in the
 // stream-summary, where an incremented counter went to the head of its new
 // bucket, and CLIC's replaying top-k goldens depend on it.
 //
@@ -31,13 +31,21 @@
 // examined. Each increment stales at most one record and each repair fixes
 // one, which is where the amortised bound comes from.
 //
-// Storage. Nothing is sized from k, which is only the replacement
-// threshold: the slab and the key index grow with the keys actually
-// tracked, the heap is built at a window's first replacement, and Reset
-// keeps all three for the next window, so a steady state allocates nothing.
-// The slab moves when it grows, so callers hold slots — uint32 slab
-// indices, 0 meaning none — rather than pointers; a *Counter from At, Get
-// or Range is good until the next Touch.
+// Storage. Keys are dense IDs (CLIC's interned hint IDs), so the key index
+// is a slice of slots indexed by key, not a map. It is the only key→slot
+// index, and Slot reads it cheaply enough to inline: a hot path counts a
+// tracked key with Slot and Bump and leaves the rest to Touch. Nothing is
+// sized from k, which is only the replacement threshold:
+// the slab grows with the keys actually tracked, the index with the largest
+// key seen, the heap is built at a window's first replacement, and Reset
+// keeps all three for the next window, so a steady state allocates
+// nothing. The slab moves when it grows, so callers hold slots — uint32
+// slab indices, 0 meaning none — rather than pointers; a *Counter from At
+// or Range is good until the next Touch or Open.
+//
+// Exact counting is the same summary with k above the number of distinct
+// keys: it never replaces and every Err stays 0. Open, which tracks a key
+// without counting an occurrence, is for such a summary.
 package spacesaving
 
 import (
@@ -50,7 +58,7 @@ import (
 // Counter tracks one key. Count is the (over-)estimate of the key's
 // frequency; Err bounds the over-estimation, so Count-Err is a guaranteed
 // lower bound on the true frequency (the paper uses Count-Err as N(H)).
-type Counter[K comparable, V any] struct {
+type Counter[K ~uint32, V any] struct {
 	// Count and stamp lead the struct so that the two stores of an
 	// increment share a cache line whatever K and V are.
 	Count uint64
@@ -85,23 +93,26 @@ func (a *heapEntry) before(b *heapEntry) int {
 }
 
 // Summary is a Space-Saving stream summary that tracks at most k keys. The
-// zero value is not usable; call New. Not safe for concurrent use.
-type Summary[K comparable, V any] struct {
-	k        int
+// zero value tracks nothing and only answers Slot (0 for every key); call
+// New. Not safe for concurrent use.
+type Summary[K ~uint32, V any] struct {
+	// What Slot and Bump read leads, so that a summary held by value can
+	// share its owner's hot cache line.
+	index    []uint32        // slot by key, 0 = not tracked
 	observed uint64          // Touch and Bump calls since the last Reset
 	slab     []Counter[K, V] // slab[0] is unused: slot 0 means none
-	index    map[K]uint32    // key → slot
 	heap     []heapEntry     // empty until the window's first replacement
+	k        int
 }
 
 // New returns a summary that tracks at most k keys. It panics if k <= 0.
-func New[K comparable, V any](k int) *Summary[K, V] {
+func New[K ~uint32, V any](k int) *Summary[K, V] {
 	if k <= 0 {
 		panic("spacesaving: k must be positive")
 	}
 	// Slots are uint32 and slot 0 is taken.
 	k = int(min(uint64(k), math.MaxUint32-1))
-	return &Summary[K, V]{k: k, slab: make([]Counter[K, V], 1), index: make(map[K]uint32)}
+	return &Summary[K, V]{k: k, slab: make([]Counter[K, V], 1)}
 }
 
 // K returns the counter capacity.
@@ -114,36 +125,65 @@ func (s *Summary[K, V]) Len() int { return len(s.slab) - 1 }
 // Reset.
 func (s *Summary[K, V]) Observed() uint64 { return s.observed }
 
-// Touch records one occurrence of key. It returns the slot of the counter
-// now tracking the key and, when tracking it required evicting another key,
-// that key and replaced=true. The counter's Val has been zeroed if the
-// counter was newly assigned (fresh or recycled).
-func (s *Summary[K, V]) Touch(key K) (slot uint32, replacedKey K, replaced bool) {
-	if slot, ok := s.index[key]; ok {
+// Slot returns the slot of the counter tracking key, or 0 when the key is
+// not tracked.
+func (s *Summary[K, V]) Slot(key K) uint32 {
+	// The local header spares the index load its own bounds check.
+	if index := s.index; int(key) < len(index) {
+		return index[key]
+	}
+	return 0
+}
+
+// Touch records one occurrence of key and returns the slot of the counter
+// now tracking it. The counter's Val has been zeroed if the counter was
+// newly assigned (fresh or recycled); a recycled counter's old key is no
+// longer tracked.
+func (s *Summary[K, V]) Touch(key K) uint32 {
+	if slot := s.Slot(key); slot != 0 {
 		s.Bump(slot)
-		return slot, replacedKey, false
+		return slot
 	}
 	s.observed++
+	slot := uint32(len(s.slab))
 	if len(s.slab) <= s.k {
-		slot = uint32(len(s.slab))
 		s.slab = append(s.slab, Counter[K, V]{Key: key, Count: 1, stamp: s.observed})
-		s.index[key] = slot
-		return slot, replacedKey, false
+	} else {
+		// Full: the victim's count becomes the newcomer's error bound.
+		slot = s.victim()
+		c := &s.slab[slot]
+		s.index[c.Key] = 0
+		*c = Counter[K, V]{Key: key, Count: c.Count + 1, Err: c.Count, stamp: s.observed}
 	}
-	// Full: the victim's count becomes the newcomer's error bound.
-	slot = s.victim()
-	c := &s.slab[slot]
-	replacedKey = c.Key
-	delete(s.index, replacedKey)
-	*c = Counter[K, V]{Key: key, Count: c.Count + 1, Err: c.Count, stamp: s.observed}
+	s.track(key, slot)
+	return slot
+}
+
+// Open starts tracking key, which must not be tracked, at count 0 without
+// recording an occurrence, and returns its slot. It never replaces: Open in
+// a full summary panics. The counter has never been incremented, so it has
+// no stamp (0), and its order among other opened counters still at count 0
+// is unspecified.
+func (s *Summary[K, V]) Open(key K) uint32 {
+	if len(s.slab) > s.k {
+		panic("spacesaving: Open on a full summary")
+	}
+	slot := uint32(len(s.slab))
+	s.slab = append(s.slab, Counter[K, V]{Key: key})
+	s.track(key, slot)
+	return slot
+}
+
+// track indexes key at slot, growing the index to cover the key.
+func (s *Summary[K, V]) track(key K, slot uint32) {
+	if n := int(key) + 1; n > len(s.index) {
+		s.index = append(s.index, make([]uint32, n-len(s.index))...)
+	}
 	s.index[key] = slot
-	return slot, replacedKey, true
 }
 
 // Bump records one occurrence of the key tracked in slot: Touch of that key
-// for a caller that kept the slot Touch returned and so can skip the lookup.
-// The slot must still be tracking its key — Touch reports the key it
-// replaces, and Reset replaces them all.
+// for a caller that found its slot with Slot and so skips the lookup.
 func (s *Summary[K, V]) Bump(slot uint32) {
 	s.observed++
 	c := &s.slab[slot]
@@ -151,16 +191,8 @@ func (s *Summary[K, V]) Bump(slot uint32) {
 	c.stamp = s.observed
 }
 
-// At returns the counter in a slot Touch returned.
+// At returns the counter in a slot Slot, Touch or Open returned.
 func (s *Summary[K, V]) At(slot uint32) *Counter[K, V] { return &s.slab[slot] }
-
-// Get returns the counter for key if it is currently tracked.
-func (s *Summary[K, V]) Get(key K) (*Counter[K, V], bool) {
-	if slot, ok := s.index[key]; ok {
-		return &s.slab[slot], true
-	}
-	return nil, false
-}
 
 // Range calls fn for every tracked counter, in unspecified order. Unlike
 // Counters it allocates nothing; fn must not mutate the summary.
@@ -183,11 +215,15 @@ func (s *Summary[K, V]) Counters() []Counter[K, V] {
 // Reset discards all counters and statistics, returning the summary to its
 // freshly-constructed state. CLIC resets the summary at every request-window
 // boundary (paper §5). Slab, index and heap keep their storage, so a steady
-// state of repeated windows allocates nothing.
+// state of repeated windows allocates nothing, and only the index entries of
+// tracked keys are cleared, so a window costs what it tracked, not the key
+// space.
 func (s *Summary[K, V]) Reset() {
+	for i := 1; i < len(s.slab); i++ {
+		s.index[s.slab[i].Key] = 0
+	}
 	clear(s.slab) // drop what Val may reference
 	s.slab = s.slab[:1]
-	clear(s.index)
 	s.heap = s.heap[:0]
 	s.observed = 0
 }

@@ -8,63 +8,95 @@ import (
 	"testing/quick"
 )
 
+// Keys a, b, c and d, for the tests that spell out a stream.
+const (
+	a uint32 = iota
+	b
+	c
+	d
+)
+
 func TestExactWhenUnderCapacity(t *testing.T) {
-	s := New[string, int](10)
-	stream := []string{"a", "b", "a", "c", "a", "b"}
+	s := New[uint32, int](10)
+	stream := []uint32{a, b, a, c, a, b}
 	for _, k := range stream {
 		s.Touch(k)
 	}
-	want := map[string]uint64{"a": 3, "b": 2, "c": 1}
+	want := map[uint32]uint64{a: 3, b: 2, c: 1}
 	if s.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
 	}
+	if slot := s.Slot(d); slot != 0 {
+		t.Errorf("untouched key d has slot %d", slot)
+	}
 	for k, n := range want {
-		c, ok := s.Get(k)
-		if !ok {
-			t.Fatalf("key %q not tracked", k)
+		slot := s.Slot(k)
+		if slot == 0 {
+			t.Fatalf("key %d not tracked", k)
 		}
-		if c.Count != n || c.Err != 0 || !c.Guaranteed() {
-			t.Errorf("key %q: count=%d err=%d, want count=%d err=0", k, c.Count, c.Err, n)
+		if ctr := s.At(slot); ctr.Count != n || ctr.Err != 0 || !ctr.Guaranteed() {
+			t.Errorf("key %d: count=%d err=%d, want count=%d err=0", k, ctr.Count, ctr.Err, n)
 		}
 	}
 }
 
 func TestEvictsMinimumOnOverflow(t *testing.T) {
-	s := New[string, int](2)
-	s.Touch("a")
-	s.Touch("a")
-	s.Touch("b")
-	slot, replacedKey, replaced := s.Touch("c")
-	if !replaced || replacedKey != "b" {
-		t.Fatalf("expected b (the minimum) to be replaced, got %q (replaced=%v)", replacedKey, replaced)
+	s := New[uint32, int](2)
+	s.Touch(a)
+	s.Touch(a)
+	bSlot := s.Touch(b)
+	slot := s.Touch(c)
+	if slot != bSlot || s.Slot(b) != 0 || s.Slot(a) == 0 {
+		t.Fatalf("expected b (the minimum) to be replaced: c took slot %d, b had %d; slots now a %d, b %d",
+			slot, bSlot, s.Slot(a), s.Slot(b))
 	}
-	c := s.At(slot)
+	ctr := s.At(slot)
 	// c inherits b's count as error: count = min+1 = 2, err = 1.
-	if c.Count != 2 || c.Err != 1 {
-		t.Errorf("recycled counter: count=%d err=%d, want 2,1", c.Count, c.Err)
+	if ctr.Count != 2 || ctr.Err != 1 {
+		t.Errorf("recycled counter: count=%d err=%d, want 2,1", ctr.Count, ctr.Err)
 	}
-	if c.Guaranteed() {
+	if ctr.Guaranteed() {
 		t.Error("recycled counter must not be guaranteed")
 	}
 }
 
 func TestValResetOnRecycle(t *testing.T) {
-	s := New[string, int](1)
-	slot, _, _ := s.Touch("a")
-	s.At(slot).Val = 99
-	slot, old, replaced := s.Touch("b")
-	if !replaced || old != "a" {
-		t.Fatalf("expected a replaced, got %q", old)
+	s := New[uint32, int](1)
+	s.At(s.Touch(a)).Val = 99
+	slot := s.Touch(b)
+	if s.Slot(a) != 0 || s.At(slot).Key != b {
+		t.Fatalf("expected a replaced by b, slot %d holds %d", slot, s.At(slot).Key)
 	}
 	if v := s.At(slot).Val; v != 0 {
 		t.Errorf("Val not reset on recycle: %d", v)
 	}
 }
 
+// TestOpen pins Open: it tracks a key at count 0 without observing an
+// occurrence, later touches count from there with no error, and a full
+// summary refuses a new key.
+func TestOpen(t *testing.T) {
+	s := New[uint32, int](2)
+	s.Touch(a)
+	slot := s.Open(b)
+	if ctr := s.At(slot); slot == 0 || ctr.Key != b || ctr.Count != 0 || ctr.Err != 0 || s.Len() != 2 || s.Observed() != 1 {
+		t.Fatalf("Open(b): slot %d, counter %+v, Len %d, Observed %d", slot, *ctr, s.Len(), s.Observed())
+	}
+	if s.Touch(b) != slot || s.At(slot).Count != 1 || s.At(slot).Err != 0 {
+		t.Errorf("Touch after Open: counter %+v", *s.At(slot))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Open of a new key in a full summary should panic")
+		}
+	}()
+	s.Open(c)
+}
+
 func TestCountersDescending(t *testing.T) {
-	s := New[int, struct{}](10)
-	for i := 0; i < 5; i++ {
-		for j := 0; j <= i; j++ {
+	s := New[uint32, struct{}](10)
+	for i := uint32(0); i < 5; i++ {
+		for j := uint32(0); j <= i; j++ {
 			s.Touch(i)
 		}
 	}
@@ -83,16 +115,15 @@ func TestCountersDescending(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	s := New[string, int](4)
-	s.Touch("a")
-	s.Touch("b")
+	s := New[uint32, int](4)
+	s.Touch(a)
+	s.Touch(b)
 	s.Reset()
-	if s.Len() != 0 || s.Observed() != 0 {
-		t.Fatalf("Reset left Len=%d Observed=%d", s.Len(), s.Observed())
+	if s.Len() != 0 || s.Observed() != 0 || s.Slot(a) != 0 || s.Slot(b) != 0 {
+		t.Fatalf("Reset left Len=%d Observed=%d, slots a %d, b %d", s.Len(), s.Observed(), s.Slot(a), s.Slot(b))
 	}
-	slot, _, _ := s.Touch("a")
-	if c := s.At(slot); c.Count != 1 || c.Err != 0 {
-		t.Errorf("post-reset counter: count=%d err=%d", c.Count, c.Err)
+	if ctr := s.At(s.Touch(a)); ctr.Count != 1 || ctr.Err != 0 {
+		t.Errorf("post-reset counter: count=%d err=%d", ctr.Count, ctr.Err)
 	}
 }
 
@@ -102,7 +133,7 @@ func TestPanicsOnBadK(t *testing.T) {
 			t.Error("New(0) should panic")
 		}
 	}()
-	New[int, int](0)
+	New[uint32, int](0)
 }
 
 // TestSpaceSavingGuarantees property-tests the algorithm's published
@@ -115,12 +146,12 @@ func TestSpaceSavingGuarantees(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		k := int(kRaw%20) + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := New[int, struct{}](k)
-		truth := make(map[int]uint64)
+		s := New[uint32, struct{}](k)
+		truth := make(map[uint32]uint64)
 		n := 500 + rng.Intn(2000)
 		for i := 0; i < n; i++ {
 			// Skewed stream over up to 60 keys.
-			key := int(float64(60) * rng.Float64() * rng.Float64())
+			key := uint32(float64(60) * rng.Float64() * rng.Float64())
 			truth[key]++
 			s.Touch(key)
 		}
@@ -138,7 +169,7 @@ func TestSpaceSavingGuarantees(t *testing.T) {
 		threshold := uint64(n / k)
 		for key, cnt := range truth {
 			if cnt > threshold {
-				if _, ok := s.Get(key); !ok {
+				if s.Slot(key) == 0 {
 					return false // frequent item guarantee
 				}
 			}
@@ -154,18 +185,21 @@ func TestSpaceSavingGuarantees(t *testing.T) {
 // counters correspond to the actual most frequent keys.
 func TestTopKRecall(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := New[int, struct{}](20)
-	truth := make(map[int]int)
+	s := New[uint32, struct{}](20)
+	truth := make(map[uint32]int)
 	for i := 0; i < 100000; i++ {
 		// Zipf-ish: key i with weight ~ 1/(i+1).
-		key := int(rng.ExpFloat64() * 3)
+		key := uint32(rng.ExpFloat64() * 3)
 		if key > 200 {
 			key = 200
 		}
 		truth[key]++
 		s.Touch(key)
 	}
-	type kv struct{ k, n int }
+	type kv struct {
+		k uint32
+		n int
+	}
 	var exact []kv
 	for k, n := range truth {
 		exact = append(exact, kv{k, n})
@@ -173,15 +207,15 @@ func TestTopKRecall(t *testing.T) {
 	sort.Slice(exact, func(i, j int) bool { return exact[i].n > exact[j].n })
 	// The true top 10 should all be tracked.
 	for _, e := range exact[:10] {
-		if _, ok := s.Get(e.k); !ok {
+		if s.Slot(e.k) == 0 {
 			t.Errorf("true top-10 key %d (count %d) not tracked", e.k, e.n)
 		}
 	}
 }
 
 func TestObserved(t *testing.T) {
-	s := New[int, struct{}](3)
-	for i := 0; i < 25; i++ {
+	s := New[uint32, struct{}](3)
+	for i := uint32(0); i < 25; i++ {
 		s.Touch(i % 7)
 	}
 	if s.Observed() != 25 {
@@ -191,11 +225,11 @@ func TestObserved(t *testing.T) {
 
 // zipfKeys returns 1<<16 draws from a Zipf distribution (s = 1.1) over the
 // given number of keys.
-func zipfKeys(universe int) []int {
+func zipfKeys(universe int) []uint32 {
 	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(universe-1))
-	keys := make([]int, 1<<16)
+	keys := make([]uint32, 1<<16)
 	for i := range keys {
-		keys[i] = int(zipf.Uint64())
+		keys[i] = uint32(zipf.Uint64())
 	}
 	return keys
 }
@@ -208,14 +242,16 @@ const benchWindow = 50000
 // on the stream-summary it replaced (reference_test.go), in one binary. The
 // two loops are spelled out rather than shared through a closure: an
 // indirect call is a quarter of what the tracked path costs.
-func benchTouch(b *testing.B, keys []int) {
+func benchTouch(b *testing.B, keys []uint32) {
 	b.Run("flat", func(b *testing.B) {
-		s := New[int, struct{}](100)
+		s := New[uint32, struct{}](100)
 		replacements := 0
 		for i := 0; i < b.N; i++ {
-			if _, _, replaced := s.Touch(keys[i%len(keys)]); replaced {
+			key := keys[i%len(keys)]
+			if s.Slot(key) == 0 && s.Len() == s.K() {
 				replacements++
 			}
+			s.Touch(key)
 			if (i+1)%benchWindow == 0 {
 				s.Reset()
 			}
@@ -223,7 +259,7 @@ func benchTouch(b *testing.B, keys []int) {
 		b.ReportMetric(float64(replacements)/float64(b.N), "replacements/op")
 	})
 	b.Run("stream-summary", func(b *testing.B) {
-		s := newRef[int, struct{}](100)
+		s := newRef[uint32, struct{}](100)
 		replacements := 0
 		for i := 0; i < b.N; i++ {
 			if _, _, replaced := s.Touch(keys[i%len(keys)]); replaced {
@@ -270,22 +306,22 @@ func TestNewAllocatesNothingFromK(t *testing.T) {
 // allocate nothing.
 func TestSummarySteadyStateAllocs(t *testing.T) {
 	keys := zipfKeys(400)[:5000]
-	s := New[int, uint64](16)
+	s := New[uint32, uint64](16)
 	var replacements, visited int
 	window := func() {
 		var last uint32
 		for i, key := range keys {
-			slot, _, replaced := s.Touch(key)
-			if replaced {
+			if s.Slot(key) == 0 && s.Len() == s.K() {
 				replacements++
 			}
+			slot := s.Touch(key)
 			if i%4 == 0 {
 				s.Bump(slot)
 			}
 			last = slot
 		}
 		s.Bump(last)
-		s.Range(func(*Counter[int, uint64]) { visited++ })
+		s.Range(func(*Counter[uint32, uint64]) { visited++ })
 		s.Reset()
 	}
 	window()
@@ -298,33 +334,27 @@ func TestSummarySteadyStateAllocs(t *testing.T) {
 }
 
 // TestBumpMatchesTouch drives two summaries with one stream, one through
-// Touch alone and one through a caller-side index of the slots Touch
-// returned (the way clicstats' window uses Bump), across overflow churn and
-// a Reset: the summaries must stay identical.
+// Touch alone and one through Slot and Bump for a tracked key (the way a
+// lone clicstats Learner counts an arrival), across overflow churn and a
+// Reset: the summaries must stay identical.
 func TestBumpMatchesTouch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	plain := New[int, int](8)
-	indexed := New[int, int](8)
-	index := map[int]uint32{}
+	plain := New[uint32, int](8)
+	indexed := New[uint32, int](8)
 	for i := 0; i < 5000; i++ {
 		if i == 2500 {
 			plain.Reset()
 			indexed.Reset()
-			clear(index)
 		}
-		k := rng.Intn(6)
+		k := uint32(rng.Intn(6))
 		if rng.Intn(3) == 0 {
-			k = rng.Intn(40)
+			k = uint32(rng.Intn(40))
 		}
 		plain.Touch(k)
-		if slot := index[k]; slot != 0 {
+		if slot := indexed.Slot(k); slot != 0 {
 			indexed.Bump(slot)
 		} else {
-			slot, old, replaced := indexed.Touch(k)
-			if replaced {
-				delete(index, old)
-			}
-			index[k] = slot
+			indexed.Touch(k)
 		}
 		if plain.Observed() != indexed.Observed() {
 			t.Fatalf("step %d: observed %d vs %d", i, plain.Observed(), indexed.Observed())

@@ -45,14 +45,11 @@ func TestFrameMetrics(t *testing.T) {
 	if uint64(buf.Len()) != wireBytes {
 		t.Fatalf("encoded %d bytes on the wire, accounting says %d", buf.Len(), wireBytes)
 	}
-	r := bufio.NewReader(&buf)
-	var scratch []byte
+	r := NewFrameReader(bufio.NewReader(&buf))
 	for range payloads {
-		p, err := ReadFrame(r, scratch)
-		if err != nil {
+		if _, err := r.Next(); err != nil {
 			t.Fatal(err)
 		}
-		scratch = p
 	}
 
 	if got := Metrics.FramesEncoded.Value() - encF0; got != 2 {

@@ -92,7 +92,7 @@
 // the next call to Next or Ready. Decoders copy what they keep (DecodeBatch
 // into the caller's request slice, DecodeResultsSeq into its Hits, the
 // string decoders into fresh strings), so the view may be released as soon
-// as the decoder returns. ReadFrame is the copying form.
+// as the decoder returns.
 //
 // The hit bitmap is packed and expanded eight verdicts a step with no
 // branch on a verdict (appendBitmap, expandBitmap), and a count the bitmap
@@ -346,23 +346,6 @@ func (f *FrameReader) Ready() bool {
 		return false // no prefix, or part of one
 	}
 	return k < 0 || n > MaxFrame || n <= uint64(len(buf)-k)
-}
-
-// ReadFrame copies the next frame's payload out of r, reusing buf when it
-// is large enough: FrameReader.Next for callers that keep the payload past
-// their next read, at the price of the copy. io.EOF is returned unwrapped
-// when the stream ends cleanly between frames.
-func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	f := FrameReader{r: r, spill: buf}
-	p, err := f.Next()
-	if err != nil {
-		return nil, err
-	}
-	if f.held > 0 {
-		p = append(buf[:0], p...)
-		f.release()
-	}
-	return p, nil
 }
 
 // PayloadType returns the frame type of a payload.

@@ -249,19 +249,17 @@ func TestFrameIO(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := bufio.NewReader(&buf)
-	var scratch []byte
+	r := NewFrameReader(bufio.NewReader(&buf))
 	for i, want := range payloads {
-		got, err := ReadFrame(r, scratch)
+		got, err := r.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("frame %d: got % x, want % x", i, got, want)
 		}
-		scratch = got
 	}
-	if _, err := ReadFrame(r, scratch); err != io.EOF {
+	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("after last frame: err = %v, want io.EOF", err)
 	}
 }
