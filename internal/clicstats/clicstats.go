@@ -20,17 +20,20 @@
 //   - A tap (Global.Tap) feeds and reads a Global, the shared learner that
 //     every shard of a sharded cache uses: page placement stays
 //     hash-partitioned while the priority model is learned from the full
-//     cache-wide request stream over the full window W. Events buffer in
-//     the tap and reach the one shared window under one lock per frame, and
-//     the priority table is read wait-free. On a cluster node the same
-//     Global also publishes each closed window to its peers and absorbs
-//     theirs into its next rotation.
+//     cache-wide request stream over the full window W. Each tap counts in
+//     a window of its own, with no lock; at every multiple of W one tap
+//     sums all the taps' windows into a round, taking the idle ones and
+//     leaving the leased ones to hand theirs in at their lease's end, and
+//     the round's priority table is read wait-free. On a cluster node the
+//     same Global also publishes each round to its peers and absorbs
+//     theirs into its next one.
 //
 // Driven by one goroutine, taps on a Global produce exactly the same
-// priorities as a lone learner, in exact and in top-k mode; the difference
-// is purely who may call it and which request subsequence it sees. The
-// request-path calls are concrete methods that inline into the cache; the
-// scope costs a nil test, and the work that differs sits behind calls.
+// priorities as a lone learner in exact mode, and in top-k mode with one
+// tap; with several taps top-k mode sums per-tap summaries, which keeps
+// Space-Saving's error bounds but not its replacements (see Global). The
+// request-path calls are concrete methods that inline into the cache, the
+// same in either scope; the work that differs sits behind calls.
 //
 // The caller (the cache) remains responsible for page-level work: detecting
 // re-references via its page and outqueue records, and re-keying its victim

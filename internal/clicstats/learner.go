@@ -2,23 +2,26 @@ package clicstats
 
 import (
 	"maps"
+	"runtime"
+	"sync/atomic"
 
 	"repro/internal/hint"
 )
 
 // Learner is one cache's statistics learner, in one of the two scopes the
-// package comment describes: lone (NewPartitioned), with its own window and
-// priority table, or a tap (Global.Tap) on a shared Global, whose read side
-// is the Global's. Either way it is not safe for concurrent use, exactly
-// like the cache that owns it. The cache calls Arrive, Reref and EndRequest,
-// in that order, for every request.
+// package comment describes: lone (NewPartitioned), with its own priority
+// table, or a tap (Global.Tap) on a shared Global, whose read side is the
+// Global's. Either way it counts in a window of its own and is not safe for
+// concurrent use, exactly like the cache that owns it. The cache calls
+// Arrive, Reref and EndRequest, in that order, for every request.
 //
 // Arrive, EndRequest, Epoch and Priority inline into the cache's request
-// path: a lone learner's common case is a counter bump and a countdown, and everything else — a rotation, a tap's buffer and lease, a
-// hint set new to the window — is behind one call. Arrive has no room in
-// the inlining budget for that call, so it leaves such an arrival pending,
-// and the next Reref or EndRequest counts it first: the events still reach
-// the window in request order.
+// path: the common case, in either scope, is a counter bump and a
+// countdown, and everything else — a rotation, a tap's lease, a hint set
+// new to the window — is behind one call. Arrive has no room in the
+// inlining budget for that call, so it leaves such an arrival pending, and
+// the next Reref or EndRequest counts it first: the events still reach the
+// window in request order.
 //
 // A lone learner's steady state is allocation-free: the window counters
 // recycle (see window), and the blend reuses one scratch estimates map.
@@ -33,8 +36,8 @@ type Learner struct {
 	// Reref or EndRequest to count.
 	pendingHint hint.ID
 	pending     bool
-	// window holds a lone learner's counters. A tap's stays empty, so Arrive
-	// leaves every tap arrival pending, bound for the buffer.
+	// window holds this learner's counters: a lone learner's whole window,
+	// a tap's share of the shared one, which a rotation sums.
 	window
 
 	// A lone learner's priority table: pr holds the priorities in effect
@@ -51,25 +54,20 @@ type Learner struct {
 
 	cfg Config
 
-	// A tap's lease: events buffers arrivals and re-references since the
-	// last flush, in request order; left is the number of requests the
-	// lease owes after the countdown runs out; rotating says the countdown
-	// ends on a multiple of W rather than at the lease's end.
-	events   []tapEvent
+	// A tap's lease: left is the number of requests the lease owes after
+	// the countdown runs out; rotating says the countdown ends on a
+	// multiple of W rather than at the lease's end. state says who may
+	// touch the window (tapIdle and the rest); owes is the round a
+	// rotation marked it owed to, guarded by the Global's rotateMu.
 	left     int
+	owes     *round
+	state    atomic.Uint32
 	rotating bool
 
 	// Learners are allocated one per shard and written on every request:
 	// round each up to a cache line so neighbours never share one
 	// (TestLearnerLayout checks the arithmetic).
-	_ [cacheLine - 41]byte
-}
-
-// tapEvent is one buffered Arrive (reref false) or Reref.
-type tapEvent struct {
-	dist  uint64
-	h     hint.ID
-	reref bool
+	_ [cacheLine - 29]byte
 }
 
 // NewPartitioned returns a lone learner for the configuration. It is named
@@ -86,11 +84,17 @@ func NewPartitioned(cfg Config) *Learner {
 }
 
 // Tap returns a new learner feeding g, for one cache.
-func (g *Global) Tap() *Learner { return &Learner{g: g, cfg: g.cfg} }
+func (g *Global) Tap() *Learner {
+	l := &Learner{g: g, cfg: g.cfg, window: newWindow(g.cfg.TopK)}
+	g.rotateMu.Lock()
+	g.taps = append(g.taps, l)
+	g.rotateMu.Unlock()
+	return l
+}
 
-// Arrive records one request carrying hint set h (N(H) += 1). Only a lone
-// learner's hint sets already tracked this window are counted here; the
-// rest is left pending (see Learner).
+// Arrive records one request carrying hint set h (N(H) += 1). Only hint
+// sets already tracked in the window are counted here; the rest is left
+// pending (see Learner).
 func (l *Learner) Arrive(h hint.ID) {
 	if slot := l.sum.Slot(h); slot != 0 {
 		l.sum.Bump(slot)
@@ -99,17 +103,12 @@ func (l *Learner) Arrive(h hint.ID) {
 	l.pendingHint, l.pending = h, true
 }
 
-// settle counts a pending arrival: a tap buffers it, a lone learner counts
-// it in its window.
+// settle counts a pending arrival in the window.
 func (l *Learner) settle() {
 	if !l.pending {
 		return
 	}
 	l.pending = false
-	if l.g != nil {
-		l.events = append(l.events, tapEvent{h: l.pendingHint})
-		return
-	}
 	l.window.Arrive(l.pendingHint)
 }
 
@@ -118,10 +117,6 @@ func (l *Learner) settle() {
 // rule window.Reref states.
 func (l *Learner) Reref(h hint.ID, dist uint64) {
 	l.settle()
-	if l.g != nil {
-		l.events = append(l.events, tapEvent{h: h, dist: dist, reref: true})
-		return
-	}
 	l.window.Reref(h, dist)
 }
 
@@ -139,9 +134,8 @@ func (l *Learner) EndRequest() bool {
 
 // endRequest is EndRequest's slow path. It counts a pending arrival and,
 // at the end of the countdown, a lone learner rotates its window; a tap
-// flushes its buffer into the shared window and then either rotates the
-// Global and re-arms for the next multiple of W in its lease, or closes
-// the lease.
+// either opens the Global's next round and re-arms for the next multiple
+// of W in its lease, or closes the lease.
 func (l *Learner) endRequest() bool {
 	l.settle()
 	if l.countdown > 0 {
@@ -156,15 +150,18 @@ func (l *Learner) endRequest() bool {
 		l.countdown = 0
 		panic("clicstats: Learner.EndRequest outside a tap's lease")
 	}
-	l.flush()
 	if !l.rotating {
+		l.g.release(l)
 		return false
 	}
-	l.g.rotate()
+	l.g.rotate(l)
 	if w := l.cfg.Window; w <= l.left {
 		l.countdown, l.left = w, l.left-w
-	} else {
-		l.countdown, l.left, l.rotating = l.left, 0, false
+		return true
+	}
+	l.countdown, l.left, l.rotating = l.left, 0, false
+	if l.countdown == 0 {
+		l.g.release(l)
 	}
 	return true
 }
@@ -183,11 +180,15 @@ func (l *Learner) rotate() {
 	l.epoch++
 }
 
-// Begin leases the next n requests of g's request numbering to this tap;
-// exactly n EndRequests must follow before the next Begin.
+// Begin leases the next n > 0 requests of g's request numbering to this
+// tap; exactly n EndRequests must follow before the next Begin. While a
+// rotation or a stats read holds the tap's idle window, Begin waits for it.
 func (l *Learner) Begin(n int) {
 	if l.countdown != 0 {
 		panic("clicstats: Learner.Begin inside an open lease")
+	}
+	for !l.state.CompareAndSwap(tapIdle, tapLeased) {
+		runtime.Gosched()
 	}
 	w := uint64(l.cfg.Window)
 	start := l.g.requests.Add(uint64(n)) - uint64(n)
@@ -195,24 +196,6 @@ func (l *Learner) Begin(n int) {
 	if to := w - start%w; to <= uint64(n) {
 		l.countdown, l.left, l.rotating = int(to), n-int(to), true
 	}
-}
-
-// flush replays a tap's buffered events, in order, into the shared window.
-func (l *Learner) flush() {
-	if len(l.events) == 0 {
-		return
-	}
-	g := l.g
-	g.mu.Lock()
-	for i := range l.events {
-		if ev := &l.events[i]; ev.reref {
-			g.win.Reref(ev.h, ev.dist)
-		} else {
-			g.win.Arrive(ev.h)
-		}
-	}
-	g.mu.Unlock()
-	l.events = l.events[:0]
 }
 
 // Priority returns Pr(h) from the table currently in effect.
@@ -254,22 +237,21 @@ func (l *Learner) Priorities() map[hint.ID]float64 {
 }
 
 // WindowStats snapshots the statistics accumulated so far in the current
-// window, sorted by descending N: a tap's are the shared window's.
+// window, sorted by descending N: a tap's are the Global's.
 func (l *Learner) WindowStats() []HintStat {
-	l.settle()
 	if l.g != nil {
 		return l.g.WindowStats()
 	}
+	l.settle()
 	return l.window.hintStats()
 }
 
 // TrackedHintSets returns the number of hint sets with statistics in the
-// current window (bounded by k in top-k mode): a tap's are the shared
-// window's.
+// current window (bounded by k in top-k mode): a tap's are the Global's.
 func (l *Learner) TrackedHintSets() int {
-	l.settle()
 	if l.g != nil {
 		return l.g.TrackedHintSets()
 	}
+	l.settle()
 	return l.window.len()
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -16,12 +17,19 @@ import (
 // TestTapSerialEqualsPartitioned is the tap contract: driven by one
 // goroutine — through any number of taps, in frames of any length, leased
 // whole or one request at a time — a Global is a lone learner. After every
-// request the rotation flag and the epoch agree, and after every rotation
-// the priority table does, bit for bit, read through the Global and
-// through every tap. Twenty hint sets over TopK 5 keep Space-Saving
-// replacing, so the top-k rows hold only if the events reach the shared
-// window in request order; W = 1 and W = 7 put several boundaries inside
-// one lease.
+// request the rotation flag and the epoch agree. In exact mode, and in
+// top-k mode with one tap, so does the priority table after every
+// rotation, bit for bit, read through the Global and through every tap.
+// Twenty hint sets over TopK 5 keep Space-Saving replacing, so the one-tap
+// top-k rows hold only if the events reach the tap's window in request
+// order; W = 1 and W = 7 put several boundaries inside one lease.
+//
+// Top-k with several taps is per-shard summaries summed at rotation, a
+// mergeable summary rather than the lone learner's one summary, so those
+// rows assert Space-Saving's guarantees against an exact lone learner fed
+// the same stream instead: in every published round each N(H) and Nr(H)
+// is at most the exact count, and every hint set with more than W/k
+// requests in the round is present.
 func TestTapSerialEqualsPartitioned(t *testing.T) {
 	const hints, requests = 20, 12000
 	for _, topK := range []int{0, 5} {
@@ -29,14 +37,21 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 			for _, ntaps := range []int{1, 3, 8} {
 				name := fmt.Sprintf("TopK=%d/W=%d/taps=%d", topK, w, ntaps)
 				cfg := Config{Window: w, R: 0.5, TopK: topK}
-				p, g := NewPartitioned(cfg), NewGlobal(cfg)
+				equal := topK == 0 || ntaps == 1
+				pcfg := cfg
+				if !equal {
+					pcfg.TopK = 0
+				}
+				p, g := NewPartitioned(pcfg), NewGlobal(cfg)
+				var round []WindowCounter
+				g.SetPublish(func(_ uint64, local []WindowCounter) { round = local })
 				taps := make([]*Learner, ntaps)
 				for i := range taps {
 					taps[i] = g.Tap()
 				}
 				rng := rand.New(rand.NewSource(int64(31*w + topK + ntaps)))
-				rotations := 0
-				for done := 0; done < requests; {
+				rotations, done := 0, 0
+				for done < requests {
 					tp := taps[rng.Intn(ntaps)]
 					n := 1 + rng.Intn(700)
 					whole := rng.Intn(3) < 2
@@ -59,6 +74,10 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 							p.Reref(rh, d)
 							tp.Reref(rh, d)
 						}
+						var exact []HintStat
+						if !equal && (done+i+1)%w == 0 {
+							exact = p.WindowStats()
+						}
 						pe, ge := p.EndRequest(), tp.EndRequest()
 						if pe != ge || p.Epoch() != tp.Epoch() || p.Windows() != g.Windows() {
 							t.Fatalf("%s request %d: partitioned rotated=%v epoch=%d windows=%d, tap rotated=%v epoch=%d windows=%d",
@@ -68,6 +87,14 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 							continue
 						}
 						rotations++
+						if !equal {
+							merged := make([]HintStat, len(round))
+							for j, wc := range round {
+								merged[j] = HintStat{Hint: wc.Hint, N: wc.N, Nr: wc.Nr}
+							}
+							checkMergedBounds(t, fmt.Sprintf("%s epoch %d", name, p.Epoch()), merged, exact, w, topK)
+							continue
+						}
 						pp, gp := p.Priorities(), g.Priorities()
 						if !reflect.DeepEqual(pp, gp) {
 							t.Fatalf("%s epoch %d: partitioned table %v, global %v", name, p.Epoch(), pp, gp)
@@ -82,10 +109,12 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 					}
 					done += n
 				}
-				if rotations == 0 || len(p.Priorities()) == 0 {
-					t.Errorf("%s: vacuous run: %d rotations, %d priorities", name, rotations, len(p.Priorities()))
+				if rotations == 0 || len(p.Priorities()) == 0 || len(g.Priorities()) == 0 {
+					t.Errorf("%s: vacuous run: %d rotations, %d priorities", name, rotations, len(g.Priorities()))
 				}
-				if !reflect.DeepEqual(p.WindowStats(), g.WindowStats()) {
+				if !equal {
+					checkMergedBounds(t, name+" at the end", g.WindowStats(), p.WindowStats(), done%w, topK)
+				} else if !reflect.DeepEqual(p.WindowStats(), g.WindowStats()) {
 					t.Errorf("%s: window statistics differ at the end:\npartitioned %+v\nglobal      %+v", name, p.WindowStats(), g.WindowStats())
 				}
 			}
@@ -93,57 +122,120 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 	}
 }
 
-// TestTapConcurrent is the -race stress of the tap protocol: four
-// goroutines, each with taps of its own on one Global learner, leasing
-// frames of 1–64 requests. Every multiple of W must be seen by exactly one
-// lease (rotations == total/W, published rounds 1, 2, … in order), and no
-// event may be lost or counted twice: the N drained by the rotations,
-// which the publish hook sees, plus the N still in the shared window once
-// every tap has flushed, is the number of Arrives. The hook also absorbs
-// what it publishes back into the learner, as a peer delivering at publish
-// time would: Absorb inside a rotation must neither deadlock nor reach the
-// published counters. A tap that never returns trips the watchdog.
+// checkMergedBounds asserts Space-Saving's guarantees for per-tap top-k
+// summaries summed over one window of w requests, against the exact counts
+// of the same window: no hint set is counted or credited more often than it
+// was, and every hint set with more than w/k requests is present.
+func checkMergedBounds(t *testing.T, what string, merged, exact []HintStat, w, k int) {
+	t.Helper()
+	want := make(map[hint.ID]HintStat, len(exact))
+	for _, hs := range exact {
+		want[hs.Hint] = hs
+	}
+	got := make(map[hint.ID]bool, len(merged))
+	for _, hs := range merged {
+		got[hs.Hint] = true
+		ex := want[hs.Hint]
+		if hs.N > ex.N || hs.Nr > ex.Nr {
+			t.Fatalf("%s hint %d: merged N=%d Nr=%d over the exact N=%d Nr=%d", what, hs.Hint, hs.N, hs.Nr, ex.N, ex.Nr)
+		}
+	}
+	for _, ex := range exact {
+		if ex.N*uint64(k) > uint64(w) && !got[ex.Hint] {
+			t.Fatalf("%s hint %d: %d of %d requests, over W/k, but missing from the merged summary %+v", what, ex.Hint, ex.N, w, merged)
+		}
+	}
+}
+
+// TestTapConcurrent is the -race stress of the tap protocol at a window of
+// 1000: every multiple of W must be seen by exactly one lease, every round
+// must publish once and in order, and no arrival may be lost or counted
+// twice (stressTaps). The hook also absorbs what it publishes back into the
+// learner, as a peer delivering at publish time would: Absorb inside a
+// publication must neither deadlock nor reach the published counters.
 func TestTapConcurrent(t *testing.T) {
-	const (
-		workers = 4
-		perW    = 50000
-		window  = 1000
-	)
-	g := NewGlobal(Config{Window: window, R: 0.5})
+	g := stressTaps(t, 1000, 50000, true)
+	if len(g.Priorities()) == 0 {
+		t.Error("no priorities learned from a re-referencing stream")
+	}
+}
+
+// TestTapConcurrentTinyWindows stresses the hand-off where rounds overlap:
+// with W of 1, 3 and 8, nearly every rotation finds other taps leased,
+// marks them owed and leaves its round open, and a tap may owe a round
+// while others open behind it. stressTaps checks the counts; here the
+// hand-off must also have happened, and no goroutine may outlive the runs.
+func TestTapConcurrentTinyWindows(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for _, w := range []int{1, 3, 8} {
+		if g := stressTaps(t, w, 20000, false); g.LateHandins() == 0 {
+			t.Errorf("W=%d: no rotation found a tap leased: the hand-off went untested", w)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// stressTaps drives one Global with window w from four goroutines, each
+// with two taps of its own, leasing frames of 1–64 requests of perG each
+// and yielding mid-lease now and then, so that leases overlap even on one
+// CPU. It checks that rotations == total/W and that rounds publish as 1,
+// 2, … in order, and that the N in the published rounds plus the N still
+// in the taps (WindowStats) is the number of arrivals. With echo the
+// publish hook absorbs what it publishes, and every round must have been
+// absorbed. A tap that never returns trips the watchdog.
+func stressTaps(t *testing.T, w, perG int, echo bool) *Global {
+	t.Helper()
+	const goroutines, tapsEach = 4, 2
+	g := NewGlobal(Config{Window: w, R: 0.5})
 	// Written by the hook, under the rotation lock.
 	var published, rounds uint64
 	g.SetPublish(func(round uint64, local []WindowCounter) {
 		if rounds++; round != rounds {
-			t.Errorf("published round %d as rotation %d", round, rounds)
+			t.Errorf("W=%d: published round %d as round %d", w, round, rounds)
 		}
 		for _, wc := range local {
 			published += wc.N
 		}
-		g.Absorb(local)
+		if echo {
+			g.Absorb(local)
+		}
 	})
+	var rotations atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(seed int64) {
 			defer wg.Done()
-			taps := []*Learner{g.Tap(), g.Tap()}
-			rng := rand.New(rand.NewSource(int64(w)))
-			for left := perW; left > 0; {
+			taps := make([]*Learner, tapsEach)
+			for j := range taps {
+				taps[j] = g.Tap()
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for left := perG; left > 0; {
 				n := min(1+rng.Intn(64), left)
-				tp := taps[rng.Intn(len(taps))]
+				tp := taps[rng.Intn(tapsEach)]
 				tp.Begin(n)
-				for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
 					h := hint.ID(rng.Intn(32))
 					tp.Arrive(h)
-					if i%4 == 0 {
+					if j%4 == 0 {
 						tp.Reref(h, uint64(1+rng.Intn(9)))
 					}
-					tp.EndRequest()
+					if tp.EndRequest() {
+						rotations.Add(1)
+					}
 					tp.Priority(h)
+					if rng.Intn(8) == 0 {
+						runtime.Gosched()
+					}
 				}
 				left -= n
 			}
-		}(w)
+		}(int64(w*goroutines + i))
 	}
 	done := make(chan struct{})
 	go func() {
@@ -154,23 +246,25 @@ func TestTapConcurrent(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Minute):
 		buf := make([]byte, 1<<16)
-		t.Fatalf("taps still running after 2m\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatalf("W=%d: taps still running after 2m\n%s", w, buf[:runtime.Stack(buf, true)])
 	}
 
-	const total = workers * perW
-	if g.Windows() != total/window || g.Epoch() != total/window || rounds != total/window || g.Absorbed() != total/window {
-		t.Errorf("windows=%d epoch=%d rounds=%d absorbed=%d, want exactly %d each", g.Windows(), g.Epoch(), rounds, g.Absorbed(), total/window)
+	total := goroutines * perG
+	want := total / w
+	if int(rotations.Load()) != want || g.Windows() != want || g.Epoch() != uint64(want) || rounds != uint64(want) {
+		t.Errorf("W=%d: %d rotations, %d windows, epoch %d, %d rounds published, want %d each", w, rotations.Load(), g.Windows(), g.Epoch(), rounds, want)
+	}
+	if echo && g.Absorbed() != uint64(want) {
+		t.Errorf("W=%d: absorbed %d rounds, want %d", w, g.Absorbed(), want)
 	}
 	held := uint64(0)
 	for _, hs := range g.WindowStats() {
 		held += hs.N
 	}
-	if published+held != total {
-		t.Errorf("arrivals: %d published + %d still in the window = %d, want %d", published, held, published+held, total)
+	if published+held != uint64(total) {
+		t.Errorf("W=%d: arrivals: %d published + %d still in the taps = %d, want %d", w, published, held, published+held, total)
 	}
-	if len(g.Priorities()) == 0 {
-		t.Error("no priorities learned from a re-referencing stream")
-	}
+	return g
 }
 
 // TestTapLeaseMisuse pins the two ways to break a lease: EndRequest with
@@ -225,7 +319,7 @@ func TestGlobalLayout(t *testing.T) {
 // TestLearnerLayout pins the learner's layout. Learners are allocated one
 // per shard, back to back, and written on every request, so a Learner is a
 // whole number of cache lines and neighbours never share one. And the
-// words a lone learner's request path reads on every request — the
+// words the request path reads on every request, in either scope — the
 // countdown, the tap pointer, the pending arrival, and the summary's key
 // index, observation count and slab pointer — sit in its first line. The
 // slab's length, which Bump's bounds check reads, is the one that cannot:

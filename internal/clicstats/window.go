@@ -9,11 +9,9 @@ import (
 
 // window is one statistics window's raw counters — N(H), Nr(H) and the
 // re-reference distance sum per hint set (Equations 1–2) — in one adapted
-// Space-Saving summary (§5). It has no lock and no priority table: a lone
-// Learner embeds one, and Global keeps the one every tap flushes into under
-// its counter lock. Both count through this one type, so fed the same
-// events in the same order they hold the same counters, top-k replacements
-// included.
+// Space-Saving summary (§5). It has no lock and no priority table: every
+// Learner embeds one, lone or tap, so fed the same events in the same order
+// two learners hold the same counters, top-k replacements included.
 //
 // Exact mode is the summary with no bound: k is above any hint vocabulary,
 // so it never replaces, every error bound stays 0, and N(H) is the count.
@@ -22,7 +20,7 @@ import (
 // visits only the hint sets tracked this window.
 type window struct {
 	// sum is held by value and leads, so that its index and slab headers
-	// share the cache line a lone Learner's request path reads.
+	// share the cache line a Learner's request path reads.
 	sum spacesaving.Summary[hint.ID, rerefAux]
 	// exact says sum is unbounded (TopK 0).
 	exact bool
@@ -38,8 +36,8 @@ func newWindow(topK int) window {
 	return window{sum: *spacesaving.New[hint.ID, rerefAux](k), exact: topK == 0}
 }
 
-// Arrive counts one request carrying hint set h. A lone Learner's Arrive
-// counts a tracked hint set itself, inline, and leaves the rest to this.
+// Arrive counts one request carrying hint set h. A Learner's Arrive counts
+// a tracked hint set itself, inline, and leaves the rest to this.
 func (w *window) Arrive(h hint.ID) { w.sum.Touch(h) }
 
 // Reref credits hint set h with a read re-reference at the given distance

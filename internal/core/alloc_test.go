@@ -58,11 +58,11 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAccessBatchGlobalAllocs is the batch contract again with the shards
-// feeding one shared learner: once every tap's event buffer has grown to its
-// largest frame and the shared top-k window to its k counters — both in the
-// warm-up — leasing, buffering and flushing allocate nothing. W is larger
-// than the measured run, so no rotation (which allocates the table it
-// publishes, by design) falls inside it.
+// feeding one shared learner: once every tap's top-k window has grown to
+// its k counters — in the warm-up — leasing, counting and releasing
+// allocate nothing. W is larger than the measured run, so no rotation
+// (which allocates the round it sums and the table it publishes, by
+// design) falls inside it.
 func TestAccessBatchGlobalAllocs(t *testing.T) {
 	s := NewSharded(Config{Capacity: 512, Window: 1 << 30, TopK: 64, Stats: StatsGlobal}, 4)
 	defer s.Close()

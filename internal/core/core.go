@@ -46,8 +46,10 @@
 // learner's epoch). The learner has two scopes, and Config.Stats selects
 // which a sharded front uses: a lone learner per shard over a scaled
 // window (StatsPartitioned, the default) or a tap per shard on one shared
-// clicstats.Global, one lock per frame (StatsGlobal; on a cluster node the
-// same Global also exchanges window summaries with its peers). A plain
+// clicstats.Global (StatsGlobal; on a cluster node the same Global also
+// exchanges window summaries with its peers). A tap counts in its own
+// window exactly as a lone learner does; the Global sums the taps' windows
+// once per W requests and takes no lock per request or per frame. A plain
 // Cache has one learner either way and always uses a lone one, which a
 // lone tap on a shared learner equals bit for bit.
 //

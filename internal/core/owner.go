@@ -135,8 +135,8 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	reqs, idx, hits := f.reqs, f.idx, f.hits
 	if sh.tap != nil {
 		// Global learning: lease the frame's request numbers up front, so
-		// the tap takes the shared learner's lock once, at the frame's end
-		// (or at a window boundary inside it), not once per event.
+		// the tap knows where a window boundary falls inside the frame and
+		// touches shared state only there and at the frame's end.
 		sh.tap.Begin(len(reqs))
 	}
 	for lo := 0; lo < len(reqs); lo += warmGroup {

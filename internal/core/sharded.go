@@ -183,10 +183,10 @@ func (s *Sharded) Global() *clicstats.Global { return s.global }
 // another goroutine holds it), runs the request itself and releases, so
 // requests for different shards proceed in parallel and requests for one
 // shard serialize. In global mode the shards additionally share the
-// learner: each request is a one-request lease on its shard's tap, which
-// flushes under the learner's one counter lock. Batch drivers should use
-// NewProducer/AccessBatch, which pay the hand-off once per frame instead of
-// once per request.
+// learner: each request is a one-request lease on its shard's tap, opened
+// and closed with a CAS on the tap's state word, and counted in the tap's
+// own window. Batch drivers should use NewProducer/AccessBatch, which pay
+// the hand-off and the lease once per frame instead of once per request.
 func (s *Sharded) Access(r trace.Request) bool {
 	sh := &s.shards[s.ShardFor(r.Page)]
 	sh.hold()
@@ -331,11 +331,11 @@ func (s *Sharded) ShardStats(i int) ShardStats {
 	return st
 }
 
-// TrackedHintSets returns the number of hint sets the statistics learner
-// currently tracks: the shared learner's count in global mode, the sum of
-// the per-shard learners' counts in partitioned mode (a hint set seen by
-// several shards counts once per shard). Partitioned mode holds every shard
-// in turn — an observability read, not a hot-path one.
+// TrackedHintSets returns the number of hint sets the statistics learners
+// currently track, summed over the shards' windows in either mode: a hint
+// set seen by several shards counts once per shard. Global mode counts the
+// taps not mid-frame; partitioned mode holds every shard in turn — an
+// observability read, not a hot-path one.
 func (s *Sharded) TrackedHintSets() int {
 	if s.global != nil {
 		return s.global.TrackedHintSets()

@@ -337,8 +337,8 @@ func TestShardedGlobalSharedLearning(t *testing.T) {
 
 // TestShardedGlobalConcurrent hammers a global-learner front from more
 // clients than shards; under -race this exercises the one-request leases,
-// the learner's counter lock, the table republishing, and the lazy per-shard
-// heap re-keying together.
+// the taps' hand-off at rotation, the table republishing, and the lazy
+// per-shard heap re-keying together.
 func TestShardedGlobalConcurrent(t *testing.T) {
 	const clients = 8
 	cfg := Config{Capacity: 128, Window: 1000, Stats: StatsGlobal}

@@ -294,8 +294,8 @@ func TestServeSourceGlobalSingleClient(t *testing.T) {
 
 // TestServeSourceGlobalMoreClientsThanShards drives a 2-shard front with
 // the shared global learner from 6 clients: client goroutines contend for
-// both the shards and the learner's counter lock, and rotations by
-// one shard must propagate to the others' victim heaps. Under -race (the
+// the shards while rotations take and owe the taps' windows, and rotations
+// by one shard must propagate to the others' victim heaps. Under -race (the
 // CI configuration) this is the engine-path stress test for global
 // learning.
 func TestServeSourceGlobalMoreClientsThanShards(t *testing.T) {

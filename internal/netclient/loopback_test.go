@@ -547,8 +547,8 @@ func TestHelloVersionMismatch(t *testing.T) {
 
 // TestLoopbackGlobalLearner runs the whole network stack on a server whose
 // shards share the global learner: three concurrent client connections
-// against two shards, so connection handlers contend for the shards and
-// the learner's counter lock at once — the TCP-path stress test for
+// against two shards, so connection handlers contend for the shards while
+// rotations take and owe the taps' windows — the TCP-path stress test for
 // global learning (run under -race in CI). Order-free quantities are
 // checked against the in-process ServeSource path, and the admin snapshot
 // must report the mode.

@@ -93,6 +93,8 @@ func (s *Server) buildRegistry() {
 			func() float64 { return float64(s.summariesPublished.Value()) })
 		r.GaugeFunc("clic_cluster_pending_hint_sets", "Hint sets with remote counters awaiting the next rotation.",
 			func() float64 { return float64(g.PendingHintSets()) })
+		r.CounterFunc("clic_learner_late_handins_total", "Window counts a rotation left owed by a shard mid-frame, handed in at the frame's end.",
+			func() float64 { return float64(g.LateHandins()) })
 	}
 }
 

@@ -205,6 +205,32 @@ func TestMetricsEndpoint(t *testing.T) {
 	if samples["clic_netclient_batches_total"] == 0 || samples["clic_netclient_batch_rtt_ns_count"] == 0 {
 		t.Error("netclient series missing or zero for an in-process replay")
 	}
+
+	// Learner family: global statistics mode only, beside the cluster
+	// series, and read without allocating.
+	if _, ok := samples["clic_learner_late_handins_total"]; ok {
+		t.Error("clic_learner_late_handins_total exported in partitioned mode")
+	}
+	gsrv := startServer(t, server.Config{
+		Cache:  core.Config{Capacity: 2000, Window: 500, Stats: core.StatsGlobal},
+		Shards: shards,
+	})
+	if _, err := netclient.ReplaySource(gsrv.Addr().String(), tr.Source(), netclient.ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	g := gsrv.Cache().Global()
+	gsamples := scrape(t, gsrv)
+	if v, ok := gsamples["clic_learner_late_handins_total"]; !ok || v != float64(g.LateHandins()) {
+		t.Errorf("clic_learner_late_handins_total = %v (present %v), learner says %d", v, ok, g.LateHandins())
+	}
+	if gsamples["clic_cluster_merge_rounds_total"] == 0 {
+		t.Error("clic_cluster_merge_rounds_total missing or zero in global mode")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = g.LateHandins() + g.Absorbed() + uint64(g.Windows()+g.PendingHintSets()+g.TrackedHintSets())
+	}); n != 0 {
+		t.Errorf("the learner's scrape-time reads allocate %v allocs per scrape, want 0", n)
+	}
 }
 
 // TestSnapshotSchema is the /stats golden schema test: the JSON document's
