@@ -7,15 +7,12 @@
 //
 //	clicserve -addr :7070 -cache 18000 -shards 8
 //	clicserve -addr :7070 -admin :7071 -cache 18000 -topk 100 -window 100000
-//	clicserve -addr :7070 -cache 18000 -shards 8 -stats global
 //
-// -stats selects where the sharded front learns its hint statistics:
-// "partitioned" (each shard privately, over a W/N window — the default) or
-// "global" (all shards feed one shared learner over the full window W
-// through per-shard taps, so the priority model is cache-wide); the admin
-// /stats JSON reports it. Connection handlers hand each shard whole
-// request frames and run them there themselves, or leave them to whichever
-// handler holds the shard at the time.
+// All shards of the sharded front feed one shared learner over the full
+// window W, each through a tap of its own, so the priority model is
+// cache-wide. Connection handlers hand each shard whole request frames and
+// run them there themselves, or leave them to whichever handler holds the
+// shard at the time.
 //
 // Several clicserve processes form a cluster (internal/cluster): clients
 // route requests across the nodes by consistent hash (clicsim -connect
@@ -27,11 +24,10 @@
 //	clicserve -addr :7071 -node-id node1 -peers :7070,:7072
 //	clicserve -addr :7072 -node-id node2 -peers :7070,:7071
 //
-// -peers implies -stats global, and an explicit -stats partitioned next to
-// it is an error. At every window rotation the node ships its window's hint
-// counters to every -peers address (lossy gossip over the ordinary wire
-// protocol — an unreachable peer costs summaries, never correctness) and
-// folds the summaries it received into its own priorities. -node-id names
+// At every window rotation the node ships its window's hint counters to
+// every -peers address (lossy gossip over the ordinary wire protocol — an
+// unreachable peer costs summaries, never correctness) and folds the
+// summaries it received into its own priorities. -node-id names
 // this node in published summaries and the admin cluster accounting. Run
 // each node's share of the cluster-wide cache/window/outqueue budget (e.g.
 // a third each for three nodes); the in-process harness splits them the
@@ -50,7 +46,7 @@
 // (finished at graceful shutdown). On SIGINT/SIGTERM the server drains and
 // prints a final accounting table.
 //
-// The CLIC settings (-topk, -window, -r, -noutq, -stats), -timeline,
+// The CLIC settings (-topk, -window, -r, -noutq), -timeline,
 // -metrics-interval, -cpuprofile and -memprofile are the flags clicserve
 // shares with cmd/clicsim, declared once in internal/cli. The pipelining
 // window a connection may keep in flight is server.DefaultMaxInflight.
@@ -69,7 +65,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -81,7 +76,7 @@ func main() {
 		admin  = flag.String("admin", "", "admin HTTP listen address (empty = disabled)")
 		cache  = flag.Int("cache", 18000, "server cache size in pages")
 		shards = flag.Int("shards", 8, "CLIC shard count")
-		peers  = flag.String("peers", "", "comma-separated peer page-request addresses to exchange window summaries with (implies -stats global; -stats partitioned is an error)")
+		peers  = flag.String("peers", "", "comma-separated peer page-request addresses to exchange window summaries with")
 		nodeID = flag.String("node-id", "", "-peers: this node's name in published summaries (default \"node\")")
 		opts   = cli.Register(flag.CommandLine)
 	)
@@ -92,7 +87,7 @@ func main() {
 			peerAddrs = append(peerAddrs, p)
 		}
 	}
-	clicCfg, err := cacheConfig(flag.CommandLine, opts, peerAddrs)
+	clicCfg, err := opts.Config()
 	if err != nil {
 		fatal(err)
 	}
@@ -191,24 +186,6 @@ func main() {
 	if err := tbl.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
-}
-
-// cacheConfig maps the shared CLIC flags to a core.Config (Capacity left
-// for the caller). A cluster node learns globally, so with peers an unset
-// -stats means global and an explicit -stats partitioned is an error
-// rather than silently overridden.
-func cacheConfig(fs *flag.FlagSet, opts *cli.Flags, peers []string) (core.Config, error) {
-	cfg, err := opts.Config()
-	if err != nil || len(peers) == 0 {
-		return cfg, err
-	}
-	explicit := false
-	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "stats" })
-	if explicit && cfg.Stats != core.StatsGlobal {
-		return core.Config{}, fmt.Errorf("-peers needs -stats global, not -stats %s", cfg.Stats)
-	}
-	cfg.Stats = core.StatsGlobal
-	return cfg, nil
 }
 
 func fatal(err error) {

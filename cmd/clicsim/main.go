@@ -12,16 +12,15 @@
 // (internal/engine); -workers bounds the pool (default: all cores) and the
 // numbers are identical at any setting. -shards runs CLIC behind the
 // concurrency-safe sharded front (core.Sharded); adding -concurrent drives
-// it with one goroutine per trace client instead of replaying serially, and
-// -stats selects where the front learns its hint statistics: "partitioned"
-// (per shard, W/N windows — the default) or "global" (one shared learner
-// over the full window W, fed through per-shard taps). A serial replay
+// it with one goroutine per trace client instead of replaying serially.
+// The front's shards learn through one shared learner over the full window
+// W, each feeding it through a tap of its own. A serial replay
 // holds each request's shard for that request alone; the concurrent serve
 // hands each shard whole request frames, run by whichever client posted
 // them or by whoever holds the shard at the time. Each concurrent serve
 // ends with a "serve total:" line that adds its request rate.
 //
-// The CLIC settings (-topk, -window, -r, -noutq, -stats), the timeline
+// The CLIC settings (-topk, -window, -r, -noutq), the timeline
 // (-timeline, -metrics-interval; -concurrent with a single policy × cache
 // cell only) and the pprof file profiles (-cpuprofile, -memprofile) are the
 // flags clicsim shares with cmd/clicserve, declared once in internal/cli.

@@ -17,12 +17,10 @@
 // same worker pool (engine.Each); -workers sizes it (default: all cores).
 // Results are identical at any worker count.
 //
-// Beyond the paper's figures, -fig learner runs the partitioned-vs-global
-// statistics ablation for the sharded CLIC front (see core.Config.Stats),
-// and -fig cluster runs the distributed-CLIC ablation: a single node
-// against a 3-node consistent-hash cluster with and without cross-node
-// merged learning, replayed through the real router over loopback TCP
-// (internal/cluster).
+// Beyond the paper's figures, -fig cluster runs the distributed-CLIC
+// ablation: a single node against a 3-node consistent-hash cluster with and
+// without cross-node merged learning, replayed through the real router over
+// loopback TCP (internal/cluster).
 package main
 
 import (

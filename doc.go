@@ -23,11 +23,10 @@
 // flat counters, two stores per request, the replacement victim from a
 // lazily repaired heap) — is its own layer (internal/clicstats): one
 // concrete learner type whose per-request calls inline into the cache. The
-// sharded concurrent front can learn partitioned (each shard privately,
-// over a W/N window) or globally (all shards feed one shared learner over
-// the full window W, each through a private tap that counts in a window
-// of its own, summed with the others' once per window, keeping one
-// coherent priority model while page placement stays hash-partitioned). Select with core.Config.Stats, the -stats flag of
-// clicsim/clicserve, and measure with the "learner" ablation of
-// cmd/experiments; README.md ("Learner modes") discusses when each wins.
+// sharded concurrent front learns one coherent priority model while page
+// placement stays hash-partitioned: all shards feed one shared learner
+// over the full window W, each through a tap that counts in a window of
+// its own, summed with the others' once per window. README.md ("How a
+// sharded front learns") states what that keeps exact and what
+// concurrency relaxes.
 package repro

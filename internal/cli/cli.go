@@ -1,5 +1,5 @@
 // Package cli declares, once, the flags that cmd/clicsim and cmd/clicserve
-// share: the CLIC settings (-topk, -window, -r, -noutq, -stats) that become
+// share: the CLIC settings (-topk, -window, -r, -noutq) that become
 // a core.Config, the timeline file (-timeline, -metrics-interval) and the
 // runtime/pprof file profiles (-cpuprofile, -memprofile). Each command
 // registers them next to its own flags and asks Flags for the pieces it
@@ -23,7 +23,6 @@ import (
 type Flags struct {
 	topk, window, noutq int
 	decay               float64
-	stats               string
 
 	// Timeline is the -timeline path ("" = no timeline) and Interval its
 	// -metrics-interval.
@@ -40,7 +39,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.window, "window", 0, "CLIC: statistics window W (0 = default)")
 	fs.Float64Var(&f.decay, "r", 0, "CLIC: decay parameter r (0 = default 1.0)")
 	fs.IntVar(&f.noutq, "noutq", 0, "CLIC: outqueue entries (0 = 5 per cache page)")
-	fs.StringVar(&f.stats, "stats", "partitioned", "CLIC sharded front: statistics learning mode (partitioned|global)")
 	fs.StringVar(&f.Timeline, "timeline", "", "write per-interval metrics rows (CSV) to this file, replacing its contents (clicsim: -concurrent only)")
 	fs.DurationVar(&f.Interval, "metrics-interval", time.Second, "-timeline: sampling interval")
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile covering the run to this file")
@@ -49,14 +47,9 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // Config returns the CLIC settings as a core.Config whose Capacity the
-// caller sets. It fails on a -stats spelling core.ParseStatsMode rejects
-// and on the values Check rejects.
+// caller sets. It fails on the values Check rejects.
 func (f *Flags) Config() (core.Config, error) {
-	mode, err := core.ParseStatsMode(f.stats)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg := core.Config{TopK: f.topk, Window: f.window, R: f.decay, Noutq: f.noutq, Stats: mode}
+	cfg := core.Config{TopK: f.topk, Window: f.window, R: f.decay, Noutq: f.noutq}
 	if err := Check(cfg); err != nil {
 		return core.Config{}, err
 	}

@@ -24,7 +24,7 @@ func parse(t *testing.T, args ...string) (*Flags, error) {
 }
 
 func TestFlagsReachConfig(t *testing.T) {
-	f, err := parse(t, "-topk", "7", "-window", "11", "-r", "0.25", "-noutq", "13", "-stats", "global",
+	f, err := parse(t, "-topk", "7", "-window", "11", "-r", "0.25", "-noutq", "13",
 		"-timeline", "tl.csv", "-metrics-interval", "3ms", "-cpuprofile", "cpu.prof", "-memprofile", "mem.prof")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestFlagsReachConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Config{TopK: 7, Window: 11, R: 0.25, Noutq: 13, Stats: core.StatsGlobal}
+	want := core.Config{TopK: 7, Window: 11, R: 0.25, Noutq: 13}
 	if cfg != want {
 		t.Errorf("Config() = %+v, want %+v", cfg, want)
 	}
@@ -48,8 +48,8 @@ func TestFlagsReachConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg, err := f.Config(); err != nil || cfg != (core.Config{Stats: core.StatsPartitioned}) {
-		t.Errorf("defaults: Config() = %+v, %v; want the zero config, partitioned", cfg, err)
+	if cfg, err := f.Config(); err != nil || cfg != (core.Config{}) {
+		t.Errorf("defaults: Config() = %+v, %v; want the zero config", cfg, err)
 	}
 	if f.Timeline != "" || f.Interval != time.Second || f.cpuprofile != "" || f.memprofile != "" {
 		t.Errorf("defaults: timeline %q every %v, profiles %q, %q", f.Timeline, f.Interval, f.cpuprofile, f.memprofile)
@@ -60,12 +60,10 @@ func TestFlagsReachConfig(t *testing.T) {
 // every CLIC setting no cache accepts, rather than letting it panic in the
 // learner or pass silently.
 func TestBadStats(t *testing.T) {
-	_, badMode := core.ParseStatsMode("bogus")
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-stats", "bogus"}, badMode.Error()},
 		{[]string{"-topk", "-3"}, "-topk -3: must not be negative (0 = all hint sets)"},
 		{[]string{"-window", "-5"}, "-window -5: must not be negative (0 = default)"},
 		{[]string{"-r", "2"}, "-r 2: must be in (0, 1] (0 = default 1.0)"},

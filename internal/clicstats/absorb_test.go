@@ -40,12 +40,13 @@ func TestMergedAbsorb(t *testing.T) {
 		t.Fatal("request W did not rotate")
 	}
 	// Merged hint 0: nr²/(n·dsum) = 16/(8·8) = 0.25 — the same estimate as
-	// local-only here, pinning that doubling every counter is neutral.
-	if got := g.Priority(0); math.Abs(got-0.25) > 1e-12 {
+	// local-only here, pinning that doubling every counter is neutral. The
+	// rotating tap reads the new table at once.
+	if got := tp.Priority(0); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("Priority(0) = %v, want 0.25", got)
 	}
 	// Remote-only hint 1: 1/(2·10) = 0.05.
-	if got := g.Priority(1); math.Abs(got-0.05) > 1e-12 {
+	if got := tp.Priority(1); math.Abs(got-0.05) > 1e-12 {
 		t.Errorf("Priority(1) = %v, want 0.05", got)
 	}
 	if g.PendingHintSets() != 0 {
@@ -110,12 +111,12 @@ func TestMergedCrossFeed(t *testing.T) {
 		tb.Arrive(1)
 		endOne(tb) // the fourth: B rotates and folds A's counters in
 	}
-	if got := b.Priority(7); got <= 0 {
+	if got := tb.Priority(7); got <= 0 {
 		t.Fatalf("node B learned nothing about hint 7 (priority %v)", got)
 	}
 	// B's estimate for 7 comes purely from A's summary: N=4, Nr=4, dsum=8
 	// → 16/(4·8) = 0.5.
-	if got := b.Priority(7); math.Abs(got-0.5) > 1e-12 {
+	if got := tb.Priority(7); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Priority(7) on B = %v, want 0.5", got)
 	}
 }

@@ -9,24 +9,22 @@
 // TopK hint sets or, in exact mode (TopK 0), never replacing. The modes
 // differ in one crediting rule, which window.Reref states.
 //
-// One Learner type covers both ends of the sharded-cache design space, in
-// one of two scopes over one shared counter type (window):
+// One Learner type serves two scopes over one shared counter type
+// (window):
 //
-//   - A lone learner (NewPartitioned) keeps its own window and priority
-//     table: not safe for concurrent use, bit-identical to the bookkeeping
-//     that used to be inlined in core.Cache. A sharded cache gives each
-//     shard its own over a W/N window — learning is fully partitioned along
-//     with placement. A plain Cache always learns through one.
+//   - A lone learner (NewPartitioned) keeps its own window and computes its
+//     own priority table: bit-identical to the bookkeeping that used to be
+//     inlined in core.Cache, which always learns through one.
 //   - A tap (Global.Tap) feeds and reads a Global, the shared learner that
-//     every shard of a sharded cache uses: page placement stays
+//     every shard of a core.Sharded front uses: page placement stays
 //     hash-partitioned while the priority model is learned from the full
 //     cache-wide request stream over the full window W. Each tap counts in
 //     a window of its own, with no lock; at every multiple of W one tap
 //     sums all the taps' windows into a round, taking the idle ones and
-//     leaving the leased ones to hand theirs in at their lease's end, and
-//     the round's priority table is read wait-free. On a cluster node the
-//     same Global also publishes each round to its peers and absorbs
-//     theirs into its next one.
+//     leaving the leased ones to hand theirs in at their lease's end. Each
+//     tap reads its own copy of the round's table, taken at its next lease.
+//     On a cluster node the same Global also publishes each round to its
+//     peers and absorbs theirs into its next one.
 //
 // Driven by one goroutine, taps on a Global produce exactly the same
 // priorities as a lone learner in exact mode, and in top-k mode with one
@@ -70,13 +68,6 @@ func (cfg Config) validate() {
 	if cfg.TopK < 0 {
 		panic("clicstats: TopK must not be negative")
 	}
-}
-
-// winStats are the per-window statistics for one hint set.
-type winStats struct {
-	n    uint64  // N(H): requests with this hint set this window
-	nr   uint64  // Nr(H): read re-references credited to this hint set
-	dsum float64 // sum of re-reference distances (D(H) = dsum/nr)
 }
 
 // WindowCounter is one hint set's raw window counters — the pre-division
@@ -166,33 +157,4 @@ func SortHintStats(out []HintStat) {
 		}
 		return out[i].Hint < out[j].Hint
 	})
-}
-
-// MergeHintStats merges per-partition window snapshots into one cache-wide
-// view: N and Nr sum, D is the combined mean distance, and Pr is recomputed
-// from the merged numbers (Equation 2). Used by the sharded cache to
-// present fully-partitioned learners as a single statistics surface.
-func MergeHintStats(parts ...[]HintStat) []HintStat {
-	merged := make(map[hint.ID]*winStats)
-	var order []hint.ID
-	for _, part := range parts {
-		for _, hs := range part {
-			a, ok := merged[hs.Hint]
-			if !ok {
-				a = &winStats{}
-				merged[hs.Hint] = a
-				order = append(order, hs.Hint)
-			}
-			a.n += hs.N
-			a.nr += hs.Nr
-			a.dsum += hs.D * float64(hs.Nr)
-		}
-	}
-	out := make([]HintStat, 0, len(order))
-	for _, h := range order {
-		a := merged[h]
-		out = append(out, newHintStat(h, a.n, a.nr, a.dsum))
-	}
-	SortHintStats(out)
-	return out
 }

@@ -297,26 +297,6 @@ func TestWindowModesDifferOnlyInOpenedCredits(t *testing.T) {
 	}
 }
 
-// TestMergeHintStats checks the cross-partition merge arithmetic.
-func TestMergeHintStats(t *testing.T) {
-	a := []HintStat{newHintStat(1, 10, 2, 6), newHintStat(2, 5, 0, 0)}
-	b := []HintStat{newHintStat(1, 20, 2, 10)}
-	m := MergeHintStats(a, b)
-	if len(m) != 2 {
-		t.Fatalf("merged %d entries, want 2", len(m))
-	}
-	// Sorted by N desc: hint 1 first with N=30, Nr=4, dsum=16 → D=4.
-	if m[0].Hint != 1 || m[0].N != 30 || m[0].Nr != 4 || math.Abs(m[0].D-4) > 1e-12 {
-		t.Errorf("merged[0] = %+v", m[0])
-	}
-	if want := WindowPriority(30, 4, 16); m[0].Pr != want {
-		t.Errorf("merged Pr = %v, want %v", m[0].Pr, want)
-	}
-	if m[1].Hint != 2 || m[1].N != 5 {
-		t.Errorf("merged[1] = %+v", m[1])
-	}
-}
-
 func BenchmarkPartitionedArrive(b *testing.B) {
 	p := NewPartitioned(Config{Window: 100000, R: 1})
 	for i := 0; i < b.N; i++ {

@@ -11,11 +11,10 @@ import (
 // Global is the shared learner: every shard of a sharded cache feeds it and
 // reads it, so the priority model Pr(H) is learned from the cache-wide
 // request stream over the full window W while page placement stays
-// hash-partitioned — the design the per-shard W/N heuristic approximates.
-// It holds the taps, the rounds still open and one published priority
-// table; it is not itself a Learner and keeps no counters of its own. Each
-// cache that shares it owns a tap (Global.Tap: a Learner in tap scope), and
-// the tap is the only way in.
+// hash-partitioned. It holds the taps, the rounds still open and the
+// priority table in effect; it is not itself a Learner and keeps no
+// counters of its own. Each cache that shares it owns a tap (Global.Tap: a
+// Learner in tap scope), and the tap is the only way in.
 //
 // Tap protocol. A tap belongs to one cache and is driven by whichever one
 // goroutine drives that cache; any number of taps may run concurrently.
@@ -31,7 +30,9 @@ import (
 //     learner. A lease is a promise: Begin(n) must be followed by exactly n
 //     EndRequests (core.Sharded leases a whole frame, or one request on its
 //     per-request path, and always runs it to its end). EndRequest outside
-//     a lease panics, as Begin inside one does.
+//     a lease panics, as Begin inside one does. UntilRotation tells a
+//     caller how many requests remain up to the next multiple of W, so it
+//     can cut its frames there.
 //   - Count. Each tap counts in a window of its own, the lone learner's
 //     type with the configured TopK, so Arrive, Reref and EndRequest are a
 //     lone learner's inlined counter bumps: no lock, no shared cache line.
@@ -48,10 +49,20 @@ import (
 //     predecessors. No goroutine ever waits on another shard's lease; Begin
 //     waits only while a rotation or a stats read holds the tap's idle
 //     window.
-//   - Read. Priority and Epoch are wait-free: the priority table is
-//     immutable behind an atomic pointer, republished once per round, and
-//     carries its own dense hint-ID-indexed copy. Caches re-key their victim
-//     heaps lazily, at their next request, by observing the epoch change.
+//   - Read. Each tap reads a priority table of its own, the lone learner's
+//     dense slice and epoch, so Priority and Epoch are the same inlined
+//     loads in either scope. A tap copies the Global's table at Begin when
+//     the Global's epoch moved (one atomic load per lease, and tableMu
+//     once per round), and at its own rotation. Within a lease its table
+//     therefore never moves under its cache except at the cache's own
+//     EndRequest, and caches re-key their victim heaps lazily, at their
+//     next request, by observing the epoch change.
+//
+// Rotation allocates nothing in the steady state: published rounds are
+// recycled, the Global blends into its own table in place and densifies
+// into the spare of two slices that it then swaps in, the fresh estimates
+// go into one scratch map, and the pending peer counters swap with a
+// spare tally.
 //
 // Cluster learning. In a cluster of cache nodes each node's Global also
 // learns from its peers' streams. When a round publishes it hands the
@@ -66,50 +77,69 @@ import (
 // node that sent it. With nothing absorbed a round learns from the local
 // windows alone.
 //
-// Locks. rotateMu guards the tap list and the open rounds, and serializes
-// publication: it is taken once per rotation, once per late hand-in and
-// once per stats read, never per request or per frame. pendingMu guards
-// pending. The order is rotateMu, then pendingMu, and the publish hook runs
-// under rotateMu only. That matters in a cluster whose exchanger delivers
-// at publish time: node A's publication calls Absorb on nodes B and C while
+// Locks. rotateMu guards the tap list, the open rounds and the table's
+// making, and serializes publication: it is taken once per rotation, once
+// per late hand-in and once per stats read, never per request or per
+// frame. tableMu guards only the dense table taps copy: a publication
+// swaps the next table in under it, and a tap copies under it, once per
+// round it adopts, so a Begin never waits for a rotation's sums.
+// pendingMu guards pending. The order is rotateMu, then tableMu or
+// pendingMu, and the publish hook runs under rotateMu only. That matters in a cluster whose exchanger delivers at
+// publish time: node A's publication calls Absorb on nodes B and C while
 // they may be publishing into A, and the cycle is harmless only because
 // Absorb takes pendingMu and nothing else.
 //
 // What is exact and what is relaxed. Driven by one goroutine — any number
 // of taps, leases of any length — no tap but the rotator is ever leased,
-// so every round takes every window and publishes at its own request. In
-// exact mode that is bit-identical to a lone Learner fed the same events,
-// at every EndRequest: the sums commute and the distances are integers.
-// In top-k mode it is bit-identical with one tap; with several, each tap
-// is a Space-Saving summary of k counters over its own shard's requests,
-// each re-reference is credited against its own tap's window, and the
-// round is their sum — a mergeable summary (Agarwal et al., PODS 2012):
-// each N(H) is at most the exact count, and every hint set above W/k
-// requests in the round is present. Under concurrent taps the rotation
-// count stays exact, but a lease in flight pays its whole window, requests
-// past the boundary included, into the round it owes; WindowStats and
-// TrackedHintSets, which read the idle taps, lag by at most one frame per
-// busy shard — the same caveat core.Sharded.Stats documents for its
-// counters.
+// so every round takes every window and publishes at its own request, and
+// every tap adopts it at its next lease, before any of its requests reads
+// a priority. In exact mode that is bit-identical to a lone Learner fed
+// the same events, at every EndRequest: the sums commute and the distances
+// are integers. In top-k mode it is bit-identical with one tap; with
+// several, each tap is a Space-Saving summary of k counters over its own
+// shard's requests, each re-reference is credited against its own tap's
+// window, and the round is their sum — a mergeable summary (Agarwal et
+// al., PODS 2012): each N(H) is at most the exact count, and every hint
+// set above W/k requests in the round is present. Under concurrent taps
+// the rotation count stays exact, but three things are relaxed. A lease in
+// flight pays its whole window, requests past the boundary included, into
+// the round it owes. A leased tap adopts a round another tap published
+// only at its next lease, so it runs at most one frame on the older table.
+// And WindowStats and TrackedHintSets, which read the idle taps, lag by at
+// most one frame per busy shard — the same caveat core.Sharded.Stats
+// documents for its counters.
 type Global struct {
 	cfg Config
 
-	// table is the immutable priority table + epoch in effect: read by
-	// every request, written once per round.
-	table   atomic.Pointer[globalTable]
-	windows atomic.Int64
+	// epoch is the number of the round whose table is in effect: read at
+	// every lease, written once per round.
+	epoch atomic.Uint64
 	// late counts late hand-ins: payments a rotation left owed by a leased
 	// tap.
 	late atomic.Uint64
 
-	// rotateMu guards taps, open and opened, and serializes publication.
+	// rotateMu guards taps, open, opened, free, pr, next, fresh and spare,
+	// and serializes publication.
 	rotateMu sync.Mutex
 	// taps are every tap of this learner, in the order Tap made them.
 	taps []*Learner
 	// open are the rounds taken but not yet published, oldest first;
-	// opened numbers them.
+	// opened numbers them. free are published rounds kept for reuse.
 	open   []*round
 	opened uint64
+	free   []*round
+	// The table in effect: pr holds the priorities (Equation 3); next is
+	// where a publication densifies them, by hint ID, before swapping next
+	// with dense. fresh is the scratch estimates map handed to blend, spare
+	// the tally pending swaps with.
+	pr    map[hint.ID]float64
+	next  []float64
+	fresh map[hint.ID]float64
+	spare tally
+	// tableMu guards dense, the table in effect indexed by hint ID, which
+	// taps copy (see "Locks").
+	tableMu sync.Mutex
+	dense   []float64
 	// publish, when set, receives each round's local counters and its
 	// number. Set once, before traffic; called under rotateMu and no other
 	// lock.
@@ -123,8 +153,7 @@ type Global struct {
 
 	// requests numbers the requests leased so far. Every frame of every
 	// shard adds to it, so it is padded to a cache line of its own wherever
-	// the struct lands, away from the table pointer above that every
-	// request reads.
+	// the struct lands, away from the epoch above that every lease reads.
 	_        [cacheLine - 8]byte
 	requests atomic.Uint64
 	_        [cacheLine - 8]byte
@@ -154,23 +183,32 @@ type round struct {
 // window's own order.
 type tally struct {
 	counters []WindowCounter
-	index    map[hint.ID]int
+	// at is indexed by hint ID, as hint IDs are dense: 1 + the position in
+	// counters of the hint set's sums, or 0 for none.
+	at []int32
+}
+
+// find returns the sums for hint set h, or nil.
+func (t *tally) find(h hint.ID) *WindowCounter {
+	if int(h) < len(t.at) && t.at[h] != 0 {
+		return &t.counters[t.at[h]-1]
+	}
+	return nil
 }
 
 // add sums one hint set's counters in.
 func (t *tally) add(wc WindowCounter) {
-	if i, ok := t.index[wc.Hint]; ok {
-		c := &t.counters[i]
+	if c := t.find(wc.Hint); c != nil {
 		c.N += wc.N
 		c.Nr += wc.Nr
 		c.Dsum += wc.Dsum
 		return
 	}
-	if t.index == nil {
-		t.index = make(map[hint.ID]int)
+	for int(wc.Hint) >= len(t.at) {
+		t.at = append(t.at, 0)
 	}
-	t.index[wc.Hint] = len(t.counters)
 	t.counters = append(t.counters, wc)
+	t.at[wc.Hint] = int32(len(t.counters))
 }
 
 // take sums a window in and resets it.
@@ -179,29 +217,28 @@ func (t *tally) take(w *window) {
 	w.reset()
 }
 
+// reset empties the tally, keeping its storage.
+func (t *tally) reset() {
+	for _, c := range t.counters {
+		t.at[c.Hint] = 0
+	}
+	t.counters = t.counters[:0]
+}
+
 // cacheLine is the coherence granule Global's hot words are padded to.
 const cacheLine = 64
-
-// globalTable is one published priority table. dense is pr indexed by hint
-// ID, which is what the request path reads.
-type globalTable struct {
-	pr    map[hint.ID]float64
-	dense []float64
-	epoch uint64
-}
 
 // NewGlobal returns a shared learner for the configuration.
 func NewGlobal(cfg Config) *Global {
 	cfg.validate()
-	g := &Global{cfg: cfg}
-	g.table.Store(&globalTable{pr: map[hint.ID]float64{}})
-	return g
+	return &Global{cfg: cfg, pr: make(map[hint.ID]float64), fresh: make(map[hint.ID]float64)}
 }
 
 // SetPublish installs the hook that receives each round's local counters
 // and its number. It must be called before the learner sees traffic. The
 // hook runs inside a publication, so it must not feed a tap of this
-// learner; calling Absorb is safe.
+// learner; calling Absorb is safe. The counters are the learner's own
+// until the hook returns: a hook that keeps them copies them.
 func (g *Global) SetPublish(fn func(round uint64, local []WindowCounter)) {
 	g.publish = fn
 }
@@ -234,11 +271,23 @@ func (g *Global) PendingHintSets() int {
 // its round open until the tap's lease ended.
 func (g *Global) LateHandins() uint64 { return g.late.Load() }
 
+// UntilRotation returns how many requests the next leases may take before
+// the next rotation: the distance, in the request numbering, to the next
+// multiple of W, that request included. A caller driving one stream cuts
+// its frames there, so that each rotation falls on a frame's last request.
+// Under concurrent callers the answer may be stale by the time a lease
+// draws its numbers, which moves where that caller cuts and nothing else.
+func (g *Global) UntilRotation() int {
+	w := uint64(g.cfg.Window)
+	return int(w - g.requests.Load()%w)
+}
+
 // rotate opens the next round on behalf of tap l, which is leased and at
 // the request a multiple of W falls on: it sums in l's window and every
-// idle tap's, marks every other leased tap owed, and publishes whatever
-// rounds that completes. If l itself owes an earlier round it hands in
-// there first, so its window goes to the oldest round it can.
+// idle tap's, marks every other leased tap owed, publishes whatever rounds
+// that completes, and has l adopt the newest table. If l itself owes an
+// earlier round it hands in there first, so its window goes to the oldest
+// round it can.
 func (g *Global) rotate(l *Learner) {
 	g.rotateMu.Lock()
 	defer g.rotateMu.Unlock()
@@ -247,7 +296,14 @@ func (g *Global) rotate(l *Learner) {
 		l.state.Store(tapLeased)
 	}
 	g.opened++
-	r := &round{seq: g.opened}
+	var r *round
+	if n := len(g.free); n > 0 {
+		r, g.free = g.free[n-1], g.free[:n-1]
+		r.reset()
+	} else {
+		r = new(round)
+	}
+	r.seq = g.opened
 	for _, t := range g.taps {
 		switch {
 		case t == l:
@@ -266,6 +322,7 @@ func (g *Global) rotate(l *Learner) {
 	}
 	g.open = append(g.open, r)
 	g.publishReady()
+	g.adopt(l)
 }
 
 // release ends tap l's lease: an idle tap's window waits for the next
@@ -290,20 +347,36 @@ func (g *Global) handIn(l *Learner) {
 	r.owing--
 }
 
-// publishReady publishes, oldest first, every open round that owes nothing
-// and has no open predecessor. The caller holds rotateMu.
-func (g *Global) publishReady() {
-	for len(g.open) > 0 && g.open[0].owing == 0 {
-		g.publishRound(g.open[0])
-		g.open[0] = nil
-		g.open = g.open[1:]
+// adopt copies the table in effect into tap l, if l's is older. It runs on
+// l's owner, which alone reads l's table.
+func (g *Global) adopt(l *Learner) {
+	g.tableMu.Lock()
+	if e := g.epoch.Load(); l.epoch != e {
+		l.dense = append(l.dense[:0], g.dense...)
+		l.epoch = e
 	}
+	g.tableMu.Unlock()
+}
+
+// publishReady publishes, oldest first, every open round that owes nothing
+// and has no open predecessor, and keeps the published rounds for reuse.
+// The caller holds rotateMu.
+func (g *Global) publishReady() {
+	done := 0
+	for done < len(g.open) && g.open[done].owing == 0 {
+		g.publishRound(g.open[done])
+		g.free = append(g.free, g.open[done])
+		done++
+	}
+	n := copy(g.open, g.open[done:])
+	clear(g.open[n:])
+	g.open = g.open[:n]
 }
 
 // publishRound closes one round: it publishes the round's counters, sums
-// in the pending peer counters, blends the fresh estimates into a copy of
-// the priority table (Equation 3), and republishes the table with the
-// round's number as its epoch. The caller holds rotateMu.
+// in the pending peer counters, blends the fresh estimates into the
+// priority table (Equation 3), and republishes the table with the round's
+// number as its epoch. The caller holds rotateMu.
 func (g *Global) publishRound(r *round) {
 	local := r.counters
 	if g.publish != nil {
@@ -311,55 +384,48 @@ func (g *Global) publishRound(r *round) {
 	}
 
 	g.pendingMu.Lock()
-	pending := g.pending
-	g.pending = tally{}
+	g.pending, g.spare = g.spare, g.pending
 	g.pendingMu.Unlock()
+	pending := &g.spare
 
-	fresh := make(map[hint.ID]float64, len(local)+len(pending.counters))
 	for _, wc := range local {
-		if i, ok := pending.index[wc.Hint]; ok {
-			p := &pending.counters[i]
+		if p := pending.find(wc.Hint); p != nil {
 			wc.N += p.N
 			wc.Nr += p.Nr
 			wc.Dsum += p.Dsum
 		}
-		fresh[wc.Hint] = WindowPriority(wc.N, wc.Nr, wc.Dsum)
+		g.fresh[wc.Hint] = WindowPriority(wc.N, wc.Nr, wc.Dsum)
 	}
 	// Hint sets only peers saw this window.
 	for _, p := range pending.counters {
-		if _, seen := fresh[p.Hint]; !seen {
-			fresh[p.Hint] = WindowPriority(p.N, p.Nr, p.Dsum)
+		if _, seen := g.fresh[p.Hint]; !seen {
+			g.fresh[p.Hint] = WindowPriority(p.N, p.Nr, p.Dsum)
 		}
 	}
+	pending.reset()
 
-	old := g.table.Load()
-	pr := make(map[hint.ID]float64, len(old.pr)+len(fresh))
-	for h, v := range old.pr {
-		pr[h] = v
-	}
-	blend(pr, fresh, g.cfg.R)
-	g.table.Store(&globalTable{pr: pr, dense: densify(nil, pr), epoch: r.seq})
-	g.windows.Add(1)
+	blend(g.pr, g.fresh, g.cfg.R)
+	clear(g.fresh)
+	g.next = densify(g.next, g.pr)
+	g.tableMu.Lock()
+	g.dense, g.next = g.next, g.dense
+	g.epoch.Store(r.seq)
+	g.tableMu.Unlock()
 }
 
-// Priority returns Pr(h) from the table currently in effect; wait-free.
-func (g *Global) Priority(h hint.ID) float64 {
-	if dense := g.table.Load().dense; int(h) < len(dense) {
-		return dense[h]
-	}
-	return 0
-}
-
-// Epoch identifies the table currently in effect; wait-free.
-func (g *Global) Epoch() uint64 { return g.table.Load().epoch }
+// Epoch identifies the table currently in effect: the number of the last
+// round published.
+func (g *Global) Epoch() uint64 { return g.epoch.Load() }
 
 // Windows returns the number of published rounds: completed statistics
 // windows.
-func (g *Global) Windows() int { return int(g.windows.Load()) }
+func (g *Global) Windows() int { return int(g.epoch.Load()) }
 
 // Priorities returns a copy of the priority table in effect.
 func (g *Global) Priorities() map[hint.ID]float64 {
-	return maps.Clone(g.table.Load().pr)
+	g.rotateMu.Lock()
+	defer g.rotateMu.Unlock()
+	return maps.Clone(g.pr)
 }
 
 // eachIdle calls fn with the window of every tap without a lease, holding
@@ -392,8 +458,7 @@ func (g *Global) WindowStats() []HintStat {
 
 // TrackedHintSets returns the number of hint sets with statistics in the
 // idle taps' windows, summed over the taps: a hint set several shards saw
-// counts once per tap, as in partitioned mode (each tap is bounded by k in
-// top-k mode).
+// counts once per tap (each tap is bounded by k in top-k mode).
 func (g *Global) TrackedHintSets() int {
 	n := 0
 	g.eachIdle(func(w *window) { n += w.len() })

@@ -9,11 +9,11 @@ import (
 )
 
 // Learner is one cache's statistics learner, in one of the two scopes the
-// package comment describes: lone (NewPartitioned), with its own priority
-// table, or a tap (Global.Tap) on a shared Global, whose read side is the
-// Global's. Either way it counts in a window of its own and is not safe for
-// concurrent use, exactly like the cache that owns it. The cache calls
-// Arrive, Reref and EndRequest, in that order, for every request.
+// package comment describes: lone (NewPartitioned), or a tap (Global.Tap)
+// on a shared Global. Either way it counts in a window of its own, reads a
+// priority table of its own, and is not safe for concurrent use, exactly
+// like the cache that owns it. The cache calls Arrive, Reref and
+// EndRequest, in that order, for every request.
 //
 // Arrive, EndRequest, Epoch and Priority inline into the cache's request
 // path: the common case, in either scope, is a counter bump and a
@@ -40,12 +40,13 @@ type Learner struct {
 	// a tap's share of the shared one, which a rotation sums.
 	window
 
-	// A lone learner's priority table: pr holds the priorities in effect
-	// during the current window, computed at the last window boundary
-	// (Equation 3); dense is the same table indexed by hint ID, republished
-	// after each blend, and is what Priority reads. epoch advances and
-	// windows counts at every rotation. fresh is the scratch estimates map
-	// handed to blend, cleared (not reallocated) after use.
+	// The priority table: dense is the table in effect indexed by hint ID,
+	// what Priority reads, and epoch identifies it. A lone learner computes
+	// it at each window boundary: pr holds the priorities (Equation 3),
+	// republished into dense after each blend, fresh is the scratch
+	// estimates map handed to blend, cleared (not reallocated) after use,
+	// and windows counts the rotations. A tap copies dense and epoch from
+	// its Global (Global.adopt).
 	epoch   uint64
 	dense   []float64
 	pr      map[hint.ID]float64
@@ -70,8 +71,9 @@ type Learner struct {
 	_ [cacheLine - 29]byte
 }
 
-// NewPartitioned returns a lone learner for the configuration. It is named
-// for partitioned learning, where every shard of a sharded cache has one.
+// NewPartitioned returns a lone learner for the configuration, the one a
+// plain core.Cache learns through. The name is older than the shared
+// learner, from when every shard of a sharded front had a lone learner.
 func NewPartitioned(cfg Config) *Learner {
 	cfg.validate()
 	return &Learner{
@@ -183,12 +185,17 @@ func (l *Learner) rotate() {
 // Begin leases the next n > 0 requests of g's request numbering to this
 // tap; exactly n EndRequests must follow before the next Begin. While a
 // rotation or a stats read holds the tap's idle window, Begin waits for it.
+// If a round was published since the tap's table was copied, Begin copies
+// the new one.
 func (l *Learner) Begin(n int) {
 	if l.countdown != 0 {
 		panic("clicstats: Learner.Begin inside an open lease")
 	}
 	for !l.state.CompareAndSwap(tapIdle, tapLeased) {
 		runtime.Gosched()
+	}
+	if l.epoch != l.g.epoch.Load() {
+		l.g.adopt(l)
 	}
 	w := uint64(l.cfg.Window)
 	start := l.g.requests.Add(uint64(n)) - uint64(n)
@@ -200,25 +207,17 @@ func (l *Learner) Begin(n int) {
 
 // Priority returns Pr(h) from the table currently in effect.
 func (l *Learner) Priority(h hint.ID) float64 {
-	dense := l.dense
-	if l.g != nil {
-		dense = l.g.table.Load().dense
-	}
-	if int(h) < len(dense) {
-		return dense[h]
+	if int(h) < len(l.dense) {
+		return l.dense[h]
 	}
 	return 0
 }
 
-// Epoch identifies the priority table in effect; it advances by one at
-// every window rotation. A cache that cached priorities (in its victim
-// heap) refreshes them when the epoch it last synced at is stale.
-func (l *Learner) Epoch() uint64 {
-	if l.g != nil {
-		return l.g.table.Load().epoch
-	}
-	return l.epoch
-}
+// Epoch identifies the priority table in effect; it advances at every
+// window rotation a lone learner makes, and at every table a tap adopts. A
+// cache that cached priorities (in its victim heap) refreshes them when
+// the epoch it last synced at is stale.
+func (l *Learner) Epoch() uint64 { return l.epoch }
 
 // Windows returns the number of completed statistics windows.
 func (l *Learner) Windows() int {

@@ -19,6 +19,21 @@ import (
 // its window — what a tap amounts to when one goroutine drives it
 // (TestTapSerialEqualsPartitioned).
 
+// globalTable is one published priority table of the former Global. dense
+// is pr indexed by hint ID, which the request path read.
+type globalTable struct {
+	pr    map[hint.ID]float64
+	dense []float64
+	epoch uint64
+}
+
+// winStats are the per-window statistics for one hint set.
+type winStats struct {
+	n    uint64  // N(H): requests with this hint set this window
+	nr   uint64  // Nr(H): read re-references credited to this hint set
+	dsum float64 // sum of re-reference distances (D(H) = dsum/nr)
+}
+
 // refGlobal is the former Global reduced to what refMerged reaches.
 type refGlobal struct {
 	cfg Config

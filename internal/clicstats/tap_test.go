@@ -23,6 +23,8 @@ import (
 // Twenty hint sets over TopK 5 keep Space-Saving replacing, so the one-tap
 // top-k rows hold only if the events reach the tap's window in request
 // order; W = 1 and W = 7 put several boundaries inside one lease.
+// A tap reads its own copy of the table: the rotating tap's is checked at
+// once, and every tap's at its next Begin, before any request reads it.
 //
 // Top-k with several taps is per-shard summaries summed at rotation, a
 // mergeable summary rather than the lone learner's one summary, so those
@@ -50,6 +52,21 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 					taps[i] = g.Tap()
 				}
 				rng := rand.New(rand.NewSource(int64(31*w + topK + ntaps)))
+				// sameTable checks tap tp's table against the lone learner's.
+				sameTable := func(tp *Learner, when string) {
+					t.Helper()
+					if !equal {
+						return
+					}
+					if tp.Epoch() != p.Epoch() {
+						t.Fatalf("%s %s: tap epoch %d, partitioned %d", name, when, tp.Epoch(), p.Epoch())
+					}
+					for h := hint.ID(0); h < hints+1; h++ {
+						if got, want := tp.Priority(h), p.Priority(h); got != want {
+							t.Fatalf("%s %s epoch %d hint %d: tap priority %v, partitioned %v", name, when, p.Epoch(), h, got, want)
+						}
+					}
+				}
 				rotations, done := 0, 0
 				for done < requests {
 					tp := taps[rng.Intn(ntaps)]
@@ -57,10 +74,12 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 					whole := rng.Intn(3) < 2
 					if whole {
 						tp.Begin(n)
+						sameTable(tp, "at Begin")
 					}
 					for i := 0; i < n; i++ {
 						if !whole {
 							tp.Begin(1)
+							sameTable(tp, "at Begin")
 						}
 						// Skewed, so that some hint sets stay tracked.
 						h := hint.ID(rng.Intn(hints))
@@ -99,13 +118,7 @@ func TestTapSerialEqualsPartitioned(t *testing.T) {
 						if !reflect.DeepEqual(pp, gp) {
 							t.Fatalf("%s epoch %d: partitioned table %v, global %v", name, p.Epoch(), pp, gp)
 						}
-						for _, each := range taps {
-							for h := hint.ID(0); h < hints+1; h++ {
-								if got, want := each.Priority(h), p.Priority(h); got != want {
-									t.Fatalf("%s epoch %d hint %d: tap priority %v, partitioned %v", name, p.Epoch(), h, got, want)
-								}
-							}
-						}
+						sameTable(tp, "at its rotation")
 					}
 					done += n
 				}

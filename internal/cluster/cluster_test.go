@@ -249,13 +249,13 @@ func clusterConcurrent(t *testing.T, immediate bool) {
 }
 
 // TestCoordinator pins the exchanger's stepped and immediate semantics
-// against two directly-constructed global-mode servers.
+// against two directly-constructed servers.
 func TestCoordinator(t *testing.T) {
 	coord := cluster.NewCoordinator(2)
 	srvs := make([]*server.Server, 2)
 	for i := range srvs {
 		srvs[i] = server.New(server.Config{
-			Cache:     core.Config{Capacity: 100, Window: 100, Stats: core.StatsGlobal},
+			Cache:     core.Config{Capacity: 100, Window: 100},
 			Shards:    1,
 			Node:      fmt.Sprintf("node%d", i),
 			OnSummary: coord.Publisher(i),
@@ -292,10 +292,10 @@ func TestCoordinator(t *testing.T) {
 	}
 }
 
-// TestGossip ships a summary over real TCP into a global-mode server.
+// TestGossip ships a summary over real TCP into a server.
 func TestGossip(t *testing.T) {
 	srv := startDirect(t, server.Config{
-		Cache:  core.Config{Capacity: 100, Window: 100, Stats: core.StatsGlobal},
+		Cache:  core.Config{Capacity: 100, Window: 100},
 		Shards: 1,
 	})
 	g := cluster.NewGossip([]string{srv.Addr().String()})

@@ -18,14 +18,12 @@ type HarnessConfig struct {
 	// and statistics window are split evenly across the nodes (the same
 	// resource-conserving split core.Sharded applies across shards), so a
 	// 3-node cluster is compared against a single node with the same total
-	// resources, not 3× the resources. Cache.Stats is overridden when
-	// Merging is set.
+	// resources, not 3× the resources.
 	Cache core.Config
 	// Shards is the shard count per node; 0 selects 1 (cluster tests
 	// usually shard across nodes, not within them).
 	Shards int
-	// Merging switches every node to global statistics mode
-	// (core.StatsGlobal) and wires the nodes through a Coordinator, so
+	// Merging wires the nodes' shared learners through a Coordinator, so
 	// window summaries flow between them. Without it nodes learn only
 	// from their own slice of the stream.
 	Merging bool
@@ -87,7 +85,6 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 			Node:   fmt.Sprintf("node%d", i),
 		}
 		if cfg.Merging {
-			scfg.Cache.Stats = core.StatsGlobal
 			scfg.OnSummary = h.coord.Publisher(i)
 		}
 		srv := server.New(scfg)

@@ -43,15 +43,15 @@
 // counted this window, an index read and a counter bump); the cache
 // detects re-references, feeds them to its learner, and re-keys its victim
 // heap whenever the learner publishes a new priority table (tracked by the
-// learner's epoch). The learner has two scopes, and Config.Stats selects
-// which a sharded front uses: a lone learner per shard over a scaled
-// window (StatsPartitioned, the default) or a tap per shard on one shared
-// clicstats.Global (StatsGlobal; on a cluster node the same Global also
-// exchanges window summaries with its peers). A tap counts in its own
-// window exactly as a lone learner does; the Global sums the taps' windows
-// once per W requests and takes no lock per request or per frame. A plain
-// Cache has one learner either way and always uses a lone one, which a
-// lone tap on a shared learner equals bit for bit.
+// learner's epoch). The learner has two scopes: a plain Cache has a lone
+// learner, and every shard of a Sharded front has a tap on the front's one
+// shared clicstats.Global, which learns over the full window W from the
+// cache-wide stream (on a cluster node the same Global also exchanges
+// window summaries with its peers). A tap counts in its own window and
+// reads its own copy of the priority table exactly as a lone learner
+// does; the Global sums the taps' windows once per W requests and takes
+// no lock per request or per frame. A lone tap on a shared learner equals
+// a lone learner bit for bit.
 //
 // A Sharded front owns no goroutine and holds each shard through a
 // try-lock: a Producer's batches run as per-shard frames on whichever
@@ -73,47 +73,6 @@ import (
 	"repro/internal/trace"
 )
 
-// StatsMode selects where a cache's hint statistics are learned.
-type StatsMode int
-
-const (
-	// StatsPartitioned gives every cache (or every shard of a Sharded
-	// front) its own private learner: statistics windows, top-k summaries
-	// and priority tables are per shard, sized W/N. This is the fully
-	// partitioned heuristic and the historical default.
-	StatsPartitioned StatsMode = iota
-	// StatsGlobal shares one learner (clicstats.Global) across all shards
-	// of a Sharded front, each feeding it through its own tap: priorities
-	// are learned from the cache-wide request stream over the full window
-	// W while page placement stays hash-partitioned. A cluster node runs
-	// this mode, its learner wired to the peers (internal/cluster).
-	StatsGlobal
-)
-
-// String returns the flag spelling of the mode.
-func (m StatsMode) String() string {
-	switch m {
-	case StatsPartitioned:
-		return "partitioned"
-	case StatsGlobal:
-		return "global"
-	default:
-		return fmt.Sprintf("StatsMode(%d)", int(m))
-	}
-}
-
-// ParseStatsMode parses the flag spelling of a statistics mode.
-func ParseStatsMode(s string) (StatsMode, error) {
-	switch s {
-	case "partitioned", "":
-		return StatsPartitioned, nil
-	case "global":
-		return StatsGlobal, nil
-	default:
-		return 0, fmt.Errorf("core: unknown stats mode %q (want partitioned or global)", s)
-	}
-}
-
 // Config parameterises a CLIC cache.
 type Config struct {
 	// Capacity is the cache size in pages.
@@ -133,10 +92,6 @@ type Config struct {
 	// the adapted Space-Saving algorithm (§5). Zero tracks all hint sets
 	// exactly.
 	TopK int
-	// Stats selects partitioned (default) or global statistics learning
-	// for a Sharded front; see StatsMode. A plain Cache ignores it: with
-	// one learner the modes learn identical priorities.
-	Stats StatsMode
 	// Engine is read by nothing. It, EngineMode and EngineOwner remain only
 	// so that the frozen benchmark (bench/layers.go), which sets it, still
 	// compiles; they go with the next declared benchmark revision.
@@ -236,8 +191,8 @@ func New(cfg Config) *Cache {
 	return newCache(cfg, clicstats.NewPartitioned(cfg.learnerConfig()))
 }
 
-// newCache builds a cache around a learner built for it (in global mode
-// Sharded hands each shard a tap on the one shared learner). cfg must
+// newCache builds a cache around a learner built for it (Sharded hands
+// each shard a tap on the front's shared learner). cfg must
 // already have defaults applied. Nothing is sized from the configuration:
 // the table grows with the records actually held.
 func newCache(cfg Config, l *clicstats.Learner) *Cache {
@@ -271,8 +226,9 @@ func (c *Cache) Evictions() uint64 { return c.evictions }
 // Access implements policy.Policy, processing one request per Figure 4 and
 // feeding the hint statistics of §3.1 to the learner.
 func (c *Cache) Access(r trace.Request) bool {
-	// A shared learner may have rotated since our last request; re-key the
-	// victim heap before any placement decision reads priorities. The epoch
+	// A tap may have adopted its shared learner's new table since our last
+	// request (at the start of a lease); re-key the victim heap before any
+	// placement decision reads priorities. The epoch
 	// test is spelled out so that it inlines, leaving the call for a
 	// rotation.
 	if c.learner.Epoch() != c.epoch {

@@ -133,11 +133,10 @@ func TestShardStatsSum(t *testing.T) {
 		got.Evictions += ss.Evictions
 		got.Len += ss.Len
 		got.OutqueueLen += ss.OutqueueLen
-		got.Windows += ss.Windows
 	}
 	if got.Reads != want.Reads || got.ReadHits != want.ReadHits || got.Writes != want.Writes ||
 		got.Evictions != want.Evictions || got.Len != want.Len ||
-		got.OutqueueLen != want.OutqueueLen || got.Windows != want.Windows {
+		got.OutqueueLen != want.OutqueueLen {
 		t.Fatalf("shard stats do not tile the aggregate:\n  sum:   %+v\n  front: %+v", got, want)
 	}
 	if want.Reads+want.Writes != uint64(len(reqs)) {
@@ -145,20 +144,17 @@ func TestShardStatsSum(t *testing.T) {
 	}
 }
 
-// TestTrackedHintSets sanity-checks the observability read in both
-// statistics modes. The count covers the current window only (it resets on
-// rotation), so the request count deliberately lands mid-window.
+// TestTrackedHintSets sanity-checks the observability read. The count
+// covers the current window only (it resets on rotation), so the request
+// count deliberately lands mid-window.
 func TestTrackedHintSets(t *testing.T) {
-	for _, mode := range []StatsMode{StatsPartitioned, StatsGlobal} {
-		s := NewSharded(Config{Capacity: 256, Window: 1000, TopK: 32, Stats: mode}, 4)
-		reqs := shardedTrace(5500, 11)
-		for _, r := range reqs {
-			s.Access(r)
-		}
-		if n := s.TrackedHintSets(); n <= 0 {
-			t.Errorf("%v: TrackedHintSets = %d, want > 0", mode, n)
-		}
-		s.Close()
+	s := NewSharded(Config{Capacity: 256, Window: 1000, TopK: 32}, 4)
+	defer s.Close()
+	for _, r := range shardedTrace(5500, 11) {
+		s.Access(r)
+	}
+	if n := s.TrackedHintSets(); n <= 0 {
+		t.Errorf("TrackedHintSets = %d, want > 0", n)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 //     (flat combining: Hendler, Incze, Shavit, Tzafrir, SPAA 2010); a loser
 //     moves on to its next shard and collects its verdicts at its batch's
 //     WaitGroup, since whoever holds the shard runs the frame for it.
-//   - shardedShard.hold (Sharded.Access, withCache) spins on the try-lock,
-//     yielding between attempts, then runs its request or function itself.
+//   - shardedShard.hold (Sharded.Access) spins on the try-lock, yielding
+//     between attempts, then runs its request itself.
 //
 // Either way the holder gives the shard back through release: run every
 // pending frame, clear the try-lock, re-check the list. The cache code runs
@@ -106,9 +106,6 @@ func (s *Sharded) settle(sh *shardedShard, reads, readHits, writes uint64) {
 	sh.len.Store(int64(c.Len()))
 	sh.outq.Store(int64(c.OutqueueLen()))
 	sh.evictions.Store(c.Evictions())
-	if s.global == nil {
-		sh.windows.Store(int64(c.Windows()))
-	}
 	if reads != 0 {
 		sh.reads.Add(reads)
 	}
@@ -133,12 +130,10 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	var reads, readHits uint64
 	c := sh.c
 	reqs, idx, hits := f.reqs, f.idx, f.hits
-	if sh.tap != nil {
-		// Global learning: lease the frame's request numbers up front, so
-		// the tap knows where a window boundary falls inside the frame and
-		// touches shared state only there and at the frame's end.
-		sh.tap.Begin(len(reqs))
-	}
+	// Lease the frame's request numbers up front, so the tap knows where a
+	// window boundary falls inside the frame and touches shared state only
+	// there and at the frame's end.
+	sh.tap.Begin(len(reqs))
 	for lo := 0; lo < len(reqs); lo += warmGroup {
 		hi := min(lo+warmGroup, len(reqs))
 		c.warm(reqs[lo:hi])
@@ -242,14 +237,29 @@ func (p *Producer) run(hits []bool) {
 // AccessBatch processes one batch of requests against the front and writes
 // each request's hit/miss into hits (which must be at least len(reqs)
 // long). Requests keep their relative order per shard, and a page's whole
-// history lives on one shard, so in partitioned-statistics mode a single
-// producer's results are bit-identical to a serial replay of its requests
-// through Access; with a shared learner, to one in the order the frames run
-// — a batch shard by shard.
+// history lives on one shard. A batch runs shard by shard, so where a
+// window boundary falls in it would decide which shards' requests see the
+// new priority table; AccessBatch therefore cuts the batch at the next
+// multiple of W in the shared learner's request numbering
+// (clicstats.Global.UntilRotation), and the rotation falls on the last
+// request of a piece, after every request before it in the stream. A
+// single producer's results and the front's Stats are then bit-identical
+// to a serial replay of its requests through Access, in stream order, at
+// any batch size. Under concurrent producers the cut is best effort: it
+// moves frame boundaries and nothing else.
 func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) {
 	if len(hits) < len(reqs) {
 		panic("core: AccessBatch hits slice shorter than reqs")
 	}
+	for len(reqs) > 0 {
+		n := min(len(reqs), p.s.global.UntilRotation())
+		p.accessBatch(reqs[:n], hits[:n])
+		reqs, hits = reqs[n:], hits[n:]
+	}
+}
+
+// accessBatch runs a piece of a batch that no window boundary cuts.
+func (p *Producer) accessBatch(reqs []trace.Request, hits []bool) {
 	if len(p.frames) == 1 {
 		// One shard: skip the routing pass, the whole batch is one frame.
 		for i := len(p.ident); i < len(reqs); i++ {
@@ -281,14 +291,3 @@ func (p *Producer) reset() {
 // stop — and stays so that call sites keep stating the front's lifetime.
 // Snapshots read the same before and after.
 func (s *Sharded) Close() {}
-
-// withCache runs fn with exclusive access to shard i's cache, holding the
-// shard as Access does. Control-plane accessors (WindowStats,
-// TrackedHintSets) use it so they never race the request path; fn must not
-// call back into the front.
-func (s *Sharded) withCache(i int, fn func(c *Cache)) {
-	sh := &s.shards[i]
-	sh.hold()
-	fn(sh.c)
-	s.release(sh, nil)
-}

@@ -14,22 +14,38 @@ import (
 	"repro/internal/trace"
 )
 
-// plainShards returns one plain Cache per shard of s, each built from its
-// shard's configuration around a private learner: the engine-free
-// reference a partitioned front is checked against.
-func plainShards(s *Sharded) []*Cache {
-	plain := make([]*Cache, len(s.shards))
-	for i := range plain {
-		plain[i] = New(s.shards[i].c.Config())
-	}
-	return plain
+// reference is the engine-free model of a front: one plain Cache per shard
+// of the front, each built from its shard's configuration around its own
+// tap on one fresh clicstats.Global, fed one request at a time in stream
+// order. A front driven by one goroutine must match it request by request.
+type reference struct {
+	s      *Sharded
+	g      *clicstats.Global
+	taps   []*clicstats.Learner
+	caches []*Cache
 }
 
-// plainStats is the snapshot a front s must report once it has answered
-// reqs with hits, given the plain per-shard caches that answered them the
-// same way.
-func plainStats(s *Sharded, plain []*Cache, reqs []trace.Request, hits []bool) Stats {
-	st := Stats{Shards: len(plain), Capacity: s.Capacity(), Learner: s.StatsMode().String()}
+// newReference returns the reference for front s.
+func newReference(s *Sharded) *reference {
+	ref := &reference{s: s, g: clicstats.NewGlobal(s.shards[0].c.Config().learnerConfig())}
+	for i := range s.shards {
+		ref.taps = append(ref.taps, ref.g.Tap())
+		ref.caches = append(ref.caches, newCache(s.shards[i].c.Config(), ref.taps[i]))
+	}
+	return ref
+}
+
+// Access runs one request on its shard's cache, in a lease of its own.
+func (ref *reference) Access(r trace.Request) bool {
+	sh := ref.s.ShardFor(r.Page)
+	ref.taps[sh].Begin(1)
+	return ref.caches[sh].Access(r)
+}
+
+// Stats is the snapshot the front must report once it has answered reqs
+// with hits, the reference having answered them the same way.
+func (ref *reference) Stats(reqs []trace.Request, hits []bool) Stats {
+	st := Stats{Shards: len(ref.caches), Capacity: ref.s.Capacity(), Windows: ref.g.Windows()}
 	for i, r := range reqs {
 		if r.Op == trace.Read {
 			st.Reads++
@@ -38,36 +54,39 @@ func plainStats(s *Sharded, plain []*Cache, reqs []trace.Request, hits []bool) S
 			st.Writes++
 		}
 	}
-	for _, c := range plain {
+	for _, c := range ref.caches {
 		st.Evictions += c.Evictions()
 		st.Len += c.Len()
 		st.OutqueueLen += c.OutqueueLen()
-		st.Windows += c.Windows()
-	}
-	if s.global != nil {
-		st.Windows = plain[0].Windows() // every tap reports the shared count
 	}
 	st.Requests = st.Reads + st.Writes
 	st.ReadMisses = st.Reads - st.ReadHits
 	return st
 }
 
+// withCache runs fn with exclusive access to shard i's cache, holding the
+// shard as Access does; fn must not call back into the front.
+func (s *Sharded) withCache(i int, fn func(c *Cache)) {
+	sh := &s.shards[i]
+	sh.hold()
+	fn(sh.c)
+	s.release(sh, nil)
+}
+
 // TestOwnerMatchesPlainShards is the frame-path golden test: a single
 // producer replaying the trace in batches must make bit-identical hit/miss
-// decisions to plain Caches, one per shard, each fed its shard's request
-// subsequence. One producer keeps each shard's subsequence in trace order,
-// and a page's whole history lives on one shard, so partitioned-statistics
-// results are deterministic.
+// decisions to the reference — plain Caches, one per shard, on taps of one
+// shared learner, fed the trace in order.
 func TestOwnerMatchesPlainShards(t *testing.T) {
 	const shards = 4
 	s := NewSharded(Config{Capacity: 64, Window: 500}, shards)
 	defer s.Close()
-	plain := plainShards(s)
+	ref := newReference(s)
 
 	reqs := shardedTrace(20000, 42)
 	want := make([]bool, len(reqs))
 	for i, r := range reqs {
-		want[i] = plain[s.ShardFor(r.Page)].Access(r)
+		want[i] = ref.Access(r)
 	}
 
 	p := s.NewProducer()
@@ -94,17 +113,12 @@ func TestOwnerMatchesPlainShards(t *testing.T) {
 	if gotHits == 0 || gotHits != wantHits {
 		t.Fatalf("aggregate hits: framed %d, plain shards %d", gotHits, wantHits)
 	}
-	if ss, ps := s.Stats(), plainStats(s, plain, reqs, want); ss != ps {
+	if ss, ps := s.Stats(), ref.Stats(reqs, want); ss != ps {
 		t.Errorf("Stats drift:\nframed       %+v\nplain shards %+v", ss, ps)
 	}
 
-	// The control-plane snapshot must agree too: the merge of the plain
-	// shards' windows.
-	parts := make([][]HintStat, shards)
-	for i, c := range plain {
-		parts[i] = c.WindowStats()
-	}
-	sw, pw := s.WindowStats(), clicstats.MergeHintStats(parts...)
+	// The control-plane snapshot must agree too.
+	sw, pw := s.WindowStats(), ref.g.WindowStats()
 	if len(sw) != len(pw) {
 		t.Fatalf("WindowStats lengths %d vs %d", len(sw), len(pw))
 	}
@@ -116,8 +130,8 @@ func TestOwnerMatchesPlainShards(t *testing.T) {
 }
 
 // TestOwnerBatchSizeInvariance replays the same trace through one producer
-// at several batch sizes; partitioned-statistics results must not depend on
-// how the stream is chopped into frames.
+// at several batch sizes; results must not depend on how the stream is
+// chopped into frames.
 func TestOwnerBatchSizeInvariance(t *testing.T) {
 	cfg := Config{Capacity: 64, Window: 500, TopK: 8}
 	reqs := shardedTrace(20000, 7)
@@ -161,13 +175,13 @@ func TestOwnerBatchSizeInvariance(t *testing.T) {
 func TestOwnerAccessFallback(t *testing.T) {
 	s := NewSharded(Config{Capacity: 64, Window: 500}, 4)
 	defer s.Close()
-	plain := plainShards(s)
+	ref := newReference(s)
 	reqs := shardedTrace(5000, 11)
 	got := make([]bool, len(reqs))
 	var hits uint64
 	for i, r := range reqs {
 		got[i] = s.Access(r)
-		if want := plain[s.ShardFor(r.Page)].Access(r); got[i] != want {
+		if want := ref.Access(r); got[i] != want {
 			t.Fatalf("request %d: Sharded.Access=%v, plain shard Access=%v", i, got[i], want)
 		}
 		if got[i] && r.Op == trace.Read {
@@ -177,7 +191,7 @@ func TestOwnerAccessFallback(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no hits; test is vacuous")
 	}
-	if ss, ps := s.Stats(), plainStats(s, plain, reqs, got); ss != ps {
+	if ss, ps := s.Stats(), ref.Stats(reqs, got); ss != ps {
 		t.Errorf("Stats drift:\nAccess       %+v\nplain shards %+v", ss, ps)
 	}
 }
@@ -243,18 +257,23 @@ func TestOwnerConcurrentProducers(t *testing.T) {
 	if s.Len() > s.Capacity() {
 		t.Errorf("Len %d exceeds capacity %d", s.Len(), s.Capacity())
 	}
+	// The run is a whole number of windows, so the last rotation emptied
+	// the shared window; a little more traffic must show in a fresh one.
+	for _, r := range shardedTrace(100, 1) {
+		s.Access(r)
+	}
 	if len(s.WindowStats()) == 0 {
 		t.Error("WindowStats is empty under load")
 	}
 }
 
 // TestOwnerGlobalConcurrent pairs concurrent producers with the shared
-// global learner: whoever holds a shard feeds the one learner through that
+// learner: whoever holds a shard feeds the one learner through that
 // shard's tap, a lease per frame, concurrently with the other shards. The
-// global window count stays exact (one rotation per W requests cache-wide).
+// window count stays exact (one rotation per W requests cache-wide).
 func TestOwnerGlobalConcurrent(t *testing.T) {
 	const producers = 6
-	cfg := Config{Capacity: 128, Window: 1000, Stats: StatsGlobal}
+	cfg := Config{Capacity: 128, Window: 1000}
 	s := NewSharded(cfg, 2)
 	defer s.Close()
 
@@ -293,70 +312,63 @@ func TestOwnerGlobalConcurrent(t *testing.T) {
 	if want := producers * 5000 / 1000; s.Windows() != want {
 		t.Errorf("Windows = %d, want exactly %d", s.Windows(), want)
 	}
-	if st := s.Stats(); st.Learner != "global" {
-		t.Errorf("Stats reports learner=%q", st.Learner)
-	}
 }
 
-// TestOwnerGlobalSmallWindows pins, in global mode, that a frame is only a
-// batching of requests: a 4-shard front driven by one producer in
-// 512-request batches returns, verdict for verdict, what the same front
-// returns when the same requests reach it through Sharded.Access one at a
-// time, and what plain Caches return — one per shard, each on its own tap
-// of one fresh clicstats.Global — in the order the producer runs them: a
-// batch shard by shard, each shard's requests in batch order. (With a
-// shared learner the order in which shards run is part of the input, so
-// the references replay that order, not the trace's.) The small windows put
-// rotations, several of them, inside single frames; W = 1000 puts them
-// between and across frames. The cluster goldens lean on this identity
-// through three layers; here it is cheap to debug.
+// TestOwnerGlobalSmallWindows is the frame-invariance test: a frame is
+// only a batching of requests. A 4-shard front driven by one producer
+// returns, verdict for verdict and at every batch size, what the same
+// front returns when the trace reaches it through Sharded.Access one
+// request at a time, and what the reference returns, all in trace order;
+// and the three end with equal Stats. The batch sizes run from one request
+// to the whole trace, so frames span many windows, and W = 3 puts several
+// rotations inside one batch, where AccessBatch must cut it. Top-k mode
+// keeps per-tap Space-Saving summaries replacing, which holds only if each
+// tap sees its shard's requests in trace order. The cluster goldens lean
+// on this identity through three layers; here it is cheap to debug.
 func TestOwnerGlobalSmallWindows(t *testing.T) {
-	const shards, batch = 4, 512
+	const shards = 4
 	reqs := shardedTrace(20000, 13)
-	for _, w := range []int{3, 64, 1000} {
-		cfg := Config{Capacity: 64, Window: w, Stats: StatsGlobal}
-		framed, serial := NewSharded(cfg, shards), NewSharded(cfg, shards)
-		g := clicstats.NewGlobal(framed.shards[0].c.Config().learnerConfig())
-		plain := make([]*Cache, shards)
-		taps := make([]*clicstats.Learner, shards)
-		for i := range plain {
-			taps[i] = g.Tap()
-			plain[i] = newCache(framed.shards[i].c.Config(), taps[i])
-		}
-		p := framed.NewProducer()
-		hits := make([]bool, batch)
-		want := make([]bool, len(reqs))
-		var readHits int
-		for off := 0; off < len(reqs); off += batch {
-			chunk := reqs[off:min(off+batch, len(reqs))]
-			p.AccessBatch(chunk, hits)
-			for sh := 0; sh < shards; sh++ {
-				for i, r := range chunk {
-					if serial.ShardFor(r.Page) != sh {
-						continue
-					}
-					taps[sh].Begin(1)
-					one, ref := serial.Access(r), plain[sh].Access(r)
-					if hits[i] != one || hits[i] != ref {
-						t.Fatalf("W=%d request %d (page %d, shard %d): framed hit=%v, one at a time hit=%v, plain shard hit=%v", w, off+i, r.Page, sh, hits[i], one, ref)
-					}
-					want[off+i] = ref
-					if hits[i] && r.Op == trace.Read {
-						readHits++
-					}
+	for _, topK := range []int{0, 8} {
+		for _, w := range []int{3, 500, 1000} {
+			cfg := Config{Capacity: 64, Window: w, TopK: topK}
+			serial := NewSharded(cfg, shards)
+			ref := newReference(serial)
+			want := make([]bool, len(reqs))
+			var readHits int
+			for i, r := range reqs {
+				one, plain := serial.Access(r), ref.Access(r)
+				if one != plain {
+					t.Fatalf("TopK=%d W=%d request %d (page %d): one at a time hit=%v, plain shard hit=%v", topK, w, i, r.Page, one, plain)
+				}
+				want[i] = one
+				if one && r.Op == trace.Read {
+					readHits++
 				}
 			}
-		}
-		p.Close()
-		if readHits == 0 {
-			t.Fatalf("W=%d: no hits; test is vacuous", w)
-		}
-		if framed.Windows() != len(reqs)/w || serial.Windows() != len(reqs)/w || g.Windows() != len(reqs)/w {
-			t.Errorf("W=%d: windows framed %d, one at a time %d, plain shards %d, want %d", w, framed.Windows(), serial.Windows(), g.Windows(), len(reqs)/w)
-		}
-		fs, ss, ps := framed.Stats(), serial.Stats(), plainStats(framed, plain, reqs, want)
-		if fs != ss || fs != ps {
-			t.Errorf("W=%d: Stats drift:\nframed        %+v\none at a time %+v\nplain shards  %+v", w, fs, ss, ps)
+			if readHits == 0 {
+				t.Fatalf("TopK=%d W=%d: no hits; test is vacuous", topK, w)
+			}
+			ss, ps := serial.Stats(), ref.Stats(reqs, want)
+			if ss != ps || ss.Windows != len(reqs)/w {
+				t.Errorf("TopK=%d W=%d: Stats drift, want %d windows:\none at a time %+v\nplain shards  %+v", topK, w, len(reqs)/w, ss, ps)
+			}
+			for _, batch := range []int{1, 7, 64, 512, 2000, len(reqs)} {
+				framed := NewSharded(cfg, shards)
+				p := framed.NewProducer()
+				hits := make([]bool, batch)
+				for off := 0; off < len(reqs); off += batch {
+					chunk := reqs[off:min(off+batch, len(reqs))]
+					p.AccessBatch(chunk, hits)
+					for i := range chunk {
+						if hits[i] != want[off+i] {
+							t.Fatalf("TopK=%d W=%d batch %d request %d (page %d): framed hit=%v, one at a time hit=%v", topK, w, batch, off+i, chunk[i].Page, hits[i], want[off+i])
+						}
+					}
+				}
+				if fs := framed.Stats(); fs != ss {
+					t.Errorf("TopK=%d W=%d batch %d: Stats drift:\nframed        %+v\none at a time %+v", topK, w, batch, fs, ss)
+				}
+			}
 		}
 	}
 }
@@ -384,11 +396,12 @@ func TestOwnerClose(t *testing.T) {
 // producers than shards, frames of one to three requests so that pushes,
 // try-locks and releases collide constantly, two goroutines holding shards
 // for single requests through Sharded.Access, and a control-plane reader
-// holding them for WindowStats. A lost frame shows as a producer that never
-// returns (the watchdog), a frame or request run twice or by two holders at
-// once as broken accounting, a data race, or a cache that fails
+// taking the idle taps for WindowStats. A lost frame shows as a producer
+// that never returns (the watchdog), a frame or request run twice or by two
+// holders at once as broken accounting, a data race, or a cache that fails
 // checkConsistency — which runs here inside the engine, through withCache,
-// on every shard.
+// on every shard. Its group-priority check holds only because each tap's
+// table moves at its own lease or rotation, never under a shard at rest.
 func TestOwnerCombineStress(t *testing.T) {
 	const (
 		producers = 8
@@ -488,9 +501,13 @@ func TestOwnerCombineStress(t *testing.T) {
 	if wantHits == 0 || snapshots == 0 {
 		t.Errorf("vacuous run: %d hits, %d control snapshots", wantHits, snapshots)
 	}
+	// A batch that crosses a multiple of W is cut there, and each cut adds
+	// at most one frame to a batch of three requests or fewer. A producer
+	// cuts at a boundary at most once, since the piece before the cut
+	// leases up to it, so it cuts at most once per rotation.
 	for c := 0; c < producers; c++ {
-		if posted[c] != wantFrames[c] || foreign[c] > posted[c] {
-			t.Errorf("producer %d: Frames() = %d posted, %d foreign; its batches made %d frames", c, posted[c], foreign[c], wantFrames[c])
+		if posted[c] < wantFrames[c] || posted[c] > wantFrames[c]+uint64(s.Windows()) || foreign[c] > posted[c] {
+			t.Errorf("producer %d: Frames() = %d posted, %d foreign; its batches made %d frames before cuts at %d rotations", c, posted[c], foreign[c], wantFrames[c], s.Windows())
 		}
 	}
 	for i := 0; i < shards; i++ {
@@ -507,8 +524,8 @@ func TestOwnerCombineStress(t *testing.T) {
 // one-request frames and one goroutine calling Access share a one-shard
 // front with no other holder, so a frame the release left on the list
 // would stay there and the producer would wait for it forever (the
-// watchdog). TestOwnerCombineStress cannot see this: its WindowStats
-// reader holds the shards too, and its release would run the frame late.
+// watchdog). TestOwnerCombineStress cannot see this: its Access goroutines
+// hold the shards too, and their releases would run the frame late.
 func TestOwnerAccessDrainsFrames(t *testing.T) {
 	const n = 20000
 	s := NewSharded(Config{Capacity: 64, Window: 500}, 1)
@@ -652,7 +669,7 @@ func TestShardedShardLayout(t *testing.T) {
 	if off := unsafe.Offsetof(sh.reads); off != cacheLine {
 		t.Errorf("counters start at byte %d, want %d", off, cacheLine)
 	}
-	if end := unsafe.Offsetof(sh.windows) + unsafe.Sizeof(sh.windows); end > 2*cacheLine {
+	if end := unsafe.Offsetof(sh.outq) + unsafe.Sizeof(sh.outq); end > 2*cacheLine {
 		t.Errorf("counters end at byte %d, past the second line", end)
 	}
 }
@@ -710,21 +727,17 @@ func BenchmarkFrameWarm(b *testing.B) {
 
 // BenchmarkShardedAccess prices the per-request path a serial -shards
 // replay takes: one goroutine, an 8-shard front, every request holding its
-// shard through the try-lock for itself, in both learner modes. One
+// shard through the try-lock and leasing its tap for itself. One
 // iteration is one request, so ns/op is ns per request.
 func BenchmarkShardedAccess(b *testing.B) {
 	reqs := shardedTrace(1<<16, 21)
-	for _, mode := range []StatsMode{StatsPartitioned, StatsGlobal} {
-		b.Run(mode.String(), func(b *testing.B) {
-			s := NewSharded(Config{Capacity: 1024, Window: 10_000, Stats: mode}, 8)
-			for _, r := range reqs {
-				s.Access(r)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink = s.Access(reqs[i&(len(reqs)-1)])
-			}
-		})
+	s := NewSharded(Config{Capacity: 1024, Window: 10_000}, 8)
+	for _, r := range reqs {
+		s.Access(r)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = s.Access(reqs[i&(len(reqs)-1)])
 	}
 }
 

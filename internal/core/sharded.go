@@ -22,22 +22,16 @@ import (
 // records and victim selection for that page are exactly those of a plain
 // Cache over the shard's request subsequence.
 //
-// Where the hint statistics are learned is Config.Stats:
-//
-//   - StatsPartitioned (default): each shard owns a private learner over a
-//     scaled W/N window; it sees ~1/N of the requests and learns its own
-//     priority table. Accessors merge the per-shard accounting back into
-//     cache-wide totals.
-//   - StatsGlobal: all shards feed and read one shared learner
-//     (clicstats.Global) over the full window W, each through a private
-//     tap, so the priority model is cache-wide and coherent while placement
-//     stays partitioned.
+// The hint statistics are learned cache-wide: all shards feed and read one
+// shared learner (clicstats.Global) over the full window W, each through a
+// tap of its own, so the priority model is the one the whole request
+// stream implies while placement stays partitioned. How that stays exact
+// for one stream of requests, and what concurrency relaxes, is
+// Producer.AccessBatch's and clicstats.Global's to say.
 type Sharded struct {
 	shards   []shardedShard
 	capacity int
-	mode     StatsMode
-	// global is the shared learner in StatsGlobal mode (nil otherwise).
-	global *clicstats.Global
+	global   *clicstats.Global
 }
 
 // shardedShard is one Cache partition with its hand-off words and its
@@ -47,10 +41,10 @@ type Sharded struct {
 // The first line is what goroutines contend on to reach the cache: the
 // pending list and the try-lock (owner.go), next to the two pointers
 // whoever wins the line reads next and which never change: the cache, and
-// the shard's tap on the shared learner (nil in partitioned mode).
+// the shard's tap on the shared learner.
 //
 // The second line mirrors the shard's accounting so that cross-shard
-// snapshots (Stats, Len, OutqueueLen, Windows) are plain atomic loads
+// snapshots (Stats, Len, OutqueueLen) are plain atomic loads
 // instead of a sweep that takes every shard: the network server reads them
 // on every response batch. They are written only by the goroutine holding
 // the shard, so each counter is internally exact; a snapshot across
@@ -68,8 +62,7 @@ type shardedShard struct {
 	evictions atomic.Uint64
 	len       atomic.Int64
 	outq      atomic.Int64
-	windows   atomic.Int64
-	_         [cacheLine - 56]byte
+	_         [cacheLine - 48]byte
 }
 
 // cacheLine is the coherence granule shardedShard is padded to.
@@ -79,10 +72,8 @@ var _ policy.Policy = (*Sharded)(nil)
 
 // NewSharded returns a CLIC front with n shards. The configured capacity,
 // outqueue and window are totals for the whole front: capacity and outqueue
-// entries are split across shards (remainders go to the low shards). In
-// partitioned-statistics mode each shard's window is W/n so the front as a
-// whole rotates statistics about every W requests under a uniform request
-// spread; in global mode the shared learner rotates exactly every W
+// entries are split across shards (remainders go to the low shards); the
+// window is not, since the shared learner rotates exactly every W
 // requests, cache-wide. n = 1 degenerates to a plain Cache behind one
 // try-lock.
 func NewSharded(cfg Config, n int) *Sharded {
@@ -93,24 +84,13 @@ func NewSharded(cfg Config, n int) *Sharded {
 		panic("core: negative capacity")
 	}
 	full := cfg.withDefaults()
-	s := &Sharded{shards: make([]shardedShard, n), capacity: full.Capacity, mode: full.Stats}
-	if full.Stats == StatsGlobal {
-		s.global = clicstats.NewGlobal(full.learnerConfig())
-	}
-	window := full.Window
-	if s.global == nil {
-		window /= n
-		if window < 1 {
-			window = 1
-		}
-	}
+	s := &Sharded{shards: make([]shardedShard, n), capacity: full.Capacity, global: clicstats.NewGlobal(full.learnerConfig())}
 	for i := range s.shards {
 		sub := Config{
 			Capacity: splitEven(full.Capacity, n, i),
-			Window:   window,
+			Window:   full.Window,
 			R:        full.R,
 			TopK:     full.TopK,
-			Stats:    full.Stats,
 		}
 		// withDefaults has already resolved Noutq to an entry count; a zero
 		// split must not re-trigger the 5×-capacity default, so disabled
@@ -121,12 +101,8 @@ func NewSharded(cfg Config, n int) *Sharded {
 			sub.Noutq = NoOutqueue
 		}
 		sub = sub.withDefaults()
-		if s.global != nil {
-			s.shards[i].tap = s.global.Tap()
-			s.shards[i].c = newCache(sub, s.shards[i].tap)
-		} else {
-			s.shards[i].c = newCache(sub, clicstats.NewPartitioned(sub.learnerConfig()))
-		}
+		s.shards[i].tap = s.global.Tap()
+		s.shards[i].c = newCache(sub, s.shards[i].tap)
 	}
 	return s
 }
@@ -160,9 +136,7 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Name implements policy.Policy. The name reflects sharding only, not the
-// statistics mode, so results from either mode label comparably (the mode
-// is reported via Stats/StatsMode).
+// Name implements policy.Policy. The name reflects sharding only.
 func (s *Sharded) Name() string {
 	if len(s.shards) == 1 {
 		return "CLIC"
@@ -170,29 +144,23 @@ func (s *Sharded) Name() string {
 	return fmt.Sprintf("CLIC/%d", len(s.shards))
 }
 
-// StatsMode returns the statistics-learning mode in effect.
-func (s *Sharded) StatsMode() StatsMode { return s.mode }
-
-// Global returns the shared learner, or nil in partitioned mode. The
-// server uses it to wire summary publication and absorption between
-// cluster nodes (internal/cluster).
+// Global returns the shared learner. The server uses it to wire summary
+// publication and absorption between cluster nodes (internal/cluster).
 func (s *Sharded) Global() *clicstats.Global { return s.global }
 
 // Access implements policy.Policy. It is safe for concurrent use: the
 // caller takes the request's shard through its try-lock (yielding while
 // another goroutine holds it), runs the request itself and releases, so
 // requests for different shards proceed in parallel and requests for one
-// shard serialize. In global mode the shards additionally share the
-// learner: each request is a one-request lease on its shard's tap, opened
-// and closed with a CAS on the tap's state word, and counted in the tap's
-// own window. Batch drivers should use NewProducer/AccessBatch, which pay
-// the hand-off and the lease once per frame instead of once per request.
+// shard serialize. Each request is a one-request lease on its shard's tap,
+// opened and closed with a CAS on the tap's state word, and counted in the
+// tap's own window. Batch drivers should use NewProducer/AccessBatch, which
+// pay the hand-off and the lease once per frame instead of once per
+// request.
 func (s *Sharded) Access(r trace.Request) bool {
 	sh := &s.shards[s.ShardFor(r.Page)]
 	sh.hold()
-	if sh.tap != nil {
-		sh.tap.Begin(1)
-	}
+	sh.tap.Begin(1)
 	hit := sh.c.Access(r)
 	read := r.Op == trace.Read
 	s.settle(sh, b2u(read), b2u(hit), b2u(!read))
@@ -215,19 +183,9 @@ func (s *Sharded) Capacity() int { return s.capacity }
 // Shards returns the number of shards.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Windows returns the number of completed statistics windows: summed
-// across the per-shard learners in partitioned mode, the shared learner's
-// count in global mode.
-func (s *Sharded) Windows() int {
-	if s.global != nil {
-		return s.global.Windows()
-	}
-	n := int64(0)
-	for i := range s.shards {
-		n += s.shards[i].windows.Load()
-	}
-	return int(n)
-}
+// Windows returns the number of completed statistics windows: the shared
+// learner's rotations.
+func (s *Sharded) Windows() int { return s.global.Windows() }
 
 // OutqueueLen returns the total number of outqueue entries across shards.
 func (s *Sharded) OutqueueLen() int {
@@ -254,11 +212,9 @@ type Stats struct {
 	Len         int
 	OutqueueLen int
 	Windows     int
-	// Shards and Capacity are the front's fixed configuration; Learner is
-	// the statistics mode ("partitioned" or "global").
+	// Shards and Capacity are the front's fixed configuration.
 	Shards   int
 	Capacity int
-	Learner  string
 }
 
 // HitRatio returns the snapshot's read hit ratio (0 when no reads yet).
@@ -274,7 +230,7 @@ func (st Stats) HitRatio() float64 {
 // to call per response batch. Counters from shards with requests in flight
 // may lag by those requests; each counter is individually exact.
 func (s *Sharded) Stats() Stats {
-	st := Stats{Shards: len(s.shards), Capacity: s.capacity, Learner: s.mode.String()}
+	st := Stats{Shards: len(s.shards), Capacity: s.capacity, Windows: s.global.Windows()}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		// Load readHits before reads: a concurrent Access bumps reads
@@ -287,10 +243,6 @@ func (s *Sharded) Stats() Stats {
 		st.Evictions += sh.evictions.Load()
 		st.Len += int(sh.len.Load())
 		st.OutqueueLen += int(sh.outq.Load())
-		st.Windows += int(sh.windows.Load())
-	}
-	if s.global != nil {
-		st.Windows = s.global.Windows()
 	}
 	st.Requests = st.Reads + st.Writes
 	st.ReadMisses = st.Reads - st.ReadHits
@@ -307,10 +259,6 @@ type ShardStats struct {
 	Evictions   uint64 `json:"evictions"`
 	Len         int    `json:"len"`
 	OutqueueLen int    `json:"outqueue_len"`
-	// Windows is the shard learner's completed-window count; in global
-	// statistics mode rotations are cache-wide, so it reports 0 here and
-	// Stats.Windows carries the shared count.
-	Windows int `json:"windows"`
 }
 
 // ShardStats snapshots shard i's counters without taking its lock, with the
@@ -325,42 +273,16 @@ func (s *Sharded) ShardStats(i int) ShardStats {
 	st.Evictions = sh.evictions.Load()
 	st.Len = int(sh.len.Load())
 	st.OutqueueLen = int(sh.outq.Load())
-	if s.global == nil {
-		st.Windows = int(sh.windows.Load())
-	}
 	return st
 }
 
-// TrackedHintSets returns the number of hint sets the statistics learners
-// currently track, summed over the shards' windows in either mode: a hint
-// set seen by several shards counts once per shard. Global mode counts the
-// taps not mid-frame; partitioned mode holds every shard in turn — an
-// observability read, not a hot-path one.
-func (s *Sharded) TrackedHintSets() int {
-	if s.global != nil {
-		return s.global.TrackedHintSets()
-	}
-	n := 0
-	for i := range s.shards {
-		s.withCache(i, func(c *Cache) { n += c.TrackedHintSets() })
-	}
-	return n
-}
+// TrackedHintSets returns the number of hint sets the taps' windows
+// currently track, summed over the shards: a hint set seen by several
+// shards counts once per shard. Shards mid-frame are not counted (see
+// clicstats.Global).
+func (s *Sharded) TrackedHintSets() int { return s.global.TrackedHintSets() }
 
 // WindowStats returns cache-wide per-hint-set statistics for the current
-// window. In global mode this is one snapshot of the shared learner; in
-// partitioned mode the per-shard learners' snapshots are merged: N and Nr
-// sum across shards, D is the combined mean distance, and Pr is recomputed
-// from the merged numbers (Equation 2). Either way the result is sorted
-// like Cache.WindowStats.
-func (s *Sharded) WindowStats() []HintStat {
-	if s.global != nil {
-		return s.global.WindowStats()
-	}
-	parts := make([][]HintStat, len(s.shards))
-	for i := range s.shards {
-		i := i
-		s.withCache(i, func(c *Cache) { parts[i] = c.WindowStats() })
-	}
-	return clicstats.MergeHintStats(parts...)
-}
+// window, summed over the taps not mid-frame and sorted like
+// Cache.WindowStats.
+func (s *Sharded) WindowStats() []HintStat { return s.global.WindowStats() }

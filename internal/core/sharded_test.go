@@ -40,20 +40,21 @@ func shardedTrace(n int, seed int64) []trace.Request {
 
 // TestShardedMatchesPartitionedCaches drives a Sharded front request by
 // request and checks that every hit/miss decision — and therefore the
-// aggregate hit count — matches plain Caches run over the per-shard request
-// subsequences with identical configurations.
+// aggregate hit count — matches the reference: plain Caches with identical
+// configurations on taps of one shared learner, each run over its shard's
+// request subsequence.
 func TestShardedMatchesPartitionedCaches(t *testing.T) {
 	const shards = 4
 	cfg := Config{Capacity: 64, Window: 500, TopK: 0}
 	s := NewSharded(cfg, shards)
-	plain := plainShards(s)
+	ref := newReference(s)
 
 	var wantHits, gotHits uint64
 	for i, r := range shardedTrace(20000, 42) {
 		got := s.Access(r)
-		want := plain[s.ShardFor(r.Page)].Access(r)
+		want := ref.Access(r)
 		if got != want {
-			t.Fatalf("request %d (page %d): Sharded hit=%v, partitioned cache hit=%v", i, r.Page, got, want)
+			t.Fatalf("request %d (page %d): Sharded hit=%v, reference hit=%v", i, r.Page, got, want)
 		}
 		if got && r.Op == trace.Read {
 			gotHits++
@@ -63,26 +64,27 @@ func TestShardedMatchesPartitionedCaches(t *testing.T) {
 		}
 	}
 	if gotHits != wantHits {
-		t.Fatalf("aggregate hits: Sharded %d, partitioned %d", gotHits, wantHits)
+		t.Fatalf("aggregate hits: Sharded %d, reference %d", gotHits, wantHits)
 	}
 	if gotHits == 0 {
 		t.Fatal("trace produced no hits; test is vacuous")
 	}
 
-	var plainLen, plainWindows int
-	for _, c := range plain {
+	var plainLen int
+	for _, c := range ref.caches {
 		plainLen += c.Len()
-		plainWindows += c.Windows()
 	}
 	if s.Len() != plainLen {
-		t.Errorf("Len: Sharded %d, partitioned sum %d", s.Len(), plainLen)
+		t.Errorf("Len: Sharded %d, reference sum %d", s.Len(), plainLen)
 	}
-	if s.Windows() != plainWindows {
-		t.Errorf("Windows: Sharded %d, partitioned sum %d", s.Windows(), plainWindows)
+	if s.Windows() != ref.g.Windows() || s.Windows() != 20000/500 {
+		t.Errorf("Windows: Sharded %d, reference %d, want %d", s.Windows(), ref.g.Windows(), 20000/500)
 	}
 }
 
-// TestShardedSplit checks the capacity/outqueue/window split accounting.
+// TestShardedSplit checks the capacity/outqueue split accounting, and that
+// the window is not split: every shard's cache is configured with the
+// front's W, which its tap's shared learner rotates on.
 func TestShardedSplit(t *testing.T) {
 	cfg := Config{Capacity: 10, Window: 9000}
 	s := NewSharded(cfg, 3)
@@ -94,8 +96,8 @@ func TestShardedSplit(t *testing.T) {
 		sub := s.shards[i].c.Config()
 		caps += sub.Capacity
 		outqs += sub.Noutq
-		if sub.Window != 3000 {
-			t.Errorf("shard %d window = %d, want 3000", i, sub.Window)
+		if sub.Window != 9000 {
+			t.Errorf("shard %d window = %d, want 9000", i, sub.Window)
 		}
 	}
 	if caps != 10 {
@@ -169,12 +171,13 @@ func TestShardedStats(t *testing.T) {
 		t.Errorf("HitRatio = %v, want %v", got, float64(hits)/float64(reads))
 	}
 
-	// The per-shard sums must equal the per-shard caches' own accounting.
-	var wantLen, wantOutq, wantWin int
+	// The per-shard sums must equal the per-shard caches' own accounting;
+	// every shard's cache reports the shared learner's window count.
+	var wantLen, wantOutq int
+	wantWin := s.shards[0].c.Windows()
 	for i := range s.shards {
 		wantLen += s.shards[i].c.Len()
 		wantOutq += s.shards[i].c.OutqueueLen()
-		wantWin += s.shards[i].c.Windows()
 	}
 	if st.Len != wantLen || st.OutqueueLen != wantOutq || st.Windows != wantWin {
 		t.Errorf("Stats structural fields (%d, %d, %d) disagree with shard caches (%d, %d, %d)",
@@ -221,39 +224,24 @@ func TestShardedConcurrent(t *testing.T) {
 	if s.OutqueueLen() == 0 {
 		t.Error("outqueue is empty after 40K requests")
 	}
+	// The run is a whole number of windows, so the last rotation emptied
+	// the shared window; a little more traffic must show in a fresh one.
+	for _, r := range shardedTrace(100, 1) {
+		s.Access(r)
+	}
 	if len(s.WindowStats()) == 0 {
-		t.Error("merged WindowStats is empty")
+		t.Error("WindowStats is empty")
 	}
 }
 
-// TestStatsModeParse round-trips the flag spellings.
-func TestStatsModeParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want StatsMode
-	}{{"partitioned", StatsPartitioned}, {"", StatsPartitioned}, {"global", StatsGlobal}} {
-		got, err := ParseStatsMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseStatsMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseStatsMode("bogus"); err == nil {
-		t.Error("bogus mode accepted")
-	}
-	if StatsPartitioned.String() != "partitioned" || StatsGlobal.String() != "global" {
-		t.Error("StatsMode.String spellings changed")
-	}
-}
-
-// TestShardedGlobalSingleShardMatchesCache is the mode-equivalence test of
-// the learner refactor: a 1-shard Sharded front with the global learner
-// must match a plain Cache request by request — same window boundary, same
-// exact statistics, same priorities, hence the same hit/miss decisions.
+// TestShardedGlobalSingleShardMatchesCache is the scope-equivalence test of
+// the learner: a 1-shard Sharded front, whose one tap feeds the shared
+// learner, must match a plain Cache with its lone learner request by
+// request — same window boundary, same exact statistics, same priorities,
+// hence the same hit/miss decisions.
 func TestShardedGlobalSingleShardMatchesCache(t *testing.T) {
 	cfg := Config{Capacity: 64, Window: 500}
-	gcfg := cfg
-	gcfg.Stats = StatsGlobal
-	s := NewSharded(gcfg, 1)
+	s := NewSharded(cfg, 1)
 	plain := New(cfg)
 
 	var hits uint64
@@ -274,9 +262,6 @@ func TestShardedGlobalSingleShardMatchesCache(t *testing.T) {
 		t.Errorf("structural drift: Len %d/%d, Windows %d/%d, Outqueue %d/%d",
 			s.Len(), plain.Len(), s.Windows(), plain.Windows(), s.OutqueueLen(), plain.OutqueueLen())
 	}
-	if s.StatsMode() != StatsGlobal {
-		t.Errorf("StatsMode = %v", s.StatsMode())
-	}
 	sw, pw := s.WindowStats(), plain.WindowStats()
 	if len(sw) != len(pw) {
 		t.Fatalf("WindowStats lengths %d vs %d", len(sw), len(pw))
@@ -288,22 +273,21 @@ func TestShardedGlobalSingleShardMatchesCache(t *testing.T) {
 	}
 }
 
-// TestShardedGlobalSharedLearning checks what the global mode is for: the
-// shards share one priority model learned over the full window W.
+// TestShardedGlobalSharedLearning checks what the shared learner is for:
+// the shards share one priority model learned over the full window W.
 func TestShardedGlobalSharedLearning(t *testing.T) {
-	cfg := Config{Capacity: 64, Window: 500, Stats: StatsGlobal}
+	cfg := Config{Capacity: 64, Window: 500}
 	s := NewSharded(cfg, 4)
 	reqs := shardedTrace(20000, 7)
 	for _, r := range reqs {
 		s.Access(r)
 	}
-	// The shared learner rotates exactly every W requests, cache-wide —
-	// not W/N per shard as in partitioned mode.
+	// The shared learner rotates exactly every W requests, cache-wide.
 	if want := len(reqs) / 500; s.Windows() != want {
 		t.Errorf("Windows = %d, want %d (one rotation per full window)", s.Windows(), want)
 	}
-	if st := s.Stats(); st.Windows != s.Windows() || st.Learner != "global" {
-		t.Errorf("Stats reports windows=%d learner=%q", st.Windows, st.Learner)
+	if st := s.Stats(); st.Windows != s.Windows() {
+		t.Errorf("Stats reports windows=%d", st.Windows)
 	}
 	// Every shard cache reads the same learner, so their priority tables
 	// are identical (and non-trivial on this re-referencing trace).
@@ -322,26 +306,15 @@ func TestShardedGlobalSharedLearning(t *testing.T) {
 			}
 		}
 	}
-	// Partitioned mode on the same trace keeps per-shard windows.
-	p := NewSharded(Config{Capacity: 64, Window: 500}, 4)
-	for _, r := range reqs {
-		p.Access(r)
-	}
-	if p.Stats().Learner != "partitioned" {
-		t.Errorf("partitioned front reports learner %q", p.Stats().Learner)
-	}
-	if p.Windows() == s.Windows() {
-		t.Logf("note: per-shard and global window counts coincide (%d)", p.Windows())
-	}
 }
 
-// TestShardedGlobalConcurrent hammers a global-learner front from more
-// clients than shards; under -race this exercises the one-request leases,
-// the taps' hand-off at rotation, the table republishing, and the lazy
-// per-shard heap re-keying together.
+// TestShardedGlobalConcurrent hammers a front from more clients than
+// shards; under -race this exercises the one-request leases, the taps'
+// hand-off at rotation, the tables the taps adopt, and the lazy per-shard
+// heap re-keying together.
 func TestShardedGlobalConcurrent(t *testing.T) {
 	const clients = 8
-	cfg := Config{Capacity: 128, Window: 1000, Stats: StatsGlobal}
+	cfg := Config{Capacity: 128, Window: 1000}
 	s := NewSharded(cfg, 2)
 
 	var wg sync.WaitGroup

@@ -230,10 +230,12 @@ func TestServeSourceMoreClientsThanShards(t *testing.T) {
 }
 
 // TestPartitionedGoldenPreRefactor pins CLIC's hit counts on the seeded
-// test trace to the values measured before the statistics machinery moved
-// out of core.Cache into internal/clicstats: the lone learner must
-// reproduce the pre-refactor behavior bit for bit, for plain and sharded
-// caches, in exact, top-k and decaying configurations.
+// test trace, in exact, top-k and decaying configurations. The plain rows
+// are the values measured before the statistics machinery moved out of
+// core.Cache into internal/clicstats: the lone learner must reproduce the
+// pre-refactor behavior bit for bit. The sharded rows are the shared
+// learner's, as its former global mode gave them when it became a sharded
+// front's only way to learn.
 func TestPartitionedGoldenPreRefactor(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -244,12 +246,12 @@ func TestPartitionedGoldenPreRefactor(t *testing.T) {
 		{"plain/exact", core.Config{Capacity: 2970, Window: 5000}, 0, 3718},
 		{"plain/topk", core.Config{Capacity: 2970, Window: 5000, TopK: 20}, 0, 3718},
 		{"plain/decay", core.Config{Capacity: 2970, Window: 5000, R: 0.5}, 0, 3718},
-		{"sharded2/exact", core.Config{Capacity: 2970, Window: 5000}, 2, 3715},
-		{"sharded2/topk", core.Config{Capacity: 2970, Window: 5000, TopK: 20}, 2, 3715},
-		{"sharded2/decay", core.Config{Capacity: 2970, Window: 5000, R: 0.5}, 2, 3704},
-		{"sharded4/exact", core.Config{Capacity: 2970, Window: 5000}, 4, 3618},
-		{"sharded4/topk", core.Config{Capacity: 2970, Window: 5000, TopK: 20}, 4, 3618},
-		{"sharded4/decay", core.Config{Capacity: 2970, Window: 5000, R: 0.5}, 4, 3644},
+		{"sharded2/exact", core.Config{Capacity: 2970, Window: 5000}, 2, 3721},
+		{"sharded2/topk", core.Config{Capacity: 2970, Window: 5000, TopK: 20}, 2, 3721},
+		{"sharded2/decay", core.Config{Capacity: 2970, Window: 5000, R: 0.5}, 2, 3721},
+		{"sharded4/exact", core.Config{Capacity: 2970, Window: 5000}, 4, 3710},
+		{"sharded4/topk", core.Config{Capacity: 2970, Window: 5000, TopK: 20}, 4, 3710},
+		{"sharded4/decay", core.Config{Capacity: 2970, Window: 5000, R: 0.5}, 4, 3710},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -264,43 +266,38 @@ func TestPartitionedGoldenPreRefactor(t *testing.T) {
 				t.Fatalf("Reads = %d, want 20973 (trace generation changed?)", res.Reads)
 			}
 			if res.ReadHits != tc.hits {
-				t.Errorf("ReadHits = %d, want pre-refactor golden %d", res.ReadHits, tc.hits)
+				t.Errorf("ReadHits = %d, want golden %d", res.ReadHits, tc.hits)
 			}
 		})
 	}
 }
 
 // TestServeSourceGlobalSingleClient: with one client, ServeSource is a
-// sequential replay, so the global and partitioned 1-shard fronts must
-// match the plain serial simulation exactly — the engine-path equivalence
-// test for the learner modes.
+// sequential replay, so a 1-shard front, whose one tap feeds the shared
+// learner, must match the plain serial simulation with its lone learner
+// exactly — the engine-path equivalence test for the learner's two scopes.
 func TestServeSourceGlobalSingleClient(t *testing.T) {
 	tr := testTrace.Truncate(15000)
 	cfg := core.Config{Capacity: 2000, Window: 2000}
 	want := sim.Run(core.New(cfg), tr)
-	for _, mode := range []core.StatsMode{core.StatsPartitioned, core.StatsGlobal} {
-		mcfg := cfg
-		mcfg.Stats = mode
-		got := serve(t, core.NewSharded(mcfg, 1), tr)
-		if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
-			t.Errorf("%v: ServeSource %d/%d hits/reads, serial %d/%d",
-				mode, got.ReadHits, got.Reads, want.ReadHits, want.Reads)
-		}
-		if got.ReadHits == 0 {
-			t.Errorf("%v: no hits; test is vacuous", mode)
-		}
+	got := serve(t, core.NewSharded(cfg, 1), tr)
+	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
+		t.Errorf("ServeSource %d/%d hits/reads, serial %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
+	}
+	if got.ReadHits == 0 {
+		t.Error("no hits; test is vacuous")
 	}
 }
 
-// TestServeSourceGlobalMoreClientsThanShards drives a 2-shard front with
-// the shared global learner from 6 clients: client goroutines contend for
-// the shards while rotations take and owe the taps' windows, and rotations
-// by one shard must propagate to the others' victim heaps. Under -race (the
+// TestServeSourceGlobalMoreClientsThanShards drives a 2-shard front from 6
+// clients: client goroutines contend for the shards while rotations take
+// and owe the taps' windows, and rotations by one shard must propagate to
+// the others' victim heaps. Under -race (the
 // CI configuration) this is the engine-path stress test for global
 // learning.
 func TestServeSourceGlobalMoreClientsThanShards(t *testing.T) {
 	merged := sixClients(t)
-	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000, Stats: core.StatsGlobal}, 2)
+	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2)
 	res := serve(t, s, merged)
 
 	if len(res.PerClient) != 6 {
@@ -330,9 +327,6 @@ func TestServeSourceGlobalMoreClientsThanShards(t *testing.T) {
 	if st.Reads != res.Reads || st.ReadHits != res.ReadHits {
 		t.Errorf("Stats (%d reads, %d hits) disagree with result (%d, %d)", st.Reads, st.ReadHits, res.Reads, res.ReadHits)
 	}
-	if st.Learner != "global" {
-		t.Errorf("Stats.Learner = %q, want global", st.Learner)
-	}
 	if want := merged.Len() / 3000; st.Windows != want {
 		t.Errorf("Windows = %d, want exactly %d (shared learner rotates cache-wide)", st.Windows, want)
 	}
@@ -340,9 +334,9 @@ func TestServeSourceGlobalMoreClientsThanShards(t *testing.T) {
 
 // TestServeSourceOwnerSingleClient is the engine-layer equivalence golden
 // test for the two ways into a front: with one client, ServeSource is a
-// serial batch replay through one producer, which in partitioned-statistics
-// mode is bit-identical to sim.Run's per-request replay through
-// Sharded.Access — same reads, same hits, same snapshot.
+// serial batch replay through one producer, which is bit-identical to
+// sim.Run's per-request replay through Sharded.Access — same reads, same
+// hits, same snapshot.
 func TestServeSourceOwnerSingleClient(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hintproj"
-	"repro/internal/policy"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -17,12 +16,8 @@ import (
 // much each mechanism contributes. Like the figures, each sweep fans its
 // independent runs across the engine's worker pool.
 
-// ablationTrace drives the r/W/outqueue ablations and the policy zoo;
-// learnerTrace drives the partitioned-vs-global ablation.
-const (
-	ablationTrace = "DB2_C300"
-	learnerTrace  = "DB2_C60"
-)
+// ablationTrace drives the r/W/outqueue ablations and the policy zoo.
+const ablationTrace = "DB2_C300"
 
 // ablations runs the r, W and outqueue sweeps on the ablation trace.
 func (e *Env) ablations() ([]*report.Table, error) {
@@ -101,72 +96,6 @@ func (e *Env) ablationOutqueue(t *trace.Trace) *report.Table {
 		tbl.AddRow(labels[i], report.Pct(res.HitRatio()))
 	}
 	return tbl
-}
-
-// learnerShards is the shard-count sweep of the learner ablation.
-var learnerShards = []int{1, 2, 4, 8}
-
-// ablationLearner evaluates the sharded front's statistics-learning modes
-// (core.Config.Stats): fully-partitioned learning (each shard learns from
-// its own ~1/N request substream over a W/N window) against the shared
-// global learner (all shards feed one learner over the full window W,
-// each through its own tap), across shard counts × cache sizes on the DB2_C60 trace (the
-// workload with the most second-tier locality, so mode differences are
-// visible even in scaled-down runs). At 1
-// shard the modes learn identical priorities, so that row doubles as an
-// equivalence check; at higher shard counts the gap measures what
-// fragmenting CLIC's statistics costs — the ROADMAP's open sharded-tuning
-// question as a table.
-func (e *Env) ablationLearner() ([]*report.Table, error) {
-	t, err := e.Trace(learnerTrace)
-	if err != nil {
-		return nil, err
-	}
-	sizes, err := e.ServerSizes(learnerTrace)
-	if err != nil {
-		return nil, err
-	}
-	// Ends of the sweep: the small cache stresses victim selection, the
-	// large one admission.
-	sizes = []int{sizes[0], sizes[len(sizes)-1]}
-	modes := []core.StatsMode{core.StatsPartitioned, core.StatsGlobal}
-	tbl := report.NewTable(
-		"Ablation — partitioned vs global statistics learning, DB2_C60",
-		"shards", "cache (pages)", "partitioned hit ratio", "global hit ratio")
-	type cell struct {
-		shards, size int
-	}
-	var jobs []engine.Job
-	var cells []cell
-	for _, mode := range modes {
-		for _, shards := range learnerShards {
-			for _, size := range sizes {
-				cfg := e.clicConfig()
-				cfg.Capacity = sim.ClicCapacity(size)
-				cfg.Stats = mode
-				shards := shards
-				jobs = append(jobs, engine.Job{
-					New:   func() policy.Policy { return core.NewSharded(cfg, shards) },
-					Trace: t,
-				})
-				cells = append(cells, cell{shards: shards, size: size})
-			}
-		}
-	}
-	results := engine.Run(jobs, e.opts())
-	half := len(jobs) / 2 // first half partitioned, second half global
-	hitsByMode := make([]uint64, len(modes))
-	for i := 0; i < half; i++ {
-		part, glob := results[i], results[i+half]
-		hitsByMode[0] += part.ReadHits
-		hitsByMode[1] += glob.ReadHits
-		tbl.AddRow(report.Num(cells[i].shards), report.Num(cells[i].size),
-			report.Pct(part.HitRatio()), report.Pct(glob.HitRatio()))
-	}
-	tbl.AddNote("partitioned: per-shard W/N windows and top-k summaries; global: one shared learner over the full W, fed through per-shard taps")
-	// Machine-greppable totals: TestAblationLearner asserts both are nonzero.
-	tbl.AddNote("smoke totals: partitioned_hits=%d global_hits=%d", hitsByMode[0], hitsByMode[1])
-	return []*report.Table{tbl}, nil
 }
 
 // policyZoo compares every implemented policy — the paper's five plus the

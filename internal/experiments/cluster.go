@@ -13,10 +13,10 @@ import (
 // clusterNodes is the cluster size of the distributed-CLIC ablation.
 const clusterNodes = 3
 
-// clusterTrace drives the cluster ablation: the same high-locality
-// TPC-C workload as the learner ablation, so fragmenting the hint
-// statistics shows up clearly.
-const clusterTrace = learnerTrace
+// clusterTrace drives the cluster ablation: the TPC-C workload with the
+// most second-tier locality, so fragmenting the hint statistics shows up
+// clearly.
+const clusterTrace = "DB2_C60"
 
 // ablationCluster measures what distributing CLIC across clusterNodes
 // cache nodes costs, and how much cross-node merged learning buys back.
@@ -28,10 +28,10 @@ const clusterTrace = learnerTrace
 //     against;
 //   - cluster unmerged: consistent-hash placement over clusterNodes nodes,
 //     each learning hint priorities only from its own ~1/N slice of the
-//     stream (partitioned statistics);
+//     stream;
 //   - cluster merged: the same placement, but nodes exchange window
-//     summaries and fold them into their rotations (core.StatsGlobal), so
-//     each node's priorities approximate cluster-wide learning.
+//     summaries and fold them into their rotations, so each node's
+//     priorities approximate cluster-wide learning.
 //
 // Every replay goes through the real router over loopback TCP in the
 // deterministic serial mode, so the numbers are golden-testable. The gap
@@ -47,8 +47,8 @@ func (e *Env) ablationCluster() ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Ends of the sweep, like the learner ablation: the small cache
-	// stresses victim selection, the large one admission.
+	// Ends of the sweep: the small cache stresses victim selection, the
+	// large one admission.
 	sizes = []int{sizes[0], sizes[len(sizes)-1]}
 
 	tbl := report.NewTable(

@@ -154,40 +154,6 @@ func TestFigures(t *testing.T) {
 	}
 }
 
-func TestAblationLearner(t *testing.T) {
-	tables, err := testEnv().ablationLearner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := tables[0]
-	if len(tbl.Rows) != 8 { // 4 shard counts × 2 cache sizes
-		t.Fatalf("got %d rows, want 8", len(tbl.Rows))
-	}
-	// The 1-shard rows are the built-in equivalence check: with a single
-	// shard both modes learn from the identical request stream over the
-	// identical window, so their hit ratios must agree exactly.
-	for _, row := range tbl.Rows {
-		if row[0] != "1" {
-			continue
-		}
-		if row[2] != row[3] {
-			t.Errorf("1-shard row disagrees across modes: partitioned %s, global %s", row[2], row[3])
-		}
-	}
-	found := false
-	for _, n := range tbl.Notes {
-		if strings.Contains(n, "partitioned_hits=") && strings.Contains(n, "global_hits=") {
-			found = true
-			if strings.Contains(n, "partitioned_hits=0 ") || strings.HasSuffix(n, "global_hits=0") {
-				t.Errorf("smoke totals report zero hits: %q", n)
-			}
-		}
-	}
-	if !found {
-		t.Error("smoke totals note missing")
-	}
-}
-
 // TestPrefetch checks that prefetched traces are the ones Trace returns
 // afterwards, bit-identical (requests and hint dictionary) to a direct
 // workload.Generate at any worker count, and that an unknown name errors.

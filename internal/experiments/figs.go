@@ -48,7 +48,6 @@ var Figures = []Figure{
 	{"10", tpccTraces, (*Env).fig10},
 	{"11", tpccTraces, (*Env).fig11},
 	{"ablations", []string{ablationTrace}, (*Env).ablations},
-	{"learner", []string{learnerTrace}, (*Env).ablationLearner},
 	{"cluster", []string{clusterTrace}, (*Env).ablationCluster},
 	{"extension", tpccTraces, (*Env).extensionGeneralize},
 	{"zoo", []string{ablationTrace}, (*Env).policyZoo},

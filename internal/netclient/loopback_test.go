@@ -278,9 +278,11 @@ func TestLoopbackLimit(t *testing.T) {
 	}
 }
 
-// TestAdminStats exercises the admin HTTP endpoint end to end.
+// TestAdminStats exercises the admin HTTP endpoint end to end. The 8000
+// requests end a third of the way into a window, so the window view has
+// entries.
 func TestAdminStats(t *testing.T) {
-	cfg := core.Config{Capacity: 1000, Window: 2000}
+	cfg := core.Config{Capacity: 1000, Window: 3000}
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2})
 	if err := srv.ListenAdmin("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -362,9 +364,7 @@ func TestUnannouncedHintRefusedWhole(t *testing.T) {
 	}
 	bad := append([]trace.Request(nil), good...)
 	bad[299].Hint = 2 // the table has two entries: indices 0 and 1
-	// The subtest keeps the name of the combining engine it ran under when
-	// the mutex engine was its twin.
-	t.Run("owner", func(t *testing.T) {
+	t.Run("pipelined", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		srv := startServer(t, server.Config{Cache: core.Config{Capacity: 500, Window: 1000}, Shards: 4})
 		c := dialRaw(t, srv.Addr().String())
@@ -545,13 +545,12 @@ func TestHelloVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestLoopbackGlobalLearner runs the whole network stack on a server whose
-// shards share the global learner: three concurrent client connections
-// against two shards, so connection handlers contend for the shards while
-// rotations take and owe the taps' windows — the TCP-path stress test for
-// global learning (run under -race in CI). Order-free quantities are
-// checked against the in-process ServeSource path, and the admin snapshot
-// must report the mode.
+// TestLoopbackGlobalLearner runs the whole network stack with three
+// concurrent client connections against two shards, so connection handlers
+// contend for the shards while rotations take and owe the taps' windows —
+// the TCP-path stress test for the shared learner (run under -race in CI).
+// Order-free quantities are checked against the in-process ServeSource
+// path and the admin snapshot.
 func TestLoopbackGlobalLearner(t *testing.T) {
 	parts := make([]*trace.Trace, 3)
 	for i := range parts {
@@ -562,7 +561,7 @@ func TestLoopbackGlobalLearner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Capacity: 3000, Window: 5000, Stats: core.StatsGlobal}
+	cfg := core.Config{Capacity: 3000, Window: 5000}
 	want := inproc(t, cfg, 2, merged)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 2})
@@ -586,9 +585,6 @@ func TestLoopbackGlobalLearner(t *testing.T) {
 		t.Errorf("server stats (%d/%d) disagree with client accounting (%d/%d)",
 			st.ReadHits, st.Reads, got.ReadHits, got.Reads)
 	}
-	if st.Learner != "global" {
-		t.Errorf("server Stats.Learner = %q, want global", st.Learner)
-	}
 	if want := merged.Len() / 5000; st.Windows != want {
 		t.Errorf("Windows = %d, want exactly %d (shared learner)", st.Windows, want)
 	}
@@ -602,21 +598,21 @@ func TestLoopbackGlobalLearner(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Core.Learner != "global" {
-		t.Errorf("admin snapshot learner = %q, want global", snap.Core.Learner)
+	if snap.Core.Windows != st.Windows {
+		t.Errorf("admin Windows = %d, want %d", snap.Core.Windows, st.Windows)
 	}
 	if snap.Core.Requests != uint64(merged.Len()) {
 		t.Errorf("admin Requests = %d, want %d", snap.Core.Requests, merged.Len())
 	}
 }
 
-// TestLoopbackGoldenGlobalSingleShard: a 1-shard global-learner server
-// replayed by a single client must match the plain in-process cache
-// exactly — the partitioned-vs-global equivalence carried through the
-// whole TCP stack.
+// TestLoopbackGoldenGlobalSingleShard: a 1-shard server, whose one tap
+// feeds the shared learner, replayed by a single client must match the
+// in-process front exactly — the tap-versus-lone-learner equivalence
+// carried through the whole TCP stack.
 func TestLoopbackGoldenGlobalSingleShard(t *testing.T) {
 	tr := testTrace.Truncate(12000)
-	cfg := core.Config{Capacity: 2000, Window: 4000, Stats: core.StatsGlobal}
+	cfg := core.Config{Capacity: 2000, Window: 4000}
 	want := inproc(t, cfg, 1, tr)
 
 	srv := startServer(t, server.Config{Cache: cfg, Shards: 1})

@@ -54,8 +54,8 @@ func TestPipelineDepthEquivalence(t *testing.T) {
 
 // TestPipelineOwnerDepthEquivalence runs the same invariant at the client's
 // adaptive frame size, whose frame boundaries follow observed round trips
-// and so differ from run to run: in partitioned mode a single producer's
-// verdicts do not depend on how its stream is cut into frames.
+// and so differ from run to run: a single producer's verdicts do not
+// depend on how its stream is cut into frames.
 func TestPipelineOwnerDepthEquivalence(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4

@@ -19,7 +19,7 @@ import (
 func TestSummaryHintKeyBound(t *testing.T) {
 	const maxKeys = 8
 	s := New(Config{
-		Cache:       core.Config{Capacity: 100, Window: 100, Stats: core.StatsGlobal},
+		Cache:       core.Config{Capacity: 100, Window: 100},
 		Shards:      1,
 		MaxHintKeys: maxKeys,
 	})

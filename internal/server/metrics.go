@@ -82,20 +82,18 @@ func (s *Server) buildRegistry() {
 	r.RegisterHistogram("clic_server_batch_ns", "Batch service time (decode to response write) in nanoseconds.", &s.batchNs)
 	r.RegisterHistogram("clic_server_batch_requests", "Requests per served batch frame.", &s.batchReqs)
 
-	// Cluster-learning series, present only in global statistics mode, the
-	// one mode that takes summaries.
-	if g := c.Global(); g != nil {
-		r.CounterFunc("clic_cluster_merge_rounds_total", "Window rotations folding cluster state (merge rounds).",
-			func() float64 { return float64(g.Windows()) })
-		r.CounterFunc("clic_cluster_summaries_absorbed_total", "Peer window summaries folded into the shared learner.",
-			func() float64 { return float64(g.Absorbed()) })
-		r.CounterFunc("clic_cluster_summaries_published_total", "Window summaries published to the cluster exchanger.",
-			func() float64 { return float64(s.summariesPublished.Value()) })
-		r.GaugeFunc("clic_cluster_pending_hint_sets", "Hint sets with remote counters awaiting the next rotation.",
-			func() float64 { return float64(g.PendingHintSets()) })
-		r.CounterFunc("clic_learner_late_handins_total", "Window counts a rotation left owed by a shard mid-frame, handed in at the frame's end.",
-			func() float64 { return float64(g.LateHandins()) })
-	}
+	// Cluster-learning series: the shared learner's exchange with peers.
+	g := c.Global()
+	r.CounterFunc("clic_cluster_merge_rounds_total", "Window rotations folding cluster state (merge rounds).",
+		func() float64 { return float64(g.Windows()) })
+	r.CounterFunc("clic_cluster_summaries_absorbed_total", "Peer window summaries folded into the shared learner.",
+		func() float64 { return float64(g.Absorbed()) })
+	r.CounterFunc("clic_cluster_summaries_published_total", "Window summaries published to the cluster exchanger.",
+		func() float64 { return float64(s.summariesPublished.Value()) })
+	r.GaugeFunc("clic_cluster_pending_hint_sets", "Hint sets with remote counters awaiting the next rotation.",
+		func() float64 { return float64(g.PendingHintSets()) })
+	r.CounterFunc("clic_learner_late_handins_total", "Window counts a rotation left owed by a shard mid-frame, handed in at the frame's end.",
+		func() float64 { return float64(g.LateHandins()) })
 }
 
 // Registry exposes the server's metrics registry (for embedding callers

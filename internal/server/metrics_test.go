@@ -186,12 +186,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("clic_server_batch_requests_sum = %v, want %d requests served", got, res.Requests)
 	}
 
-	// Combining counters: the replay's connections posted at least a frame
-	// per batch, at most one per batch and shard, and the scrape agrees with
-	// the snapshot now that the server is idle.
+	// Combining counters: the replay's connection posted at least a frame
+	// per batch, and at most one per shard for each batch and each window
+	// boundary it cut a batch at; the scrape agrees with the snapshot now
+	// that the server is idle.
 	frames, foreign := samples["clic_core_frames_total"], samples["clic_core_frames_foreign_total"]
-	if batches := samples["clic_server_batches_total"]; frames < batches || frames > shards*batches {
-		t.Errorf("clic_core_frames_total = %v for %v batches over %d shards", frames, batches, shards)
+	batches, rotations := samples["clic_server_batches_total"], samples["clic_cache_rotations_total"]
+	if frames < batches || frames > shards*(batches+rotations) {
+		t.Errorf("clic_core_frames_total = %v for %v batches and %v rotations over %d shards", frames, batches, rotations, shards)
 	}
 	if _, ok := samples["clic_core_frames_foreign_total"]; !ok || foreign > frames {
 		t.Errorf("clic_core_frames_foreign_total = %v (present %v) of %v frames", foreign, ok, frames)
@@ -206,25 +208,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("netclient series missing or zero for an in-process replay")
 	}
 
-	// Learner family: global statistics mode only, beside the cluster
-	// series, and read without allocating.
-	if _, ok := samples["clic_learner_late_handins_total"]; ok {
-		t.Error("clic_learner_late_handins_total exported in partitioned mode")
-	}
-	gsrv := startServer(t, server.Config{
-		Cache:  core.Config{Capacity: 2000, Window: 500, Stats: core.StatsGlobal},
-		Shards: shards,
-	})
-	if _, err := netclient.ReplaySource(gsrv.Addr().String(), tr.Source(), netclient.ReplayOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	g := gsrv.Cache().Global()
-	gsamples := scrape(t, gsrv)
-	if v, ok := gsamples["clic_learner_late_handins_total"]; !ok || v != float64(g.LateHandins()) {
+	// Learner family, beside the cluster series, and read without
+	// allocating.
+	g := srv.Cache().Global()
+	if v, ok := samples["clic_learner_late_handins_total"]; !ok || v != float64(g.LateHandins()) {
 		t.Errorf("clic_learner_late_handins_total = %v (present %v), learner says %d", v, ok, g.LateHandins())
 	}
-	if gsamples["clic_cluster_merge_rounds_total"] == 0 {
-		t.Error("clic_cluster_merge_rounds_total missing or zero in global mode")
+	if samples["clic_cluster_merge_rounds_total"] == 0 {
+		t.Error("clic_cluster_merge_rounds_total missing or zero")
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		_ = g.LateHandins() + g.Absorbed() + uint64(g.Windows()+g.PendingHintSets()+g.TrackedHintSets())
@@ -239,7 +230,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // The snapshot stays a superset: adding fields requires updating the
 // pinned sets here, deliberately.
 func TestSnapshotSchema(t *testing.T) {
-	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 1000, Window: 2000}, Shards: 2})
+	// 6000 requests end mid-window, so windowStats is present.
+	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 1000, Window: 2500}, Shards: 2})
 	if _, err := netclient.ReplaySource(srv.Addr().String(), testTrace.Truncate(6000).Source(), netclient.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +276,11 @@ func TestSnapshotSchema(t *testing.T) {
 	}
 
 	check("top-level", mustMarshal(t, doc), []string{
-		"policy", "core", "shards", "connections", "histograms", "combining", "clients", "windowStats",
+		"policy", "core", "shards", "connections", "histograms", "combining", "clients", "windowStats", "cluster",
 	})
 	check("core", doc["core"], []string{
 		"Requests", "Reads", "ReadHits", "ReadMisses", "Writes", "Evictions",
-		"Len", "OutqueueLen", "Windows", "Shards", "Capacity", "Learner",
+		"Len", "OutqueueLen", "Windows", "Shards", "Capacity",
 	})
 	var shardsArr []json.RawMessage
 	if err := json.Unmarshal(doc["shards"], &shardsArr); err != nil {
@@ -298,7 +290,10 @@ func TestSnapshotSchema(t *testing.T) {
 		t.Fatalf("shards has %d entries, want 2", len(shardsArr))
 	}
 	check("shards[0]", shardsArr[0], []string{
-		"reads", "read_hits", "writes", "evictions", "len", "outqueue_len", "windows",
+		"reads", "read_hits", "writes", "evictions", "len", "outqueue_len",
+	})
+	check("cluster", doc["cluster"], []string{
+		"node", "mergeRounds", "summariesAbsorbed", "summariesPublished", "pendingHintSets",
 	})
 	check("connections", doc["connections"], []string{"active", "total", "inflight"})
 	check("histograms", doc["histograms"], []string{"batchServiceNs", "batchRequests", "batches"})
@@ -334,9 +329,10 @@ func TestSnapshotSchema(t *testing.T) {
 	if snap.Connections.Total == 0 {
 		t.Error("connections.total is zero after a replay")
 	}
-	// Every batch posts at least one frame and at most one per shard.
-	if c, b := snap.Combining, snap.Histograms.Batches; c.Frames < b || c.Frames > 2*b || c.Foreign > c.Frames {
-		t.Errorf("combining = %+v for %d batches over 2 shards", c, b)
+	// Every batch posts at least one frame, and at most one per shard for
+	// the batch and for each window boundary it was cut at.
+	if c, b, w := snap.Combining, snap.Histograms.Batches, uint64(snap.Core.Windows); c.Frames < b || c.Frames > 2*(b+w) || c.Foreign > c.Frames {
+		t.Errorf("combining = %+v for %d batches and %d rotations over 2 shards", c, b, w)
 	}
 	if br := snap.Histograms.BatchRequests; br.Count != snap.Histograms.Batches || br.Sum != snap.Core.Requests {
 		t.Errorf("batchRequests count/sum = %d/%d, want %d batches / %d requests",

@@ -70,10 +70,8 @@ type Config struct {
 	MaxInflight int
 	// Node names this server in the window summaries it publishes to
 	// cluster peers (wire.Summary.Node); empty selects "node".
-	// Meaningful only with Cache.Stats == core.StatsGlobal.
 	Node string
-	// OnSummary, when non-nil in global statistics mode, receives each
-	// closed window's summary — the cluster exchanger's publication hook
+	// OnSummary, when non-nil, receives each closed window's summary — the cluster exchanger's publication hook
 	// (internal/cluster delivers it to peers in-process or over TCP). It
 	// runs inside the learner's rotation, so it must return quickly and
 	// must not call back into this server's cache.
@@ -142,8 +140,8 @@ type Server struct {
 	framesForeign metrics.Counter
 
 	// summariesPublished counts windows published to the cluster exchanger
-	// (global mode with OnSummary wired; the absorbed side lives on the
-	// shared learner).
+	// (with OnSummary wired; the absorbed side lives on the shared
+	// learner).
 	summariesPublished metrics.Counter
 
 	wg sync.WaitGroup
@@ -177,8 +175,8 @@ func New(cfg Config) *Server {
 		clients:     make(map[string]*clientTotals),
 		conns:       make(map[net.Conn]struct{}),
 	}
-	if g := s.cache.Global(); g != nil && s.onSummary != nil {
-		g.SetPublish(s.publishSummary)
+	if s.onSummary != nil {
+		s.cache.Global().SetPublish(s.publishSummary)
 	}
 	s.buildRegistry()
 	return s
@@ -208,9 +206,8 @@ func (s *Server) publishSummary(round uint64, local []clicstats.WindowCounter) {
 // AbsorbSummary folds one peer node's window summary into this server's
 // shared learner: entry keys are interned into the local dictionary and
 // the counters wait in the learner's pending pool until the next rotation.
-// It errors, absorbing nothing, when the server is not in global
-// statistics mode or when the summary would add more than MaxHintKeys keys
-// to the dictionary. Summaries that arrive on a connection share that
+// It errors, absorbing nothing, when the summary would add more than
+// MaxHintKeys keys to the dictionary. Summaries that arrive on a connection share that
 // connection's bound instead.
 func (s *Server) AbsorbSummary(sum wire.Summary) error {
 	_, err := s.absorbSummary(sum, s.maxHintKeys)
@@ -222,10 +219,6 @@ func (s *Server) AbsorbSummary(sum wire.Summary) error {
 // before any key is interned, and counts a key repeated within the summary
 // once per entry.
 func (s *Server) absorbSummary(sum wire.Summary, room int) (added int, err error) {
-	g := s.cache.Global()
-	if g == nil {
-		return 0, fmt.Errorf("server: summaries need global statistics mode (running %q)", s.cache.StatsMode())
-	}
 	counters := make([]clicstats.WindowCounter, len(sum.Entries))
 	s.mu.Lock()
 	fresh := 0
@@ -244,7 +237,7 @@ func (s *Server) absorbSummary(sum wire.Summary, room int) (added int, err error
 	}
 	added = s.dict.Len() - before
 	s.mu.Unlock()
-	g.Absorb(counters)
+	s.cache.Global().Absorb(counters)
 	return added, nil
 }
 
@@ -699,12 +692,9 @@ type WindowStatSnapshot struct {
 	Pr  float64 `json:"pr"`
 }
 
-// Snapshot is the admin view of a running server. Core.Learner reports
-// where hint statistics are learned ("partitioned": per shard over W/N
-// windows; "global": one shared learner over the full window, fed
-// through per-shard taps), and WindowStats is the current window of that learning —
-// merged across shards in partitioned mode, the shared learner's view in
-// global mode.
+// Snapshot is the admin view of a running server. WindowStats is the
+// current window of the front's shared learner, summed over the shards
+// not mid-frame, and Cluster is that learner's exchange with its peers.
 type Snapshot struct {
 	Policy string     `json:"policy"`
 	Core   core.Stats `json:"core"`
@@ -719,9 +709,8 @@ type Snapshot struct {
 	Combining   CombiningSnapshot    `json:"combining"`
 	Clients     []ClientSnapshot     `json:"clients"`
 	WindowStats []WindowStatSnapshot `json:"windowStats,omitempty"`
-	// Cluster is the cluster-learning accounting, present only in global
-	// statistics mode.
-	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
+	// Cluster is the cluster-learning accounting.
+	Cluster ClusterSnapshot `json:"cluster"`
 }
 
 // ClusterSnapshot is the cluster-learning view of one node: how many
@@ -784,14 +773,13 @@ func (s *Server) Snapshot(topHints int) Snapshot {
 		// Foreign first: frames only ever runs ahead of it.
 		Combining: CombiningSnapshot{Foreign: s.framesForeign.Value(), Frames: s.frames.Value()},
 	}
-	if g := s.cache.Global(); g != nil {
-		snap.Cluster = &ClusterSnapshot{
-			Node:               s.node,
-			MergeRounds:        uint64(g.Windows()),
-			SummariesAbsorbed:  g.Absorbed(),
-			SummariesPublished: s.summariesPublished.Value(),
-			PendingHintSets:    g.PendingHintSets(),
-		}
+	g := s.cache.Global()
+	snap.Cluster = ClusterSnapshot{
+		Node:               s.node,
+		MergeRounds:        uint64(g.Windows()),
+		SummariesAbsorbed:  g.Absorbed(),
+		SummariesPublished: s.summariesPublished.Value(),
+		PendingHintSets:    g.PendingHintSets(),
 	}
 	snap.Shards = make([]core.ShardStats, s.cache.Shards())
 	for i := range snap.Shards {

@@ -1,9 +1,7 @@
-// Summary-exchange tests: absorption into a global-mode server and clean
-// rejection on a partitioned-mode one.
+// Summary-exchange tests: absorption into a server's shared learner.
 package server_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -20,11 +18,11 @@ func testSummary() wire.Summary {
 	}}
 }
 
-// TestSummaryAbsorbed drives a summary frame into a global-mode server and
-// watches it land in the cluster accounting and /metrics.
+// TestSummaryAbsorbed drives a summary frame into a server and watches it
+// land in the cluster accounting and /metrics.
 func TestSummaryAbsorbed(t *testing.T) {
 	srv := startServer(t, server.Config{
-		Cache:  core.Config{Capacity: 500, Window: 100, Stats: core.StatsGlobal},
+		Cache:  core.Config{Capacity: 500, Window: 100},
 		Shards: 2,
 		Node:   "n0",
 	})
@@ -43,9 +41,6 @@ func TestSummaryAbsorbed(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		cl := srv.Snapshot(0).Cluster
-		if cl == nil {
-			t.Fatal("global-mode snapshot has no cluster block")
-		}
 		if cl.SummariesAbsorbed == 1 {
 			if cl.Node != "n0" || cl.PendingHintSets != 2 {
 				t.Fatalf("cluster snapshot %+v, want node n0 with 2 pending hint sets", cl)
@@ -63,34 +58,5 @@ func TestSummaryAbsorbed(t *testing.T) {
 	}
 	if got := samples["clic_cluster_pending_hint_sets"]; got != 2 {
 		t.Errorf("clic_cluster_pending_hint_sets = %v, want 2", got)
-	}
-}
-
-// TestSummaryRejectedNotMerged checks that a server in partitioned mode
-// answers a summary with a clean Error frame naming the reason.
-func TestSummaryRejectedNotMerged(t *testing.T) {
-	srv := startServer(t, server.Config{
-		Cache:  core.Config{Capacity: 500, Window: 100},
-		Shards: 2,
-	})
-	conn, err := netclient.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Hello("peer", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.SendSummary(testSummary()); err != nil {
-		t.Fatal(err)
-	}
-	// The rejection arrives as the next frame the client reads.
-	pl := conn.Pipeline(1, nil)
-	if err := pl.Submit(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	err = pl.Drain()
-	if err == nil || !strings.Contains(err.Error(), "global statistics mode") {
-		t.Fatalf("err = %v, want global-statistics-mode rejection", err)
 	}
 }
