@@ -75,8 +75,8 @@ func TestMergedPublish(t *testing.T) {
 	tp.Arrive(0)
 	tp.Reref(0, 1)
 	tp.EndRequest()
-	if len(rounds) != 1 || rounds[0] != 1 || g.Epoch() != 1 {
-		t.Fatalf("rounds = %v at epoch %d, want [1] at 1", rounds, g.Epoch())
+	if len(rounds) != 1 || rounds[0] != 1 || g.Windows() != 1 {
+		t.Fatalf("rounds = %v at %d windows, want [1] at 1", rounds, g.Windows())
 	}
 	if len(lastLocal) != 1 || lastLocal[0].Hint != 0 {
 		t.Fatalf("published %+v, want only local hint 0", lastLocal)

@@ -9,29 +9,25 @@
 // TopK hint sets or, in exact mode (TopK 0), never replacing. The modes
 // differ in one crediting rule, which window.Reref states.
 //
-// One Learner type serves two scopes over one shared counter type
-// (window):
-//
-//   - A lone learner (NewPartitioned) keeps its own window and computes its
-//     own priority table: bit-identical to the bookkeeping that used to be
-//     inlined in core.Cache, which always learns through one.
-//   - A tap (Global.Tap) feeds and reads a Global, the shared learner that
-//     every shard of a core.Sharded front uses: page placement stays
-//     hash-partitioned while the priority model is learned from the full
-//     cache-wide request stream over the full window W. Each tap counts in
-//     a window of its own, with no lock; at every multiple of W one tap
-//     sums all the taps' windows into a round, taking the idle ones and
-//     leaving the leased ones to hand theirs in at their lease's end. Each
-//     tap reads its own copy of the round's table, taken at its next lease.
-//     On a cluster node the same Global also publishes each round to its
-//     peers and absorbs theirs into its next one.
+// A Learner is always a tap (Global.Tap) that feeds and reads a Global.
+// Every shard of a core.Sharded front has a tap on the front's one Global:
+// page placement stays hash-partitioned while the priority model is learned
+// from the full cache-wide request stream over the full window W. A plain
+// core.Cache learns through the only tap on a Global of its own
+// (NewPartitioned). Each tap counts in a window of its own, with no lock;
+// at every multiple of W one tap sums all the taps' windows into a round,
+// taking the idle ones and leaving the leased ones to hand theirs in at
+// their lease's end, and the round's publication computes Equations 2–3,
+// the one place they run. Each tap reads its own copy of the round's
+// table, taken at its next lease. On a cluster node the same Global also
+// publishes each round to its peers and absorbs theirs into its next one.
 //
 // Driven by one goroutine, taps on a Global produce exactly the same
-// priorities as a lone learner in exact mode, and in top-k mode with one
-// tap; with several taps top-k mode sums per-tap summaries, which keeps
-// Space-Saving's error bounds but not its replacements (see Global). The
-// request-path calls are concrete methods that inline into the cache, the
-// same in either scope; the work that differs sits behind calls.
+// priorities as one window fed the whole stream in exact mode, and in
+// top-k mode with one tap; with several taps top-k mode sums per-tap
+// summaries, which keeps Space-Saving's error bounds but not its
+// replacements (see Global). The request-path calls are concrete methods
+// that inline into the cache; the rest sits behind calls.
 //
 // The caller (the cache) remains responsible for page-level work: detecting
 // re-references via its page and outqueue records, and re-keying its victim

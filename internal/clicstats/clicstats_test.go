@@ -96,59 +96,6 @@ func TestDecayPrunesTable(t *testing.T) {
 	}
 }
 
-// TestGlobalMatchesPartitionedSerial is the mode-equivalence test: driven
-// single-threaded in exact mode, the Global learner must produce exactly
-// the same priorities, window counts and snapshots as a lone learner at every
-// epoch.
-func TestGlobalMatchesPartitionedSerial(t *testing.T) {
-	for _, r := range []float64{1, 0.5} {
-		cfg := Config{Window: 100, R: r}
-		p := NewPartitioned(cfg)
-		g := NewGlobal(cfg)
-		tp := g.Tap()
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 5000; i++ {
-			h := hint.ID(rng.Intn(12))
-			tp.Begin(1)
-			p.Arrive(h)
-			tp.Arrive(h)
-			if rng.Intn(3) == 0 {
-				rh := hint.ID(rng.Intn(12))
-				d := uint64(1 + rng.Intn(80))
-				p.Reref(rh, d)
-				tp.Reref(rh, d)
-			}
-			pe, ge := p.EndRequest(), tp.EndRequest()
-			if pe != ge {
-				t.Fatalf("r=%v request %d: rotation mismatch (partitioned %v, global %v)", r, i, pe, ge)
-			}
-			if p.Epoch() != g.Epoch() || p.Windows() != g.Windows() {
-				t.Fatalf("r=%v request %d: epoch/windows diverged", r, i)
-			}
-			if pe {
-				pp, gp := p.Priorities(), g.Priorities()
-				if len(pp) != len(gp) {
-					t.Fatalf("r=%v epoch %d: table sizes %d vs %d", r, p.Epoch(), len(pp), len(gp))
-				}
-				for h, v := range pp {
-					if gv, ok := gp[h]; !ok || gv != v {
-						t.Fatalf("r=%v epoch %d hint %d: partitioned %v, global %v", r, p.Epoch(), h, v, gp[h])
-					}
-				}
-			}
-		}
-		pws, gws := p.WindowStats(), g.WindowStats()
-		if len(pws) != len(gws) {
-			t.Fatalf("r=%v: window stats lengths %d vs %d", r, len(pws), len(gws))
-		}
-		for i := range pws {
-			if pws[i] != gws[i] {
-				t.Fatalf("r=%v: window stat %d: %+v vs %+v", r, i, pws[i], gws[i])
-			}
-		}
-	}
-}
-
 // TestGlobalConcurrent hammers one Global learner from several goroutines,
 // each through its own tap, one request per lease; under -race this
 // exercises the taps' state words, the late hand-ins and the table
@@ -183,9 +130,6 @@ func TestGlobalConcurrent(t *testing.T) {
 	wg.Wait()
 	if want := workers * perW / window; g.Windows() != want {
 		t.Errorf("Windows = %d, want %d", g.Windows(), want)
-	}
-	if g.Epoch() != uint64(g.Windows()) {
-		t.Errorf("Epoch = %d, want %d", g.Epoch(), g.Windows())
 	}
 	var n uint64
 	for _, hs := range g.WindowStats() {

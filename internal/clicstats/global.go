@@ -11,10 +11,11 @@ import (
 // Global is the shared learner: every shard of a sharded cache feeds it and
 // reads it, so the priority model Pr(H) is learned from the cache-wide
 // request stream over the full window W while page placement stays
-// hash-partitioned. It holds the taps, the rounds still open and the
-// priority table in effect; it is not itself a Learner and keeps no
-// counters of its own. Each cache that shares it owns a tap (Global.Tap: a
-// Learner in tap scope), and the tap is the only way in.
+// hash-partitioned. A plain cache's learner is the only tap on a Global of
+// its own (NewPartitioned). It holds the taps, the rounds still open and
+// the priority table in effect; it is not itself a Learner and keeps no
+// counters of its own. Each cache that shares it owns a tap (Global.Tap),
+// and the tap is the only way in.
 //
 // Tap protocol. A tap belongs to one cache and is driven by whichever one
 // goroutine drives that cache; any number of taps may run concurrently.
@@ -33,9 +34,9 @@ import (
 //     a lease panics, as Begin inside one does. UntilRotation tells a
 //     caller how many requests remain up to the next multiple of W, so it
 //     can cut its frames there.
-//   - Count. Each tap counts in a window of its own, the lone learner's
-//     type with the configured TopK, so Arrive, Reref and EndRequest are a
-//     lone learner's inlined counter bumps: no lock, no shared cache line.
+//   - Count. Each tap counts in a window of its own with the configured
+//     TopK, so Arrive, Reref and EndRequest are inlined counter bumps: no
+//     lock, no shared cache line.
 //   - Rotate. At the request a multiple of W falls on, the tap opens the
 //     next round and sums into it every tap's window — N, Nr and ΣD per
 //     hint set, the arithmetic Absorb applies to peer counters. Its own
@@ -49,11 +50,11 @@ import (
 //     predecessors. No goroutine ever waits on another shard's lease; Begin
 //     waits only while a rotation or a stats read holds the tap's idle
 //     window.
-//   - Read. Each tap reads a priority table of its own, the lone learner's
-//     dense slice and epoch, so Priority and Epoch are the same inlined
-//     loads in either scope. A tap copies the Global's table at Begin when
-//     the Global's epoch moved (one atomic load per lease, and tableMu
-//     once per round), and at its own rotation. Within a lease its table
+//   - Read. Each tap reads a priority table of its own, a dense slice and
+//     an epoch, so Priority and Epoch are inlined loads. A tap copies the
+//     Global's table at Begin when the Global's epoch moved (one atomic
+//     load per lease, and tableMu once per round), and at its own
+//     rotation. Within a lease its table
 //     therefore never moves under its cache except at the cache's own
 //     EndRequest, and caches re-key their victim heaps lazily, at their
 //     next request, by observing the epoch change.
@@ -93,8 +94,8 @@ import (
 // of taps, leases of any length — no tap but the rotator is ever leased,
 // so every round takes every window and publishes at its own request, and
 // every tap adopts it at its next lease, before any of its requests reads
-// a priority. In exact mode that is bit-identical to a lone Learner fed
-// the same events, at every EndRequest: the sums commute and the distances
+// a priority. In exact mode that is bit-identical to one window fed the
+// same events, at every EndRequest: the sums commute and the distances
 // are integers. In top-k mode it is bit-identical with one tap; with
 // several, each tap is a Space-Saving summary of k counters over its own
 // shard's requests, each re-reference is credited against its own tap's
@@ -413,12 +414,8 @@ func (g *Global) publishRound(r *round) {
 	g.tableMu.Unlock()
 }
 
-// Epoch identifies the table currently in effect: the number of the last
-// round published.
-func (g *Global) Epoch() uint64 { return g.epoch.Load() }
-
 // Windows returns the number of published rounds: completed statistics
-// windows.
+// windows. It is also the epoch of the table in effect.
 func (g *Global) Windows() int { return int(g.epoch.Load()) }
 
 // Priorities returns a copy of the priority table in effect.

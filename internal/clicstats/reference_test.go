@@ -16,8 +16,8 @@ import (
 // fixed at 0 here (its branches are dropped). It wrapped the former
 // Global's rotation through a mergeFresh hook; refGlobal keeps that
 // rotation and the read side, verbatim, and is fed serially straight into
-// its window — what a tap amounts to when one goroutine drives it
-// (TestTapSerialEqualsPartitioned).
+// its window — what a tap amounts to when one goroutine drives it — as the
+// independent serial reference of TestTapSerialEqualsPartitioned.
 
 // globalTable is one published priority table of the former Global. dense
 // is pr indexed by hint ID, which the request path read.
@@ -313,17 +313,18 @@ func FuzzGlobalAbsorb(f *testing.F) {
 				if !got {
 					continue
 				}
-				if g.Epoch() != ref.Epoch() || g.Windows() != ref.Windows() || g.Epoch() != ref.Rounds() {
-					t.Fatalf("%+v request %d: epoch %d windows %d; reference %d %d rounds %d", cfg, reqs, g.Epoch(), g.Windows(), ref.Epoch(), ref.Windows(), ref.Rounds())
+				e := uint64(g.Windows())
+				if e != ref.Epoch() || g.Windows() != ref.Windows() || e != ref.Rounds() {
+					t.Fatalf("%+v request %d: windows %d; reference epoch %d windows %d rounds %d", cfg, reqs, g.Windows(), ref.Epoch(), ref.Windows(), ref.Rounds())
 				}
 				if gp, rp := g.Priorities(), ref.Priorities(); !reflect.DeepEqual(gp, rp) {
-					t.Fatalf("%+v epoch %d: priorities %v, reference %v", cfg, g.Epoch(), gp, rp)
+					t.Fatalf("%+v epoch %d: priorities %v, reference %v", cfg, e, gp, rp)
 				}
 				if !reflect.DeepEqual(gotPub, wantPub) {
-					t.Fatalf("%+v epoch %d: published %+v, reference %+v", cfg, g.Epoch(), gotPub, wantPub)
+					t.Fatalf("%+v epoch %d: published %+v, reference %+v", cfg, e, gotPub, wantPub)
 				}
 				if g.Absorbed() != ref.Absorbed() || g.PendingHintSets() != ref.PendingHintSets() {
-					t.Fatalf("%+v epoch %d: absorbed %d pending %d; reference %d %d", cfg, g.Epoch(), g.Absorbed(), g.PendingHintSets(), ref.Absorbed(), ref.PendingHintSets())
+					t.Fatalf("%+v epoch %d: absorbed %d pending %d; reference %d %d", cfg, e, g.Absorbed(), g.PendingHintSets(), ref.Absorbed(), ref.PendingHintSets())
 				}
 			}
 		}

@@ -16,10 +16,12 @@ import (
 
 // TestTapSerialEqualsPartitioned is the tap contract: driven by one
 // goroutine — through any number of taps, in frames of any length, leased
-// whole or one request at a time — a Global is a lone learner. After every
-// request the rotation flag and the epoch agree. In exact mode, and in
-// top-k mode with one tap, so does the priority table after every
-// rotation, bit for bit, read through the Global and through every tap.
+// whole or one request at a time — a Global is refGlobal, the former
+// learner that counted every request straight into one window (see
+// reference_test.go). After every request the rotation flag, the epoch and
+// the window count agree. In exact mode, and in top-k mode with one tap,
+// so does the priority table after every rotation, bit for bit, read
+// through the Global and through every tap, for either decay R.
 // Twenty hint sets over TopK 5 keep Space-Saving replacing, so the one-tap
 // top-k rows hold only if the events reach the tap's window in request
 // order; W = 1 and W = 7 put several boundaries inside one lease.
@@ -27,111 +29,128 @@ import (
 // once, and every tap's at its next Begin, before any request reads it.
 //
 // Top-k with several taps is per-shard summaries summed at rotation, a
-// mergeable summary rather than the lone learner's one summary, so those
-// rows assert Space-Saving's guarantees against an exact lone learner fed
+// mergeable summary rather than the reference's one summary, so those
+// rows assert Space-Saving's guarantees against an exact reference fed
 // the same stream instead: in every published round each N(H) and Nr(H)
 // is at most the exact count, and every hint set with more than W/k
 // requests in the round is present.
 func TestTapSerialEqualsPartitioned(t *testing.T) {
-	const hints, requests = 20, 12000
-	for _, topK := range []int{0, 5} {
-		for _, w := range []int{1, 7, 500} {
-			for _, ntaps := range []int{1, 3, 8} {
-				name := fmt.Sprintf("TopK=%d/W=%d/taps=%d", topK, w, ntaps)
-				cfg := Config{Window: w, R: 0.5, TopK: topK}
-				equal := topK == 0 || ntaps == 1
-				pcfg := cfg
-				if !equal {
-					pcfg.TopK = 0
-				}
-				p, g := NewPartitioned(pcfg), NewGlobal(cfg)
-				var round []WindowCounter
-				g.SetPublish(func(_ uint64, local []WindowCounter) { round = local })
-				taps := make([]*Learner, ntaps)
-				for i := range taps {
-					taps[i] = g.Tap()
-				}
-				rng := rand.New(rand.NewSource(int64(31*w + topK + ntaps)))
-				// sameTable checks tap tp's table against the lone learner's.
-				sameTable := func(tp *Learner, when string) {
-					t.Helper()
-					if !equal {
-						return
-					}
-					if tp.Epoch() != p.Epoch() {
-						t.Fatalf("%s %s: tap epoch %d, partitioned %d", name, when, tp.Epoch(), p.Epoch())
-					}
-					for h := hint.ID(0); h < hints+1; h++ {
-						if got, want := tp.Priority(h), p.Priority(h); got != want {
-							t.Fatalf("%s %s epoch %d hint %d: tap priority %v, partitioned %v", name, when, p.Epoch(), h, got, want)
-						}
-					}
-				}
-				rotations, done := 0, 0
-				for done < requests {
-					tp := taps[rng.Intn(ntaps)]
-					n := 1 + rng.Intn(700)
-					whole := rng.Intn(3) < 2
-					if whole {
-						tp.Begin(n)
-						sameTable(tp, "at Begin")
-					}
-					for i := 0; i < n; i++ {
-						if !whole {
-							tp.Begin(1)
-							sameTable(tp, "at Begin")
-						}
-						// Skewed, so that some hint sets stay tracked.
-						h := hint.ID(rng.Intn(hints))
-						if rng.Intn(2) == 0 {
-							h = hint.ID(rng.Intn(3))
-						}
-						p.Arrive(h)
-						tp.Arrive(h)
-						if rng.Intn(3) == 0 {
-							rh, d := hint.ID(rng.Intn(hints)), uint64(1+rng.Intn(80))
-							p.Reref(rh, d)
-							tp.Reref(rh, d)
-						}
-						var exact []HintStat
-						if !equal && (done+i+1)%w == 0 {
-							exact = p.WindowStats()
-						}
-						pe, ge := p.EndRequest(), tp.EndRequest()
-						if pe != ge || p.Epoch() != tp.Epoch() || p.Windows() != g.Windows() {
-							t.Fatalf("%s request %d: partitioned rotated=%v epoch=%d windows=%d, tap rotated=%v epoch=%d windows=%d",
-								name, done+i, pe, p.Epoch(), p.Windows(), ge, tp.Epoch(), g.Windows())
-						}
-						if !pe {
-							continue
-						}
-						rotations++
-						if !equal {
-							merged := make([]HintStat, len(round))
-							for j, wc := range round {
-								merged[j] = HintStat{Hint: wc.Hint, N: wc.N, Nr: wc.Nr}
-							}
-							checkMergedBounds(t, fmt.Sprintf("%s epoch %d", name, p.Epoch()), merged, exact, w, topK)
-							continue
-						}
-						pp, gp := p.Priorities(), g.Priorities()
-						if !reflect.DeepEqual(pp, gp) {
-							t.Fatalf("%s epoch %d: partitioned table %v, global %v", name, p.Epoch(), pp, gp)
-						}
-						sameTable(tp, "at its rotation")
-					}
-					done += n
-				}
-				if rotations == 0 || len(p.Priorities()) == 0 || len(g.Priorities()) == 0 {
-					t.Errorf("%s: vacuous run: %d rotations, %d priorities", name, rotations, len(g.Priorities()))
-				}
-				if !equal {
-					checkMergedBounds(t, name+" at the end", g.WindowStats(), p.WindowStats(), done%w, topK)
-				} else if !reflect.DeepEqual(p.WindowStats(), g.WindowStats()) {
-					t.Errorf("%s: window statistics differ at the end:\npartitioned %+v\nglobal      %+v", name, p.WindowStats(), g.WindowStats())
+	for _, r := range []float64{1, 0.5} {
+		for _, topK := range []int{0, 5} {
+			for _, w := range []int{1, 7, 500} {
+				for _, ntaps := range []int{1, 3, 8} {
+					tapSerialRun(t, Config{Window: w, R: r, TopK: topK}, ntaps)
 				}
 			}
 		}
+	}
+}
+
+// tapSerialRun is one row of TestTapSerialEqualsPartitioned: one random
+// stream fed to the reference and, through ntaps taps, to a Global
+// configured by cfg, checked against each other after every request.
+func tapSerialRun(t *testing.T, cfg Config, ntaps int) {
+	t.Helper()
+	const hints, requests = 20, 12000
+	w, topK := cfg.Window, cfg.TopK
+	name := fmt.Sprintf("R=%v/TopK=%d/W=%d/taps=%d", cfg.R, topK, w, ntaps)
+	equal := topK == 0 || ntaps == 1
+	pcfg := cfg
+	if !equal {
+		pcfg.TopK = 0
+	}
+	p, g := newRefGlobal(pcfg), NewGlobal(cfg)
+	var round []WindowCounter
+	g.SetPublish(func(_ uint64, local []WindowCounter) { round = local })
+	taps := make([]*Learner, ntaps)
+	for i := range taps {
+		taps[i] = g.Tap()
+	}
+	rng := rand.New(rand.NewSource(int64(31*w + topK + ntaps)))
+	// priority reads Pr(h) from the reference's table in effect.
+	priority := func(h hint.ID) float64 {
+		if dense := p.table.Load().dense; int(h) < len(dense) {
+			return dense[h]
+		}
+		return 0
+	}
+	// sameTable checks tap tp's table against the reference's.
+	sameTable := func(tp *Learner, when string) {
+		t.Helper()
+		if !equal {
+			return
+		}
+		if tp.Epoch() != p.Epoch() {
+			t.Fatalf("%s %s: tap epoch %d, reference %d", name, when, tp.Epoch(), p.Epoch())
+		}
+		for h := hint.ID(0); h < hints+1; h++ {
+			if got, want := tp.Priority(h), priority(h); got != want {
+				t.Fatalf("%s %s epoch %d hint %d: tap priority %v, reference %v", name, when, p.Epoch(), h, got, want)
+			}
+		}
+	}
+	rotations, done := 0, 0
+	for done < requests {
+		tp := taps[rng.Intn(ntaps)]
+		n := 1 + rng.Intn(700)
+		whole := rng.Intn(3) < 2
+		if whole {
+			tp.Begin(n)
+			sameTable(tp, "at Begin")
+		}
+		for i := 0; i < n; i++ {
+			if !whole {
+				tp.Begin(1)
+				sameTable(tp, "at Begin")
+			}
+			// Skewed, so that some hint sets stay tracked.
+			h := hint.ID(rng.Intn(hints))
+			if rng.Intn(2) == 0 {
+				h = hint.ID(rng.Intn(3))
+			}
+			p.Arrive(h)
+			tp.Arrive(h)
+			if rng.Intn(3) == 0 {
+				rh, d := hint.ID(rng.Intn(hints)), uint64(1+rng.Intn(80))
+				p.Reref(rh, d)
+				tp.Reref(rh, d)
+			}
+			var exact []HintStat
+			if !equal && (done+i+1)%w == 0 {
+				exact = p.win.hintStats()
+			}
+			pe, ge := p.EndRequest(), tp.EndRequest()
+			if pe != ge || p.Epoch() != tp.Epoch() || p.Windows() != g.Windows() {
+				t.Fatalf("%s request %d: reference rotated=%v epoch=%d windows=%d, tap rotated=%v epoch=%d windows=%d",
+					name, done+i, pe, p.Epoch(), p.Windows(), ge, tp.Epoch(), g.Windows())
+			}
+			if !pe {
+				continue
+			}
+			rotations++
+			if !equal {
+				merged := make([]HintStat, len(round))
+				for j, wc := range round {
+					merged[j] = HintStat{Hint: wc.Hint, N: wc.N, Nr: wc.Nr}
+				}
+				checkMergedBounds(t, fmt.Sprintf("%s epoch %d", name, p.Epoch()), merged, exact, w, topK)
+				continue
+			}
+			pp, gp := p.Priorities(), g.Priorities()
+			if !reflect.DeepEqual(pp, gp) {
+				t.Fatalf("%s epoch %d: reference table %v, global %v", name, p.Epoch(), pp, gp)
+			}
+			sameTable(tp, "at its rotation")
+		}
+		done += n
+	}
+	if rotations == 0 || len(p.Priorities()) == 0 || len(g.Priorities()) == 0 {
+		t.Errorf("%s: vacuous run: %d rotations, %d priorities", name, rotations, len(g.Priorities()))
+	}
+	if !equal {
+		checkMergedBounds(t, name+" at the end", g.WindowStats(), p.win.hintStats(), done%w, topK)
+	} else if pws, gws := p.win.hintStats(), g.WindowStats(); !reflect.DeepEqual(pws, gws) {
+		t.Errorf("%s: window statistics differ at the end:\nreference %+v\nglobal    %+v", name, pws, gws)
 	}
 }
 
@@ -264,8 +283,8 @@ func stressTaps(t *testing.T, w, perG int, echo bool) *Global {
 
 	total := goroutines * perG
 	want := total / w
-	if int(rotations.Load()) != want || g.Windows() != want || g.Epoch() != uint64(want) || rounds != uint64(want) {
-		t.Errorf("W=%d: %d rotations, %d windows, epoch %d, %d rounds published, want %d each", w, rotations.Load(), g.Windows(), g.Epoch(), rounds, want)
+	if int(rotations.Load()) != want || g.Windows() != want || rounds != uint64(want) {
+		t.Errorf("W=%d: %d rotations, %d windows, %d rounds published, want %d each", w, rotations.Load(), g.Windows(), rounds, want)
 	}
 	if echo && g.Absorbed() != uint64(want) {
 		t.Errorf("W=%d: absorbed %d rounds, want %d", w, g.Absorbed(), want)
@@ -332,7 +351,7 @@ func TestGlobalLayout(t *testing.T) {
 // TestLearnerLayout pins the learner's layout. Learners are allocated one
 // per shard, back to back, and written on every request, so a Learner is a
 // whole number of cache lines and neighbours never share one. And the
-// words the request path reads on every request, in either scope — the
+// words the request path reads on every request — the
 // countdown, the tap pointer, the pending arrival, and the summary's key
 // index, observation count and slab pointer — sit in its first line. The
 // slab's length, which Bump's bounds check reads, is the one that cannot:

@@ -10,8 +10,8 @@ import (
 // window is one statistics window's raw counters — N(H), Nr(H) and the
 // re-reference distance sum per hint set (Equations 1–2) — in one adapted
 // Space-Saving summary (§5). It has no lock and no priority table: every
-// Learner embeds one, lone or tap, so fed the same events in the same order
-// two learners hold the same counters, top-k replacements included.
+// Learner embeds one, so fed the same events in the same order two
+// learners hold the same counters, top-k replacements included.
 //
 // Exact mode is the summary with no bound: k is above any hint vocabulary,
 // so it never replaces, every error bound stays 0, and N(H) is the count.

@@ -88,9 +88,10 @@ func (c *Coordinator) deliveryTargets(origin int) []*server.Server {
 	return targets
 }
 
-// deliver absorbs one summary into every target. Absorption errors are
-// impossible by construction here (every registered server runs global
-// mode) but surface defensively via panic rather than silent loss.
+// deliver absorbs one summary into every target. Absorption fails only
+// when a summary would take a node's hint dictionary past its MaxHintKeys
+// bound, which real hint vocabularies stay far below, so a failure
+// surfaces via panic rather than silent loss.
 func (c *Coordinator) deliver(targets []*server.Server, sum wire.Summary) {
 	for _, srv := range targets {
 		if err := srv.AbsorbSummary(sum); err != nil {

@@ -15,10 +15,15 @@ type HarnessConfig struct {
 	// Nodes is the cluster size; 0 selects 1.
 	Nodes int
 	// Cache is the CLUSTER-WIDE cache configuration: capacity, outqueue
-	// and statistics window are split evenly across the nodes (the same
-	// resource-conserving split core.Sharded applies across shards), so a
-	// 3-node cluster is compared against a single node with the same total
-	// resources, not 3× the resources.
+	// and statistics window are split evenly across the nodes, so a 3-node
+	// cluster is compared against a single node with the same total
+	// resources, not 3× the resources. The window splits because each
+	// node's learner counts only the requests routed to it: rotating every
+	// W/n of its own requests, a node rotates about once per W requests
+	// cluster-wide, and with merging a round's counters and its peers'
+	// cover about W requests, as a single node's window does. (core.Sharded
+	// splits no W: its shards feed one learner that counts the whole
+	// stream.)
 	Cache core.Config
 	// Shards is the shard count per node; 0 selects 1 (cluster tests
 	// usually shard across nodes, not within them).

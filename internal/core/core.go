@@ -43,15 +43,14 @@
 // counted this window, an index read and a counter bump); the cache
 // detects re-references, feeds them to its learner, and re-keys its victim
 // heap whenever the learner publishes a new priority table (tracked by the
-// learner's epoch). The learner has two scopes: a plain Cache has a lone
-// learner, and every shard of a Sharded front has a tap on the front's one
-// shared clicstats.Global, which learns over the full window W from the
-// cache-wide stream (on a cluster node the same Global also exchanges
-// window summaries with its peers). A tap counts in its own window and
-// reads its own copy of the priority table exactly as a lone learner
-// does; the Global sums the taps' windows once per W requests and takes
-// no lock per request or per frame. A lone tap on a shared learner equals
-// a lone learner bit for bit.
+// learner's epoch). The learner is always a tap on a clicstats.Global:
+// every shard of a Sharded front has a tap on the front's one shared
+// Global, which learns over the full window W from the cache-wide stream
+// (on a cluster node the same Global also exchanges window summaries with
+// its peers), and a plain Cache has the only tap on a Global of its own. A
+// tap counts in its own window and reads its own copy of the priority
+// table; the Global sums the taps' windows once per W requests and takes
+// no lock per request or per frame.
 //
 // A Sharded front owns no goroutine and holds each shard through a
 // try-lock: a Producer's batches run as per-shard frames on whichever
@@ -180,8 +179,8 @@ type Cache struct {
 
 var _ policy.Policy = (*Cache)(nil)
 
-// New returns a CLIC cache for the given configuration, with a lone
-// learner. It panics if Capacity is negative or Capacity+Noutq exceeds the
+// New returns a CLIC cache for the given configuration, learning through
+// the only tap on a clicstats.Global of its own. It panics if Capacity is negative or Capacity+Noutq exceeds the
 // number of page records a cache can index.
 func New(cfg Config) *Cache {
 	if cfg.Capacity < 0 {

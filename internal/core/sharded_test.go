@@ -234,11 +234,11 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 }
 
-// TestShardedGlobalSingleShardMatchesCache is the scope-equivalence test of
-// the learner: a 1-shard Sharded front, whose one tap feeds the shared
-// learner, must match a plain Cache with its lone learner request by
-// request — same window boundary, same exact statistics, same priorities,
-// hence the same hit/miss decisions.
+// TestShardedGlobalSingleShardMatchesCache: a 1-shard Sharded front, whose
+// tap leases one request at a time, must match a plain Cache, whose tap
+// holds one lease for its whole life, request by request — same window
+// boundary, same exact statistics, same priorities, hence the same
+// hit/miss decisions.
 func TestShardedGlobalSingleShardMatchesCache(t *testing.T) {
 	cfg := Config{Capacity: 64, Window: 500}
 	s := NewSharded(cfg, 1)

@@ -232,8 +232,8 @@ func TestServeSourceMoreClientsThanShards(t *testing.T) {
 // TestPartitionedGoldenPreRefactor pins CLIC's hit counts on the seeded
 // test trace, in exact, top-k and decaying configurations. The plain rows
 // are the values measured before the statistics machinery moved out of
-// core.Cache into internal/clicstats: the lone learner must reproduce the
-// pre-refactor behavior bit for bit. The sharded rows are the shared
+// core.Cache into internal/clicstats: a plain cache's learner must
+// reproduce the pre-refactor behavior bit for bit. The sharded rows are the shared
 // learner's, as its former global mode gave them when it became a sharded
 // front's only way to learn.
 func TestPartitionedGoldenPreRefactor(t *testing.T) {
@@ -273,9 +273,9 @@ func TestPartitionedGoldenPreRefactor(t *testing.T) {
 }
 
 // TestServeSourceGlobalSingleClient: with one client, ServeSource is a
-// sequential replay, so a 1-shard front, whose one tap feeds the shared
-// learner, must match the plain serial simulation with its lone learner
-// exactly — the engine-path equivalence test for the learner's two scopes.
+// sequential replay, so a 1-shard front, fed by frames, must match the
+// plain serial simulation, fed by per-request Access, exactly — the
+// engine-path equivalence of the frame path and serial Access.
 func TestServeSourceGlobalSingleClient(t *testing.T) {
 	tr := testTrace.Truncate(15000)
 	cfg := core.Config{Capacity: 2000, Window: 2000}

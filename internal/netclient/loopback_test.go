@@ -606,10 +606,11 @@ func TestLoopbackGlobalLearner(t *testing.T) {
 	}
 }
 
-// TestLoopbackGoldenGlobalSingleShard: a 1-shard server, whose one tap
-// feeds the shared learner, replayed by a single client must match the
-// in-process front exactly — the tap-versus-lone-learner equivalence
-// carried through the whole TCP stack.
+// TestLoopbackGoldenGlobalSingleShard: a 1-shard server replayed by a
+// single client must match ServeSource on the same in-process front
+// exactly. With the engine's TestServeSourceGlobalSingleClient, which
+// matches that front's frame path against a plain cache's serial Access,
+// it carries the equivalence through the whole TCP stack.
 func TestLoopbackGoldenGlobalSingleShard(t *testing.T) {
 	tr := testTrace.Truncate(12000)
 	cfg := core.Config{Capacity: 2000, Window: 4000}

@@ -755,7 +755,8 @@ type HistogramsSnapshot struct {
 }
 
 // Snapshot assembles the admin view. topHints bounds the per-window hint
-// statistics (0 omits them; they take every shard lock).
+// statistics (0 omits them; reading them takes the shared learner's
+// rotation lock and one CAS per idle shard's tap, and no shard's lock).
 func (s *Server) Snapshot(topHints int) Snapshot {
 	snap := Snapshot{
 		Policy: s.cache.Name(),
