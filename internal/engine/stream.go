@@ -38,6 +38,9 @@ type Session interface {
 type KeyLog struct {
 	mu   sync.Mutex
 	keys []string
+	// n is len(keys), stored after each append so that Since, called once
+	// per batch, takes the mutex only when there is something new to copy.
+	n atomic.Int64
 }
 
 func (l *KeyLog) grow(d *hint.Dict) {
@@ -45,31 +48,37 @@ func (l *KeyLog) grow(d *hint.Dict) {
 	for id := len(l.keys); id < d.Len(); id++ {
 		l.keys = append(l.keys, d.Key(hint.ID(id)))
 	}
+	l.n.Store(int64(len(l.keys)))
 	l.mu.Unlock()
 }
 
 // Since returns a copy of the keys appended at or after index from.
 func (l *KeyLog) Since(from int) []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from >= len(l.keys) {
+	if int64(from) >= l.n.Load() {
 		return nil
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return append([]string(nil), l.keys[from:]...)
 }
 
 // Dispatch is the one scan → per-client worker loop behind every
 // concurrent serve and replay: it scans it (stopping after limit requests
 // when limit is positive), discovers clients as they appear, and gives each
-// its own goroutine and its own session from open, fed in batches of the
-// session's current BatchSize (firstBatch until the session is up). Clients
-// the iterator has no name for are called client<i>. The result carries the
-// trace name, the request count and the per-client read accounting; the
-// caller labels it with the policy and capacity that answered.
+// its own goroutine and its own session from open. Each worker is handed
+// runs — the smallest multiple of the session's current BatchSize
+// (firstBatch until the session is up) that holds at least
+// core.DefaultAccessBatch requests — and cuts every run into batches of
+// BatchSize, re-read after each Submit; a batch never spans two runs. So a
+// lock-step session, one request per batch, meets the dispatcher once per
+// run, not once per round trip. Clients the iterator has no name for are
+// called client<i>. The result carries the trace name, the request count
+// and the per-client read accounting; the caller labels it with the policy
+// and capacity that answered.
 //
-// Batch buffers cycle between the dispatcher and each worker: the
-// dispatcher fills one from the scan, hands it over, and gets it back once
-// Submit has consumed it, so after a few batches per client the steady
+// Run buffers cycle between the dispatcher and each worker: the dispatcher
+// fills one from the scan, hands it over, and gets it back once its last
+// batch has been submitted, so after a few runs per client the steady
 // state allocates nothing. The first failure — a session that will not
 // open, a Submit or Drain error — stops the scan at the next hand-off and
 // is returned; the workers keep draining their queues meanwhile, so the
@@ -83,10 +92,10 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 		// request while the dispatcher appends to pending on every request,
 		// and the two must not share a cache line.
 		st *sim.ClientStat
-		// size is the session's current batch size, stored by the worker
-		// when it changes and read by the dispatcher to place batch
-		// boundaries.
-		size atomic.Int64
+		// run is the length of the next run, stored by the worker when the
+		// session's batch size changes and read by the dispatcher to place
+		// run boundaries.
+		run atomic.Int64
 	}
 	var (
 		keys     KeyLog
@@ -101,17 +110,21 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 		failOnce.Do(func() { first = err })
 		failed.Store(true)
 	}
+	runLen := func(size int) int64 {
+		return int64((core.DefaultAccessBatch + size - 1) / size * size)
+	}
 	spawn := func(name string) *worker {
-		// ch lets the scan run a few batches ahead of a session that is
+		// ch lets the scan run a few runs ahead of a session that is
 		// waiting on its peer; free holds every buffer that can be out at
-		// once (those queued on ch, the one in Submit, the one being
+		// once (those queued on ch, the one being submitted, the one being
 		// filled) with room to spare, so returning one never blocks.
 		w := &worker{
 			ch:   make(chan []trace.Request, 4),
 			free: make(chan []trace.Request, 8),
 			st:   &sim.ClientStat{Name: name},
 		}
-		w.size.Store(int64(firstBatch))
+		size := max(firstBatch, 1)
+		w.run.Store(runLen(size))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -122,18 +135,19 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 			} else {
 				defer sess.Close()
 			}
-			size := firstBatch
-			for reqs := range w.ch {
-				if sess != nil && !failed.Load() {
-					if err := sess.Submit(reqs); err != nil {
+			for run := range w.ch {
+				for rest := run; sess != nil && len(rest) > 0 && !failed.Load(); {
+					batch := rest[:min(size, len(rest))]
+					rest = rest[len(batch):]
+					if err := sess.Submit(batch); err != nil {
 						fail(err)
-					} else if n := sess.BatchSize(); n != size {
+					} else if n := max(sess.BatchSize(), 1); n != size {
 						size = n
-						w.size.Store(int64(n))
+						w.run.Store(runLen(n))
 					}
 				}
 				select {
-				case w.free <- reqs[:0]:
+				case w.free <- run[:0]:
 				default:
 				}
 			}
@@ -172,7 +186,7 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 		w := workers[c]
 		w.pending = append(w.pending, r)
 		total++
-		if len(w.pending) < int(w.size.Load()) {
+		if int64(len(w.pending)) < w.run.Load() {
 			continue
 		}
 		w.ch <- w.pending

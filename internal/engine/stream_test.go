@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,13 +66,20 @@ func TestServeSourceGenerator(t *testing.T) {
 	}
 }
 
-// fakeSession is a Session that only counts, failing its failAt-th Submit
-// (0 = never), for driving Dispatch without a cache behind it.
+// fakeSession is a Session that only counts and records, failing its
+// failAt-th Submit (0 = never), for driving Dispatch without a cache behind
+// it. With grow > 0 its BatchSize doubles after every grow-th Submit.
 type fakeSession struct {
 	st      *sim.ClientStat
 	batch   int
+	grow    int
 	failAt  int
 	submits int
+	// sizes holds BatchSize as each Submit found it, lens each Submit's
+	// length, and got every request submitted, in order.
+	sizes   []int
+	lens    []int
+	got     []trace.Request
 	drained atomic.Bool
 	closed  atomic.Bool
 }
@@ -83,7 +91,13 @@ func (s *fakeSession) Submit(reqs []trace.Request) error {
 	if s.submits == s.failAt {
 		return errFake
 	}
+	s.sizes = append(s.sizes, s.batch)
+	s.lens = append(s.lens, len(reqs))
+	s.got = append(s.got, reqs...)
 	s.st.Reads += uint64(len(reqs)) // count every request, read or not
+	if s.grow > 0 && s.submits%s.grow == 0 {
+		s.batch *= 2
+	}
 	return nil
 }
 func (s *fakeSession) BatchSize() int { return s.batch }
@@ -106,18 +120,25 @@ func sixClients(t *testing.T) *trace.Trace {
 }
 
 // TestDispatchLimit: a positive limit hands the sessions exactly that many
-// requests — not a batch more — whatever the batch size, and each batch
-// respects the session's size.
+// requests — not a batch more — whatever the batch size, each client's
+// batches carry its requests in trace order, and each batch respects the
+// session's size: never empty, never above the size current at its Submit,
+// and with a fixed size exactly that size except the client's last. The
+// sizes include ones that do not divide core.DefaultAccessBatch and ones
+// above it, and a session whose size doubles as it goes.
 func TestDispatchLimit(t *testing.T) {
 	merged := sixClients(t)
-	for _, tc := range []struct{ limit, batch int }{{12345, 64}, {1, 512}, {7000, 1}, {0, 100}} {
+	for _, tc := range []struct{ limit, batch, grow int }{
+		{12345, 64, 0}, {1, 512, 0}, {7000, 1, 0}, {0, 100, 0},
+		{0, 192, 0}, {20000, 1536, 0}, {0, 1, 4}, {10000, 3, 5},
+	} {
 		var mu sync.Mutex
-		var sessions []*fakeSession
+		sessions := map[string]*fakeSession{}
 		it := merged.Iter()
-		res, err := Dispatch(it, tc.limit, tc.batch, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
-			s := &fakeSession{st: st, batch: tc.batch}
+		res, err := Dispatch(it, tc.limit, tc.batch, func(name string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
+			s := &fakeSession{st: st, batch: tc.batch, grow: tc.grow}
 			mu.Lock()
-			sessions = append(sessions, s)
+			sessions[name] = s
 			mu.Unlock()
 			return s, nil
 		})
@@ -131,9 +152,25 @@ func TestDispatchLimit(t *testing.T) {
 		if res.Requests != want || res.Reads != want {
 			t.Errorf("limit %d batch %d: Requests=%d, sessions saw %d, want %d", tc.limit, tc.batch, res.Requests, res.Reads, want)
 		}
-		for _, s := range sessions {
+		wantReqs := make(map[string][]trace.Request)
+		for _, r := range merged.Reqs[:want] {
+			name := merged.Clients[r.Client]
+			wantReqs[name] = append(wantReqs[name], r)
+		}
+		for name, s := range sessions {
 			if !s.drained.Load() || !s.closed.Load() {
 				t.Errorf("limit %d: session drained=%v closed=%v, want both", tc.limit, s.drained.Load(), s.closed.Load())
+			}
+			if !slices.Equal(s.got, wantReqs[name]) {
+				t.Errorf("limit %d batch %d: client %s got %d requests, not its %d in trace order", tc.limit, tc.batch, name, len(s.got), len(wantReqs[name]))
+			}
+			for i, n := range s.lens {
+				last := i == len(s.lens)-1
+				if n < 1 || n > s.sizes[i] || (tc.grow == 0 && !last && n != tc.batch) {
+					t.Errorf("limit %d batch %d grow %d: client %s batch %d of %d has %d requests, size %d",
+						tc.limit, tc.batch, tc.grow, name, i, len(s.lens), n, s.sizes[i])
+					break
+				}
 			}
 		}
 	}
