@@ -65,6 +65,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -89,6 +90,9 @@ func main() {
 	}
 	clicCfg, err := opts.Config()
 	if err != nil {
+		fatal(err)
+	}
+	if err := cli.Check(core.Config{Capacity: *cache}); err != nil {
 		fatal(err)
 	}
 	stopProf, err := opts.StartProfiles()

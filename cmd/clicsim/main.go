@@ -34,7 +34,10 @@
 // connection per trace client (one goroutine each) and reports per-client
 // and total hit ratios measured from the server's responses; -limit caps
 // the replayed request count and -batch sets the requests per batch (one
-// wire frame on a single server, split by ring owner on a cluster).
+// wire frame on a single server, split by ring owner on a cluster; by
+// default 512 per server, so every frame but a client's last holds 512).
+// A negative -cache, -batch, -depth or -limit is an error that names the
+// flag.
 // Every address is probed with a throwaway handshake before the replay
 // starts, so a bad address or an incompatible server fails immediately with
 // a clear error instead of mid-replay.
@@ -88,7 +91,7 @@ func main() {
 		shards     = flag.Int("shards", 1, "CLIC: run behind a sharded concurrent front (>1 enables)")
 		concurrent = flag.Bool("concurrent", false, "drive the sharded CLIC front with one goroutine per client (requires -shards > 1)")
 		connect    = flag.String("connect", "", "replay the trace against a cache server (or a comma-separated cluster of servers) at these addresses")
-		batch      = flag.Int("batch", 0, "-connect: requests per batch, split across a cluster's nodes (0 = adaptive, each frame grown toward the sweet spot)")
+		batch      = flag.Int("batch", 0, "-connect: requests per batch, split across a cluster's nodes (0 = 512 per node)")
 		depth      = flag.Int("depth", 0, "-connect: pipelined batches in flight per connection (0 = default: 8, spread over a cluster's nodes; 1 = lock-step)")
 		limit      = flag.Int("limit", 0, "-connect: replay at most this many requests (0 = all)")
 		opts       = cli.Register(flag.CommandLine)
@@ -97,6 +100,14 @@ func main() {
 	clicCfg, err := opts.Config()
 	if err != nil {
 		fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"batch", *batch}, {"depth", *depth}, {"limit", *limit}} {
+		if f.v < 0 {
+			fatal(fmt.Errorf("-%s %d: must not be negative", f.name, f.v))
+		}
 	}
 	stopProf, err := opts.StartProfiles()
 	if err != nil {
@@ -122,6 +133,7 @@ func main() {
 	if *concurrent && *shards < 2 {
 		fatal(fmt.Errorf("-concurrent requires -shards > 1 (a plain cache is not safe for concurrent use)"))
 	}
+	sizes := sizesOrDie(*caches)
 	// The grid path needs the whole trace; the concurrent serve streams it
 	// instead (constant memory at any trace length — a -gen spec never
 	// materialises at all).
@@ -137,7 +149,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	sizes := sizesOrDie(*caches)
 
 	// Build the policy × size grid as engine jobs, each with its own row
 	// metadata so results and labels cannot drift apart.
@@ -275,7 +286,7 @@ func serveTimeline(p policy.Policy, src trace.Source, opts *cli.Flags) sim.Resul
 	if err != nil {
 		fatal(err)
 	}
-	res, err := engine.ServeIterator(p, it, 0, &engine.ServeMetrics{BatchLatency: &lat})
+	res, err := engine.ServeIterator(p, it, 0, &lat)
 	if stopErr := stop(); stopErr != nil {
 		fatal(fmt.Errorf("timeline: %w", stopErr))
 	}
@@ -362,6 +373,9 @@ func sizesOrDie(s string) []int {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
 			fatal(fmt.Errorf("bad size %q: %w", part, err))
+		}
+		if err := cli.Check(core.Config{Capacity: v}); err != nil {
+			fatal(err)
 		}
 		out = append(out, v)
 	}

@@ -57,11 +57,14 @@ func (f *Flags) Config() (core.Config, error) {
 }
 
 // Check rejects the CLIC settings that no cache accepts, naming the flag
-// that sets each: a negative -topk or -window, or an -r outside [0, 1]
-// (0 selects each one's default). Config calls it, and so does
-// cmd/experiments for its own -window and -r.
+// that sets each: a negative -cache, -topk or -window, or an -r outside
+// [0, 1] (0 selects each one's default). Config calls it, cmd/clicsim and
+// cmd/clicserve call it for their own -cache sizes, and cmd/experiments
+// for its own -window and -r.
 func Check(cfg core.Config) error {
 	switch {
+	case cfg.Capacity < 0:
+		return fmt.Errorf("-cache %d: must not be negative", cfg.Capacity)
 	case cfg.TopK < 0:
 		return fmt.Errorf("-topk %d: must not be negative (0 = all hint sets)", cfg.TopK)
 	case cfg.Window < 0:

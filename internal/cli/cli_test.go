@@ -78,6 +78,11 @@ func TestBadStats(t *testing.T) {
 			t.Errorf("%v: Config() error %v, want %v", tc.args, err, tc.want)
 		}
 	}
+	// -cache is each command's own flag; both check it here.
+	const want = "-cache -5: must not be negative"
+	if err := Check(core.Config{Capacity: -5}); err == nil || err.Error() != want {
+		t.Errorf("Capacity -5: Check error %v, want %v", err, want)
+	}
 }
 
 func TestTimelineFlushesAndCloses(t *testing.T) {

@@ -6,6 +6,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -83,15 +84,14 @@ func TestSingleNodeGolden(t *testing.T) {
 	}
 }
 
-// TestRouterFillsNodeFrames: with default options a router sizes each
-// node's share of a batch, not the batch, so once the sizer has ramped a
-// node's frames hold about wire.DefaultBatch requests each, as a direct
-// connection's do. Sizing the router batch instead would leave every node
-// a third of it, about 170. The stream is long enough that the sizer's
-// ramp from 64, and the windows it holds when host noise makes a round
-// trip look degraded, stay a small share of the frames.
+// TestRouterFillsNodeFrames: with default options a router batch carries
+// wire.DefaultBatch requests per node, so from the first batch the nodes'
+// frames hold about wire.DefaultBatch requests each, as a direct
+// connection's do: across the nodes within 5 % of it, and on every node
+// well above what a third of a wire.DefaultBatch router batch would give.
+// The ring's shares differ, so one node's mean need not be near 512.
 func TestRouterFillsNodeFrames(t *testing.T) {
-	spec, err := workload.ParseSpec("DB2_C60*2:1000000")
+	spec, err := workload.ParseSpec("DB2_C60*2:200000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +100,35 @@ func TestRouterFillsNodeFrames(t *testing.T) {
 		Cache:  core.Config{Capacity: 3000, Window: 3000},
 		Shards: 2,
 	})
-	if _, err := cluster.ReplaySource(h.Nodes(), spec.Source(), cluster.ReplayOptions{}); err != nil {
+	res, err := cluster.ReplaySource(h.Nodes(), spec.Source(), cluster.ReplayOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	// A node counts a frame after writing its results, so the last ones
+	// may be counted after the replay returns: wait until the nodes'
+	// frames hold every request, and then read counts settled by then.
+	served := func() (n uint64) {
+		for i := 0; i < 3; i++ {
+			n += h.Server(i).Snapshot(0).Histograms.BatchRequests.Sum
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); served() < res.Requests && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	var frames, reqs uint64
 	for i := 0; i < 3; i++ {
 		br := h.Server(i).Snapshot(0).Histograms.BatchRequests
 		t.Logf("node%d: %d frames, mean %.0f requests, max %.0f", i, br.Count, br.Mean, br.Max)
-		if br.Mean <= wire.DefaultBatch/2 {
-			t.Errorf("node%d served %d frames of %.0f requests on average, want more than %d",
-				i, br.Count, br.Mean, wire.DefaultBatch/2)
+		frames += br.Count
+		reqs += br.Sum
+		if br.Mean <= 400 {
+			t.Errorf("node%d served %d frames of %.0f requests on average, want more than 400", i, br.Count, br.Mean)
 		}
+	}
+	if mean := float64(reqs) / float64(frames); math.Abs(mean-wire.DefaultBatch) > 0.05*wire.DefaultBatch {
+		t.Errorf("nodes served %d requests in %d frames, %.1f per frame, want within 5%% of %d",
+			reqs, frames, mean, wire.DefaultBatch)
 	}
 }
 

@@ -143,6 +143,23 @@ func TestLayersLimit(t *testing.T) {
 	}
 }
 
+// TestLayersEmptySource: a replay of a source with no requests opens no
+// session, so neither networked replay has a server to name: Policy and
+// CacheSize stay unset.
+func TestLayersEmptySource(t *testing.T) {
+	empty := trace.New("EMPTY", 8192)
+	for _, l := range layers[1:] {
+		res, err := l.run(t, empty.Source(), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		if res.Requests != 0 || res.Policy != "" || res.CacheSize != 0 {
+			t.Errorf("%s: Requests %d, Policy %q, CacheSize %d; want 0, \"\", 0",
+				l.name, res.Requests, res.Policy, res.CacheSize)
+		}
+	}
+}
+
 // TestClusterDialError: a node with nothing listening fails the replay with
 // the dial error.
 func TestClusterDialError(t *testing.T) {
@@ -165,8 +182,8 @@ func TestClusterDialError(t *testing.T) {
 // routers are mid-stream ends the replay with an error that names the node
 // — the dispatcher does not block on the dead routers' queues — and no
 // goroutine outlives the cluster. It runs lock-step single-request
-// batches, and the default adaptive per-node frames at the derived depth
-// (3 per node at 3 nodes).
+// batches, and the default wire.DefaultBatch per-node frames at the
+// derived depth (3 per node at 3 nodes).
 func TestClusterNodeClosedMidReplay(t *testing.T) {
 	for _, tc := range []struct {
 		name string

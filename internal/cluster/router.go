@@ -243,10 +243,9 @@ func (rp *RouterPipeline) Drain() error {
 // ReplayOptions tune the cluster replay drivers.
 type ReplayOptions struct {
 	// BatchSize is the request count per router batch, split across the
-	// nodes by ring owner. 0 selects adaptive sizing per node: a
-	// netclient.BatchSizer grows one node's frame from 64 toward
-	// wire.DefaultBatch while the per-request round trip stays flat, and a
-	// router batch carries that many requests per node.
+	// nodes by ring owner. 0 selects wire.DefaultBatch per node: a router
+	// batch of wire.DefaultBatch times the node count, so each node's frame
+	// holds about wire.DefaultBatch requests.
 	BatchSize int
 	// Depth is the in-flight batch window per node connection, 1 is
 	// lock-step. 0 selects netclient.DefaultDepth spread over the nodes,

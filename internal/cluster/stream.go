@@ -8,6 +8,7 @@ import (
 	"repro/internal/netclient"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Announce extends every node's hint table with keys discovered after
@@ -42,9 +43,9 @@ func (r *Router) Announced() int {
 // concurrent replay, the aggregate hit count depends on how the clients'
 // requests interleave at the nodes.
 //
-// Adaptive sizing (BatchSize 0) sizes one node's frame, not the router
-// batch: the ring splits a batch about evenly, so a router batch of the
-// sizer's size times the node count puts about one such frame on every
+// The default size (BatchSize 0) is one node's frame, not the router
+// batch: the ring splits a batch about evenly, so a router batch of
+// wire.DefaultBatch times the node count puts about one such frame on every
 // node, and a cluster sends as few frames per request as one connection.
 func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result, error) {
 	it, err := src.Iter()
@@ -57,11 +58,11 @@ func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result
 		policy   string
 		capacity int
 	)
-	fanout := len(nodes)
-	if opt.BatchSize > 0 {
-		fanout = 1 // an explicit size is the router batch
+	batch := opt.BatchSize // an explicit size is the router batch
+	if batch <= 0 {
+		batch = len(nodes) * wire.DefaultBatch
 	}
-	res, err := engine.Dispatch(it, opt.Limit, fanout*netclient.NewBatchSizer(opt.BatchSize).Current(),
+	res, err := engine.Dispatch(it, opt.Limit, batch,
 		func(name string, keys *engine.KeyLog, st *sim.ClientStat) (engine.Session, error) {
 			router, err := DialRouter(nodes, 0)
 			if err != nil {
@@ -74,7 +75,7 @@ func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result
 			mu.Lock()
 			policy, capacity = router.PolicyName(), router.Capacity()
 			mu.Unlock()
-			s := &session{router: router, keys: keys, st: st, sizer: netclient.NewBatchSizer(opt.BatchSize), fanout: fanout}
+			s := &session{router: router, keys: keys, st: st}
 			s.pl = router.Pipeline(opt.depth(len(nodes)), s.account)
 			return s, nil
 		})
@@ -87,22 +88,18 @@ func ReplaySource(nodes []Node, src trace.Source, opt ReplayOptions) (sim.Result
 }
 
 // session is one replayed client's engine.Session: a pipelined router
-// whose result handler counts the client's read hits and feeds the batch
-// sizer.
+// whose result handler counts the client's read hits.
 type session struct {
 	router *Router
 	pl     *RouterPipeline
 	keys   *engine.KeyLog
 	st     *sim.ClientStat
-	sizer  *netclient.BatchSizer
-	fanout int // router batch = fanout × the sizer's size
 }
 
-func (s *session) account(_ any, isRead, hits []bool, _ int, rttNs int64) error {
+func (s *session) account(_ any, isRead, hits []bool, _ int, _ int64) error {
 	reads, readHits := netclient.CountReads(isRead, hits)
 	s.st.Reads += reads
 	s.st.ReadHits += readHits
-	s.sizer.Observe(rttNs, len(isRead))
 	return nil
 }
 
@@ -113,6 +110,5 @@ func (s *session) Submit(reqs []trace.Request) error {
 	return s.pl.Submit(reqs, nil)
 }
 
-func (s *session) BatchSize() int { return s.fanout * s.sizer.Current() }
-func (s *session) Drain() error   { return s.pl.Drain() }
-func (s *session) Close() error   { return s.router.Close() }
+func (s *session) Drain() error { return s.pl.Drain() }
+func (s *session) Close() error { return s.router.Close() }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hint"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -23,9 +24,6 @@ type Session interface {
 	// run's KeyLog gained since the session last looked. reqs is fully
 	// consumed before Submit returns.
 	Submit(reqs []trace.Request) error
-	// BatchSize is the request count the next batch should carry; adaptive
-	// sessions grow it as results come back.
-	BatchSize() int
 	// Drain completes every batch still in flight.
 	Drain() error
 	// Close releases the session.
@@ -65,16 +63,15 @@ func (l *KeyLog) Since(from int) []string {
 // Dispatch is the one scan → per-client worker loop behind every
 // concurrent serve and replay: it scans it (stopping after limit requests
 // when limit is positive), discovers clients as they appear, and gives each
-// its own goroutine and its own session from open. Each worker is handed
-// runs — the smallest multiple of the session's current BatchSize
-// (firstBatch until the session is up) that holds at least
-// core.DefaultAccessBatch requests — and cuts every run into batches of
-// BatchSize, re-read after each Submit; a batch never spans two runs. So a
-// lock-step session, one request per batch, meets the dispatcher once per
-// run, not once per round trip. Clients the iterator has no name for are
-// called client<i>. The result carries the trace name, the request count
-// and the per-client read accounting; the caller labels it with the policy
-// and capacity that answered.
+// its own goroutine and its own session from open. Every batch a session
+// is given holds batch requests (at least 1), except a client's last, which
+// holds what is left. Each worker is handed runs — the smallest multiple of
+// batch that holds at least core.DefaultAccessBatch requests — and cuts
+// every run into batches, so a lock-step session, one request per batch,
+// meets the dispatcher once per run, not once per round trip. Clients the
+// iterator has no name for are called client<i>. The result carries the
+// trace name, the request count and the per-client read accounting; the
+// caller labels it with the policy and capacity that answered.
 //
 // Run buffers cycle between the dispatcher and each worker: the dispatcher
 // fills one from the scan, hands it over, and gets it back once its last
@@ -83,7 +80,7 @@ func (l *KeyLog) Since(from int) []string {
 // open, a Submit or Drain error — stops the scan at the next hand-off and
 // is returned; the workers keep draining their queues meanwhile, so the
 // dispatcher never blocks on a dead session.
-func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, keys *KeyLog, st *sim.ClientStat) (Session, error)) (sim.Result, error) {
+func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *KeyLog, st *sim.ClientStat) (Session, error)) (sim.Result, error) {
 	type worker struct {
 		ch      chan []trace.Request
 		free    chan []trace.Request
@@ -92,10 +89,6 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 		// request while the dispatcher appends to pending on every request,
 		// and the two must not share a cache line.
 		st *sim.ClientStat
-		// run is the length of the next run, stored by the worker when the
-		// session's batch size changes and read by the dispatcher to place
-		// run boundaries.
-		run atomic.Int64
 	}
 	var (
 		keys     KeyLog
@@ -110,9 +103,8 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 		failOnce.Do(func() { first = err })
 		failed.Store(true)
 	}
-	runLen := func(size int) int64 {
-		return int64((core.DefaultAccessBatch + size - 1) / size * size)
-	}
+	batch = max(batch, 1)
+	run := (core.DefaultAccessBatch + batch - 1) / batch * batch
 	spawn := func(name string) *worker {
 		// ch lets the scan run a few runs ahead of a session that is
 		// waiting on its peer; free holds every buffer that can be out at
@@ -123,8 +115,6 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 			free: make(chan []trace.Request, 8),
 			st:   &sim.ClientStat{Name: name},
 		}
-		size := max(firstBatch, 1)
-		w.run.Store(runLen(size))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -135,19 +125,16 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 			} else {
 				defer sess.Close()
 			}
-			for run := range w.ch {
-				for rest := run; sess != nil && len(rest) > 0 && !failed.Load(); {
-					batch := rest[:min(size, len(rest))]
-					rest = rest[len(batch):]
-					if err := sess.Submit(batch); err != nil {
+			for reqs := range w.ch {
+				for rest := reqs; sess != nil && len(rest) > 0 && !failed.Load(); {
+					n := min(batch, len(rest))
+					if err := sess.Submit(rest[:n]); err != nil {
 						fail(err)
-					} else if n := max(sess.BatchSize(), 1); n != size {
-						size = n
-						w.run.Store(runLen(n))
 					}
+					rest = rest[n:]
 				}
 				select {
-				case w.free <- run[:0]:
+				case w.free <- reqs[:0]:
 				default:
 				}
 			}
@@ -186,7 +173,7 @@ func Dispatch(it trace.Iterator, limit, firstBatch int, open func(name string, k
 		w := workers[c]
 		w.pending = append(w.pending, r)
 		total++
-		if int64(len(w.pending)) < w.run.Load() {
+		if len(w.pending) < run {
 			continue
 		}
 		w.ch <- w.pending
@@ -242,33 +229,28 @@ func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, 
 	return ServeIterator(p, it, batchSize, nil)
 }
 
-// ServeIterator is ServeSource over an already-open iterator, with optional
-// instrumentation taps (nil m turns them off). A Sharded front is driven
-// through per-client producer handles in batches — the same shape the
-// network path uses, so the front's frame fan-out is exercised
-// identically in-process and over TCP; other policies take the per-request
-// path and are not observed by m. It cannot run policy.Preparer prefix
-// passes (OPT needs the whole request slice); those policies go through
-// Run. Per-client read accounting is exact; the aggregate hit count depends
-// on how the clients' requests interleave, so with more than one client it
-// is not deterministic across calls.
-func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, m *ServeMetrics) (sim.Result, error) {
+// ServeIterator is ServeSource over an already-open iterator. A Sharded
+// front is driven through per-client producer handles in batches — the
+// same shape the network path uses, so the front's frame fan-out is
+// exercised identically in-process and over TCP — and, when lat is
+// non-nil, every AccessBatch call's wall time in nanoseconds goes into
+// lat; other policies take the per-request path and are not timed. It
+// cannot run policy.Preparer prefix passes (OPT needs the whole request
+// slice); those policies go through Run. Per-client read accounting is
+// exact; the aggregate hit count depends on how the clients' requests
+// interleave, so with more than one client it is not deterministic across
+// calls.
+func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, lat *metrics.Histogram) (sim.Result, error) {
 	if batchSize <= 0 {
 		batchSize = core.DefaultAccessBatch
 	}
 	sharded, _ := p.(*core.Sharded)
 	res, err := Dispatch(it, 0, batchSize, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
-		s := &localSession{p: p, st: st, batch: batchSize}
+		s := &localSession{p: p, st: st}
 		if sharded != nil {
 			s.prod = sharded.NewProducer()
 			s.hits = make([]bool, batchSize)
-			s.m = m
-			if m != nil && m.BatchLatency != nil {
-				if s.clock = m.Clock; s.clock == nil {
-					start := time.Now()
-					s.clock = func() time.Duration { return time.Since(start) }
-				}
-			}
+			s.lat = lat
 		}
 		return s, nil
 	})
@@ -283,13 +265,11 @@ func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, m *ServeMe
 // localSession is the in-process Session: batches go straight into the
 // cache on the worker's goroutine, so nothing is ever in flight.
 type localSession struct {
-	p     policy.Policy
-	prod  *core.Producer // nil for non-Sharded policies
-	hits  []bool
-	st    *sim.ClientStat
-	m     *ServeMetrics
-	clock func() time.Duration // non-nil when batches are timed
-	batch int
+	p    policy.Policy
+	prod *core.Producer // nil for non-Sharded policies
+	hits []bool
+	st   *sim.ClientStat
+	lat  *metrics.Histogram // nil: batches are not timed
 }
 
 func (s *localSession) Submit(reqs []trace.Request) error {
@@ -306,10 +286,10 @@ func (s *localSession) Submit(reqs []trace.Request) error {
 		}
 		return nil
 	}
-	if s.clock != nil {
-		t0 := s.clock()
+	if s.lat != nil {
+		t0 := time.Now()
 		s.prod.AccessBatch(reqs, hits)
-		s.m.BatchLatency.Observe(uint64(s.clock() - t0))
+		s.lat.Observe(uint64(time.Since(t0)))
 	} else {
 		s.prod.AccessBatch(reqs, hits)
 	}
@@ -321,13 +301,8 @@ func (s *localSession) Submit(reqs []trace.Request) error {
 			}
 		}
 	}
-	if s.m != nil {
-		s.m.mark(len(reqs))
-	}
 	return nil
 }
-
-func (s *localSession) BatchSize() int { return s.batch }
 
 func (s *localSession) Drain() error { return nil }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -66,18 +67,48 @@ func TestServeSourceGenerator(t *testing.T) {
 	}
 }
 
+// TestServeIteratorTimesEveryBatch: with a histogram, ServeIterator
+// observes each AccessBatch call exactly once — Σ⌈n_c/batch⌉ over the
+// clients — and a policy without batches is not timed.
+func TestServeIteratorTimesEveryBatch(t *testing.T) {
+	merged := sixClients(t)
+	for _, batch := range []int{0, 100} {
+		size := batch
+		if size == 0 {
+			size = core.DefaultAccessBatch
+		}
+		var want uint64
+		for _, reqs := range merged.SplitClients() {
+			want += uint64((len(reqs) + size - 1) / size)
+		}
+		s := core.NewSharded(core.Config{Capacity: 2000, Window: 2000}, 4)
+		var lat metrics.Histogram
+		if _, err := ServeIterator(s, merged.Iter(), batch, &lat); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if got := lat.Summary().Count; got != want {
+			t.Errorf("batch %d: %d latency observations, want one per AccessBatch call, %d", batch, got, want)
+		}
+	}
+	var lat metrics.Histogram
+	if _, err := ServeIterator(core.New(core.Config{Capacity: 2000}), testTrace.Truncate(3000).Iter(), 0, &lat); err != nil {
+		t.Fatal(err)
+	}
+	if got := lat.Summary().Count; got != 0 {
+		t.Errorf("plain cache: %d latency observations, want none", got)
+	}
+}
+
 // fakeSession is a Session that only counts and records, failing its
 // failAt-th Submit (0 = never), for driving Dispatch without a cache behind
-// it. With grow > 0 its BatchSize doubles after every grow-th Submit.
+// it.
 type fakeSession struct {
 	st      *sim.ClientStat
-	batch   int
-	grow    int
 	failAt  int
 	submits int
-	// sizes holds BatchSize as each Submit found it, lens each Submit's
-	// length, and got every request submitted, in order.
-	sizes   []int
+	// lens holds each Submit's length, and got every request submitted, in
+	// order.
 	lens    []int
 	got     []trace.Request
 	drained atomic.Bool
@@ -91,18 +122,13 @@ func (s *fakeSession) Submit(reqs []trace.Request) error {
 	if s.submits == s.failAt {
 		return errFake
 	}
-	s.sizes = append(s.sizes, s.batch)
 	s.lens = append(s.lens, len(reqs))
 	s.got = append(s.got, reqs...)
 	s.st.Reads += uint64(len(reqs)) // count every request, read or not
-	if s.grow > 0 && s.submits%s.grow == 0 {
-		s.batch *= 2
-	}
 	return nil
 }
-func (s *fakeSession) BatchSize() int { return s.batch }
-func (s *fakeSession) Drain() error   { s.drained.Store(true); return nil }
-func (s *fakeSession) Close() error   { s.closed.Store(true); return nil }
+func (s *fakeSession) Drain() error { s.drained.Store(true); return nil }
+func (s *fakeSession) Close() error { s.closed.Store(true); return nil }
 
 // sixClients interleaves six copies of the test trace's prefix.
 func sixClients(t *testing.T) *trace.Trace {
@@ -121,22 +147,19 @@ func sixClients(t *testing.T) *trace.Trace {
 
 // TestDispatchLimit: a positive limit hands the sessions exactly that many
 // requests — not a batch more — whatever the batch size, each client's
-// batches carry its requests in trace order, and each batch respects the
-// session's size: never empty, never above the size current at its Submit,
-// and with a fixed size exactly that size except the client's last. The
-// sizes include ones that do not divide core.DefaultAccessBatch and ones
-// above it, and a session whose size doubles as it goes.
+// batches carry its requests in trace order, and every batch holds exactly
+// the batch size except the client's last, which is not empty. The sizes
+// include ones that do not divide core.DefaultAccessBatch and one above it.
 func TestDispatchLimit(t *testing.T) {
 	merged := sixClients(t)
-	for _, tc := range []struct{ limit, batch, grow int }{
-		{12345, 64, 0}, {1, 512, 0}, {7000, 1, 0}, {0, 100, 0},
-		{0, 192, 0}, {20000, 1536, 0}, {0, 1, 4}, {10000, 3, 5},
+	for _, tc := range []struct{ limit, batch int }{
+		{12345, 64}, {1, 512}, {7000, 1}, {0, 100}, {0, 192}, {20000, 1536},
 	} {
 		var mu sync.Mutex
 		sessions := map[string]*fakeSession{}
 		it := merged.Iter()
 		res, err := Dispatch(it, tc.limit, tc.batch, func(name string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
-			s := &fakeSession{st: st, batch: tc.batch, grow: tc.grow}
+			s := &fakeSession{st: st}
 			mu.Lock()
 			sessions[name] = s
 			mu.Unlock()
@@ -166,9 +189,9 @@ func TestDispatchLimit(t *testing.T) {
 			}
 			for i, n := range s.lens {
 				last := i == len(s.lens)-1
-				if n < 1 || n > s.sizes[i] || (tc.grow == 0 && !last && n != tc.batch) {
-					t.Errorf("limit %d batch %d grow %d: client %s batch %d of %d has %d requests, size %d",
-						tc.limit, tc.batch, tc.grow, name, i, len(s.lens), n, s.sizes[i])
+				if n < 1 || n > tc.batch || (!last && n != tc.batch) {
+					t.Errorf("limit %d batch %d: client %s batch %d of %d has %d requests",
+						tc.limit, tc.batch, name, i, len(s.lens), n)
 					break
 				}
 			}
@@ -197,7 +220,7 @@ func TestDispatchSessionFailure(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			s := &fakeSession{st: st, batch: 16, failAt: failAt}
+			s := &fakeSession{st: st, failAt: failAt}
 			mu.Lock()
 			sessions = append(sessions, s)
 			mu.Unlock()

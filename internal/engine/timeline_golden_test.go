@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hint"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -45,12 +46,13 @@ func goldenTrace() *trace.Trace {
 	return tr
 }
 
-// TestTimelineGolden replays the pinned trace through a sharded front
-// with a fully scripted pair of clocks and requires the resulting timeline
-// CSV to be bit-identical to the checked-in golden file. This pins the CSV
-// format, the column math, the request-count mark positions, and the
-// determinism of the single-producer batch path, all at once. Regenerate
-// with: go test ./internal/engine -run TimelineGolden -update
+// TestTimelineGolden replays the pinned trace through a sharded front in
+// 4096-request slices, ticking the timeline between slices, with a fully
+// scripted pair of clocks, and requires the resulting timeline CSV to be
+// bit-identical to the checked-in golden file. This pins the CSV format,
+// the column math, and the determinism of the single-producer batch path,
+// all at once. Regenerate with:
+// go test ./internal/engine -run TimelineGolden -update
 func TestTimelineGolden(t *testing.T) {
 	tr := goldenTrace()
 	s := core.NewSharded(core.Config{Capacity: 512, Window: 2000, TopK: 64}, 4)
@@ -64,25 +66,30 @@ func TestTimelineGolden(t *testing.T) {
 	tl.SetClock(func() time.Duration { rows++; return time.Duration(rows) * 100 * time.Millisecond })
 	CacheTimeline(tl, s, &lat)
 
-	// Batch clock: 1ms per call; each batch observes exactly one step. The
-	// single client runs batches sequentially, so the calls never race.
-	step := 0
-	m := &ServeMetrics{
-		BatchLatency:  &lat,
-		Clock:         func() time.Duration { step++; return time.Duration(step) * time.Millisecond },
-		EveryRequests: 4096,
-		OnMark: func(total uint64) {
-			if err := tl.Tick("interval"); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	res, err := ServeIterator(s, tr.Iter(), 0, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.Tick("final"); err != nil {
-		t.Fatal(err)
+	// A slice is a multiple of the 512-request batch, so its batches are
+	// the ones a whole-trace replay would cut; each is scripted to take
+	// 1ms.
+	const slice = 4096
+	var res sim.Result
+	for lo := 0; lo < len(tr.Reqs); lo += slice {
+		part := *tr
+		part.Reqs = tr.Reqs[lo:min(lo+slice, len(tr.Reqs))]
+		r, err := ServeIterator(s, part.Iter(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Reads += r.Reads
+		res.ReadHits += r.ReadHits
+		for n := 0; n < len(part.Reqs); n += core.DefaultAccessBatch {
+			lat.Observe(uint64(time.Millisecond))
+		}
+		reason := "interval"
+		if lo+slice >= len(tr.Reqs) {
+			reason = "final"
+		}
+		if err := tl.Tick(reason); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if res.Reads == 0 || res.ReadHits == 0 {
 		t.Fatalf("degenerate replay: %+v", res)

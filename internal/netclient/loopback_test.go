@@ -185,6 +185,37 @@ func TestLoopbackMultiClient(t *testing.T) {
 	}
 }
 
+// TestReplayFrameShape: a default replay sends every client's requests in
+// wire.DefaultBatch-request frames from the first, so the server counts
+// exactly Σ⌈n_c/512⌉ frames, the last of each client's short, holding
+// every request once.
+func TestReplayFrameShape(t *testing.T) {
+	parts := []*trace.Trace{testTrace.Truncate(10001), testTrace.Truncate(10001)}
+	parts[0].Name, parts[1].Name = "c0", "c1"
+	merged, err := trace.Interleave("PAIR", parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged = merged.Truncate(20001) // c0 10001 requests, c1 10000
+	var want uint64
+	for _, reqs := range merged.SplitClients() {
+		want += uint64((len(reqs) + wire.DefaultBatch - 1) / wire.DefaultBatch)
+	}
+	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 3000, Window: 5000}, Shards: 2})
+	res := replay(t, srv.Addr().String(), merged, netclient.ReplayOptions{})
+	// The server counts a frame after writing its results, so the last
+	// may be counted after the replay returns: wait until the frames hold
+	// every request, and then read the count, which is settled by then.
+	for deadline := time.Now().Add(5 * time.Second); srv.Snapshot(0).Histograms.BatchRequests.Sum < res.Requests && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	br := srv.Snapshot(0).Histograms.BatchRequests
+	if br.Count != want || br.Sum != res.Requests || res.Requests != uint64(merged.Len()) {
+		t.Errorf("server saw %d frames holding %d requests, want %d frames holding %d",
+			br.Count, br.Sum, want, merged.Len())
+	}
+}
+
 // TestLoopbackFileSourceBinary streams a binary trace file over the wire
 // and checks it against the in-process serve of the same requests on an
 // identically configured front.

@@ -17,7 +17,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -329,90 +328,33 @@ func (p *Pipeline) Drain() error {
 // buffering stays small.
 const DefaultDepth = 8
 
-// adaptiveStartBatch is where adaptive batch sizing begins; it doubles
-// from here toward wire.DefaultBatch.
-const adaptiveStartBatch = 64
+// BatchSizer is a fixed per-frame request count: the size given to
+// NewBatchSizer, or wire.DefaultBatch for 0. The replay drivers do not use
+// it: the frozen benchmark (bench/layers.go) calls NewBatchSizer, Current
+// and Observe, and like wire.DecodeBatchStream it goes when the benchmark
+// is next revised.
+type BatchSizer struct{ size int }
 
-// adaptiveSlack is how much the per-request latency may exceed the best
-// observed before the sizer stops growing the batch.
-const adaptiveSlack = 1.25
-
-// BatchSizer grows the per-frame request count toward the
-// wire.DefaultBatch sweet spot while the observed per-request round-trip
-// latency stays flat: after a sample window of batches at the current
-// size, it doubles the size if the window's median per-request RTT is
-// within adaptiveSlack of the best window median seen; a degraded window
-// holds the size instead. One settle window is discarded after start and
-// after every growth, so the pipeline-fill transient (early batches see
-// no queueing and would make every steady-state window look degraded)
-// and the first batches at a new size never enter the comparison. The
-// replay drivers here and in internal/cluster feed it from their result
-// handlers. An adaptive size is one connection's frame: here the batch
-// itself, in internal/cluster one node's share of a router batch, which
-// is the size times the node count. An explicit fixed size pins it and
-// disables adaptation. Not safe for concurrent use.
-type BatchSizer struct {
-	size   int
-	fixed  bool
-	sample [8]float64 // per-request RTTs of the current window, ns
-	sn     int
-	settle int // batches to discard before sampling resumes
-	best   float64
-}
-
-// NewBatchSizer returns a sizer pinned at fixed when fixed > 0, adaptive
-// otherwise.
-func NewBatchSizer(fixed int) *BatchSizer {
-	if fixed > 0 {
-		return &BatchSizer{size: fixed, fixed: true}
+// NewBatchSizer returns a sizer fixed at size, or at wire.DefaultBatch when
+// size is not positive.
+func NewBatchSizer(size int) *BatchSizer {
+	if size <= 0 {
+		size = wire.DefaultBatch
 	}
-	s := &BatchSizer{size: adaptiveStartBatch}
-	s.settle = len(s.sample)
-	return s
+	return &BatchSizer{size: size}
 }
 
-// Current returns the batch size to use for the next frame.
+// Current returns the fixed batch size.
 func (s *BatchSizer) Current() int { return s.size }
 
-// Observe records one completed batch's round trip (n requests in
-// rttNs nanoseconds).
-func (s *BatchSizer) Observe(rttNs int64, n int) {
-	if s.fixed || s.size >= wire.DefaultBatch || n == 0 {
-		return
-	}
-	if s.settle > 0 {
-		s.settle--
-		return
-	}
-	s.sample[s.sn] = float64(rttNs) / float64(n)
-	s.sn++
-	if s.sn < len(s.sample) {
-		return
-	}
-	s.sn = 0
-	// Median of the window: robust against the occasional batch that
-	// lands behind a window rotation or a scheduler hiccup.
-	var sorted [8]float64
-	copy(sorted[:], s.sample[:])
-	sort.Float64s(sorted[:])
-	med := sorted[len(sorted)/2]
-	if s.best == 0 || med < s.best {
-		s.best = med
-	}
-	if med <= s.best*adaptiveSlack {
-		s.size *= 2
-		if s.size > wire.DefaultBatch {
-			s.size = wire.DefaultBatch
-		}
-		s.settle = len(s.sample)
-	}
-}
+// Observe does nothing.
+func (s *BatchSizer) Observe(rttNs int64, n int) {}
 
 // ReplayOptions tune the replay drivers.
 type ReplayOptions struct {
-	// BatchSize is the request count per Batch frame; 0 selects adaptive
-	// sizing (start at adaptiveStartBatch, grow toward wire.DefaultBatch
-	// while the per-request round-trip tail stays flat).
+	// BatchSize is the request count per Batch frame; 0 selects
+	// wire.DefaultBatch. Every frame of a client holds this many requests
+	// except its last.
 	BatchSize int
 	// Depth is the in-flight batch window per connection: 0 selects
 	// DefaultDepth, 1 is lock-step (one round trip per batch). Values
@@ -455,10 +397,15 @@ func ReplaySource(addr string, src trace.Source, opt ReplayOptions) (sim.Result,
 	}
 	defer it.Close()
 	var (
-		mu  sync.Mutex
-		ack wire.HelloAck
+		mu       sync.Mutex
+		policy   string
+		capacity int
 	)
-	res, err := engine.Dispatch(it, opt.Limit, NewBatchSizer(opt.BatchSize).Current(),
+	batch := opt.BatchSize
+	if batch <= 0 {
+		batch = wire.DefaultBatch
+	}
+	res, err := engine.Dispatch(it, opt.Limit, batch,
 		func(name string, keys *engine.KeyLog, st *sim.ClientStat) (engine.Session, error) {
 			conn, err := Dial(addr)
 			if err != nil {
@@ -470,36 +417,33 @@ func ReplaySource(addr string, src trace.Source, opt ReplayOptions) (sim.Result,
 				return nil, err
 			}
 			mu.Lock()
-			ack = a
+			policy, capacity = policyName(a), a.Capacity
 			mu.Unlock()
-			s := &session{conn: conn, keys: keys, st: st, sizer: NewBatchSizer(opt.BatchSize)}
+			s := &session{conn: conn, keys: keys, st: st}
 			s.pl = conn.Pipeline(opt.depth(), s.account)
 			return s, nil
 		})
 	if err != nil {
 		return sim.Result{}, err
 	}
-	res.Policy = policyName(ack)
-	res.CacheSize = ack.Capacity
+	res.Policy = policy
+	res.CacheSize = capacity
 	return res, nil
 }
 
 // session is one replayed client's engine.Session: a pipelined connection
-// whose result handler counts the client's read hits and feeds the batch
-// sizer.
+// whose result handler counts the client's read hits.
 type session struct {
-	conn  *Conn
-	pl    *Pipeline
-	keys  *engine.KeyLog
-	st    *sim.ClientStat
-	sizer *BatchSizer
+	conn *Conn
+	pl   *Pipeline
+	keys *engine.KeyLog
+	st   *sim.ClientStat
 }
 
-func (s *session) account(_ any, isRead []bool, res wire.Results, rttNs int64) error {
+func (s *session) account(_ any, isRead []bool, res wire.Results, _ int64) error {
 	reads, readHits := CountReads(isRead, res.Hits)
 	s.st.Reads += reads
 	s.st.ReadHits += readHits
-	s.sizer.Observe(rttNs, len(isRead))
 	return nil
 }
 
@@ -535,6 +479,5 @@ func (s *session) Submit(reqs []trace.Request) error {
 	return s.pl.Submit(reqs, nil)
 }
 
-func (s *session) BatchSize() int { return s.sizer.Current() }
-func (s *session) Drain() error   { return s.pl.Drain() }
-func (s *session) Close() error   { return s.conn.Close() }
+func (s *session) Drain() error { return s.pl.Drain() }
+func (s *session) Close() error { return s.conn.Close() }

@@ -52,10 +52,10 @@ func TestPipelineDepthEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelineOwnerDepthEquivalence runs the same invariant at the client's
-// adaptive frame size, whose frame boundaries follow observed round trips
-// and so differ from run to run: a single producer's verdicts do not
-// depend on how its stream is cut into frames.
+// TestPipelineOwnerDepthEquivalence runs the same invariant at the default
+// frame size, wire.DefaultBatch, against the lock-step replay: a single
+// producer's verdicts do not depend on how many of its frames are in
+// flight.
 func TestPipelineOwnerDepthEquivalence(t *testing.T) {
 	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
@@ -435,50 +435,6 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 	if err := pl.Drain(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBatchSizer pins the adaptive-sizing rules: a fixed size never
-// moves; flat per-request latency grows the size to wire.DefaultBatch;
-// degraded latency holds it.
-func TestBatchSizer(t *testing.T) {
-	fixed := netclient.NewBatchSizer(128)
-	for i := 0; i < 100; i++ {
-		fixed.Observe(1000, fixed.Current())
-	}
-	if fixed.Current() != 128 {
-		t.Errorf("fixed sizer moved to %d", fixed.Current())
-	}
-
-	flat := netclient.NewBatchSizer(0)
-	if flat.Current() >= wire.DefaultBatch {
-		t.Fatalf("adaptive sizer starts at %d, want below the %d cap", flat.Current(), wire.DefaultBatch)
-	}
-	// Early fill-phase batches with unrealistically low RTT must not
-	// poison the baseline (they are the settle window).
-	for i := 0; i < 4; i++ {
-		flat.Observe(10, flat.Current())
-	}
-	for i := 0; i < 200; i++ {
-		n := flat.Current()
-		flat.Observe(int64(n)*1000, n) // flat 1000ns per request
-	}
-	if flat.Current() != wire.DefaultBatch {
-		t.Errorf("flat latency grew the size to %d, want %d", flat.Current(), wire.DefaultBatch)
-	}
-
-	degraded := netclient.NewBatchSizer(0)
-	start := degraded.Current()
-	for i := 0; i < 20; i++ { // establish a baseline at the start size
-		degraded.Observe(int64(start)*1000, start)
-	}
-	grown := degraded.Current()
-	for i := 0; i < 200; i++ { // then per-request latency triples
-		n := degraded.Current()
-		degraded.Observe(int64(n)*3000, n)
-	}
-	if degraded.Current() > grown {
-		t.Errorf("sizer kept growing (%d -> %d) through tripled latency", grown, degraded.Current())
 	}
 }
 
