@@ -95,6 +95,9 @@ func main() {
 	if err := cli.Check(core.Config{Capacity: *cache}); err != nil {
 		fatal(err)
 	}
+	if *shards < 1 {
+		fatal(fmt.Errorf("-shards %d: must be at least 1", *shards))
+	}
 	stopProf, err := opts.StartProfiles()
 	if err != nil {
 		fatal(err)

@@ -36,8 +36,8 @@
 // the replayed request count and -batch sets the requests per batch (one
 // wire frame on a single server, split by ring owner on a cluster; by
 // default 512 per server, so every frame but a client's last holds 512).
-// A negative -cache, -batch, -depth or -limit is an error that names the
-// flag.
+// A negative -cache, -batch, -depth or -limit, or a -shards below 1, is an
+// error that names the flag.
 // Every address is probed with a throwaway handshake before the replay
 // starts, so a bad address or an incompatible server fails immediately with
 // a clear error instead of mid-replay.
@@ -108,6 +108,9 @@ func main() {
 		if f.v < 0 {
 			fatal(fmt.Errorf("-%s %d: must not be negative", f.name, f.v))
 		}
+	}
+	if *shards < 1 {
+		fatal(fmt.Errorf("-shards %d: must be at least 1", *shards))
 	}
 	stopProf, err := opts.StartProfiles()
 	if err != nil {

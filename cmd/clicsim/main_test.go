@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"testing"
 )
 
@@ -34,9 +35,10 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
 }
 
-// TestNegativeSizes: a size flag below zero is one line on stderr that
-// names the flag, and exit status 1 — not a result row at a negative size,
-// a panic in a policy, or a silent default.
+// TestNegativeSizes: a size flag below zero, a -shards below 1 or a
+// -metrics-interval that is not positive is one line on stderr that names
+// the flag, and exit status 1 — not a result row at a negative size, a
+// panic in a policy, or a silent default.
 func TestNegativeSizes(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -47,6 +49,9 @@ func TestNegativeSizes(t *testing.T) {
 		{[]string{"-gen", "DB2_C60:20000", "-batch", "-1"}, "clicsim: -batch -1: must not be negative\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-depth", "-2"}, "clicsim: -depth -2: must not be negative\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-limit", "-3"}, "clicsim: -limit -3: must not be negative\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-shards", "0"}, "clicsim: -shards 0: must be at least 1\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-shards", "-3"}, "clicsim: -shards -3: must be at least 1\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-shards", "4", "-concurrent", "-timeline", filepath.Join(t.TempDir(), "tl.csv"), "-metrics-interval", "-5s"}, "clicsim: -metrics-interval -5s: must be positive\n"},
 	} {
 		stdout, stderr, code := run(t, tc.args...)
 		if code != 1 || stderr != tc.want || stdout != "" {

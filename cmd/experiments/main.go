@@ -6,7 +6,7 @@
 //
 //	experiments                        # run everything at full (scaled) size
 //	experiments -fig 6                 # one figure
-//	experiments -scale 0.25            # quick run at a quarter of the requests
+//	experiments -scale 0.25            # quick run at a quarter of the requests (0 < scale <= 1000)
 //	experiments -workers 1             # a pool of one (same numbers)
 //	experiments -md out.md             # also write the tables as markdown
 //
@@ -36,6 +36,11 @@ import (
 	"repro/internal/sim"
 )
 
+// maxScale bounds -scale. Every trace is held in memory, and at this scale
+// the largest preset is already 2.4 billion requests; far enough past it
+// the scaled request count overflows.
+const maxScale = 1000
+
 func main() {
 	var (
 		fig      = flag.String("fig", "", "comma-separated figures to run: "+ids(experiments.Figures)+" (empty = all)")
@@ -47,6 +52,9 @@ func main() {
 		progress = flag.Bool("progress", false, "log each completed grid cell to stderr")
 	)
 	flag.Parse()
+	if !(*scale > 0 && *scale <= maxScale) {
+		fatal(fmt.Errorf("-scale %v: must be in (0, %d]", *scale, maxScale))
+	}
 	if err := cli.Check(core.Config{Window: *window, R: *decay}); err != nil {
 		fatal(err)
 	}

@@ -1,11 +1,66 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
+
+// TestMain runs the command itself when the test binary is started by
+// run, so a test can see what experiments prints and how it exits.
+func TestMain(m *testing.M) {
+	if os.Getenv("EXPERIMENTS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// run starts experiments with args and returns its stdout, stderr and exit
+// status.
+func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestBadFlags: a -scale that is not a positive number no larger than
+// maxScale, or a -fig that names no figure, is one line on stderr that
+// names the flag, and exit status 1 — not a run at full scale, a run at
+// the 10,000-request floor after the request count overflowed, or a run of
+// nothing.
+func TestBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "0"}, "experiments: -scale 0: must be in (0, 1000]\n"},
+		{[]string{"-scale", "-1"}, "experiments: -scale -1: must be in (0, 1000]\n"},
+		{[]string{"-scale", "NaN"}, "experiments: -scale NaN: must be in (0, 1000]\n"},
+		{[]string{"-scale", "Inf"}, "experiments: -scale +Inf: must be in (0, 1000]\n"},
+		{[]string{"-scale", "1e30"}, "experiments: -scale 1e+30: must be in (0, 1000]\n"},
+		{[]string{"-fig", "nosuchfigure"}, "experiments: -fig: unknown figure \"nosuchfigure\" (valid: " + ids(experiments.Figures) + ")\n"},
+	} {
+		stdout, stderr, code := run(t, tc.args...)
+		if code != 1 || stderr != tc.want || stdout != "" {
+			t.Errorf("experiments %v: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
+				tc.args, code, stderr, stdout, tc.want)
+		}
+	}
+}
 
 func TestSelectFigures(t *testing.T) {
 	figs := []experiments.Figure{{ID: "2"}, {ID: "11"}, {ID: "zoo"}}

@@ -47,11 +47,15 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // Config returns the CLIC settings as a core.Config whose Capacity the
-// caller sets. It fails on the values Check rejects.
+// caller sets. It fails on the values Check rejects and on a
+// -metrics-interval that is not positive.
 func (f *Flags) Config() (core.Config, error) {
 	cfg := core.Config{TopK: f.topk, Window: f.window, R: f.decay, Noutq: f.noutq}
 	if err := Check(cfg); err != nil {
 		return core.Config{}, err
+	}
+	if f.Interval <= 0 {
+		return core.Config{}, fmt.Errorf("-metrics-interval %v: must be positive", f.Interval)
 	}
 	return cfg, nil
 }

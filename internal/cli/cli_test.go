@@ -58,7 +58,8 @@ func TestFlagsReachConfig(t *testing.T) {
 
 // TestBadStats checks that Config refuses, with one error naming the flag,
 // every CLIC setting no cache accepts, rather than letting it panic in the
-// learner or pass silently.
+// learner or pass silently, and a -metrics-interval the timeline recorder
+// would silently replace.
 func TestBadStats(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -69,6 +70,8 @@ func TestBadStats(t *testing.T) {
 		{[]string{"-r", "2"}, "-r 2: must be in (0, 1] (0 = default 1.0)"},
 		{[]string{"-r", "-0.5"}, "-r -0.5: must be in (0, 1] (0 = default 1.0)"},
 		{[]string{"-r", "NaN"}, "-r NaN: must be in (0, 1] (0 = default 1.0)"},
+		{[]string{"-metrics-interval", "-5s"}, "-metrics-interval -5s: must be positive"},
+		{[]string{"-metrics-interval", "0"}, "-metrics-interval 0s: must be positive"},
 	} {
 		f, err := parse(t, tc.args...)
 		if err != nil {

@@ -101,34 +101,11 @@ func WindowPriority(n, nr uint64, dsum float64) float64 {
 // Priority lookups; it only bounds the table's size.
 const eps = 1e-12
 
-// blend folds one window's fresh estimates into the priority table with
-// decay r (Equation 3), in place: entries unseen this window decay by
-// (1-r) and are pruned once negligible, seen entries become
-// r·p̂ + (1-r)·old. Both learners rotate through this one function so their
-// arithmetic cannot drift apart.
-func blend(pr map[hint.ID]float64, fresh map[hint.ID]float64, r float64) {
-	for h, old := range pr {
-		if _, seen := fresh[h]; seen {
-			continue
-		}
-		nv := (1 - r) * old
-		if nv < eps {
-			delete(pr, h)
-			continue
-		}
-		pr[h] = nv
-	}
-	for h, phat := range fresh {
-		pr[h] = r*phat + (1-r)*pr[h]
-	}
-}
-
 // HintStat is an analysis snapshot of one hint set's statistics, used to
 // regenerate the paper's Figure 3 scatter plot and the server's /stats
 // window view.
 type HintStat struct {
 	Hint hint.ID
-	Key  string // canonical hint-set key, filled by the caller's dictionary
 	N    uint64
 	Nr   uint64
 	D    float64 // mean read re-reference distance (0 when Nr == 0)

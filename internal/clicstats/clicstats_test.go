@@ -1,6 +1,7 @@
 package clicstats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -272,4 +273,41 @@ func BenchmarkGlobalArrive(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkGlobalRotation measures a rotation at its own cost: eight taps
+// driven serially, each in turn leasing one window of W = 256 requests that
+// ends in a rotation, with R = 0.5 so unseen hint sets decay in the table.
+// One op is one lease plus the rotation that closes it: the round's sums,
+// the Equation 3 blend and the rotating tap's copy of the new table.
+func BenchmarkGlobalRotation(b *testing.B) {
+	const w, ntaps = 256, 8
+	for _, hints := range []int{40, 400} {
+		b.Run(fmt.Sprintf("hints=%d", hints), func(b *testing.B) {
+			g := NewGlobal(Config{Window: w, R: 0.5})
+			taps := make([]*Learner, ntaps)
+			for i := range taps {
+				taps[i] = g.Tap()
+			}
+			next := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tp := taps[i%ntaps]
+				tp.Begin(w)
+				for j := 0; j < w; j++ {
+					h := hint.ID(next % hints)
+					next++
+					tp.Arrive(h)
+					if j%2 == 0 {
+						tp.Reref(h, uint64(1+j%7))
+					}
+					tp.EndRequest()
+				}
+			}
+			if g.Windows() != b.N {
+				b.Fatalf("%d rotations in %d leases", g.Windows(), b.N)
+			}
+		})
+	}
 }

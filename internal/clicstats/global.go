@@ -1,7 +1,6 @@
 package clicstats
 
 import (
-	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -52,18 +51,16 @@ import (
 //     window.
 //   - Read. Each tap reads a priority table of its own, a dense slice and
 //     an epoch, so Priority and Epoch are inlined loads. A tap copies the
-//     Global's table at Begin when the Global's epoch moved (one atomic
-//     load per lease, and tableMu once per round), and at its own
-//     rotation. Within a lease its table
-//     therefore never moves under its cache except at the cache's own
-//     EndRequest, and caches re-key their victim heaps lazily, at their
-//     next request, by observing the epoch change.
+//     Global's table, pr, at Begin when the Global's epoch moved (one
+//     atomic load per lease, and mu once per round), and at its own
+//     rotation. Within a lease its table therefore never moves under its
+//     cache except at the cache's own EndRequest, and caches re-key their
+//     victim heaps lazily, at their next request, by observing the epoch
+//     change.
 //
 // Rotation allocates nothing in the steady state: published rounds are
-// recycled, the Global blends into its own table in place and densifies
-// into the spare of two slices that it then swaps in, the fresh estimates
-// go into one scratch map, and the pending peer counters swap with a
-// spare tally.
+// recycled, the pending peer counters are summed into the round being
+// published, and Equation 3 runs in place in the one table the taps copy.
 //
 // Cluster learning. In a cluster of cache nodes each node's Global also
 // learns from its peers' streams. When a round publishes it hands the
@@ -78,17 +75,18 @@ import (
 // node that sent it. With nothing absorbed a round learns from the local
 // windows alone.
 //
-// Locks. rotateMu guards the tap list, the open rounds and the table's
-// making, and serializes publication: it is taken once per rotation, once
-// per late hand-in and once per stats read, never per request or per
-// frame. tableMu guards only the dense table taps copy: a publication
-// swaps the next table in under it, and a tap copies under it, once per
-// round it adopts, so a Begin never waits for a rotation's sums.
-// pendingMu guards pending. The order is rotateMu, then tableMu or
-// pendingMu, and the publish hook runs under rotateMu only. That matters in a cluster whose exchanger delivers at
-// publish time: node A's publication calls Absorb on nodes B and C while
-// they may be publishing into A, and the cycle is harmless only because
-// Absorb takes pendingMu and nothing else.
+// Locks. There are two mutexes, taken in the order rotateMu, then mu.
+// rotateMu guards the tap list and the open rounds, and serializes
+// publication: it is taken once per rotation, once per late hand-in and
+// once per stats read, never per request or per frame. mu guards the
+// table and the pending peer counters: a publication sums pending into its
+// round and blends the round into the table under it, and a tap copies the
+// table under it, once per round it adopts. So a Begin that adopts may
+// wait for one blend pass over the hint IDs, but never for the sum of the
+// taps' windows. The publish hook runs under rotateMu only. That matters in a
+// cluster whose exchanger delivers at publish time: node A's publication
+// calls Absorb on nodes B and C while they may be publishing into A, and
+// the cycle is harmless only because Absorb takes mu and nothing else.
 //
 // What is exact and what is relaxed. Driven by one goroutine — any number
 // of taps, leases of any length — no tap but the rotator is ever leased,
@@ -119,8 +117,8 @@ type Global struct {
 	// tap.
 	late atomic.Uint64
 
-	// rotateMu guards taps, open, opened, free, pr, next, fresh and spare,
-	// and serializes publication.
+	// rotateMu guards taps, open, opened and free, and serializes
+	// publication.
 	rotateMu sync.Mutex
 	// taps are every tap of this learner, in the order Tap made them.
 	taps []*Learner
@@ -129,28 +127,21 @@ type Global struct {
 	open   []*round
 	opened uint64
 	free   []*round
-	// The table in effect: pr holds the priorities (Equation 3); next is
-	// where a publication densifies them, by hint ID, before swapping next
-	// with dense. fresh is the scratch estimates map handed to blend, spare
-	// the tally pending swaps with.
-	pr    map[hint.ID]float64
-	next  []float64
-	fresh map[hint.ID]float64
-	spare tally
-	// tableMu guards dense, the table in effect indexed by hint ID, which
-	// taps copy (see "Locks").
-	tableMu sync.Mutex
-	dense   []float64
 	// publish, when set, receives each round's local counters and its
 	// number. Set once, before traffic; called under rotateMu and no other
 	// lock.
 	publish func(round uint64, local []WindowCounter)
 
-	// pendingMu guards pending, the peer counters absorbed since the last
-	// publication, and nothing else (see "Locks").
-	pendingMu sync.Mutex
-	pending   tally
-	absorbed  atomic.Uint64
+	// mu guards pr, has and pending (see "Locks").
+	mu sync.Mutex
+	// pr is the priority table in effect (Equation 3) indexed by hint ID,
+	// which taps copy; has marks the hint sets that hold a priority, so a
+	// pruned entry and one never learned both read 0.
+	pr  []float64
+	has []bool
+	// pending holds the peer counters absorbed since the last publication.
+	pending  tally
+	absorbed atomic.Uint64
 
 	// requests numbers the requests leased so far. Every frame of every
 	// shard adds to it, so it is padded to a cache line of its own wherever
@@ -232,7 +223,7 @@ const cacheLine = 64
 // NewGlobal returns a shared learner for the configuration.
 func NewGlobal(cfg Config) *Global {
 	cfg.validate()
-	return &Global{cfg: cfg, pr: make(map[hint.ID]float64), fresh: make(map[hint.ID]float64)}
+	return &Global{cfg: cfg}
 }
 
 // SetPublish installs the hook that receives each round's local counters
@@ -248,11 +239,11 @@ func (g *Global) SetPublish(fn func(round uint64, local []WindowCounter)) {
 // take effect at this learner's next publication. Safe for concurrent use
 // with everything else, including a publication in progress.
 func (g *Global) Absorb(counters []WindowCounter) {
-	g.pendingMu.Lock()
+	g.mu.Lock()
 	for _, wc := range counters {
 		g.pending.add(wc)
 	}
-	g.pendingMu.Unlock()
+	g.mu.Unlock()
 	g.absorbed.Add(1)
 }
 
@@ -262,8 +253,8 @@ func (g *Global) Absorbed() uint64 { return g.absorbed.Load() }
 // PendingHintSets returns the number of hint sets with peer counters
 // waiting for the next publication.
 func (g *Global) PendingHintSets() int {
-	g.pendingMu.Lock()
-	defer g.pendingMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return len(g.pending.counters)
 }
 
@@ -351,12 +342,12 @@ func (g *Global) handIn(l *Learner) {
 // adopt copies the table in effect into tap l, if l's is older. It runs on
 // l's owner, which alone reads l's table.
 func (g *Global) adopt(l *Learner) {
-	g.tableMu.Lock()
+	g.mu.Lock()
 	if e := g.epoch.Load(); l.epoch != e {
-		l.dense = append(l.dense[:0], g.dense...)
+		l.dense = append(l.dense[:0], g.pr...)
 		l.epoch = e
 	}
-	g.tableMu.Unlock()
+	g.mu.Unlock()
 }
 
 // publishReady publishes, oldest first, every open round that owes nothing
@@ -375,43 +366,40 @@ func (g *Global) publishReady() {
 }
 
 // publishRound closes one round: it publishes the round's counters, sums
-// in the pending peer counters, blends the fresh estimates into the
-// priority table (Equation 3), and republishes the table with the round's
-// number as its epoch. The caller holds rotateMu.
+// the pending peer counters into them, blends the round's estimates into
+// the priority table in place (Equation 3), and republishes the table with
+// the round's number as its epoch. The caller holds rotateMu.
 func (g *Global) publishRound(r *round) {
-	local := r.counters
 	if g.publish != nil {
-		g.publish(r.seq, local)
+		g.publish(r.seq, r.counters)
 	}
 
-	g.pendingMu.Lock()
-	g.pending, g.spare = g.spare, g.pending
-	g.pendingMu.Unlock()
-	pending := &g.spare
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, p := range g.pending.counters {
+		r.add(p)
+	}
+	g.pending.reset()
 
-	for _, wc := range local {
-		if p := pending.find(wc.Hint); p != nil {
-			wc.N += p.N
-			wc.Nr += p.Nr
-			wc.Dsum += p.Dsum
+	// Equation 3: a hint set the round saw becomes r·p̂r + (1−r)·old; one
+	// it did not see decays by (1−r) and is dropped once negligible.
+	rr := g.cfg.R
+	for h, held := range g.has {
+		if !held || r.find(hint.ID(h)) != nil {
+			continue
 		}
-		g.fresh[wc.Hint] = WindowPriority(wc.N, wc.Nr, wc.Dsum)
-	}
-	// Hint sets only peers saw this window.
-	for _, p := range pending.counters {
-		if _, seen := g.fresh[p.Hint]; !seen {
-			g.fresh[p.Hint] = WindowPriority(p.N, p.Nr, p.Dsum)
+		if g.pr[h] *= 1 - rr; g.pr[h] < eps {
+			g.pr[h], g.has[h] = 0, false
 		}
 	}
-	pending.reset()
-
-	blend(g.pr, g.fresh, g.cfg.R)
-	clear(g.fresh)
-	g.next = densify(g.next, g.pr)
-	g.tableMu.Lock()
-	g.dense, g.next = g.next, g.dense
+	for _, wc := range r.counters {
+		for int(wc.Hint) >= len(g.pr) {
+			g.pr, g.has = append(g.pr, 0), append(g.has, false)
+		}
+		g.pr[wc.Hint] = rr*WindowPriority(wc.N, wc.Nr, wc.Dsum) + (1-rr)*g.pr[wc.Hint]
+		g.has[wc.Hint] = true
+	}
 	g.epoch.Store(r.seq)
-	g.tableMu.Unlock()
 }
 
 // Windows returns the number of published rounds: completed statistics
@@ -420,9 +408,15 @@ func (g *Global) Windows() int { return int(g.epoch.Load()) }
 
 // Priorities returns a copy of the priority table in effect.
 func (g *Global) Priorities() map[hint.ID]float64 {
-	g.rotateMu.Lock()
-	defer g.rotateMu.Unlock()
-	return maps.Clone(g.pr)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make(map[hint.ID]float64)
+	for h, held := range g.has {
+		if held {
+			out[hint.ID(h)] = g.pr[h]
+		}
+	}
+	return out
 }
 
 // eachIdle calls fn with the window of every tap without a lease, holding

@@ -17,7 +17,9 @@ import (
 // Global's rotation through a mergeFresh hook; refGlobal keeps that
 // rotation and the read side, verbatim, and is fed serially straight into
 // its window — what a tap amounts to when one goroutine drives it — as the
-// independent serial reference of TestTapSerialEqualsPartitioned.
+// independent serial reference of TestTapSerialEqualsPartitioned. Its
+// Equation 3 is the former map blend and densify, kept below verbatim, so
+// the reference shares no priority arithmetic with Global but Equation 2.
 
 // globalTable is one published priority table of the former Global. dense
 // is pr indexed by hint ID, which the request path read.
@@ -220,6 +222,41 @@ func (m *refMerged) fold(local []WindowCounter) map[hint.ID]float64 {
 		fresh[h] = WindowPriority(ws.n, ws.nr, ws.dsum)
 	}
 	return fresh
+}
+
+// blend folds one window's fresh estimates into the priority table with
+// decay r (Equation 3), in place: entries unseen this window decay by
+// (1-r) and are pruned once negligible, seen entries become
+// r·p̂ + (1-r)·old. The former Global's, verbatim.
+func blend(pr map[hint.ID]float64, fresh map[hint.ID]float64, r float64) {
+	for h, old := range pr {
+		if _, seen := fresh[h]; seen {
+			continue
+		}
+		nv := (1 - r) * old
+		if nv < eps {
+			delete(pr, h)
+			continue
+		}
+		pr[h] = nv
+	}
+	for h, phat := range fresh {
+		pr[h] = r*phat + (1-r)*pr[h]
+	}
+}
+
+// densify rebuilds dst as the priority table pr indexed by hint ID — what
+// Priority reads on the request path — reusing dst's storage. The former
+// Global's, verbatim.
+func densify(dst []float64, pr map[hint.ID]float64) []float64 {
+	clear(dst)
+	for h, v := range pr {
+		for int(h) >= len(dst) {
+			dst = append(dst, 0)
+		}
+		dst[h] = v
+	}
+	return dst
 }
 
 // published is one call of a publish hook.

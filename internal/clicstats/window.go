@@ -84,16 +84,3 @@ func (w *window) hintStats() []HintStat {
 	SortHintStats(out)
 	return out
 }
-
-// densify rebuilds dst as the priority table pr indexed by hint ID — what
-// Priority reads on the request path — reusing dst's storage.
-func densify(dst []float64, pr map[hint.ID]float64) []float64 {
-	clear(dst)
-	for h, v := range pr {
-		for int(h) >= len(dst) {
-			dst = append(dst, 0)
-		}
-		dst[h] = v
-	}
-	return dst
-}

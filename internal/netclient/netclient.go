@@ -271,9 +271,6 @@ func (p *Pipeline) flush() error {
 	return p.c.bw.Flush()
 }
 
-// Inflight returns the number of batches awaiting results.
-func (p *Pipeline) Inflight() int { return p.n }
-
 // completeOne consumes the oldest in-flight batch's results. If they are
 // not already buffered the read is about to block, so buffered frames go
 // out first: the server cannot answer what it has not received.
