@@ -16,22 +16,16 @@
 //
 // Several clicserve processes form a cluster (internal/cluster): clients
 // route requests across the nodes by consistent hash (clicsim -connect
-// with the address list), and -peers makes the nodes exchange window
-// summaries so each node's learner approximates the cluster-wide request
-// stream:
+// with the address list), and each node learns from the requests routed to
+// it alone:
 //
-//	clicserve -addr :7070 -node-id node0 -peers :7071,:7072
-//	clicserve -addr :7071 -node-id node1 -peers :7070,:7072
-//	clicserve -addr :7072 -node-id node2 -peers :7070,:7071
+//	clicserve -addr :7070
+//	clicserve -addr :7071
+//	clicserve -addr :7072
 //
-// At every window rotation the node ships its window's hint counters to
-// every -peers address (lossy gossip over the ordinary wire protocol — an
-// unreachable peer costs summaries, never correctness) and folds the
-// summaries it received into its own priorities. -node-id names
-// this node in published summaries and the admin cluster accounting. Run
-// each node's share of the cluster-wide cache/window/outqueue budget (e.g.
-// a third each for three nodes); the in-process harness splits them the
-// same way.
+// Run each node's share of the cluster-wide cache/window/outqueue budget
+// (e.g. a third each for three nodes); the in-process harness splits them
+// the same way.
 //
 // With -admin set, live statistics (the front aggregate, the per-shard
 // breakdown, connection accounting, batch-latency summaries, the current
@@ -60,11 +54,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/server"
@@ -77,17 +69,9 @@ func main() {
 		admin  = flag.String("admin", "", "admin HTTP listen address (empty = disabled)")
 		cache  = flag.Int("cache", 18000, "server cache size in pages")
 		shards = flag.Int("shards", 8, "CLIC shard count")
-		peers  = flag.String("peers", "", "comma-separated peer page-request addresses to exchange window summaries with")
-		nodeID = flag.String("node-id", "", "-peers: this node's name in published summaries (default \"node\")")
 		opts   = cli.Register(flag.CommandLine)
 	)
 	flag.Parse()
-	var peerAddrs []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerAddrs = append(peerAddrs, p)
-		}
-	}
 	clicCfg, err := opts.Config()
 	if err != nil {
 		fatal(err)
@@ -103,26 +87,11 @@ func main() {
 		fatal(err)
 	}
 
-	// Cluster node: a gossip sender shipping each closed window's summary
-	// to every peer.
-	var gossip *cluster.Gossip
-	scfg := server.Config{
-		Node: *nodeID,
-	}
-	if len(peerAddrs) > 0 {
-		gossip = cluster.NewGossip(peerAddrs)
-		scfg.OnSummary = gossip.Publish
-	} else if *nodeID != "" {
-		fatal(fmt.Errorf("-node-id needs -peers"))
-	}
-
 	// Dock the capacity 1% for CLIC's tracking structures (§6.1), like
 	// every simulated CLIC run, so server hit ratios compare directly to
 	// the in-process grid at the same -cache value.
 	clicCfg.Capacity = sim.ClicCapacity(*cache)
-	scfg.Cache = clicCfg
-	scfg.Shards = *shards
-	srv := server.New(scfg)
+	srv := server.New(server.Config{Cache: clicCfg, Shards: *shards})
 	if err := srv.Listen(*addr); err != nil {
 		fatal(err)
 	}
@@ -142,10 +111,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "clicserve: %s front with %s pages serving on %s\n",
 		srv.Cache().Name(), report.Num(*cache), srv.Addr())
-	if gossip != nil {
-		fmt.Fprintf(os.Stderr, "clicserve: cluster node %q gossiping window summaries to %s\n",
-			srv.Node(), *peers)
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -161,13 +126,6 @@ func main() {
 		if err := srv.Close(); err != nil {
 			fatal(err)
 		}
-	}
-	if gossip != nil {
-		// Drain buffered summaries before reporting; the cache (and so the
-		// rotation source) is already closed.
-		gossip.Close()
-		fmt.Fprintf(os.Stderr, "clicserve: gossip published %d summaries, dropped %d\n",
-			gossip.Published(), gossip.Dropped())
 	}
 	// The cache and its counters survive Close, so the final timeline row
 	// still reads the end-of-run state.

@@ -42,8 +42,8 @@
 // starts, so a bad address or an incompatible server fails immediately with
 // a clear error instead of mid-replay.
 //
-// -connect also takes a comma-separated address list — a cluster
-// (cmd/clicserve -peers, internal/cluster). The replay then routes every
+// -connect also takes a comma-separated address list — a cluster of
+// clicserve nodes (internal/cluster). The replay then routes every
 // request to its owning node by consistent hash (one router per trace
 // client). Placement is keyed by the address strings, so every client of a
 // cluster should list the same addresses:

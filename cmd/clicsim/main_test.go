@@ -46,6 +46,7 @@ func TestNegativeSizes(t *testing.T) {
 	}{
 		{[]string{"-gen", "DB2_C60:20000", "-cache", "-5"}, "clicsim: -cache -5: must not be negative\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-cache", "100,-5", "-policy", "LRU"}, "clicsim: -cache -5: must not be negative\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-noutq", "-7"}, "clicsim: -noutq -7: must be at least -1 (0 = 5 per cache page, -1 = none)\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-batch", "-1"}, "clicsim: -batch -1: must not be negative\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-depth", "-2"}, "clicsim: -depth -2: must not be negative\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-limit", "-3"}, "clicsim: -limit -3: must not be negative\n"},

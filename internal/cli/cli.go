@@ -38,7 +38,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.topk, "topk", 0, "CLIC: track only the k most frequent hint sets (0 = all)")
 	fs.IntVar(&f.window, "window", 0, "CLIC: statistics window W (0 = default)")
 	fs.Float64Var(&f.decay, "r", 0, "CLIC: decay parameter r (0 = default 1.0)")
-	fs.IntVar(&f.noutq, "noutq", 0, "CLIC: outqueue entries (0 = 5 per cache page)")
+	fs.IntVar(&f.noutq, "noutq", 0, "CLIC: outqueue entries (0 = 5 per cache page, -1 = none)")
 	fs.StringVar(&f.Timeline, "timeline", "", "write per-interval metrics rows (CSV) to this file, replacing its contents (clicsim: -concurrent only)")
 	fs.DurationVar(&f.Interval, "metrics-interval", time.Second, "-timeline: sampling interval")
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile covering the run to this file")
@@ -61,10 +61,10 @@ func (f *Flags) Config() (core.Config, error) {
 }
 
 // Check rejects the CLIC settings that no cache accepts, naming the flag
-// that sets each: a negative -cache, -topk or -window, or an -r outside
-// [0, 1] (0 selects each one's default). Config calls it, cmd/clicsim and
-// cmd/clicserve call it for their own -cache sizes, and cmd/experiments
-// for its own -window and -r.
+// that sets each: a negative -cache, -topk or -window, an -noutq below
+// core.NoOutqueue, or an -r outside [0, 1] (0 selects each one's
+// default). Config calls it, cmd/clicsim and cmd/clicserve call it for
+// their own -cache sizes, and cmd/experiments for its own -window and -r.
 func Check(cfg core.Config) error {
 	switch {
 	case cfg.Capacity < 0:
@@ -73,6 +73,8 @@ func Check(cfg core.Config) error {
 		return fmt.Errorf("-topk %d: must not be negative (0 = all hint sets)", cfg.TopK)
 	case cfg.Window < 0:
 		return fmt.Errorf("-window %d: must not be negative (0 = default)", cfg.Window)
+	case cfg.Noutq < core.NoOutqueue:
+		return fmt.Errorf("-noutq %d: must be at least %d (0 = 5 per cache page, %d = none)", cfg.Noutq, core.NoOutqueue, core.NoOutqueue)
 	case !(cfg.R >= 0 && cfg.R <= 1):
 		return fmt.Errorf("-r %v: must be in (0, 1] (0 = default 1.0)", cfg.R)
 	}

@@ -67,6 +67,8 @@ func TestBadStats(t *testing.T) {
 	}{
 		{[]string{"-topk", "-3"}, "-topk -3: must not be negative (0 = all hint sets)"},
 		{[]string{"-window", "-5"}, "-window -5: must not be negative (0 = default)"},
+		{[]string{"-noutq", "-7"}, "-noutq -7: must be at least -1 (0 = 5 per cache page, -1 = none)"},
+		{[]string{"-noutq", "-2"}, "-noutq -2: must be at least -1 (0 = 5 per cache page, -1 = none)"},
 		{[]string{"-r", "2"}, "-r 2: must be in (0, 1] (0 = default 1.0)"},
 		{[]string{"-r", "-0.5"}, "-r -0.5: must be in (0, 1] (0 = default 1.0)"},
 		{[]string{"-r", "NaN"}, "-r NaN: must be in (0, 1] (0 = default 1.0)"},

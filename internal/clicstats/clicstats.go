@@ -19,8 +19,7 @@
 // taking the idle ones and leaving the leased ones to hand theirs in at
 // their lease's end, and the round's publication computes Equations 2–3,
 // the one place they run. Each tap reads its own copy of the round's
-// table, taken at its next lease. On a cluster node the same Global also
-// publishes each round to its peers and absorbs theirs into its next one.
+// table, taken at its next lease.
 //
 // Driven by one goroutine, taps on a Global produce exactly the same
 // priorities as one window fed the whole stream in exact mode, and in
@@ -67,10 +66,8 @@ func (cfg Config) validate() {
 }
 
 // WindowCounter is one hint set's raw window counters — the pre-division
-// inputs of Equation 2. It is the exchange currency of cluster-wide
-// learning: a rotation drains the window into these, a wire.SummaryEntry
-// is one of them keyed by canonical string instead of local hint ID, and
-// Global.Absorb folds a peer's counters back in by summing them.
+// inputs of Equation 2. A rotation sums the taps' windows into these, hint
+// set by hint set, before Equation 2 divides them.
 type WindowCounter struct {
 	Hint hint.ID
 	N    uint64

@@ -38,10 +38,10 @@ import (
 //     lock, no shared cache line.
 //   - Rotate. At the request a multiple of W falls on, the tap opens the
 //     next round and sums into it every tap's window — N, Nr and ΣD per
-//     hint set, the arithmetic Absorb applies to peer counters. Its own
-//     window it reads directly. An idle tap it takes with one CAS on the
-//     tap's state word (idle → held), reads, resets and releases. A tap
-//     with a lease in flight it marks owed instead of waiting for it.
+//     hint set. Its own window it reads directly. An idle tap it takes
+//     with one CAS on the tap's state word (idle → held), reads, resets
+//     and releases. A tap with a lease in flight it marks owed instead of
+//     waiting for it.
 //   - Hand-in. A tap marked owed pays its window into the round it owes at
 //     its lease's end (or at its own next rotation, if that comes first),
 //     and the last payment publishes the round. Rounds publish in the order
@@ -59,34 +59,16 @@ import (
 //     change.
 //
 // Rotation allocates nothing in the steady state: published rounds are
-// recycled, the pending peer counters are summed into the round being
-// published, and Equation 3 runs in place in the one table the taps copy.
-//
-// Cluster learning. In a cluster of cache nodes each node's Global also
-// learns from its peers' streams. When a round publishes it hands the
-// round's summed counters, with the round number (the epoch it publishes),
-// to the hook set by SetPublish, so an exchanger can ship them to the peers
-// as wire Summary frames. A peer's counters come back through Absorb and
-// wait in a pending pool; the next round to publish sums them into the
-// local counters before Equation 2, followed by the ordinary Equation 3
-// blend. Absorbed counters are thus one window stale, which the blend
-// tolerates like any window-to-window drift. Only local counters are
-// published, never absorbed ones, so a summary cannot echo back to the
-// node that sent it. With nothing absorbed a round learns from the local
-// windows alone.
+// recycled, and Equation 3 runs in place in the one table the taps copy.
 //
 // Locks. There are two mutexes, taken in the order rotateMu, then mu.
 // rotateMu guards the tap list and the open rounds, and serializes
 // publication: it is taken once per rotation, once per late hand-in and
-// once per stats read, never per request or per frame. mu guards the
-// table and the pending peer counters: a publication sums pending into its
-// round and blends the round into the table under it, and a tap copies the
-// table under it, once per round it adopts. So a Begin that adopts may
-// wait for one blend pass over the hint IDs, but never for the sum of the
-// taps' windows. The publish hook runs under rotateMu only. That matters in a
-// cluster whose exchanger delivers at publish time: node A's publication
-// calls Absorb on nodes B and C while they may be publishing into A, and
-// the cycle is harmless only because Absorb takes mu and nothing else.
+// once per stats read, never per request or per frame. mu guards only the
+// table: a publication blends its round into the table under it, and a tap
+// copies the table under it, once per round it adopts. So a Begin that
+// adopts may wait for one blend pass over the hint IDs, but never for the
+// sum of the taps' windows.
 //
 // What is exact and what is relaxed. Driven by one goroutine — any number
 // of taps, leases of any length — no tap but the rotator is ever leased,
@@ -127,21 +109,18 @@ type Global struct {
 	open   []*round
 	opened uint64
 	free   []*round
-	// publish, when set, receives each round's local counters and its
-	// number. Set once, before traffic; called under rotateMu and no other
-	// lock.
-	publish func(round uint64, local []WindowCounter)
+	// publish, when set, receives each round's summed counters and its
+	// number as the round publishes: the tests' view of what each round
+	// held. Called under rotateMu and no other lock.
+	publish func(round uint64, counters []WindowCounter)
 
-	// mu guards pr, has and pending (see "Locks").
+	// mu guards pr and has (see "Locks").
 	mu sync.Mutex
 	// pr is the priority table in effect (Equation 3) indexed by hint ID,
 	// which taps copy; has marks the hint sets that hold a priority, so a
 	// pruned entry and one never learned both read 0.
 	pr  []float64
 	has []bool
-	// pending holds the peer counters absorbed since the last publication.
-	pending  tally
-	absorbed atomic.Uint64
 
 	// requests numbers the requests leased so far. Every frame of every
 	// shard adds to it, so it is padded to a cache line of its own wherever
@@ -224,38 +203,6 @@ const cacheLine = 64
 func NewGlobal(cfg Config) *Global {
 	cfg.validate()
 	return &Global{cfg: cfg}
-}
-
-// SetPublish installs the hook that receives each round's local counters
-// and its number. It must be called before the learner sees traffic. The
-// hook runs inside a publication, so it must not feed a tap of this
-// learner; calling Absorb is safe. The counters are the learner's own
-// until the hook returns: a hook that keeps them copies them.
-func (g *Global) SetPublish(fn func(round uint64, local []WindowCounter)) {
-	g.publish = fn
-}
-
-// Absorb adds one peer summary's window counters to the pending pool; they
-// take effect at this learner's next publication. Safe for concurrent use
-// with everything else, including a publication in progress.
-func (g *Global) Absorb(counters []WindowCounter) {
-	g.mu.Lock()
-	for _, wc := range counters {
-		g.pending.add(wc)
-	}
-	g.mu.Unlock()
-	g.absorbed.Add(1)
-}
-
-// Absorbed returns the number of peer summaries absorbed so far.
-func (g *Global) Absorbed() uint64 { return g.absorbed.Load() }
-
-// PendingHintSets returns the number of hint sets with peer counters
-// waiting for the next publication.
-func (g *Global) PendingHintSets() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.pending.counters)
 }
 
 // LateHandins returns the number of late hand-ins so far: payments a
@@ -365,10 +312,9 @@ func (g *Global) publishReady() {
 	g.open = g.open[:n]
 }
 
-// publishRound closes one round: it publishes the round's counters, sums
-// the pending peer counters into them, blends the round's estimates into
-// the priority table in place (Equation 3), and republishes the table with
-// the round's number as its epoch. The caller holds rotateMu.
+// publishRound closes one round: it blends the round's estimates into the
+// priority table in place (Equation 3) and republishes the table with the
+// round's number as its epoch. The caller holds rotateMu.
 func (g *Global) publishRound(r *round) {
 	if g.publish != nil {
 		g.publish(r.seq, r.counters)
@@ -376,11 +322,6 @@ func (g *Global) publishRound(r *round) {
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, p := range g.pending.counters {
-		r.add(p)
-	}
-	g.pending.reset()
-
 	// Equation 3: a hint set the round saw becomes r·p̂r + (1−r)·old; one
 	// it did not see decays by (1−r) and is dropped once negligible.
 	rr := g.cfg.R

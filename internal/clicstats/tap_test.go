@@ -61,7 +61,7 @@ func tapSerialRun(t *testing.T, cfg Config, ntaps int) {
 	}
 	p, g := newRefGlobal(pcfg), NewGlobal(cfg)
 	var round []WindowCounter
-	g.SetPublish(func(_ uint64, local []WindowCounter) { round = local })
+	g.publish = func(_ uint64, counters []WindowCounter) { round = counters }
 	taps := make([]*Learner, ntaps)
 	for i := range taps {
 		taps[i] = g.Tap()
@@ -182,11 +182,9 @@ func checkMergedBounds(t *testing.T, what string, merged, exact []HintStat, w, k
 // TestTapConcurrent is the -race stress of the tap protocol at a window of
 // 1000: every multiple of W must be seen by exactly one lease, every round
 // must publish once and in order, and no arrival may be lost or counted
-// twice (stressTaps). The hook also absorbs what it publishes back into the
-// learner, as a peer delivering at publish time would: Absorb inside a
-// publication must neither deadlock nor reach the published counters.
+// twice (stressTaps).
 func TestTapConcurrent(t *testing.T) {
-	g := stressTaps(t, 1000, 50000, true)
+	g := stressTaps(t, 1000, 50000)
 	if len(g.Priorities()) == 0 {
 		t.Error("no priorities learned from a re-referencing stream")
 	}
@@ -200,7 +198,7 @@ func TestTapConcurrent(t *testing.T) {
 func TestTapConcurrentTinyWindows(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, w := range []int{1, 3, 8} {
-		if g := stressTaps(t, w, 20000, false); g.LateHandins() == 0 {
+		if g := stressTaps(t, w, 20000); g.LateHandins() == 0 {
 			t.Errorf("W=%d: no rotation found a tap leased: the hand-off went untested", w)
 		}
 	}
@@ -216,26 +214,22 @@ func TestTapConcurrentTinyWindows(t *testing.T) {
 // and yielding mid-lease now and then, so that leases overlap even on one
 // CPU. It checks that rotations == total/W and that rounds publish as 1,
 // 2, … in order, and that the N in the published rounds plus the N still
-// in the taps (WindowStats) is the number of arrivals. With echo the
-// publish hook absorbs what it publishes, and every round must have been
-// absorbed. A tap that never returns trips the watchdog.
-func stressTaps(t *testing.T, w, perG int, echo bool) *Global {
+// in the taps (WindowStats) is the number of arrivals. A tap that never
+// returns trips the watchdog.
+func stressTaps(t *testing.T, w, perG int) *Global {
 	t.Helper()
 	const goroutines, tapsEach = 4, 2
 	g := NewGlobal(Config{Window: w, R: 0.5})
 	// Written by the hook, under the rotation lock.
 	var published, rounds uint64
-	g.SetPublish(func(round uint64, local []WindowCounter) {
+	g.publish = func(round uint64, counters []WindowCounter) {
 		if rounds++; round != rounds {
 			t.Errorf("W=%d: published round %d as round %d", w, round, rounds)
 		}
-		for _, wc := range local {
+		for _, wc := range counters {
 			published += wc.N
 		}
-		if echo {
-			g.Absorb(local)
-		}
-	})
+	}
 	var rotations atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -286,9 +280,6 @@ func stressTaps(t *testing.T, w, perG int, echo bool) *Global {
 	if int(rotations.Load()) != want || g.Windows() != want || rounds != uint64(want) {
 		t.Errorf("W=%d: %d rotations, %d windows, %d rounds published, want %d each", w, rotations.Load(), g.Windows(), rounds, want)
 	}
-	if echo && g.Absorbed() != uint64(want) {
-		t.Errorf("W=%d: absorbed %d rounds, want %d", w, g.Absorbed(), want)
-	}
 	held := uint64(0)
 	for _, hs := range g.WindowStats() {
 		held += hs.N
@@ -297,6 +288,13 @@ func stressTaps(t *testing.T, w, perG int, echo bool) *Global {
 		t.Errorf("W=%d: arrivals: %d published + %d still in the taps = %d, want %d", w, published, held, published+held, total)
 	}
 	return g
+}
+
+// endOne closes one request on tp under a lease of its own, the way
+// core.Sharded.Access drives a tap.
+func endOne(tp *Learner) bool {
+	tp.Begin(1)
+	return tp.EndRequest()
 }
 
 // TestTapLeaseMisuse pins the two ways to break a lease: EndRequest with

@@ -142,31 +142,26 @@ func startDirect(t *testing.T, cfg server.Config) *server.Server {
 	return srv
 }
 
-// TestReplaySerialDeterministic boots the same merging cluster twice and
-// replays the same trace serially through each: results — totals,
-// per-client accounting, merge-round and delivery counts — must be
-// identical, which is what lets the cluster ablation pin golden numbers.
+// TestReplaySerialDeterministic boots the same cluster twice and replays
+// the same trace serially through each: results — totals and each node's
+// rotation count — must be identical, which is what lets the cluster
+// ablation pin golden numbers.
 func TestReplaySerialDeterministic(t *testing.T) {
 	run := func() (got struct {
 		reads, hits uint64
-		delivered   uint64
-		rounds      [3]uint64
-		absorbed    [3]uint64
+		rounds      [3]int
 	}) {
 		h := startHarness(t, cluster.HarnessConfig{
-			Nodes:   3,
-			Cache:   core.Config{Capacity: 3000, Window: 3000},
-			Merging: true,
+			Nodes: 3,
+			Cache: core.Config{Capacity: 3000, Window: 3000},
 		})
 		res, err := h.ReplaySerial(testTrace)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got.reads, got.hits = res.Reads, res.ReadHits
-		got.delivered = h.Coordinator().Delivered()
 		for i := 0; i < 3; i++ {
-			cl := h.Server(i).Snapshot(0).Cluster
-			got.rounds[i], got.absorbed[i] = cl.MergeRounds, cl.SummariesAbsorbed
+			got.rounds[i] = h.Server(i).Cache().Global().Windows()
 		}
 		if want := "3×CLIC"; res.Policy != want {
 			t.Errorf("Policy = %q, want %q", res.Policy, want)
@@ -183,33 +178,18 @@ func TestReplaySerialDeterministic(t *testing.T) {
 	if a.hits == 0 {
 		t.Error("no hits at all")
 	}
-	if a.delivered == 0 {
-		t.Error("no summaries delivered; merging never happened")
-	}
 	for i, r := range a.rounds {
 		if r == 0 {
 			t.Errorf("node %d never rotated its window", i)
-		}
-		if a.absorbed[i] == 0 {
-			t.Errorf("node %d never absorbed a peer summary", i)
 		}
 	}
 }
 
 // TestClusterConcurrent replays an interleaved trace with more clients
-// than nodes through a merging cluster with ReplaySource — the -race
-// stress: concurrent routers fan batches to every node. It runs twice:
-// first with the coordinator holding summaries until one Step after the
-// replay, then delivering at publish time as the benchmark runs it, so
-// that one node's rotation absorbs into another while that one may be
-// rotating into the first. Only order-free quantities are asserted.
+// than nodes through a cluster with ReplaySource — the -race stress:
+// concurrent routers fan batches to every node. Only order-free
+// quantities are asserted.
 func TestClusterConcurrent(t *testing.T) {
-	for _, immediate := range []bool{false, true} {
-		clusterConcurrent(t, immediate)
-	}
-}
-
-func clusterConcurrent(t *testing.T, immediate bool) {
 	parts := make([]*trace.Trace, 5)
 	for i := range parts {
 		parts[i] = testTrace.Truncate(6000)
@@ -220,22 +200,17 @@ func clusterConcurrent(t *testing.T, immediate bool) {
 		t.Fatal(err)
 	}
 	h := startHarness(t, cluster.HarnessConfig{
-		Nodes:   3,
-		Cache:   core.Config{Capacity: 3000, Window: 3000},
-		Shards:  2,
-		Merging: true,
+		Nodes:  3,
+		Cache:  core.Config{Capacity: 3000, Window: 3000},
+		Shards: 2,
 	})
-	h.Coordinator().SetImmediate(immediate)
 	res, err := cluster.ReplaySource(h.Nodes(), merged.Source(), cluster.ReplayOptions{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !immediate {
-		h.Coordinator().Step()
-	}
 	for i := 0; i < 3; i++ {
-		if cl := h.Server(i).Snapshot(0).Cluster; cl.SummariesAbsorbed == 0 {
-			t.Errorf("immediate=%v: node %d absorbed no summaries (%+v)", immediate, i, cl)
+		if w := h.Server(i).Cache().Global().Windows(); w == 0 {
+			t.Errorf("node %d never rotated its window", i)
 		}
 	}
 	if res.Requests != uint64(len(merged.Reqs)) {
@@ -264,70 +239,5 @@ func clusterConcurrent(t *testing.T, immediate bool) {
 	}
 	if reads != res.Reads || hits != res.ReadHits {
 		t.Errorf("nodes account %d/%d reads/hits, clients %d/%d", reads, hits, res.Reads, res.ReadHits)
-	}
-}
-
-// TestCoordinator pins the exchanger's stepped and immediate semantics
-// against two directly-constructed servers.
-func TestCoordinator(t *testing.T) {
-	coord := cluster.NewCoordinator(2)
-	srvs := make([]*server.Server, 2)
-	for i := range srvs {
-		srvs[i] = server.New(server.Config{
-			Cache:     core.Config{Capacity: 100, Window: 100},
-			Shards:    1,
-			Node:      fmt.Sprintf("node%d", i),
-			OnSummary: coord.Publisher(i),
-		})
-		coord.Register(i, srvs[i])
-		defer srvs[i].Close()
-	}
-	sum := wire.Summary{Node: "node0", Round: 1, Entries: []wire.SummaryEntry{{Key: "k=1", N: 4, Nr: 2, Dsum: 8}}}
-
-	coord.Publisher(0)(sum)
-	if coord.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", coord.Pending())
-	}
-	if n := coord.Step(); n != 1 {
-		t.Fatalf("Step delivered %d, want 1", n)
-	}
-	if got := srvs[1].Snapshot(0).Cluster.SummariesAbsorbed; got != 1 {
-		t.Errorf("peer absorbed %d summaries, want 1", got)
-	}
-	if got := srvs[0].Snapshot(0).Cluster.SummariesAbsorbed; got != 0 {
-		t.Errorf("origin absorbed its own summary (%d)", got)
-	}
-
-	coord.SetImmediate(true)
-	coord.Publisher(1)(wire.Summary{Node: "node1", Round: 1})
-	if got := srvs[0].Snapshot(0).Cluster.SummariesAbsorbed; got != 1 {
-		t.Errorf("immediate mode: origin 1's summary not delivered (absorbed %d)", got)
-	}
-	if coord.Pending() != 0 {
-		t.Errorf("Pending = %d after immediate delivery", coord.Pending())
-	}
-	if coord.Delivered() != 2 {
-		t.Errorf("Delivered = %d, want 2", coord.Delivered())
-	}
-}
-
-// TestGossip ships a summary over real TCP into a server.
-func TestGossip(t *testing.T) {
-	srv := startDirect(t, server.Config{
-		Cache:  core.Config{Capacity: 100, Window: 100},
-		Shards: 1,
-	})
-	g := cluster.NewGossip([]string{srv.Addr().String()})
-	g.Publish(wire.Summary{Node: "peer", Round: 1, Entries: []wire.SummaryEntry{{Key: "k=1", N: 4, Nr: 2, Dsum: 8}}})
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Snapshot(0).Cluster.SummariesAbsorbed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("summary never arrived (published %d, dropped %d)", g.Published(), g.Dropped())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	g.Close()
-	if g.Published() != 1 || g.Dropped() != 0 {
-		t.Errorf("published %d dropped %d, want 1/0", g.Published(), g.Dropped())
 	}
 }

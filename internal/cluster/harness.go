@@ -20,34 +20,36 @@ type HarnessConfig struct {
 	// resources, not 3× the resources. The window splits because each
 	// node's learner counts only the requests routed to it: rotating every
 	// W/n of its own requests, a node rotates about once per W requests
-	// cluster-wide, and with merging a round's counters and its peers'
-	// cover about W requests, as a single node's window does. (core.Sharded
-	// splits no W: its shards feed one learner that counts the whole
-	// stream.)
+	// cluster-wide. (core.Sharded splits no W: its shards feed one learner
+	// that counts the whole stream.)
 	Cache core.Config
 	// Shards is the shard count per node; 0 selects 1 (cluster tests
 	// usually shard across nodes, not within them).
 	Shards int
-	// Merging wires the nodes' shared learners through a Coordinator, so
-	// window summaries flow between them. Without it nodes learn only
-	// from their own slice of the stream.
+	// Merging is read by nothing: every node learns from its own slice of
+	// the stream alone. It and Coordinator remain only so that the frozen
+	// benchmark (bench/layers.go), which sets it, still compiles; they go
+	// with the next declared benchmark revision.
 	Merging bool
 }
 
-// Harness is an in-process cluster: N cache servers on loopback listeners
-// plus, in merging mode, the coordinator exchanging their window
-// summaries. It exists so cluster behaviour — including the headline
-// single-vs-cluster ablation — runs inside ordinary go tests over real
-// TCP connections.
+// Coordinator is the inert type Harness.Coordinator returns; the nodes
+// exchange nothing.
+type Coordinator struct{}
+
+// SetImmediate does nothing.
+func (*Coordinator) SetImmediate(bool) {}
+
+// Harness is an in-process cluster: N cache servers on loopback listeners.
+// It exists so cluster behaviour — including the headline single-vs-cluster
+// ablation — runs inside ordinary go tests over real TCP connections.
 type Harness struct {
 	servers []*server.Server
 	nodes   []Node
-	coord   *Coordinator
 }
 
 // StartHarness boots the cluster: every node gets its split of the cache
-// configuration, a loopback listener, and (in merging mode) the
-// coordinator's publish hook.
+// configuration and a loopback listener.
 func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	n := cfg.Nodes
 	if n <= 0 {
@@ -65,9 +67,6 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 		servers: make([]*server.Server, n),
 		nodes:   make([]Node, n),
 	}
-	if cfg.Merging {
-		h.coord = NewCoordinator(n)
-	}
 	for i := 0; i < n; i++ {
 		sub := cfg.Cache
 		sub.Capacity = splitEven(cfg.Cache.Capacity, n, i)
@@ -84,24 +83,13 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 				sub.Noutq = core.NoOutqueue
 			}
 		}
-		scfg := server.Config{
-			Cache:  sub,
-			Shards: shards,
-			Node:   fmt.Sprintf("node%d", i),
-		}
-		if cfg.Merging {
-			scfg.OnSummary = h.coord.Publisher(i)
-		}
-		srv := server.New(scfg)
+		srv := server.New(server.Config{Cache: sub, Shards: shards})
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			h.Close()
 			return nil, fmt.Errorf("cluster: starting node %d: %w", i, err)
 		}
 		h.servers[i] = srv
-		h.nodes[i] = Node{Name: scfg.Node, Addr: srv.Addr().String()}
-		if cfg.Merging {
-			h.coord.Register(i, srv)
-		}
+		h.nodes[i] = Node{Name: fmt.Sprintf("node%d", i), Addr: srv.Addr().String()}
 	}
 	return h, nil
 }
@@ -123,8 +111,8 @@ func (h *Harness) Nodes() []Node { return h.nodes }
 // Server returns node i's server (stats, snapshots).
 func (h *Harness) Server(i int) *server.Server { return h.servers[i] }
 
-// Coordinator returns the summary exchanger (nil without Merging).
-func (h *Harness) Coordinator() *Coordinator { return h.coord }
+// Coordinator returns an empty Coordinator.
+func (h *Harness) Coordinator() *Coordinator { return new(Coordinator) }
 
 // Close shuts every node down.
 func (h *Harness) Close() error {
@@ -141,10 +129,9 @@ func (h *Harness) Close() error {
 }
 
 // ReplaySerial replays a trace through one router, one batch at a time in
-// trace order (a depth-1 pipeline drained after every batch), exchanging
-// summaries between batches. Single driver, no concurrent producers,
-// canonical exchange order: the result is fully deterministic — the mode
-// the golden tests and the cluster ablation run in. Per-client accounting
+// trace order (a depth-1 pipeline drained after every batch). Single
+// driver, no concurrent producers: the result is fully deterministic — the
+// mode the golden tests and the cluster ablation run in. Per-client accounting
 // is derived from the request tags, exactly like sim.Run's round-robin
 // replay.
 func (h *Harness) ReplaySerial(t *trace.Trace) (sim.Result, error) {
@@ -188,9 +175,6 @@ func (h *Harness) ReplaySerial(t *trace.Trace) (sim.Result, error) {
 		}
 		if err := pl.Drain(); err != nil {
 			return sim.Result{}, err
-		}
-		if h.coord != nil {
-			h.coord.Step()
 		}
 	}
 	return res, nil

@@ -45,12 +45,11 @@
 // heap whenever the learner publishes a new priority table (tracked by the
 // learner's epoch). The learner is always a tap on a clicstats.Global:
 // every shard of a Sharded front has a tap on the front's one shared
-// Global, which learns over the full window W from the cache-wide stream
-// (on a cluster node the same Global also exchanges window summaries with
-// its peers), and a plain Cache has the only tap on a Global of its own. A
-// tap counts in its own window and reads its own copy of the priority
-// table; the Global sums the taps' windows once per W requests and takes
-// no lock per request or per frame.
+// Global, which learns over the full window W from the cache-wide stream,
+// and a plain Cache has the only tap on a Global of its own. A tap counts
+// in its own window and reads its own copy of the priority table; the
+// Global sums the taps' windows once per W requests and takes no lock per
+// request or per frame.
 //
 // A Sharded front owns no goroutine and holds each shard through a
 // try-lock: a Producer's batches run as per-shard frames on whichever

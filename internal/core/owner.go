@@ -173,11 +173,6 @@ type Producer struct {
 	frames []*frame
 	wg     sync.WaitGroup
 
-	// ident is 0, 1, 2, … as far as any batch has needed it: the scatter map
-	// of AccessBatch's one-shard path, where a request's position in the
-	// frame is its position in the batch.
-	ident []int32
-
 	// posted counts the frames this handle has posted, foreign those of them
 	// that another goroutine ran. Plain words of the handle's own
 	// goroutine: counting combining costs no shared write.
@@ -260,17 +255,6 @@ func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) {
 
 // accessBatch runs a piece of a batch that no window boundary cuts.
 func (p *Producer) accessBatch(reqs []trace.Request, hits []bool) {
-	if len(p.frames) == 1 {
-		// One shard: skip the routing pass, the whole batch is one frame.
-		for i := len(p.ident); i < len(reqs); i++ {
-			p.ident = append(p.ident, int32(i))
-		}
-		f := p.frames[0]
-		f.reqs, f.idx = reqs, p.ident[:len(reqs)]
-		p.run(hits)
-		f.reqs, f.idx, f.hits = nil, nil, nil
-		return
-	}
 	for i := range reqs {
 		f := p.frames[p.s.ShardFor(reqs[i].Page)]
 		f.reqs = append(f.reqs, reqs[i])

@@ -13,89 +13,79 @@ import (
 // clusterNodes is the cluster size of the distributed-CLIC ablation.
 const clusterNodes = 3
 
-// clusterTrace drives the cluster ablation: the TPC-C workload with the
-// most second-tier locality, so fragmenting the hint statistics shows up
-// clearly.
-const clusterTrace = "DB2_C60"
+// clusterTraces drive the cluster ablation: one trace per workload family
+// and the TPC-C trace with the largest client buffer, where fragmenting
+// the hint statistics moved the hit ratio most.
+var clusterTraces = []string{"DB2_C60", "DB2_C300", "DB2_H80", "MY_H65"}
 
 // ablationCluster measures what distributing CLIC across clusterNodes
-// cache nodes costs, and how much cross-node merged learning buys back.
-// Three configurations replay the same trace with the same TOTAL
-// resources (capacity, outqueue and statistics window all split across the
-// nodes):
+// cache nodes costs, one table per trace. Two configurations replay the
+// same trace with the same TOTAL resources (capacity, outqueue and
+// statistics window all split across the nodes):
 //
-//   - single: one node — the baseline every distributed run is judged
+//   - single: one node, the baseline every distributed run is judged
 //     against;
-//   - cluster unmerged: consistent-hash placement over clusterNodes nodes,
-//     each learning hint priorities only from its own ~1/N slice of the
-//     stream;
-//   - cluster merged: the same placement, but nodes exchange window
-//     summaries and fold them into their rotations, so each node's
-//     priorities approximate cluster-wide learning.
+//   - cluster: consistent-hash placement over clusterNodes nodes, each
+//     learning hint priorities only from its own ~1/N slice of the stream.
 //
 // Every replay goes through the real router over loopback TCP in the
-// deterministic serial mode, so the numbers are golden-testable. The gap
-// notes report aggregate hit-ratio differences versus the single node in
-// percentage points: merging should hold the cluster within a point of
-// the single node while unmerged learning falls further behind.
+// deterministic serial mode, so the numbers are golden-testable. The
+// totals note sums both sizes; its gap is the single node's hit ratio
+// minus the cluster's, in percentage points.
 func (e *Env) ablationCluster() ([]*report.Table, error) {
-	t, err := e.Trace(clusterTrace)
-	if err != nil {
-		return nil, err
+	var out []*report.Table
+	for _, name := range clusterTraces {
+		tbl, err := e.clusterTable(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tbl)
 	}
-	sizes, err := e.ServerSizes(clusterTrace)
-	if err != nil {
-		return nil, err
-	}
-	// Ends of the sweep: the small cache stresses victim selection, the
-	// large one admission.
-	sizes = []int{sizes[0], sizes[len(sizes)-1]}
+	return out, nil
+}
 
+// clusterTable is one trace's table of the cluster ablation, at the ends
+// of its size sweep: the small cache stresses victim selection, the large
+// one admission.
+func (e *Env) clusterTable(name string) (*report.Table, error) {
+	t, err := e.Trace(name)
+	if err != nil {
+		return nil, err
+	}
+	sizes, err := e.ServerSizes(name)
+	if err != nil {
+		return nil, err
+	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Ablation — single node vs %d-node cluster, %s", clusterNodes, clusterTrace),
-		"cache (pages)", "single hit ratio", "cluster unmerged", "cluster merged")
-
-	type mode struct {
-		nodes   int
-		merging bool
-	}
-	modes := []mode{{1, false}, {clusterNodes, false}, {clusterNodes, true}}
-	totals := make([]sim.Result, len(modes))
-	for _, size := range sizes {
+		fmt.Sprintf("Ablation — single node vs %d-node cluster, %s", clusterNodes, name),
+		"cache (pages)", "single hit ratio", "cluster hit ratio")
+	var totals [2]sim.Result
+	for _, size := range []int{sizes[0], sizes[len(sizes)-1]} {
 		row := []string{report.Num(size)}
-		for mi, m := range modes {
+		for i, nodes := range []int{1, clusterNodes} {
 			cfg := e.clicConfig()
 			cfg.Capacity = sim.ClicCapacity(size)
-			res, err := e.runCluster(t, cfg, m.nodes, m.merging)
+			res, err := e.runCluster(t, cfg, nodes)
 			if err != nil {
 				return nil, err
 			}
-			totals[mi].Reads += res.Reads
-			totals[mi].ReadHits += res.ReadHits
+			totals[i].Reads += res.Reads
+			totals[i].ReadHits += res.ReadHits
 			row = append(row, report.Pct(res.HitRatio()))
 		}
 		tbl.AddRow(row...)
 	}
 	tbl.AddNote("same total capacity/outqueue/window in every column, split across nodes by consistent-hash placement; serial replay through the router over loopback TCP")
-	// Machine-greppable totals and gaps: TestAblationCluster pins the
-	// totals and asserts the merged cluster stays within a point of the
-	// single node.
-	tbl.AddNote("smoke totals: cluster_single_hits=%d cluster_unmerged_hits=%d cluster_merged_hits=%d",
-		totals[0].ReadHits, totals[1].ReadHits, totals[2].ReadHits)
-	tbl.AddNote("gaps vs single node: unmerged_gap_pts=%.2f merged_gap_pts=%.2f",
-		100*(totals[0].HitRatio()-totals[1].HitRatio()),
-		100*(totals[0].HitRatio()-totals[2].HitRatio()))
-	return []*report.Table{tbl}, nil
+	// Machine-greppable: TestAblationCluster pins these totals.
+	tbl.AddNote("totals: single_hits=%d cluster_hits=%d gap_pts=%.2f",
+		totals[0].ReadHits, totals[1].ReadHits, 100*(totals[0].HitRatio()-totals[1].HitRatio()))
+	return tbl, nil
 }
 
 // runCluster boots an in-process cluster and replays the trace through it
 // deterministically.
-func (e *Env) runCluster(t *trace.Trace, cfg core.Config, nodes int, merging bool) (sim.Result, error) {
-	h, err := cluster.StartHarness(cluster.HarnessConfig{
-		Nodes:   nodes,
-		Cache:   cfg,
-		Merging: merging,
-	})
+func (e *Env) runCluster(t *trace.Trace, cfg core.Config, nodes int) (sim.Result, error) {
+	h, err := cluster.StartHarness(cluster.HarnessConfig{Nodes: nodes, Cache: cfg})
 	if err != nil {
 		return sim.Result{}, err
 	}

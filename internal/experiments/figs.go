@@ -48,7 +48,7 @@ var Figures = []Figure{
 	{"10", tpccTraces, (*Env).fig10},
 	{"11", tpccTraces, (*Env).fig11},
 	{"ablations", []string{ablationTrace}, (*Env).ablations},
-	{"cluster", []string{clusterTrace}, (*Env).ablationCluster},
+	{"cluster", clusterTraces, (*Env).ablationCluster},
 	{"extension", tpccTraces, (*Env).extensionGeneralize},
 	{"zoo", []string{ablationTrace}, (*Env).policyZoo},
 }

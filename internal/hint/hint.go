@@ -155,11 +155,8 @@ func (d *Dict) InternKey(key string) ID {
 }
 
 // Lookup returns the ID for the set if it is already interned.
-func (d *Dict) Lookup(s Set) (ID, bool) { return d.LookupKey(s.Key()) }
-
-// LookupKey is Lookup for an already-encoded canonical key.
-func (d *Dict) LookupKey(key string) (ID, bool) {
-	id, ok := d.byKey[key]
+func (d *Dict) Lookup(s Set) (ID, bool) {
+	id, ok := d.byKey[s.Key()]
 	return id, ok
 }
 

@@ -534,7 +534,7 @@ func (c rawConn) refused() string {
 // peers: an older client is refused with an Error frame naming both
 // versions and never acked; a newer one is acked at the server's version
 // with a usable window; a batch before Hello and a retired type-4 Batch
-// after it are each refused cleanly.
+// or type-7 Summary after it are each refused cleanly.
 func TestHelloVersionMismatch(t *testing.T) {
 	srv := startServer(t, server.Config{Cache: core.Config{Capacity: 100}, Shards: 2})
 	addr := srv.Addr().String()
@@ -564,6 +564,17 @@ func TestHelloVersionMismatch(t *testing.T) {
 	future.send(append([]byte{4}, batch[2:]...))
 	if msg := future.refused(); !strings.Contains(msg, "unexpected frame type 4") {
 		t.Errorf("type-4 frame answered with %q", msg)
+	}
+	// Type 7 was the Summary cluster nodes exchanged; the byte stays
+	// reserved too.
+	peer := dialRaw(t, addr)
+	peer.send(wire.AppendHello(nil, wire.Hello{Version: wire.Version, Client: "peer"}))
+	if _, err := wire.DecodeHelloAck(peer.recv()); err != nil {
+		t.Fatalf("reply to a Hello is not an ack: %v", err)
+	}
+	peer.send([]byte{7, 2, 'n', '0', 1, 0})
+	if msg := peer.refused(); !strings.Contains(msg, "unexpected frame type 7") {
+		t.Errorf("type-7 frame answered with %q", msg)
 	}
 
 	eager := dialRaw(t, addr)

@@ -162,17 +162,6 @@ func (c *Conn) Announce(keys []string) error {
 	return nil
 }
 
-// SendSummary ships one merged-learning window summary to the peer — the
-// node-to-node exchange of internal/cluster's gossip path. The peer sends
-// no reply.
-func (c *Conn) SendSummary(s wire.Summary) error {
-	c.enc = wire.AppendSummary(c.enc[:0], s)
-	if err := wire.WriteFrame(c.bw, c.enc); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
 // PipelineHandler consumes one completed pipelined batch: tag is the
 // value given to Submit, isRead flags the positions that were reads (in
 // batch order), res carries the server's verdicts (valid only during the

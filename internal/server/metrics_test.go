@@ -208,17 +208,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("netclient series missing or zero for an in-process replay")
 	}
 
-	// Learner family, beside the cluster series, and read without
-	// allocating.
+	// Learner family, read without allocating.
 	g := srv.Cache().Global()
 	if v, ok := samples["clic_learner_late_handins_total"]; !ok || v != float64(g.LateHandins()) {
 		t.Errorf("clic_learner_late_handins_total = %v (present %v), learner says %d", v, ok, g.LateHandins())
 	}
-	if samples["clic_cluster_merge_rounds_total"] == 0 {
-		t.Error("clic_cluster_merge_rounds_total missing or zero")
-	}
 	if n := testing.AllocsPerRun(100, func() {
-		_ = g.LateHandins() + g.Absorbed() + uint64(g.Windows()+g.PendingHintSets()+g.TrackedHintSets())
+		_ = g.LateHandins() + uint64(g.Windows()+g.TrackedHintSets())
 	}); n != 0 {
 		t.Errorf("the learner's scrape-time reads allocate %v allocs per scrape, want 0", n)
 	}
@@ -276,7 +272,7 @@ func TestSnapshotSchema(t *testing.T) {
 	}
 
 	check("top-level", mustMarshal(t, doc), []string{
-		"policy", "core", "shards", "connections", "histograms", "combining", "clients", "windowStats", "cluster",
+		"policy", "core", "shards", "connections", "histograms", "combining", "clients", "windowStats",
 	})
 	check("core", doc["core"], []string{
 		"Requests", "Reads", "ReadHits", "ReadMisses", "Writes", "Evictions",
@@ -291,9 +287,6 @@ func TestSnapshotSchema(t *testing.T) {
 	}
 	check("shards[0]", shardsArr[0], []string{
 		"reads", "read_hits", "writes", "evictions", "len", "outqueue_len",
-	})
-	check("cluster", doc["cluster"], []string{
-		"node", "mergeRounds", "summariesAbsorbed", "summariesPublished", "pendingHintSets",
 	})
 	check("connections", doc["connections"], []string{"active", "total", "inflight"})
 	check("histograms", doc["histograms"], []string{"batchServiceNs", "batchRequests", "batches"})

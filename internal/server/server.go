@@ -39,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clicstats"
 	"repro/internal/core"
 	"repro/internal/hint"
 	"repro/internal/metrics"
@@ -56,11 +55,11 @@ type Config struct {
 	// one try-lock), it just serializes them.
 	Shards int
 	// MaxHintKeys bounds how many hint keys one connection may bring to the
-	// server: the keys its Hello and Intern frames announce plus those its
-	// Summary frames add to the dictionary; 0 selects DefaultMaxHintKeys.
-	// The server dictionary interns keys permanently, so this is the lever
-	// that keeps a misbehaving client or peer from growing server memory
-	// without bound. The paper's workloads carry tens of distinct hint sets.
+	// server: the keys its Hello and Intern frames announce; 0 selects
+	// DefaultMaxHintKeys. The server dictionary interns keys permanently, so
+	// this is the lever that keeps a misbehaving client from growing server
+	// memory without bound. The paper's workloads carry tens of distinct
+	// hint sets.
 	MaxHintKeys int
 	// MaxInflight bounds how many pipelined batches one connection may
 	// keep in flight (decoded but not yet answered); 0 selects
@@ -68,14 +67,6 @@ type Config struct {
 	// When the window is full the connection's reader stops reading, so
 	// backpressure propagates to the client through TCP.
 	MaxInflight int
-	// Node names this server in the window summaries it publishes to
-	// cluster peers (wire.Summary.Node); empty selects "node".
-	Node string
-	// OnSummary, when non-nil, receives each closed window's summary — the cluster exchanger's publication hook
-	// (internal/cluster delivers it to peers in-process or over TCP). It
-	// runs inside the learner's rotation, so it must return quickly and
-	// must not call back into this server's cache.
-	OnSummary func(wire.Summary)
 }
 
 // DefaultMaxHintKeys is the per-connection hint-vocabulary bound when
@@ -104,8 +95,6 @@ type Server struct {
 	cache       *core.Sharded
 	maxHintKeys int
 	maxInflight int
-	node        string
-	onSummary   func(wire.Summary)
 
 	ln      net.Listener
 	adminLn net.Listener
@@ -139,11 +128,6 @@ type Server struct {
 	frames        metrics.Counter
 	framesForeign metrics.Counter
 
-	// summariesPublished counts windows published to the cluster exchanger
-	// (with OnSummary wired; the absorbed side lives on the shared
-	// learner).
-	summariesPublished metrics.Counter
-
 	wg sync.WaitGroup
 }
 
@@ -161,84 +145,16 @@ func New(cfg Config) *Server {
 	if maxInflight <= 0 {
 		maxInflight = DefaultMaxInflight
 	}
-	node := cfg.Node
-	if node == "" {
-		node = "node"
-	}
 	s := &Server{
 		cache:       core.NewSharded(cfg.Cache, shards),
 		maxHintKeys: maxKeys,
 		maxInflight: maxInflight,
-		node:        node,
-		onSummary:   cfg.OnSummary,
 		dict:        hint.NewDict(),
 		clients:     make(map[string]*clientTotals),
 		conns:       make(map[net.Conn]struct{}),
 	}
-	if s.onSummary != nil {
-		s.cache.Global().SetPublish(s.publishSummary)
-	}
 	s.buildRegistry()
 	return s
-}
-
-// Node returns the server's cluster node name.
-func (s *Server) Node() string { return s.node }
-
-// publishSummary is the shared learner's publication hook: it resolves the
-// window's local hint IDs back to canonical keys (IDs are per-node
-// interning orders, meaningless to peers), orders the entries
-// deterministically, and hands the frame-ready summary to the exchanger.
-// It runs inside a window rotation; the dictionary lock is the only one it
-// takes.
-func (s *Server) publishSummary(round uint64, local []clicstats.WindowCounter) {
-	sum := wire.Summary{Node: s.node, Round: round, Entries: make([]wire.SummaryEntry, 0, len(local))}
-	s.mu.Lock()
-	for _, wc := range local {
-		sum.Entries = append(sum.Entries, wire.SummaryEntry{Key: s.dict.Key(wc.Hint), N: wc.N, Nr: wc.Nr, Dsum: wc.Dsum})
-	}
-	s.mu.Unlock()
-	sort.Slice(sum.Entries, func(i, j int) bool { return sum.Entries[i].Key < sum.Entries[j].Key })
-	s.summariesPublished.Inc()
-	s.onSummary(sum)
-}
-
-// AbsorbSummary folds one peer node's window summary into this server's
-// shared learner: entry keys are interned into the local dictionary and
-// the counters wait in the learner's pending pool until the next rotation.
-// It errors, absorbing nothing, when the summary would add more than
-// MaxHintKeys keys to the dictionary. Summaries that arrive on a connection share that
-// connection's bound instead.
-func (s *Server) AbsorbSummary(sum wire.Summary) error {
-	_, err := s.absorbSummary(sum, s.maxHintKeys)
-	return err
-}
-
-// absorbSummary is AbsorbSummary for a summary that may add at most room
-// keys to the dictionary; it reports how many it added. The check comes
-// before any key is interned, and counts a key repeated within the summary
-// once per entry.
-func (s *Server) absorbSummary(sum wire.Summary, room int) (added int, err error) {
-	counters := make([]clicstats.WindowCounter, len(sum.Entries))
-	s.mu.Lock()
-	fresh := 0
-	for _, e := range sum.Entries {
-		if _, ok := s.dict.LookupKey(e.Key); !ok {
-			fresh++
-		}
-	}
-	if fresh > room {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("server: summary adds %d hint keys, over the %d left of limit %d", fresh, room, s.maxHintKeys)
-	}
-	before := s.dict.Len()
-	for i, e := range sum.Entries {
-		counters[i] = clicstats.WindowCounter{Hint: s.dict.InternKey(e.Key), N: e.N, Nr: e.Nr, Dsum: e.Dsum}
-	}
-	added = s.dict.Len() - before
-	s.mu.Unlock()
-	s.cache.Global().Absorb(counters)
-	return added, nil
 }
 
 // Cache exposes the backing sharded front (read-mostly use: stats, tests).
@@ -493,10 +409,6 @@ func (s *Server) handle(conn net.Conn) {
 	defer prod.Close()
 	var reqs []trace.Request
 	var framesSeen, foreignSeen uint64 // prod.Frames() as last folded into the server's counters
-	// summaryKeys counts the keys this connection's summaries added to the
-	// dictionary: with len(remap) it is what the connection has charged
-	// against maxHintKeys.
-	summaryKeys := 0
 
 	results := make(chan *resultSlot, s.maxInflight)
 	free := make(chan *resultSlot, s.maxInflight)
@@ -539,7 +451,7 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err.Error())
 				return
 			}
-			if n := len(remap) + summaryKeys + len(keys); n > s.maxHintKeys {
+			if n := len(remap) + len(keys); n > s.maxHintKeys {
 				fail(fmt.Sprintf("hint vocabulary %d exceeds limit %d", n, s.maxHintKeys))
 				return
 			}
@@ -592,18 +504,6 @@ func (s *Server) handle(conn net.Conn) {
 			slot.outq = s.cache.OutqueueLen()
 			s.inflight.Add(1)
 			results <- slot
-		case wire.TypeSummary:
-			sum, err := wire.DecodeSummary(payload)
-			if err != nil {
-				fail(err.Error())
-				return
-			}
-			added, err := s.absorbSummary(sum, s.maxHintKeys-len(remap)-summaryKeys)
-			if err != nil {
-				fail(err.Error())
-				return
-			}
-			summaryKeys += added
 		default:
 			fail(fmt.Sprintf("unexpected frame type %d", t))
 			return
@@ -694,7 +594,7 @@ type WindowStatSnapshot struct {
 
 // Snapshot is the admin view of a running server. WindowStats is the
 // current window of the front's shared learner, summed over the shards
-// not mid-frame, and Cluster is that learner's exchange with its peers.
+// not mid-frame.
 type Snapshot struct {
 	Policy string     `json:"policy"`
 	Core   core.Stats `json:"core"`
@@ -709,20 +609,6 @@ type Snapshot struct {
 	Combining   CombiningSnapshot    `json:"combining"`
 	Clients     []ClientSnapshot     `json:"clients"`
 	WindowStats []WindowStatSnapshot `json:"windowStats,omitempty"`
-	// Cluster is the cluster-learning accounting.
-	Cluster ClusterSnapshot `json:"cluster"`
-}
-
-// ClusterSnapshot is the cluster-learning view of one node: how many
-// windows its shared learner has rotated (merge rounds), how many peer
-// summaries it has folded in, how many it has published, and how many hint
-// sets wait in the pending pool for the next rotation.
-type ClusterSnapshot struct {
-	Node               string `json:"node"`
-	MergeRounds        uint64 `json:"mergeRounds"`
-	SummariesAbsorbed  uint64 `json:"summariesAbsorbed"`
-	SummariesPublished uint64 `json:"summariesPublished"`
-	PendingHintSets    int    `json:"pendingHintSets"`
 }
 
 // CombiningSnapshot counts the per-shard frames connections have posted
@@ -773,14 +659,6 @@ func (s *Server) Snapshot(topHints int) Snapshot {
 		},
 		// Foreign first: frames only ever runs ahead of it.
 		Combining: CombiningSnapshot{Foreign: s.framesForeign.Value(), Frames: s.frames.Value()},
-	}
-	g := s.cache.Global()
-	snap.Cluster = ClusterSnapshot{
-		Node:               s.node,
-		MergeRounds:        uint64(g.Windows()),
-		SummariesAbsorbed:  g.Absorbed(),
-		SummariesPublished: s.summariesPublished.Value(),
-		PendingHintSets:    g.PendingHintSets(),
 	}
 	snap.Shards = make([]core.ShardStats, s.cache.Shards())
 	for i := range snap.Shards {

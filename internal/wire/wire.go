@@ -25,23 +25,13 @@
 //	                          hit bitmap of ceil(count/8) bytes (LSB first)
 //	Error    (server→client)  message — sent before the server closes a
 //	                          misbehaving connection
-//	Summary  (node→node)      origin node name, merge round, entry count,
-//	                          then per entry: canonical hint.Set key,
-//	                          window counters N and Nr (uvarints) and the
-//	                          distance sum D as 8 fixed little-endian
-//	                          bytes (IEEE 754 bits) — one node's rotated
-//	                          hint-statistics window, the exchange
-//	                          currency of cluster-wide merged learning
-//	                          (internal/cluster)
 //
 // The client ID is implicit: one connection is one client. Page numbers are
 // delta-encoded within each batch because clients issue runs of sequential
 // pages (scans, prefetch), exactly as in the binary trace file format. The
 // outqueue depth in ResultsSeq is the server's CLIC outqueue fill level — a
 // hint back to clients about how much uncached-page history the server is
-// retaining. Hint-set keys travel as canonical strings in Summary frames
-// because hint IDs are per-node interning orders and mean nothing across
-// processes.
+// retaining.
 //
 // # Versions and pipelining
 //
@@ -55,8 +45,10 @@
 // server answers each with a ResultsSeq carrying the same number, always in
 // ascending order (TCP preserves it; a client seeing an unexpected number
 // must treat the connection as broken). Lock-step is a window of one.
-// Frame types 4 and 5 were the untagged Batch/Results of versions 1–2; the
-// numbers stay reserved and are refused like any unknown type.
+// Frame types 4 and 5 were the untagged Batch/Results of versions 1–2, and
+// 7 was the Summary that cluster nodes once exchanged their statistics
+// windows in; the numbers stay reserved and are refused like any unknown
+// type.
 //
 // # Flushing
 //
@@ -76,10 +68,10 @@
 //     produced last before blocking on the client finds the queue empty
 //     behind it, so results never wait on a frame that has yet to arrive —
 //     not behind a partial frame, nor behind one that answers nothing
-//     (Intern, Summary). Sooner than that the queue is empty only if a
-//     processor was free to run the writer while the reader was busy in the
-//     cache: results leave early when that is free and in window-sized
-//     bursts when the machine is saturated. Error frames flush at once.
+//     (Intern). Sooner than that the queue is empty only if a processor
+//     was free to run the writer while the reader was busy in the cache:
+//     results leave early when that is free and in window-sized bursts
+//     when the machine is saturated. Error frames flush at once.
 //
 // It cannot deadlock: each side blocks only in a read it has flushed for,
 // in a write (the peer is then reading, or itself in a write that the
@@ -104,7 +96,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -172,13 +163,12 @@ const MaxFrame = 1 << 24
 // do not choose their own batching.
 const DefaultBatch = 512
 
-// Frame types (the first payload byte). 4 and 5 are reserved.
+// Frame types (the first payload byte). 4, 5 and 7 are reserved.
 const (
 	TypeHello      byte = 1
 	TypeHelloAck   byte = 2
 	TypeIntern     byte = 3
 	TypeError      byte = 6
-	TypeSummary    byte = 7
 	TypeBatchSeq   byte = 8
 	TypeResultsSeq byte = 9
 )
@@ -199,29 +189,6 @@ type HelloAck struct {
 	// Window is the largest number of batches the server lets one
 	// connection keep in flight.
 	Window int
-}
-
-// Summary carries one node's rotated hint-statistics window: the raw
-// counters behind its top-k tracked hint sets, keyed by canonical hint.Set
-// key so peers can intern them into their own dictionaries. Peers fold the
-// counters into their next window rotation (clicstats.Global.Absorb), which is
-// how a cluster keeps one CLIC model without sharing memory.
-type Summary struct {
-	// Node names the origin so receivers can attribute merge traffic.
-	Node string
-	// Round is the origin's rotation count when the window closed.
-	Round   uint64
-	Entries []SummaryEntry
-}
-
-// SummaryEntry is one hint set's window counters: N arrivals, Nr
-// re-references, and the summed re-reference distance Dsum (the raw inputs
-// of CLIC's Pr(H) estimate, pre-division so receivers can keep summing).
-type SummaryEntry struct {
-	Key  string
-	N    uint64
-	Nr   uint64
-	Dsum float64
 }
 
 // Results carries the per-request outcomes of one BatchSeq.
@@ -392,15 +359,6 @@ func (d *decoder) byte() (byte, error) {
 	b := d.p[d.off]
 	d.off++
 	return b, nil
-}
-
-func (d *decoder) float64() (float64, error) {
-	if len(d.p)-d.off < 8 {
-		return 0, fmt.Errorf("wire: truncated float64 at offset %d", d.off)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.p[d.off:]))
-	d.off += 8
-	return v, nil
 }
 
 func (d *decoder) string() (string, error) {
@@ -866,62 +824,6 @@ func DecodeResultsSeq(p []byte, dst Results) (uint64, Results, error) {
 	expandBitmap(dst.Hits, bits)
 	dst.OutqueueDepth = int(depth)
 	return seq, dst, nil
-}
-
-// AppendSummary encodes a Summary payload.
-func AppendSummary(dst []byte, s Summary) []byte {
-	dst = append(dst, TypeSummary)
-	dst = appendString(dst, s.Node)
-	dst = binary.AppendUvarint(dst, s.Round)
-	dst = binary.AppendUvarint(dst, uint64(len(s.Entries)))
-	for _, e := range s.Entries {
-		dst = appendString(dst, e.Key)
-		dst = binary.AppendUvarint(dst, e.N)
-		dst = binary.AppendUvarint(dst, e.Nr)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Dsum))
-	}
-	return dst
-}
-
-// DecodeSummary decodes a Summary payload.
-func DecodeSummary(p []byte) (Summary, error) {
-	d, err := expect(p, TypeSummary)
-	if err != nil {
-		return Summary{}, err
-	}
-	var s Summary
-	if s.Node, err = d.string(); err != nil {
-		return Summary{}, err
-	}
-	if s.Round, err = d.uvarint(); err != nil {
-		return Summary{}, err
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return Summary{}, err
-	}
-	// An entry is at least 11 bytes (key length + N + Nr + fixed Dsum).
-	if n > uint64(len(p)-d.off)/11+1 {
-		return Summary{}, fmt.Errorf("wire: summary of %d entries overruns frame", n)
-	}
-	s.Entries = make([]SummaryEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e SummaryEntry
-		if e.Key, err = d.string(); err != nil {
-			return Summary{}, err
-		}
-		if e.N, err = d.uvarint(); err != nil {
-			return Summary{}, err
-		}
-		if e.Nr, err = d.uvarint(); err != nil {
-			return Summary{}, err
-		}
-		if e.Dsum, err = d.float64(); err != nil {
-			return Summary{}, err
-		}
-		s.Entries = append(s.Entries, e)
-	}
-	return s, d.done()
 }
 
 // AppendError encodes an Error payload.
