@@ -55,6 +55,9 @@ func main() {
 	if !(*scale > 0 && *scale <= maxScale) {
 		fatal(fmt.Errorf("-scale %v: must be in (0, %d]", *scale, maxScale))
 	}
+	if *workers < 0 {
+		fatal(fmt.Errorf("-workers %d: must not be negative (0 = all cores)", *workers))
+	}
 	if err := cli.Check(core.Config{Window: *window, R: *decay}); err != nil {
 		fatal(err)
 	}

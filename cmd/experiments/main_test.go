@@ -38,10 +38,10 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 // TestBadFlags: a -scale that is not a positive number no larger than
-// maxScale, or a -fig that names no figure, is one line on stderr that
-// names the flag, and exit status 1 — not a run at full scale, a run at
-// the 10,000-request floor after the request count overflowed, or a run of
-// nothing.
+// maxScale, a negative -workers, or a -fig that names no figure, is one
+// line on stderr that names the flag, and exit status 1 — not a run at
+// full scale, a run at the 10,000-request floor after the request count
+// overflowed, a run on every core, or a run of nothing.
 func TestBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -52,6 +52,7 @@ func TestBadFlags(t *testing.T) {
 		{[]string{"-scale", "NaN"}, "experiments: -scale NaN: must be in (0, 1000]\n"},
 		{[]string{"-scale", "Inf"}, "experiments: -scale +Inf: must be in (0, 1000]\n"},
 		{[]string{"-scale", "1e30"}, "experiments: -scale 1e+30: must be in (0, 1000]\n"},
+		{[]string{"-workers", "-2"}, "experiments: -workers -2: must not be negative (0 = all cores)\n"},
 		{[]string{"-fig", "nosuchfigure"}, "experiments: -fig: unknown figure \"nosuchfigure\" (valid: " + ids(experiments.Figures) + ")\n"},
 	} {
 		stdout, stderr, code := run(t, tc.args...)

@@ -44,6 +44,9 @@ func main() {
 		verifyF  = flag.Bool("verify", false, "re-scan each written file and check its integrity")
 	)
 	flag.Parse()
+	if *workers < 0 {
+		fatal(fmt.Errorf("-workers %d: must not be negative (0 = all cores)", *workers))
+	}
 
 	specs := []string{*spec}
 	if *spec == "" {

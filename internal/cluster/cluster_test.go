@@ -142,20 +142,23 @@ func startDirect(t *testing.T, cfg server.Config) *server.Server {
 	return srv
 }
 
-// TestReplaySerialDeterministic boots the same cluster twice and replays
-// the same trace serially through each: results — totals and each node's
-// rotation count — must be identical, which is what lets the cluster
-// ablation pin golden numbers.
-func TestReplaySerialDeterministic(t *testing.T) {
-	run := func() (got struct {
+// TestReplaySourceDeterministic boots the same cluster twice for each of
+// three replay shapes — lock-step, the default pipeline, and 512-request
+// router batches — and replays one single-client trace through it: totals
+// and each node's rotation count must be identical across all six, which
+// is what lets the cluster ablation pin golden numbers. Nodes share no
+// state, so each sees its sub-stream in trace order at any depth.
+func TestReplaySourceDeterministic(t *testing.T) {
+	type outcome struct {
 		reads, hits uint64
 		rounds      [3]int
-	}) {
+	}
+	run := func(opt cluster.ReplayOptions) (got outcome) {
 		h := startHarness(t, cluster.HarnessConfig{
 			Nodes: 3,
 			Cache: core.Config{Capacity: 3000, Window: 3000},
 		})
-		res, err := h.ReplaySerial(testTrace)
+		res, err := cluster.ReplaySource(h.Nodes(), testTrace.Source(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,14 +174,24 @@ func TestReplaySerialDeterministic(t *testing.T) {
 		}
 		return got
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Errorf("serial cluster replay not deterministic:\n  first  %+v\n  second %+v", a, b)
+	if len(testTrace.Clients) != 1 {
+		t.Fatalf("test trace has %d clients, want 1", len(testTrace.Clients))
 	}
-	if a.hits == 0 {
+	var want outcome
+	for boot := 0; boot < 2; boot++ {
+		for _, opt := range []cluster.ReplayOptions{{Depth: 1}, {}, {BatchSize: 512}} {
+			got := run(opt)
+			if boot == 0 && opt.Depth == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("boot %d, replay %+v: %+v, want %+v as lock-step on the first boot", boot, opt, got, want)
+			}
+		}
+	}
+	if want.hits == 0 {
 		t.Error("no hits at all")
 	}
-	for i, r := range a.rounds {
+	for i, r := range want.rounds {
 		if r == 0 {
 			t.Errorf("node %d never rotated its window", i)
 		}

@@ -5,9 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
-	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // HarnessConfig parameterises an in-process cluster.
@@ -126,56 +123,4 @@ func (h *Harness) Close() error {
 		}
 	}
 	return first
-}
-
-// ReplaySerial replays a trace through one router, one batch at a time in
-// trace order (a depth-1 pipeline drained after every batch). Single
-// driver, no concurrent producers: the result is fully deterministic — the
-// mode the golden tests and the cluster ablation run in. Per-client accounting
-// is derived from the request tags, exactly like sim.Run's round-robin
-// replay.
-func (h *Harness) ReplaySerial(t *trace.Trace) (sim.Result, error) {
-	router, err := DialRouter(h.nodes, 0)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	defer router.Close()
-	if err := router.Hello("harness", t.Dict.Keys()); err != nil {
-		return sim.Result{}, err
-	}
-	res := sim.Result{
-		Trace:     t.Name,
-		Policy:    router.PolicyName(),
-		CacheSize: router.Capacity(),
-		Requests:  uint64(len(t.Reqs)),
-		PerClient: make([]sim.ClientStat, len(t.Clients)),
-	}
-	for c, name := range t.Clients {
-		res.PerClient[c].Name = name
-	}
-	var batch []trace.Request // the one batch in flight
-	pl := router.Pipeline(1, func(_ any, isRead, hits []bool, _ int, _ int64) error {
-		for i, rd := range isRead {
-			if rd {
-				st := &res.PerClient[batch[i].Client]
-				st.Reads++
-				res.Reads++
-				if hits[i] {
-					st.ReadHits++
-					res.ReadHits++
-				}
-			}
-		}
-		return nil
-	})
-	for reqs := t.Reqs; len(reqs) > 0; reqs = reqs[len(batch):] {
-		batch = reqs[:min(wire.DefaultBatch, len(reqs))]
-		if err := pl.Submit(batch, nil); err != nil {
-			return sim.Result{}, err
-		}
-		if err := pl.Drain(); err != nil {
-			return sim.Result{}, err
-		}
-	}
-	return res, nil
 }

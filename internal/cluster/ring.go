@@ -11,10 +11,11 @@
 // Figures 6–8 and moved the hit ratio by more than a point either way in
 // only 12 of them, gaining in 7 and losing in 5, so it was removed.
 //
-// The in-process Harness boots an N-node cluster on loopback listeners and
-// replays traces through the router deterministically (ReplaySerial, for
-// golden tests and ablations); concurrent replays, for stress and
-// benchmarks, drive ReplaySource at the harness's Nodes.
+// The in-process Harness boots an N-node cluster on loopback listeners;
+// every replay, golden tests and ablations included, drives ReplaySource
+// at the harness's Nodes. A single-client replay is deterministic at any
+// pipeline depth and batch size: a node shares no state with its peers and
+// sees its sub-stream of the trace in trace order.
 package cluster
 
 import (

@@ -28,9 +28,9 @@ var clusterTraces = []string{"DB2_C60", "DB2_C300", "DB2_H80", "MY_H65"}
 //   - cluster: consistent-hash placement over clusterNodes nodes, each
 //     learning hint priorities only from its own ~1/N slice of the stream.
 //
-// Every replay goes through the real router over loopback TCP in the
-// deterministic serial mode, so the numbers are golden-testable. The
-// totals note sums both sizes; its gap is the single node's hit ratio
+// Every replay goes through the real router over loopback TCP as one
+// client in trace order, so the numbers are golden-testable. The totals
+// note sums both sizes; its gap is the single node's hit ratio
 // minus the cluster's, in percentage points.
 func (e *Env) ablationCluster() ([]*report.Table, error) {
 	var out []*report.Table
@@ -83,12 +83,14 @@ func (e *Env) clusterTable(name string) (*report.Table, error) {
 }
 
 // runCluster boots an in-process cluster and replays the trace through it
-// deterministically.
+// with cluster.ReplaySource. The replay is deterministic: the cluster
+// presets are single-client, and nodes learn alone, so each node sees its
+// sub-stream in trace order whatever the pipeline depth.
 func (e *Env) runCluster(t *trace.Trace, cfg core.Config, nodes int) (sim.Result, error) {
 	h, err := cluster.StartHarness(cluster.HarnessConfig{Nodes: nodes, Cache: cfg})
 	if err != nil {
 		return sim.Result{}, err
 	}
 	defer h.Close()
-	return h.ReplaySerial(t)
+	return cluster.ReplaySource(h.Nodes(), t.Source(), cluster.ReplayOptions{})
 }

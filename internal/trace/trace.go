@@ -4,8 +4,12 @@
 // hint set) records plus the hint dictionary that interns the hint sets.
 //
 // The package also provides the two trace transformations the evaluation
-// needs: round-robin interleaving of multiple client traces (§6.4) and
-// synthetic noise-hint injection (§6.3).
+// needs: the multi-client merge (§6.4) and synthetic noise-hint injection
+// (§6.3). There is one merge rule, Merge: round-robin one request per
+// client, hints namespaced by client and interned on first use; and one
+// page-region rule: client i's pages live at i<<44 | page. Interleave is
+// Merge over in-memory traces cut to the shortest; workload.Spec streams
+// its clients through Merge.
 //
 // Traces have one serialised form, format v2 ("CLICTRC2", v2.go):
 // block-framed records with incremental dictionary sections and a
@@ -140,64 +144,91 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
+// clientPageBits is the size of each client's private page region in a
+// multi-client merge. Generated page numbers stay far below 2^44 (databases
+// are tens of millions of pages at most), so regions never collide.
+const clientPageBits = 44
+
 // Interleave merges traces round-robin, one request from each in turn,
 // truncating all inputs to the length of the shortest so no trace is biased
 // by its length, exactly as the multi-client experiment prescribes (§6.4).
-// Hint types from each input are namespaced by the input's name so that the
-// same hint type from two clients remains distinct (§2). Page spaces are
-// disjoint: each client's pages are remapped into a private region.
+// It is Merge over the truncated inputs, so an in-memory merge and a
+// streamed one (workload.Spec.GenerateTo) place pages and intern hints
+// alike.
 func Interleave(name string, traces ...*Trace) (*Trace, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("trace: Interleave needs at least one input")
 	}
-	if len(traces) > 256 {
-		return nil, fmt.Errorf("trace: Interleave supports at most 256 clients, got %d", len(traces))
-	}
 	shortest := traces[0].Len()
 	for _, t := range traces[1:] {
-		if t.Len() < shortest {
-			shortest = t.Len()
-		}
+		shortest = min(shortest, t.Len())
 	}
 	out := New(name, traces[0].PageSize)
-	out.Clients = out.Clients[:0]
+	out.Clients = make([]string, len(traces))
 	out.Reqs = make([]Request, 0, shortest*len(traces))
-
-	// Per-input hint remap table and page-space offset.
-	remaps := make([][]hint.ID, len(traces))
-	var pageBase uint64
-	bases := make([]uint64, len(traces))
+	its := make([]Iterator, len(traces))
 	for i, t := range traces {
-		out.Clients = append(out.Clients, t.Name)
-		remaps[i] = make([]hint.ID, t.Dict.Len())
-		for id, key := range t.Dict.Keys() {
-			set, err := hint.Parse(key)
-			if err != nil {
-				return nil, fmt.Errorf("trace: interleaving %q: %w", t.Name, err)
-			}
-			remaps[i][id] = out.Dict.Intern(set.Namespace(t.Name))
-		}
-		bases[i] = pageBase
-		maxPage := uint64(0)
-		for _, r := range t.Reqs {
-			if r.Page > maxPage {
-				maxPage = r.Page
-			}
-		}
-		pageBase += maxPage + 1
+		out.Clients[i] = t.Name
+		its[i] = t.Truncate(shortest).Iter()
 	}
-	for pos := 0; pos < shortest; pos++ {
-		for i, t := range traces {
-			r := t.Reqs[pos]
-			out.Reqs = append(out.Reqs, Request{
-				Page:   bases[i] + r.Page,
-				Hint:   remaps[i][r.Hint],
+	if err := Merge(out, out.Clients, its); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Merge is the multi-client merge (§6.4): round-robin one request per
+// client per turn (clients that run out drop out), client i's pages offset
+// into the i-th private region (i<<clientPageBits), hint sets namespaced
+// by the client name so the same hint type from two clients stays distinct
+// (§2), and interned into the sink's dictionary on first use in merge
+// order. Every downstream byte is a pure function of the input streams,
+// never of goroutine scheduling. Client IDs are one byte, so at most 256
+// inputs merge.
+func Merge(sink Sink, names []string, its []Iterator) error {
+	if len(its) > 256 {
+		return fmt.Errorf("trace: Merge supports at most 256 clients, got %d", len(its))
+	}
+	const unset = ^hint.ID(0)
+	remaps := make([][]hint.ID, len(its))
+	done := make([]bool, len(its))
+	alive := len(its)
+	for alive > 0 {
+		for i, it := range its {
+			if done[i] {
+				continue
+			}
+			if !it.Scan() {
+				if err := it.Err(); err != nil {
+					return fmt.Errorf("trace: client %s: %w", names[i], err)
+				}
+				done[i] = true
+				alive--
+				continue
+			}
+			r := it.Request()
+			d := it.HintDict()
+			for len(remaps[i]) < d.Len() {
+				remaps[i] = append(remaps[i], unset)
+			}
+			id := remaps[i][r.Hint]
+			if id == unset {
+				set, err := hint.Parse(d.Key(r.Hint))
+				if err != nil {
+					return fmt.Errorf("trace: client %s: %w", names[i], err)
+				}
+				id = sink.HintDict().Intern(set.Namespace(names[i]))
+				remaps[i][r.Hint] = id
+			}
+			sink.AppendReq(Request{
+				Page:   uint64(i)<<clientPageBits | r.Page,
+				Hint:   id,
 				Op:     r.Op,
 				Client: uint8(i),
 			})
 		}
 	}
-	return out, nil
+	return Err(sink)
 }
 
 // SplitClients partitions the request sequence into per-client streams,

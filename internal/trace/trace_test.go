@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -364,5 +365,51 @@ func TestInterleaveTooManyClients(t *testing.T) {
 	}
 	if _, err := Interleave("m", traces...); err == nil {
 		t.Error("more than 256 clients should error")
+	}
+}
+
+// TestInterleaveIsMergeOfShortest pins Interleave to Merge: interleaving
+// inputs of unequal length is Merge over the inputs cut to the shortest,
+// request for request and hint ID for hint ID, with client i's pages in the
+// i-th region.
+func TestInterleaveIsMergeOfShortest(t *testing.T) {
+	a, b, c := buildTrace("A", 300, 1), buildTrace("B", 170, 2), buildTrace("C", 240, 3)
+	got, err := Interleave("M", a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New("M", 4096)
+	want.Clients = []string{"A", "B", "C"}
+	its := []Iterator{a.Truncate(170).Iter(), b.Iter(), c.Truncate(170).Iter()}
+	if err := Merge(want, want.Clients, its); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 3*170 || !slices.Equal(got.Reqs, want.Reqs) ||
+		!slices.Equal(got.Dict.Keys(), want.Dict.Keys()) || !slices.Equal(got.Clients, want.Clients) {
+		t.Fatalf("Interleave (%d requests, dict %v) differs from Merge of the cut inputs (%d requests, dict %v)",
+			got.Len(), got.Dict.Keys(), want.Len(), want.Dict.Keys())
+	}
+	for i, r := range got.Reqs {
+		if src := []*Trace{a, b, c}[r.Client].Reqs[i/3]; r.Page != uint64(r.Client)<<44|src.Page {
+			t.Fatalf("request %d: page %#x, want client %d's page %d in region %d", i, r.Page, r.Client, src.Page, r.Client)
+		}
+	}
+}
+
+// TestMergeTooManyClients: client IDs are one byte, so Merge refuses a
+// 257th input instead of wrapping its ID onto client 0.
+func TestMergeTooManyClients(t *testing.T) {
+	names := make([]string, 257)
+	its := make([]Iterator, 257)
+	for i := range its {
+		names[i] = fmt.Sprintf("t%d", i)
+		its[i] = buildTrace(names[i], 1, int64(i)).Iter()
+	}
+	out := New("m", 4096)
+	if err := Merge(out, names, its); err == nil {
+		t.Error("Merge over 257 clients should error")
+	}
+	if out.Len() != 0 {
+		t.Errorf("Merge appended %d requests before refusing", out.Len())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/hint"
 	"repro/internal/trace"
 )
 
@@ -30,11 +29,6 @@ type Spec struct {
 	// round-robin.
 	Clients int
 }
-
-// clientPageBits is the size of each client's private page region in a
-// multi-client merge. Generated page numbers stay far below 2^44 (databases
-// are tens of millions of pages at most), so regions never collide.
-const clientPageBits = 44
 
 // ParseSpec parses the NAME[*clients][:requests][@seed] syntax against the
 // known presets.
@@ -161,7 +155,7 @@ func (s Spec) GenerateTo(sink trace.Sink) error {
 			it.Close()
 		}
 	}()
-	return mergeStreams(sink, s.ClientNames(), its)
+	return trace.Merge(sink, s.ClientNames(), its)
 }
 
 // Trace generates the spec in memory: GenerateTo into a trace pre-sized to
@@ -193,53 +187,4 @@ func (ss specSource) Iter() (trace.Iterator, error) {
 		pw.CloseWithError(ss.s.GenerateTo(pw))
 	}()
 	return pr, nil
-}
-
-// mergeStreams is the canonical multi-client merge: round-robin one request
-// per client per turn (clients that run out drop out), client i's pages
-// offset into the i-th private region, hint sets namespaced by the client
-// name and interned into the sink's dictionary on first use in merge order.
-// Every downstream byte is a pure function of the input streams, never of
-// goroutine scheduling.
-func mergeStreams(sink trace.Sink, names []string, its []trace.Iterator) error {
-	const unset = ^hint.ID(0)
-	remaps := make([][]hint.ID, len(its))
-	done := make([]bool, len(its))
-	alive := len(its)
-	for alive > 0 {
-		for i, it := range its {
-			if done[i] {
-				continue
-			}
-			if !it.Scan() {
-				if err := it.Err(); err != nil {
-					return fmt.Errorf("workload: client %s: %w", names[i], err)
-				}
-				done[i] = true
-				alive--
-				continue
-			}
-			r := it.Request()
-			d := it.HintDict()
-			for len(remaps[i]) < d.Len() {
-				remaps[i] = append(remaps[i], unset)
-			}
-			id := remaps[i][r.Hint]
-			if id == unset {
-				set, err := hint.Parse(d.Key(r.Hint))
-				if err != nil {
-					return fmt.Errorf("workload: client %s: %w", names[i], err)
-				}
-				id = sink.HintDict().Intern(set.Namespace(names[i]))
-				remaps[i][r.Hint] = id
-			}
-			sink.AppendReq(trace.Request{
-				Page:   uint64(i)<<clientPageBits | r.Page,
-				Hint:   id,
-				Op:     r.Op,
-				Client: uint8(i),
-			})
-		}
-	}
-	return trace.Err(sink)
 }

@@ -76,7 +76,7 @@ func TestStreamedGenerationBitIdentical(t *testing.T) {
 }
 
 // serialTrace is the serial reference for multi-client specs: generate each
-// client in memory, one after another, then run mergeStreams over the
+// client in memory, one after another, then run trace.Merge over the
 // in-memory iterators. Spec.Trace generates the clients in parallel; this is
 // what its bytes must equal.
 func serialTrace(s Spec) (*trace.Trace, error) {
@@ -91,7 +91,7 @@ func serialTrace(s Spec) (*trace.Trace, error) {
 	}
 	out := trace.New(s.Preset.Name, s.Preset.PageSize)
 	out.Clients = s.ClientNames()
-	if err := mergeStreams(out, out.Clients, its); err != nil {
+	if err := trace.Merge(out, out.Clients, its); err != nil {
 		return nil, err
 	}
 	return out, out.Validate()
