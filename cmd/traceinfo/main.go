@@ -26,6 +26,10 @@ func main() {
 	hints := flag.Bool("hints", false, "also print hint domains and top hint sets")
 	windows := flag.Int("windows", 0, "print per-window rows for this window size in requests (streaming)")
 	flag.Parse()
+	if *windows < 0 {
+		fmt.Fprintf(os.Stderr, "traceinfo: -windows %d: must not be negative (0 = no windows)\n", *windows)
+		os.Exit(1)
+	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: traceinfo [-hints] [-windows W] trace.trc...")
 		os.Exit(2)

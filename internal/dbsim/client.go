@@ -72,13 +72,9 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// hintKey caches interned hint IDs per (object, request type, thread, fix).
-type hintKey struct {
-	obj    int
-	rt     ReqType
-	thread int
-	fix    int
-}
+// numReqTypes and numFixCounts size the domains of a hint key's request
+// type and fix count (1 or 2).
+const numReqTypes, numFixCounts = int(SyncWrite) + 1, 2
 
 // Client is a simulated first-tier database client: it owns buffer pools,
 // runs the page cleaner and checkpointer, and appends every I/O that
@@ -90,13 +86,14 @@ type Client struct {
 	pools   []*bufPool
 	out     trace.Sink
 	dict    *hint.Dict
-	hintIDs map[hintKey]hint.ID
+	index   pageIndex
+	hintIDs []hint.ID // one plus the interned ID, by (object, request type, thread, fix); 0 is none yet
 	rng     *rand.Rand
 
 	thread    int
 	ops       int
 	sinceCkpt int
-	fill      map[int]int // per-object rows in the last page
+	fill      []int // rows in the last page, by object ID
 }
 
 // NewClient builds a client over db that appends its I/O to out.
@@ -109,19 +106,17 @@ func NewClient(db *Database, out trace.Sink, cfg Config) *Client {
 		panic("dbsim: Config.PoolSizes is required")
 	}
 	c := &Client{
-		db:      db,
-		cfg:     cfg,
-		out:     out,
-		dict:    out.HintDict(),
-		hintIDs: make(map[hintKey]hint.ID),
-		rng:     randx.New(cfg.Seed),
-		fill:    make(map[int]int),
+		db:   db,
+		cfg:  cfg,
+		out:  out,
+		dict: out.HintDict(),
+		rng:  randx.New(cfg.Seed),
 	}
 	for i, size := range cfg.PoolSizes {
 		if size <= 0 {
 			panic(fmt.Sprintf("dbsim: Config.PoolSizes[%d] = %d, want > 0", i, size))
 		}
-		c.pools = append(c.pools, newBufPool(i, size))
+		c.pools = append(c.pools, newBufPool(i, size, &c.index))
 	}
 	return c
 }
@@ -132,7 +127,13 @@ func NewClient(db *Database, out trace.Sink, cfg Config) *Client {
 func (c *Client) Emitted() int { return c.out.Len() }
 
 // SetThread sets the issuing thread for subsequent requests (MySQL hint).
-func (c *Client) SetThread(t int) { c.thread = t % c.cfg.Threads }
+// It panics if t is negative.
+func (c *Client) SetThread(t int) {
+	if t < 0 {
+		panic(fmt.Sprintf("dbsim: SetThread(%d): thread must not be negative", t))
+	}
+	c.thread = t % c.cfg.Threads
+}
 
 // Read performs a demand read of the object's logical page idx.
 func (c *Client) Read(obj *Object, idx int) { c.access(obj, idx, ReadReq, false) }
@@ -158,6 +159,9 @@ func (c *Client) Scan(obj *Object, from, n int, update bool) {
 func (c *Client) Insert(obj *Object, rowsPerPage int) {
 	if rowsPerPage <= 0 {
 		rowsPerPage = 1
+	}
+	if obj.ID >= len(c.fill) {
+		c.fill = append(c.fill, make([]int, obj.ID+1-len(c.fill))...)
 	}
 	n := c.fill[obj.ID] + 1
 	if n >= rowsPerPage {
@@ -242,17 +246,18 @@ func (c *Client) Checkpoint() {
 // generate-then-truncate behavior bit for bit.
 func (c *Client) emit(obj *Object, page uint64, rt ReqType) {
 	ctx := HintCtx{Thread: c.thread, FixCount: c.fixCount(obj)}
-	key := hintKey{obj: obj.ID, rt: rt, thread: ctx.Thread, fix: ctx.FixCount}
-	id, ok := c.hintIDs[key]
-	if !ok {
-		id = c.dict.Intern(c.cfg.Style.Hints(obj, rt, ctx))
-		c.hintIDs[key] = id
+	slot := ((obj.ID*numReqTypes+int(rt))*c.cfg.Threads+ctx.Thread)*numFixCounts + ctx.FixCount - 1
+	if slot >= len(c.hintIDs) {
+		c.hintIDs = append(c.hintIDs, make([]hint.ID, slot+1-len(c.hintIDs))...)
+	}
+	if c.hintIDs[slot] == 0 {
+		c.hintIDs[slot] = c.dict.Intern(c.cfg.Style.Hints(obj, rt, ctx)) + 1
 	}
 	op := trace.Read
 	if rt.IsWrite() {
 		op = trace.Write
 	}
-	c.out.AppendReq(trace.Request{Page: page, Hint: id, Op: op})
+	c.out.AppendReq(trace.Request{Page: page, Hint: c.hintIDs[slot] - 1, Op: op})
 }
 
 // fixCount models the MySQL fix-count hint: index pages are occasionally

@@ -12,7 +12,10 @@
 //
 // Each pool keeps its dirty frames on a second list in LRU order, so the
 // page cleaner costs per dirty page it writes, not per frame it would pass
-// on the way to the cold end.
+// on the way to the cold end. Nothing on the request path hashes: a
+// Database numbers pages densely from 0, so a client finds a page's frame
+// through one slice indexed by page number, shared by its pools, and its
+// interned hint IDs and per-object row counts are slices too.
 package dbsim
 
 import "fmt"

@@ -9,6 +9,13 @@ type bufPage struct {
 	dprev, dnext *bufPage // dirty list links, set only while dirty
 }
 
+// pageIndex maps each page a client's pools hold to its frame: the value
+// is one plus the frame's slot in its pool, and 0 means no pool holds the
+// page. A Database hands out pages densely from 0, so a slice indexed by
+// page number replaces a hash map, and one index serves all of a client's
+// pools because a page always lives in its object's pool.
+type pageIndex struct{ slot []int32 }
+
 // bufPool is a client-tier buffer cache with LRU replacement and dirty-page
 // tracking. One bufPool per DB2 buffer pool; MySQL uses a single pool.
 //
@@ -20,35 +27,48 @@ type bufPage struct {
 type bufPool struct {
 	id           int
 	capacity     int
-	frames       map[uint64]*bufPage
-	head         *bufPage // MRU
-	tail         *bufPage // LRU
-	dhead, dtail *bufPage // MRU and LRU dirty frames
+	index        *pageIndex
+	frames       []bufPage // allocated once at capacity, so frames never move
+	free         int32     // slot+1 of the last evicted frame, reused by insert
+	head         *bufPage  // MRU
+	tail         *bufPage  // LRU
+	dhead, dtail *bufPage  // MRU and LRU dirty frames
 	dirty        int
 	scan         []*bufPage // reused result of dirtyFromLRU
-	spare        *bufPage   // the last evicted frame, reused by insert
 }
 
-func newBufPool(id, capacity int) *bufPool {
-	return &bufPool{id: id, capacity: capacity, frames: make(map[uint64]*bufPage, capacity)}
+func newBufPool(id, capacity int, index *pageIndex) *bufPool {
+	return &bufPool{id: id, capacity: capacity, index: index, frames: make([]bufPage, 0, capacity)}
 }
 
-func (p *bufPool) len() int { return len(p.frames) }
+func (p *bufPool) len() int {
+	if p.free != 0 {
+		return len(p.frames) - 1
+	}
+	return len(p.frames)
+}
+
+// lookup returns the frame for a page, or nil if the pool does not hold it.
+func (p *bufPool) lookup(page uint64) *bufPage {
+	if page >= uint64(len(p.index.slot)) || p.index.slot[page] == 0 {
+		return nil
+	}
+	return &p.frames[p.index.slot[page]-1]
+}
 
 // get returns the frame for a page, refreshing recency, or nil on a miss.
 func (p *bufPool) get(page uint64) *bufPage {
-	f, ok := p.frames[page]
-	if !ok {
-		return nil
+	f := p.lookup(page)
+	if f != nil {
+		p.moveToFront(f)
 	}
-	p.moveToFront(f)
 	return f
 }
 
 // victim returns the LRU frame that must be evicted before an insert, or
 // nil if the pool has free space.
 func (p *bufPool) victim() *bufPage {
-	if len(p.frames) < p.capacity {
+	if p.len() < p.capacity {
 		return nil
 	}
 	return p.tail
@@ -59,20 +79,25 @@ func (p *bufPool) victim() *bufPage {
 func (p *bufPool) evict(f *bufPage) {
 	p.markClean(f)
 	p.remove(f)
-	delete(p.frames, f.page)
-	p.spare = f
+	p.free = p.index.slot[f.page]
+	p.index.slot[f.page] = 0
 }
 
 // insert adds a page at the MRU position. The caller must have made room.
 func (p *bufPool) insert(page uint64, obj *Object) *bufPage {
-	f := p.spare
-	if f != nil {
-		p.spare = nil
-		*f = bufPage{page: page, obj: obj}
+	h := p.free
+	if h != 0 {
+		p.free = 0
 	} else {
-		f = &bufPage{page: page, obj: obj}
+		p.frames = p.frames[:len(p.frames)+1]
+		h = int32(len(p.frames))
 	}
-	p.frames[page] = f
+	if n := int(page) + 1; n > len(p.index.slot) {
+		p.index.slot = append(p.index.slot, make([]int32, n-len(p.index.slot))...)
+	}
+	p.index.slot[page] = h
+	f := &p.frames[h-1]
+	*f = bufPage{page: page, obj: obj}
 	p.pushFront(f)
 	return f
 }

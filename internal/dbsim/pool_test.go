@@ -58,10 +58,32 @@ func pages(fs []*bufPage) []uint64 {
 	return out
 }
 
+// checkIndex compares the page index against ref, the page-to-frame map it
+// replaced, over p's pages (the odd ones below 32), and checks that the
+// neighbour pool sharing the index still finds its own frames.
+func checkIndex(t *testing.T, p *bufPool, ref map[uint64]*bufPage, neighbour *bufPool, theirs map[uint64]*bufPage, step int) {
+	t.Helper()
+	for page := uint64(1); page < 32; page += 2 {
+		if got := p.lookup(page); got != ref[page] {
+			t.Fatalf("step %d: lookup(%d) = %p, map holds %p", step, page, got, ref[page])
+		}
+	}
+	if p.len() != len(ref) {
+		t.Fatalf("step %d: len() = %d, map holds %d frames", step, p.len(), len(ref))
+	}
+	for page, f := range theirs {
+		if got := neighbour.lookup(page); got != f || f.page != page {
+			t.Fatalf("step %d: neighbour's page %d lost its frame", step, page)
+		}
+	}
+}
+
 // FuzzBufPoolDirty runs random access-shaped operation sequences on a pool
 // and checks, after every operation, that the dirty list agrees with a full
-// scan of the LRU list. Each input byte is one operation: the low two bits
-// choose it and the rest is its argument.
+// scan of the LRU list, and that the page index agrees with a map. The pool
+// shares its index with a neighbour pool holding even pages, as a client's
+// pools do; its own page k is 2k+1. Each input byte is one operation: the
+// low two bits choose it and the rest is its argument.
 //
 //	0: access a page as Client.access does (get, or evict the tail with
 //	   markClean and insert), then markDirty it if the argument is odd
@@ -76,20 +98,27 @@ func FuzzBufPoolDirty(f *testing.F) {
 	f.Add(uint8(7), []byte{4, 12, 20, 28, 36, 44, 12, 0, 52, 60, 69, 33, 2, 44, 3, 4})
 	f.Add(uint8(0), []byte{4, 12, 0, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
-		p := newBufPool(0, int(capacity%8)+1)
+		index := &pageIndex{}
+		neighbour, theirs := newBufPool(1, 4, index), map[uint64]*bufPage{}
+		for page := uint64(0); page < 8; page += 2 {
+			theirs[page] = neighbour.insert(page, &Object{Name: "U"})
+		}
+		p, ref := newBufPool(0, int(capacity%8)+1, index), map[uint64]*bufPage{}
 		obj := &Object{Name: "T"}
 		for step, b := range ops {
 			arg := int(b >> 2)
 			switch b & 3 {
 			case 0:
-				page := uint64((arg >> 1) % 16)
+				page := uint64((arg>>1)%16*2 + 1)
 				fr := p.get(page)
 				if fr == nil {
 					if v := p.victim(); v != nil {
 						p.markClean(v)
+						delete(ref, v.page)
 						p.evict(v)
 					}
 					fr = p.insert(page, obj)
+					ref[page] = fr
 				}
 				if arg&1 == 1 {
 					p.markDirty(fr)
@@ -120,6 +149,7 @@ func FuzzBufPoolDirty(f *testing.F) {
 				}()
 			}
 			checkDirtyList(t, p, step)
+			checkIndex(t, p, ref, neighbour, theirs, step)
 		}
 	})
 }

@@ -7,7 +7,6 @@ package randx
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // New returns a rand.Rand seeded deterministically from seed. All
@@ -20,19 +19,25 @@ func New(seed int64) *rand.Rand {
 // Zipf samples integers in [0, n) with P(i) proportional to 1/(i+1)^s.
 // Unlike math/rand.Zipf it accepts any s >= 0 (s=0 is uniform, s=1 is the
 // classic harmonic distribution used by the paper's noise-hint experiment,
-// §6.3). Sampling is O(log n) by binary search over the precomputed CDF.
+// §6.3). A draw u returns the first index whose CDF reaches u, found through
+// a guide table (Chen & Asau, 1974): bucket ⌊u·n⌋ bounds the answer, and
+// only that bucket is bisected, so a draw costs O(1) expected steps and
+// returns exactly what a binary search over the whole CDF would.
 type Zipf struct {
 	cdf []float64
-	rng *rand.Rand
+	// guide[j] is the first index whose CDF falls in bucket j or above,
+	// for j in [0, n]. The last CDF entry is exactly 1, in bucket n.
+	guide []int32
+	rng   *rand.Rand
 }
 
 // NewZipf builds a sampler over [0, n) with exponent s, drawing randomness
-// from rng. It panics if n <= 0 or s < 0.
+// from rng. It panics unless 0 < n <= math.MaxInt32 and s >= 0.
 func NewZipf(rng *rand.Rand, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("randx: Zipf domain must be positive")
+	if n <= 0 || n > math.MaxInt32 {
+		panic("randx: Zipf domain must be in [1, MaxInt32]")
 	}
-	if s < 0 {
+	if !(s >= 0) {
 		panic("randx: Zipf exponent must be non-negative")
 	}
 	cdf := make([]float64, n)
@@ -44,16 +49,39 @@ func NewZipf(rng *rand.Rand, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, rng: rng}
+	// Bucketing is monotone in its argument, so every index before
+	// guide[bucket(u)] has a CDF below u, and the CDF at guide[bucket(u)+1]
+	// is above it.
+	guide := make([]int32, n+1)
+	j := 0
+	for i, c := range cdf {
+		for b := int(c * float64(n)); j <= b; j++ {
+			guide[j] = int32(i)
+		}
+	}
+	return &Zipf{cdf: cdf, guide: guide, rng: rng}
 }
 
 // N returns the domain size.
 func (z *Zipf) N() int { return len(z.cdf) }
 
 // Next draws one sample.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+func (z *Zipf) Next() int { return z.search(z.rng.Float64()) }
+
+// search returns the first index whose CDF is at least u, for u in [0, 1):
+// sort.SearchFloat64s(z.cdf, u), searched within u's guide bucket.
+func (z *Zipf) search(u float64) int {
+	j := int(u * float64(len(z.cdf)))
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if z.cdf[h] < u {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }
 
 // Prob returns the probability of value i.

@@ -2,6 +2,9 @@ package randx
 
 import (
 	"math"
+	"math/rand"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -76,19 +79,94 @@ func TestZipfSkewEmpirical(t *testing.T) {
 	}
 }
 
+// TestZipfPanics: bad domains and exponents panic. The rows stop at the
+// first one that does not, so a sampler that accepts a NaN exponent never
+// reaches the last row, which would build a 16 GiB CDF.
 func TestZipfPanics(t *testing.T) {
 	for _, tc := range []struct {
 		n int
 		s float64
-	}{{0, 1}, {-3, 1}, {10, -0.1}} {
+	}{{0, 1}, {-3, 1}, {10, -0.1}, {10, math.NaN()}, {math.MaxInt32 + 1, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewZipf(n=%d, s=%v) should panic", tc.n, tc.s)
+					t.Fatalf("NewZipf(n=%d, s=%v) should panic", tc.n, tc.s)
 				}
 			}()
 			NewZipf(New(1), tc.n, tc.s)
 		}()
+	}
+}
+
+// checkSearch holds the guided search to a bisection of the whole CDF.
+func checkSearch(t *testing.T, z *Zipf, u float64) {
+	t.Helper()
+	if got, want := z.search(u), sort.SearchFloat64s(z.cdf, u); got != want {
+		t.Fatalf("n=%d: search(%v) = %d, sort.SearchFloat64s = %d", z.N(), u, got, want)
+	}
+}
+
+// TestZipfMatchesBisection: the guided search returns the bisection's index
+// for seeded draws, for every CDF entry and for the float just below each.
+func TestZipfMatchesBisection(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 10000, 200003} {
+		for _, s := range []float64{0, 0.55, 1, 2} {
+			z := NewZipf(New(1), n, s)
+			rng := New(int64(n))
+			for i := 0; i < 20000; i++ {
+				checkSearch(t, z, rng.Float64())
+			}
+			for _, c := range z.cdf {
+				if c < 1 {
+					checkSearch(t, z, c)
+				}
+				checkSearch(t, z, math.Nextafter(c, 0))
+			}
+		}
+	}
+}
+
+// FuzzZipfSearch is the same comparison over arbitrary draws and shapes. A
+// u outside [0, 1) is mapped onto rand.Float64's grid.
+func FuzzZipfSearch(f *testing.F) {
+	f.Add(uint64(0), uint32(1), 1.0)
+	f.Add(uint64(1)<<62, uint32(10), 0.55)
+	f.Add(math.Float64bits(0.5), uint32(3), 2.0)
+	f.Add(uint64(math.MaxUint64), uint32(200003), 0.0)
+	f.Fuzz(func(t *testing.T, bits uint64, n uint32, s float64) {
+		if !(s >= 0) {
+			return
+		}
+		u := math.Float64frombits(bits)
+		if !(u >= 0 && u < 1) {
+			u = float64(bits>>11) / (1 << 53)
+		}
+		checkSearch(t, NewZipf(New(1), int(n%5000)+1, s), u)
+	})
+}
+
+var benchSink int
+
+// BenchmarkZipfNext prices one draw through the guided search and through
+// the whole-CDF bisection it replaced, at three domain sizes (s = 1).
+func BenchmarkZipfNext(b *testing.B) {
+	for _, n := range []int{10000, 60000, 200000} {
+		for _, c := range []struct {
+			name string
+			next func(*Zipf, *rand.Rand) int
+		}{
+			{"kernel", func(z *Zipf, _ *rand.Rand) int { return z.Next() }},
+			{"reference", func(z *Zipf, rng *rand.Rand) int { return sort.SearchFloat64s(z.cdf, rng.Float64()) }},
+		} {
+			b.Run(c.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
+				rng := New(7)
+				z := NewZipf(rng, n, 1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink += c.next(z, rng)
+				}
+			})
+		}
 	}
 }
 

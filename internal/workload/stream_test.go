@@ -256,3 +256,22 @@ func TestSplitSeedDistinct(t *testing.T) {
 		t.Fatal("different bases produced the same child seed")
 	}
 }
+
+// BenchmarkSpecTrace prices generating a two-client TPC-C spec, the shape
+// of the repository benchmark's input, at a fifth of its length.
+func BenchmarkSpecTrace(b *testing.B) {
+	s, err := ParseSpec("DB2_C60*2:200000@7")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		tr, err := s.Trace()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(tr.Reqs) != s.Preset.Requests {
+			b.Fatalf("%d requests, want %d", len(tr.Reqs), s.Preset.Requests)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Preset.Requests), "ns/request")
+}
