@@ -36,8 +36,8 @@
 // the replayed request count and -batch sets the requests per batch (one
 // wire frame on a single server, split by ring owner on a cluster; by
 // default 512 per server, so every frame but a client's last holds 512).
-// A negative -cache, -batch, -depth or -limit, or a -shards below 1, is an
-// error that names the flag.
+// A negative -cache, -batch, -depth or -limit, a -shards below 1, or
+// -timeline or -concurrent with -connect is an error naming the flag.
 // Every address is probed with a throwaway handshake before the replay
 // starts, so a bad address or an incompatible server fails immediately with
 // a clear error instead of mid-replay.
@@ -111,6 +111,13 @@ func main() {
 	}
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards %d: must be at least 1", *shards))
+	}
+	// A replay's cache runs in the server, which keeps its own timeline.
+	if *connect != "" && opts.Timeline != "" {
+		fatal(fmt.Errorf("-timeline does not apply to -connect"))
+	}
+	if *connect != "" && *concurrent {
+		fatal(fmt.Errorf("-concurrent does not apply to -connect"))
 	}
 	stopProf, err := opts.StartProfiles()
 	if err != nil {

@@ -35,10 +35,11 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
 }
 
-// TestNegativeSizes: a size flag below zero, a -shards below 1 or a
-// -metrics-interval that is not positive is one line on stderr that names
-// the flag, and exit status 1 — not a result row at a negative size, a
-// panic in a policy, or a silent default.
+// TestNegativeSizes: a size flag below zero, a -shards below 1, a
+// -metrics-interval that is not positive, or -timeline or -concurrent
+// beside -connect is one line on stderr that names the flag, and exit
+// status 1 — not a result row at a negative size, a panic in a policy, a
+// silent default, or a replay that ignores the flag.
 func TestNegativeSizes(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -53,6 +54,9 @@ func TestNegativeSizes(t *testing.T) {
 		{[]string{"-gen", "DB2_C60:20000", "-shards", "0"}, "clicsim: -shards 0: must be at least 1\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-shards", "-3"}, "clicsim: -shards -3: must be at least 1\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-shards", "4", "-concurrent", "-timeline", filepath.Join(t.TempDir(), "tl.csv"), "-metrics-interval", "-5s"}, "clicsim: -metrics-interval -5s: must be positive\n"},
+		// 127.0.0.1:1 refuses any dial: the flag must be rejected first.
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-timeline", filepath.Join(t.TempDir(), "tl.csv")}, "clicsim: -timeline does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-shards", "4", "-concurrent"}, "clicsim: -concurrent does not apply to -connect\n"},
 	} {
 		stdout, stderr, code := run(t, tc.args...)
 		if code != 1 || stderr != tc.want || stdout != "" {

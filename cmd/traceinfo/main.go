@@ -1,9 +1,9 @@
 // Command traceinfo inspects a binary trace file: its Figure-5 summary row
 // and, with -hints, its hint-type domains (Figure 2) and most frequent hint
-// sets. With -windows W it streams the trace through the scanner (never
-// loading it whole) and prints one row per W-request window — requests,
-// reads, writes, unique pages, unique hint sets — the request-count windows
-// CLIC's learner rotates on.
+// sets. With -windows W instead it streams the trace through the scanner
+// (never loading it whole) and prints one row per W-request window —
+// requests, reads, writes, unique pages, unique hint sets — the
+// request-count windows CLIC's learner rotates on.
 //
 // Usage:
 //
@@ -28,6 +28,10 @@ func main() {
 	flag.Parse()
 	if *windows < 0 {
 		fmt.Fprintf(os.Stderr, "traceinfo: -windows %d: must not be negative (0 = no windows)\n", *windows)
+		os.Exit(1)
+	}
+	if *hints && *windows > 0 {
+		fmt.Fprintln(os.Stderr, "traceinfo: -hints and -windows are mutually exclusive")
 		os.Exit(1)
 	}
 	if flag.NArg() == 0 {

@@ -56,14 +56,23 @@ func smallTrace(t *testing.T) string {
 	return path
 }
 
-// TestNegativeWindows: a negative -windows is one line on stderr that
-// names the flag, and exit status 1 — not the summary table.
+// TestNegativeWindows: a negative -windows, or -windows beside -hints
+// (which the windowed scan does not print), is one line on stderr that
+// names the flags, and exit status 1 — not the summary table.
 func TestNegativeWindows(t *testing.T) {
-	stdout, stderr, code := run(t, "-windows", "-5", smallTrace(t))
-	const want = "traceinfo: -windows -5: must not be negative (0 = no windows)\n"
-	if code != 1 || stderr != want || stdout != "" {
-		t.Errorf("traceinfo -windows -5: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
-			code, stderr, stdout, want)
+	path := smallTrace(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-windows", "-5", path}, "traceinfo: -windows -5: must not be negative (0 = no windows)\n"},
+		{[]string{"-hints", "-windows", "500", path}, "traceinfo: -hints and -windows are mutually exclusive\n"},
+	} {
+		stdout, stderr, code := run(t, tc.args...)
+		if code != 1 || stderr != tc.want || stdout != "" {
+			t.Errorf("traceinfo %v: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
+				tc.args, code, stderr, stdout, tc.want)
+		}
 	}
 }
 

@@ -15,11 +15,11 @@
 // from the full cache-wide request stream over the full window W. A plain
 // core.Cache learns through the only tap on a Global of its own
 // (NewPartitioned). Each tap counts in a window of its own, with no lock;
-// at every multiple of W one tap sums all the taps' windows into a round,
-// taking the idle ones and leaving the leased ones to hand theirs in at
-// their lease's end, and the round's publication computes Equations 2–3,
-// the one place they run. Each tap reads its own copy of the round's
-// table, taken at its next lease.
+// at every multiple of W one tap sums its own window and every idle tap's
+// into a round, leaving a leased tap's window to the next round that finds
+// it idle, and the round's publication computes Equations 2–3, the one
+// place they run. Each tap reads its own copy of the round's table, taken
+// at its next lease.
 //
 // Driven by one goroutine, taps on a Global produce exactly the same
 // priorities as one window fed the whole stream in exact mode, and in

@@ -99,7 +99,7 @@ func TestDecayPrunesTable(t *testing.T) {
 
 // TestGlobalConcurrent hammers one Global learner from several goroutines,
 // each through its own tap, one request per lease; under -race this
-// exercises the taps' state words, the late hand-ins and the table
+// exercises the taps' state words, the deferred windows and the table
 // republishing.
 // Totals are exact: every arrival lands in exactly one window, so the sum
 // of current-window N plus W per completed window equals the request count.

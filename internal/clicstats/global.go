@@ -11,10 +11,10 @@ import (
 // reads it, so the priority model Pr(H) is learned from the cache-wide
 // request stream over the full window W while page placement stays
 // hash-partitioned. A plain cache's learner is the only tap on a Global of
-// its own (NewPartitioned). It holds the taps, the rounds still open and
-// the priority table in effect; it is not itself a Learner and keeps no
-// counters of its own. Each cache that shares it owns a tap (Global.Tap),
-// and the tap is the only way in.
+// its own (NewPartitioned). It holds the taps, the round and the priority
+// table in effect; it is not itself a Learner and keeps no counters of its
+// own. Each cache that shares it owns a tap (Global.Tap), and the tap is
+// the only way in.
 //
 // Tap protocol. A tap belongs to one cache and is driven by whichever one
 // goroutine drives that cache; any number of taps may run concurrently.
@@ -29,26 +29,23 @@ import (
 //     rotation happens per W requests, however many shards feed the
 //     learner. A lease is a promise: Begin(n) must be followed by exactly n
 //     EndRequests (core.Sharded leases a whole frame, or one request on its
-//     per-request path, and always runs it to its end). EndRequest outside
-//     a lease panics, as Begin inside one does. UntilRotation tells a
-//     caller how many requests remain up to the next multiple of W, so it
-//     can cut its frames there.
+//     per-request path, and always runs it to its end); the last ends the
+//     lease with one store (leased → idle). EndRequest outside a lease
+//     panics, as Begin inside one does. UntilRotation tells a caller how
+//     many requests remain up to the next multiple of W, so it can cut its
+//     frames there.
 //   - Count. Each tap counts in a window of its own with the configured
 //     TopK, so Arrive, Reref and EndRequest are inlined counter bumps: no
 //     lock, no shared cache line.
-//   - Rotate. At the request a multiple of W falls on, the tap opens the
-//     next round and sums into it every tap's window — N, Nr and ΣD per
-//     hint set. Its own window it reads directly. An idle tap it takes
-//     with one CAS on the tap's state word (idle → held), reads, resets
-//     and releases. A tap with a lease in flight it marks owed instead of
-//     waiting for it.
-//   - Hand-in. A tap marked owed pays its window into the round it owes at
-//     its lease's end (or at its own next rotation, if that comes first),
-//     and the last payment publishes the round. Rounds publish in the order
-//     they were opened, so one whose payments are in waits for its
-//     predecessors. No goroutine ever waits on another shard's lease; Begin
-//     waits only while a rotation or a stats read holds the tap's idle
-//     window.
+//   - Rotate. At the request a multiple of W falls on, the tap sums its
+//     own window and every idle tap's — N, Nr and ΣD per hint set — into
+//     one reused round and publishes it. An idle tap it takes with one CAS
+//     on the tap's state word (idle → held), reads, resets and releases. A
+//     tap mid-lease it skips: that tap's window, its counts since it was
+//     last taken, goes into the first round that finds it idle
+//     (DeferredWindows). No goroutine ever waits on another shard's lease;
+//     Begin waits only while a rotation or a stats read holds the tap's
+//     idle window.
 //   - Read. Each tap reads a priority table of its own, a dense slice and
 //     an epoch, so Priority and Epoch are inlined loads. A tap copies the
 //     Global's table, pr, at Begin when the Global's epoch moved (one
@@ -58,17 +55,17 @@ import (
 //     victim heaps lazily, at their next request, by observing the epoch
 //     change.
 //
-// Rotation allocates nothing in the steady state: published rounds are
-// recycled, and Equation 3 runs in place in the one table the taps copy.
+// Rotation allocates nothing in the steady state: it refills one tally,
+// and Equation 3 runs in place in the one table the taps copy.
 //
 // Locks. There are two mutexes, taken in the order rotateMu, then mu.
-// rotateMu guards the tap list and the open rounds, and serializes
-// publication: it is taken once per rotation, once per late hand-in and
-// once per stats read, never per request or per frame. mu guards only the
-// table: a publication blends its round into the table under it, and a tap
-// copies the table under it, once per round it adopts. So a Begin that
-// adopts may wait for one blend pass over the hint IDs, but never for the
-// sum of the taps' windows.
+// rotateMu guards the tap list and the round, and serializes publication:
+// it is taken once per rotation and once per stats read, never per request
+// or per frame, nor at a lease's end. mu guards only the table: a
+// publication blends its round into the table under it, and a tap copies
+// the table under it, once per round it adopts. So a Begin that adopts may
+// wait for one blend pass over the hint IDs, but never for the sum of the
+// taps' windows.
 //
 // What is exact and what is relaxed. Driven by one goroutine — any number
 // of taps, leases of any length — no tap but the rotator is ever leased,
@@ -82,11 +79,11 @@ import (
 // window, and the round is their sum — a mergeable summary (Agarwal et
 // al., PODS 2012): each N(H) is at most the exact count, and every hint
 // set above W/k requests in the round is present. Under concurrent taps
-// the rotation count stays exact, but three things are relaxed. A lease in
-// flight pays its whole window, requests past the boundary included, into
-// the round it owes. A leased tap adopts a round another tap published
-// only at its next lease, so it runs at most one frame on the older table.
-// And WindowStats and TrackedHintSets, which read the idle taps, lag by at
+// the rotation count stays exact, but three things are relaxed. A tap
+// mid-lease at a rotation keeps its window for the next round that finds
+// it idle. A leased tap adopts a round another tap published only at its
+// next lease, so it runs at most one frame on the older table. And
+// WindowStats and TrackedHintSets, which read the idle taps, lag by at
 // most one frame per busy shard — the same caveat core.Sharded.Stats
 // documents for its counters.
 type Global struct {
@@ -95,23 +92,20 @@ type Global struct {
 	// epoch is the number of the round whose table is in effect: read at
 	// every lease, written once per round.
 	epoch atomic.Uint64
-	// late counts late hand-ins: payments a rotation left owed by a leased
-	// tap.
-	late atomic.Uint64
+	// deferred counts the windows rotations found mid-lease and left to a
+	// later round.
+	deferred atomic.Uint64
 
-	// rotateMu guards taps, open, opened and free, and serializes
-	// publication.
+	// rotateMu guards taps and round, and serializes publication.
 	rotateMu sync.Mutex
 	// taps are every tap of this learner, in the order Tap made them.
 	taps []*Learner
-	// open are the rounds taken but not yet published, oldest first;
-	// opened numbers them. free are published rounds kept for reuse.
-	open   []*round
-	opened uint64
-	free   []*round
+	// round sums the windows a rotation takes; it is reset at each one.
+	round tally
 	// publish, when set, receives each round's summed counters and its
 	// number as the round publishes: the tests' view of what each round
-	// held. Called under rotateMu and no other lock.
+	// held, in storage the next rotation reuses. Called under rotateMu and
+	// no other lock.
 	publish func(round uint64, counters []WindowCounter)
 
 	// mu guards pr and has (see "Locks").
@@ -132,22 +126,12 @@ type Global struct {
 
 // A tap's state word says who may touch its window. Only the tap's owner
 // moves it out of idle into leased, and back; a rotation or a stats read,
-// under rotateMu, moves idle to held and back, or leased to owed; the
-// owner's hand-in, under rotateMu, moves owed back to leased or to idle.
+// under rotateMu, moves idle to held and back.
 const (
 	tapIdle   uint32 = iota // no lease: the window is whole, and a rotation takes it
 	tapLeased               // a lease is in flight: only the owner touches the window
-	tapOwed                 // leased, and the window is owed to an open round
 	tapHeld                 // idle, and a rotation or a stats read is reading the window
 )
-
-// round is one window's counters, summed over the taps, while payments are
-// still owed to it.
-type round struct {
-	tally
-	seq   uint64 // its number: the epoch it publishes
-	owing int    // leased taps that have yet to hand in
-}
 
 // tally sums window counters — N, Nr and ΣD per hint set — in the order
 // hint sets are first met, so a tally of one window lists it in that
@@ -205,10 +189,9 @@ func NewGlobal(cfg Config) *Global {
 	return &Global{cfg: cfg}
 }
 
-// LateHandins returns the number of late hand-ins so far: payments a
-// rotation left owed by a tap whose lease was in flight, each of which held
-// its round open until the tap's lease ended.
-func (g *Global) LateHandins() uint64 { return g.late.Load() }
+// DeferredWindows returns the number of windows rotations have found
+// mid-lease so far and left to the next round that finds their tap idle.
+func (g *Global) DeferredWindows() uint64 { return g.deferred.Load() }
 
 // UntilRotation returns how many requests the next leases may take before
 // the next rotation: the distance, in the request numbering, to the next
@@ -221,69 +204,20 @@ func (g *Global) UntilRotation() int {
 	return int(w - g.requests.Load()%w)
 }
 
-// rotate opens the next round on behalf of tap l, which is leased and at
-// the request a multiple of W falls on: it sums in l's window and every
-// idle tap's, marks every other leased tap owed, publishes whatever rounds
-// that completes, and has l adopt the newest table. If l itself owes an
-// earlier round it hands in there first, so its window goes to the oldest
-// round it can.
+// rotate closes the next round on behalf of tap l, which is leased and at
+// the request a multiple of W falls on: it sums l's window and every idle
+// tap's, leaves every other tap's window, all leased, to a later round,
+// publishes the sum, and has l adopt the new table.
 func (g *Global) rotate(l *Learner) {
 	g.rotateMu.Lock()
 	defer g.rotateMu.Unlock()
-	if l.owes != nil {
-		g.handIn(l)
-		l.state.Store(tapLeased)
-	}
-	g.opened++
-	var r *round
-	if n := len(g.free); n > 0 {
-		r, g.free = g.free[n-1], g.free[:n-1]
-		r.reset()
-	} else {
-		r = new(round)
-	}
-	r.seq = g.opened
-	for _, t := range g.taps {
-		switch {
-		case t == l:
-			r.take(&t.window)
-		case t.state.CompareAndSwap(tapIdle, tapHeld):
-			r.take(&t.window)
-			t.state.Store(tapIdle)
-		case t.state.CompareAndSwap(tapLeased, tapOwed):
-			t.owes = r
-			r.owing++
-			g.late.Add(1)
-		}
-		// Otherwise t owes an earlier round and hands in there, or its
-		// lease ended between the two CASes and its window waits for the
-		// next round. No tap is held: only holders of rotateMu hold one.
-	}
-	g.open = append(g.open, r)
-	g.publishReady()
-	g.adopt(l)
-}
-
-// release ends tap l's lease: an idle tap's window waits for the next
-// rotation, and an owed one is handed in now.
-func (g *Global) release(l *Learner) {
-	if l.state.CompareAndSwap(tapLeased, tapIdle) {
-		return
-	}
-	g.rotateMu.Lock()
-	defer g.rotateMu.Unlock()
-	g.handIn(l)
-	l.state.Store(tapIdle)
-	g.publishReady()
-}
-
-// handIn pays owed tap l's window into the round it owes. The caller holds
-// rotateMu and sets l's state.
-func (g *Global) handIn(l *Learner) {
-	r := l.owes
-	l.owes = nil
+	r := &g.round
+	r.reset()
 	r.take(&l.window)
-	r.owing--
+	idle := g.eachIdle(r.take)
+	g.deferred.Add(uint64(len(g.taps) - 1 - idle))
+	g.publishRound(r, g.epoch.Load()+1)
+	g.adopt(l)
 }
 
 // adopt copies the table in effect into tap l, if l's is older. It runs on
@@ -297,27 +231,12 @@ func (g *Global) adopt(l *Learner) {
 	g.mu.Unlock()
 }
 
-// publishReady publishes, oldest first, every open round that owes nothing
-// and has no open predecessor, and keeps the published rounds for reuse.
-// The caller holds rotateMu.
-func (g *Global) publishReady() {
-	done := 0
-	for done < len(g.open) && g.open[done].owing == 0 {
-		g.publishRound(g.open[done])
-		g.free = append(g.free, g.open[done])
-		done++
-	}
-	n := copy(g.open, g.open[done:])
-	clear(g.open[n:])
-	g.open = g.open[:n]
-}
-
-// publishRound closes one round: it blends the round's estimates into the
+// publishRound closes one round: it blends the round's sums r into the
 // priority table in place (Equation 3) and republishes the table with the
-// round's number as its epoch. The caller holds rotateMu.
-func (g *Global) publishRound(r *round) {
+// round's number, epoch. The caller holds rotateMu.
+func (g *Global) publishRound(r *tally, epoch uint64) {
 	if g.publish != nil {
-		g.publish(r.seq, r.counters)
+		g.publish(epoch, r.counters)
 	}
 
 	g.mu.Lock()
@@ -340,7 +259,7 @@ func (g *Global) publishRound(r *round) {
 		g.pr[wc.Hint] = rr*WindowPriority(wc.N, wc.Nr, wc.Dsum) + (1-rr)*g.pr[wc.Hint]
 		g.has[wc.Hint] = true
 	}
-	g.epoch.Store(r.seq)
+	g.epoch.Store(epoch)
 }
 
 // Windows returns the number of published rounds: completed statistics
@@ -361,17 +280,18 @@ func (g *Global) Priorities() map[hint.ID]float64 {
 }
 
 // eachIdle calls fn with the window of every tap without a lease, holding
-// the tap meanwhile. A leased tap's window is its owner's until the lease
-// ends, so a read skips it.
-func (g *Global) eachIdle(fn func(*window)) {
-	g.rotateMu.Lock()
-	defer g.rotateMu.Unlock()
+// the tap meanwhile, and returns how many it called fn for. A leased tap's
+// window is its owner's until the lease ends, so a read skips it. The
+// caller holds rotateMu.
+func (g *Global) eachIdle(fn func(*window)) (idle int) {
 	for _, t := range g.taps {
 		if t.state.CompareAndSwap(tapIdle, tapHeld) {
 			fn(&t.window)
 			t.state.Store(tapIdle)
+			idle++
 		}
 	}
+	return idle
 }
 
 // WindowStats snapshots the current window's counters, summed over the
@@ -379,7 +299,9 @@ func (g *Global) eachIdle(fn func(*window)) {
 // it.
 func (g *Global) WindowStats() []HintStat {
 	var t tally
+	g.rotateMu.Lock()
 	g.eachIdle(func(w *window) { w.each(t.add) })
+	g.rotateMu.Unlock()
 	var out []HintStat
 	for _, wc := range t.counters {
 		out = append(out, newHintStat(wc.Hint, wc.N, wc.Nr, wc.Dsum))
@@ -393,6 +315,8 @@ func (g *Global) WindowStats() []HintStat {
 // counts once per tap (each tap is bounded by k in top-k mode).
 func (g *Global) TrackedHintSets() int {
 	n := 0
+	g.rotateMu.Lock()
 	g.eachIdle(func(w *window) { n += w.len() })
+	g.rotateMu.Unlock()
 	return n
 }

@@ -48,27 +48,24 @@ type Learner struct {
 
 	cfg Config
 
-	// The lease: left is the number of requests the lease owes after
+	// The lease: left is the number of requests the lease runs after
 	// the countdown runs out; rotating says the countdown ends on a
 	// multiple of W rather than at the lease's end. state says who may
-	// touch the window (tapIdle and the rest); owes is the round a
-	// rotation marked it owed to, guarded by the Global's rotateMu.
+	// touch the window (tapIdle and the rest).
 	left     int
-	owes     *round
 	state    atomic.Uint32
 	rotating bool
 
 	// Learners are allocated one per shard and written on every request:
 	// round each up to a cache line so neighbours never share one
 	// (TestLearnerLayout checks the arithmetic).
-	_ [cacheLine - 5]byte
+	_ [3]byte
 }
 
 // NewPartitioned returns the learner a plain core.Cache learns through: the
-// only tap on a Global of its own, leased once for its whole life. One
-// goroutine drives it, so no round ever waits for it, and every rotation
-// publishes at its own request. The name is historical; it stays because
-// the repository benchmark calls it.
+// only tap on a Global of its own, leased once for its whole life. It is
+// the rotator of every round, so every round takes its whole window. The
+// name is historical; it stays because the repository benchmark calls it.
 func NewPartitioned(cfg Config) *Learner {
 	l := NewGlobal(cfg).Tap()
 	l.Begin(math.MaxInt)
@@ -124,7 +121,7 @@ func (l *Learner) EndRequest() bool {
 }
 
 // endRequest is EndRequest's slow path. It counts a pending arrival and,
-// at the end of the countdown, either opens the Global's next round and
+// at the end of the countdown, either closes the Global's next round and
 // re-arms for the next multiple of W in the lease, or closes the lease.
 func (l *Learner) endRequest() bool {
 	l.settle()
@@ -135,20 +132,19 @@ func (l *Learner) endRequest() bool {
 		l.countdown = 0
 		panic("clicstats: Learner.EndRequest outside a tap's lease")
 	}
-	if !l.rotating {
-		l.g.release(l)
-		return false
+	rotated := l.rotating
+	if rotated {
+		l.g.rotate(l)
+		if w := l.cfg.Window; w <= l.left {
+			l.countdown, l.left = w, l.left-w
+			return true
+		}
+		l.countdown, l.left, l.rotating = l.left, 0, false
 	}
-	l.g.rotate(l)
-	if w := l.cfg.Window; w <= l.left {
-		l.countdown, l.left = w, l.left-w
-		return true
-	}
-	l.countdown, l.left, l.rotating = l.left, 0, false
 	if l.countdown == 0 {
-		l.g.release(l)
+		l.state.Store(tapIdle)
 	}
-	return true
+	return rotated
 }
 
 // Begin leases the next n > 0 requests of the Global's request numbering

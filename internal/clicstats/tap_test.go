@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,6 +180,64 @@ func checkMergedBounds(t *testing.T, what string, merged, exact []HintStat, w, k
 	}
 }
 
+// TestTapDefersLeasedWindow drives deferral from one goroutine, which can
+// hold leases on two taps at once, so every step is deterministic. With
+// W = 4, tap A leases requests 1–2 and ends the first; tap B then leases
+// the next 4·spans−2 requests, and its rotations at 4, 8, … each find A
+// mid-lease. Each such round publishes at once with B's counts only, and
+// A's window, left with A, goes whole into the first round after A's
+// lease ends.
+func TestTapDefersLeasedWindow(t *testing.T) {
+	for _, spans := range []int{1, 2} {
+		g := NewGlobal(Config{Window: 4, R: 1})
+		var rounds [][]WindowCounter
+		g.publish = func(_ uint64, counters []WindowCounter) {
+			rounds = append(rounds, slices.Clone(counters))
+		}
+		// feed runs n requests through tp's open lease, each arriving with
+		// hint h and re-referencing it at distance d, and returns how many
+		// of them rotated.
+		feed := func(tp *Learner, n int, h hint.ID, d uint64) (rotations int) {
+			for i := 0; i < n; i++ {
+				tp.Arrive(h)
+				tp.Reref(h, d)
+				if tp.EndRequest() {
+					rotations++
+				}
+			}
+			return rotations
+		}
+		check := func(when string, rotated, windows int, want []WindowCounter) {
+			t.Helper()
+			if rotated != 1 || g.Windows() != windows || len(rounds) != windows ||
+				g.DeferredWindows() != uint64(min(windows, spans)) || !reflect.DeepEqual(rounds[windows-1], want) {
+				t.Fatalf("spans=%d %s: %d rotations, windows %d, deferred %d, rounds %+v; want 1 rotation, windows %d, deferred %d, round %d %+v",
+					spans, when, rotated, g.Windows(), g.DeferredWindows(), rounds, windows, min(windows, spans), windows, want)
+			}
+		}
+
+		a, b := g.Tap(), g.Tap()
+		a.Begin(2)
+		if feed(a, 1, 1, 3) != 0 {
+			t.Fatal("request 1 rotated")
+		}
+		b.Begin(4*spans - 2)
+		// B's requests 3–4, then 5–8: each round holds B's counts alone.
+		check("at request 4", feed(b, 2, 2, 1), 1, []WindowCounter{{Hint: 2, N: 2, Nr: 2, Dsum: 2}})
+		for k := 2; k <= spans; k++ {
+			check(fmt.Sprintf("at request %d", 4*k), feed(b, 4, 2, 1), k, []WindowCounter{{Hint: 2, N: 4, Nr: 4, Dsum: 4}})
+		}
+		if feed(a, 1, 1, 3) != 0 {
+			t.Fatal("A's request 2 rotated")
+		}
+		// A is idle now: the next round takes its whole window, after the
+		// rotator's own.
+		b.Begin(4)
+		check("after A's lease", feed(b, 4, 2, 1), spans+1,
+			[]WindowCounter{{Hint: 2, N: 4, Nr: 4, Dsum: 4}, {Hint: 1, N: 2, Nr: 2, Dsum: 6}})
+	}
+}
+
 // TestTapConcurrent is the -race stress of the tap protocol at a window of
 // 1000: every multiple of W must be seen by exactly one lease, every round
 // must publish once and in order, and no arrival may be lost or counted
@@ -190,16 +249,16 @@ func TestTapConcurrent(t *testing.T) {
 	}
 }
 
-// TestTapConcurrentTinyWindows stresses the hand-off where rounds overlap:
-// with W of 1, 3 and 8, nearly every rotation finds other taps leased,
-// marks them owed and leaves its round open, and a tap may owe a round
-// while others open behind it. stressTaps checks the counts; here the
-// hand-off must also have happened, and no goroutine may outlive the runs.
+// TestTapConcurrentTinyWindows stresses deferral: with W of 1, 3 and 8,
+// nearly every rotation finds other taps leased and leaves their windows
+// to a later round, and a tap may stay leased across several rounds.
+// stressTaps checks the counts; here a deferral must also have happened,
+// and no goroutine may outlive the runs.
 func TestTapConcurrentTinyWindows(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, w := range []int{1, 3, 8} {
-		if g := stressTaps(t, w, 20000); g.LateHandins() == 0 {
-			t.Errorf("W=%d: no rotation found a tap leased: the hand-off went untested", w)
+		if g := stressTaps(t, w, 20000); g.DeferredWindows() == 0 {
+			t.Errorf("W=%d: no rotation found a tap leased: deferral went untested", w)
 		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {

@@ -144,8 +144,8 @@ func (s *Sharded) Name() string {
 	return fmt.Sprintf("CLIC/%d", len(s.shards))
 }
 
-// Global returns the shared learner. The server uses it to wire summary
-// publication and absorption between cluster nodes (internal/cluster).
+// Global returns the shared learner. The server exports its count of
+// deferred windows (clic_learner_deferred_windows_total).
 func (s *Sharded) Global() *clicstats.Global { return s.global }
 
 // Access implements policy.Policy. It is safe for concurrent use: the
@@ -153,8 +153,8 @@ func (s *Sharded) Global() *clicstats.Global { return s.global }
 // another goroutine holds it), runs the request itself and releases, so
 // requests for different shards proceed in parallel and requests for one
 // shard serialize. Each request is a one-request lease on its shard's tap,
-// opened and closed with a CAS on the tap's state word, and counted in the
-// tap's own window. Batch drivers should use NewProducer/AccessBatch, which
+// opened with a CAS on the tap's state word and closed with a store, and
+// counted in the tap's own window. Batch drivers should use NewProducer/AccessBatch, which
 // pay the hand-off and the lease once per frame instead of once per
 // request.
 func (s *Sharded) Access(r trace.Request) bool {

@@ -82,8 +82,8 @@ func (s *Server) buildRegistry() {
 	r.RegisterHistogram("clic_server_batch_ns", "Batch service time (decode to response write) in nanoseconds.", &s.batchNs)
 	r.RegisterHistogram("clic_server_batch_requests", "Requests per served batch frame.", &s.batchReqs)
 
-	r.CounterFunc("clic_learner_late_handins_total", "Window counts a rotation left owed by a shard mid-frame, handed in at the frame's end.",
-		func() float64 { return float64(c.Global().LateHandins()) })
+	r.CounterFunc("clic_learner_deferred_windows_total", "Shard windows a rotation found mid-frame and left to the next round.",
+		func() float64 { return float64(c.Global().DeferredWindows()) })
 }
 
 // Registry exposes the server's metrics registry (for embedding callers

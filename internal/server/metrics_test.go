@@ -210,11 +210,11 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Learner family, read without allocating.
 	g := srv.Cache().Global()
-	if v, ok := samples["clic_learner_late_handins_total"]; !ok || v != float64(g.LateHandins()) {
-		t.Errorf("clic_learner_late_handins_total = %v (present %v), learner says %d", v, ok, g.LateHandins())
+	if v, ok := samples["clic_learner_deferred_windows_total"]; !ok || v != float64(g.DeferredWindows()) {
+		t.Errorf("clic_learner_deferred_windows_total = %v (present %v), learner says %d", v, ok, g.DeferredWindows())
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		_ = g.LateHandins() + uint64(g.Windows()+g.TrackedHintSets())
+		_ = g.DeferredWindows() + uint64(g.Windows()+g.TrackedHintSets())
 	}); n != 0 {
 		t.Errorf("the learner's scrape-time reads allocate %v allocs per scrape, want 0", n)
 	}
