@@ -15,9 +15,9 @@
 // shard at the time.
 //
 // Several clicserve processes form a cluster (internal/cluster): clients
-// route requests across the nodes by consistent hash (clicsim -connect
-// with the address list), and each node learns from the requests routed to
-// it alone:
+// route each request to the node owning its page, every node owning an
+// equal share (clicsim -connect with the address list), and each node
+// learns from the requests routed to it alone:
 //
 //	clicserve -addr :7070
 //	clicserve -addr :7071

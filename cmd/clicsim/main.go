@@ -36,17 +36,20 @@
 // the replayed request count and -batch sets the requests per batch (one
 // wire frame on a single server, split by ring owner on a cluster; by
 // default 512 per server, so every frame but a client's last holds 512).
-// A negative -cache, -batch, -depth or -limit, a -shards below 1, or
-// -timeline or -concurrent with -connect is an error naming the flag.
+// A negative -cache, -batch, -depth or -limit, a -shards below 1, or a
+// flag that configures the local cache or grid (-policy, -cache, -shards,
+// -concurrent, -workers, the CLIC settings, the timeline) beside -connect
+// is an error naming the flag.
 // Every address is probed with a throwaway handshake before the replay
 // starts, so a bad address or an incompatible server fails immediately with
 // a clear error instead of mid-replay.
 //
 // -connect also takes a comma-separated address list — a cluster of
 // clicserve nodes (internal/cluster). The replay then routes every
-// request to its owning node by consistent hash (one router per trace
-// client). Placement is keyed by the address strings, so every client of a
-// cluster should list the same addresses:
+// request to its owning node (one router per trace client), each node
+// owning an equal share of the pages. Placement is keyed by the set of
+// address strings, so every client of a cluster should list the same
+// addresses:
 //
 //	clicsim -connect :7070,:7071,:7072 -trace traces/DB2_C60.trc
 //
@@ -112,12 +115,17 @@ func main() {
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards %d: must be at least 1", *shards))
 	}
-	// A replay's cache runs in the server, which keeps its own timeline.
-	if *connect != "" && opts.Timeline != "" {
-		fatal(fmt.Errorf("-timeline does not apply to -connect"))
-	}
-	if *connect != "" && *concurrent {
-		fatal(fmt.Errorf("-concurrent does not apply to -connect"))
+	// A replay's cache runs in the server, which keeps its own policy,
+	// sizes, CLIC settings and timeline: refuse the first flag, in
+	// lexicographic order, that would configure a local cache or grid.
+	if *connect != "" {
+		local := map[string]bool{"cache": true, "concurrent": true, "metrics-interval": true, "noutq": true,
+			"policy": true, "r": true, "shards": true, "timeline": true, "topk": true, "window": true, "workers": true}
+		flag.Visit(func(f *flag.Flag) {
+			if local[f.Name] {
+				fatal(fmt.Errorf("-%s does not apply to -connect", f.Name))
+			}
+		})
 	}
 	stopProf, err := opts.StartProfiles()
 	if err != nil {
@@ -322,7 +330,7 @@ func source(path, spec string) (trace.Source, string) {
 }
 
 // replay streams the source to a cache server — or, with several
-// addresses, routes it across a cluster by consistent hash — and reports
+// addresses, routes it across a cluster by page owner — and reports
 // the hit ratios the servers' responses imply. Every address is validated
 // with a probe handshake before any request is replayed.
 func replay(addrs []string, src trace.Source, label string, batch, depth, limit int, perClient bool) {

@@ -36,9 +36,9 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 // TestNegativeSizes: a size flag below zero, a -shards below 1, a
-// -metrics-interval that is not positive, or -timeline or -concurrent
-// beside -connect is one line on stderr that names the flag, and exit
-// status 1 — not a result row at a negative size, a panic in a policy, a
+// -metrics-interval that is not positive, or a flag that configures the
+// local cache or grid beside -connect is one line on stderr that names the
+// flag, and exit status 1 — not a result row at a negative size, a panic in a policy, a
 // silent default, or a replay that ignores the flag.
 func TestNegativeSizes(t *testing.T) {
 	for _, tc := range []struct {
@@ -57,6 +57,15 @@ func TestNegativeSizes(t *testing.T) {
 		// 127.0.0.1:1 refuses any dial: the flag must be rejected first.
 		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-timeline", filepath.Join(t.TempDir(), "tl.csv")}, "clicsim: -timeline does not apply to -connect\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-shards", "4", "-concurrent"}, "clicsim: -concurrent does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-policy", "LRU"}, "clicsim: -policy does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-cache", "100"}, "clicsim: -cache does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-shards", "4"}, "clicsim: -shards does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-workers", "2"}, "clicsim: -workers does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-topk", "10"}, "clicsim: -topk does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-window", "1000"}, "clicsim: -window does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-r", "0.5"}, "clicsim: -r does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-noutq", "10"}, "clicsim: -noutq does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-metrics-interval", "2s"}, "clicsim: -metrics-interval does not apply to -connect\n"},
 	} {
 		stdout, stderr, code := run(t, tc.args...)
 		if code != 1 || stderr != tc.want || stdout != "" {

@@ -18,9 +18,9 @@
 // Results are identical at any worker count.
 //
 // Beyond the paper's figures, -fig cluster runs the distributed-CLIC
-// ablation: a single node against a 3-node consistent-hash cluster on four
-// traces, replayed through the real router over loopback TCP
-// (internal/cluster).
+// ablation: a single node against a 3-node cluster, each node owning a
+// third of the pages, on four traces, replayed through the real router
+// over loopback TCP (internal/cluster).
 package main
 
 import (

@@ -30,8 +30,8 @@ type Router struct {
 	acks  []wire.HelloAck
 }
 
-// DialRouter connects to every node of a cluster (vnodes as in NewRing;
-// 0 selects DefaultVirtualNodes). Call Hello next, then Pipeline.
+// DialRouter connects to every node of a cluster (vnodes is ignored, as in
+// NewRing). Call Hello next, then Pipeline.
 func DialRouter(nodes []Node, vnodes int) (*Router, error) {
 	names := make([]string, len(nodes))
 	for i, n := range nodes {

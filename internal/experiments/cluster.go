@@ -25,7 +25,7 @@ var clusterTraces = []string{"DB2_C60", "DB2_C300", "DB2_H80", "MY_H65"}
 //
 //   - single: one node, the baseline every distributed run is judged
 //     against;
-//   - cluster: consistent-hash placement over clusterNodes nodes, each
+//   - cluster: clusterNodes nodes, each owning 1/N of the pages and
 //     learning hint priorities only from its own ~1/N slice of the stream.
 //
 // Every replay goes through the real router over loopback TCP as one
@@ -75,7 +75,7 @@ func (e *Env) clusterTable(name string) (*report.Table, error) {
 		}
 		tbl.AddRow(row...)
 	}
-	tbl.AddNote("same total capacity/outqueue/window in every column, split across nodes by consistent-hash placement; serial replay through the router over loopback TCP")
+	tbl.AddNote("same total capacity/outqueue/window in every column, split evenly across nodes, as are the pages; serial replay through the router over loopback TCP")
 	// Machine-greppable: TestAblationCluster pins these totals.
 	tbl.AddNote("totals: single_hits=%d cluster_hits=%d gap_pts=%.2f",
 		totals[0].ReadHits, totals[1].ReadHits, 100*(totals[0].HitRatio()-totals[1].HitRatio()))

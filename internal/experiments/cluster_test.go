@@ -18,7 +18,7 @@ func TestAblationCluster(t *testing.T) {
 	// C300 hits nothing at this scale (a larger client buffer needs a
 	// longer trace); its row still pins that the replay runs.
 	golden := []string{
-		"totals: single_hits=5021 cluster_hits=4972 gap_pts=0.17",
+		"totals: single_hits=5021 cluster_hits=4994 gap_pts=0.09",
 		"totals: single_hits=0 cluster_hits=0 gap_pts=0.00",
 		"totals: single_hits=2517 cluster_hits=2517 gap_pts=0.00",
 		"totals: single_hits=764 cluster_hits=764 gap_pts=0.00",

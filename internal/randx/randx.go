@@ -103,8 +103,3 @@ func NURand(rng *rand.Rand, a, x, y, c int) int {
 	r2 := x + rng.Intn(y-x+1)
 	return ((r1|r2)+c)%(y-x+1) + x
 }
-
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func Perm(rng *rand.Rand, n int) []int {
-	return rng.Perm(n)
-}

@@ -193,14 +193,3 @@ func TestNURandQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPerm(t *testing.T) {
-	p := Perm(New(1), 20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("bad permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}

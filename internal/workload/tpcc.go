@@ -123,9 +123,6 @@ func generateTPCC(p Preset, out trace.Sink) error {
 	return nil
 }
 
-// uniformPage returns a uniformly random page index of obj.
-func (w *tpcc) uniformPage(obj *dbsim.Object) int { return w.rng.Intn(obj.Pages()) }
-
 // nurandPage returns a skewed page index of obj using TPC-C's NURand.
 func (w *tpcc) nurandPage(obj *dbsim.Object) int {
 	n := obj.Pages()
