@@ -38,8 +38,8 @@
 // default 512 per server, so every frame but a client's last holds 512).
 // A negative -cache, -batch, -depth or -limit, a -shards below 1, or a
 // flag that configures the local cache or grid (-policy, -cache, -shards,
-// -concurrent, -workers, the CLIC settings, the timeline) beside -connect
-// is an error naming the flag.
+// -concurrent, -workers, the CLIC settings, the timeline) beside -connect,
+// or a -batch, -depth or -limit without it, is an error naming the flag.
 // Every address is probed with a throwaway handshake before the replay
 // starts, so a bad address or an incompatible server fails immediately with
 // a clear error instead of mid-replay.
@@ -118,6 +118,15 @@ func main() {
 	// A replay's cache runs in the server, which keeps its own policy,
 	// sizes, CLIC settings and timeline: refuse the first flag, in
 	// lexicographic order, that would configure a local cache or grid.
+	// -batch, -depth and -limit shape a replay's frames; a local serve
+	// has none, so refuse the first one set, in lexicographic order.
+	if *connect == "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "batch" || f.Name == "depth" || f.Name == "limit" {
+				fatal(fmt.Errorf("-%s applies only to -connect", f.Name))
+			}
+		})
+	}
 	if *connect != "" {
 		local := map[string]bool{"cache": true, "concurrent": true, "metrics-interval": true, "noutq": true,
 			"policy": true, "r": true, "shards": true, "timeline": true, "topk": true, "window": true, "workers": true}

@@ -66,6 +66,9 @@ func TestNegativeSizes(t *testing.T) {
 		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-r", "0.5"}, "clicsim: -r does not apply to -connect\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-noutq", "10"}, "clicsim: -noutq does not apply to -connect\n"},
 		{[]string{"-gen", "DB2_C60:20000", "-connect", "127.0.0.1:1", "-metrics-interval", "2s"}, "clicsim: -metrics-interval does not apply to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-limit", "5", "-batch", "7", "-depth", "3", "-cache", "1000"}, "clicsim: -batch applies only to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-depth", "3"}, "clicsim: -depth applies only to -connect\n"},
+		{[]string{"-gen", "DB2_C60:20000", "-limit", "5"}, "clicsim: -limit applies only to -connect\n"},
 	} {
 		stdout, stderr, code := run(t, tc.args...)
 		if code != 1 || stderr != tc.want || stdout != "" {

@@ -128,8 +128,8 @@ func verifyFile(path string, want uint64) {
 	}
 	defer it.Close()
 	var n uint64
-	for it.Scan() {
-		n++
+	for run := it.Next(); len(run) > 0; run = it.Next() {
+		n += uint64(len(run))
 	}
 	if err := it.Err(); err != nil {
 		fatal(fmt.Errorf("verify: %w", err))

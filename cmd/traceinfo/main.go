@@ -94,18 +94,19 @@ func printWindows(path string, w int) error {
 		clear(pages)
 		clear(hintSets)
 	}
-	for sc.Scan() {
-		r := sc.Request()
-		n++
-		if r.Op == trace.Read {
-			reads++
-		} else {
-			writes++
-		}
-		pages[r.Page] = struct{}{}
-		hintSets[uint32(r.Hint)] = struct{}{}
-		if n == w {
-			flush()
+	for run := sc.Next(); len(run) > 0; run = sc.Next() {
+		for _, r := range run {
+			n++
+			if r.Op == trace.Read {
+				reads++
+			} else {
+				writes++
+			}
+			pages[r.Page] = struct{}{}
+			hintSets[uint32(r.Hint)] = struct{}{}
+			if n == w {
+				flush()
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -80,13 +80,17 @@ type hostileIter struct {
 	err     error
 }
 
-func (it *hostileIter) Scan() bool {
+func (it *hostileIter) Next() []trace.Request {
 	if it.src.failAfter > 0 && it.scanned == it.src.failAfter {
 		it.err = errScan
-		return false
+		return nil
 	}
-	it.scanned++
-	return it.Iterator.Scan()
+	run := it.Iterator.Next()
+	if it.src.failAfter > 0 {
+		run = run[:min(len(run), it.src.failAfter-it.scanned)]
+	}
+	it.scanned += len(run)
+	return run
 }
 func (it *hostileIter) Err() error        { return it.err }
 func (it *hostileIter) Clients() []string { return it.Iterator.Clients()[:it.src.named] }

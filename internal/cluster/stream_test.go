@@ -31,10 +31,8 @@ func TestClusterReplaySourceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := tr.Iter()
 	d := w.HintDict()
-	for it.Scan() {
-		r := it.Request()
+	for _, r := range tr.Reqs {
 		// Intern lazily (in ID order, so IDs are preserved) so dictionary
 		// sections interleave with request blocks instead of arriving in one
 		// up-front section.
@@ -43,7 +41,6 @@ func TestClusterReplaySourceFile(t *testing.T) {
 		}
 		w.AppendReq(r)
 	}
-	it.Close()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -60,26 +60,34 @@ func (l *KeyLog) Since(from int) []string {
 	return append([]string(nil), l.keys[from:]...)
 }
 
+// runRequests is the fewest requests the dispatcher hands a client's
+// worker at once: eight full frames, so the hand-off costs a small
+// fraction of what the batches it carries cost to serve.
+const runRequests = 8 * core.DefaultAccessBatch
+
 // Dispatch is the one scan → per-client worker loop behind every
-// concurrent serve and replay: it scans it (stopping after limit requests
-// when limit is positive), discovers clients as they appear, and gives each
+// concurrent serve and replay: it takes runs from it (stopping after limit
+// requests when limit is positive), scatters each run's requests to their
+// clients in one loop, discovers clients as they appear, and gives each
 // its own goroutine and its own session from open. Every batch a session
 // is given holds batch requests (at least 1), except a client's last, which
 // holds what is left. Each worker is handed runs — the smallest multiple of
-// batch that holds at least core.DefaultAccessBatch requests — and cuts
-// every run into batches, so a lock-step session, one request per batch,
-// meets the dispatcher once per run, not once per round trip. Clients the
-// iterator has no name for are called client<i>. The result carries the
-// trace name, the request count and the per-client read accounting; the
-// caller labels it with the policy and capacity that answered.
+// batch that holds at least runRequests (4096) requests — and cuts every
+// run into batches, so a lock-step session, one request per batch, meets
+// the dispatcher once per 4096 round trips. Clients the iterator has no
+// name for are called client<i>. The result carries the trace name, the
+// request count and the per-client read accounting; the caller labels it
+// with the policy and capacity that answered.
 //
 // Run buffers cycle between the dispatcher and each worker: the dispatcher
 // fills one from the scan, hands it over, and gets it back once its last
 // batch has been submitted, so after a few runs per client the steady
-// state allocates nothing. The first failure — a session that will not
-// open, a Submit or Drain error — stops the scan at the next hand-off and
-// is returned; the workers keep draining their queues meanwhile, so the
-// dispatcher never blocks on a dead session.
+// state allocates nothing. A client holds at most six runs at once (four
+// queued, one being submitted, one being filled): 384 KB at 4096
+// requests. The first failure — a session that will not open, a Submit
+// or Drain error — stops the scan at the next hand-off and is returned;
+// the workers keep draining their queues meanwhile, so the dispatcher
+// never blocks on a dead session.
 func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *KeyLog, st *sim.ClientStat) (Session, error)) (sim.Result, error) {
 	type worker struct {
 		ch      chan []trace.Request
@@ -104,16 +112,17 @@ func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *
 		failed.Store(true)
 	}
 	batch = max(batch, 1)
-	run := (core.DefaultAccessBatch + batch - 1) / batch * batch
+	run := (runRequests + batch - 1) / batch * batch
 	spawn := func(name string) *worker {
 		// ch lets the scan run a few runs ahead of a session that is
 		// waiting on its peer; free holds every buffer that can be out at
 		// once (those queued on ch, the one being submitted, the one being
 		// filled) with room to spare, so returning one never blocks.
 		w := &worker{
-			ch:   make(chan []trace.Request, 4),
-			free: make(chan []trace.Request, 8),
-			st:   &sim.ClientStat{Name: name},
+			ch:      make(chan []trace.Request, 4),
+			free:    make(chan []trace.Request, 8),
+			pending: make([]trace.Request, 0, run),
+			st:      &sim.ClientStat{Name: name},
 		}
 		wg.Add(1)
 		go func() {
@@ -148,42 +157,49 @@ func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *
 	}
 
 	// Streaming inputs (trace files' dict sections, generator pipes) grow
-	// the dictionary mid-stream, on this goroutine only; comparing its
-	// length keeps the KeyLog mutex off the per-request path.
+	// the dictionary mid-stream, on this goroutine only and only in Next;
+	// comparing its length once per run keeps the KeyLog mutex off the
+	// request path.
 	dict := it.HintDict()
 	keys.grow(dict)
 	dictLen := dict.Len()
-	for it.Scan() {
-		if limit > 0 && total >= uint64(limit) {
+scan:
+	for limit <= 0 || total < uint64(limit) {
+		reqs := it.Next()
+		if len(reqs) == 0 {
 			break
 		}
-		r := it.Request()
+		if limit > 0 {
+			reqs = reqs[:min(uint64(len(reqs)), uint64(limit)-total)]
+		}
+		total += uint64(len(reqs))
 		if n := dict.Len(); n != dictLen {
 			keys.grow(dict)
 			dictLen = n
 		}
-		c := int(r.Client)
-		for c >= len(workers) {
-			name := fmt.Sprintf("client%d", len(workers))
-			if names := it.Clients(); len(workers) < len(names) {
-				name = names[len(workers)]
+		for _, r := range reqs {
+			c := int(r.Client)
+			for c >= len(workers) {
+				name := fmt.Sprintf("client%d", len(workers))
+				if names := it.Clients(); len(workers) < len(names) {
+					name = names[len(workers)]
+				}
+				workers = append(workers, spawn(name))
 			}
-			workers = append(workers, spawn(name))
-		}
-		w := workers[c]
-		w.pending = append(w.pending, r)
-		total++
-		if len(w.pending) < run {
-			continue
-		}
-		w.ch <- w.pending
-		select {
-		case w.pending = <-w.free:
-		default:
-			w.pending = nil
-		}
-		if failed.Load() {
-			break
+			w := workers[c]
+			w.pending = append(w.pending, r)
+			if len(w.pending) < run {
+				continue
+			}
+			w.ch <- w.pending
+			select {
+			case w.pending = <-w.free:
+			default:
+				w.pending = make([]trace.Request, 0, run)
+			}
+			if failed.Load() {
+				break scan
+			}
 		}
 	}
 	for _, w := range workers {
@@ -246,10 +262,9 @@ func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, lat *metri
 	}
 	sharded, _ := p.(*core.Sharded)
 	res, err := Dispatch(it, 0, batchSize, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
-		s := &localSession{p: p, st: st}
+		s := &localSession{p: p, st: st, hits: make([]bool, batchSize)}
 		if sharded != nil {
 			s.prod = sharded.NewProducer()
-			s.hits = make([]bool, batchSize)
 			s.lat = lat
 		}
 		return s, nil
@@ -272,36 +287,40 @@ type localSession struct {
 	lat  *metrics.Histogram // nil: batches are not timed
 }
 
+// Submit counts reads and read hits by addition, not behind a branch on
+// the verdict: with hits near one in two that branch is a coin toss.
 func (s *localSession) Submit(reqs []trace.Request) error {
-	st, hits := s.st, s.hits // locals: the counting loops stay in registers
-	if s.prod == nil {
-		for _, r := range reqs {
-			hit := s.p.Access(r)
-			if r.Op == trace.Read {
-				st.Reads++
-				if hit {
-					st.ReadHits++
-				}
-			}
+	hits := s.hits[:len(reqs)]
+	switch {
+	case s.prod == nil:
+		for i, r := range reqs {
+			hits[i] = s.p.Access(r)
 		}
-		return nil
-	}
-	if s.lat != nil {
+	case s.lat != nil:
 		t0 := time.Now()
 		s.prod.AccessBatch(reqs, hits)
 		s.lat.Observe(uint64(time.Since(t0)))
-	} else {
+	default:
 		s.prod.AccessBatch(reqs, hits)
 	}
-	for i := range reqs {
-		if reqs[i].Op == trace.Read {
-			st.Reads++
-			if hits[i] {
-				st.ReadHits++
-			}
-		}
+	var reads, readHits uint64
+	for i, r := range reqs {
+		rd := b2u(r.Op == trace.Read)
+		reads += rd
+		readHits += rd & b2u(hits[i])
 	}
+	s.st.Reads += reads
+	s.st.ReadHits += readHits
 	return nil
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits no jump for it.
+func b2u(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
 }
 
 func (s *localSession) Drain() error { return nil }

@@ -130,6 +130,37 @@ func (s *fakeSession) Submit(reqs []trace.Request) error {
 func (s *fakeSession) Drain() error { s.drained.Store(true); return nil }
 func (s *fakeSession) Close() error { s.closed.Store(true); return nil }
 
+// twoClients interleaves two copies of the whole test trace.
+func twoClients(tb testing.TB) *trace.Trace {
+	tb.Helper()
+	a, b := testTrace.Truncate(testTrace.Len()), testTrace.Truncate(testTrace.Len())
+	a.Name, b.Name = "A", "B"
+	two, err := trace.Interleave("TWO", a, b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return two
+}
+
+// BenchmarkDispatch prices the dispatcher alone: two clients' in-memory
+// trace scattered, in full frames, to sessions that do nothing.
+func BenchmarkDispatch(b *testing.B) {
+	two := twoClients(b)
+	open := func(string, *KeyLog, *sim.ClientStat) (Session, error) { return nopSession{}, nil }
+	for b.Loop() {
+		if _, err := Dispatch(two.Iter(), 0, core.DefaultAccessBatch, open); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*two.Len()), "ns/req")
+}
+
+type nopSession struct{}
+
+func (nopSession) Submit([]trace.Request) error { return nil }
+func (nopSession) Drain() error                 { return nil }
+func (nopSession) Close() error                 { return nil }
+
 // sixClients interleaves six copies of the test trace's prefix.
 func sixClients(t *testing.T) *trace.Trace {
 	t.Helper()
@@ -150,11 +181,18 @@ func sixClients(t *testing.T) *trace.Trace {
 // batches carry its requests in trace order, and every batch holds exactly
 // the batch size except the client's last, which is not empty. The sizes
 // include ones that do not divide core.DefaultAccessBatch and one above it.
+// The two-client input is long enough that each client gets several full
+// runs.
 func TestDispatchLimit(t *testing.T) {
-	merged := sixClients(t)
-	for _, tc := range []struct{ limit, batch int }{
-		{12345, 64}, {1, 512}, {7000, 1}, {0, 100}, {0, 192}, {20000, 1536},
+	six, two := sixClients(t), twoClients(t)
+	for _, tc := range []struct {
+		merged       *trace.Trace
+		limit, batch int
+	}{
+		{six, 12345, 64}, {six, 1, 512}, {six, 7000, 1}, {six, 0, 100}, {six, 0, 192}, {six, 20000, 1536},
+		{two, 0, 512}, {two, 50001, 7},
 	} {
+		merged := tc.merged
 		var mu sync.Mutex
 		sessions := map[string]*fakeSession{}
 		it := merged.Iter()

@@ -191,11 +191,12 @@ func ProjectStream(it trace.Iterator, sink trace.Sink, types []string) error {
 			remap = append(remap, outDict.Intern(proj))
 		}
 	}
-	for it.Scan() {
+	for run := it.Next(); len(run) > 0; run = it.Next() {
 		sync()
-		r := it.Request()
-		r.Hint = remap[r.Hint]
-		sink.AppendReq(r)
+		for _, r := range run {
+			r.Hint = remap[r.Hint]
+			sink.AppendReq(r)
+		}
 	}
 	sync() // trailing dict growth (v2 dict sections after the last block)
 	if err := it.Err(); err != nil {

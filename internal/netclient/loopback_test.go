@@ -288,9 +288,9 @@ func TestLoopbackFileSourceText(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	sc.Scan()
+	sc.Next()
 	first := sc.HintDict().Len()
-	for sc.Scan() {
+	for len(sc.Next()) > 0 {
 	}
 	if err := sc.Err(); err != nil || sc.HintDict().Len() <= first {
 		t.Fatalf("dictionary %d keys at the first request, %d at the end (err %v)", first, sc.HintDict().Len(), err)

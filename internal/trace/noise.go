@@ -64,11 +64,12 @@ func StreamNoise(it Iterator, sink Sink, cfg NoiseConfig) error {
 				remap = append(remap, outDict.InternKey(inDict.Key(hint.ID(id))))
 			}
 		}
-		for it.Scan() {
+		for run := it.Next(); len(run) > 0; run = it.Next() {
 			sync()
-			r := it.Request()
-			r.Hint = remap[r.Hint]
-			sink.AppendReq(r)
+			for _, r := range run {
+				r.Hint = remap[r.Hint]
+				sink.AppendReq(r)
+			}
 		}
 		sync() // trailing dict growth (v2 dict sections after the last block)
 		if err := it.Err(); err != nil {
@@ -90,7 +91,7 @@ func StreamNoise(it Iterator, sink Sink, cfg NoiseConfig) error {
 
 	var baseSets []hint.Set
 	ext := make(hint.Set, 0, 8+cfg.Types)
-	for it.Scan() {
+	for run := it.Next(); len(run) > 0; run = it.Next() {
 		for id := len(baseSets); id < inDict.Len(); id++ {
 			s, err := hint.Parse(inDict.Key(hint.ID(id)))
 			if err != nil {
@@ -98,13 +99,14 @@ func StreamNoise(it Iterator, sink Sink, cfg NoiseConfig) error {
 			}
 			baseSets = append(baseSets, s)
 		}
-		r := it.Request()
-		ext = append(ext[:0], baseSets[r.Hint]...)
-		for j := 0; j < cfg.Types; j++ {
-			ext = append(ext, hint.Field{Type: names[j], Value: valStrs[zipf.Next()]})
+		for _, r := range run {
+			ext = append(ext[:0], baseSets[r.Hint]...)
+			for j := 0; j < cfg.Types; j++ {
+				ext = append(ext, hint.Field{Type: names[j], Value: valStrs[zipf.Next()]})
+			}
+			r.Hint = outDict.Intern(ext)
+			sink.AppendReq(r)
 		}
-		r.Hint = outDict.Intern(ext)
-		sink.AppendReq(r)
 	}
 	if err := it.Err(); err != nil {
 		return err

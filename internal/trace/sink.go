@@ -73,14 +73,16 @@ func (l *limitSink) AppendReq(r Request) {
 // cluster.ReplaySource) consume Iterators so they never need the full
 // trace in RAM.
 //
-// The hint dictionary may grow as the iteration proceeds (trace files,
-// generated streams); by the time Scan has returned a request, the
-// dictionary entry and client slot it references exist.
+// Requests come in runs, so a consumer pays one interface call per run,
+// not per request. Next returns the next one or more requests, or nil at
+// the end of the stream or on error; Err tells the two apart. The run is
+// a view, valid until the next Next or Close, and the caller must not
+// modify it. The hint dictionary may grow as the iteration proceeds
+// (trace files, generated streams); every hint key a run references is in
+// HintDict() before Next returns it.
 type Iterator interface {
-	// Scan advances to the next request, false at end of stream or error.
-	Scan() bool
-	// Request returns the request produced by the last successful Scan.
-	Request() Request
+	// Next returns the next run of requests, nil at end of stream or error.
+	Next() []Request
 	// Err returns the first error encountered (nil at a clean end).
 	Err() error
 	// Name returns the trace name.
@@ -120,7 +122,7 @@ func (p FileSource) Iter() (Iterator, error) { return Open(string(p)) }
 // Iter returns an Iterator over the in-memory trace. It exists so code
 // written against the streaming interfaces also serves in-RAM traces (and
 // so streamed and in-RAM replays are directly comparable).
-func (t *Trace) Iter() Iterator { return &memIter{t: t, pos: -1} }
+func (t *Trace) Iter() Iterator { return &memIter{t: t} }
 
 // Source makes an in-memory trace usable where a Source is expected.
 func (t *Trace) Source() Source { return memSource{t} }
@@ -130,20 +132,20 @@ type memSource struct{ t *Trace }
 func (s memSource) Label() string           { return s.t.Name }
 func (s memSource) Iter() (Iterator, error) { return s.t.Iter(), nil }
 
+// memIter hands out the rest of the trace as one run.
 type memIter struct {
-	t   *Trace
-	pos int
+	t    *Trace
+	done bool
 }
 
-func (it *memIter) Scan() bool {
-	if it.pos+1 >= len(it.t.Reqs) {
-		return false
+func (it *memIter) Next() []Request {
+	if it.done || len(it.t.Reqs) == 0 {
+		return nil
 	}
-	it.pos++
-	return true
+	it.done = true
+	return it.t.Reqs[:len(it.t.Reqs):len(it.t.Reqs)]
 }
 
-func (it *memIter) Request() Request     { return it.t.Reqs[it.pos] }
 func (it *memIter) Err() error           { return nil }
 func (it *memIter) Name() string         { return it.t.Name }
 func (it *memIter) PageSize() int        { return it.t.PageSize }
@@ -301,47 +303,41 @@ type PipeReader struct {
 	done     chan struct{}
 	errc     chan error
 	cur      []Request
-	pos      int
 	err      error
 	eof      bool
 	closed   bool
 }
 
-// Scan implements Iterator.
-func (r *PipeReader) Scan() bool {
+// Next implements Iterator: the run is the producer's next chunk. The
+// previous chunk goes back to the producer for reuse first, which is why
+// a run is valid only until the next call. Chunks are never empty.
+func (r *PipeReader) Next() []Request {
+	if r.cur != nil {
+		select {
+		case r.free <- r.cur[:0]:
+		default:
+		}
+		r.cur = nil
+	}
 	if r.err != nil || r.eof {
-		return false
+		return nil
 	}
-	r.pos++
-	for r.pos >= len(r.cur) {
-		if r.cur != nil {
-			select {
-			case r.free <- r.cur[:0]:
-			default:
-			}
-			r.cur = nil
+	c, ok := <-r.ch
+	if !ok {
+		r.eof = true
+		select {
+		case err := <-r.errc:
+			r.err = err
+		default:
 		}
-		c, ok := <-r.ch
-		if !ok {
-			r.eof = true
-			select {
-			case err := <-r.errc:
-				r.err = err
-			default:
-			}
-			return false
-		}
-		for _, k := range c.newKeys {
-			r.dict.InternKey(k)
-		}
-		r.cur = c.reqs
-		r.pos = 0
+		return nil
 	}
-	return true
+	for _, k := range c.newKeys {
+		r.dict.InternKey(k)
+	}
+	r.cur = c.reqs
+	return r.cur
 }
-
-// Request implements Iterator.
-func (r *PipeReader) Request() Request { return r.cur[r.pos] }
 
 // Err implements Iterator.
 func (r *PipeReader) Err() error { return r.err }
@@ -382,8 +378,8 @@ func (r *PipeReader) Close() error {
 // dictionary is cloned once at the end, so IDs match the stream's.
 func Collect(it Iterator) (*Trace, error) {
 	var reqs []Request
-	for it.Scan() {
-		reqs = append(reqs, it.Request())
+	for run := it.Next(); len(run) > 0; run = it.Next() {
+		reqs = append(reqs, run...)
 	}
 	if err := it.Err(); err != nil {
 		return nil, err

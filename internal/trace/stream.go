@@ -11,20 +11,21 @@ import (
 	"repro/internal/hint"
 )
 
-// Scanner iterates the requests of a trace file one at a time, without ever
-// materialising the request slice: memory stays constant no matter how long
-// the trace is, which is what paper-scale traces (hundreds of millions of
-// requests) and the network replay path need. It reads the v2 format
-// (v2.go) and refuses any other input.
+// Scanner iterates the requests of a trace file one block at a time,
+// without ever materialising the request slice: memory stays constant no
+// matter how long the trace is, which is what paper-scale traces (hundreds
+// of millions of requests) and the network replay path need. It reads the
+// v2 format (v2.go) and refuses any other input.
 //
-// The client list is complete before the first Scan; the dictionary grows
+// The client list is complete before the first Next; the dictionary grows
 // as dict sections are scanned (always before the requests that reference
 // them). Trace files come from outside the program, so every length and
 // count the stream declares is checked against the bytes that back it
 // before it is used.
 //
 // Steady-state scanning performs zero allocations: each block payload is
-// slurped into one reused buffer and records decode from it in place.
+// slurped into one reused buffer and its records decode from it into
+// another.
 type Scanner struct {
 	closer io.Closer // non-nil when the Scanner owns the underlying file
 	br     *bufio.Reader
@@ -37,14 +38,15 @@ type Scanner struct {
 	payload  []byte // reused request-block payload buffer
 	ppos     int    // decode offset into payload
 	block    int    // request blocks loaded so far
-	blockRem uint64 // records left in the current block
+	blockRem uint64 // records in the loaded block, not yet decoded
 	prevPage int64
 	seen     uint64 // records decoded so far
 	crc      uint32 // running CRC over block payloads
 	finished bool   // trailer seen and verified
 
-	cur Request
-	err error
+	run  []Request // reused run buffer (Next)
+	left int       // requests of the last run Scan has yet to step past
+	err  error
 }
 
 // Open returns a Scanner over the trace file at path. Closing the Scanner
@@ -128,59 +130,78 @@ func (s *Scanner) readString() (string, error) {
 	return string(b), err
 }
 
-// Scan advances to the next request, returning false at end of trace or on
-// error (distinguish with Err). Dict sections are absorbed transparently;
-// records decode in place from the current block's payload.
-func (s *Scanner) Scan() bool {
+// Next implements Iterator: the run is the records of the next non-empty
+// request block, decoded into a reused buffer, after the dict sections
+// before it. A block with a record that fails to decode yields no run:
+// Next returns nil and Err names the fault.
+func (s *Scanner) Next() []Request {
 	if s.err != nil {
-		return false
+		return nil
 	}
 	for s.blockRem == 0 {
 		if s.ppos != len(s.payload) {
 			s.err = fmt.Errorf("trace: block %d: %d payload bytes follow its last record", s.block, len(s.payload)-s.ppos)
-			return false
+			return nil
 		}
 		if s.finished || !s.nextSection() {
+			return nil
+		}
+	}
+	payload, pos, page, seen := s.payload, s.ppos, s.prevPage, s.seen
+	dictLen, nClients := uint64(s.dict.Len()), len(s.clients)
+	// The shortest record is four bytes: flags, client and two one-byte
+	// varints. So the payload bounds the run; a declared count alone
+	// commits no memory.
+	run := s.run[:0]
+	if c := min(s.blockRem, uint64(len(payload)-pos)/4); uint64(cap(run)) < c {
+		run = make([]Request, 0, c)
+	}
+	for rem := s.blockRem; rem > 0; rem-- {
+		if len(payload)-pos < 4 {
+			s.err = fmt.Errorf("trace: block %d: payload ends with %d of its records undecoded", s.block, rem)
+			return nil
+		}
+		flags, client := payload[pos], payload[pos+1]
+		pos += 2
+		delta, n := binary.Varint(payload[pos:])
+		if n <= 0 {
+			s.err = fmt.Errorf("trace: block %d: request %d: bad page delta", s.block, seen)
+			return nil
+		}
+		pos += n
+		page += delta
+		h, n := binary.Uvarint(payload[pos:])
+		if n <= 0 {
+			s.err = fmt.Errorf("trace: block %d: request %d: bad hint ID", s.block, seen)
+			return nil
+		}
+		pos += n
+		if h >= dictLen {
+			s.err = fmt.Errorf("trace: request %d references hint %d outside dictionary (len %d)", seen, h, dictLen)
+			return nil
+		}
+		if int(client) >= nClients {
+			s.err = fmt.Errorf("trace: request %d references client %d outside Clients (len %d)", seen, client, nClients)
+			return nil
+		}
+		run = append(run, Request{Page: uint64(page), Hint: hint.ID(h), Op: Op(flags & 1), Client: client})
+		seen++
+	}
+	s.ppos, s.prevPage, s.seen, s.blockRem, s.run = pos, page, seen, 0, run
+	return run
+}
+
+// Scan is the one-request-per-call form of Next that the frozen benchmark
+// (bench/layers.go) counts requests with: it advances past one request,
+// false at end of trace or on error. It is an adapter over Next and goes
+// when the benchmark is next revised.
+func (s *Scanner) Scan() bool {
+	if s.left == 0 {
+		if s.left = len(s.Next()); s.left == 0 {
 			return false
 		}
 	}
-	// The shortest record is four bytes: flags, client and two one-byte
-	// varints.
-	if len(s.payload)-s.ppos < 4 {
-		s.err = fmt.Errorf("trace: block %d: payload ends with %d of its records undecoded", s.block, s.blockRem)
-		return false
-	}
-	flags := s.payload[s.ppos]
-	client := s.payload[s.ppos+1]
-	s.ppos += 2
-	delta, n := binary.Varint(s.payload[s.ppos:])
-	if n <= 0 {
-		s.err = fmt.Errorf("trace: block %d: request %d: bad page delta", s.block, s.seen)
-		return false
-	}
-	s.ppos += n
-	s.prevPage += delta
-	h, n := binary.Uvarint(s.payload[s.ppos:])
-	if n <= 0 {
-		s.err = fmt.Errorf("trace: block %d: request %d: bad hint ID", s.block, s.seen)
-		return false
-	}
-	s.ppos += n
-	if h >= uint64(s.dict.Len()) {
-		s.err = fmt.Errorf("trace: request %d references hint %d outside dictionary (len %d)", s.seen, h, s.dict.Len())
-		return false
-	}
-	if int(client) >= len(s.clients) {
-		s.err = fmt.Errorf("trace: request %d references client %d outside Clients (len %d)", s.seen, client, len(s.clients))
-		return false
-	}
-	op := Read
-	if flags&1 != 0 {
-		op = Write
-	}
-	s.cur = Request{Page: uint64(s.prevPage), Hint: hint.ID(h), Op: op, Client: client}
-	s.blockRem--
-	s.seen++
+	s.left--
 	return true
 }
 
@@ -281,9 +302,6 @@ func (s *Scanner) nextSection() bool {
 	}
 }
 
-// Request returns the request produced by the last successful Scan.
-func (s *Scanner) Request() Request { return s.cur }
-
 // Err returns the first error encountered (nil at a clean end of trace).
 func (s *Scanner) Err() error { return s.err }
 
@@ -303,7 +321,7 @@ func (s *Scanner) Clients() []string {
 
 // HintDict returns the scanner's hint dictionary (Iterator). It grows as
 // the stream is scanned, always ahead of the requests that reference it;
-// the caller must not use it concurrently with Scan.
+// the caller must not use it concurrently with Next.
 func (s *Scanner) HintDict() *hint.Dict { return s.dict }
 
 // Close releases the underlying file when the Scanner was built by Open; it

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/hint"
@@ -32,8 +33,8 @@ func streamTestTrace() *Trace {
 func collect(t *testing.T, sc *Scanner) []Request {
 	t.Helper()
 	var out []Request
-	for sc.Scan() {
-		out = append(out, sc.Request())
+	for run := sc.Next(); len(run) > 0; run = sc.Next() {
+		out = append(out, run...)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestScannerTruncatedBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sc.Scan() {
+	for len(sc.Next()) > 0 {
 	}
 	if sc.Err() == nil {
 		t.Error("truncated stream scanned cleanly")
@@ -128,4 +129,60 @@ func TestSplitClients(t *testing.T) {
 	if total != tr.Len() {
 		t.Errorf("streams cover %d requests, want %d", total, tr.Len())
 	}
+}
+
+// TestSplitClientsSizesOnce: on three clients of uneven length, the split
+// equals an append loop's, and it allocates each stream once at its exact
+// size — at most one allocation per client plus two.
+func TestSplitClientsSizesOnce(t *testing.T) {
+	parts := []*Trace{buildTrace("a", 700, 1), buildTrace("b", 1000, 2), buildTrace("c", 300, 3)}
+	merged := New("uneven", 4096)
+	merged.Clients = []string{"a", "b", "c"}
+	if err := Merge(merged, merged.Clients, []Iterator{parts[0].Iter(), parts[1].Iter(), parts[2].Iter()}); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]Request, len(merged.Clients))
+	for _, r := range merged.Reqs {
+		want[r.Client] = append(want[r.Client], r)
+	}
+	got := merged.SplitClients()
+	for c := range want {
+		if !slices.Equal(got[c], want[c]) || cap(got[c]) != len(want[c]) {
+			t.Errorf("client %d: %d requests in a stream of capacity %d, want the append loop's %d", c, len(got[c]), cap(got[c]), len(want[c]))
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { merged.SplitClients() }); n > float64(len(merged.Clients)+2) {
+		t.Errorf("SplitClients allocated %.0f times for %d clients", n, len(merged.Clients))
+	}
+}
+
+// BenchmarkScannerNext prices decoding a v2 stream, run by run.
+func BenchmarkScannerNext(b *testing.B) {
+	tr := buildTrace("SCAN", 200000, 5)
+	data := encode(b, tr, WriterOptions{}, false)
+	for b.Loop() {
+		sc, err := NewScanner(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for len(sc.Next()) > 0 {
+		}
+		if err := sc.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/req")
+}
+
+// BenchmarkSplitClients prices splitting a three-client trace into its
+// clients' streams.
+func BenchmarkSplitClients(b *testing.B) {
+	merged, err := Interleave("SPLIT", buildTrace("a", 100000, 1), buildTrace("b", 100000, 2), buildTrace("c", 100000, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		merged.SplitClients()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*merged.Len()), "ns/req")
 }

@@ -191,6 +191,7 @@ func Merge(sink Sink, names []string, its []Iterator) error {
 	}
 	const unset = ^hint.ID(0)
 	remaps := make([][]hint.ID, len(its))
+	runs := make([][]Request, len(its)) // each client's unread rest of its run
 	done := make([]bool, len(its))
 	alive := len(its)
 	for alive > 0 {
@@ -198,19 +199,22 @@ func Merge(sink Sink, names []string, its []Iterator) error {
 			if done[i] {
 				continue
 			}
-			if !it.Scan() {
-				if err := it.Err(); err != nil {
-					return fmt.Errorf("trace: client %s: %w", names[i], err)
+			if len(runs[i]) == 0 {
+				if runs[i] = it.Next(); len(runs[i]) == 0 {
+					if err := it.Err(); err != nil {
+						return fmt.Errorf("trace: client %s: %w", names[i], err)
+					}
+					done[i] = true
+					alive--
+					continue
 				}
-				done[i] = true
-				alive--
-				continue
+				for len(remaps[i]) < it.HintDict().Len() {
+					remaps[i] = append(remaps[i], unset)
+				}
 			}
-			r := it.Request()
+			r := runs[i][0]
+			runs[i] = runs[i][1:]
 			d := it.HintDict()
-			for len(remaps[i]) < d.Len() {
-				remaps[i] = append(remaps[i], unset)
-			}
 			id := remaps[i][r.Hint]
 			if id == unset {
 				set, err := hint.Parse(d.Key(r.Hint))
@@ -238,7 +242,17 @@ func Merge(sink Sink, names []string, its []Iterator) error {
 // benchmark harness in bench/ does; the serve/replay paths split on the fly
 // in engine.Dispatch instead).
 func (t *Trace) SplitClients() [][]Request {
+	// Count first, so each stream is allocated once at its exact size.
+	counts := make([]int, len(t.Clients))
+	for _, r := range t.Reqs {
+		counts[r.Client]++
+	}
 	streams := make([][]Request, len(t.Clients))
+	for c, n := range counts {
+		if n > 0 {
+			streams[c] = make([]Request, 0, n)
+		}
+	}
 	for _, r := range t.Reqs {
 		streams[r.Client] = append(streams[r.Client], r)
 	}

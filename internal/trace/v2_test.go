@@ -136,7 +136,7 @@ func TestV2Truncated(t *testing.T) {
 		if err != nil {
 			continue // truncated inside the header: also fine
 		}
-		for sc.Scan() {
+		for len(sc.Next()) > 0 {
 		}
 		if sc.Err() == nil {
 			t.Fatalf("truncation at %d/%d not detected", cut, len(full))
@@ -154,7 +154,7 @@ func TestV2CorruptPayload(t *testing.T) {
 	if err != nil {
 		return // corrupted the header: rejected even earlier
 	}
-	for sc.Scan() {
+	for len(sc.Next()) > 0 {
 	}
 	if sc.Err() == nil {
 		t.Fatal("corrupted payload byte not detected")
@@ -168,7 +168,7 @@ func TestV2TrailingGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sc.Scan() {
+	for len(sc.Next()) > 0 {
 	}
 	if sc.Err() == nil || !strings.Contains(sc.Err().Error(), "trailing data") {
 		t.Fatalf("trailing garbage not detected: %v", sc.Err())
@@ -195,15 +195,15 @@ func TestV2ScanSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: first block load sizes the payload buffer.
-	for i := 0; i < 5000 && sc.Scan(); i++ {
-	}
+	// Warm up: the first block loads size the payload and run buffers.
+	sc.Next()
+	sc.Next()
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	n := 0
-	for sc.Scan() {
-		n++
+	for run := sc.Next(); len(run) > 0; run = sc.Next() {
+		n += len(run)
 	}
 	runtime.ReadMemStats(&m1)
 	if err := sc.Err(); err != nil {
@@ -282,7 +282,7 @@ func TestScannerLengthClaimsCommitNoMemory(t *testing.T) {
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		for sc.Scan() {
+		for len(sc.Next()) > 0 {
 		}
 		runtime.ReadMemStats(&m1)
 		if sc.Err() == nil {
@@ -330,7 +330,7 @@ func TestPipeCancel(t *testing.T) {
 		}
 		pw.Close()
 	}()
-	if !pr.Scan() {
+	if len(pr.Next()) == 0 {
 		t.Fatal("expected at least one request")
 	}
 	pr.Close()
