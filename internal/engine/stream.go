@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/hint"
@@ -65,6 +66,43 @@ func (l *KeyLog) Since(from int) []string {
 // fraction of what the batches it carries cost to serve.
 const runRequests = 8 * core.DefaultAccessBatch
 
+// spareRuns holds the run buffers of finished Dispatch calls for the next
+// call, by weak reference: a collection frees them as it would have
+// without the list, so they cost the live heap nothing (a sync.Pool keeps
+// its contents through one collection). A call soon after another, with
+// no collection between them, allocates no run buffer.
+var spareRuns struct {
+	sync.Mutex
+	runs []weak.Pointer[[]trace.Request]
+}
+
+// maxSpareRuns bounds the list: the buffers of a few replays' clients.
+const maxSpareRuns = 64
+
+// getRun returns an empty run buffer with room for n requests: a spare
+// one, if one that large has survived, else a new one.
+func getRun(n int) []trace.Request {
+	spareRuns.Lock()
+	defer spareRuns.Unlock()
+	for k := len(spareRuns.runs); k > 0; k-- {
+		p := spareRuns.runs[k-1].Value()
+		spareRuns.runs = spareRuns.runs[:k-1]
+		if p != nil && cap(*p) >= n {
+			return (*p)[:0]
+		}
+	}
+	return make([]trace.Request, 0, n)
+}
+
+// putRun offers a run buffer to the next getRun.
+func putRun(b []trace.Request) {
+	spareRuns.Lock()
+	defer spareRuns.Unlock()
+	if len(spareRuns.runs) < maxSpareRuns {
+		spareRuns.runs = append(spareRuns.runs, weak.Make(&b))
+	}
+}
+
 // Dispatch is the one scan → per-client worker loop behind every
 // concurrent serve and replay: it takes runs from it (stopping after limit
 // requests when limit is positive), scatters each run's requests to their
@@ -82,12 +120,13 @@ const runRequests = 8 * core.DefaultAccessBatch
 // Run buffers cycle between the dispatcher and each worker: the dispatcher
 // fills one from the scan, hands it over, and gets it back once its last
 // batch has been submitted, so after a few runs per client the steady
-// state allocates nothing. A client holds at most six runs at once (four
-// queued, one being submitted, one being filled): 384 KB at 4096
-// requests. The first failure — a session that will not open, a Submit
-// or Drain error — stops the scan at the next hand-off and is returned;
-// the workers keep draining their queues meanwhile, so the dispatcher
-// never blocks on a dead session.
+// state allocates nothing, and a finished call leaves its buffers to the
+// next (spareRuns). A client holds at most six runs at once (four queued,
+// one being submitted, one being filled): 384 KB at 4096 requests. The
+// first failure — a session that will not open, a Submit or Drain error —
+// stops the scan at the next hand-off and is returned; the workers keep
+// draining their queues meanwhile, so the dispatcher never blocks on a
+// dead session.
 func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *KeyLog, st *sim.ClientStat) (Session, error)) (sim.Result, error) {
 	type worker struct {
 		ch      chan []trace.Request
@@ -121,7 +160,7 @@ func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *
 		w := &worker{
 			ch:      make(chan []trace.Request, 4),
 			free:    make(chan []trace.Request, 8),
-			pending: make([]trace.Request, 0, run),
+			pending: getRun(run),
 			st:      &sim.ClientStat{Name: name},
 		}
 		wg.Add(1)
@@ -195,7 +234,7 @@ scan:
 			select {
 			case w.pending = <-w.free:
 			default:
-				w.pending = make([]trace.Request, 0, run)
+				w.pending = getRun(run)
 			}
 			if failed.Load() {
 				break scan
@@ -205,10 +244,17 @@ scan:
 	for _, w := range workers {
 		if len(w.pending) > 0 {
 			w.ch <- w.pending
+		} else {
+			putRun(w.pending)
 		}
 		close(w.ch)
 	}
 	wg.Wait()
+	for _, w := range workers {
+		for len(w.free) > 0 {
+			putRun(<-w.free)
+		}
+	}
 	if err := it.Err(); err != nil {
 		return sim.Result{}, err
 	}
@@ -246,16 +292,16 @@ func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, 
 }
 
 // ServeIterator is ServeSource over an already-open iterator. A Sharded
-// front is driven through per-client producer handles in batches — the
-// same shape the network path uses, so the front's frame fan-out is
-// exercised identically in-process and over TCP — and, when lat is
-// non-nil, every AccessBatch call's wall time in nanoseconds goes into
-// lat; other policies take the per-request path and are not timed. It
-// cannot run policy.Preparer prefix passes (OPT needs the whole request
-// slice); those policies go through Run. Per-client read accounting is
-// exact; the aggregate hit count depends on how the clients' requests
-// interleave, so with more than one client it is not deterministic across
-// calls.
+// front is driven through per-client producer handles, one AccessBatch per
+// batchSize requests — the shape of an unloaded server, which serves each
+// frame alone; a loaded one serves the frames it has buffered as one call
+// (internal/server) — and, when lat is non-nil, every AccessBatch call's
+// wall time in nanoseconds goes into lat; other policies take the
+// per-request path and are not timed. It cannot run policy.Preparer
+// prefix passes (OPT needs the whole request slice); those policies go
+// through Run. Per-client read accounting is exact; the aggregate hit
+// count depends on how the clients' requests interleave, so with more
+// than one client it is not deterministic across calls.
 func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, lat *metrics.Histogram) (sim.Result, error) {
 	if batchSize <= 0 {
 		batchSize = core.DefaultAccessBatch

@@ -2,10 +2,13 @@ package engine
 
 import (
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -154,6 +157,105 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*two.Len()), "ns/req")
 }
+
+// TestDispatchReusesRunBuffers: a finished replay leaves its run buffers
+// to the next one. Each replay's sessions hold their first batch until
+// the scan has handed out ten runs, by which time each of the two clients
+// has all six buffers it can have out (four queued, one in its session,
+// one being filled), so both replays need the same twelve; with the
+// collector off (it frees the spare buffers) the second allocates less
+// than one run buffer.
+func TestDispatchReusesRunBuffers(t *testing.T) {
+	two := twoClients(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	replay := func() uint64 {
+		gate := make(chan struct{})
+		it := &gatedIter{Iterator: two.Iter(), after: 10 * runRequests, gate: gate}
+		open := func(string, *KeyLog, *sim.ClientStat) (Session, error) { return gatedSession{gate}, nil }
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Dispatch(it, 0, core.DefaultAccessBatch, open); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := replay()
+	run := uint64(runRequests * unsafe.Sizeof(trace.Request{}))
+	if second := replay(); second >= run {
+		t.Errorf("second replay allocated %d bytes (the first %d), want under one %d-byte run buffer", second, first, run)
+	}
+}
+
+// TestDispatchConcurrentReplays: replays running at once take spare run
+// buffers from, and return them to, the same list; none is handed to two
+// of them, so every session still gets exactly its client's requests in
+// trace order.
+func TestDispatchConcurrentReplays(t *testing.T) {
+	two := twoClients(t)
+	want := make(map[string][]trace.Request)
+	for _, r := range two.Reqs {
+		name := two.Clients[r.Client]
+		want[name] = append(want[name], r)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var mu sync.Mutex
+			sessions := map[string]*fakeSession{}
+			_, err := Dispatch(two.Iter(), 0, core.DefaultAccessBatch, func(name string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
+				s := &fakeSession{st: st}
+				mu.Lock()
+				sessions[name] = s
+				mu.Unlock()
+				return s, nil
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for name, s := range sessions {
+				if !slices.Equal(s.got, want[name]) {
+					t.Errorf("client %s got %d requests, not its %d in trace order", name, len(s.got), len(want[name]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// gatedIter hands out its iterator's requests in runs of 2048 and closes
+// gate once it has handed out after of them, or all of them.
+type gatedIter struct {
+	trace.Iterator
+	rest   []trace.Request
+	handed int
+	after  int
+	gate   chan struct{}
+}
+
+func (g *gatedIter) Next() []trace.Request {
+	if len(g.rest) == 0 {
+		g.rest = g.Iterator.Next()
+	}
+	run := g.rest[:min(2048, len(g.rest))]
+	g.rest = g.rest[len(run):]
+	if (g.handed >= g.after || len(run) == 0) && g.gate != nil {
+		close(g.gate)
+		g.gate = nil
+	}
+	g.handed += len(run)
+	return run
+}
+
+// gatedSession takes batches once its gate is closed.
+type gatedSession struct{ gate chan struct{} }
+
+func (s gatedSession) Submit([]trace.Request) error { <-s.gate; return nil }
+func (gatedSession) Drain() error                   { return nil }
+func (gatedSession) Close() error                   { return nil }
 
 type nopSession struct{}
 

@@ -79,8 +79,9 @@ func (s *Server) buildRegistry() {
 		func() float64 { return float64(s.inflight.Value()) })
 	r.CounterFunc("clic_server_flushes_total", "Writer buffer flushes (batches per flush is the write-coalescing factor).",
 		func() float64 { return float64(s.flushes.Value()) })
-	r.RegisterHistogram("clic_server_batch_ns", "Batch service time (decode to response write) in nanoseconds.", &s.batchNs)
+	r.RegisterHistogram("clic_server_batch_ns", "Batch service time (decode to response write, including the wait for the rest of the frame's group) in nanoseconds.", &s.batchNs)
 	r.RegisterHistogram("clic_server_batch_requests", "Requests per served batch frame.", &s.batchReqs)
+	r.RegisterHistogram("clic_server_batch_group_frames", "Batch frames per cache call: frames already buffered are served as one group.", &s.groupFrames)
 
 	r.CounterFunc("clic_learner_deferred_windows_total", "Shard windows a rotation found mid-frame and left to the next round.",
 		func() float64 { return float64(c.Global().DeferredWindows()) })

@@ -186,14 +186,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("clic_server_batch_requests_sum = %v, want %d requests served", got, res.Requests)
 	}
 
+	// Groups: every served batch frame is in exactly one group.
+	groups := samples["clic_server_batch_group_frames_count"]
+	if got, want := samples["clic_server_batch_group_frames_sum"], samples["clic_server_batches_total"]; got != want || groups == 0 || groups > want {
+		t.Errorf("clic_server_batch_group_frames sum/count = %v/%v, want sum = clic_server_batches_total %v", got, groups, want)
+	}
+
 	// Combining counters: the replay's connection posted at least a frame
-	// per batch, and at most one per shard for each batch and each window
-	// boundary it cut a batch at; the scrape agrees with the snapshot now
-	// that the server is idle.
+	// per group (one cache call each), and at most one per shard for each
+	// group and each window boundary it cut a group at; the scrape agrees
+	// with the snapshot now that the server is idle.
 	frames, foreign := samples["clic_core_frames_total"], samples["clic_core_frames_foreign_total"]
-	batches, rotations := samples["clic_server_batches_total"], samples["clic_cache_rotations_total"]
-	if frames < batches || frames > shards*(batches+rotations) {
-		t.Errorf("clic_core_frames_total = %v for %v batches and %v rotations over %d shards", frames, batches, rotations, shards)
+	rotations := samples["clic_cache_rotations_total"]
+	if frames < groups || frames > shards*(groups+rotations) {
+		t.Errorf("clic_core_frames_total = %v for %v groups and %v rotations over %d shards", frames, groups, rotations, shards)
 	}
 	if _, ok := samples["clic_core_frames_foreign_total"]; !ok || foreign > frames {
 		t.Errorf("clic_core_frames_foreign_total = %v (present %v) of %v frames", foreign, ok, frames)
@@ -289,11 +295,12 @@ func TestSnapshotSchema(t *testing.T) {
 		"reads", "read_hits", "writes", "evictions", "len", "outqueue_len",
 	})
 	check("connections", doc["connections"], []string{"active", "total", "inflight"})
-	check("histograms", doc["histograms"], []string{"batchServiceNs", "batchRequests", "batches"})
+	check("histograms", doc["histograms"], []string{"batchServiceNs", "batchRequests", "groupFrames", "batches"})
 	check("combining", doc["combining"], []string{"frames", "foreign"})
 	var hists struct {
 		BatchServiceNs json.RawMessage `json:"batchServiceNs"`
 		BatchRequests  json.RawMessage `json:"batchRequests"`
+		GroupFrames    json.RawMessage `json:"groupFrames"`
 		Batches        uint64          `json:"batches"`
 	}
 	if err := json.Unmarshal(doc["histograms"], &hists); err != nil {
@@ -302,6 +309,7 @@ func TestSnapshotSchema(t *testing.T) {
 	summaryKeys := []string{"count", "sum", "mean", "p50", "p90", "p99", "max"}
 	check("histograms.batchServiceNs", hists.BatchServiceNs, summaryKeys)
 	check("histograms.batchRequests", hists.BatchRequests, summaryKeys)
+	check("histograms.groupFrames", hists.GroupFrames, summaryKeys)
 	if hists.Batches == 0 {
 		t.Error("histograms.batches is zero after a replay")
 	}
@@ -322,10 +330,15 @@ func TestSnapshotSchema(t *testing.T) {
 	if snap.Connections.Total == 0 {
 		t.Error("connections.total is zero after a replay")
 	}
-	// Every batch posts at least one frame, and at most one per shard for
-	// the batch and for each window boundary it was cut at.
-	if c, b, w := snap.Combining, snap.Histograms.Batches, uint64(snap.Core.Windows); c.Frames < b || c.Frames > 2*(b+w) || c.Foreign > c.Frames {
-		t.Errorf("combining = %+v for %d batches and %d rotations over 2 shards", c, b, w)
+	// Every group (one cache call) posts at least one frame, and at most one
+	// per shard for the group and for each window boundary it was cut at;
+	// the groups hold every batch once.
+	gf := snap.Histograms.GroupFrames
+	if c, g, w := snap.Combining, gf.Count, uint64(snap.Core.Windows); c.Frames < g || c.Frames > 2*(g+w) || c.Foreign > c.Frames {
+		t.Errorf("combining = %+v for %d groups and %d rotations over 2 shards", c, g, w)
+	}
+	if gf.Sum != snap.Histograms.Batches || gf.Count == 0 {
+		t.Errorf("groupFrames count/sum = %d/%d, want the sum to be the %d batches", gf.Count, gf.Sum, snap.Histograms.Batches)
 	}
 	if br := snap.Histograms.BatchRequests; br.Count != snap.Histograms.Batches || br.Sum != snap.Core.Requests {
 		t.Errorf("batchRequests count/sum = %d/%d, want %d batches / %d requests",

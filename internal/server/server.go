@@ -7,10 +7,13 @@
 // One connection is one client. The handshake interns the client's hint
 // vocabulary into the server-wide dictionary once, so the per-request hot
 // path is a table lookup plus a core.Sharded access — connections touching
-// different shards proceed in parallel, exactly like engine.ServeSource's
-// in-process goroutines. Per-client read accounting matches ServeSource's
-// sim.ClientStat bookkeeping so loopback replays are comparable to the
-// in-process path.
+// different shards proceed in parallel, like engine.ServeSource's
+// in-process goroutines. A connection's reader serves the batch frames
+// already in its read buffer together, as one group and one AccessBatch,
+// so a loaded server hands each shard larger frames than one client frame
+// would make (see handle). Per-client read accounting matches
+// ServeSource's sim.ClientStat bookkeeping so loopback replays are
+// comparable to the in-process path.
 //
 // A second, optional HTTP listener is the observability surface: live
 // stats as JSON at /stats (front aggregate, per-shard breakdown, per-client
@@ -82,6 +85,15 @@ const DefaultMaxHintKeys = 1 << 20
 // (each in-flight batch holds one result slot).
 const DefaultMaxInflight = 32
 
+// groupRequests caps a group: the reader stops adding batch frames to one
+// AccessBatch once it holds this many requests. Four default-size frames
+// give a shard of the 8-shard front a frame of about 256 requests, four
+// times what one client frame gives it. Chosen by measurement on
+// serve_loopback (see CHANGES.md): half the cap saved less CPU,
+// and groups bounded only by the client's window of eight frames saved
+// a little more but held the earlier frames' results back longer.
+const groupRequests = 4 * wire.DefaultBatch
+
 // clientTotals is the merged read accounting for one client name across all
 // of its (past and present) connections.
 type clientTotals struct {
@@ -114,6 +126,8 @@ type Server struct {
 	batchNs      metrics.Histogram
 	// batchReqs is the frame size: requests per served batch.
 	batchReqs metrics.Histogram
+	// groupFrames is the batch frames per AccessBatch call (see handle).
+	groupFrames metrics.Histogram
 
 	// inflight gauges pipelined batches accepted but not yet answered,
 	// summed over all connections; flushes counts writer-side buffer
@@ -337,15 +351,24 @@ type resultSlot struct {
 
 // handle runs one connection: handshake, then a reader loop feeding the
 // cache and a writer goroutine draining completed results. The reader
-// decodes each batch frame where it lies in the read buffer into the
-// connection's request slice, remaps the hint indices, runs the batch and
-// hands the filled result slot to the writer; the writer encodes and
-// writes results in arrival order (which is sequence order — TCP keeps
-// frames ordered and the reader serves them in order) and flushes whenever
-// it has caught up with the reader, its queue empty (wire's "Flushing"
-// rule). The slot channel caps the in-flight window: a full window blocks
-// the reader, which stops reading, which backpressures the client through
-// TCP.
+// decodes each batch frame where it lies in the read buffer onto the end
+// of the connection's request slice, remaps the hint indices and gives the
+// frame a result slot. Then it serves what has already arrived: while
+// another whole frame is buffered (wire.FrameReader.Ready), a slot is free
+// without blocking and the group holds fewer than groupRequests requests,
+// it takes that frame into the same group, an Intern frame in place. The
+// group runs as one AccessBatch, in stream order, which leaves the
+// connection's verdicts and the front's Stats as a serial replay's; the
+// reader splits the verdicts into the frames' slots and hands them to the
+// writer in order. A group never waits for bytes, so a lock-step client
+// or an idle server sees one frame per group. The writer encodes and writes
+// results in arrival order (which is sequence order — TCP keeps frames
+// ordered and the reader serves them in order) and flushes whenever it has
+// caught up with the reader, its queue empty (wire's "Flushing" rule). The
+// slot channel caps the in-flight window: a full window blocks the reader,
+// which stops reading, which backpressures the client through TCP. A frame
+// refused mid-group ends the group before it: the frames ahead of it are
+// served and answered, then the Error frame goes out.
 func (s *Server) handle(conn net.Conn) {
 	s.connsTotal.Inc()
 	s.connsActive.Add(1)
@@ -402,13 +425,20 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	// Each connection drives the front through its own producer handle, so
-	// a batch fans out to the shards as frames. All batch state (the request
-	// slice, the slots, the producer's frames, the writer's encode buffer)
-	// is connection-owned and recycled.
+	// a group fans out to the shards as frames. All batch state (the request
+	// slice, the verdict slice, the slots, the producer's frames, the
+	// writer's encode buffer) is connection-owned and recycled.
 	prod := s.cache.NewProducer()
 	defer prod.Close()
-	var reqs []trace.Request
-	var framesSeen, foreignSeen uint64 // prod.Frames() as last folded into the server's counters
+	var (
+		// reqs holds the group's requests back to back, frame after frame;
+		// group holds the frames' slots in the same order.
+		reqs  []trace.Request
+		group []*resultSlot
+		hits  []bool // a group's verdicts before they are split into its slots
+		// prod.Frames() as last folded into the server's counters.
+		framesSeen, foreignSeen uint64
+	)
 
 	results := make(chan *resultSlot, s.maxInflight)
 	free := make(chan *resultSlot, s.maxInflight)
@@ -434,78 +464,138 @@ func (s *Server) handle(conn net.Conn) {
 		results <- slot
 	}
 
-	for {
-		payload, err := fr.Next()
-		if err != nil {
-			return // io.EOF is the clean goodbye; anything else, same exit
-		}
+	// take handles one frame. An Intern frame extends the remap table; a
+	// BatchSeq frame is decoded onto the end of reqs, remapped, and joins
+	// the group with a result slot. It returns the error to report, if the
+	// frame is refused: then nothing of it has reached reqs or the group.
+	take := func(payload []byte) string {
 		t, err := wire.PayloadType(payload)
 		if err != nil {
-			fail(err.Error())
-			return
+			return err.Error()
 		}
 		switch t {
 		case wire.TypeIntern:
 			keys, err := wire.DecodeIntern(payload)
 			if err != nil {
-				fail(err.Error())
-				return
+				return err.Error()
 			}
 			if n := len(remap) + len(keys); n > s.maxHintKeys {
-				fail(fmt.Sprintf("hint vocabulary %d exceeds limit %d", n, s.maxHintKeys))
-				return
+				return fmt.Sprintf("hint vocabulary %d exceeds limit %d", n, s.maxHintKeys)
 			}
 			remap = s.intern(remap, keys)
+			return ""
 		case wire.TypeBatchSeq:
-			batchStart := time.Now()
-			var seq uint64
-			if seq, reqs, err = wire.DecodeBatch(payload, reqs); err != nil {
-				fail(err.Error())
-				return
+			start := time.Now()
+			// Decoded in place after the group's requests. Until a group
+			// reaches its cap there is room for a default-size frame;
+			// DecodeBatch allocates a larger frame elsewhere.
+			if reqs == nil {
+				reqs = make([]trace.Request, 0, groupRequests+wire.DefaultBatch)
+			}
+			seq, frame, err := wire.DecodeBatch(payload, reqs[len(reqs):])
+			if err != nil {
+				return err.Error()
 			}
 			// The whole frame is checked before any of it reaches the cache:
 			// a bad frame is refused whole, never half applied.
-			for i := range reqs {
-				h := reqs[i].Hint
+			for i := range frame {
+				h := frame[i].Hint
 				if int(h) >= len(remap) {
-					fail(fmt.Sprintf("hint index %d not announced (table has %d)", h, len(remap)))
-					return
+					return fmt.Sprintf("hint index %d not announced (table has %d)", h, len(remap))
 				}
-				reqs[i].Hint = remap[h]
+				frame[i].Hint = remap[h]
+			}
+			if cap(reqs)-len(reqs) >= len(frame) {
+				reqs = reqs[:len(reqs)+len(frame)]
+			} else {
+				reqs = append(reqs, frame...)
 			}
 			// Blocking here is the in-flight window: no free slot until the
-			// writer retires one.
+			// writer retires one. Only a group's first frame can block; the
+			// reader takes another only while a slot is free.
 			slot := <-free
-			slot.seq, slot.start = seq, batchStart
-			if cap(slot.hits) < len(reqs) {
-				slot.hits = make([]bool, len(reqs))
+			slot.seq, slot.start = seq, start
+			if cap(slot.hits) < len(frame) {
+				slot.hits = make([]bool, len(frame))
 			}
-			slot.hits = slot.hits[:len(reqs)]
-			prod.AccessBatch(reqs, slot.hits)
-			// Counted by addition: a branch on a verdict is a coin toss. The
-			// cache reports a hit only for a read, so the hits are the read
-			// hits.
-			var reads, readHits uint64
-			for i, hit := range slot.hits {
-				reads += b2u(reqs[i].Op == trace.Read)
-				readHits += b2u(hit)
-			}
-			posted, foreign := prod.Frames()
-			s.frames.Add(posted - framesSeen)
-			if foreign != foreignSeen { // rare enough at small frames to skip the shared write
-				s.framesForeign.Add(foreign - foreignSeen)
-			}
-			framesSeen, foreignSeen = posted, foreign
-			// Fold the batch into the by-client totals before responding,
-			// so once a client has its results the admin snapshot already
-			// reflects them: Snapshot sums equal client-side accounting
-			// the moment a replay returns.
-			s.mergeClient(hello.Client, reads, readHits)
-			slot.outq = s.cache.OutqueueLen()
-			s.inflight.Add(1)
-			results <- slot
+			slot.hits = slot.hits[:len(frame)]
+			group = append(group, slot)
+			return ""
 		default:
-			fail(fmt.Sprintf("unexpected frame type %d", t))
+			return fmt.Sprintf("unexpected frame type %d", t)
+		}
+	}
+
+	// serve runs the group's requests as one batch, in stream order, splits
+	// the verdicts into the frames' slots and queues the slots, in order, to
+	// the writer.
+	serve := func() {
+		h := group[0].hits
+		if len(group) > 1 {
+			if cap(hits) < len(reqs) {
+				hits = make([]bool, cap(reqs))
+			}
+			h = hits[:len(reqs)]
+		}
+		prod.AccessBatch(reqs, h)
+		// Counted by addition: a branch on a verdict is a coin toss. The
+		// cache reports a hit only for a read, so the hits are the read
+		// hits.
+		var reads, readHits uint64
+		for i, hit := range h {
+			reads += b2u(reqs[i].Op == trace.Read)
+			readHits += b2u(hit)
+		}
+		posted, foreign := prod.Frames()
+		s.frames.Add(posted - framesSeen)
+		if foreign != foreignSeen { // rare enough at small frames to skip the shared write
+			s.framesForeign.Add(foreign - foreignSeen)
+		}
+		framesSeen, foreignSeen = posted, foreign
+		// Fold the group into the by-client totals before responding, so
+		// once a client has its results the admin snapshot already reflects
+		// them: Snapshot sums equal client-side accounting the moment a
+		// replay returns.
+		s.mergeClient(hello.Client, reads, readHits)
+		outq := s.cache.OutqueueLen()
+		s.groupFrames.Observe(uint64(len(group)))
+		s.inflight.Add(int64(len(group)))
+		if len(group) > 1 {
+			for _, slot := range group {
+				h = h[copy(slot.hits, h):]
+			}
+		}
+		for _, slot := range group {
+			slot.outq = outq
+			results <- slot
+		}
+		group, reqs = group[:0], reqs[:0]
+	}
+
+	for {
+		payload, err := fr.Next()
+		if err != nil {
+			return // io.EOF is the clean goodbye; anything else, same exit
+		}
+		msg := take(payload)
+		// Gather what has already arrived: more frames while one is whole
+		// in the read buffer, a slot is free and the group is under its
+		// cap. Ready never reads the connection, so a group never waits
+		// for bytes.
+		for msg == "" && len(group) > 0 && len(reqs) < groupRequests && len(free) > 0 && fr.Ready() {
+			if payload, err = fr.Next(); err != nil {
+				break
+			}
+			msg = take(payload)
+		}
+		if len(group) > 0 {
+			serve()
+		}
+		if msg != "" {
+			fail(msg)
+			return
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -630,10 +720,12 @@ type ConnectionsSnapshot struct {
 }
 
 // HistogramsSnapshot carries cumulative histogram summaries of the served
-// batches: their service time in nanoseconds and their size in requests.
+// batches: their service time in nanoseconds, their size in requests, and
+// how many of them each cache call served (see handle).
 type HistogramsSnapshot struct {
 	BatchServiceNs metrics.Summary `json:"batchServiceNs"`
 	BatchRequests  metrics.Summary `json:"batchRequests"`
+	GroupFrames    metrics.Summary `json:"groupFrames"`
 	// Batches is the number of batches served (BatchServiceNs.Count once
 	// quiescent, kept separate because the histogram lags the counter by
 	// in-flight batches).
@@ -655,6 +747,7 @@ func (s *Server) Snapshot(topHints int) Snapshot {
 		Histograms: HistogramsSnapshot{
 			BatchServiceNs: s.batchNs.Summary(),
 			BatchRequests:  s.batchReqs.Summary(),
+			GroupFrames:    s.groupFrames.Summary(),
 			Batches:        s.batchesTotal.Value(),
 		},
 		// Foreign first: frames only ever runs ahead of it.
