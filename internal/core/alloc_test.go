@@ -57,6 +57,35 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestProducerSizesFramesOnce: a fresh producer's first 4096-request
+// AccessBatch on a warm 8-shard front allocates at most its frames' request
+// and index slices, once each, rather than growing them by append from
+// empty (about 20 allocations a shard).
+func TestProducerSizesFramesOnce(t *testing.T) {
+	const shards, n, runs = 8, 4096, 20
+	s := NewSharded(Config{Capacity: 512, Window: 2000, TopK: 64}, shards)
+	defer s.Close()
+	reqs := shardedTrace(200000, 99)
+	hits := make([]bool, n)
+	warm := s.NewProducer()
+	for off := 0; off+n <= len(reqs); off += n {
+		warm.AccessBatch(reqs[off:off+n], hits)
+	}
+	prods := make([]*Producer, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range prods {
+		prods[i] = s.NewProducer()
+	}
+	i := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		off := i * n % (len(reqs) - n)
+		prods[i].AccessBatch(reqs[off:off+n], hits)
+		i++
+	})
+	if avg > 2*shards {
+		t.Errorf("a fresh producer's first %d-request AccessBatch allocates %v times, want at most %d (two slices a shard)", n, avg, 2*shards)
+	}
+}
+
 // TestAccessBatchGlobalAllocs isolates the shared learner's per-frame part
 // of the batch contract: once every tap's top-k window has grown to its k
 // counters — in the warm-up — leasing, counting and releasing allocate

@@ -38,9 +38,10 @@ import (
 // frame's next link before it runs the frame, never after.
 
 // DefaultAccessBatch is the request count per AccessBatch call used by
-// drivers that do not choose their own batching. It matches the wire
-// protocol's default frame size, so the network and in-process batch paths
-// exercise identical sub-batch shapes.
+// drivers that do not choose their own batching, and the wire protocol's
+// default frame size. It is not the size every path serves: a loaded
+// server serves the frames it has buffered as one call (internal/server),
+// and the in-process engine serves a client's whole 4096-request run as one.
 const DefaultAccessBatch = 512
 
 // warmGroup is how many requests processFrame warms ahead of running them:
@@ -246,10 +247,26 @@ func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) {
 	if len(hits) < len(reqs) {
 		panic("core: AccessBatch hits slice shorter than reqs")
 	}
+	p.size(len(reqs))
 	for len(reqs) > 0 {
 		n := min(len(reqs), p.s.global.UntilRotation())
 		p.accessBatch(reqs[:n], hits[:n])
 		reqs, hits = reqs[n:], hits[n:]
+	}
+}
+
+// size grows, in one allocation each, the empty frame slices too small
+// for an n-request batch: to twice a shard's even share (at most n), so
+// that only a batch skewed past that grows a frame by append.
+func (p *Producer) size(n int) {
+	want := min(n, 2*n/len(p.frames))
+	for _, f := range p.frames {
+		if cap(f.reqs) < want {
+			f.reqs = make([]trace.Request, 0, want)
+		}
+		if cap(f.idx) < want {
+			f.idx = make([]int32, 0, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -336,67 +337,31 @@ func TestServeSourceGlobalMoreClientsThanShards(t *testing.T) {
 // test for the two ways into a front: with one client, ServeSource is a
 // serial batch replay through one producer, which is bit-identical to
 // sim.Run's per-request replay through Sharded.Access — same reads, same
-// hits, same snapshot.
+// hits, same snapshot — whether W is longer than the 4096-request run each
+// AccessBatch call serves or the learner rotates inside runs.
 func TestServeSourceOwnerSingleClient(t *testing.T) {
-	cfg := core.Config{Capacity: 3000, Window: 5000}
 	const shards = 4
+	for _, w := range []int{5000, 1000, 333} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			cfg := core.Config{Capacity: 3000, Window: w}
+			perRequest := core.NewSharded(cfg, shards)
+			want := sim.Run(perRequest, testTrace)
+			framed := core.NewSharded(cfg, shards)
+			defer framed.Close()
+			got := serve(t, framed, testTrace)
 
-	perRequest := core.NewSharded(cfg, shards)
-	want := sim.Run(perRequest, testTrace)
-	framed := core.NewSharded(cfg, shards)
-	defer framed.Close()
-	got := serve(t, framed, testTrace)
-
-	if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
-		t.Errorf("ServeSource %d/%d hits/reads, per-request %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
-	}
-	if got.ReadHits == 0 {
-		t.Error("no hits at all; test is vacuous")
-	}
-	if fs, ps := framed.Stats(), perRequest.Stats(); fs != ps {
-		t.Errorf("Stats drift:\nServeSource %+v\nper-request %+v", fs, ps)
-	}
-}
-
-// TestServeSourceOwnerMoreClientsThanShards drives a 2-shard front from 6
-// concurrent producers in batches of 3 requests, so that frames of one or
-// two requests collide on every shard — the engine-layer -race stress for
-// the combining hand-off at its finest grain. Per-client read counts are
-// exact; hit counts depend on interleaving but the accounting must balance.
-func TestServeSourceOwnerMoreClientsThanShards(t *testing.T) {
-	merged := sixClients(t)
-	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2)
-	defer s.Close()
-	res, err := ServeSource(s, merged.Source(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var reads, hits uint64
-	for c, st := range res.PerClient {
-		wantReads := uint64(0)
-		for _, r := range merged.Reqs {
-			if int(r.Client) == c && r.Op == trace.Read {
-				wantReads++
+			if got.Reads != want.Reads || got.ReadHits != want.ReadHits {
+				t.Errorf("ServeSource %d/%d hits/reads, per-request %d/%d", got.ReadHits, got.Reads, want.ReadHits, want.Reads)
 			}
-		}
-		if st.Reads != wantReads {
-			t.Errorf("client %d Reads = %d, want %d", c, st.Reads, wantReads)
-		}
-		reads += st.Reads
-		hits += st.ReadHits
-	}
-	if res.Reads != reads || res.ReadHits != hits {
-		t.Errorf("totals (%d, %d) disagree with per-client sums (%d, %d)", res.Reads, res.ReadHits, reads, hits)
-	}
-	if res.ReadHits == 0 {
-		t.Error("no hits at all; cache is not being exercised")
-	}
-	st := s.Stats()
-	if st.Reads != res.Reads || st.ReadHits != res.ReadHits {
-		t.Errorf("Stats (%d reads, %d hits) disagree with result (%d, %d)", st.Reads, st.ReadHits, res.Reads, res.ReadHits)
-	}
-	if st.Requests != uint64(merged.Len()) {
-		t.Errorf("Stats.Requests = %d, want %d", st.Requests, merged.Len())
+			if got.ReadHits == 0 {
+				t.Error("no hits at all; test is vacuous")
+			}
+			if fs, ps := framed.Stats(), perRequest.Stats(); fs != ps {
+				t.Errorf("Stats drift:\nServeSource %+v\nper-request %+v", fs, ps)
+			}
+			if fs := framed.Stats(); fs.Windows != testTrace.Len()/w {
+				t.Errorf("Windows = %d, want %d", fs.Windows, testTrace.Len()/w)
+			}
+		})
 	}
 }

@@ -8,8 +8,10 @@ import (
 // CacheTimeline registers the standard cache columns on a timeline: the
 // per-interval request count and rate, hit ratio, eviction and rotation
 // deltas, resident pages and outqueue depth, and (when batchLatency is
-// non-nil) p50/p99 of the interval's batch service times. One call gives
-// clicsim and clicserve the same timeline schema.
+// non-nil) p50/p99 of the interval's batch service times: what the caller
+// observes, one frame's on the server and one run's AccessBatch call in
+// ServeIterator. One call gives clicsim and clicserve the same timeline
+// schema.
 func CacheTimeline(tl *metrics.Timeline, s *core.Sharded, batchLatency *metrics.Histogram) {
 	tl.Delta("requests", func() float64 { return float64(s.Stats().Requests) })
 	tl.Rate("req_per_s", func() float64 { return float64(s.Stats().Requests) })

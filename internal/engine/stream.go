@@ -66,6 +66,10 @@ func (l *KeyLog) Since(from int) []string {
 // fraction of what the batches it carries cost to serve.
 const runRequests = 8 * core.DefaultAccessBatch
 
+// runOf is the run a worker is handed for batches of batch requests: the
+// smallest multiple of batch that holds at least runRequests.
+func runOf(batch int) int { return (runRequests + batch - 1) / batch * batch }
+
 // spareRuns holds the run buffers of finished Dispatch calls for the next
 // call, by weak reference: a collection frees them as it would have
 // without the list, so they cost the live heap nothing (a sync.Pool keeps
@@ -151,7 +155,7 @@ func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *
 		failed.Store(true)
 	}
 	batch = max(batch, 1)
-	run := (runRequests + batch - 1) / batch * batch
+	run := runOf(batch)
 	spawn := func(name string) *worker {
 		// ch lets the scan run a few runs ahead of a session that is
 		// waiting on its peer; free holds every buffer that can be out at
@@ -278,10 +282,11 @@ scan:
 // ServeSource drives one shared cache from any request source — a trace
 // file, an in-memory trace (t.Source()), or a live workload generator —
 // with one goroutine per client and without ever materialising the stream:
-// a 100M-request serve needs memory for a few batches per client, not for
+// a 100M-request serve needs memory for a few runs per client, not for
 // the trace. The cache must be safe for concurrent use (core.Sharded is;
 // plain CLIC and the baseline policies are only with a single client).
-// batchSize 0 selects core.DefaultAccessBatch.
+// batchSize only rounds each client's run (see ServeIterator); 0 selects
+// core.DefaultAccessBatch.
 func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, error) {
 	it, err := src.Iter()
 	if err != nil {
@@ -291,24 +296,28 @@ func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, 
 	return ServeIterator(p, it, batchSize, nil)
 }
 
-// ServeIterator is ServeSource over an already-open iterator. A Sharded
-// front is driven through per-client producer handles, one AccessBatch per
-// batchSize requests — the shape of an unloaded server, which serves each
-// frame alone; a loaded one serves the frames it has buffered as one call
-// (internal/server) — and, when lat is non-nil, every AccessBatch call's
-// wall time in nanoseconds goes into lat; other policies take the
-// per-request path and are not timed. It cannot run policy.Preparer
-// prefix passes (OPT needs the whole request slice); those policies go
-// through Run. Per-client read accounting is exact; the aggregate hit
-// count depends on how the clients' requests interleave, so with more
-// than one client it is not deterministic across calls.
+// ServeIterator is ServeSource over an already-open iterator. Each client
+// is served what Dispatch hands it: a run of the smallest multiple of
+// batchSize (0 selects core.DefaultAccessBatch) that holds at least 4096
+// requests, or what is left of the client's stream. batchSize sets only
+// that rounding. A Sharded front serves each run as one AccessBatch on the
+// client's own producer handle — the shape of a loaded server, which
+// serves what it has been handed as one call (internal/server) — and,
+// when lat is non-nil, every AccessBatch call's wall time in nanoseconds
+// goes into lat; other policies take the per-request path and are not
+// timed. It cannot run policy.Preparer prefix passes (OPT needs the whole
+// request slice); those policies go through Run. Per-client read
+// accounting is exact; the aggregate hit count depends on how the
+// clients' requests interleave, so with more than one client it is not
+// deterministic across calls.
 func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, lat *metrics.Histogram) (sim.Result, error) {
 	if batchSize <= 0 {
 		batchSize = core.DefaultAccessBatch
 	}
+	run := runOf(batchSize)
 	sharded, _ := p.(*core.Sharded)
-	res, err := Dispatch(it, 0, batchSize, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
-		s := &localSession{p: p, st: st, hits: make([]bool, batchSize)}
+	res, err := Dispatch(it, 0, run, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
+		s := &localSession{p: p, st: st, hits: make([]bool, run)}
 		if sharded != nil {
 			s.prod = sharded.NewProducer()
 			s.lat = lat

@@ -71,8 +71,10 @@ func TestServeSourceGenerator(t *testing.T) {
 }
 
 // TestServeIteratorTimesEveryBatch: with a histogram, ServeIterator
-// observes each AccessBatch call exactly once — Σ⌈n_c/batch⌉ over the
-// clients — and a policy without batches is not timed.
+// observes each AccessBatch call exactly once, and it makes one call per
+// run — Σ⌈n_c/run⌉ over the clients, where run is the smallest multiple of
+// the batch size holding at least 4096 requests — and a policy without
+// batches is not timed.
 func TestServeIteratorTimesEveryBatch(t *testing.T) {
 	merged := sixClients(t)
 	for _, batch := range []int{0, 100} {
@@ -80,9 +82,10 @@ func TestServeIteratorTimesEveryBatch(t *testing.T) {
 		if size == 0 {
 			size = core.DefaultAccessBatch
 		}
+		run := (4096 + size - 1) / size * size
 		var want uint64
 		for _, reqs := range merged.SplitClients() {
-			want += uint64((len(reqs) + size - 1) / size)
+			want += uint64((len(reqs) + run - 1) / run)
 		}
 		s := core.NewSharded(core.Config{Capacity: 2000, Window: 2000}, 4)
 		var lat metrics.Histogram
@@ -91,7 +94,7 @@ func TestServeIteratorTimesEveryBatch(t *testing.T) {
 		}
 		s.Close()
 		if got := lat.Summary().Count; got != want {
-			t.Errorf("batch %d: %d latency observations, want one per AccessBatch call, %d", batch, got, want)
+			t.Errorf("batch %d: %d latency observations, want one per %d-request run, %d", batch, got, run, want)
 		}
 	}
 	var lat metrics.Histogram
@@ -100,6 +103,74 @@ func TestServeIteratorTimesEveryBatch(t *testing.T) {
 	}
 	if got := lat.Summary().Count; got != 0 {
 		t.Errorf("plain cache: %d latency observations, want none", got)
+	}
+}
+
+// TestDispatchOwnerMoreClientsThanShards drives a 2-shard front from 6
+// concurrent producers in batches of 3 requests, each served as one
+// AccessBatch, so that frames of one or two requests collide on every
+// shard — the engine-layer -race stress for the combining hand-off at its
+// finest grain. ServeSource serves whole runs, so the test drives Dispatch
+// itself; the producers must post at least a frame per batch, or the grain
+// has coarsened. Per-client read counts are exact; hit counts depend on
+// interleaving but the accounting must balance.
+func TestDispatchOwnerMoreClientsThanShards(t *testing.T) {
+	const batch = 3
+	merged := sixClients(t)
+	s := core.NewSharded(core.Config{Capacity: 3000, Window: 3000}, 2)
+	defer s.Close()
+	var (
+		mu    sync.Mutex
+		prods []*core.Producer
+	)
+	res, err := Dispatch(merged.Iter(), 0, batch, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
+		sess := &localSession{p: s, prod: s.NewProducer(), st: st, hits: make([]bool, batch)}
+		mu.Lock()
+		prods = append(prods, sess.prod)
+		mu.Unlock()
+		return sess, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var reads, hits, batches, posted uint64
+	for c, st := range res.PerClient {
+		wantReads, n := uint64(0), 0
+		for _, r := range merged.Reqs {
+			if int(r.Client) == c {
+				n++
+				if r.Op == trace.Read {
+					wantReads++
+				}
+			}
+		}
+		if st.Reads != wantReads {
+			t.Errorf("client %d Reads = %d, want %d", c, st.Reads, wantReads)
+		}
+		reads += st.Reads
+		hits += st.ReadHits
+		batches += uint64((n + batch - 1) / batch)
+	}
+	for _, p := range prods {
+		n, _ := p.Frames()
+		posted += n
+	}
+	if posted < batches {
+		t.Errorf("producers posted %d frames for %d batches of %d, want at least one a batch", posted, batches, batch)
+	}
+	if res.Reads != reads || res.ReadHits != hits {
+		t.Errorf("totals (%d, %d) disagree with per-client sums (%d, %d)", res.Reads, res.ReadHits, reads, hits)
+	}
+	if res.ReadHits == 0 {
+		t.Error("no hits at all; cache is not being exercised")
+	}
+	st := s.Stats()
+	if st.Reads != res.Reads || st.ReadHits != res.ReadHits {
+		t.Errorf("Stats (%d reads, %d hits) disagree with result (%d, %d)", st.Reads, st.ReadHits, res.Reads, res.ReadHits)
+	}
+	if st.Requests != uint64(merged.Len()) {
+		t.Errorf("Stats.Requests = %d, want %d", st.Requests, merged.Len())
 	}
 }
 
@@ -152,6 +223,20 @@ func BenchmarkDispatch(b *testing.B) {
 	open := func(string, *KeyLog, *sim.ClientStat) (Session, error) { return nopSession{}, nil }
 	for b.Loop() {
 		if _, err := Dispatch(two.Iter(), 0, core.DefaultAccessBatch, open); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*two.Len()), "ns/req")
+}
+
+// BenchmarkServeSource prices the in-process serve: two clients' in-memory
+// trace served through ServeSource by an 8-shard front.
+func BenchmarkServeSource(b *testing.B) {
+	two := twoClients(b)
+	s := core.NewSharded(core.Config{Capacity: 3000, Window: 50000, TopK: 100}, 8)
+	defer s.Close()
+	for b.Loop() {
+		if _, err := ServeSource(s, two.Source(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

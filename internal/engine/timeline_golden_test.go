@@ -66,9 +66,10 @@ func TestTimelineGolden(t *testing.T) {
 	tl.SetClock(func() time.Duration { rows++; return time.Duration(rows) * 100 * time.Millisecond })
 	CacheTimeline(tl, s, &lat)
 
-	// A slice is a multiple of the 512-request batch, so its batches are
-	// the ones a whole-trace replay would cut; each is scripted to take
-	// 1ms.
+	// A slice is one 4096-request run, so its AccessBatch call is the one a
+	// whole-trace replay would make. The latency column is scripted, not
+	// measured: eight 1ms observations a slice, the count the golden was
+	// recorded with (a histogram's quantiles interpolate by count).
 	const slice = 4096
 	var res sim.Result
 	for lo := 0; lo < len(tr.Reqs); lo += slice {
