@@ -21,8 +21,9 @@
 // A page has one record, cached or outqueued, never both, and the cache
 // keeps it that way physically: one open-addressing page table (table.go)
 // whose slots are the 32-byte, pointer-free records themselves, linked by
-// table position. Access probes that table once per request and lands on
-// the record's own line. A cached record sits in its hint set's group
+// table position. A request costs one probe of that table, which lands on
+// the record's own line: Access's own, or, inside a Sharded frame, the
+// warm pass's (below). A cached record sits in its hint set's group
 // list, an uncached one in the outqueue list; eviction and re-admission
 // move the record between the two lists by relinking, where it sits.
 // Everything keyed by hint ID on the request path — the groups, the
@@ -54,12 +55,14 @@
 // A Sharded front owns no goroutine and holds each shard through a
 // try-lock: a Producer's batches run as per-shard frames on whichever
 // goroutine holds the shard (flat combining; owner.go), and Sharded.Access
-// holds the shard for one request. Frames run in groups of 16 requests
-// whose records and list neighbours are loaded ahead of the serial Access
-// calls (Cache.warm), which is where batching buys more than amortized
-// synchronization. The steady-state request path is allocation-free: the
-// table, the group table and the learner's Space-Saving summary are reused
-// in place.
+// holds the shard for one request. Frames run in groups of 16 requests:
+// Cache.warm probes for the group's records and loads them and their list
+// neighbours with independent loads, then each serial Access starts from
+// the position warm found, probing again only where an earlier request of
+// the group moved or made the record. That is where batching buys more
+// than amortized synchronization. The steady-state request path is
+// allocation-free: the table, the group table and the learner's
+// Space-Saving summary are reused in place.
 package core
 
 import (
@@ -173,6 +176,11 @@ type Cache struct {
 	// warmed is the sink of warm's loads; nothing reads it.
 	warmed uint64
 
+	// known is where the next Access may find its page's record: set by
+	// Sharded's frame loop from warm's probe, 0 (no guess) everywhere else.
+	// Access trusts it only if the slot there still holds the page.
+	known uint32
+
 	cfg Config
 }
 
@@ -238,7 +246,14 @@ func (c *Cache) Access(r trace.Request) bool {
 
 	// The request's one table probe: i is the page's record, cached or
 	// outqueued, serving both the statistics and the placement decision.
-	i := c.find(r.Page)
+	// A known position that still holds the page is the record — a page
+	// has one — so it stands in for the probe; anything else (no guess, a
+	// record moved by a grow or a backward shift since warm, a record made
+	// since) probes.
+	i := c.known
+	if i == 0 || !c.ents[i].used || c.ents[i].page != r.Page {
+		i = c.find(r.Page)
+	}
 
 	// Statistics: count the arrival, and detect a read re-reference using
 	// the most-recent-request record.
@@ -271,35 +286,30 @@ func (c *Cache) Access(r trace.Request) bool {
 	return hit
 }
 
-// warm pulls the lines that Access will read and write for each of reqs
-// toward the CPU, changing nothing Access can observe. Go has no prefetch
-// intrinsic; an early load whose result is kept is the idiom, and warmed is
-// where the results are kept. Sharded's frame loop (owner.go) calls it a
-// group ahead of the Accesses themselves.
+// warm probes the table for each of reqs — one group, at most warmGroup
+// requests — and pulls the lines that Access will read and write toward
+// the CPU, changing nothing Access can observe. It leaves each request's
+// record position (0 for none) in pos, for Sharded's frame loop
+// (owner.go) to hand to that request's Access as Cache.known; the loads
+// themselves are kept in warmed, since Go has no prefetch intrinsic and an
+// early load whose result is kept is the idiom.
 //
-// Two passes per group of warmGroup. The first walks each page's probe run
-// to its record (or to the empty slot that ends the run). The second loads
-// each record's two list neighbours: relinking the record
-// (removeFromGroup, outUnlink) writes all three lines, and inside Access
-// they would be missed one after another. Position 0 is the nil record, so
-// a page without a record and a record at the end of its list need no
-// branch — they load line 0.
-func (c *Cache) warm(reqs []trace.Request) {
-	var (
-		idx  [warmGroup]uint32
-		w    uint64
-		ents = c.ents
-	)
-	for len(reqs) > 0 {
-		n := min(warmGroup, len(reqs))
-		for i := range reqs[:n] {
-			idx[i] = c.find(reqs[i].Page)
-		}
-		for _, x := range idx[:n] {
-			e := &ents[x]
-			w ^= ents[e.prev].page ^ ents[e.next].page
-		}
-		reqs = reqs[n:]
+// Two passes. The first walks each page's probe run to its record (or to
+// the empty slot that ends the run). The second loads each record's two
+// list neighbours: relinking the record (removeFromGroup, outUnlink)
+// writes all three lines, and inside Access they would be missed one
+// after another. Position 0 is the nil record, so a page without a record
+// and a record at the end of its list need no branch — they load line 0.
+func (c *Cache) warm(reqs []trace.Request, pos *[warmGroup]uint32) {
+	var w uint64
+	ents := c.ents
+	idx := pos[:len(reqs)]
+	for i := range reqs {
+		idx[i] = c.find(reqs[i].Page)
+	}
+	for _, x := range idx {
+		e := &ents[x]
+		w ^= ents[e.prev].page ^ ents[e.next].page
 	}
 	c.warmed = w
 }

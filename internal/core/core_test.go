@@ -402,9 +402,11 @@ func TestInvariantsQuick(t *testing.T) {
 // group, over groups shorter and longer than warmGroup — and then over
 // records picked by where they sit: head, middle and tail of a hint set's
 // group and of the outqueue, lists of one record (both links nil), and the
-// outqueue head just removed and the page just placed. It requires that
-// warm leaves the table bit for bit as it found it, and that the verdicts
-// that follow match a twin cache that was never warmed.
+// outqueue head just removed and the page just placed. A group longer than
+// warmGroup is warmed in pieces, as processFrame would. It requires that
+// warm leaves the table bit for bit as it found it and reports each
+// page's record position as find does, and that the verdicts that follow
+// match a twin cache that was never warmed.
 func TestWarmChangesNothing(t *testing.T) {
 	cfg := Config{Capacity: 96, Window: 400, TopK: 2}
 	warmed, twin := New(cfg), New(cfg)
@@ -418,7 +420,17 @@ func TestWarmChangesNothing(t *testing.T) {
 		}
 		ents := slices.Clone(c.ents)
 		seq, head, tail := c.seq, c.outHead, c.outTail
-		c.warm(group)
+		var pos [warmGroup]uint32
+		for rest := group; len(rest) > 0; {
+			piece := rest[:min(warmGroup, len(rest))]
+			c.warm(piece, &pos)
+			for i, r := range piece {
+				if want := c.find(r.Page); pos[i] != want {
+					t.Fatalf("warm put page %d at position %d, find at %d", r.Page, pos[i], want)
+				}
+			}
+			rest = rest[len(piece):]
+		}
 		if !slices.Equal(ents, c.ents) || seq != c.seq || head != c.outHead || tail != c.outTail {
 			t.Fatalf("warm over %d requests changed the table", len(group))
 		}

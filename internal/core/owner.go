@@ -64,6 +64,10 @@ type frame struct {
 	hits []bool          // producer's whole-batch results (scatter target)
 	wg   *sync.WaitGroup // batch completion; Done once per frame
 	next *frame          // pending-list link, written by post before the push
+
+	// reads and readHits are the frame's counts, left by its holder before
+	// wg.Done for the producer to read after wg.Wait.
+	reads, readHits uint64
 }
 
 // hold takes shard sh for a caller with one thing to run: it spins on the
@@ -119,16 +123,23 @@ func (s *Sharded) settle(sh *shardedShard, reads, readHits, writes uint64) {
 }
 
 // processFrame runs one frame against the shard's cache: no lock, no
-// per-request atomics — the snapshot counters are settled once at the end.
-// The caller holds the shard.
+// per-request atomics — the snapshot counters are settled once at the end,
+// and the frame keeps its read counts for its producer to sum. The caller
+// holds the shard.
 //
-// Requests run in groups of warmGroup: Cache.warm first pulls the group's
-// records and list neighbours toward L1 with independent loads, then the
-// ordinary serial Access runs per request and probes for itself, so
-// whatever an Access does to the table in between cannot change a verdict
-// — only how long it takes to reach it.
+// Requests run in groups of warmGroup. Cache.warm first probes for the
+// group's records and pulls them and their list neighbours toward L1 with
+// independent loads; then the ordinary serial Access runs per request,
+// starting from the position warm found (Cache.known). Access takes that
+// position only if its slot still holds the request's page — whatever an
+// earlier Access in the group did to the table (a grow, a backward shift,
+// a new record) sends it back to its own probe — so warming cannot change
+// a verdict, only how long it takes to reach it.
 func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
-	var reads, readHits uint64
+	var (
+		reads, readHits uint64
+		pos             [warmGroup]uint32
+	)
 	c := sh.c
 	reqs, idx, hits := f.reqs, f.idx, f.hits
 	// Lease the frame's request numbers up front, so the tap knows where a
@@ -136,19 +147,22 @@ func (s *Sharded) processFrame(sh *shardedShard, f *frame) {
 	// there and at the frame's end.
 	sh.tap.Begin(len(reqs))
 	for lo := 0; lo < len(reqs); lo += warmGroup {
-		hi := min(lo+warmGroup, len(reqs))
-		c.warm(reqs[lo:hi])
-		for j := lo; j < hi; j++ {
-			hit := c.Access(reqs[j])
-			hits[idx[j]] = hit
+		group := reqs[lo:min(lo+warmGroup, len(reqs))]
+		c.warm(group, &pos)
+		for j := range group {
+			c.known = pos[j]
+			hit := c.Access(group[j])
+			hits[idx[lo+j]] = hit
 			// Counted by addition, not behind a branch on the verdict — with
 			// hits near one in two that branch is a coin toss. Access reports
 			// a hit only for a read, so the hits are the read hits.
-			reads += b2u(reqs[j].Op == trace.Read)
+			reads += b2u(group[j].Op == trace.Read)
 			readHits += b2u(hit)
 		}
 	}
+	c.known = 0
 	s.settle(sh, reads, readHits, uint64(len(reqs))-reads)
+	f.reads, f.readHits = reads, readHits
 	f.wg.Done()
 }
 
@@ -217,9 +231,10 @@ func (p *Producer) post(sh int, f *frame) {
 // frame was posted. Like the handle it is not safe for concurrent use.
 func (p *Producer) Frames() (posted, foreign uint64) { return p.posted, p.foreign }
 
-// run posts every non-empty frame with hits as its scatter target and
-// waits until all of them have run, here or on another goroutine.
-func (p *Producer) run(hits []bool) {
+// run posts every non-empty frame with hits as its scatter target, waits
+// until all of them have run, here or on another goroutine, and sums
+// their read counts. wg.Wait orders each holder's counts before the sum.
+func (p *Producer) run(hits []bool) (reads, readHits uint64) {
 	for sh, f := range p.frames {
 		if len(f.reqs) > 0 {
 			f.hits = hits
@@ -228,6 +243,13 @@ func (p *Producer) run(hits []bool) {
 		}
 	}
 	p.wg.Wait()
+	for _, f := range p.frames {
+		if len(f.reqs) > 0 {
+			reads += f.reads
+			readHits += f.readHits
+		}
+	}
+	return reads, readHits
 }
 
 // AccessBatch processes one batch of requests against the front and writes
@@ -243,16 +265,21 @@ func (p *Producer) run(hits []bool) {
 // to a serial replay of its requests through Access, in stream order, at
 // any batch size. Under concurrent producers the cut is best effort: it
 // moves frame boundaries and nothing else.
-func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) {
+//
+// It returns the batch's read and read-hit counts, which the frames counted
+// as they ran: a caller keeping per-client totals need not recount hits.
+func (p *Producer) AccessBatch(reqs []trace.Request, hits []bool) (reads, readHits uint64) {
 	if len(hits) < len(reqs) {
 		panic("core: AccessBatch hits slice shorter than reqs")
 	}
 	p.size(len(reqs))
 	for len(reqs) > 0 {
 		n := min(len(reqs), p.s.global.UntilRotation())
-		p.accessBatch(reqs[:n], hits[:n])
+		r, h := p.accessBatch(reqs[:n], hits[:n])
+		reads, readHits = reads+r, readHits+h
 		reqs, hits = reqs[n:], hits[n:]
 	}
+	return reads, readHits
 }
 
 // size grows, in one allocation each, the empty frame slices too small
@@ -270,15 +297,17 @@ func (p *Producer) size(n int) {
 	}
 }
 
-// accessBatch runs a piece of a batch that no window boundary cuts.
-func (p *Producer) accessBatch(reqs []trace.Request, hits []bool) {
+// accessBatch runs a piece of a batch that no window boundary cuts and
+// returns its read and read-hit counts.
+func (p *Producer) accessBatch(reqs []trace.Request, hits []bool) (reads, readHits uint64) {
 	for i := range reqs {
 		f := p.frames[p.s.ShardFor(reqs[i].Page)]
 		f.reqs = append(f.reqs, reqs[i])
 		f.idx = append(f.idx, int32(i))
 	}
-	p.run(hits)
+	reads, readHits = p.run(hits)
 	p.reset()
+	return reads, readHits
 }
 
 // reset empties the per-shard frames after a routed batch has run.

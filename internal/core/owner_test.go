@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -610,6 +611,190 @@ func TestProducerFrameCounts(t *testing.T) {
 	if posted, foreign := p.Frames(); posted != uint64(len(touched)) || foreign != 0 {
 		t.Errorf("solo producer: Frames() = %d, %d, want %d, 0", posted, foreign, len(touched))
 	}
+}
+
+// TestProbeReuseSurvivesMoves pins that a frame's Access trusts the
+// position warm found for its record only while the slot there still
+// holds the page. One producer drives a one-shard front in batches of 512
+// with W = 704, so every warm group is 16 requests starting at a multiple
+// of 16 in the stream, and the reference — a plain Cache fed the same
+// stream through serial Access — replays warm's probe at each group start.
+// Between a group's warm and a request's Access, earlier requests of the
+// group grow the table, shift records back over a removed outqueue head
+// (Noutq of 3 and of 1), make the record of a page warm did not find, or
+// are the same page; Capacity 0 and NoOutqueue have no outqueue or no
+// cache to move records through. Verdicts, Stats (evictions and outqueue
+// length among them) and the table must be those of the reference.
+func TestProbeReuseSurvivesMoves(t *testing.T) {
+	type moves struct{ grows, shifted, created, reused, repeated int }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		need func(m moves) bool
+	}{
+		{"grow", Config{Capacity: 400}, func(m moves) bool { return m.grows > 0 }},
+		{"tiny outqueue", Config{Capacity: 48, Noutq: 3}, func(m moves) bool { return m.shifted > 0 }},
+		{"outqueue of one", Config{Capacity: 48, Noutq: 1}, func(m moves) bool { return m.shifted > 0 }},
+		{"no cache", Config{Capacity: 0, Noutq: 24}, func(m moves) bool { return m.shifted > 0 }},
+		{"zero capacity", Config{Capacity: 0}, func(m moves) bool { return m.reused+m.created == 0 }},
+		{"no outqueue", Config{Capacity: 48, Noutq: NoOutqueue}, func(m moves) bool { return m.created > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Window = 704
+			s := NewSharded(tc.cfg, 1)
+			ref := newReference(s)
+			c := ref.caches[0]
+			reqs := shardedTrace(12000, 54)
+			// The same page twice in a group: a quarter of the requests
+			// repeat one of the up to 15 before them.
+			rng := rand.New(rand.NewSource(54))
+			for i := 1; i < len(reqs); i++ {
+				if rng.Intn(4) == 0 {
+					reqs[i].Page = reqs[i-1-rng.Intn(min(i, warmGroup-1))].Page
+				}
+			}
+
+			var m moves
+			want := make([]bool, len(reqs))
+			var pos [warmGroup]uint32
+			for lo := 0; lo < len(reqs); lo += warmGroup {
+				group := reqs[lo:min(lo+warmGroup, len(reqs))]
+				for j, r := range group {
+					pos[j] = c.find(r.Page)
+					if slices.ContainsFunc(group[:j], func(q trace.Request) bool { return q.Page == r.Page }) {
+						m.repeated++
+					}
+				}
+				size := len(c.ents)
+				for j, r := range group {
+					grown := len(c.ents) != size
+					switch at := c.find(r.Page); {
+					case pos[j] == at && at != 0:
+						m.reused++
+					case pos[j] == 0 && at != 0:
+						m.created++
+					case pos[j] != 0 && at != 0 && !grown:
+						m.shifted++
+					}
+					want[lo+j] = ref.Access(r)
+					if len(c.ents) != size && j < len(group)-1 && !grown {
+						m.grows++
+					}
+				}
+			}
+			if !tc.need(m) || m.repeated == 0 {
+				t.Fatalf("the stream did not meet the case: %+v", m)
+			}
+
+			p := s.NewProducer()
+			hits := make([]bool, 512)
+			for off := 0; off < len(reqs); off += len(hits) {
+				end := min(off+len(hits), len(reqs))
+				p.AccessBatch(reqs[off:end], hits)
+				for i := off; i < end; i++ {
+					if hits[i-off] != want[i] {
+						t.Fatalf("request %d (page %d): framed hit=%v, serial Access hit=%v (%+v)", i, reqs[i].Page, hits[i-off], want[i], m)
+					}
+				}
+				s.withCache(0, func(got *Cache) {
+					if err := got.checkConsistency(); err != nil {
+						t.Fatalf("after request %d: %v", end-1, err)
+					}
+				})
+			}
+			if ss, ps := s.Stats(), ref.Stats(reqs, want); ss != ps {
+				t.Errorf("Stats drift:\nframed %+v\nserial %+v", ss, ps)
+			}
+			s.withCache(0, func(got *Cache) {
+				if !slices.Equal(got.ents, c.ents) || got.outHead != c.outHead || got.outTail != c.outTail {
+					t.Error("the framed shard's table differs from the serial cache's")
+				}
+			})
+		})
+	}
+}
+
+// recount is a batch's read and read-hit counts, counted from its verdicts.
+func recount(reqs []trace.Request, hits []bool) (reads, readHits uint64) {
+	for i, r := range reqs {
+		if r.Op == trace.Read {
+			reads++
+			readHits += b2u(hits[i])
+		}
+	}
+	return reads, readHits
+}
+
+// TestAccessBatchCounts pins AccessBatch's read and read-hit counts, which
+// its frames count as they run, against a recount of its verdicts: for one
+// producer whose batches are cut at multiples of W, for two producers
+// colliding on two shards — one of them staged so that both of its frames
+// run on the other's goroutine, then both at once — and for an empty batch.
+func TestAccessBatchCounts(t *testing.T) {
+	check := func(p *Producer, reqs []trace.Request, hits []bool) {
+		t.Helper()
+		reads, readHits := p.AccessBatch(reqs, hits)
+		if wr, wh := recount(reqs, hits); reads != wr || readHits != wh {
+			t.Errorf("AccessBatch of %d requests counted %d reads, %d read hits; its verdicts hold %d, %d", len(reqs), reads, readHits, wr, wh)
+		}
+	}
+
+	reqs := shardedTrace(8000, 61)
+	solo := NewSharded(Config{Capacity: 64, Window: 300}, 4)
+	p := solo.NewProducer()
+	hits := make([]bool, 1000)
+	for off := 0; off < len(reqs); off += len(hits) {
+		check(p, reqs[off:off+len(hits)], hits)
+	}
+	if solo.Windows() < len(reqs)/300 || solo.Stats().ReadHits == 0 {
+		t.Fatalf("vacuous: %d rotations, %d read hits", solo.Windows(), solo.Stats().ReadHits)
+	}
+	check(p, nil, nil)
+
+	// The staged collision: with both shards' try-locks held, a's and b's
+	// frames wait on the lists until the holder runs them all, so every
+	// count either producer sums was written on another goroutine.
+	s := NewSharded(Config{Capacity: 64, Window: 500}, 2)
+	a, b := s.NewProducer(), s.NewProducer()
+	for sh := range s.shards {
+		s.shards[sh].busy.Store(true)
+	}
+	var wg sync.WaitGroup
+	for i, p := range []*Producer{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(p, reqs[i*64:(i+1)*64], make([]bool, 64))
+		}()
+	}
+	for sh := range s.shards {
+		for n := 0; n < 2; runtime.Gosched() {
+			n = 0
+			for f := s.shards[sh].pending.Load(); f != nil; f = f.next {
+				n++
+			}
+		}
+		s.release(&s.shards[sh], nil)
+	}
+	wg.Wait()
+	for _, p := range []*Producer{a, b} {
+		if posted, foreign := p.Frames(); posted != 2 || foreign != 2 {
+			t.Fatalf("staged collision: Frames() = %d, %d, want 2, 2", posted, foreign)
+		}
+	}
+
+	for i, p := range []*Producer{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hits := make([]bool, 8)
+			for off := 0; off+8 <= 4000; off += 8 {
+				check(p, reqs[i*4000+off:i*4000+off+8], hits)
+			}
+		}()
+	}
+	wg.Wait()
+	check(a, nil, nil)
 }
 
 // TestOwnerSpawnsNoGoroutines pins that the engine is made of its callers:

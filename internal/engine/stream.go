@@ -317,9 +317,9 @@ func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, lat *metri
 	run := runOf(batchSize)
 	sharded, _ := p.(*core.Sharded)
 	res, err := Dispatch(it, 0, run, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
-		s := &localSession{p: p, st: st, hits: make([]bool, run)}
+		s := &localSession{p: p, st: st}
 		if sharded != nil {
-			s.prod = sharded.NewProducer()
+			s.prod, s.hits = sharded.NewProducer(), make([]bool, run)
 			s.lat = lat
 		}
 		return s, nil
@@ -337,32 +337,30 @@ func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, lat *metri
 type localSession struct {
 	p    policy.Policy
 	prod *core.Producer // nil for non-Sharded policies
-	hits []bool
+	hits []bool         // prod's verdicts: AccessBatch needs a target, nothing reads it
 	st   *sim.ClientStat
 	lat  *metrics.Histogram // nil: batches are not timed
 }
 
-// Submit counts reads and read hits by addition, not behind a branch on
-// the verdict: with hits near one in two that branch is a coin toss.
+// Submit takes a Sharded front's read counts from AccessBatch, whose frames
+// counted them as they ran. Other policies' are counted here by addition,
+// not behind a branch on the verdict: with hits near one in two that
+// branch is a coin toss.
 func (s *localSession) Submit(reqs []trace.Request) error {
-	hits := s.hits[:len(reqs)]
+	var reads, readHits uint64
 	switch {
 	case s.prod == nil:
-		for i, r := range reqs {
-			hits[i] = s.p.Access(r)
+		for _, r := range reqs {
+			rd := b2u(r.Op == trace.Read)
+			reads += rd
+			readHits += rd & b2u(s.p.Access(r))
 		}
 	case s.lat != nil:
 		t0 := time.Now()
-		s.prod.AccessBatch(reqs, hits)
+		reads, readHits = s.prod.AccessBatch(reqs, s.hits[:len(reqs)])
 		s.lat.Observe(uint64(time.Since(t0)))
 	default:
-		s.prod.AccessBatch(reqs, hits)
-	}
-	var reads, readHits uint64
-	for i, r := range reqs {
-		rd := b2u(r.Op == trace.Read)
-		reads += rd
-		readHits += rd & b2u(hits[i])
+		reads, readHits = s.prod.AccessBatch(reqs, s.hits[:len(reqs)])
 	}
 	s.st.Reads += reads
 	s.st.ReadHits += readHits

@@ -537,15 +537,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			h = hits[:len(reqs)]
 		}
-		prod.AccessBatch(reqs, h)
-		// Counted by addition: a branch on a verdict is a coin toss. The
-		// cache reports a hit only for a read, so the hits are the read
-		// hits.
-		var reads, readHits uint64
-		for i, hit := range h {
-			reads += b2u(reqs[i].Op == trace.Read)
-			readHits += b2u(hit)
-		}
+		reads, readHits := prod.AccessBatch(reqs, h)
 		posted, foreign := prod.Frames()
 		s.frames.Add(posted - framesSeen)
 		if foreign != foreignSeen { // rare enough at small frames to skip the shared write
@@ -654,15 +646,6 @@ func (s *Server) writeLoop(conn net.Conn, bw *bufio.Writer, results, free chan *
 			conn.Close()
 		}
 	}
-}
-
-// b2u is 1 for true and 0 for false; the compiler emits no jump for it.
-func b2u(b bool) uint64 {
-	var x uint64
-	if b {
-		x = 1
-	}
-	return x
 }
 
 // ClientSnapshot is one client's merged read accounting.
