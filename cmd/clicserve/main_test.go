@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cli"
 )
 
-// TestMain runs the command itself when the test binary is started by
-// TestNegativeCache, so the test can see what clicserve prints and how it
-// exits.
+// TestMain runs the command itself when the test binary is started by a
+// test, so the test can see what clicserve prints and how it exits.
 func TestMain(m *testing.M) {
 	if os.Getenv("CLICSERVE_MAIN") == "1" {
 		main()
@@ -50,4 +53,55 @@ func TestNegativeCache(t *testing.T) {
 				tc.args, code, errOut.String(), out.String(), tc.want)
 		}
 	}
+}
+
+// TestSharedFlags: -h lists the eight flags cli.Register declares with
+// exactly the bytes a fresh flag set prints after cli.Register, so clicserve
+// cannot drift from clicsim in a shared flag's name, default or help.
+func TestSharedFlags(t *testing.T) {
+	// A clicserve that ignored -h would serve until killed.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), "CLICSERVE_MAIN=1")
+	var errOut bytes.Buffer
+	cmd.Stderr = &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("clicserve -h: %v, stderr %q", err, errOut.String())
+	}
+	stderr := errOut.String()
+	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
+	cli.Register(shared)
+	var want strings.Builder
+	shared.SetOutput(&want)
+	shared.PrintDefaults()
+	if got := flagEntries(stderr, shared); got != want.String() {
+		t.Errorf("clicserve -h documents the shared flags as\n%s\nwant, as cli.Register declares them,\n%s", got, want.String())
+	}
+	var names []string
+	shared.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got := strings.Join(names, " "); got != sharedNames {
+		t.Errorf("cli.Register declares %s, want %s", got, sharedNames)
+	}
+}
+
+// sharedNames are the eight flags cli.Register declares, in -h order.
+const sharedNames = "cpuprofile memprofile metrics-interval noutq r timeline topk window"
+
+// flagEntries returns, in order, the entries of a usage message that
+// document a flag of fs: each "  -name" line and the lines under it.
+func flagEntries(usage string, fs *flag.FlagSet) string {
+	var b strings.Builder
+	keep := false
+	for _, line := range strings.SplitAfter(usage, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
+			name, _, _ = strings.Cut(name, "\t")
+			keep = fs.Lookup(name) != nil
+		}
+		if keep {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
 }

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 // TestMain runs the command itself when the test binary is started by
@@ -76,4 +80,48 @@ func TestNegativeSizes(t *testing.T) {
 				tc.args, code, stderr, stdout, tc.want)
 		}
 	}
+}
+
+// TestSharedFlags: -h lists the eight flags cli.Register declares with
+// exactly the bytes a fresh flag set prints after cli.Register, so clicsim
+// cannot drift from clicserve in a shared flag's name, default or help.
+func TestSharedFlags(t *testing.T) {
+	_, stderr, code := run(t, "-h")
+	if code != 0 {
+		t.Fatalf("clicsim -h: exit %d, stderr %q", code, stderr)
+	}
+	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
+	cli.Register(shared)
+	var want strings.Builder
+	shared.SetOutput(&want)
+	shared.PrintDefaults()
+	if got := flagEntries(stderr, shared); got != want.String() {
+		t.Errorf("clicsim -h documents the shared flags as\n%s\nwant, as cli.Register declares them,\n%s", got, want.String())
+	}
+	var names []string
+	shared.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got := strings.Join(names, " "); got != sharedNames {
+		t.Errorf("cli.Register declares %s, want %s", got, sharedNames)
+	}
+}
+
+// sharedNames are the eight flags cli.Register declares, in -h order.
+const sharedNames = "cpuprofile memprofile metrics-interval noutq r timeline topk window"
+
+// flagEntries returns, in order, the entries of a usage message that
+// document a flag of fs: each "  -name" line and the lines under it.
+func flagEntries(usage string, fs *flag.FlagSet) string {
+	var b strings.Builder
+	keep := false
+	for _, line := range strings.SplitAfter(usage, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
+			name, _, _ = strings.Cut(name, "\t")
+			keep = fs.Lookup(name) != nil
+		}
+		if keep {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
 }

@@ -63,6 +63,36 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestSameAtAnyWorkerCount is the engine's determinism promise at the
+// command line: every figure at toy scale prints the same bytes on the
+// default pool as on a pool of one.
+func TestSameAtAnyWorkerCount(t *testing.T) {
+	pool, stderr, code := run(t, "-scale", "0.01")
+	if code != 0 || pool == "" {
+		t.Fatalf("experiments -scale 0.01: exit %d, %d bytes of output, stderr %q", code, len(pool), stderr)
+	}
+	serial, stderr, code := run(t, "-scale", "0.01", "-workers", "1")
+	if code != 0 {
+		t.Fatalf("experiments -scale 0.01 -workers 1: exit %d, stderr %q", code, stderr)
+	}
+	if pool != serial {
+		p, s := strings.Split(pool, "\n"), strings.Split(serial, "\n")
+		i := 0
+		for i < min(len(p), len(s)) && p[i] == s[i] {
+			i++
+		}
+		t.Errorf("stdout differs from line %d: default pool %q, -workers 1 %q", i+1, at(p, i), at(s, i))
+	}
+}
+
+// at is lines[i], or "" past the end.
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
+}
+
 func TestSelectFigures(t *testing.T) {
 	figs := []experiments.Figure{{ID: "2"}, {ID: "11"}, {ID: "zoo"}}
 	if got, err := selectFigures("", figs); err != nil || ids(got) != "2,11,zoo" {

@@ -41,7 +41,9 @@ import (
 // drivers that do not choose their own batching, and the wire protocol's
 // default frame size. It is not the size every path serves: a loaded
 // server serves the frames it has buffered as one call (internal/server),
-// and the in-process engine serves a client's whole 4096-request run as one.
+// and the in-process engine serves a client's whole run as one, sized so
+// that each shard's frame holds about 2,048 requests (16,384 on 8 shards;
+// engine.ServeIterator).
 const DefaultAccessBatch = 512
 
 // warmGroup is how many requests processFrame warms ahead of running them:

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,9 +67,21 @@ func (l *KeyLog) Since(from int) []string {
 // fraction of what the batches it carries cost to serve.
 const runRequests = 8 * core.DefaultAccessBatch
 
-// runOf is the run a worker is handed for batches of batch requests: the
-// smallest multiple of batch that holds at least runRequests.
-func runOf(batch int) int { return (runRequests + batch - 1) / batch * batch }
+// queuedRequests bounds what waits on one client's queue: a queue holds
+// max(1, ⌈queuedRequests/run⌉) runs, four of 4,096 requests and one of
+// 16,384, so a client's buffering is bounded in requests whatever its run.
+const queuedRequests = 4 * runRequests
+
+// visitRequests is how many requests ServeIterator hands each shard of a
+// core.Sharded front per run. A run is served as one AccessBatch, so this
+// is the size of a shard's frame: whoever holds the shard runs it in one
+// visit, which pays the tap lease, the snapshot settle and the shard's hot
+// metadata crossing cores once. Chosen by measurement (1,024, 2,048 and
+// 4,096 on serve_inproc; see CHANGES.md).
+const visitRequests = 2048
+
+// roundUp is the smallest multiple of batch that holds at least n.
+func roundUp(n, batch int) int { return (n + batch - 1) / batch * batch }
 
 // spareRuns holds the run buffers of finished Dispatch calls for the next
 // call, by weak reference: a collection frees them as it would have
@@ -84,14 +97,19 @@ var spareRuns struct {
 const maxSpareRuns = 64
 
 // getRun returns an empty run buffer with room for n requests: a spare
-// one, if one that large has survived, else a new one.
+// one, if one that large has survived, else a new one. A spare too small
+// for n stays on the list for a call with shorter runs (one process serves
+// in-process and wire runs of different sizes); a collected one leaves it.
 func getRun(n int) []trace.Request {
 	spareRuns.Lock()
 	defer spareRuns.Unlock()
-	for k := len(spareRuns.runs); k > 0; k-- {
-		p := spareRuns.runs[k-1].Value()
-		spareRuns.runs = spareRuns.runs[:k-1]
-		if p != nil && cap(*p) >= n {
+	for k := len(spareRuns.runs) - 1; k >= 0; k-- {
+		p := spareRuns.runs[k].Value()
+		if p != nil && cap(*p) < n {
+			continue
+		}
+		spareRuns.runs = slices.Delete(spareRuns.runs, k, k+1)
+		if p != nil {
 			return (*p)[:0]
 		}
 	}
@@ -114,9 +132,9 @@ func putRun(b []trace.Request) {
 // its own goroutine and its own session from open. Every batch a session
 // is given holds batch requests (at least 1), except a client's last, which
 // holds what is left. Each worker is handed runs — the smallest multiple of
-// batch that holds at least runRequests (4096) requests — and cuts every
+// batch that holds at least runRequests (4,096) requests — and cuts every
 // run into batches, so a lock-step session, one request per batch, meets
-// the dispatcher once per 4096 round trips. Clients the iterator has no
+// the dispatcher once per 4,096 round trips. Clients the iterator has no
 // name for are called client<i>. The result carries the trace name, the
 // request count and the per-client read accounting; the caller labels it
 // with the policy and capacity that answered.
@@ -125,12 +143,14 @@ func putRun(b []trace.Request) {
 // fills one from the scan, hands it over, and gets it back once its last
 // batch has been submitted, so after a few runs per client the steady
 // state allocates nothing, and a finished call leaves its buffers to the
-// next (spareRuns). A client holds at most six runs at once (four queued,
-// one being submitted, one being filled): 384 KB at 4096 requests. The
-// first failure — a session that will not open, a Submit or Drain error —
-// stops the scan at the next hand-off and is returned; the workers keep
-// draining their queues meanwhile, so the dispatcher never blocks on a
-// dead session.
+// next (spareRuns). A client's queue is bounded in requests
+// (queuedRequests), so it holds at most two runs beyond those queued, one
+// being submitted and one being filled: six of 4,096 requests (384 KB;
+// the wire drivers' runs) or three of 16,384 (768 KB; ServeIterator's on
+// an 8-shard front). The first failure — a session that will not open, a
+// Submit or Drain error — stops the scan at the next hand-off and is
+// returned; the workers keep draining their queues meanwhile, so the
+// dispatcher never blocks on a dead session.
 func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *KeyLog, st *sim.ClientStat) (Session, error)) (sim.Result, error) {
 	type worker struct {
 		ch      chan []trace.Request
@@ -155,15 +175,16 @@ func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *
 		failed.Store(true)
 	}
 	batch = max(batch, 1)
-	run := runOf(batch)
+	run := roundUp(runRequests, batch)
+	depth := max(1, (queuedRequests+run-1)/run)
 	spawn := func(name string) *worker {
-		// ch lets the scan run a few runs ahead of a session that is
-		// waiting on its peer; free holds every buffer that can be out at
-		// once (those queued on ch, the one being submitted, the one being
-		// filled) with room to spare, so returning one never blocks.
+		// ch lets the scan run up to queuedRequests ahead of a session that
+		// is waiting on its peer; free holds every buffer that can be out
+		// at once (those queued on ch, the one being submitted, the one
+		// being filled), so returning one never blocks.
 		w := &worker{
-			ch:      make(chan []trace.Request, 4),
-			free:    make(chan []trace.Request, 8),
+			ch:      make(chan []trace.Request, depth),
+			free:    make(chan []trace.Request, depth+2),
 			pending: getRun(run),
 			st:      &sim.ClientStat{Name: name},
 		}
@@ -297,25 +318,32 @@ func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, 
 }
 
 // ServeIterator is ServeSource over an already-open iterator. Each client
-// is served what Dispatch hands it: a run of the smallest multiple of
-// batchSize (0 selects core.DefaultAccessBatch) that holds at least 4096
-// requests, or what is left of the client's stream. batchSize sets only
-// that rounding. A Sharded front serves each run as one AccessBatch on the
-// client's own producer handle — the shape of a loaded server, which
-// serves what it has been handed as one call (internal/server) — and,
-// when lat is non-nil, every AccessBatch call's wall time in nanoseconds
-// goes into lat; other policies take the per-request path and are not
-// timed. It cannot run policy.Preparer prefix passes (OPT needs the whole
-// request slice); those policies go through Run. Per-client read
-// accounting is exact; the aggregate hit count depends on how the
-// clients' requests interleave, so with more than one client it is not
-// deterministic across calls.
+// is served what Dispatch hands it: a run sized to the front, or what is
+// left of the client's stream. On a core.Sharded front of S shards a run
+// is the smallest multiple of batchSize (0 selects
+// core.DefaultAccessBatch) that holds max(4,096, 2,048·S) requests —
+// 16,384 on 8 shards, so each shard's frame carries about 2,048
+// (visitRequests) — and on any other policy one that holds 4,096.
+// batchSize sets only that rounding. A Sharded front serves each run as
+// one AccessBatch on the client's own producer handle — the shape of a
+// loaded server, which serves what it has been handed as one call
+// (internal/server) — and, when lat is non-nil, every AccessBatch call's
+// wall time in nanoseconds goes into lat; other policies take the
+// per-request path and are not timed. It cannot run policy.Preparer
+// prefix passes (OPT needs the whole request slice); those policies go
+// through Run. Per-client read accounting is exact; the aggregate hit
+// count depends on how the clients' requests interleave, so with more than
+// one client it is not deterministic across calls.
 func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, lat *metrics.Histogram) (sim.Result, error) {
 	if batchSize <= 0 {
 		batchSize = core.DefaultAccessBatch
 	}
-	run := runOf(batchSize)
 	sharded, _ := p.(*core.Sharded)
+	want := runRequests
+	if sharded != nil {
+		want = max(want, visitRequests*sharded.Shards())
+	}
+	run := roundUp(want, batchSize)
 	res, err := Dispatch(it, 0, run, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {
 		s := &localSession{p: p, st: st}
 		if sharded != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/core"
@@ -72,29 +73,30 @@ func TestServeSourceGenerator(t *testing.T) {
 
 // TestServeIteratorTimesEveryBatch: with a histogram, ServeIterator
 // observes each AccessBatch call exactly once, and it makes one call per
-// run — Σ⌈n_c/run⌉ over the clients, where run is the smallest multiple of
-// the batch size holding at least 4096 requests — and a policy without
-// batches is not timed.
+// run sized to the front — Σ⌈n_c/run⌉ over the clients, where run is the
+// smallest multiple of the batch size holding 16,384 requests on 8 shards
+// and 4,096 on one — and a policy without batches is not timed. Each
+// client's 30,000 requests make 2 runs of 16,384, 4 of 8,192 or 8 of 4,096.
 func TestServeIteratorTimesEveryBatch(t *testing.T) {
-	merged := sixClients(t)
-	for _, batch := range []int{0, 100} {
-		size := batch
-		if size == 0 {
-			size = core.DefaultAccessBatch
-		}
-		run := (4096 + size - 1) / size * size
+	merged := twoClients(t)
+	for _, tc := range []struct{ shards, batch, run int }{
+		{8, 0, 16384},
+		{8, 100, 16400},
+		{1, 0, 4096},
+		{1, 100, 4100},
+	} {
 		var want uint64
 		for _, reqs := range merged.SplitClients() {
-			want += uint64((len(reqs) + run - 1) / run)
+			want += uint64((len(reqs) + tc.run - 1) / tc.run)
 		}
-		s := core.NewSharded(core.Config{Capacity: 2000, Window: 2000}, 4)
+		s := core.NewSharded(core.Config{Capacity: 2000, Window: 2000}, tc.shards)
 		var lat metrics.Histogram
-		if _, err := ServeIterator(s, merged.Iter(), batch, &lat); err != nil {
+		if _, err := ServeIterator(s, merged.Iter(), tc.batch, &lat); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()
 		if got := lat.Summary().Count; got != want {
-			t.Errorf("batch %d: %d latency observations, want one per %d-request run, %d", batch, got, run, want)
+			t.Errorf("%d shards, batch %d: %d latency observations, want one per %d-request run, %d", tc.shards, tc.batch, got, tc.run, want)
 		}
 	}
 	var lat metrics.Histogram
@@ -271,6 +273,89 @@ func TestDispatchReusesRunBuffers(t *testing.T) {
 		t.Errorf("second replay allocated %d bytes (the first %d), want under one %d-byte run buffer", second, first, run)
 	}
 }
+
+// TestGetRunKeepsSmallSpares: a spare run buffer too small for the run
+// asked for stays on the list for a call with shorter runs, since one
+// process serves runs of different sizes.
+func TestGetRunKeepsSmallSpares(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection frees spares
+	spareRuns.Lock()
+	saved := spareRuns.runs
+	spareRuns.runs = nil
+	spareRuns.Unlock()
+	defer func() {
+		spareRuns.Lock()
+		spareRuns.runs = saved
+		spareRuns.Unlock()
+	}()
+
+	small := make([]trace.Request, 0, 4096)
+	putRun(small)
+	if big := getRun(16384); cap(big) != 16384 || unsafe.SliceData(big) == unsafe.SliceData(small) {
+		t.Fatalf("getRun(16384) returned a buffer of capacity %d, want a new one of 16384", cap(big))
+	}
+	if got := getRun(4096); unsafe.SliceData(got) != unsafe.SliceData(small) {
+		t.Error("getRun(4096) allocated: the 4,096-request spare left the list when a 16,384-request run was asked for")
+	}
+}
+
+// TestDispatchBoundsClientBuffers: a client's queue is bounded in
+// requests, so the run buffers a client has out at once — queued, in its
+// session and being filled — are at most six at 4,096-request runs (the
+// wire drivers') and three at 16,384 (ServeIterator's on 8 shards). The
+// sessions hold their first run for 250 ms, so that the scan stops for
+// want of queue space and a client reaches its bound: a scan blocked on a
+// full queue makes no event a test can wait on, and a gate the iterator
+// closed would open before a deeper queue filled. A session is handed
+// whole runs (the batch is the run), told apart by their first element.
+func TestDispatchBoundsClientBuffers(t *testing.T) {
+	two := trace.New("BUFS", 0)
+	two.Clients = []string{"A", "B"}
+	for i := range 2 * 5 * 16384 {
+		two.AppendReq(trace.Request{Page: uint64(i), Client: uint8(i % 2)})
+	}
+	for _, tc := range []struct{ run, most int }{{4096, 6}, {16384, 3}} {
+		gate := make(chan struct{})
+		time.AfterFunc(250*time.Millisecond, func() { close(gate) })
+		var mu sync.Mutex
+		var bufs []map[*trace.Request]bool
+		_, err := Dispatch(two.Iter(), 0, tc.run, func(string, *KeyLog, *sim.ClientStat) (Session, error) {
+			s := &bufSession{gate: gate, bufs: map[*trace.Request]bool{}}
+			mu.Lock()
+			bufs = append(bufs, s.bufs)
+			mu.Unlock()
+			return s, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := 0
+		for c, b := range bufs {
+			if len(b) > tc.most {
+				t.Errorf("%d-request runs: client %d had %d run buffers, want at most %d", tc.run, c, len(b), tc.most)
+			}
+			most = max(most, len(b))
+		}
+		if most < tc.most {
+			t.Errorf("%d-request runs: no client had more than %d run buffers out; the test never reached its bound of %d", tc.run, most, tc.most)
+		}
+	}
+}
+
+// bufSession records each run buffer it is handed, and takes batches once
+// its gate is closed.
+type bufSession struct {
+	gate chan struct{}
+	bufs map[*trace.Request]bool
+}
+
+func (s *bufSession) Submit(reqs []trace.Request) error {
+	<-s.gate
+	s.bufs[unsafe.SliceData(reqs)] = true
+	return nil
+}
+func (*bufSession) Drain() error { return nil }
+func (*bufSession) Close() error { return nil }
 
 // TestDispatchConcurrentReplays: replays running at once take spare run
 // buffers from, and return them to, the same list; none is handed to two
