@@ -292,10 +292,10 @@ func printTotal(kind string, res sim.Result, elapsed time.Duration) {
 
 // serveTimeline is engine.ServeSource with a timeline recorder attached:
 // the standard cache columns (engine.CacheTimeline) over a batch-latency
-// histogram fed by every client goroutine, one observation per run (a
-// client's 4096 requests, served as one AccessBatch), sampled every
-// interval and on window rotations, with a final row when the replay
-// drains.
+// histogram fed by every client goroutine, one observation per run (one
+// AccessBatch call, sized to the front by engine.ServeIterator), sampled
+// every interval and on window rotations, with a final row when the
+// replay drains.
 func serveTimeline(p policy.Policy, src trace.Source, opts *cli.Flags) sim.Result {
 	s, ok := p.(*core.Sharded)
 	if !ok {

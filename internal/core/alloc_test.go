@@ -57,14 +57,15 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestProducerSizesFramesOnce: a fresh producer's first 4096-request
-// AccessBatch on a warm 8-shard front allocates at most its frames' request
-// and index slices, once each, rather than growing them by append from
-// empty (about 20 allocations a shard).
+// TestProducerSizesFramesOnce: a fresh producer's first AccessBatch of the
+// front's VisitBatch on a warm 8-shard front allocates at most its frames'
+// request and index slices, once each, rather than growing them by append
+// from empty (about 20 allocations a shard).
 func TestProducerSizesFramesOnce(t *testing.T) {
-	const shards, n, runs = 8, 4096, 20
+	const shards, runs = 8, 20
 	s := NewSharded(Config{Capacity: 512, Window: 2000, TopK: 64}, shards)
 	defer s.Close()
+	n := s.VisitBatch()
 	reqs := shardedTrace(200000, 99)
 	hits := make([]bool, n)
 	warm := s.NewProducer()

@@ -41,10 +41,20 @@ import (
 // drivers that do not choose their own batching, and the wire protocol's
 // default frame size. It is not the size every path serves: a loaded
 // server serves the frames it has buffered as one call (internal/server),
-// and the in-process engine serves a client's whole run as one, sized so
-// that each shard's frame holds about 2,048 requests (16,384 on 8 shards;
-// engine.ServeIterator).
+// and the in-process engine serves a client's whole run as one, of at
+// least VisitBatch requests (engine.ServeIterator).
 const DefaultAccessBatch = 512
+
+// visitRequests is how many requests a shard's frame should carry when a
+// caller can choose its AccessBatch size. Whoever holds the shard runs a
+// frame in one visit, which pays the tap lease, the snapshot settle and
+// the shard's hot metadata crossing cores once. Chosen by measurement
+// (1,024, 2,048 and 4,096 on serve_inproc; see CHANGES.md).
+const visitRequests = 2048
+
+// VisitBatch is the AccessBatch size that gives each shard's frame about
+// visitRequests requests, if the batch spreads evenly over the shards.
+func (s *Sharded) VisitBatch() int { return visitRequests * s.Shards() }
 
 // warmGroup is how many requests processFrame warms ahead of running them:
 // enough independent record loads in flight to cover a cache miss each,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -337,11 +338,18 @@ func TestServeSourceGlobalMoreClientsThanShards(t *testing.T) {
 // test for the two ways into a front: with one client, ServeSource is a
 // serial batch replay through one producer, which is bit-identical to
 // sim.Run's per-request replay through Sharded.Access — same reads, same
-// hits, same snapshot — whether W is longer than the 4096-request run each
-// AccessBatch call serves or the learner rotates inside runs.
+// hits, same snapshot — whether W is longer than the run each AccessBatch
+// call serves (frontRun) or the learner rotates inside runs. It fails if no
+// W is longer than the run, so a re-tune of the run cannot drop that case.
 func TestServeSourceOwnerSingleClient(t *testing.T) {
 	const shards = 4
-	for _, w := range []int{5000, 1000, 333} {
+	windows := []int{10000, 5000, 1000, 333}
+	front := core.NewSharded(core.Config{Capacity: 3000}, shards)
+	front.Close()
+	if run := frontRun(front, 0); slices.Max(windows) <= run {
+		t.Fatalf("no W is longer than the %d-request run on %d shards", run, shards)
+	}
+	for _, w := range windows {
 		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
 			cfg := core.Config{Capacity: 3000, Window: w}
 			perRequest := core.NewSharded(cfg, shards)

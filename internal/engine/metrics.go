@@ -10,8 +10,8 @@ import (
 // deltas, resident pages and outqueue depth, and (when batchLatency is
 // non-nil) p50/p99 of the interval's batch service times: what the caller
 // observes, one frame's on the server and one run's AccessBatch call in
-// ServeIterator, which on an 8-shard front serves 16,384 requests, not a
-// 512-request frame. One call gives clicsim and clicserve the same
+// ServeIterator, which serves a run of at least the front's VisitBatch
+// requests, not one wire frame. One call gives clicsim and clicserve the same
 // timeline schema.
 func CacheTimeline(tl *metrics.Timeline, s *core.Sharded, batchLatency *metrics.Histogram) {
 	tl.Delta("requests", func() float64 { return float64(s.Stats().Requests) })

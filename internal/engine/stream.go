@@ -2,11 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-	"weak"
 
 	"repro/internal/core"
 	"repro/internal/hint"
@@ -68,62 +66,12 @@ func (l *KeyLog) Since(from int) []string {
 const runRequests = 8 * core.DefaultAccessBatch
 
 // queuedRequests bounds what waits on one client's queue: a queue holds
-// max(1, ⌈queuedRequests/run⌉) runs, four of 4,096 requests and one of
-// 16,384, so a client's buffering is bounded in requests whatever its run.
+// max(1, ⌈queuedRequests/run⌉) runs, so a client's buffering is bounded in
+// requests whatever its run.
 const queuedRequests = 4 * runRequests
-
-// visitRequests is how many requests ServeIterator hands each shard of a
-// core.Sharded front per run. A run is served as one AccessBatch, so this
-// is the size of a shard's frame: whoever holds the shard runs it in one
-// visit, which pays the tap lease, the snapshot settle and the shard's hot
-// metadata crossing cores once. Chosen by measurement (1,024, 2,048 and
-// 4,096 on serve_inproc; see CHANGES.md).
-const visitRequests = 2048
 
 // roundUp is the smallest multiple of batch that holds at least n.
 func roundUp(n, batch int) int { return (n + batch - 1) / batch * batch }
-
-// spareRuns holds the run buffers of finished Dispatch calls for the next
-// call, by weak reference: a collection frees them as it would have
-// without the list, so they cost the live heap nothing (a sync.Pool keeps
-// its contents through one collection). A call soon after another, with
-// no collection between them, allocates no run buffer.
-var spareRuns struct {
-	sync.Mutex
-	runs []weak.Pointer[[]trace.Request]
-}
-
-// maxSpareRuns bounds the list: the buffers of a few replays' clients.
-const maxSpareRuns = 64
-
-// getRun returns an empty run buffer with room for n requests: a spare
-// one, if one that large has survived, else a new one. A spare too small
-// for n stays on the list for a call with shorter runs (one process serves
-// in-process and wire runs of different sizes); a collected one leaves it.
-func getRun(n int) []trace.Request {
-	spareRuns.Lock()
-	defer spareRuns.Unlock()
-	for k := len(spareRuns.runs) - 1; k >= 0; k-- {
-		p := spareRuns.runs[k].Value()
-		if p != nil && cap(*p) < n {
-			continue
-		}
-		spareRuns.runs = slices.Delete(spareRuns.runs, k, k+1)
-		if p != nil {
-			return (*p)[:0]
-		}
-	}
-	return make([]trace.Request, 0, n)
-}
-
-// putRun offers a run buffer to the next getRun.
-func putRun(b []trace.Request) {
-	spareRuns.Lock()
-	defer spareRuns.Unlock()
-	if len(spareRuns.runs) < maxSpareRuns {
-		spareRuns.runs = append(spareRuns.runs, weak.Make(&b))
-	}
-}
 
 // Dispatch is the one scan → per-client worker loop behind every
 // concurrent serve and replay: it takes runs from it (stopping after limit
@@ -132,25 +80,23 @@ func putRun(b []trace.Request) {
 // its own goroutine and its own session from open. Every batch a session
 // is given holds batch requests (at least 1), except a client's last, which
 // holds what is left. Each worker is handed runs — the smallest multiple of
-// batch that holds at least runRequests (4,096) requests — and cuts every
-// run into batches, so a lock-step session, one request per batch, meets
-// the dispatcher once per 4,096 round trips. Clients the iterator has no
-// name for are called client<i>. The result carries the trace name, the
+// batch that holds at least runRequests requests — and cuts every run into
+// batches, so a lock-step session, one request per batch, meets the
+// dispatcher once per run. Clients the iterator has no name for are called
+// client<i>. The result carries the trace name, the
 // request count and the per-client read accounting; the caller labels it
 // with the policy and capacity that answered.
 //
 // Run buffers cycle between the dispatcher and each worker: the dispatcher
 // fills one from the scan, hands it over, and gets it back once its last
 // batch has been submitted, so after a few runs per client the steady
-// state allocates nothing, and a finished call leaves its buffers to the
-// next (spareRuns). A client's queue is bounded in requests
-// (queuedRequests), so it holds at most two runs beyond those queued, one
-// being submitted and one being filled: six of 4,096 requests (384 KB;
-// the wire drivers' runs) or three of 16,384 (768 KB; ServeIterator's on
-// an 8-shard front). The first failure — a session that will not open, a
-// Submit or Drain error — stops the scan at the next hand-off and is
-// returned; the workers keep draining their queues meanwhile, so the
-// dispatcher never blocks on a dead session.
+// state allocates nothing; the buffers are dropped when the call returns.
+// A client's queue is bounded in requests (queuedRequests), so it holds
+// at most two runs beyond those queued, one being submitted and one being
+// filled. The first failure — a session that will not open, a Submit or
+// Drain error — stops the scan at the next hand-off and is returned; the
+// workers keep draining their queues meanwhile, so the dispatcher never
+// blocks on a dead session.
 func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *KeyLog, st *sim.ClientStat) (Session, error)) (sim.Result, error) {
 	type worker struct {
 		ch      chan []trace.Request
@@ -185,7 +131,7 @@ func Dispatch(it trace.Iterator, limit, batch int, open func(name string, keys *
 		w := &worker{
 			ch:      make(chan []trace.Request, depth),
 			free:    make(chan []trace.Request, depth+2),
-			pending: getRun(run),
+			pending: make([]trace.Request, 0, run),
 			st:      &sim.ClientStat{Name: name},
 		}
 		wg.Add(1)
@@ -259,7 +205,7 @@ scan:
 			select {
 			case w.pending = <-w.free:
 			default:
-				w.pending = getRun(run)
+				w.pending = make([]trace.Request, 0, run)
 			}
 			if failed.Load() {
 				break scan
@@ -269,17 +215,10 @@ scan:
 	for _, w := range workers {
 		if len(w.pending) > 0 {
 			w.ch <- w.pending
-		} else {
-			putRun(w.pending)
 		}
 		close(w.ch)
 	}
 	wg.Wait()
-	for _, w := range workers {
-		for len(w.free) > 0 {
-			putRun(<-w.free)
-		}
-	}
 	if err := it.Err(); err != nil {
 		return sim.Result{}, err
 	}
@@ -319,14 +258,13 @@ func ServeSource(p policy.Policy, src trace.Source, batchSize int) (sim.Result, 
 
 // ServeIterator is ServeSource over an already-open iterator. Each client
 // is served what Dispatch hands it: a run sized to the front, or what is
-// left of the client's stream. On a core.Sharded front of S shards a run
-// is the smallest multiple of batchSize (0 selects
-// core.DefaultAccessBatch) that holds max(4,096, 2,048·S) requests —
-// 16,384 on 8 shards, so each shard's frame carries about 2,048
-// (visitRequests) — and on any other policy one that holds 4,096.
-// batchSize sets only that rounding. A Sharded front serves each run as
-// one AccessBatch on the client's own producer handle — the shape of a
-// loaded server, which serves what it has been handed as one call
+// left of the client's stream. On a core.Sharded front a run is the
+// smallest multiple of batchSize (0 selects core.DefaultAccessBatch) that
+// holds max(runRequests, VisitBatch()) requests, the front's own visit
+// size, and on any other policy one that holds runRequests. batchSize
+// sets only that rounding. A Sharded front serves each run as one
+// AccessBatch on the client's own producer handle — the shape of a loaded
+// server, which serves what it has been handed as one call
 // (internal/server) — and, when lat is non-nil, every AccessBatch call's
 // wall time in nanoseconds goes into lat; other policies take the
 // per-request path and are not timed. It cannot run policy.Preparer
@@ -341,7 +279,7 @@ func ServeIterator(p policy.Policy, it trace.Iterator, batchSize int, lat *metri
 	sharded, _ := p.(*core.Sharded)
 	want := runRequests
 	if sharded != nil {
-		want = max(want, visitRequests*sharded.Shards())
+		want = max(want, sharded.VisitBatch())
 	}
 	run := roundUp(want, batchSize)
 	res, err := Dispatch(it, 0, run, func(_ string, _ *KeyLog, st *sim.ClientStat) (Session, error) {

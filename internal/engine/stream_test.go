@@ -2,8 +2,6 @@ package engine
 
 import (
 	"errors"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -71,32 +69,46 @@ func TestServeSourceGenerator(t *testing.T) {
 	}
 }
 
+// frontRun is the run ServeIterator serves on front s when given batch:
+// the smallest multiple of batch (0 selects core.DefaultAccessBatch) that
+// holds max(runRequests, s.VisitBatch()) requests.
+func frontRun(s *core.Sharded, batch int) int {
+	if batch <= 0 {
+		batch = core.DefaultAccessBatch
+	}
+	return roundUp(max(runRequests, s.VisitBatch()), batch)
+}
+
 // TestServeIteratorTimesEveryBatch: with a histogram, ServeIterator
 // observes each AccessBatch call exactly once, and it makes one call per
-// run sized to the front — Σ⌈n_c/run⌉ over the clients, where run is the
-// smallest multiple of the batch size holding 16,384 requests on 8 shards
-// and 4,096 on one — and a policy without batches is not timed. Each
-// client's 30,000 requests make 2 runs of 16,384, 4 of 8,192 or 8 of 4,096.
+// run sized to the front (frontRun) — Σ⌈n_c/run⌉ over the clients — and a
+// policy without batches is not timed. On one shard runRequests sets the
+// run; on many, at least 8 and enough that their visits exceed
+// runRequests, the front's VisitBatch does, so the test tells a
+// front-sized run from the dispatcher's floor whatever the visit size.
 func TestServeIteratorTimesEveryBatch(t *testing.T) {
 	merged := twoClients(t)
-	for _, tc := range []struct{ shards, batch, run int }{
-		{8, 0, 16384},
-		{8, 100, 16400},
-		{1, 0, 4096},
-		{1, 100, 4100},
-	} {
+	cfg := core.Config{Capacity: 2000, Window: 2000}
+	one := core.NewSharded(cfg, 1)
+	one.Close()
+	if one.VisitBatch() >= runRequests {
+		t.Fatalf("one shard's VisitBatch %d is not below runRequests %d; no case runs at the dispatcher's floor", one.VisitBatch(), runRequests)
+	}
+	many := max(8, runRequests/one.VisitBatch()+1)
+	for _, tc := range []struct{ shards, batch int }{{many, 0}, {many, 100}, {1, 0}, {1, 100}} {
+		s := core.NewSharded(cfg, tc.shards)
+		run := frontRun(s, tc.batch)
 		var want uint64
 		for _, reqs := range merged.SplitClients() {
-			want += uint64((len(reqs) + tc.run - 1) / tc.run)
+			want += uint64((len(reqs) + run - 1) / run)
 		}
-		s := core.NewSharded(core.Config{Capacity: 2000, Window: 2000}, tc.shards)
 		var lat metrics.Histogram
 		if _, err := ServeIterator(s, merged.Iter(), tc.batch, &lat); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()
 		if got := lat.Summary().Count; got != want {
-			t.Errorf("%d shards, batch %d: %d latency observations, want one per %d-request run, %d", tc.shards, tc.batch, got, tc.run, want)
+			t.Errorf("%d shards, batch %d: %d latency observations, want one per %d-request run, %d", tc.shards, tc.batch, got, run, want)
 		}
 	}
 	var lat metrics.Histogram
@@ -245,76 +257,33 @@ func BenchmarkServeSource(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*two.Len()), "ns/req")
 }
 
-// TestDispatchReusesRunBuffers: a finished replay leaves its run buffers
-// to the next one. Each replay's sessions hold their first batch until
-// the scan has handed out ten runs, by which time each of the two clients
-// has all six buffers it can have out (four queued, one in its session,
-// one being filled), so both replays need the same twelve; with the
-// collector off (it frees the spare buffers) the second allocates less
-// than one run buffer.
-func TestDispatchReusesRunBuffers(t *testing.T) {
-	two := twoClients(t)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	replay := func() uint64 {
-		gate := make(chan struct{})
-		it := &gatedIter{Iterator: two.Iter(), after: 10 * runRequests, gate: gate}
-		open := func(string, *KeyLog, *sim.ClientStat) (Session, error) { return gatedSession{gate}, nil }
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := Dispatch(it, 0, core.DefaultAccessBatch, open); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	first := replay()
-	run := uint64(runRequests * unsafe.Sizeof(trace.Request{}))
-	if second := replay(); second >= run {
-		t.Errorf("second replay allocated %d bytes (the first %d), want under one %d-byte run buffer", second, first, run)
-	}
-}
-
-// TestGetRunKeepsSmallSpares: a spare run buffer too small for the run
-// asked for stays on the list for a call with shorter runs, since one
-// process serves runs of different sizes.
-func TestGetRunKeepsSmallSpares(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection frees spares
-	spareRuns.Lock()
-	saved := spareRuns.runs
-	spareRuns.runs = nil
-	spareRuns.Unlock()
-	defer func() {
-		spareRuns.Lock()
-		spareRuns.runs = saved
-		spareRuns.Unlock()
-	}()
-
-	small := make([]trace.Request, 0, 4096)
-	putRun(small)
-	if big := getRun(16384); cap(big) != 16384 || unsafe.SliceData(big) == unsafe.SliceData(small) {
-		t.Fatalf("getRun(16384) returned a buffer of capacity %d, want a new one of 16384", cap(big))
-	}
-	if got := getRun(4096); unsafe.SliceData(got) != unsafe.SliceData(small) {
-		t.Error("getRun(4096) allocated: the 4,096-request spare left the list when a 16,384-request run was asked for")
-	}
-}
-
 // TestDispatchBoundsClientBuffers: a client's queue is bounded in
 // requests, so the run buffers a client has out at once — queued, in its
-// session and being filled — are at most six at 4,096-request runs (the
-// wire drivers') and three at 16,384 (ServeIterator's on 8 shards). The
+// session and being filled — are at most max(1, ⌈queuedRequests/run⌉) + 2,
+// at the wire drivers' runs (runRequests) and at ServeIterator's on 8
+// shards (frontRun). Each client has two runs more than its bound. The
 // sessions hold their first run for 250 ms, so that the scan stops for
 // want of queue space and a client reaches its bound: a scan blocked on a
 // full queue makes no event a test can wait on, and a gate the iterator
 // closed would open before a deeper queue filled. A session is handed
 // whole runs (the batch is the run), told apart by their first element.
 func TestDispatchBoundsClientBuffers(t *testing.T) {
+	front := core.NewSharded(core.Config{Capacity: 2000}, 8)
+	front.Close()
+	type bound struct{ run, most int }
+	var cases []bound
+	perClient := 0
+	for _, run := range []int{runRequests, frontRun(front, 0)} {
+		most := max(1, (queuedRequests+run-1)/run) + 2
+		cases = append(cases, bound{run, most})
+		perClient = max(perClient, (most+2)*run)
+	}
 	two := trace.New("BUFS", 0)
 	two.Clients = []string{"A", "B"}
-	for i := range 2 * 5 * 16384 {
+	for i := range 2 * perClient {
 		two.AppendReq(trace.Request{Page: uint64(i), Client: uint8(i % 2)})
 	}
-	for _, tc := range []struct{ run, most int }{{4096, 6}, {16384, 3}} {
+	for _, tc := range cases {
 		gate := make(chan struct{})
 		time.AfterFunc(250*time.Millisecond, func() { close(gate) })
 		var mu sync.Mutex
@@ -357,10 +326,9 @@ func (s *bufSession) Submit(reqs []trace.Request) error {
 func (*bufSession) Drain() error { return nil }
 func (*bufSession) Close() error { return nil }
 
-// TestDispatchConcurrentReplays: replays running at once take spare run
-// buffers from, and return them to, the same list; none is handed to two
-// of them, so every session still gets exactly its client's requests in
-// trace order.
+// TestDispatchConcurrentReplays: Dispatch calls running at once share no
+// state, so every session gets exactly its client's requests in trace
+// order.
 func TestDispatchConcurrentReplays(t *testing.T) {
 	two := twoClients(t)
 	want := make(map[string][]trace.Request)
@@ -395,37 +363,6 @@ func TestDispatchConcurrentReplays(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// gatedIter hands out its iterator's requests in runs of 2048 and closes
-// gate once it has handed out after of them, or all of them.
-type gatedIter struct {
-	trace.Iterator
-	rest   []trace.Request
-	handed int
-	after  int
-	gate   chan struct{}
-}
-
-func (g *gatedIter) Next() []trace.Request {
-	if len(g.rest) == 0 {
-		g.rest = g.Iterator.Next()
-	}
-	run := g.rest[:min(2048, len(g.rest))]
-	g.rest = g.rest[len(run):]
-	if (g.handed >= g.after || len(run) == 0) && g.gate != nil {
-		close(g.gate)
-		g.gate = nil
-	}
-	g.handed += len(run)
-	return run
-}
-
-// gatedSession takes batches once its gate is closed.
-type gatedSession struct{ gate chan struct{} }
-
-func (s gatedSession) Submit([]trace.Request) error { <-s.gate; return nil }
-func (gatedSession) Drain() error                   { return nil }
-func (gatedSession) Close() error                   { return nil }
 
 type nopSession struct{}
 

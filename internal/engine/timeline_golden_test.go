@@ -66,8 +66,9 @@ func TestTimelineGolden(t *testing.T) {
 	tl.SetClock(func() time.Duration { rows++; return time.Duration(rows) * 100 * time.Millisecond })
 	CacheTimeline(tl, s, &lat)
 
-	// A slice is one 4096-request run, so its AccessBatch call is the one a
-	// whole-trace replay would make. The latency column is scripted, not
+	// A slice is no longer than a run on 4 shards (frontRun), so
+	// ServeIterator serves each slice whole, as one AccessBatch call, and
+	// the timeline ticks between calls. The latency column is scripted, not
 	// measured: eight 1ms observations a slice, the count the golden was
 	// recorded with (a histogram's quantiles interpolate by count).
 	const slice = 4096
