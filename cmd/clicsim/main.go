@@ -95,7 +95,7 @@ func main() {
 		concurrent = flag.Bool("concurrent", false, "drive the sharded CLIC front with one goroutine per client (requires -shards > 1)")
 		connect    = flag.String("connect", "", "replay the trace against a cache server (or a comma-separated cluster of servers) at these addresses")
 		batch      = flag.Int("batch", 0, "-connect: requests per batch, split across a cluster's nodes (0 = 512 per node)")
-		depth      = flag.Int("depth", 0, "-connect: pipelined batches in flight per connection (0 = default: 8, spread over a cluster's nodes; 1 = lock-step)")
+		depth      = flag.Int("depth", 0, "-connect: pipelined batches in flight per connection (0 = default: 8, on a cluster 8 in total at most, at least 2 per node; 1 = lock-step)")
 		limit      = flag.Int("limit", 0, "-connect: replay at most this many requests (0 = all)")
 		opts       = cli.Register(flag.CommandLine)
 	)

@@ -4,13 +4,20 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/server"
+	"repro/internal/sim"
 )
 
 // TestMain runs the command itself when the test binary is started by
@@ -124,4 +131,108 @@ func flagEntries(usage string, fs *flag.FlagSet) string {
 		}
 	}
 	return b.String()
+}
+
+// TestClusterSmoke: three cache servers set up as clicserve sets them up
+// (-cache 1000 -shards 4 -window 1000, an admin endpoint, a timeline
+// every 200ms), and clicsim -connect replaying 30K requests routed across
+// them at the default depth. The replay must hit; every node's /metrics,
+// scraped live, must show read hits and frames of at least 400 requests
+// on average (every frame but a client's last holds 512); and every
+// node's timeline must start with the pinned header and end with a final
+// row once its server is closed.
+func TestClusterSmoke(t *testing.T) {
+	dir := t.TempDir()
+	var addrs []string
+	var nodes []*server.Server
+	var stops []func() error
+	for i := 0; i < 3; i++ {
+		fs := flag.NewFlagSet("clicserve", flag.ContinueOnError)
+		opts := cli.Register(fs)
+		if err := fs.Parse([]string{"-window", "1000", "-timeline", filepath.Join(dir, fmt.Sprintf("node%d.csv", i)), "-metrics-interval", "200ms"}); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := opts.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Capacity = sim.ClicCapacity(1000)
+		srv := server.New(server.Config{Cache: cfg, Shards: 4})
+		if err := srv.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.ListenAdmin("127.0.0.1:0"); err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		stop, err := opts.StartTimeline(srv.StartTimeline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve()
+		nodes, stops = append(nodes, srv), append(stops, stop)
+		addrs = append(addrs, srv.Addr().String())
+	}
+
+	stdout, stderr, code := run(t, "-connect", strings.Join(addrs, ","), "-gen", "DB2_C60:30000")
+	if code != 0 {
+		t.Fatalf("clicsim -connect: exit %d, stderr %q", code, stderr)
+	}
+	m := regexp.MustCompile(`(?m)^replay total:.* hits=([0-9]+)`).FindStringSubmatch(stdout)
+	if m == nil || m[1] == "0" {
+		t.Errorf("replay total hits = %v, want some; stdout:\n%s", m, stdout)
+	}
+
+	for i, srv := range nodes {
+		metrics := scrape(t, "http://"+srv.AdminAddr().String()+"/metrics")
+		if metrics["clic_cache_read_hits_total"] <= 0 {
+			t.Errorf("node%d: clic_cache_read_hits_total %v, want read hits", i, metrics["clic_cache_read_hits_total"])
+		}
+		sum, count := metrics["clic_server_batch_requests_sum"], metrics["clic_server_batch_requests_count"]
+		if count <= 0 || sum < 400*count {
+			t.Errorf("node%d: %v requests in %v frames, want frames of at least 400 on average", i, sum, count)
+		}
+	}
+
+	for i, srv := range nodes {
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := stops[i](); err != nil {
+			t.Fatal(err)
+		}
+		csv, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("node%d.csv", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(csv, []byte("row,elapsed_s,reason,")) || !bytes.Contains(csv, []byte(",final,")) {
+			t.Errorf("node%d timeline lacks the header or a final row:\n%s", i, csv)
+		}
+	}
+}
+
+// scrape reads a Prometheus text endpoint's unlabelled samples by name.
+func scrape(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
+	}
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(value, 64); err == nil {
+			samples[name] = v
+		}
+	}
+	return samples
 }

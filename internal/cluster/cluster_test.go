@@ -90,6 +90,9 @@ func TestSingleNodeGolden(t *testing.T) {
 // connection's do: across the nodes within 5 % of it, and on every node
 // well above what a third of a wire.DefaultBatch router batch would give.
 // The ring's shares differ, so one node's mean need not be near 512.
+// A node's reader groups only the frames already buffered on one
+// connection, so at the default depth, 2 frames per node on 3 nodes, no
+// node serves a group of more than 2 frames.
 func TestRouterFillsNodeFrames(t *testing.T) {
 	spec, err := workload.ParseSpec("DB2_C60*2:200000")
 	if err != nil {
@@ -124,6 +127,11 @@ func TestRouterFillsNodeFrames(t *testing.T) {
 		reqs += br.Sum
 		if br.Mean <= 400 {
 			t.Errorf("node%d served %d frames of %.0f requests on average, want more than 400", i, br.Count, br.Mean)
+		}
+		gf := h.Server(i).Snapshot(0).Histograms.GroupFrames
+		t.Logf("node%d: %d groups, mean %.2f frames, max %.0f", i, gf.Count, gf.Mean, gf.Max)
+		if gf.Count == 0 || gf.Max > 2 {
+			t.Errorf("node%d served %d groups of up to %.0f frames, want groups of at most 2", i, gf.Count, gf.Max)
 		}
 	}
 	if mean := float64(reqs) / float64(frames); math.Abs(mean-wire.DefaultBatch) > 0.05*wire.DefaultBatch {

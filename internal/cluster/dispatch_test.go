@@ -187,7 +187,7 @@ func TestClusterDialError(t *testing.T) {
 // — the dispatcher does not block on the dead routers' queues — and no
 // goroutine outlives the cluster. It runs lock-step single-request
 // batches, and the default wire.DefaultBatch per-node frames at the
-// derived depth (3 per node at 3 nodes).
+// derived depth (2 per node at 3 nodes).
 func TestClusterNodeClosedMidReplay(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -248,10 +248,10 @@ type ReplayOptions struct {
 	// holds about wire.DefaultBatch requests.
 	BatchSize int
 	// Depth is the in-flight batch window per node connection, 1 is
-	// lock-step. 0 selects netclient.DefaultDepth spread over the nodes,
-	// max(2, ⌈DefaultDepth/nodes⌉), so a router keeps about as many
-	// requests in flight as one direct connection does. Values above a
-	// node's advertised window are capped at that node's handshake.
+	// lock-step. 0 selects netclient.DefaultDepth split over the nodes,
+	// max(2, ⌊DefaultDepth/nodes⌋): at most as many frames in flight as
+	// one connection, at least 2 per node. Values above a node's
+	// advertised window are capped at that node's handshake.
 	Depth int
 	// Limit caps the total number of requests replayed; 0 replays the
 	// whole trace.
@@ -260,11 +260,12 @@ type ReplayOptions struct {
 
 // depth is the per-node window for a cluster of the given size. By
 // Little's law the requests in flight set the queueing delay, so the
-// default keeps nodes × depth frames near one connection's DefaultDepth;
-// at least 2 keeps every node pipelined.
+// default keeps at most as many frames in flight as one connection
+// (nodes × depth ≤ DefaultDepth) up to 4 nodes, and at least 2 per node
+// at any size, so every node has a frame queued behind the one it serves.
 func (o ReplayOptions) depth(nodes int) int {
 	if o.Depth <= 0 {
-		return max(2, (netclient.DefaultDepth+nodes-1)/nodes)
+		return max(2, netclient.DefaultDepth/nodes)
 	}
 	return o.Depth
 }
