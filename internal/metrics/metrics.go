@@ -164,10 +164,12 @@ func formatValue(v float64) string {
 // WritePrometheus renders every registered series in the Prometheus text
 // exposition format (version 0.0.4): series sorted by name then label set,
 // one HELP/TYPE header per metric name, histograms as cumulative le
-// buckets plus _sum and _count. Empty histogram buckets are omitted (the
-// cumulative counts stay correct); a histogram's _count and +Inf bucket
-// come from the same snapshot so the exposition is self-consistent even
-// under concurrent Observe calls.
+// buckets plus _sum and _count. A histogram shows every bucket from the
+// lowest through its highest non-empty one, empty ones included, so a
+// series once shown is never preceded by a new lower one: a delta across
+// two scrapes then compares the same le series. A histogram's _count and
+// +Inf bucket come from the same snapshot so the exposition is
+// self-consistent even under concurrent Observe calls.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -198,11 +200,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		var snap HistSnapshot
 		s.hist.Snapshot(&snap)
-		cum := uint64(0)
+		top := -1
 		for i, n := range snap.Counts {
-			if n == 0 {
-				continue
+			if n != 0 {
+				top = i
 			}
+		}
+		cum := uint64(0)
+		for i, n := range snap.Counts[:top+1] {
 			cum += n
 			_, hi := BucketBounds(i)
 			fmt.Fprintf(&b, "%s_bucket%s %d\n", s.name, mergeLabels(s.labels, "le", formatValue(float64(hi))), cum)

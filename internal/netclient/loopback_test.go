@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -542,18 +543,18 @@ func TestHelloVersionMismatch(t *testing.T) {
 
 	old := dialRaw(t, addr)
 	old.send(wire.AppendHello(nil, wire.Hello{Version: wire.Version - 1, Client: "old"}))
-	if msg := old.refused(); !strings.Contains(msg, "2") || !strings.Contains(msg, "3") {
-		t.Errorf("refusal %q does not name versions 2 and 3", msg)
+	if msg := old.refused(); !strings.Contains(msg, strconv.Itoa(wire.Version-1)) || !strings.Contains(msg, strconv.Itoa(wire.Version)) {
+		t.Errorf("refusal %q does not name versions %d and %d", msg, wire.Version-1, wire.Version)
 	}
 
 	future := dialRaw(t, addr)
 	future.send(wire.AppendHello(nil, wire.Hello{Version: wire.Version + 1, Client: "future", Keys: []string{""}}))
 	ack, err := wire.DecodeHelloAck(future.recv())
 	if err != nil {
-		t.Fatalf("reply to a v4 Hello is not an ack: %v", err)
+		t.Fatalf("reply to a newer Hello is not an ack: %v", err)
 	}
 	if ack.Version != wire.Version || ack.Window == 0 {
-		t.Errorf("ack to a v4 client: version %d window %d, want %d and a non-zero window", ack.Version, ack.Window, wire.Version)
+		t.Errorf("ack to a newer client: version %d window %d, want %d and a non-zero window", ack.Version, ack.Window, wire.Version)
 	}
 	// The acked connection is live and speaks tagged frames.
 	future.send(batch)

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -174,20 +175,36 @@ func TestPipelineReorderedResults(t *testing.T) {
 }
 
 // TestHelloRefusesOlderServer: the client applies the same single-version
-// guard to the ack — a server acking an older protocol is refused at the
-// handshake with both versions named, before any batch is sent.
+// guard to the ack — a server acking the previous protocol is refused at
+// the handshake with both versions named, before any batch is sent, and
+// promptly: the server holds the connection open after its ack, so a
+// client that waited on it instead would hang.
 func TestHelloRefusesOlderServer(t *testing.T) {
 	addr := fakeServer(t, func(fr *wire.FrameReader, bw *bufio.Writer) error {
-		return ackHello(fr, bw, wire.HelloAck{Version: wire.Version - 1, Shards: 1, Capacity: 100, Window: 8})
+		if err := ackHello(fr, bw, wire.HelloAck{Version: wire.Version - 1, Shards: 1, Capacity: 100, Window: 8}); err != nil {
+			return err
+		}
+		_, _ = fr.Next() // hold the connection open until the client hangs up
+		return nil
 	})
 	conn, err := netclient.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_, err = conn.Hello("new", nil)
-	if err == nil || !strings.Contains(err.Error(), "2") || !strings.Contains(err.Error(), "3") {
-		t.Fatalf("Hello against a v2 server: err = %v, want a refusal naming versions 2 and 3", err)
+	done := make(chan error, 1)
+	go func() {
+		_, err := conn.Hello("new", nil)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Hello against an older server is still waiting after 10s")
+	}
+	old, cur := strconv.Itoa(wire.Version-1), strconv.Itoa(wire.Version)
+	if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), cur) {
+		t.Fatalf("Hello against a v%s server: err = %v, want a refusal naming versions %s and %s", old, err, old, cur)
 	}
 }
 

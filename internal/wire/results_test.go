@@ -8,9 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // rawResults hand-encodes a ResultsSeq frame whose declared count need not
@@ -123,42 +120,6 @@ func TestResultsMatchReference(t *testing.T) {
 	}
 }
 
-// TestAppendBatchMatchesReference holds the indexed batch encoder to the
-// append-based one on the request lists behind FuzzDecodeBatch's seeds
-// (pages across the uint64 range, hint IDs of one to five bytes; a seed the
-// decoder refuses contributes the records before the refusal), appending to
-// destinations with no, too little and ample capacity.
-func TestAppendBatchMatchesReference(t *testing.T) {
-	for i, seed := range batchSeeds() {
-		seq, reqs, _ := refDecodeBatch(seed)
-		want := refAppendBatchSeq(nil, seq, reqs)
-		for _, dst := range [][]byte{nil, make([]byte, 2, 7), make([]byte, 5, 1<<15)} {
-			for j := range dst {
-				dst[j] = 0xa5
-			}
-			out := AppendBatchSeq(dst, seq, reqs)
-			if !bytes.Equal(out[:len(dst)], dst) || !bytes.Equal(out[len(dst):], want) {
-				t.Fatalf("seed %d (%d requests, cap %d): encoded % x, reference % x", i, len(reqs), cap(dst), out[len(dst):], want)
-			}
-		}
-	}
-	// Deltas of ±(2^k − 1), ±2^k and ±(2^k + 1) for every k: each varint
-	// length from both sides, and both sides of the encoder's four-byte
-	// fast path. An Op outside {Read, Write} is encoded as a read by both.
-	var edges []trace.Request
-	page := uint64(1) << 62
-	for k := uint(0); k < 64; k++ {
-		for _, d := range []uint64{1<<k - 1, 1 << k, 1<<k + 1} {
-			edges = append(edges,
-				trace.Request{Page: page + d, Hint: uint32(d), Op: trace.Op(k % 3)},
-				trace.Request{Page: page, Hint: math.MaxUint32 >> (k % 32), Op: trace.Op(k)})
-		}
-	}
-	if got, want := AppendBatchSeq(nil, 1, edges), refAppendBatchSeq(nil, 1, edges); !bytes.Equal(got, want) {
-		t.Fatalf("edge deltas: encoded % x, reference % x", got, want)
-	}
-}
-
 // FuzzResultsSeq holds both results kernels to their references over
 // arbitrary input: p read as a verdict vector (one per byte, its low bit)
 // must encode to the reference's bytes and decode back, and p read as a
@@ -253,36 +214,6 @@ func BenchmarkDecodeResultsSeq(b *testing.B) {
 			}
 			benchSink += uint64(len(res.Hits))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/DefaultBatch, "ns/request")
-		})
-	}
-}
-
-// BenchmarkAppendBatchSeq prices one 512-request TPC-C frame through the
-// indexed encoder and through the append-based reference.
-func BenchmarkAppendBatchSeq(b *testing.B) {
-	preset, err := workload.PresetByName("DB2_C60")
-	if err != nil {
-		b.Fatal(err)
-	}
-	preset.Requests = 64 * DefaultBatch
-	tr, err := workload.Generate(preset)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := len(tr.Reqs) / DefaultBatch
-	for _, c := range []struct {
-		name   string
-		encode func([]byte, uint64, []trace.Request) []byte
-	}{{"kernel", AppendBatchSeq}, {"reference", refAppendBatchSeq}} {
-		b.Run(c.name, func(b *testing.B) {
-			var buf []byte
-			for i := 0; i < b.N; i++ {
-				off := i % frames * DefaultBatch
-				buf = c.encode(buf[:0], uint64(i), tr.Reqs[off:off+DefaultBatch])
-			}
-			benchSink += uint64(len(buf))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/DefaultBatch, "ns/request")
-			b.ReportMetric(float64(len(buf))/DefaultBatch, "B/request")
 		})
 	}
 }

@@ -137,7 +137,8 @@ func TestResultsRoundTrip(t *testing.T) {
 
 // TestNegotiate pins the single-version guard for both handshake
 // directions: exactly Version is spoken, newer peers are answered with it,
-// older ones are refused with both versions named.
+// older ones are refused with both versions named — version 3, whose
+// request records were varints, among them.
 func TestNegotiate(t *testing.T) {
 	cases := []struct {
 		peer    int
@@ -147,6 +148,7 @@ func TestNegotiate(t *testing.T) {
 		{peer: Version, want: Version},
 		{peer: Version + 5, want: Version},
 		{peer: Version - 1, wantErr: true},
+		{peer: 3, wantErr: true},
 		{peer: 1, wantErr: true},
 		{peer: 0, wantErr: true},
 		{peer: -3, wantErr: true},
@@ -365,16 +367,21 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeHello(append(hello[:len(hello):len(hello)], 0)); err == nil {
 		t.Error("DecodeHello accepted trailing bytes")
 	}
-	// A batch header claiming far more requests than the frame could hold
-	// must fail fast rather than allocate.
-	huge := []byte{TypeBatchSeq, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}
+	// A batch header (sequence number, count, base page) claiming far more
+	// requests than the frame could hold must fail fast rather than
+	// allocate; so must one claiming a single record more than it holds.
+	huge := []byte{TypeBatchSeq, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0}
 	if _, _, err := DecodeBatchStream(huge, func(int) error { t.Error("begin called"); return nil }, nil); err == nil {
 		t.Error("DecodeBatchStream accepted an impossible request count")
+	}
+	short := append([]byte{TypeBatchSeq, 0, 2, 0}, make([]byte, 2*recordSize-1)...)
+	if _, _, err := DecodeBatch(short, nil); err == nil {
+		t.Error("DecodeBatch accepted two records in nine bytes")
 	}
 	// The reserved type bytes of the retired untagged frames decode as
 	// nothing: same bodies as a BatchSeq/ResultsSeq minus the sequence
 	// number, under type 4 and 5.
-	if _, _, err := decodeBatch([]byte{4, 1, 0, 2, 0}); err == nil {
+	if _, _, err := decodeBatch(append([]byte{4}, batch[2:]...)); err == nil {
 		t.Error("DecodeBatchStream accepted a retired type-4 Batch frame")
 	}
 	if _, _, err := DecodeResultsSeq([]byte{5, 0, 0}, Results{}); err == nil {
@@ -468,7 +475,9 @@ func TestDecodeBatchStreamCallbackError(t *testing.T) {
 // TestBatchSeqRejectsGarbage checks truncation and trailing bytes fail
 // cleanly for both sequence-tagged frames.
 func TestBatchSeqRejectsGarbage(t *testing.T) {
-	b := AppendBatchSeq(nil, 9, []trace.Request{{Page: 3, Hint: 1}, {Page: 1, Op: trace.Write}})
+	// Short records around a long one: every cut, in the header, in a word
+	// or in the escaped record's fields, is refused.
+	b := AppendBatchSeq(nil, 9, []trace.Request{{Page: 3, Hint: 1}, {Page: 1 << 44, Hint: 1 << 20}, {Page: 1, Op: trace.Write}})
 	for cut := 1; cut < len(b); cut++ {
 		if _, _, err := DecodeBatchStream(b[:cut], func(int) error { return nil },
 			func(int, trace.Request) error { return nil }); err == nil {
