@@ -284,7 +284,7 @@ func main() {
 }
 
 // printTotal prints the one machine-greppable summary line of a serve or a
-// replay (the CI smoke tests parse the replay's).
+// replay (TestClusterSmoke parses the replay's).
 func printTotal(kind string, res sim.Result, elapsed time.Duration) {
 	fmt.Printf("%s total: requests=%d reads=%d hits=%d ratio=%.4f rate=%.0f\n", kind,
 		res.Requests, res.Reads, res.ReadHits, res.HitRatio(), float64(res.Requests)/elapsed.Seconds())

@@ -18,6 +18,8 @@ import (
 	"repro/internal/cli"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestMain runs the command itself when the test binary is started by
@@ -133,20 +135,51 @@ func flagEntries(usage string, fs *flag.FlagSet) string {
 	return b.String()
 }
 
-// TestClusterSmoke: three cache servers set up as clicserve sets them up
-// (-cache 1000 -shards 4 -window 1000, an admin endpoint, a timeline
-// every 200ms), and clicsim -connect replaying 30K requests routed across
-// them at the default depth. The replay must hit; every node's /metrics,
-// scraped live, must show read hits and frames of at least 400 requests
-// on average (every frame but a client's last holds 512); and every
-// node's timeline must start with the pinned header and end with a final
-// row once its server is closed.
+// TestClusterSmoke: cache servers set up as clicserve sets them up (-cache
+// 1000 -shards 4 -window 1000, an admin endpoint, a timeline every 200ms),
+// and clicsim -connect replaying to them at the default depth: 10K requests
+// of a trace file to one server, and 30K generated requests routed across
+// three. The replay must report every request and hit; every node's
+// /metrics, scraped live, must carry the labelled shard and wire series and
+// show read hits and frames of at least 400 requests on average (every
+// frame but a client's last holds 512); and every node's timeline must
+// start with the pinned header and end with a final row once its server is
+// closed.
 func TestClusterSmoke(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "DB2_C60.trc")
+	spec, err := workload.ParseSpec("DB2_C60:30000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := spec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Save(tracePath, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		nodes    int
+		args     []string
+		requests int
+	}{
+		{1, []string{"-trace", tracePath, "-limit", "10000"}, 10000},
+		{3, []string{"-gen", "DB2_C60:30000"}, 30000},
+	} {
+		t.Run(fmt.Sprintf("nodes=%d", tc.nodes), func(t *testing.T) {
+			smoke(t, tc.nodes, tc.args, tc.requests)
+		})
+	}
+}
+
+// smoke starts n cache servers, replays clicsim -connect args across them,
+// and checks the replay, every node's /metrics and every node's timeline.
+func smoke(t *testing.T, n int, args []string, requests int) {
 	dir := t.TempDir()
 	var addrs []string
 	var nodes []*server.Server
 	var stops []func() error
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		fs := flag.NewFlagSet("clicserve", flag.ContinueOnError)
 		opts := cli.Register(fs)
 		if err := fs.Parse([]string{"-window", "1000", "-timeline", filepath.Join(dir, fmt.Sprintf("node%d.csv", i)), "-metrics-interval", "200ms"}); err != nil {
@@ -175,17 +208,22 @@ func TestClusterSmoke(t *testing.T) {
 		addrs = append(addrs, srv.Addr().String())
 	}
 
-	stdout, stderr, code := run(t, "-connect", strings.Join(addrs, ","), "-gen", "DB2_C60:30000")
+	stdout, stderr, code := run(t, append([]string{"-connect", strings.Join(addrs, ",")}, args...)...)
 	if code != 0 {
 		t.Fatalf("clicsim -connect: exit %d, stderr %q", code, stderr)
 	}
-	m := regexp.MustCompile(`(?m)^replay total:.* hits=([0-9]+)`).FindStringSubmatch(stdout)
-	if m == nil || m[1] == "0" {
-		t.Errorf("replay total hits = %v, want some; stdout:\n%s", m, stdout)
+	m := regexp.MustCompile(`(?m)^replay total: requests=([0-9]+) .* hits=([0-9]+)`).FindStringSubmatch(stdout)
+	if m == nil || m[1] != strconv.Itoa(requests) || m[2] == "0" {
+		t.Errorf("replay total requests and hits = %v, want %d requests and some hits; stdout:\n%s", m, requests, stdout)
 	}
 
 	for i, srv := range nodes {
 		metrics := scrape(t, "http://"+srv.AdminAddr().String()+"/metrics")
+		for _, series := range []string{`clic_shard_reads_total{shard="0"}`, `clic_wire_frames_total{dir="decoded"}`} {
+			if _, ok := metrics[series]; !ok {
+				t.Errorf("node%d: /metrics lacks %s", i, series)
+			}
+		}
 		if metrics["clic_cache_read_hits_total"] <= 0 {
 			t.Errorf("node%d: clic_cache_read_hits_total %v, want read hits", i, metrics["clic_cache_read_hits_total"])
 		}
@@ -212,7 +250,8 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
-// scrape reads a Prometheus text endpoint's unlabelled samples by name.
+// scrape reads a Prometheus text endpoint's samples by series, labels
+// included (`name{label="value"}`).
 func scrape(t *testing.T, url string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -226,12 +265,12 @@ func scrape(t *testing.T, url string) map[string]float64 {
 	}
 	samples := make(map[string]float64)
 	for _, line := range strings.Split(string(body), "\n") {
-		name, value, ok := strings.Cut(line, " ")
-		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if v, err := strconv.ParseFloat(value, 64); err == nil {
-			samples[name] = v
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			samples[line[:i]] = v
 		}
 	}
 	return samples

@@ -110,8 +110,8 @@ func generate(s workload.Spec, path string, workers int, progress bool) {
 		float64(s.Preset.Requests)/elapsed.Seconds()/1e6,
 		float64(fi.Size())/elapsed.Seconds()/1e6)
 	// The bounded-memory claim, measured: the kernel's high-water mark for
-	// this process (Linux only; silently absent elsewhere). CI asserts on
-	// this line when streaming at paper scale.
+	// this process (Linux only; silently absent elsewhere).
+	// TestStreamingBoundedMemory asserts on this line at paper scale.
 	if kb := peakRSSKB(); kb > 0 {
 		fmt.Printf("peak rss: %d KB\n", kb)
 	}

@@ -6,6 +6,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -48,5 +51,31 @@ func TestNegativeWorkers(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("tracegen -workers -2 left %s behind (stat: %v)", path, err)
+	}
+}
+
+// TestStreamingBoundedMemory: ten million requests of four interleaved
+// DB2_C60 clients stream straight to disk through the parallel encoder,
+// verify end to end (block checksums and trailer counts), and keep the
+// generator's peak resident set, the kernel's high-water mark, under
+// 256 MiB: the trace is never held in memory. A trace built in RAM before
+// writing peaks above 300 MiB at this size.
+func TestStreamingBoundedMemory(t *testing.T) {
+	stdout, stderr, code := run(t, "-spec", "DB2_C60*4:10000000", "-o", filepath.Join(t.TempDir(), "big.trc"), "-verify")
+	if code != 0 {
+		t.Fatalf("tracegen: exit %d, stderr %q", code, stderr)
+	}
+	if !regexp.MustCompile(`(?m)^verify: OK`).MatchString(stdout) {
+		t.Errorf("tracegen -verify did not report OK; stdout:\n%s", stdout)
+	}
+	m := regexp.MustCompile(`(?m)^peak rss: ([0-9]+) KB$`).FindStringSubmatch(stdout)
+	if m == nil {
+		if runtime.GOOS == "linux" {
+			t.Errorf("tracegen printed no peak rss line; stdout:\n%s", stdout)
+		}
+		return
+	}
+	if kb, _ := strconv.Atoi(m[1]); kb >= 262144 {
+		t.Errorf("generator peak rss %d KB, want below 262144 KB (256 MiB)", kb)
 	}
 }

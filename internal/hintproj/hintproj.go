@@ -147,62 +147,42 @@ func (a Analysis) SelectTypes(maxTypes int) []string {
 }
 
 // Project rewrites the trace so every hint set keeps only the given types
-// (in their original field order): ProjectStream over the trace's requests
-// into a fresh trace. The input trace is not modified.
-func Project(t *trace.Trace, types []string) *trace.Trace {
-	out := trace.New(t.Name+"+proj", t.PageSize)
-	out.Clients = append([]string(nil), t.Clients...)
-	out.Reqs = make([]trace.Request, 0, len(t.Reqs))
-	// An in-memory iterator and trace never fail, so neither can the rewrite.
-	_ = ProjectStream(t.Iter(), out, types)
-	return out
-}
-
-// ProjectStream pipes requests from it into sink, keeping only the given
-// hint types in every hint set (in their original field order), in bounded
-// memory at any trace length. Hint sets that collapse to the same
+// (in their original field order). Hint sets that collapse to the same
 // projection share one interned ID, shrinking the hint-set space the server
-// must track. Projected sets are interned in input dictionary ID order as
-// the input dictionary becomes visible, so the output is a pure function of
-// the input stream.
-func ProjectStream(it trace.Iterator, sink trace.Sink, types []string) error {
+// must track. Projected sets are interned in input dictionary ID order, so
+// the output is a pure function of the input trace. The input trace is not
+// modified.
+func Project(t *trace.Trace, types []string) *trace.Trace {
 	keep := make(map[string]bool, len(types))
 	for _, typ := range types {
 		keep[typ] = true
 	}
-	inDict, outDict := it.HintDict(), sink.HintDict()
-	var remap []hint.ID
-	sync := func() {
-		for id := len(remap); id < inDict.Len(); id++ {
-			set, err := hint.Parse(inDict.Key(hint.ID(id)))
-			if err != nil {
-				// Dictionary keys are canonical by construction; a parse
-				// error means corruption, and projecting to the empty set
-				// is the safest degradation.
-				remap = append(remap, outDict.Intern(nil))
-				continue
-			}
-			proj := make(hint.Set, 0, len(types))
-			for _, f := range set {
-				if keep[f.Type] {
-					proj = append(proj, f)
-				}
-			}
-			remap = append(remap, outDict.Intern(proj))
+	out := trace.New(t.Name+"+proj", t.PageSize)
+	out.Clients = append([]string(nil), t.Clients...)
+	remap := make([]hint.ID, t.Dict.Len())
+	for id := range remap {
+		set, err := hint.Parse(t.Dict.Key(hint.ID(id)))
+		if err != nil {
+			// Dictionary keys are canonical by construction; a parse error
+			// means corruption, and projecting to the empty set is the
+			// safest degradation.
+			remap[id] = out.Dict.Intern(nil)
+			continue
 		}
-	}
-	for run := it.Next(); len(run) > 0; run = it.Next() {
-		sync()
-		for _, r := range run {
-			r.Hint = remap[r.Hint]
-			sink.AppendReq(r)
+		proj := make(hint.Set, 0, len(types))
+		for _, f := range set {
+			if keep[f.Type] {
+				proj = append(proj, f)
+			}
 		}
+		remap[id] = out.Dict.Intern(proj)
 	}
-	sync() // trailing dict growth (v2 dict sections after the last block)
-	if err := it.Err(); err != nil {
-		return err
+	out.Reqs = make([]trace.Request, len(t.Reqs))
+	for i, r := range t.Reqs {
+		r.Hint = remap[r.Hint]
+		out.Reqs[i] = r
 	}
-	return trace.Err(sink)
+	return out
 }
 
 // Generalize is the end-to-end helper: analyze a sample of the trace,

@@ -1,7 +1,6 @@
 package hintproj
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -150,50 +149,25 @@ func TestGeneralizeNoSignal(t *testing.T) {
 	}
 }
 
-// TestProjectStreamMatchesProject pins the streaming projection to the
-// chunked parallel rewrite it replaced (refProject): Project (the transform
-// over an in-memory iterator) and ProjectStream over a v2 stream whose
-// dictionary arrives in sections must both reproduce it — same requests,
-// same dictionary, same IDs.
+// TestProjectStreamMatchesProject pins Project to the chunked parallel
+// rewrite it replaced (refProject): same requests, same dictionary, same
+// IDs.
 func TestProjectStreamMatchesProject(t *testing.T) {
 	tr := signalTrace(3, 20000)
 	types := []string{"kind"}
 	want := refProject(tr, types)
-
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf, tr.Name, tr.PageSize, tr.Clients, trace.WriterOptions{BlockSize: 1000})
-	for _, r := range tr.Reqs {
-		for id := w.HintDict().Len(); id <= int(r.Hint); id++ {
-			w.HintDict().InternKey(tr.Dict.Key(hint.ID(id)))
+	got := Project(tr, types)
+	if got.Len() != want.Len() || got.Dict.Len() != want.Dict.Len() {
+		t.Fatalf("len %d/%d, dict %d/%d", got.Len(), want.Len(), got.Dict.Len(), want.Dict.Len())
+	}
+	for i := range want.Reqs {
+		if got.Reqs[i] != want.Reqs[i] {
+			t.Fatalf("request %d: %+v vs %+v", i, got.Reqs[i], want.Reqs[i])
 		}
-		w.AppendReq(r)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := trace.NewScanner(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := trace.New(want.Name, tr.PageSize)
-	streamed.Clients = append([]string(nil), tr.Clients...)
-	if err := ProjectStream(sc, streamed, types); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, got := range []*trace.Trace{Project(tr, types), streamed} {
-		if got.Len() != want.Len() || got.Dict.Len() != want.Dict.Len() {
-			t.Fatalf("len %d/%d, dict %d/%d", got.Len(), want.Len(), got.Dict.Len(), want.Dict.Len())
-		}
-		for i := range want.Reqs {
-			if got.Reqs[i] != want.Reqs[i] {
-				t.Fatalf("request %d: %+v vs %+v", i, got.Reqs[i], want.Reqs[i])
-			}
-		}
-		for id := 0; id < want.Dict.Len(); id++ {
-			if got.Dict.Key(hint.ID(id)) != want.Dict.Key(hint.ID(id)) {
-				t.Fatalf("hint %d: %q vs %q", id, got.Dict.Key(hint.ID(id)), want.Dict.Key(hint.ID(id)))
-			}
+	for id := 0; id < want.Dict.Len(); id++ {
+		if got.Dict.Key(hint.ID(id)) != want.Dict.Key(hint.ID(id)) {
+			t.Fatalf("hint %d: %q vs %q", id, got.Dict.Key(hint.ID(id)), want.Dict.Key(hint.ID(id)))
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package hintproj
 
 // The chunked parallel projection that Project was before it became a
-// wrapper over ProjectStream, kept verbatim (renamed refProject) as the
-// oracle TestProjectStreamMatchesProject holds the streaming transform to.
+// serial rewrite, kept verbatim (renamed refProject) as the oracle
+// TestProjectStreamMatchesProject holds Project to.
 
 import (
 	"runtime"

@@ -228,7 +228,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestSnapshotSchema is the /stats golden schema test: the JSON document's
 // key sets are pinned, so accidental field renames or removals (the
-// endpoint is a public surface; CI and dashboards parse it) fail loudly.
+// endpoint is a public surface; dashboards parse it) fail loudly.
 // The snapshot stays a superset: adding fields requires updating the
 // pinned sets here, deliberately.
 func TestSnapshotSchema(t *testing.T) {

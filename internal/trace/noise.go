@@ -27,55 +27,33 @@ func DefaultNoise(t int, seed int64) NoiseConfig {
 }
 
 // WithNoise returns a new trace in which every request's hint set has been
-// extended with cfg.Types synthetic hint types: StreamNoise over the trace's
-// requests into a fresh trace. The input trace is not modified.
-func WithNoise(t *Trace, cfg NoiseConfig) (*Trace, error) {
-	out := New(fmt.Sprintf("%s+noise%d", t.Name, cfg.Types), t.PageSize)
-	out.Clients = append([]string(nil), t.Clients...)
-	out.Reqs = make([]Request, 0, len(t.Reqs))
-	if err := StreamNoise(t.Iter(), out, cfg); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StreamNoise pipes requests from it into sink, extending every hint set
-// with cfg.Types synthetic hint types. Each injected value is drawn
+// extended with cfg.Types synthetic hint types. Each injected value is drawn
 // independently from a Zipf(cfg.ZipfS) distribution over cfg.Domain values,
 // as in §6.3; the injected hints therefore carry no information useful to
 // the server cache. Values are drawn in request order and extended hint
 // sets are interned in first-occurrence order, so the output is a pure
-// function of the input stream and cfg. The trace is never held in memory:
-// scanner→transform→writer runs in bounded space at any trace length.
+// function of the input trace and cfg. The input trace is not modified.
 //
-// With cfg.Types == 0 every input dictionary key is re-interned in ID order
-// as it becomes visible, so the output owns an equal, independent
-// dictionary.
-func StreamNoise(it Iterator, sink Sink, cfg NoiseConfig) error {
+// With cfg.Types == 0 every input dictionary key is re-interned in ID order,
+// so the output owns an equal, independent dictionary.
+func WithNoise(t *Trace, cfg NoiseConfig) (*Trace, error) {
 	if cfg.Types < 0 || cfg.Domain <= 0 {
-		return fmt.Errorf("trace: invalid noise config %+v", cfg)
+		return nil, fmt.Errorf("trace: invalid noise config %+v", cfg)
 	}
-	inDict, outDict := it.HintDict(), sink.HintDict()
+	out := New(fmt.Sprintf("%s+noise%d", t.Name, cfg.Types), t.PageSize)
+	out.Clients = append([]string(nil), t.Clients...)
+	out.Reqs = make([]Request, len(t.Reqs))
 
 	if cfg.Types == 0 {
-		var remap []hint.ID
-		sync := func() {
-			for id := len(remap); id < inDict.Len(); id++ {
-				remap = append(remap, outDict.InternKey(inDict.Key(hint.ID(id))))
-			}
+		remap := make([]hint.ID, t.Dict.Len())
+		for id := range remap {
+			remap[id] = out.Dict.InternKey(t.Dict.Key(hint.ID(id)))
 		}
-		for run := it.Next(); len(run) > 0; run = it.Next() {
-			sync()
-			for _, r := range run {
-				r.Hint = remap[r.Hint]
-				sink.AppendReq(r)
-			}
+		for i, r := range t.Reqs {
+			r.Hint = remap[r.Hint]
+			out.Reqs[i] = r
 		}
-		sync() // trailing dict growth (v2 dict sections after the last block)
-		if err := it.Err(); err != nil {
-			return err
-		}
-		return Err(sink)
+		return out, nil
 	}
 
 	rng := randx.New(cfg.Seed)
@@ -88,28 +66,23 @@ func StreamNoise(it Iterator, sink Sink, cfg NoiseConfig) error {
 	for v := range valStrs {
 		valStrs[v] = fmt.Sprintf("v%d", v)
 	}
+	baseSets := make([]hint.Set, t.Dict.Len())
+	for id := range baseSets {
+		s, err := hint.Parse(t.Dict.Key(hint.ID(id)))
+		if err != nil {
+			return nil, fmt.Errorf("trace: noise injection on %q: %w", t.Name, err)
+		}
+		baseSets[id] = s
+	}
 
-	var baseSets []hint.Set
 	ext := make(hint.Set, 0, 8+cfg.Types)
-	for run := it.Next(); len(run) > 0; run = it.Next() {
-		for id := len(baseSets); id < inDict.Len(); id++ {
-			s, err := hint.Parse(inDict.Key(hint.ID(id)))
-			if err != nil {
-				return fmt.Errorf("trace: noise injection on %q: %w", it.Name(), err)
-			}
-			baseSets = append(baseSets, s)
+	for i, r := range t.Reqs {
+		ext = append(ext[:0], baseSets[r.Hint]...)
+		for j := 0; j < cfg.Types; j++ {
+			ext = append(ext, hint.Field{Type: names[j], Value: valStrs[zipf.Next()]})
 		}
-		for _, r := range run {
-			ext = append(ext[:0], baseSets[r.Hint]...)
-			for j := 0; j < cfg.Types; j++ {
-				ext = append(ext, hint.Field{Type: names[j], Value: valStrs[zipf.Next()]})
-			}
-			r.Hint = outDict.Intern(ext)
-			sink.AppendReq(r)
-		}
+		r.Hint = out.Dict.Intern(ext)
+		out.Reqs[i] = r
 	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	return Err(sink)
+	return out, nil
 }

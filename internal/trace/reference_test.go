@@ -1,8 +1,8 @@
 package trace
 
 // The chunked parallel noise injection that WithNoise was before it became
-// a wrapper over StreamNoise, kept verbatim (names prefixed "ref") as the
-// oracle TestStreamNoiseMatchesWithNoise holds the streaming transform to.
+// a serial rewrite, kept verbatim (names prefixed "ref") as the oracle
+// TestStreamNoiseMatchesWithNoise holds WithNoise to.
 
 import (
 	"fmt"
