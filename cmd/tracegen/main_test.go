@@ -60,11 +60,28 @@ func TestNegativeWorkers(t *testing.T) {
 // generator's peak resident set, the kernel's high-water mark, under
 // 256 MiB: the trace is never held in memory. A trace built in RAM before
 // writing peaks above 300 MiB at this size.
+//
+// The child is tracegen built by the go command of the toolchain under
+// runtime.GOROOT(), not this test binary: under go test -race a re-run
+// test binary is race-built too, and takes about 20 s over these ten
+// million requests against 1–3 s. The code the child runs stays under the
+// detector in its own packages' tests: the parallel generation in
+// internal/workload's TestSpecParallelMatchesSerial, the parallel block
+// encoder in internal/trace's TestV2SerialParallelIdentical.
 func TestStreamingBoundedMemory(t *testing.T) {
-	stdout, stderr, code := run(t, "-spec", "DB2_C60*4:10000000", "-o", filepath.Join(t.TempDir(), "big.trc"), "-verify")
-	if code != 0 {
-		t.Fatalf("tracegen: exit %d, stderr %q", code, stderr)
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "tracegen")
+	if out, err := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	cmd := exec.Command(bin, "-spec", "DB2_C60*4:10000000", "-o", filepath.Join(dir, "big.trc"), "-verify")
+	var errOut bytes.Buffer
+	cmd.Stderr = &errOut
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("tracegen: %v, stderr %q", err, errOut.String())
+	}
+	stdout := string(out)
 	if !regexp.MustCompile(`(?m)^verify: OK`).MatchString(stdout) {
 		t.Errorf("tracegen -verify did not report OK; stdout:\n%s", stdout)
 	}

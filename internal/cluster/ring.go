@@ -24,8 +24,9 @@ import (
 	"sort"
 )
 
-// ringSalt decorrelates placement from the in-node shard hash, which
-// core.Sharded.ShardFor takes with the same mixer on the raw page number.
+// ringSalt is XORed into the page number before mixing. core.Sharded's
+// ShardFor no longer mixes (it takes the page table's own multiplicative
+// hash), so the salt is kept only so that placement stays what it was.
 const ringSalt = 0x9e3779b97f4a7c15
 
 // Ring maps pages to nodes, each node owning 1/N of the hash space, as
@@ -78,8 +79,7 @@ func (r *Ring) Owner(page uint64) int {
 	return r.bySorted[hi]
 }
 
-// mix64 is the SplitMix64 finalizer (same mixer core.Sharded uses for
-// shard placement, decorrelated here via ringSalt).
+// mix64 is the SplitMix64 finalizer, a cheap full-avalanche mixer.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -23,9 +23,11 @@
 // whose slots are the 32-byte, pointer-free records themselves, linked by
 // table position. A request costs one probe of that table, which lands on
 // the record's own line: Access's own, or, inside a Sharded frame, the
-// warm pass's (below). A cached record sits in its hint set's group
-// list, an uncached one in the outqueue list; eviction and re-admission
-// move the record between the two lists by relinking, where it sits.
+// warm pass's (below). Pages home by Fibonacci hashing; a Sharded front
+// cuts that one hash space into slices, one a shard's table (home,
+// Sharded.ShardFor). A cached record sits in its hint set's group list, an
+// uncached one in the outqueue list; eviction and re-admission move the
+// record between the two lists by relinking, where it sits.
 // Everything keyed by hint ID on the request path — the groups, the
 // learner's priorities and tracked counters — is a slice indexed by the ID,
 // since IDs are interned densely. The table grows with the records
@@ -156,8 +158,9 @@ type Cache struct {
 	// records (table.go; position 0 is nil). A page has one record, cached
 	// or outqueued (§3.1), so a request costs one probe that lands on the
 	// record itself; eviction and admission of a remembered page relink the
-	// record where it sits.
+	// record where it sits. mult is the table's hash multiplier (home).
 	ents []pageEntry
+	mult uint64
 
 	// Cached pages, grouped per hint set: groups is indexed by hint ID
 	// (IDs are interned densely), heap orders the non-empty groups.
@@ -209,6 +212,7 @@ func newCache(cfg Config, l *clicstats.Learner) *Cache {
 		cfg:     cfg,
 		learner: l,
 		ents:    make([]pageEntry, 1+minTableSlots),
+		mult:    phi,
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -114,21 +115,50 @@ func TestShardedSplit(t *testing.T) {
 	}
 }
 
-// TestShardedStableMapping checks that a page always lands on the same
-// shard and that the mapping spreads a sequential page range.
+// TestShardedStableMapping checks ShardFor over fronts of 1, 2, 3, 4, 8
+// and 12 shards, on 96,000 pages of a dense range and of strides 2, 8, 64,
+// 987 and 4,096:
+//   - every page maps into [0, n), and to the same shard every time;
+//   - no shard's count is off its even share by more than 0.1 % (2 % at
+//     stride 987: 987·phi is within 0.00045 of a whole number of 2⁶⁴, so
+//     each shard takes runs of about 2,200/n consecutive pages and the
+//     last, partial run tips the count by up to one run; mix64(page) % n,
+//     whose subsets are random, is off by about 1 % at any stride);
+//   - a 1-shard front's table multiplier is a plain cache's, so its table
+//     is a plain cache's table;
+//   - placement is nested: with m slots a shard, page p's home in shard
+//     ShardFor(p)'s table is its home in a plain table of n·m slots, less
+//     ShardFor(p)·m.
 func TestShardedStableMapping(t *testing.T) {
-	s := NewSharded(Config{Capacity: 16}, 4)
-	seen := make([]int, 4)
-	for p := uint64(0); p < 4000; p++ {
-		a, b := s.ShardFor(p), s.ShardFor(p)
-		if a != b {
-			t.Fatalf("page %d mapped to %d then %d", p, a, b)
-		}
-		seen[a]++
+	const pages, slots = 96_000, 1000
+	if got, want := NewSharded(Config{Capacity: 16}, 1).shards[0].c.mult, New(Config{Capacity: 16}).mult; got != want {
+		t.Errorf("1-shard front's table multiplier %#x, plain cache's %#x", got, want)
 	}
-	for i, n := range seen {
-		if n < 500 { // uniform would be 1000 per shard
-			t.Errorf("shard %d received only %d of 4000 sequential pages", i, n)
+	for _, stride := range []uint64{1, 2, 8, 64, 987, 4096} {
+		tol := 0.001
+		if stride == 987 {
+			tol = 0.02
+		}
+		for _, n := range []int{1, 2, 3, 4, 8, 12} {
+			s := NewSharded(Config{Capacity: 16}, n)
+			seen := make([]int, n)
+			for k := uint64(0); k < pages; k++ {
+				p := k * stride
+				a, b := s.ShardFor(p), s.ShardFor(p)
+				if a < 0 || a >= n || a != b {
+					t.Fatalf("stride %d, %d shards: page %d mapped to %d then %d", stride, n, p, a, b)
+				}
+				seen[a]++
+				if got, want := home(p, phi, uint32(n*slots)), uint32(a*slots)+home(p, s.shards[a].c.mult, slots); got != want {
+					t.Fatalf("stride %d, %d shards: page %d homes at %d of shard %d's table, slot %d of one table of %d slots",
+						stride, n, p, want-uint32(a*slots), a, got, n*slots)
+				}
+			}
+			for i, c := range seen {
+				if off := math.Abs(float64(c*n)/pages - 1); off > tol {
+					t.Errorf("stride %d, %d shards: shard %d holds %d pages, %.2f %% off the even %d", stride, n, i, c, 100*off, pages/n)
+				}
+			}
 		}
 	}
 }

@@ -29,11 +29,18 @@ const (
 	maxRecords = maxSlots * 4 / 5
 )
 
-// home returns page's home slot among n probe slots: the top bits of a
-// multiplicative (Fibonacci) hash scaled to n, so sequential page numbers,
-// the common case, spread evenly, and n need not be a power of two.
-func home(page uint64, n uint32) uint32 {
-	hi, _ := bits.Mul64(page*0x9E3779B97F4A7C15, uint64(n))
+// phi is 2⁶⁴/φ rounded down, the multiplier of Fibonacci hashing (Knuth,
+// TAOCP Vol. 3 §6.4): page·phi mod 2⁶⁴ lays a dense page range out almost
+// evenly over 2⁶⁴, so runs of consecutive pages home with hardly a collision.
+const phi = 0x9E3779B97F4A7C15
+
+// home returns page's home slot among n probe slots: the fraction
+// page·mult mod 2⁶⁴ scaled to n, so n need not be a power of two. A plain
+// cache's mult is phi; a shard of an s-shard front's is phi·s (mod 2⁶⁴), so
+// its table homes by the fraction below ShardFor's integer part: a slice of
+// the one plain table, stretched to fill the shard.
+func home(page, mult uint64, n uint32) uint32 {
+	hi, _ := bits.Mul64(page*mult, uint64(n))
 	return uint32(hi) + 1
 }
 
@@ -41,7 +48,7 @@ func home(page uint64, n uint32) uint32 {
 func (c *Cache) find(page uint64) uint32 {
 	ents := c.ents
 	n := uint32(len(ents) - 1)
-	for i := home(page, n); ; {
+	for i := home(page, c.mult, n); ; {
 		e := &ents[i]
 		if !e.used {
 			return 0
@@ -62,15 +69,15 @@ func (c *Cache) place(page uint64) uint32 {
 	if uint64(c.cached+c.outSize+1)*5 > uint64(len(c.ents)-1)*4 {
 		c.grow()
 	}
-	i := freeSlot(c.ents, page)
+	i := freeSlot(c.ents, page, c.mult)
 	c.ents[i] = pageEntry{page: page, used: true}
 	return i
 }
 
 // freeSlot returns the first unused slot of page's probe run in ents.
-func freeSlot(ents []pageEntry, page uint64) uint32 {
+func freeSlot(ents []pageEntry, page, mult uint64) uint32 {
 	n := uint32(len(ents) - 1)
-	i := home(page, n)
+	i := home(page, mult, n)
 	for ents[i].used {
 		if i++; i > n {
 			i = 1
@@ -88,7 +95,7 @@ func (c *Cache) grow() {
 	moved := make([]uint32, len(old))
 	for j := 1; j < len(old); j++ {
 		if old[j].used {
-			i := freeSlot(c.ents, old[j].page)
+			i := freeSlot(c.ents, old[j].page, c.mult)
 			c.ents[i] = old[j]
 			moved[j] = i
 		}
@@ -119,7 +126,7 @@ func (c *Cache) remove(i uint32) {
 		}
 		// The record at j may fill the hole if its home is no nearer to j
 		// than the hole is, counting cyclically over the n slots.
-		if cyclic(home(ents[j].page, n), j, n) >= cyclic(i, j, n) {
+		if cyclic(home(ents[j].page, c.mult, n), j, n) >= cyclic(i, j, n) {
 			ents[i] = ents[j]
 			c.relink(i)
 			i = j

@@ -104,7 +104,7 @@ func FuzzRecordStore(f *testing.F) {
 func pagesWithHome(slots, want uint32, n int, skip map[uint64]bool) []uint64 {
 	var out []uint64
 	for page := uint64(0); len(out) < n; page++ {
-		if home(page, slots) == want && !skip[page] {
+		if home(page, phi, slots) == want && !skip[page] {
 			out = append(out, page)
 			skip[page] = true
 		}
