@@ -37,9 +37,10 @@ type Coordinator struct{}
 // SetImmediate does nothing.
 func (*Coordinator) SetImmediate(bool) {}
 
-// Harness is an in-process cluster: N cache servers on loopback listeners.
-// It exists so cluster behaviour — including the headline single-vs-cluster
-// ablation — runs inside ordinary go tests over real TCP connections.
+// Harness is an in-process cluster: N cache servers on loopback listeners. It
+// exists so cluster behaviour — including the headline single-vs-cluster
+// ablation — runs inside ordinary go tests over real TCP connections. Its
+// nodes hold the ring's local page numbers (Ring): reach them by router.
 type Harness struct {
 	servers []*server.Server
 	nodes   []Node

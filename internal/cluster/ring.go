@@ -1,6 +1,6 @@
 // Package cluster scales the CLIC storage-server cache out to several
-// nodes: a placement hash assigns every page to one owning node, and a
-// routing client splits request batches across the owners.
+// nodes: the page table's own hash assigns every page to one owning node,
+// and a routing client splits request batches across the owners.
 //
 // Placement divides the request stream, and with it the hint statistics:
 // a node that owns one third of the pages sees roughly one third of each
@@ -24,17 +24,19 @@ import (
 	"sort"
 )
 
-// ringSalt is XORed into the page number before mixing. core.Sharded's
-// ShardFor no longer mixes (it takes the page table's own multiplicative
-// hash), so the salt is kept only so that placement stays what it was.
-const ringSalt = 0x9e3779b97f4a7c15
+// phi is core's Fibonacci-hashing multiplier: its table homes page·phi.
+const phi = 0x9E3779B97F4A7C15
 
-// Ring maps pages to nodes, each node owning 1/N of the hash space, as
-// it gets 1/N of the capacity. Placement is a pure function of the set of
-// node names and the page number, never of their order or of listen
-// addresses, so a cluster booted twice (or described by two routers)
-// places every page identically. Membership never changes, so placement
-// is not consistent hashing. A Ring is immutable and safe to share.
+// Ring maps pages to nodes, each node owning 1/N of the hash space, as it
+// gets 1/N of the capacity. Placement is a pure function of the set of node
+// names and the page number, never of their order or of listen addresses, so
+// a cluster booted twice (or described by two routers) places every page
+// identically. Membership never changes, so placement is not consistent
+// hashing. A Ring is immutable and safe to share. The nodes split the hash
+// space as the shards of one N·S-shard front do (core.Sharded.ShardFor) and
+// get their pages as Local numbers, so node r's shard k is that front's
+// shard r·S+k, table layout included. A node is reached through a router: it
+// holds page·N, not the client's page.
 type Ring struct {
 	names    []string
 	bySorted []int // caller's index of each name, in sorted name order
@@ -71,20 +73,15 @@ func (r *Ring) Nodes() int { return len(r.names) }
 // Name returns the identity of node i.
 func (r *Ring) Name(i int) string { return r.names[i] }
 
-// Owner returns the node owning a page: the high word of the mixed page
-// number times N (the multiply-shift core's probe table uses) is a rank
-// among the sorted names. Mixing first spreads sequential page ranges.
+// Owner returns the node owning a page: the integer part of page·phi
+// mod 2⁶⁴ times N, over 2⁶⁴ (ShardFor's multiply), is a rank among the
+// sorted names. ShardFor's weak stride is the ring's too: runs of about
+// 2,200/N consecutive pages of stride 987 share a node.
 func (r *Ring) Owner(page uint64) int {
-	hi, _ := bits.Mul64(mix64(page^ringSalt), uint64(len(r.bySorted)))
+	hi, _ := bits.Mul64(page*phi, uint64(len(r.bySorted)))
 	return r.bySorted[hi]
 }
 
-// mix64 is the SplitMix64 finalizer, a cheap full-avalanche mixer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+// Local returns page·N mod 2⁶⁴, the page number the owner is sent. Pages
+// that share one (an even N's, k·2⁶⁴/2ᵃ apart) never share an owner.
+func (r *Ring) Local(page uint64) uint64 { return page * uint64(len(r.names)) }

@@ -178,8 +178,9 @@ func (r *Router) Pipeline(depth int, h RouterHandler) *RouterPipeline {
 	return rp
 }
 
-// Submit routes one batch by ring owner and sends the sub-batches down
-// the per-node pipelines, completing older batches as node windows fill.
+// Submit routes one batch by ring owner, pages as Ring.Local numbers, and
+// sends the sub-batches down the per-node pipelines, completing older
+// batches as node windows fill.
 // reqs is fully consumed before Submit returns; tag is handed back to the
 // handler with the batch's reassembled results.
 func (rp *RouterPipeline) Submit(reqs []trace.Request, tag any) error {
@@ -193,16 +194,17 @@ func (rp *RouterPipeline) Submit(reqs []trace.Request, tag any) error {
 		rp.split[n] = rp.split[n][:0]
 		rb.index[n] = rb.index[n][:0]
 	}
-	rb.isRead = rb.isRead[:0]
 	if cap(rb.hits) < len(reqs) {
-		rb.hits = make([]bool, len(reqs))
+		rb.hits, rb.isRead = make([]bool, len(reqs)), make([]bool, len(reqs))
 	}
-	rb.hits = rb.hits[:len(reqs)]
+	rb.hits, rb.isRead = rb.hits[:len(reqs)], rb.isRead[:len(reqs)]
+	ring, split, index, isRead := rp.r.ring, rp.split, rb.index, rb.isRead
 	for i, req := range reqs {
-		n := rp.r.ring.Owner(req.Page)
-		rp.split[n] = append(rp.split[n], req)
-		rb.index[n] = append(rb.index[n], int32(i))
-		rb.isRead = append(rb.isRead, req.Op == trace.Read)
+		n := ring.Owner(req.Page)
+		req.Page = ring.Local(req.Page)
+		split[n] = append(split[n], req)
+		index[n] = append(index[n], int32(i))
+		isRead[i] = req.Op == trace.Read
 	}
 	rb.outq = 0
 	rb.tag = tag

@@ -123,7 +123,13 @@ func warmUp(s *Sharded, reqs []trace.Request) {
 //   - dense: 1 shard reads 1.19 and 0.09, and 3 and 8 shards, whose
 //     tables sit at other points of the growth cycle, 1.31 and 0.18 and
 //     1.16 and 0.07; mix64 2.5–3.2 and 0.9–1.1; bounds 1.40 and 0.25.
+//
+// It runs on one goroutine, so the race detector has nothing to check in
+// it, and under -race it costs about 14 s: race builds skip it.
 func TestShardTablesKeepOneLayout(t *testing.T) {
+	if raceBuild {
+		t.Skip("one goroutine, nothing for the race detector; runs without -race")
+	}
 	reqs, err := benchTrace()
 	if err != nil {
 		t.Fatal(err)
